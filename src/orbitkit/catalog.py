@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .liealg import LieAlgebra, validate
-from .linalg import Matrix, ONE, Subspace, ZERO, basis_vector, frac, solve
+from .linalg import Matrix, Subspace, basis_vector, frac, solve
 
 
 class CatalogError(ValueError):
@@ -269,6 +269,8 @@ def _rat(s) -> Fraction:
 
 
 def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
+    if not isinstance(doc, dict):
+        raise CatalogError(f"{source}: a definition must be a JSON object")
     try:
         name = doc.get("name", source)
         dim = doc["dim"]
@@ -279,23 +281,33 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
         raise CatalogError(f"{source}: basis has {len(labels)} labels for dim {dim}")
     rep = None
     if doc.get("matrix_rep") is not None:
-        rep = [Matrix([[_rat(x) for x in row] for row in m]) for m in doc["matrix_rep"]]
+        try:
+            rep = [Matrix([[_rat(x) for x in row] for row in m]) for m in doc["matrix_rep"]]
+        except TypeError:
+            raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
         if len(rep) != dim:
             raise CatalogError(f"{source}: matrix_rep must list one matrix per basis element")
     if "structure" in doc:
-        raw = doc["structure"]
-        tensor = tuple(
-            tuple(tuple(_rat(x) for x in row) for row in plane) for plane in raw
-        )
+        try:
+            tensor = tuple(
+                tuple(tuple(_rat(x) for x in row) for row in plane) for plane in doc["structure"]
+            )
+        except TypeError:
+            raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor") from None
         return LieAlgebra(dim, labels, tensor, tuple(rep) if rep else None, name)
     brackets = {}
     for item in doc.get("brackets", ()):
-        i, j = item["i"], item["j"]
-        if not (0 <= i < j < dim):
+        try:
+            i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
+        except (KeyError, TypeError, AttributeError):
+            raise CatalogError(
+                f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
+            ) from None
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
             raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
         if (i, j) in brackets:
             raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
-        brackets[(i, j)] = {int(k): _rat(v) for k, v in item["coeffs"].items()}
+        brackets[(i, j)] = {int(k): _rat(v) for k, v in coeffs}
         if any(not (0 <= k < dim) for k in brackets[(i, j)]):
             raise CatalogError(f"{source}: coefficient index out of range in pair ({i},{j})")
     return LieAlgebra.from_brackets(labels, brackets, name=name,
@@ -317,18 +329,26 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
         bad = (report.antisymmetry_failures or
                [t[:3] for t in report.jacobi_failures] or report.rep_failures)
         raise CatalogError(f"{source}: algebra fails validation at triple {bad[0]!r}")
-    covectors = {
-        key: tuple(_rat(x) for x in coords)
-        for key, coords in doc.get("covectors", {}).items()
-    }
-    ideals = {
-        key: _parse_subspace(alg, spec, source)
-        for key, spec in doc.get("ideals", {}).items()
-    }
-    complements = {
-        key: _parse_subspace(alg, spec, source)
-        for key, spec in doc.get("complements", {}).items()
-    }
+    try:
+        covectors = {
+            key: tuple(_rat(x) for x in coords)
+            for key, coords in doc.get("covectors", {}).items()
+        }
+        ideals = {
+            key: _parse_subspace(alg, spec, source)
+            for key, spec in doc.get("ideals", {}).items()
+        }
+        complements = {
+            key: _parse_subspace(alg, spec, source)
+            for key, spec in doc.get("complements", {}).items()
+        }
+    except (AttributeError, TypeError) as exc:
+        raise CatalogError(f"{source}: malformed covectors, ideals or complements: {exc}") from None
+    for key, coords in covectors.items():
+        if len(coords) != alg.dim:
+            raise CatalogError(
+                f"{source}: covector {key!r} has {len(coords)} coordinates for dim {alg.dim}"
+            )
     return CatalogEntry(alg.name, alg, doc.get("description", ""),
                         covectors, ideals, complements)
 
@@ -340,42 +360,3 @@ def load_entry_file(path: str) -> CatalogEntry:
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
     return parse_entry(doc, source=path)
-
-
-def algebra_to_doc(alg: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            coeffs = {
-                str(k): str(alg.structure[i][j][k])
-                for k in range(alg.dim)
-                if alg.structure[i][j][k] != 0
-            }
-            if coeffs:
-                brackets.append({"i": i, "j": j, "coeffs": coeffs})
-    doc = {
-        "name": alg.name,
-        "dim": alg.dim,
-        "basis": list(alg.labels),
-        "brackets": brackets,
-    }
-    if alg.matrix_rep is not None:
-        doc["matrix_rep"] = [
-            [[str(x) for x in row] for row in m.entries] for m in alg.matrix_rep
-        ]
-    return doc
-
-
-def entry_to_doc(entry: CatalogEntry) -> dict:
-    doc = algebra_to_doc(entry.algebra)
-    doc["description"] = entry.description
-    doc["covectors"] = {k: [str(x) for x in v] for k, v in entry.covectors.items()}
-    doc["ideals"] = {
-        k: {"rows": [[str(x) for x in row] for row in s.basis_rows()]}
-        for k, s in entry.ideals.items()
-    }
-    doc["complements"] = {
-        k: {"rows": [[str(x) for x in row] for row in s.basis_rows()]}
-        for k, s in entry.complements.items()
-    }
-    return doc

@@ -3,8 +3,15 @@
 Exit codes: 0 when every mathematical check in the report passes, 1 when a
 check fails (the report says which), 2 for invalid input or usage.  Output
 is deterministic: keys are sorted, rationals are canonical "p/q" strings,
-and batch results are merged in input order, so identical invocations
-produce byte-identical reports.
+and results are listed in input order, so identical invocations produce
+byte-identical reports.
+
+Bad input is decided in one place: any ValueError raised on the way to a
+report means the input is outside what the analysis covers, and `main`
+turns it into the exit-2 envelope with the exception's text as `error`.
+The library's input errors (InputError here, CatalogError, NotClosedError,
+ChainError, UnsupportedSpectrumError) are all ValueErrors.  Usage errors
+are argparse's: exit 2 with a message on stderr.
 """
 
 from __future__ import annotations
@@ -12,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from typing import Optional
 
 from . import catalog as cat
 from .conditions import check_conditions
 from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
-from .liealg import Covector, LieAlgebra, NotClosedError, orbit_record, structure_probe, validate
+from .liealg import Covector, LieAlgebra, orbit_record, validate
 from .linalg import Subspace, basis_vector, frac
 from .mackey import abelian_step, classify_little_algebra, mackey_report, semidirect_witness
 from .polarization import (
@@ -26,7 +33,7 @@ from .polarization import (
     exponential_precheck,
     pukanszky_polarization,
 )
-from .reductive import UnsupportedSpectrumError, matrix_lie_algebra, parabolic_report
+from .reductive import matrix_lie_algebra, parabolic_report
 
 SCHEMA = 1
 
@@ -42,10 +49,15 @@ def _load_entry(spec: str) -> cat.CatalogEntry:
         if name not in entries:
             raise InputError(f"unknown catalog entry {name!r}; try the `catalog` subcommand")
         return entries[name]
+    return cat.load_entry_file(spec)
+
+
+def _rat(x) -> Fraction:
+    """A rational from outside input; a zero denominator is a ValueError too."""
     try:
-        return cat.load_entry_file(spec)
-    except cat.CatalogError as exc:
-        raise InputError(str(exc)) from None
+        return frac(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _parse_point(alg: LieAlgebra, text: str) -> Covector:
@@ -53,8 +65,8 @@ def _parse_point(alg: LieAlgebra, text: str) -> Covector:
     if len(parts) != alg.dim:
         raise InputError(f"point needs {alg.dim} coordinates, got {len(parts)}")
     try:
-        return Covector(alg, [frac(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as exc:
+        return Covector(alg, [_rat(p) for p in parts])
+    except ValueError as exc:
         raise InputError(f"bad rational in point: {exc}") from None
 
 
@@ -68,16 +80,14 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return Subspace(alg.dim, [[frac(x) for x in row] for row in doc["rows"]])
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            return Subspace(alg.dim, [[_rat(x) for x in row] for row in doc["rows"]])
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad subspace file {text[1:]}: {exc}") from None
     tokens = [t.strip() for t in text.split(",")]
     rows = []
     for tok in tokens:
         if tok.isdigit():
             idx = int(tok)
-            if idx >= alg.dim:
-                raise InputError(f"basis index {idx} out of range")
         else:
             try:
                 idx = alg.label_index(tok)
@@ -87,13 +97,6 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
                 ) from None
         rows.append(basis_vector(alg.dim, idx))
     return Subspace(alg.dim, rows)
-
-
-def _map_points(points, fn, jobs: int):
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
 
 
 def _point_json(cov: Covector):
@@ -128,10 +131,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"{args.algebra}: {exc}") from None
-        try:
-            alg = cat.parse_algebra(doc, source=args.algebra)
-        except cat.CatalogError as exc:
-            raise InputError(str(exc)) from None
+        alg = cat.parse_algebra(doc, source=args.algebra)
     report = validate(alg)
     payload = {"validation": report.to_json_dict()}
     if not report.ok:
@@ -147,7 +147,7 @@ def _cmd_orbit(args) -> tuple[dict, bool]:
         rec = orbit_record(entry.algebra, cov)
         return {"point": _point_json(cov), "orbit": rec.to_json_dict()}
 
-    return {"results": _map_points(points, run, args.jobs)}, True
+    return {"results": [run(cov) for cov in points]}, True
 
 
 def _cmd_conditions(args) -> tuple[dict, bool]:
@@ -156,14 +156,11 @@ def _cmd_conditions(args) -> tuple[dict, bool]:
     points = [_parse_point(entry.algebra, p) for p in args.point]
 
     def run(cov):
-        try:
-            rep = check_conditions(entry.algebra, sub, cov)
-        except NotClosedError as exc:
-            raise InputError(str(exc)) from None
+        rep = check_conditions(entry.algebra, sub, cov)
         return {"point": _point_json(cov), "conditions": rep.to_json_dict(),
                 "ok": rep.all_flags()}
 
-    results = _map_points(points, run, args.jobs)
+    results = [run(cov) for cov in points]
     return {"results": results}, all(r["ok"] for r in results)
 
 
@@ -171,21 +168,18 @@ def _cmd_mackey(args) -> tuple[dict, bool]:
     entry = _load_entry(args.algebra)
     ideal = _parse_subspace(entry, args.ideal)
     points = [_parse_point(entry.algebra, p) for p in args.point]
+    comp = _parse_subspace(entry, args.complement) if args.complement else None
 
     def run(cov):
-        try:
-            rep = mackey_report(entry.algebra, ideal, cov)
-        except NotClosedError as exc:
-            raise InputError(str(exc)) from None
+        rep = mackey_report(entry.algebra, ideal, cov)
         out = {"point": _point_json(cov), "mackey": rep.to_json_dict(),
                "ok": rep.all_checks()}
-        if args.complement:
-            comp = _parse_subspace(entry, args.complement)
+        if comp is not None:
             witness = semidirect_witness(entry.algebra, ideal, cov, [(args.complement, comp)])
             out["semidirect"] = witness.to_json_dict()
         return out
 
-    results = _map_points(points, run, args.jobs)
+    results = [run(cov) for cov in points]
     return {"results": results}, all(r["ok"] for r in results)
 
 
@@ -207,8 +201,8 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
                 if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
                     chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
                 else:
-                    chain.append(Subspace(alg.dim, [[frac(x) for x in row] for row in spec]))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+                    chain.append(Subspace(alg.dim, [[_rat(x) for x in row] for row in spec]))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chain file {path}: {exc}") from None
 
     pre = exponential_precheck(alg, seed=args.seed)
@@ -237,20 +231,17 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
         ok = certs and trace.conditions.all_flags()
         return {"point": _point_json(cov), "trace": trace.to_json_dict(), "ok": ok}
 
-    results = _map_points(points, run, args.jobs)
+    results = [run(cov) for cov in points]
     payload = {"precheck": pre.to_json_dict(), "results": results}
     return payload, all(r["ok"] for r in results)
 
 
 def _cmd_parabolic(args) -> tuple[dict, bool]:
     entry = _load_entry(args.algebra)
-    try:
-        malg = matrix_lie_algebra(entry.algebra)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    malg = matrix_lie_algebra(entry.algebra)
     inputs = []
     for text in args.element or ():
-        parts = [frac(p.strip()) for p in text.split(",")]
+        parts = [_rat(p.strip()) for p in text.split(",")]
         if len(parts) != malg.dim:
             raise InputError(f"element needs {malg.dim} coordinates")
         inputs.append(tuple(parts))
@@ -260,14 +251,11 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
         raise InputError("parabolic needs --element or --point")
 
     def run(x):
-        try:
-            rep = parabolic_report(malg, x)
-        except UnsupportedSpectrumError as exc:
-            raise InputError(str(exc)) from None
+        rep = parabolic_report(malg, x)
         return {"input": _point_json(x) if isinstance(x, Covector) else [str(c) for c in x],
                 "parabolic": rep.to_json_dict(), "ok": rep.all_relations()}
 
-    results = _map_points(inputs, run, args.jobs)
+    results = [run(x) for x in inputs]
     return {"results": results}, all(r["ok"] for r in results)
 
 
@@ -277,11 +265,8 @@ def _cmd_classify(args) -> tuple[dict, bool]:
     points = [_parse_point(entry.algebra, p) for p in args.point]
 
     def run(cov):
-        try:
-            kind = classify_little_algebra(entry.algebra, ideal, cov)
-            step = abelian_step(entry.algebra, ideal, cov)
-        except (NotClosedError, ValueError) as exc:
-            raise InputError(str(exc)) from None
+        kind = classify_little_algebra(entry.algebra, ideal, cov)
+        step = abelian_step(entry.algebra, ideal, cov)
         return {
             "point": _point_json(cov),
             "little_algebra": kind.to_json_dict(),
@@ -289,7 +274,7 @@ def _cmd_classify(args) -> tuple[dict, bool]:
             "ok": step.dims_match,
         }
 
-    results = _map_points(points, run, args.jobs)
+    results = [run(cov) for cov in points]
     return {"results": results}, all(r["ok"] for r in results)
 
 
@@ -302,15 +287,11 @@ def _cmd_record(args) -> tuple[dict, bool]:
     points = [_parse_point(alg, p) for p in args.point]
 
     def run(cov):
-        try:
-            fiber = point_fiber(alg, subs[-1], cov)
-            rec: InducedRecord = None
-            spaces = [Subspace.full(alg.dim)] + subs
-            rec = InducedRecord(alg, spaces[-2], spaces[-1], fiber)
-            for outer_space, outer_sub in zip(reversed(spaces[:-2]), reversed(subs[:-1])):
-                rec = InducedRecord(alg, outer_space, outer_sub, rec)
-        except (NotClosedError, ValueError) as exc:
-            raise InputError(str(exc)) from None
+        fiber = point_fiber(alg, subs[-1], cov)
+        spaces = [Subspace.full(alg.dim)] + subs
+        rec = InducedRecord(alg, spaces[-2], spaces[-1], fiber)
+        for outer_space, outer_sub in zip(reversed(spaces[:-2]), reversed(subs[:-1])):
+            rec = InducedRecord(alg, outer_space, outer_sub, rec)
         flattened = stages_flatten(rec)
         verdict = frobenius_check(rec, orbit_record(alg, cov))
         return {
@@ -322,7 +303,7 @@ def _cmd_record(args) -> tuple[dict, bool]:
             "ok": induced_dim(rec) == induced_dim(flattened),
         }
 
-    results = _map_points(points, run, args.jobs)
+    results = [run(cov) for cov in points]
     return {"results": results}, all(r["ok"] for r in results)
 
 
@@ -351,8 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if points:
             p.add_argument("--point", "-p", action="append", default=[],
                            help="covector coordinates, comma-separated rationals (repeatable)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="process independent covectors in parallel")
         p.add_argument("--output", "-o", help="write the report to a file instead of stdout")
 
     p = sub.add_parser("catalog", help="list built-in algebras")
@@ -413,7 +392,7 @@ def main(argv: Optional[list] = None) -> int:
         envelope.update(payload)
         envelope["ok"] = ok
         code = 0 if ok else 1
-    except InputError as exc:
+    except ValueError as exc:
         envelope["error"] = str(exc)
         envelope["ok"] = False
         code = 2

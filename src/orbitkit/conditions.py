@@ -18,7 +18,6 @@ from typing import Optional
 from .liealg import (
     Covector,
     LieAlgebra,
-    NotClosedError,
     coadjoint_image,
     kks_pairing,
     stabilizer,

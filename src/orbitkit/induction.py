@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record, restrict
-from .linalg import Matrix, Subspace, vec_sub
+from .linalg import Subspace, vec_sub
 
 
 class ChainError(ValueError):

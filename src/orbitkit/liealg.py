@@ -23,22 +23,17 @@ from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
-    ONE,
     Subspace,
     ZERO,
-    annihilator,
     basis_vector,
     frac,
-    image,
     is_zero_vec,
     rank_kernel,
     solve,
-    sum_intersect,
     symmetric_signature,
     vec,
     vec_add,
     vec_dot,
-    vec_scale,
 )
 
 
@@ -293,9 +288,6 @@ class EmbeddedSubalgebra:
         if coords is None:
             raise ValueError("vector does not lie in the subalgebra")
         return coords
-
-    def lift_subspace(self, sub: Subspace) -> Subspace:
-        return Subspace(self.parent.dim, [self.to_parent(r) for r in sub.basis_rows()])
 
 
 def subalgebra(alg: LieAlgebra, sub: Subspace, name: str = "") -> EmbeddedSubalgebra:

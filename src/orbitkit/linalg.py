@@ -56,6 +56,8 @@ def is_zero_vec(u: Sequence) -> bool:
 
 
 def basis_vector(n: int, j: int) -> tuple:
+    if not 0 <= j < n:
+        raise ValueError(f"basis index {j} out of range for dimension {n}")
     return tuple(ONE if i == j else ZERO for i in range(n))
 
 
@@ -79,19 +81,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("from_rows needs at least one row; use zeros otherwise")
-        return cls(rows)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries)) if self.rows else Matrix.zeros(self.cols, 0)
@@ -156,14 +145,6 @@ class Matrix:
             raise ValueError("trace of non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
 
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -194,9 +175,6 @@ class Matrix:
             if r == nrows:
                 break
         return Matrix(m) if m else Matrix.zeros(0, ncols), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
 
 def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
@@ -243,10 +221,6 @@ class Subspace:
     @classmethod
     def full(cls, n: int) -> "Subspace":
         return cls(n, Matrix.identity(n).entries)
-
-    @classmethod
-    def span(cls, n: int, rows: Iterable[Iterable]) -> "Subspace":
-        return cls(n, rows)
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,6 @@ supply, and the reports say so where it matters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,10 +23,8 @@ from typing import Optional, Sequence
 from .conditions import orth
 from .liealg import (
     Covector,
-    EmbeddedSubalgebra,
     LieAlgebra,
     NotClosedError,
-    QuotientAlgebra,
     ad_matrix,
     bracket_span,
     coadjoint_image,
@@ -39,22 +36,17 @@ from .liealg import (
     stabilizer,
     structure_probe,
     subalgebra,
-    validate,
 )
 from .linalg import (
     Matrix,
-    ONE,
     Subspace,
     ZERO,
     annihilator,
     basis_vector,
-    frac,
     image,
-    is_zero_vec,
     rank_kernel,
     solve,
     vec,
-    vec_add,
     vec_scale,
 )
 
@@ -384,6 +376,10 @@ def semidirect_witness(
 
     data = little_group_step(alg, n, cov)
     assert data.g_c.dim == nd  # point orbit: everything stabilizes
+    emb = subalgebra(alg, data.g_c)
+    n_inner = Subspace(nd, [emb.from_parent(r) for r in n.basis_rows()])
+    quot = quotient(emb.algebra, n_inner)
+    m = quot.algebra.dim
     rejections = []
     for name, s in candidates:
         if s.ambient_dim != nd:
@@ -398,21 +394,14 @@ def semidirect_witness(
         except NotClosedError:
             rejections.append((name, "declared complement is not a subalgebra"))
             continue
-        # lift the canonical quotient classes into s
-        emb = subalgebra(alg, data.g_c)
-        n_inner = Subspace(nd, [emb.from_parent(r) for r in n.basis_rows()])
-        quot = quotient(emb.algebra, n_inner)
-        m = quot.algebra.dim
+        # lift the canonical quotient classes into s: solve rep = sigma - correction
+        # with sigma in s and the correction in n
+        aug = Matrix(list(s.basis_rows()) + [vec_scale(-1, r) for r in n.basis_rows()]).transpose()
         sec = []
         ok = True
         for k in range(m):
             rep = emb.to_parent(quot.lift(basis_vector(m, k)))
-            # solve rep + n-part in s:  sigma = rep - correction, correction in n
-            stacked = list(s.basis_rows())
-            target = rep
-            coeffs = None
-            aug = Matrix(stacked + [vec_scale(-1, r) for r in n.basis_rows()]).transpose()
-            sol = solve(aug, target)
+            sol = solve(aug, rep)
             if sol is None:
                 ok = False
                 break

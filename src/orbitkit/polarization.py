@@ -26,25 +26,20 @@ from typing import Optional, Sequence
 from .conditions import ConditionReport, check_conditions, orth
 from .liealg import (
     Covector,
-    EmbeddedSubalgebra,
     LieAlgebra,
-    NotClosedError,
     ad_matrix,
     ascending_central_series,
     bracket_span,
     centralizer,
-    ideal_closure,
     is_ideal,
     kks_pairing,
     orbit_annihilator,
     quotient,
     restrict,
-    stabilizer,
     structure_probe,
     subalgebra,
 )
 from .linalg import (
-    Matrix,
     Subspace,
     ZERO,
     annihilator,

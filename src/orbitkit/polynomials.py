@@ -147,17 +147,6 @@ def compose_mod(p: tuple, q: tuple, modulus: tuple) -> tuple:
     return acc
 
 
-def pow_mod(p: tuple, k: int, modulus: tuple) -> tuple:
-    out = poly([1])
-    base = divmod_poly(p, modulus)[1]
-    while k:
-        if k & 1:
-            out = divmod_poly(mul(out, base), modulus)[1]
-        base = divmod_poly(mul(base, base), modulus)[1]
-        k >>= 1
-    return out
-
-
 def invert_mod(p: tuple, modulus: tuple) -> tuple:
     g, u, _ = xgcd(p, modulus)
     if deg(g) != 0:
@@ -278,41 +267,6 @@ def count_negative_roots(p: tuple) -> int:
     at_minus_inf = [_sign_at_minus_inf(c) for c in chain]
     at_zero = [eval_at(c, 0) for c in chain]
     return _sign_variations(at_minus_inf) - _sign_variations(at_zero)
-
-
-def rational_roots(p: tuple) -> list[Fraction]:
-    """All rational roots of p, sorted, found by exact divisor search."""
-    if is_zero(p):
-        raise ValueError("zero polynomial")
-    k, q = strip_zero_roots(p)
-    roots = [ZERO] if k else []
-    if deg(q) == 0:
-        return roots
-    # scale to integer coefficients
-    den = math.lcm(*[c.denominator for c in q])
-    ints = [int(c * den) for c in q]
-    g = math.gcd(*[abs(c) for c in ints if c])
-    ints = [c // g for c in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                if d != n // d:
-                    out.append(n // d)
-            d += 1
-        return sorted(out)
-
-    for num in divisors(a0):
-        for dend in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, dend)
-                if eval_at(q, cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
 
 
 def is_rational_square(r: Fraction) -> Optional[Fraction]:

@@ -26,7 +26,6 @@ from .liealg import (
     ad_matrix,
     kks_pairing,
     restrict,
-    stabilizer,
     validate,
 )
 from .linalg import (
@@ -45,16 +44,13 @@ from .polynomials import (
     divmod_poly,
     derivative,
     eval_matrix,
-    gcd,
     invert_mod,
     is_rational_square,
     monic,
     mul,
     poly,
-    rational_roots,
     squarefree_part,
     to_string,
-    xgcd,
 )
 
 
@@ -271,7 +267,9 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     coords = element_coords(malg, xh) if isinstance(xh, Matrix) else vec(xh)
     alg = malg.algebra
     ad = ad_matrix(alg, coords)
-    eigs = rational_roots(charpoly(ad))
+    chi = charpoly(ad)
+    # the rational eigenvalues a are the roots of the monic linear factors x - a
+    eigs = [-f[0] for f in _factor_squarefree(squarefree_part(chi)) if deg(f) == 1]
     spaces = {}
     total = 0
     n = alg.dim
@@ -282,8 +280,7 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
             spaces[a] = ker
             total += ker.dim
     if total != n:
-        raise UnsupportedSpectrumError(charpoly(ad),
-                                       "ad(x_h) is not diagonalizable over Q")
+        raise UnsupportedSpectrumError(chi, "ad(x_h) is not diagonalizable over Q")
     eigenvalues = tuple(sorted(spaces))
     # bracket grading [g^a, g^b] <= g^{a+b}
     for a in eigenvalues:

@@ -1,0 +1,130 @@
+"""The CLI's exit codes and JSON envelope, called in-process through `main`."""
+
+import json
+
+import pytest
+
+from orbitkit import cli
+
+# Definition files that are malformed or declare out-of-range data.
+MALFORMED = {
+    "bad_structure.json": {"name": "bad", "dim": 1, "basis": ["a"], "structure": [[1]]},
+    "no_coeffs.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                       "brackets": [{"i": 0, "j": 1}]},
+    "top_list.json": [{"name": "bad", "dim": 1, "basis": ["a"]}],
+    "bad_ideal.json": {"name": "bad_ideal", "dim": 2, "basis": ["a", "b"],
+                       "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}],
+                       "ideals": {"x": [9]}},
+    "bad_covector.json": {"name": "bad_covector", "dim": 2, "basis": ["a", "b"],
+                          "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}],
+                          "covectors": {"c": ["1", "2", "3"]}},
+    "rep_not_rows.json": {"name": "bad", "dim": 1, "basis": ["a"], "matrix_rep": [[1]]},
+    "covectors_list.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "covectors": []},
+    "ideal_rows_int.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                            "ideals": {"x": {"rows": 5}}},
+    "zero_den_rows.json": {"rows": [["1/0", "0", "0"]]},
+    "chain_index.json": {"ideals": [[9]]},
+    "chain_zero_den.json": {"ideals": [[["1/0", "0", "0"]]]},
+}
+
+BAD_INPUTS = {
+    # the point-orbit hypothesis of the semidirect witness fails
+    "mackey_semidirect_timelike": ["mackey", "catalog:poincare", "--ideal", "translations",
+                                   "--complement", "lorentz", "--point=0,0,0,0,0,0,1,0,0,0"],
+    "mackey_semidirect_affine_line": ["mackey", "catalog:affine_line", "--ideal", "translations",
+                                      "--complement", "dilation", "--point=0,1"],
+    "mackey_semidirect_euclid2": ["mackey", "catalog:euclid2", "--ideal", "translations",
+                                  "--complement", "rotation", "--point=0,1,0",
+                                  "--point=1,0,0"],
+    "parabolic_bad_rational": ["parabolic", "catalog:sl2", "--element=1,a,0"],
+    "validate_structure_1x1": ["validate", "bad_structure.json"],
+    "validate_bracket_no_coeffs": ["validate", "no_coeffs.json"],
+    "validate_top_level_list": ["validate", "top_list.json"],
+    "mackey_ideal_index_out_of_range": ["mackey", "bad_ideal.json", "--ideal", "x",
+                                        "--point=0,1"],
+    "orbit_covector_wrong_length": ["orbit", "bad_covector.json", "--point=0,1"],
+    # other malformed sections of a definition file
+    "validate_matrix_rep_not_rows": ["validate", "rep_not_rows.json"],
+    "orbit_covectors_not_an_object": ["orbit", "covectors_list.json", "--point=0,1"],
+    "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
+    # rationals and indices read from the command line or a referenced file
+    "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
+    "orbit_point_zero_denominator": ["orbit", "catalog:heisenberg3", "--point=1/0,0,0"],
+    "conditions_index_out_of_range": ["conditions", "catalog:heisenberg3", "--sub", "9",
+                                      "--point=0,0,1"],
+    "conditions_rows_zero_denominator": ["conditions", "catalog:heisenberg3",
+                                         "--sub", "@zero_den_rows.json", "--point=0,0,1"],
+    "polarize_chain_index": ["polarize", "catalog:heisenberg3",
+                             "--strategy", "chain:chain_index.json", "--point=0,0,1"],
+    "polarize_chain_zero_denominator": ["polarize", "catalog:heisenberg3",
+                                        "--strategy", "chain:chain_zero_den.json",
+                                        "--point=0,0,1"],
+}
+
+HAPPY = {
+    "catalog": ["catalog"],
+    "validate": ["validate", "catalog:heisenberg3"],
+    "orbit": ["orbit", "catalog:heisenberg3", "--point=0,0,1", "--point=1,0,0"],
+    "conditions": ["conditions", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"],
+    "mackey": ["mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"],
+    "polarize": ["polarize", "catalog:heisenberg3", "--point=0,0,1"],
+    "parabolic": ["parabolic", "catalog:sl2", "--element=1,0,0"],
+    "classify": ["classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"],
+    "record": ["record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"],
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, doc in MALFORMED.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_gives_the_error_envelope(case, workdir, capsys):
+    argv = BAD_INPUTS[case]
+    code, env = run(argv, capsys)
+    assert code == 2
+    assert env["ok"] is False and env["command"] == argv[0]
+    assert isinstance(env["error"], str) and env["error"]
+    assert "results" not in env
+
+
+def test_error_text_keeps_its_context(workdir, capsys):
+    _, env = run(BAD_INPUTS["mackey_ideal_index_out_of_range"], capsys)
+    assert env["error"] == "basis index 9 out of range for dimension 2"
+    _, env = run(BAD_INPUTS["polarize_chain_index"], capsys)
+    assert env["error"] == ("bad chain file chain_index.json: "
+                            "basis index 9 out of range for dimension 3")
+    _, env = run(BAD_INPUTS["orbit_point_zero_denominator"], capsys)
+    assert env["error"] == "bad rational in point: Fraction(1, 0)"
+    _, env = run(BAD_INPUTS["validate_top_level_list"], capsys)
+    assert env["error"] == "top_list.json: a definition must be a JSON object"
+
+
+@pytest.mark.parametrize("command", sorted(HAPPY))
+def test_happy_path_gives_a_report(command, capsys):
+    code, env = run(HAPPY[command], capsys)
+    assert code in (0, 1)
+    assert "error" not in env
+    assert env["ok"] is (code == 0)
+
+
+def test_semidirect_witness_at_a_point_orbit(capsys):
+    code, env = run(["mackey", "catalog:affine_line", "--ideal", "translations",
+                     "--complement", "dilation", "--point=1,0"], capsys)
+    assert code in (0, 1)
+    assert env["results"][0]["semidirect"]["witness"] == "dilation"
+
+
+def test_jobs_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbit", "catalog:heisenberg3", "--point=0,0,1", "--jobs", "2"])
+    assert exc.value.code == 2

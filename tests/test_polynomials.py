@@ -17,7 +17,6 @@ from orbitkit.polynomials import (
     monic,
     mul,
     poly,
-    rational_roots,
     squarefree_part,
     strip_zero_roots,
     to_string,
@@ -66,12 +65,6 @@ def test_charpoly_against_minimal_polynomial():
     assert charpoly(d) == poly([6, -5, 1])
     assert minimal_polynomial(d) == poly([6, -5, 1])
     assert eval_matrix(charpoly(m), m).is_zero()
-
-
-def test_rational_roots():
-    p = mul(mul(poly([-1, 2]), poly([3, 1])), poly([1, 0, 1]))  # (2x-1)(x+3)(x^2+1)
-    assert rational_roots(p) == [F(-3), F(1, 2)]
-    assert rational_roots(poly([0, 0, 1])) == [F(0)]
 
 
 def test_sturm_negative_root_count():
