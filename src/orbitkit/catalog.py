@@ -295,8 +295,11 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
         except TypeError:
             raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor") from None
         return LieAlgebra(dim, labels, tensor, tuple(rep) if rep else None, name)
+    items = doc.get("brackets", [])
+    if not isinstance(items, list):
+        raise CatalogError(f"{source}: brackets must be a list of bracket objects")
     brackets = {}
-    for item in doc.get("brackets", ()):
+    for item in items:
         try:
             i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
         except (KeyError, TypeError, AttributeError):

@@ -5,6 +5,13 @@ Everything downstream (stabilizers, orbit dimensions, affine hulls,
 annihilator conditions) reduces here to exact kernels and ranks of the
 pairing matrix B[i][j] = <cov, [e_i, e_j]> attached to a covector.
 
+The dense tensor `structure` is the defining field: equality, hashing, the
+catalog format and every report read it.  Structure tensors are mostly
+zero (0-9 % nonzero in the catalog), so each algebra also derives, once,
+the table `nonzeros[i][j]` of the (k, c[i][j][k]) pairs with c[i][j][k] != 0,
+and the kernels below (brackets, ad, the KKS pairing, the Killing form,
+the Krylov hull, centralizers and the Jacobi check) loop over it.
+
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
   * the infinitesimal coadjoint action is Z(m) = <m, [., Z]>, so in
@@ -16,7 +23,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -24,6 +31,7 @@ from typing import Optional, Sequence
 from .linalg import (
     Matrix,
     Subspace,
+    ONE,
     ZERO,
     basis_vector,
     frac,
@@ -32,7 +40,6 @@ from .linalg import (
     solve,
     symmetric_signature,
     vec,
-    vec_add,
     vec_dot,
 )
 
@@ -48,6 +55,9 @@ class LieAlgebra:
     structure: tuple  # c[i][j][k] grid of Fraction
     matrix_rep: Optional[tuple[Matrix, ...]] = None
     name: str = ""
+    # derived from structure: nonzeros[i][j] = ((k, c[i][j][k]), ...) for c != 0
+    nonzeros: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
@@ -59,6 +69,15 @@ class LieAlgebra:
             raise ValueError("structure tensor must be dim x dim x dim")
         if self.matrix_rep is not None and len(self.matrix_rep) != self.dim:
             raise ValueError("matrix representation must give one matrix per basis element")
+        object.__setattr__(self, "nonzeros", tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c != 0) for row in plane)
+            for plane in self.structure
+        ))
+        object.__setattr__(self, "_hash", hash(
+            (self.dim, self.labels, self.structure, self.matrix_rep, self.name)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict, name: str = "",
@@ -77,22 +96,18 @@ class LieAlgebra:
         rep = tuple(matrix_rep) if matrix_rep is not None else None
         return cls(n, tuple(labels), tensor, rep, name)
 
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        return tuple(self.structure[i][j])
-
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         u, v = vec(u), vec(v)
         out = [ZERO] * self.dim
-        for i, a in enumerate(u):
+        for a, plane in zip(u, self.nonzeros):
             if a == 0:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
+            for b, entries in zip(v, plane):
+                if b == 0 or not entries:
                     continue
                 coeff = a * b
-                for k, cijk in enumerate(self.structure[i][j]):
-                    if cijk != 0:
-                        out[k] += coeff * cijk
+                for k, c in entries:
+                    out[k] += coeff * c
         return tuple(out)
 
     def label_index(self, label: str) -> int:
@@ -148,19 +163,19 @@ def validate(alg: LieAlgebra) -> ValidationReport:
             for k in range(n):
                 if alg.structure[i][j][k] != -alg.structure[j][i][k]:
                     anti.append((i, j, k))
+    nz = alg.nonzeros
     jac = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                s = vec_add(
-                    vec_add(
-                        alg.bracket(basis_vector(n, i), alg.bracket_basis(j, k)),
-                        alg.bracket(basis_vector(n, j), alg.bracket_basis(k, i)),
-                    ),
-                    alg.bracket(basis_vector(n, k), alg.bracket_basis(i, j)),
-                )
+                # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+                s = [ZERO] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in nz[b][c]:
+                        for l, y in nz[a][m]:
+                            s[l] += x * y
                 if not is_zero_vec(s):
-                    jac.append((i, j, k, s))
+                    jac.append((i, j, k, tuple(s)))
     rep = []
     if alg.matrix_rep is not None:
         for i in range(n):
@@ -168,9 +183,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                 ri, rj = alg.matrix_rep[i], alg.matrix_rep[j]
                 comm = ri * rj - rj * ri
                 expected = Matrix.zeros(ri.rows, ri.cols)
-                for k, c in enumerate(alg.bracket_basis(i, j)):
-                    if c != 0:
-                        expected = expected + alg.matrix_rep[k].scale(c)
+                for k, c in nz[i][j]:
+                    expected = expected + alg.matrix_rep[k].scale(c)
                 if comm != expected:
                     rep.append((i, j, comm - expected))
     return ValidationReport(not (anti or jac or rep), tuple(anti), tuple(jac), tuple(rep))
@@ -178,22 +192,23 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
 def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
     """Matrix of ad(Z); column j holds the coordinates of [Z, e_j]."""
-    z = vec(z)
     n = alg.dim
-    cols = [alg.bracket(z, basis_vector(n, j)) for j in range(n)]
-    return Matrix(zip(*cols))
-
-
-def coadjoint_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
-    """Generator of the coadjoint action of Z on dual coordinates: -ad(Z)^T."""
-    return -ad_matrix(alg, z).transpose()
+    m = [[ZERO] * n for _ in range(n)]
+    for a, plane in zip(vec(z), alg.nonzeros):
+        if a == 0:
+            continue
+        for j, entries in enumerate(plane):
+            for k, c in entries:
+                m[k][j] += a * c
+    return Matrix(m)
 
 
 def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
-    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]>."""
-    n = alg.dim
+    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]> = sum_k x_k c[i][j][k]."""
+    x = cov.coords
     return Matrix(
-        [[cov.pair(alg.bracket_basis(i, j)) for j in range(n)] for i in range(n)]
+        [[sum((x[k] * c for k, c in entries), ZERO) for entries in plane]
+         for plane in alg.nonzeros]
     )
 
 
@@ -213,17 +228,40 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     The identity-component orbit of cov lies in cov + hull; for nilpotent
     algebras the hull is exactly the direction space of the orbit's affine
     hull.
+
+    Worklist: the hull starts as the span of the columns e_i(cov) of the
+    pairing, and each direction xi that enlarges it is queued once; its
+    images (-ad(e_i)^T xi)_j = -sum_a c[i][j][a] xi_a are then tried
+    against the echelon rows kept so far.  The search stops as soon as
+    the hull is the whole dual.
     """
     n = alg.dim
-    u = coadjoint_image(alg, cov, Subspace.full(n))
-    gens = [coadjoint_matrix(alg, basis_vector(n, i)) for i in range(n)]
-    while True:
-        nxt = u
-        for g in gens:
-            nxt = nxt.add(Subspace(n, [g.apply(row) for row in u.basis_rows()]))
-        if nxt == u:
-            return u
-        u = nxt
+    rows = []     # (pivot, row): row[pivot] == 1, row is 0 at the earlier rows' pivots
+    work = []
+
+    def extend(v):
+        v = list(v)
+        for p, row in rows:
+            f = v[p]
+            if f != 0:
+                v = [a - f * b if b != 0 else a for a, b in zip(v, row)]
+        p = next((j for j, a in enumerate(v) if a != 0), None)
+        if p is not None:
+            inv = ONE / v[p]
+            v = [inv * a for a in v]
+            rows.append((p, v))
+            work.append(v)
+
+    for col in zip(*kks_pairing(alg, cov).entries):
+        extend(col)
+    while work and len(rows) < n:
+        xi = work.pop()
+        for plane in alg.nonzeros:
+            extend([-sum((c * xi[a] for a, c in entries if xi[a] != 0), ZERO)
+                    for entries in plane])
+            if len(rows) == n:
+                break
+    return Subspace(n, [row for _, row in rows])
 
 
 @dataclass(frozen=True)
@@ -405,29 +443,24 @@ def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    # Z central iff sum_i Z_i c[i][j][k] = 0 for all j, k
-    n = alg.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([alg.structure[i][j][k] for i in range(n)])
-    return rank_kernel(Matrix(rows))[1]
+    return centralizer(alg, Subspace.full(alg.dim))
 
 
 def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """All Z with [Z, sub] = 0."""
     n = alg.dim
-    if sub.dim == 0:
-        return Subspace.full(n)
-    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j): one linear row per (w, k)
+    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j): one linear row per (w, k);
+    # rows that are identically zero constrain nothing and are dropped
     rows = []
     for w in sub.basis_rows():
-        for k in range(n):
-            rows.append(
-                [sum((alg.structure[i][j][k] * w[j] for j in range(n)), ZERO)
-                 for i in range(n)]
-            )
-    return rank_kernel(Matrix(rows))[1]
+        block = [[ZERO] * n for _ in range(n)]
+        for i, plane in enumerate(alg.nonzeros):
+            for wj, entries in zip(w, plane):
+                if wj != 0:
+                    for k, c in entries:
+                        block[k][i] += c * wj
+        rows.extend(r for r in block if not is_zero_vec(r))
+    return rank_kernel(Matrix(rows))[1] if rows else Subspace.full(n)
 
 
 @lru_cache(maxsize=None)
@@ -496,18 +529,33 @@ def structure_probe(alg: LieAlgebra) -> StructureProbe:
         if nxt == lower[-1]:
             break
         lower.append(nxt)
-    ads = [ad_matrix(alg, basis_vector(n, i)) for i in range(n)]
-    killing = Matrix(
-        [[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)]
-    ) if n else Matrix.zeros(0, 0)
     return StructureProbe(
         center=center(alg),
         derived_series=tuple(derived),
         lower_central_series=tuple(lower),
         is_solvable=derived[-1].dim == 0,
         is_nilpotent=lower[-1].dim == 0,
-        killing_form=killing,
+        killing_form=_killing_form(alg),
     )
+
+
+def _killing_form(alg: LieAlgebra) -> Matrix:
+    """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} c[i][b][a] c[j][a][b]."""
+    n = alg.dim
+    # by_ab[a][b] lists (j, c[j][a][b]) over the nonzeros, so only
+    # products of two nonzeros are formed
+    by_ab = [[[] for _ in range(n)] for _ in range(n)]
+    for j, plane in enumerate(alg.nonzeros):
+        for a, entries in enumerate(plane):
+            for b, c in entries:
+                by_ab[a][b].append((j, c))
+    k = [[ZERO] * n for _ in range(n)]
+    for i, plane in enumerate(alg.nonzeros):
+        for b, entries in enumerate(plane):
+            for a, c in entries:
+                for j, d in by_ab[a][b]:
+                    k[i][j] += c * d
+    return Matrix(k)
 
 
 def _rows_json(s: Subspace):

@@ -12,6 +12,7 @@ MALFORMED = {
     "no_coeffs.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                        "brackets": [{"i": 0, "j": 1}]},
     "top_list.json": [{"name": "bad", "dim": 1, "basis": ["a"]}],
+    "brackets_int.json": {"name": "x", "dim": 2, "basis": ["a", "b"], "brackets": 5},
     "bad_ideal.json": {"name": "bad_ideal", "dim": 2, "basis": ["a", "b"],
                        "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}],
                        "ideals": {"x": [9]}},
@@ -40,6 +41,7 @@ BAD_INPUTS = {
     "validate_structure_1x1": ["validate", "bad_structure.json"],
     "validate_bracket_no_coeffs": ["validate", "no_coeffs.json"],
     "validate_top_level_list": ["validate", "top_list.json"],
+    "validate_brackets_not_a_list": ["validate", "brackets_int.json"],
     "mackey_ideal_index_out_of_range": ["mackey", "bad_ideal.json", "--ideal", "x",
                                         "--point=0,1"],
     "orbit_covector_wrong_length": ["orbit", "bad_covector.json", "--point=0,1"],

@@ -9,6 +9,7 @@ from orbitkit.liealg import (
     NotClosedError,
     ad_matrix,
     ascending_central_series,
+    center,
     centralizer,
     ideal_closure,
     is_ideal,
@@ -22,7 +23,7 @@ from orbitkit.liealg import (
     subalgebra,
     validate,
 )
-from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel
+from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, vec_dot
 from orbitkit.mackey import exp_coadjoint
 from conftest import rand_covector, rand_vec
 
@@ -55,6 +56,7 @@ def test_validate_jacobi_failure():
     rep = validate(alg)
     assert not rep.ok
     assert rep.jacobi_failures and rep.jacobi_failures[0][:3] == (0, 1, 2)
+    assert rep.jacobi_failures[0][3] == (0, 0, 1)  # [e2, [e3, e1]] = [e1, e2] = e3
 
 
 def test_ad_matrix_central_and_generic(entries):
@@ -216,3 +218,140 @@ def test_flows_stay_in_affine_hull(entries, rng):
             moved = exp_coadjoint(alg, z, cov)
             diff = tuple(a - b for a, b in zip(moved.coords, cov.coords))
             assert hull.contains(diff)
+
+
+# -- dense reference kernels --------------------------------------------------
+# The dense algorithms the sparse kernels replaced, read off `structure` alone.
+
+
+def dense_ad(alg, z):
+    """ad(z)[k][j] = sum_i z_i c[i][j][k]."""
+    n = alg.dim
+    return Matrix([[sum((z[i] * alg.structure[i][j][k] for i in range(n)), F(0))
+                    for j in range(n)] for k in range(n)])
+
+
+def dense_killing_form(alg):
+    n = alg.dim
+    ads = [dense_ad(alg, basis_vector(n, i)) for i in range(n)]
+    return Matrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
+
+
+def dense_kks_pairing(alg, cov):
+    n = alg.dim
+    return Matrix([[cov.pair(alg.structure[i][j]) for j in range(n)] for i in range(n)])
+
+
+def dense_krylov_hull(alg, cov):
+    """Fixed point of u -> u + sum_i -ad(e_i)^T u, from the image of the pairing."""
+    n = alg.dim
+    b = dense_kks_pairing(alg, cov)
+    u = Subspace(n, [b.apply(basis_vector(n, i)) for i in range(n)])
+    gens = [dense_ad(alg, basis_vector(n, i)).transpose().scale(-1) for i in range(n)]
+    while True:
+        nxt = u
+        for g in gens:
+            nxt = nxt.add(Subspace(n, [g.apply(row) for row in u.basis_rows()]))
+        if nxt == u:
+            return u
+        u = nxt
+
+
+def dense_centralizer(alg, sub):
+    n = alg.dim
+    if sub.dim == 0:
+        return Subspace.full(n)
+    rows = [[vec_dot([alg.structure[i][j][k] for j in range(n)], w) for i in range(n)]
+            for w in sub.basis_rows() for k in range(n)]
+    return rank_kernel(Matrix(rows))[1]
+
+
+def test_sparse_kernels_match_dense_references(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        n = alg.dim
+        assert structure_probe(alg).killing_form == dense_killing_form(alg)
+        assert center(alg) == dense_centralizer(alg, Subspace.full(n))
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        covs += [Covector(alg, (0,) * n)] + [rand_covector(alg, rng) for _ in range(4)]
+        for cov in covs:
+            assert kks_pairing(alg, cov) == dense_kks_pairing(alg, cov)
+            assert krylov_hull(alg, cov) == dense_krylov_hull(alg, cov)
+        for _ in range(3):
+            z = rand_vec(rng, n)
+            assert ad_matrix(alg, z) == dense_ad(alg, z)
+            sub = Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1)
+                               for _ in range(rng.randint(1, 2))])
+            assert centralizer(alg, sub) == dense_centralizer(alg, sub)
+
+
+# -- generated families past the catalog --------------------------------------
+# Closed forms (Kirillov, Lectures on the Orbit Method, 2004): at a generic
+# covector orbit_dim = dim - ind, with ind h_{2k+1} = 1 and ind n_n = floor(n/2).
+
+
+def heisenberg(k):
+    """h_{2k+1}: [x_i, y_i] = z."""
+    labels = [f"x{i}" for i in range(k)] + [f"y{i}" for i in range(k)] + ["z"]
+    return LieAlgebra.from_brackets(labels, {(i, k + i): {2 * k: 1} for i in range(k)},
+                                    name=f"h{2 * k + 1}")
+
+
+def strictly_upper(n):
+    """n_n, basis E_ab (a < b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    brackets = {}
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if i < j:
+                coeffs = {}
+                if b == c:
+                    coeffs[index[(a, d)]] = 1
+                if d == a:
+                    coeffs[index[(c, b)]] = -1
+                if coeffs:
+                    brackets[(i, j)] = coeffs
+    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
+    return LieAlgebra.from_brackets(labels, brackets, name=f"n{n}"), index
+
+
+@pytest.fixture(scope="module")
+def h21():
+    return heisenberg(10)
+
+
+@pytest.fixture(scope="module")
+def n7():
+    alg, index = strictly_upper(7)
+    cascade = [0] * alg.dim
+    for a, b in ((0, 6), (1, 5), (2, 4)):  # dual to E17 + E26 + E35
+        cascade[index[(a, b)]] = 1
+    return alg, Covector(alg, cascade)
+
+
+def test_orbit_dims_of_dim_21_families(h21, n7):
+    cov = Covector(h21, basis_vector(21, 20))
+    assert orbit_record(h21, cov).orbit_dim == 21 - 1
+    alg, cascade = n7
+    assert alg.dim == 21
+    assert orbit_record(alg, cascade).orbit_dim == 21 - 7 // 2
+    for alg in (h21, alg):
+        probe = structure_probe(alg)
+        assert probe.is_nilpotent
+        assert probe.killing_form.is_zero()
+
+
+def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
+    """The sparse kernels never fall back to dense matrix products."""
+    def refuse(*args):
+        raise AssertionError("dense matrix product")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(Matrix, "apply", refuse)
+    poincare = entries["poincare"]
+    timelike = Covector(poincare.algebra, poincare.covectors["timelike"])
+    for alg, cov in ((poincare.algebra, timelike), n7):
+        structure_probe.__wrapped__(alg)  # past the cache
+        kks_pairing(alg, cov)
+        krylov_hull(alg, cov)
