@@ -36,7 +36,9 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     if h.dim == 0:
         return Subspace.full(alg.dim)
     b = kks_pairing(alg, cov)
-    rows = [b.transpose().apply(w) for w in h.basis_rows()]  # row_j = <cov,[w, e_j]>
+    # row_w[i] = <cov, [e_i, w]>: B is antisymmetric, so this is the
+    # negative of <cov, [w, e_i]> and has the same kernel
+    rows = [b.apply(w) for w in h.basis_rows()]
     return rank_kernel(Matrix(rows))[1]
 
 

@@ -34,10 +34,10 @@ from .linalg import (
     ONE,
     ZERO,
     basis_vector,
+    combine,
     frac,
     is_zero_vec,
     rank_kernel,
-    solve,
     symmetric_signature,
     vec,
     vec_dot,
@@ -316,10 +316,7 @@ class EmbeddedSubalgebra:
     algebra: LieAlgebra
 
     def to_parent(self, coords: Sequence) -> tuple:
-        out = [ZERO] * self.parent.dim
-        for c, row in zip(vec(coords), self.space.basis_rows()):
-            out = [a + c * b for a, b in zip(out, row)]
-        return tuple(out)
+        return combine(vec(coords), self.space.basis_rows(), self.parent.dim)
 
     def from_parent(self, v: Sequence) -> tuple:
         coords = self.space.coords_of(v)
@@ -332,22 +329,17 @@ def subalgebra(alg: LieAlgebra, sub: Subspace, name: str = "") -> EmbeddedSubalg
     """Structure constants of a bracket-closed subspace in its RREF basis."""
     rows = sub.basis_rows()
     m = sub.dim
-    tensor = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
-            br = alg.bracket(rows[a], rows[b])
-            coords = sub.coords_of(br)
+            coords = sub.coords_of(alg.bracket(rows[a], rows[b]))
             if coords is None:
                 raise NotClosedError(
                     f"subspace is not a subalgebra: bracket of basis rows {a},{b} escapes"
                 )
-            for k, val in enumerate(coords):
-                tensor[a][b][k] = val
-                tensor[b][a][k] = -val
-    labels = tuple(f"s{a}" for a in range(m))
-    inner = LieAlgebra(m, labels,
-                       tuple(tuple(tuple(r) for r in plane) for plane in tensor),
-                       None, name or f"{alg.name}-sub")
+            brackets[(a, b)] = dict(enumerate(coords))
+    inner = LieAlgebra.from_brackets([f"s{a}" for a in range(m)], brackets,
+                                     name or f"{alg.name}-sub")
     return EmbeddedSubalgebra(alg, sub, inner)
 
 
@@ -360,23 +352,26 @@ def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> tuple[Covector, E
 
 @dataclass(frozen=True)
 class QuotientAlgebra:
+    """parent / ideal; class k is represented by the unit vector at columns[k].
+
+    columns are the non-pivot columns of the ideal's RREF basis, so the
+    representative of v + ideal that is 0 at the pivots is ideal.reduce(v),
+    and the class coordinates are its entries at those columns.
+    """
     parent: LieAlgebra
     ideal: Subspace
-    reps: Matrix  # rows are coset representatives in parent coordinates
+    columns: tuple
     algebra: LieAlgebra
 
     def project(self, v: Sequence) -> tuple:
         """Coordinates of v + ideal in the representative basis."""
-        stacked = list(self.ideal.basis_rows()) + list(self.reps.entries)
-        sol = solve(Matrix(stacked).transpose(), v)
-        if sol is None:
-            raise ValueError("vector outside parent space")  # cannot happen: full basis
-        return tuple(sol[self.ideal.dim:])
+        rep = self.ideal.reduce(v)
+        return tuple(rep[j] for j in self.columns)
 
     def lift(self, coords: Sequence) -> tuple:
         out = [ZERO] * self.parent.dim
-        for c, row in zip(vec(coords), self.reps.entries):
-            out = [a + c * b for a, b in zip(out, row)]
+        for j, c in zip(self.columns, vec(coords)):
+            out[j] = c
         return tuple(out)
 
 
@@ -398,28 +393,28 @@ def quotient(alg: LieAlgebra, ideal: Subspace, name: str = "") -> QuotientAlgebr
     if not is_ideal(alg, ideal):
         raise NotClosedError("subspace is not an ideal")
     n = alg.dim
-    pivots = set()
-    for row in ideal.basis_rows():
-        pivots.add(next(j for j, x in enumerate(row) if x != 0))
-    rep_rows = [basis_vector(n, j) for j in range(n) if j not in pivots]
-    m = len(rep_rows)
-    reps = Matrix(rep_rows) if rep_rows else Matrix.zeros(0, n)
-    tensor = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    stacked = list(ideal.basis_rows()) + rep_rows
-    basis_matrix = Matrix(stacked).transpose() if stacked else None
-    for a in range(m):
-        for b in range(a + 1, m):
-            br = alg.bracket(rep_rows[a], rep_rows[b])
-            sol = solve(basis_matrix, br)
-            coords = sol[ideal.dim:]
-            for k, val in enumerate(coords):
-                tensor[a][b][k] = val
-                tensor[b][a][k] = -val
-    labels = tuple(f"q{a}" for a in range(m))
-    inner = LieAlgebra(m, labels,
-                       tuple(tuple(tuple(r) for r in plane) for plane in tensor),
-                       None, name or f"{alg.name}-quot")
-    return QuotientAlgebra(alg, ideal, reps, inner)
+    columns = tuple(j for j in range(n) if j not in ideal.pivots)
+    reps = [basis_vector(n, j) for j in columns]
+    brackets = {}
+    for a in range(len(reps)):
+        for b in range(a + 1, len(reps)):
+            rep = ideal.reduce(alg.bracket(reps[a], reps[b]))
+            brackets[(a, b)] = {k: rep[j] for k, j in enumerate(columns)}
+    inner = LieAlgebra.from_brackets([f"q{a}" for a in range(len(reps))], brackets,
+                                     name or f"{alg.name}-quot")
+    return QuotientAlgebra(alg, ideal, columns, inner)
+
+
+def subquotient(alg: LieAlgebra, h: Subspace,
+                ideal: Subspace) -> tuple[EmbeddedSubalgebra, QuotientAlgebra]:
+    """The subalgebra h and its quotient h / ideal.
+
+    The ideal of h is given in the coordinates of alg and is pulled into
+    the RREF basis of h before the quotient is taken.
+    """
+    emb = subalgebra(alg, h)
+    inner = Subspace(h.dim, [emb.from_parent(r) for r in ideal.basis_rows()])
+    return emb, quotient(emb.algebra, inner)
 
 
 def bracket_span(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

@@ -7,6 +7,14 @@ everywhere above this module: two subspaces are equal iff their basis grids
 are identical, so inclusion and equality questions about subalgebras,
 stabilizers and annihilators are decided without tolerances.
 
+A Subspace also keeps the pivot columns of that basis.  Basis row r is 1 at
+pivot r and 0 at every other pivot, so a vector of the subspace has its
+coordinates written out at the pivots, and `reduce` takes any vector to
+the one representative of its coset that is 0 at the pivots.  The changes
+of coordinates above this module (into a subalgebra, onto a quotient, into
+a polarization window) read coordinates there and map them back through
+`combine`, with no linear solve.
+
 No floating point enters this module.
 """
 
@@ -53,6 +61,15 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 
 def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
+
+
+def combine(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
+    """sum_k coeffs[k] * rows[k] in Q^n; the zero vector when there are no rows."""
+    out = [ZERO] * n
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
 
 
 def basis_vector(n: int, j: int) -> tuple:
@@ -199,7 +216,7 @@ def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
 class Subspace:
     """Linear subspace of Q^n with canonical reduced-row-echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, generators: Iterable[Iterable] = ()):
         rows = [vec(row) for row in generators]
@@ -210,9 +227,10 @@ class Subspace:
             red, pivots = Matrix(rows).rref()
             kept = red.entries[: len(pivots)]
         else:
-            kept = ()
+            kept, pivots = (), ()
         self.ambient_dim = ambient_dim
         self.basis = Matrix(kept) if kept else Matrix.zeros(0, ambient_dim)
+        self.pivots = pivots  # pivots[r]: the column where basis row r has its leading 1
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -242,23 +260,29 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {self.basis.entries})"
 
-    def contains(self, v: Sequence) -> bool:
-        v = list(vec(v))
+    def reduce(self, v: Sequence) -> tuple:
+        """The member of v + self that is 0 at the pivots: v - sum_r v[pivots[r]] row_r."""
+        v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        # reduce against the RREF basis
-        for row in self.basis.entries:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return is_zero_vec(v)
+        for p, row in zip(self.pivots, self.basis.entries):
+            f = v[p]
+            if f != 0:
+                v = tuple(a - f * b for a, b in zip(v, row))
+        return v
+
+    def contains(self, v: Sequence) -> bool:
+        return is_zero_vec(self.reduce(v))
 
     def coords_of(self, v: Sequence):
-        """Coordinates of v in the canonical basis, or None if outside."""
-        if self.dim == 0:
-            return () if is_zero_vec(vec(v)) else None
-        return solve(self.basis.transpose(), v)
+        """Coordinates of v in the canonical basis, or None if outside.
+
+        They are v's entries at the pivots.
+        """
+        v = vec(v)
+        if not self.contains(v):
+            return None
+        return tuple(v[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -332,12 +356,7 @@ def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:
         return tuple([ZERO] * sub.ambient_dim) if is_zero_vec(vec(v)) else None
     restricted = m * sub.basis.transpose()
     t = solve(restricted, v)
-    if t is None:
-        return None
-    out = [ZERO] * sub.ambient_dim
-    for coeff, row in zip(t, sub.basis.entries):
-        out = [a + coeff * b for a, b in zip(out, row)]
-    return tuple(out)
+    return None if t is None else combine(t, sub.basis.entries, sub.ambient_dim)
 
 
 def symmetric_signature(m: Matrix) -> tuple[int, int, int]:

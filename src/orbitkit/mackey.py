@@ -31,11 +31,11 @@ from .liealg import (
     is_ideal,
     kks_pairing,
     orbit_record,
-    quotient,
     restrict,
     stabilizer,
     structure_probe,
     subalgebra,
+    subquotient,
 )
 from .linalg import (
     Matrix,
@@ -43,11 +43,13 @@ from .linalg import (
     ZERO,
     annihilator,
     basis_vector,
+    combine,
     image,
     rank_kernel,
     solve,
     vec,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -171,28 +173,15 @@ def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
     """
     m = ad_matrix(alg, z)
     n = alg.dim
-    depth = None
-    power = Matrix.identity(n)
+    coeffs, terms = [], []  # (-1)^k / k! and the covector cov . ad(Z)^k
+    power, fact = Matrix.identity(n), 1
     for k in range(n + 1):
         if power.is_zero():
-            depth = k
-            break
-        power = power * m
-    if depth is None:
-        raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
-    term = Matrix.identity(n)
-    sign = 1
-    fact = 1
-    result = [ZERO] * n
-    for k in range(depth):
-        if k > 0:
-            term = term * m
-            fact *= k
-        coeff = Fraction(sign, fact)
-        contrib = term.transpose().apply(cov.coords)
-        result = [a + coeff * b for a, b in zip(result, contrib)]
-        sign = -sign
-    return Covector(alg, result)
+            return Covector(alg, combine(coeffs, terms, n))
+        coeffs.append(Fraction((-1) ** k, fact))
+        terms.append(combine(cov.coords, power.entries, n))
+        power, fact = power * m, fact * (k + 1)
+    raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
 
 
 @dataclass(frozen=True)
@@ -221,12 +210,6 @@ class ObstructionReport:
         }
 
 
-def _decompose_against(parts: list, v):
-    """Coefficients of v in the (independent) stacked row list `parts`."""
-    m = Matrix(parts).transpose()
-    return solve(m, v)
-
-
 def obstruction_step(
     data: LittleGroupData,
     extension_choice: Optional[Covector] = None,
@@ -253,9 +236,7 @@ def obstruction_step(
     j = n_c.intersect(ker_cov)
     c_vanishes = all(cov.pair(row) == 0 for row in n_c.basis_rows())
 
-    emb = subalgebra(alg, h_c)
-    n_c_inner = Subspace(h_c.dim, [emb.from_parent(r) for r in n_c.basis_rows()])
-    quot = quotient(emb.algebra, n_c_inner)
+    emb, quot = subquotient(alg, h_c, n_c)
     m = quot.algebra.dim
 
     if section_rows is None:
@@ -270,17 +251,16 @@ def obstruction_step(
                 raise ValueError(f"section row {k} does not project to the basis class")
     section = Matrix(sec) if sec else Matrix.zeros(0, alg.dim)
 
-    parts = list(n_c.basis_rows()) + sec
+    # section row k projects to class k, so [sx, sy] less the section lift
+    # of its class is its n_c-component
     f = [[ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             br = alg.bracket(sec[a], sec[b])
-            coeffs = _decompose_against(parts, br) if parts else None
-            if coeffs is None:
+            coords = h_c.coords_of(br)
+            if coords is None:
                 raise AssertionError("bracket escaped h_c; stabilizer not closed?")
-            n_part = [ZERO] * alg.dim
-            for coeff, row in zip(coeffs[: n_c.dim], n_c.basis_rows()):
-                n_part = [x + coeff * y for x, y in zip(n_part, row)]
+            n_part = vec_sub(br, combine(quot.project(coords), sec, alg.dim))
             val = cov.pair(n_part)
             f[a][b] = val
             f[b][a] = -val
@@ -313,24 +293,6 @@ def obstruction_step(
         extension_dims=dims,
         extension_choice=None if extension_choice is None else extension_choice.coords,
     )
-
-
-def cocycle_identity_defect(quotient_algebra: LieAlgebra, cocycle: Matrix):
-    """Largest 2-cocycle identity defect over basis triples (0 = cocycle)."""
-    m = quotient_algebra.dim
-    cq = quotient_algebra.structure
-    worst = ZERO
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                total = ZERO
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    total += sum(
-                        (cq[x][y][k] * cocycle.entries[k][z] for k in range(m)), ZERO
-                    )
-                if abs(total) > abs(worst):
-                    worst = total
-    return worst
 
 
 @dataclass(frozen=True)
@@ -376,9 +338,7 @@ def semidirect_witness(
 
     data = little_group_step(alg, n, cov)
     assert data.g_c.dim == nd  # point orbit: everything stabilizes
-    emb = subalgebra(alg, data.g_c)
-    n_inner = Subspace(nd, [emb.from_parent(r) for r in n.basis_rows()])
-    quot = quotient(emb.algebra, n_inner)
+    emb, quot = subquotient(alg, data.g_c, n)
     m = quot.algebra.dim
     rejections = []
     for name, s in candidates:
@@ -405,10 +365,7 @@ def semidirect_witness(
             if sol is None:
                 ok = False
                 break
-            sigma = [ZERO] * nd
-            for coeff, row in zip(sol[: s.dim], s.basis_rows()):
-                sigma = [x + coeff * y for x, y in zip(sigma, row)]
-            sec.append(tuple(sigma))
+            sec.append(combine(sol[: s.dim], s.basis_rows(), nd))
         if not ok:
             rejections.append((name, "no section of the quotient lands in the candidate"))
             continue
@@ -510,10 +467,7 @@ def classify_little_algebra(alg: LieAlgebra, a: Subspace, cov: Covector) -> Litt
         raise NotClosedError("the given subspace is not an ideal")
     if bracket_span(alg, a, a).dim != 0:
         raise ValueError("the given ideal is not abelian")
-    h = orth(alg, a, cov)
-    emb = subalgebra(alg, h)
-    a_inner = Subspace(h.dim, [emb.from_parent(r) for r in a.basis_rows()])
-    quot = quotient(emb.algebra, a_inner)
+    _, quot = subquotient(alg, orth(alg, a, cov), a)
     probe = structure_probe(quot.algebra)
     sig = probe.killing_signature()
     key = (quot.algebra.dim, probe.is_solvable, probe.is_nilpotent, sig)

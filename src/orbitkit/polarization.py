@@ -41,9 +41,9 @@ from .liealg import (
 )
 from .linalg import (
     Subspace,
-    ZERO,
     annihilator,
     basis_vector,
+    combine,
     rank_kernel,
     solve_in_subspace,
     vec_add,
@@ -255,25 +255,22 @@ def pukanszky_polarization(
                 "pass override_precheck=True to force"
             )
 
-    # current window: embedding rows into the ambient algebra
+    # the current window g_i, in ambient coordinates; `inner` is g_i in the
+    # RREF basis of g_here.  A product of RREF bases is again an RREF basis,
+    # so each g_next = to_ambient(g_next_inner) keeps the basis that
+    # `restrict` gives the next window.
+    n = alg.dim
     inner = alg
-    embed_rows = [basis_vector(alg.dim, i) for i in range(alg.dim)]
+    g_here = Subspace.full(n)
     cur_cov = cov
     steps = []
     rejected = []
     chain_iter = iter(chain or ())
 
     def to_ambient(sub: Subspace) -> Subspace:
-        rows = []
-        for r in sub.basis_rows():
-            v = [ZERO] * alg.dim
-            for c, er in zip(r, embed_rows):
-                v = [a + c * b for a, b in zip(v, er)]
-            rows.append(v)
-        return Subspace(alg.dim, rows)
+        return Subspace(n, [combine(r, g_here.basis_rows(), n) for r in sub.basis_rows()])
 
-    for step_index in range(alg.dim + 1):
-        g_here = to_ambient(Subspace.full(inner.dim))
+    for step_index in range(n + 1):
         b = kks_pairing(inner, cur_cov)
         if b.is_zero():
             break  # self-orthogonal: done
@@ -284,9 +281,8 @@ def pukanszky_polarization(
             except StopIteration:
                 raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
             rows = []
-            cur_space = to_ambient(Subspace.full(inner.dim))
             for r in ambient_ideal.basis_rows():
-                coords = cur_space.coords_of(r)
+                coords = g_here.coords_of(r)
                 if coords is None:
                     raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
                 rows.append(coords)
@@ -315,13 +311,13 @@ def pukanszky_polarization(
         )
         ideal_ambient = to_ambient(cand)
         orth_ambient = orth(alg, ideal_ambient, cov)
-        g_next_ambient = to_ambient(g_next_inner)
-        assert g_next_ambient == g_here.intersect(orth_ambient)
+        g_next = to_ambient(g_next_inner)
+        assert g_next == g_here.intersect(orth_ambient)
         steps.append(PolarizationStep(
             g_i=g_here,
             ideal=ideal_ambient,
             ideal_orth=orth_ambient,
-            g_next=g_next_ambient,
+            g_next=g_next,
             orbit_abelian=orbit_abelian,
             ideal_in_orth=orth_ambient.contains_subspace(ideal_ambient),
             orth_not_containing_g=g_next_inner.dim < inner.dim,
@@ -329,22 +325,12 @@ def pukanszky_polarization(
         if g_next_inner.dim >= inner.dim:
             raise AssertionError("no dimension drop despite non-central ideal")
 
-        new_cov, emb = restrict(inner, cur_cov, g_next_inner)
-        # compose embeddings: the new window basis is g_next's RREF basis,
-        # whose rows must be mapped through the current window
-        new_embed = []
-        for r in g_next_inner.basis_rows():
-            v = [ZERO] * alg.dim
-            for c, er in zip(r, embed_rows):
-                v = [a + c * b for a, b in zip(v, er)]
-            new_embed.append(tuple(v))
-        embed_rows = new_embed
+        cur_cov, emb = restrict(inner, cur_cov, g_next_inner)
         inner = emb.algebra
-        cur_cov = new_cov
+        g_here = g_next
 
-    result = to_ambient(Subspace.full(inner.dim))
-    conditions = check_conditions(alg, result, cov)
-    return PolarizationTrace(tuple(steps), result, conditions, tuple(rejected))
+    conditions = check_conditions(alg, g_here, cov)
+    return PolarizationTrace(tuple(steps), g_here, conditions, tuple(rejected))
 
 
 @dataclass(frozen=True)

@@ -191,29 +191,6 @@ def charpoly(m: Matrix) -> tuple:
     return poly(coeffs)
 
 
-def minimal_polynomial(m: Matrix) -> tuple:
-    """Monic minimal polynomial (smallest power with dependent iterates)."""
-    n = m.rows
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    flat = lambda mat: [x for row in mat.entries for x in row]
-    for d in range(1, n + 1):
-        rows = [flat(powers[k]) for k in range(d)]
-        target = [-x for x in flat(powers[d])]
-        sol = _solve_rows(rows, target)
-        if sol is not None:
-            return poly(list(sol) + [ONE])
-    raise AssertionError("Cayley-Hamilton violated")  # unreachable
-
-
-def _solve_rows(rows, target):
-    from .linalg import solve as lin_solve
-
-    mat = Matrix(list(zip(*rows))) if rows else Matrix.zeros(len(target), 0)
-    return lin_solve(mat, target)
-
-
 def strip_zero_roots(p: tuple) -> tuple[int, tuple]:
     """Write p = x^k * q with q(0) != 0; return (k, q)."""
     k = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbitkit.catalog import builtin_catalog
-from orbitkit.liealg import Covector
+from orbitkit.liealg import Covector, LieAlgebra
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,22 @@ def rand_covector(alg, rng):
 @pytest.fixture
 def rng():
     return random.Random(20240810)
+
+
+def strictly_upper(n):
+    """n_n, basis E_ab (a < b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    brackets = {}
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if i < j:
+                coeffs = {}
+                if b == c:
+                    coeffs[index[(a, d)]] = 1
+                if d == a:
+                    coeffs[index[(c, b)]] = -1
+                if coeffs:
+                    brackets[(i, j)] = coeffs
+    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
+    return LieAlgebra.from_brackets(labels, brackets, name=f"n{n}"), index

@@ -21,11 +21,14 @@ from orbitkit.liealg import (
     stabilizer,
     structure_probe,
     subalgebra,
+    subquotient,
     validate,
 )
-from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, vec_dot
+from orbitkit import liealg, linalg
+from orbitkit.conditions import orth
+from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, solve, vec_dot
 from orbitkit.mackey import exp_coadjoint
-from conftest import rand_covector, rand_vec
+from conftest import rand_covector, rand_vec, strictly_upper
 
 
 def test_validate_heisenberg(entries):
@@ -297,25 +300,6 @@ def heisenberg(k):
                                     name=f"h{2 * k + 1}")
 
 
-def strictly_upper(n):
-    """n_n, basis E_ab (a < b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    brackets = {}
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if i < j:
-                coeffs = {}
-                if b == c:
-                    coeffs[index[(a, d)]] = 1
-                if d == a:
-                    coeffs[index[(c, b)]] = -1
-                if coeffs:
-                    brackets[(i, j)] = coeffs
-    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
-    return LieAlgebra.from_brackets(labels, brackets, name=f"n{n}"), index
-
-
 @pytest.fixture(scope="module")
 def h21():
     return heisenberg(10)
@@ -355,3 +339,101 @@ def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
         structure_probe.__wrapped__(alg)  # past the cache
         kks_pairing(alg, cov)
         krylov_hull(alg, cov)
+
+
+# -- subalgebras and quotients read coordinates at the pivots ------------------
+
+
+def stacked_quotient(alg, ideal):
+    """Reference quotient: representatives and brackets by a stacked solve.
+
+    Returns the representative rows, the projection v -> class coordinates
+    and the structure tensor of alg / ideal.
+    """
+    n = alg.dim
+    pivots = {next(j for j, x in enumerate(row) if x != 0) for row in ideal.basis_rows()}
+    reps = [basis_vector(n, j) for j in range(n) if j not in pivots]
+    stacked = Matrix(list(ideal.basis_rows()) + reps).transpose()
+
+    def project(v):
+        return solve(stacked, v)[ideal.dim:]
+
+    m = len(reps)
+    tensor = tuple(tuple(project(alg.bracket(reps[a], reps[b])) for b in range(m))
+                   for a in range(m))
+    return reps, project, tensor
+
+
+def _catalog_ideals(entry):
+    probe = structure_probe(entry.algebra)
+    yield from entry.ideals.values()
+    yield probe.center
+    yield from probe.derived_series
+    yield from probe.lower_central_series
+
+
+def test_quotient_matches_the_stacked_solve_reference(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        for ideal in _catalog_ideals(entry):
+            q = quotient(alg, ideal)
+            reps, project, tensor = stacked_quotient(alg, ideal)
+            assert q.algebra.structure == tensor
+            m = q.algebra.dim
+            assert [q.lift(basis_vector(m, k)) for k in range(m)] == reps
+            for _ in range(4):
+                v = rand_vec(rng, alg.dim)
+                assert q.project(v) == project(v)
+                c = rand_vec(rng, m)
+                assert q.project(q.lift(c)) == c
+
+
+def test_subalgebra_matches_the_solved_reference(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        subs = list(_catalog_ideals(entry))
+        subs += [stabilizer(alg, rand_covector(alg, rng)) for _ in range(3)]
+        for sub in subs:
+            emb = subalgebra(alg, sub)
+            rows = sub.basis_rows()
+            m = sub.dim
+            basis_t = sub.basis.transpose()
+            assert emb.algebra.structure == tuple(
+                tuple(solve(basis_t, alg.bracket(rows[a], rows[b])) for b in range(m))
+                for a in range(m))
+            c = rand_vec(rng, m)
+            assert emb.from_parent(emb.to_parent(c)) == c
+
+
+def test_subquotient_pulls_the_ideal_inside(entries):
+    poincare = entries["poincare"]
+    alg, n = poincare.algebra, poincare.ideals["translations"]
+    g_c = orth(alg, n, Covector(alg, poincare.covectors["timelike"]))
+    emb, quot = subquotient(alg, g_c, n)
+    assert emb.space == g_c and quot.algebra.dim == g_c.dim - n.dim == 3
+    assert quot.ideal == Subspace(7, [emb.from_parent(r) for r in n.basis_rows()])
+    assert structure_probe(quot.algebra).killing_signature() == (0, 3, 3)  # so(3)
+    with pytest.raises(ValueError):
+        subquotient(alg, n, g_c)  # g_c does not lie inside n
+
+
+def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
+    """subalgebra, quotient, subquotient and restrict read coordinates at pivots."""
+    poincare = entries["poincare"]
+    alg, n = poincare.algebra, poincare.ideals["translations"]
+    cov = Covector(alg, poincare.covectors["timelike"])
+    g_c = orth(alg, n, cov)
+
+    def refuse(*args):
+        raise AssertionError("linear solve")
+
+    for mod in (linalg, liealg):
+        if hasattr(mod, "solve"):
+            monkeypatch.setattr(mod, "solve", refuse)
+    subalgebra(alg, poincare.complements["lorentz"])
+    q = quotient(alg, n)
+    q.project(q.lift((1, 2, 3, 4, 5, 6)))
+    restrict(alg, cov, g_c)
+    emb, quot = subquotient(alg, g_c, n)
+    for row in g_c.basis_rows():
+        quot.project(emb.from_parent(row))

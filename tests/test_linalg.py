@@ -3,16 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbitkit.liealg import stabilizer, structure_probe
 from orbitkit.linalg import (
     Matrix,
     Subspace,
     annihilator,
+    combine,
     rank_kernel,
     solve,
     sum_intersect,
     symmetric_signature,
 )
-from conftest import rand_vec
+from conftest import rand_covector, rand_vec
 
 
 def test_rank_kernel_identity():
@@ -144,3 +146,66 @@ def test_symmetric_signature_congruence_invariance():
               for j in range(n)] for i in range(n)]
         tm = Matrix(t)
         assert symmetric_signature(tm * m * tm.transpose()) == symmetric_signature(m)
+
+
+# -- coordinates read at the pivots -------------------------------------------
+
+
+def solved_coords_of(s, v):
+    """Reference: coordinates of v in the canonical basis by a transposed solve."""
+    if s.dim == 0:
+        return () if all(x == 0 for x in v) else None
+    return solve(s.basis.transpose(), v)
+
+
+def _catalog_subspaces(entries, rng):
+    """Declared ideals, centers, derived ideals and stabilizers of the catalog."""
+    for entry in entries.values():
+        alg = entry.algebra
+        probe = structure_probe(alg)
+        yield from entry.ideals.values()
+        yield probe.center
+        yield from probe.derived_series[1:]
+        for _ in range(3):
+            yield stabilizer(alg, rand_covector(alg, rng))
+
+
+def test_coords_of_matches_the_solved_reference(entries, rng):
+    outside_checked = 0
+    for s in _catalog_subspaces(entries, rng):
+        n, rows = s.ambient_dim, s.basis_rows()
+        assert len(s.pivots) == s.dim
+        for p, row in zip(s.pivots, rows):
+            assert row[p] == 1 and all(x == 0 for x in row[:p])
+        for _ in range(3):
+            coeffs = rand_vec(rng, s.dim)
+            v = combine(coeffs, rows, n)
+            assert s.coords_of(v) == solved_coords_of(s, v) == coeffs
+            assert combine(s.coords_of(v), rows, n) == v
+            assert s.reduce(v) == (0,) * n
+            free = [j for j in range(n) if j not in s.pivots]
+            if free:
+                # a nonzero entry at a non-pivot column moves v off the span
+                off = v[:free[0]] + (v[free[0]] + rng.randint(1, 5),) + v[free[0] + 1:]
+                assert s.coords_of(off) is None and solved_coords_of(s, off) is None
+                assert not s.contains(off)
+                outside_checked += 1
+            w = rand_vec(rng, n)
+            assert s.coords_of(w) == solved_coords_of(s, w)
+    assert outside_checked > 100
+
+
+def test_combine():
+    assert combine((), (), 3) == (0, 0, 0)
+    assert combine((2, F(1, 2)), ((1, 0), (0, 4)), 2) == (F(2), F(2))
+    assert combine((0, 1), ((1, 1), (0, 1)), 2) == (F(0), F(1))
+
+
+def test_reduce_gives_the_coset_representative_zero_at_the_pivots():
+    s = Subspace(3, [(1, 2, 0), (0, 0, 1)])
+    assert s.pivots == (0, 2)
+    assert s.reduce((3, 1, 5)) == (F(0), F(-5), F(0))
+    assert s.coords_of((3, 6, 5)) == (F(3), F(5))
+    assert s.coords_of((3, 1, 5)) is None
+    with pytest.raises(ValueError):
+        s.reduce((1, 2))

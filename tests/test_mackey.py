@@ -19,7 +19,6 @@ from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, vec_sca
 from orbitkit.mackey import (
     abelian_step,
     classify_little_algebra,
-    cocycle_identity_defect,
     exp_coadjoint,
     little_group_step,
     mackey_report,
@@ -188,6 +187,24 @@ def test_obstruction_section_independence(entries, rng):
             from orbitkit.linalg import solve
             if pair_rows:
                 assert solve(Matrix(pair_rows), rhs) is not None
+
+
+def cocycle_identity_defect(quotient_algebra, cocycle):
+    """Largest 2-cocycle identity defect over basis triples (0 = cocycle)."""
+    m = quotient_algebra.dim
+    cq = quotient_algebra.structure
+    worst = F(0)
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                total = F(0)
+                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                    total += sum(
+                        (cq[x][y][k] * cocycle.entries[k][z] for k in range(m)), F(0)
+                    )
+                if abs(total) > abs(worst):
+                    worst = total
+    return worst
 
 
 def test_cocycle_identity(entries, rng):

@@ -12,7 +12,7 @@ from orbitkit.polarization import (
     pukanszky_polarization,
     verify_monomial,
 )
-from conftest import rand_covector
+from conftest import rand_covector, strictly_upper
 
 
 def _span(n, *idx):
@@ -92,6 +92,22 @@ def test_polarization_user_chain(entries):
                                    chain=[_span(3, 0, 2)])
     assert trace.result == _span(3, 0, 2)
     assert trace.conditions.all_flags()
+
+
+def test_chain_is_read_in_each_window():
+    """A chain ideal is taken in the coordinates of the current window g_i.
+
+    On n5 at this covector the descent takes three steps, so the windows
+    after the first have a basis other than the standard one.
+    """
+    alg, _ = strictly_upper(5)
+    cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
+    auto = pukanszky_polarization(alg, cov, override_precheck=True)
+    assert [s.g_i.dim for s in auto.steps] == [10, 8, 7]
+    replay = pukanszky_polarization(alg, cov, strategy="chain", override_precheck=True,
+                                    chain=[s.ideal for s in auto.steps])
+    assert replay.steps == auto.steps and replay.result == auto.result
+    assert replay.conditions.all_flags()
 
 
 def test_polarization_chain_rejects_bad_ideal(entries):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from orbitkit.linalg import Matrix
+from orbitkit.linalg import Matrix, solve
 from orbitkit.polynomials import (
     charpoly,
     count_negative_roots,
@@ -13,7 +13,6 @@ from orbitkit.polynomials import (
     gcd,
     invert_mod,
     is_rational_square,
-    minimal_polynomial,
     monic,
     mul,
     poly,
@@ -55,6 +54,21 @@ def test_gcd_and_bezout():
 def test_squarefree_part():
     p = mul(mul(poly([-1, 1]), poly([-1, 1])), poly([2, 1]))  # (x-1)^2 (x+2)
     assert squarefree_part(p) == monic(mul(poly([-1, 1]), poly([2, 1])))
+
+
+def minimal_polynomial(m):
+    """Monic minimal polynomial: the first power of m dependent on the lower ones."""
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    flat = lambda mat: [x for row in mat.entries for x in row]
+    for d in range(1, n + 1):
+        cols = Matrix([flat(powers[k]) for k in range(d)]).transpose()
+        sol = solve(cols, [-x for x in flat(powers[d])])
+        if sol is not None:
+            return poly(list(sol) + [1])
+    raise AssertionError("Cayley-Hamilton violated")
 
 
 def test_charpoly_against_minimal_polynomial():
