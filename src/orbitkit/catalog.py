@@ -264,7 +264,7 @@ def load_catalog() -> dict:
 def _rat(s) -> Fraction:
     try:
         return frac(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CatalogError(f"bad rational literal {s!r}: {exc}") from None
 
 

@@ -6,6 +6,12 @@ is deterministic: keys are sorted, rationals are canonical "p/q" strings,
 and results are listed in input order, so identical invocations produce
 byte-identical reports.
 
+The output format lives in one place, `_encode`, the `default=` hook of
+every `json.dumps` here.  The reports' `to_json_dict` methods hand it
+values: a Fraction is written as its canonical "p/q" string, a Subspace as
+its RREF basis rows, a Matrix as its rows and a Covector as its
+coordinates.  Any other type is an error, never a `repr` in a report.
+
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
 turns it into the exit-2 envelope with the exception's text as `error`.
@@ -26,7 +32,7 @@ from . import catalog as cat
 from .conditions import check_conditions
 from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
 from .liealg import Covector, LieAlgebra, orbit_record, validate
-from .linalg import Subspace, basis_vector, frac
+from .linalg import Matrix, Subspace, basis_vector, frac, vec
 from .mackey import abelian_step, classify_little_algebra, mackey_report, semidirect_witness
 from .polarization import (
     StrategyExhausted,
@@ -52,20 +58,12 @@ def _load_entry(spec: str) -> cat.CatalogEntry:
     return cat.load_entry_file(spec)
 
 
-def _rat(x) -> Fraction:
-    """A rational from outside input; a zero denominator is a ValueError too."""
-    try:
-        return frac(x)
-    except ZeroDivisionError as exc:
-        raise ValueError(str(exc)) from None
-
-
 def _parse_point(alg: LieAlgebra, text: str) -> Covector:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != alg.dim:
         raise InputError(f"point needs {alg.dim} coordinates, got {len(parts)}")
     try:
-        return Covector(alg, [_rat(p) for p in parts])
+        return Covector(alg, [frac(p) for p in parts])
     except ValueError as exc:
         raise InputError(f"bad rational in point: {exc}") from None
 
@@ -80,7 +78,7 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return Subspace(alg.dim, [[_rat(x) for x in row] for row in doc["rows"]])
+            return Subspace(alg.dim, [[frac(x) for x in row] for row in doc["rows"]])
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad subspace file {text[1:]}: {exc}") from None
     tokens = [t.strip() for t in text.split(",")]
@@ -99,8 +97,17 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
     return Subspace(alg.dim, rows)
 
 
-def _point_json(cov: Covector):
-    return [str(x) for x in cov.coords]
+def _encode(obj):
+    """The JSON form of the exact values that reports hold."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Subspace):
+        return obj.basis_rows()
+    if isinstance(obj, Matrix):
+        return obj.entries
+    if isinstance(obj, Covector):
+        return obj.coords
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +116,16 @@ def _point_json(cov: Covector):
 
 def _cmd_catalog(args) -> tuple[dict, bool]:
     entries = cat.load_catalog()
-    listing = {}
-    for name in sorted(entries):
-        e = entries[name]
-        listing[name] = {
+    listing = {
+        name: {
             "dim": e.algebra.dim,
             "description": e.description,
-            "covectors": {k: [str(x) for x in v] for k, v in sorted(e.covectors.items())},
+            "covectors": {k: vec(v) for k, v in e.covectors.items()},
             "ideals": sorted(e.ideals),
             "complements": sorted(e.complements),
         }
+        for name, e in entries.items()
+    }
     return {"entries": listing}, True
 
 
@@ -135,7 +142,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     report = validate(alg)
     payload = {"validation": report.to_json_dict()}
     if not report.ok:
-        raise InputError(json.dumps(payload["validation"], sort_keys=True))
+        raise InputError(json.dumps(payload["validation"], sort_keys=True, default=_encode))
     return payload, True
 
 
@@ -145,7 +152,7 @@ def _cmd_orbit(args) -> tuple[dict, bool]:
 
     def run(cov):
         rec = orbit_record(entry.algebra, cov)
-        return {"point": _point_json(cov), "orbit": rec.to_json_dict()}
+        return {"point": cov, "orbit": rec.to_json_dict()}
 
     return {"results": [run(cov) for cov in points]}, True
 
@@ -157,7 +164,7 @@ def _cmd_conditions(args) -> tuple[dict, bool]:
 
     def run(cov):
         rep = check_conditions(entry.algebra, sub, cov)
-        return {"point": _point_json(cov), "conditions": rep.to_json_dict(),
+        return {"point": cov, "conditions": rep.to_json_dict(),
                 "ok": rep.all_flags()}
 
     results = [run(cov) for cov in points]
@@ -172,7 +179,7 @@ def _cmd_mackey(args) -> tuple[dict, bool]:
 
     def run(cov):
         rep = mackey_report(entry.algebra, ideal, cov)
-        out = {"point": _point_json(cov), "mackey": rep.to_json_dict(),
+        out = {"point": cov, "mackey": rep.to_json_dict(),
                "ok": rep.all_checks()}
         if comp is not None:
             witness = semidirect_witness(entry.algebra, ideal, cov, [(args.complement, comp)])
@@ -201,7 +208,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
                 if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
                     chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
                 else:
-                    chain.append(Subspace(alg.dim, [[_rat(x) for x in row] for row in spec]))
+                    chain.append(Subspace(alg.dim, [[frac(x) for x in row] for row in spec]))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chain file {path}: {exc}") from None
 
@@ -209,7 +216,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
     if not pre.passed and not args.override_precheck:
         raise InputError(
             "exponential precheck failed; rerun with --override-precheck to force: "
-            + json.dumps(pre.to_json_dict(), sort_keys=True)
+            + json.dumps(pre.to_json_dict(), sort_keys=True, default=_encode)
         )
 
     def run(cov):
@@ -220,7 +227,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
             )
         except StrategyExhausted as exc:
             return {
-                "point": _point_json(cov),
+                "point": cov,
                 "error": "strategy exhausted",
                 "rejected_candidates": [
                     {"step": i, "candidate": d, "reason": r} for i, d, r in exc.rejections
@@ -229,7 +236,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
             }
         certs = all(s.certificates_hold() for s in trace.steps)
         ok = certs and trace.conditions.all_flags()
-        return {"point": _point_json(cov), "trace": trace.to_json_dict(), "ok": ok}
+        return {"point": cov, "trace": trace.to_json_dict(), "ok": ok}
 
     results = [run(cov) for cov in points]
     payload = {"precheck": pre.to_json_dict(), "results": results}
@@ -241,7 +248,7 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
     malg = matrix_lie_algebra(entry.algebra)
     inputs = []
     for text in args.element or ():
-        parts = [_rat(p.strip()) for p in text.split(",")]
+        parts = [frac(p.strip()) for p in text.split(",")]
         if len(parts) != malg.dim:
             raise InputError(f"element needs {malg.dim} coordinates")
         inputs.append(tuple(parts))
@@ -252,8 +259,7 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
 
     def run(x):
         rep = parabolic_report(malg, x)
-        return {"input": _point_json(x) if isinstance(x, Covector) else [str(c) for c in x],
-                "parabolic": rep.to_json_dict(), "ok": rep.all_relations()}
+        return {"input": x, "parabolic": rep.to_json_dict(), "ok": rep.all_relations()}
 
     results = [run(x) for x in inputs]
     return {"results": results}, all(r["ok"] for r in results)
@@ -268,7 +274,7 @@ def _cmd_classify(args) -> tuple[dict, bool]:
         kind = classify_little_algebra(entry.algebra, ideal, cov)
         step = abelian_step(entry.algebra, ideal, cov)
         return {
-            "point": _point_json(cov),
+            "point": cov,
             "little_algebra": kind.to_json_dict(),
             "abelian_step": step.to_json_dict(),
             "ok": step.dims_match,
@@ -295,7 +301,7 @@ def _cmd_record(args) -> tuple[dict, bool]:
         flattened = stages_flatten(rec)
         verdict = frobenius_check(rec, orbit_record(alg, cov))
         return {
-            "point": _point_json(cov),
+            "point": cov,
             "record": rec.to_json_dict(),
             "flattened": flattened.to_json_dict(),
             "induced_dim": induced_dim(rec),
@@ -396,7 +402,7 @@ def main(argv: Optional[list] = None) -> int:
         envelope["error"] = str(exc)
         envelope["ok"] = False
         code = 2
-    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(envelope, sort_keys=True, indent=2, default=_encode) + "\n"
     out_path = getattr(args, "output", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

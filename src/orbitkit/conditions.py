@@ -67,9 +67,7 @@ class ConditionReport:
             "dimension_identity": self.dimension_identity,
             "stabilizer_check_level": "infinitesimal",
             "pukanszky_check_level": "tangent",
-            "witnesses": {
-                key: [str(x) for x in v] for key, v in self.witnesses.items()
-            },
+            "witnesses": self.witnesses,
         }
 
     def all_flags(self) -> bool:

@@ -146,8 +146,7 @@ class ValidationReport:
             "ok": self.ok,
             "antisymmetry_failures": [list(t[:3]) for t in self.antisymmetry_failures],
             "jacobi_failures": [
-                {"triple": [i, j, k], "defect": [str(x) for x in d]}
-                for (i, j, k, d) in self.jacobi_failures
+                {"triple": [i, j, k], "defect": d} for (i, j, k, d) in self.jacobi_failures
             ],
             "rep_failures": [[i, j] for (i, j, _) in self.rep_failures],
         }
@@ -275,12 +274,12 @@ class OrbitRecord:
 
     def to_json_dict(self):
         return {
-            "covector": [str(x) for x in self.covector.coords],
+            "covector": self.covector,
             "orbit_dim": self.orbit_dim,
             "stabilizer_dim": self.stabilizer.dim,
-            "stabilizer_basis": _rows_json(self.stabilizer),
+            "stabilizer_basis": self.stabilizer,
             "affine_hull_dim": self.affine_hull_dirs.dim,
-            "affine_hull_basis": _rows_json(self.affine_hull_dirs),
+            "affine_hull_basis": self.affine_hull_dirs,
             "hull_exact": self.hull_exact,
         }
 
@@ -495,17 +494,6 @@ class StructureProbe:
     def killing_signature(self) -> tuple[int, int, int]:
         return symmetric_signature(self.killing_form)
 
-    def to_json_dict(self):
-        pos, neg, rank = self.killing_signature()
-        return {
-            "center_dim": self.center.dim,
-            "derived_dims": [s.dim for s in self.derived_series],
-            "lower_central_dims": [s.dim for s in self.lower_central_series],
-            "is_solvable": self.is_solvable,
-            "is_nilpotent": self.is_nilpotent,
-            "killing_signature": {"positive": pos, "negative": neg, "rank": rank},
-        }
-
 
 @lru_cache(maxsize=None)
 def structure_probe(alg: LieAlgebra) -> StructureProbe:
@@ -551,7 +539,3 @@ def _killing_form(alg: LieAlgebra) -> Matrix:
                 for j, d in by_ab[a][b]:
                     k[i][j] += c * d
     return Matrix(k)
-
-
-def _rows_json(s: Subspace):
-    return [[str(x) for x in row] for row in s.basis_rows()]

@@ -30,12 +30,18 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints or strings like '3/4' to an exact rational."""
+    """Coerce ints or strings like '3/4' to an exact rational.
+
+    A zero denominator is a ValueError, like any other malformed rational.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact computations")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def vec(entries: Iterable) -> tuple:
@@ -300,19 +306,24 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
 
-def rank_kernel(m: Matrix) -> tuple[int, Subspace]:
-    """Rank and kernel of a matrix; rank + dim(kernel) = cols."""
-    red, pivots = m.rref()
-    n = m.cols
-    free = [j for j in range(n) if j not in pivots]
+def _echelon_kernel(rows: Sequence[Sequence], pivots: Sequence[int], n: int) -> Subspace:
+    """Kernel of a reduced row echelon matrix with n columns: one vector per free column."""
     kernel_rows = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         v = [ZERO] * n
         v[f] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -red.entries[r][f]
+            v[c] = -rows[r][f]
         kernel_rows.append(v)
-    return len(pivots), Subspace(n, kernel_rows)
+    return Subspace(n, kernel_rows)
+
+
+def rank_kernel(m: Matrix) -> tuple[int, Subspace]:
+    """Rank and kernel of a matrix; rank + dim(kernel) = cols."""
+    red, pivots = m.rref()
+    return len(pivots), _echelon_kernel(red.entries, pivots, m.cols)
 
 
 def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -336,10 +347,11 @@ def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
 
 
 def annihilator(s: Subspace) -> Subspace:
-    """All dual vectors pairing to zero with s (coordinate pairing)."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
-    return rank_kernel(s.basis)[1]
+    """All dual vectors pairing to zero with s (coordinate pairing).
+
+    s's basis is already in RREF, so the kernel is read off its pivots.
+    """
+    return _echelon_kernel(s.basis.entries, s.pivots, s.ambient_dim)
 
 
 def image(m: Matrix) -> Subspace:

@@ -66,11 +66,11 @@ class LittleGroupData:
     def to_json_dict(self):
         return {
             "ideal_dim": self.ideal.dim,
-            "c_on_ideal": [str(x) for x in self.c_on_ideal],
+            "c_on_ideal": self.c_on_ideal,
             "g_c_dim": self.g_c.dim,
             "n_c_dim": self.n_c.dim,
             "h_dim": self.h.dim,
-            "h_basis": [[str(x) for x in row] for row in self.h.basis_rows()],
+            "h_basis": self.h,
         }
 
 
@@ -102,7 +102,7 @@ class StepRelations:
             "annihilator_identity": self.annihilator_identity,
             "exp_linear": self.exp_linear,
             "theorem_violated": self.theorem_violated,
-            "witnesses": {k: [str(x) for x in v] for k, v in self.witnesses.items()},
+            "witnesses": self.witnesses,
         }
 
 
@@ -201,11 +201,11 @@ class ObstructionReport:
     def to_json_dict(self):
         return {
             "j_dim": self.j.dim,
-            "extension_dims": list(self.extension_dims),
+            "extension_dims": self.extension_dims,
             "c_vanishes_on_n_c": self.c_vanishes_on_n_c,
-            "cocycle": [[str(x) for x in row] for row in self.cocycle.entries],
+            "cocycle": self.cocycle,
             "trivial": self.trivial,
-            "primitive": None if self.primitive is None else [str(x) for x in self.primitive],
+            "primitive": self.primitive,
             "level": "infinitesimal",
         }
 

@@ -78,8 +78,7 @@ class ExponentialReport:
     def to_json_dict(self):
         return {
             "is_solvable": self.is_solvable,
-            "eigenvalue_witness": None if self.eigenvalue_witness is None
-            else [str(x) for x in self.eigenvalue_witness],
+            "eigenvalue_witness": self.eigenvalue_witness,
             "elements_checked": self.elements_checked,
             "passed": self.passed,
             "mode": "sampled",
@@ -142,12 +141,11 @@ class PolarizationStep:
         return self.orbit_abelian and self.ideal_in_orth and self.orth_not_containing_g
 
     def to_json_dict(self):
-        rows = lambda s: [[str(x) for x in r] for r in s.basis_rows()]
         return {
             "g_dim": self.g_i.dim,
-            "ideal": rows(self.ideal),
-            "ideal_orth": rows(self.ideal_orth),
-            "g_next": rows(self.g_next),
+            "ideal": self.ideal,
+            "ideal_orth": self.ideal_orth,
+            "g_next": self.g_next,
             "certificates": {
                 "orbit_abelian": self.orbit_abelian,
                 "ideal_in_orth": self.ideal_in_orth,
@@ -167,7 +165,7 @@ class PolarizationTrace:
         return {
             "steps": [s.to_json_dict() for s in self.steps],
             "result_dim": self.result.dim,
-            "result_basis": [[str(x) for x in r] for r in self.result.basis_rows()],
+            "result_basis": self.result,
             "conditions": self.conditions.to_json_dict(),
             "rejected_candidates": [
                 {"step": i, "candidate": d, "reason": r} for i, d, r in self.rejected
@@ -343,14 +341,6 @@ class MonomialReport:
 
     def all_hold(self) -> bool:
         return self.point_orbit and self.dim_identity and self.pukanszky_reachable is not False
-
-    def to_json_dict(self):
-        return {
-            "point_orbit": self.point_orbit,
-            "dim_identity": self.dim_identity,
-            "pukanszky_reachable": self.pukanszky_reachable,
-            "targets": {"total": self.targets_total, "reached": self.targets_reached},
-        }
 
 
 def _reach_target(alg: LieAlgebra, h: Subspace, cov: Covector, target: tuple,

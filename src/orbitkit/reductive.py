@@ -226,15 +226,6 @@ class JordanTriple:
     elliptic: Matrix
     nilpotent: Matrix
 
-    def to_json_dict(self):
-        grid = lambda m: [[str(v) for v in row] for row in m.entries]
-        return {
-            "x": grid(self.x),
-            "hyperbolic": grid(self.hyperbolic),
-            "elliptic": grid(self.elliptic),
-            "nilpotent": grid(self.nilpotent),
-        }
-
 
 def jordan_triple(x: Matrix) -> JordanTriple:
     """x = x_h + x_e + x_n with commuting parts, exact over Q."""
@@ -252,10 +243,8 @@ class Grading:
         return self.spaces.get(Fraction(a))
 
     def to_json_dict(self):
-        return {
-            str(a): [[str(x) for x in row] for row in self.spaces[a].basis_rows()]
-            for a in self.eigenvalues
-        }
+        # JSON object keys never reach the encoder, so the eigenvalues are written here
+        return {str(a): self.spaces[a] for a in self.eigenvalues}
 
 
 def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
@@ -336,10 +325,10 @@ class ParabolicReport:
 
     def to_json_dict(self):
         return {
-            "x": [str(c) for c in self.x_coords],
+            "x": self.x_coords,
             "grading": self.grading.to_json_dict(),
             "q_dim": self.q.dim,
-            "q_basis": [[str(x) for x in row] for row in self.q.basis_rows()],
+            "q_basis": self.q,
             "u_dim": self.u.dim,
             "relations": {
                 "stabilizer_in_g0": self.stabilizer_in_g0,

@@ -1,6 +1,7 @@
 """The CLI's exit codes and JSON envelope, called in-process through `main`."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -130,3 +131,12 @@ def test_jobs_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["orbit", "catalog:heisenberg3", "--point=0,0,1", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", [{F(1)}, object()], ids=["set", "object"])
+def test_the_encoder_refuses_unknown_types(value, monkeypatch, capsys):
+    # a report holding an unexpected object must fail loudly, not print its repr
+    monkeypatch.setitem(cli._HANDLERS, "catalog", lambda args: ({"entries": [value]}, True))
+    with pytest.raises(TypeError, match="no JSON form"):
+        cli.main(["catalog"])
+    assert capsys.readouterr().out == ""

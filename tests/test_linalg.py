@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit.liealg import stabilizer, structure_probe
 from orbitkit.linalg import (
@@ -9,6 +11,7 @@ from orbitkit.linalg import (
     Subspace,
     annihilator,
     combine,
+    frac,
     rank_kernel,
     solve,
     sum_intersect,
@@ -77,6 +80,14 @@ def test_annihilator_pairing():
     for u in ann.basis_rows():
         for v in s.basis_rows():
             assert sum(a * b for a, b in zip(u, v)) == 0
+
+
+def test_frac_refuses_a_zero_denominator():
+    assert frac("-6/8") == F(-3, 4)
+    with pytest.raises(ValueError, match=r"Fraction\(1, 0\)"):
+        frac("1/0")
+    with pytest.raises(TypeError):
+        frac(0.5)
 
 
 def test_solve_identity():
@@ -209,3 +220,45 @@ def test_reduce_gives_the_coset_representative_zero_at_the_pivots():
     assert s.coords_of((3, 1, 5)) is None
     with pytest.raises(ValueError):
         s.reduce((1, 2))
+
+
+# -- properties over random rational subspaces --------------------------------
+
+PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(A, B) in Q^n, n <= 6; B reuses some of A's generators, so A∩B is often nonzero."""
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(st.tuples(*[rationals] * n), max_size=n)
+    a_rows = draw(vectors)
+    shared = draw(st.lists(st.sampled_from(a_rows), max_size=len(a_rows))) if a_rows else []
+    return Subspace(n, a_rows), Subspace(n, shared + draw(vectors))
+
+
+def rref_annihilator(s):
+    """Reference: the annihilator by a fresh `rank_kernel` of the basis."""
+    if s.dim == 0:
+        return Subspace.full(s.ambient_dim)
+    return rank_kernel(s.basis)[1]
+
+
+@PROPERTIES
+@given(subspace_pairs())
+def test_grassmann_identity_property(pair):
+    a, b = pair
+    s, m = sum_intersect(a, b)
+    assert s.dim + m.dim == a.dim + b.dim
+    assert s == a.add(b) and m == a.intersect(b)
+
+
+@PROPERTIES
+@given(subspace_pairs())
+def test_annihilator_property(pair):
+    for s in pair:
+        ann = annihilator(s)
+        assert ann == rref_annihilator(s)
+        assert ann.dim == s.ambient_dim - s.dim
+        assert annihilator(ann) == s
