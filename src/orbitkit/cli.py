@@ -222,9 +222,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
     def run(cov):
         try:
             trace = pukanszky_polarization(
-                alg, cov, strategy=strategy, chain=chain,
-                override_precheck=True, precheck_seed=args.seed,
-            )
+                alg, cov, strategy=strategy, chain=chain, override_precheck=True)
         except StrategyExhausted as exc:
             return {
                 "point": cov,

@@ -33,13 +33,11 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     """
     if h.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    if h.dim == 0:
-        return Subspace.full(alg.dim)
     b = kks_pairing(alg, cov)
     # row_w[i] = <cov, [e_i, w]>: B is antisymmetric, so this is the
     # negative of <cov, [w, e_i]> and has the same kernel
     rows = [b.apply(w) for w in h.basis_rows()]
-    return rank_kernel(Matrix(rows))[1]
+    return rank_kernel(Matrix(rows, alg.dim))[1]
 
 
 @dataclass(frozen=True)

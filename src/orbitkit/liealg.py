@@ -199,7 +199,7 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
         for j, entries in enumerate(plane):
             for k, c in entries:
                 m[k][j] += a * c
-    return Matrix(m)
+    return Matrix(m, n)
 
 
 def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
@@ -207,7 +207,8 @@ def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
     x = cov.coords
     return Matrix(
         [[sum((x[k] * c for k, c in entries), ZERO) for entries in plane]
-         for plane in alg.nonzeros]
+         for plane in alg.nonzeros],
+        alg.dim,
     )
 
 
@@ -454,7 +455,7 @@ def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
                     for k, c in entries:
                         block[k][i] += c * wj
         rows.extend(r for r in block if not is_zero_vec(r))
-    return rank_kernel(Matrix(rows))[1] if rows else Subspace.full(n)
+    return rank_kernel(Matrix(rows, n))[1]
 
 
 @lru_cache(maxsize=None)
@@ -538,4 +539,4 @@ def _killing_form(alg: LieAlgebra) -> Matrix:
             for a, c in entries:
                 for j, d in by_ab[a][b]:
                     k[i][j] += c * d
-    return Matrix(k)
+    return Matrix(k, n)

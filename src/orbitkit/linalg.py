@@ -85,28 +85,37 @@ def basis_vector(n: int, j: int) -> tuple:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals.
+
+    The width comes from the first row.  A matrix with no rows has no row
+    to read it from, so its width must be passed as `cols`: a 0 x n matrix
+    keeps n, and its kernel is all of Q^n.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable]):
+    def __init__(self, entries: Iterable[Iterable], cols: Optional[int] = None):
         grid = tuple(tuple(frac(x) for x in row) for row in entries)
+        if cols is None:
+            if not grid:
+                raise ValueError("a matrix with no rows needs its width")
+            cols = len(grid[0])
         self.entries = grid
         self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-        if any(len(row) != self.cols for row in grid):
+        self.cols = cols
+        if any(len(row) != cols for row in grid):
             raise ValueError("ragged matrix")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries)) if self.rows else Matrix.zeros(self.cols, 0)
+        return Matrix([[row[j] for row in self.entries] for j in range(self.cols)], self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,24 +134,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
+        return Matrix(map(vec_add, self.entries, other.entries), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
+        return Matrix(map(vec_sub, self.entries, other.entries), self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-a for a in row) for row in self.entries)
+        return Matrix((tuple(-a for a in row) for row in self.entries), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(tuple(c * a for a in row) for row in self.entries)
+        return Matrix((tuple(c * a for a in row) for row in self.entries), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -151,7 +154,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         cols = other.transpose().entries
         return Matrix(
-            tuple(vec_dot(row, col) for col in cols) for row in self.entries
+            (tuple(vec_dot(row, col) for col in cols) for row in self.entries), other.cols
         )
 
     def apply(self, v: Sequence) -> tuple:
@@ -197,7 +200,7 @@ class Matrix:
             r += 1
             if r == nrows:
                 break
-        return Matrix(m) if m else Matrix.zeros(0, ncols), tuple(pivots)
+        return Matrix(m, ncols), tuple(pivots)
 
 
 def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
@@ -208,8 +211,7 @@ def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
     """
     if len(v) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = Matrix(tuple(row) + (val,) for row, val in zip(m.entries, vec(v))) if m.rows \
-        else Matrix.zeros(0, m.cols + 1)
+    aug = Matrix((tuple(row) + (val,) for row, val in zip(m.entries, vec(v))), m.cols + 1)
     red, pivots = aug.rref()
     if m.cols in pivots:  # pivot in the augmented column
         return None
@@ -229,13 +231,9 @@ class Subspace:
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("generator length does not match ambient dimension")
-        if rows:
-            red, pivots = Matrix(rows).rref()
-            kept = red.entries[: len(pivots)]
-        else:
-            kept, pivots = (), ()
+        red, pivots = Matrix(rows, ambient_dim).rref()
         self.ambient_dim = ambient_dim
-        self.basis = Matrix(kept) if kept else Matrix.zeros(0, ambient_dim)
+        self.basis = Matrix(red.entries[: len(pivots)], ambient_dim)
         self.pivots = pivots  # pivots[r]: the column where basis row r has its leading 1
 
     @classmethod
@@ -333,9 +331,7 @@ def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     n = a.ambient_dim
     rows = [tuple(r) + tuple(r) for r in a.basis.entries]
     rows += [tuple(r) + (ZERO,) * n for r in b.basis.entries]
-    if not rows:
-        return Subspace.zero(n), Subspace.zero(n)
-    red, pivots = Matrix(rows).rref()
+    red, pivots = Matrix(rows, 2 * n).rref()
     sum_rows, meet_rows = [], []
     for row in red.entries[: len(pivots)]:
         left, right = row[:n], row[n:]
@@ -354,18 +350,11 @@ def annihilator(s: Subspace) -> Subspace:
     return _echelon_kernel(s.basis.entries, s.pivots, s.ambient_dim)
 
 
-def image(m: Matrix) -> Subspace:
-    """Column space of m, as a subspace of Q^rows."""
-    return Subspace(m.rows, m.transpose().entries)
-
-
 def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:
     """Find x in sub with m x = v, or None.
 
     Returned vector lives in the ambient space of sub.
     """
-    if sub.dim == 0:
-        return tuple([ZERO] * sub.ambient_dim) if is_zero_vec(vec(v)) else None
     restricted = m * sub.basis.transpose()
     t = solve(restricted, v)
     return None if t is None else combine(t, sub.basis.entries, sub.ambient_dim)

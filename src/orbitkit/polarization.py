@@ -173,14 +173,13 @@ class PolarizationTrace:
         }
 
 
-def _automatic_candidates(inner: LieAlgebra, cov: Covector):
+def _automatic_candidates(inner: LieAlgebra, ann_x: Subspace):
     """Deterministic candidate ideals, yielded with a description.
 
     Everything is computed in the quotient by the orbit's extraneous ideal
     ann_x, where orbit-abelian means abelian and orbit-central means
     central, then pulled back.
     """
-    ann_x = orbit_annihilator(inner, cov)
     quot = quotient(inner, ann_x)
     qalg = quot.algebra
 
@@ -206,11 +205,13 @@ def _automatic_candidates(inner: LieAlgebra, cov: Covector):
                     z1.add(Subspace(qalg.dim, [row])))
 
 
-def _admissible(inner: LieAlgebra, cov: Covector, cand: Subspace) -> Optional[str]:
-    """None when admissible, otherwise the rejection reason."""
+def _admissible(inner: LieAlgebra, ann_x: Subspace, cand: Subspace) -> Optional[str]:
+    """None when admissible, otherwise the rejection reason.
+
+    ann_x is the orbit annihilator of the current covector on inner.
+    """
     if not is_ideal(inner, cand):
         return "not an ideal"
-    ann_x = orbit_annihilator(inner, cov)
     for u in cand.basis_rows():
         for v in cand.basis_rows():
             if not ann_x.contains(inner.bracket(u, v)):
@@ -231,7 +232,6 @@ def pukanszky_polarization(
     strategy: str = "auto",
     chain: Optional[Sequence[Subspace]] = None,
     override_precheck: bool = False,
-    precheck_seed: int = 0,
 ) -> PolarizationTrace:
     """Run the descending-orthogonal construction at a covector.
 
@@ -246,7 +246,7 @@ def pukanszky_polarization(
     if strategy == "chain" and chain is None:
         raise ValueError("strategy 'chain' requires the ideal chain")
     if not override_precheck:
-        pre = exponential_precheck(alg, seed=precheck_seed)
+        pre = exponential_precheck(alg)
         if not pre.passed:
             raise ValueError(
                 "exponential precheck failed (non-solvable or imaginary ad-eigenvalue); "
@@ -272,6 +272,7 @@ def pukanszky_polarization(
         b = kks_pairing(inner, cur_cov)
         if b.is_zero():
             break  # self-orthogonal: done
+        ann_x = orbit_annihilator(inner, cur_cov)
         chosen = None
         if strategy == "chain":
             try:
@@ -285,13 +286,13 @@ def pukanszky_polarization(
                     raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
                 rows.append(coords)
             cand = Subspace(inner.dim, rows)
-            reason = _admissible(inner, cur_cov, cand)
+            reason = _admissible(inner, ann_x, cand)
             if reason is not None:
                 raise StrategyExhausted(rejected + [(step_index, "user chain ideal", reason)])
             chosen = ("user chain ideal", cand)
         else:
-            for desc, cand in _automatic_candidates(inner, cur_cov):
-                reason = _admissible(inner, cur_cov, cand)
+            for desc, cand in _automatic_candidates(inner, ann_x):
+                reason = _admissible(inner, ann_x, cand)
                 if reason is None:
                     chosen = (desc, cand)
                     break
@@ -302,7 +303,6 @@ def pukanszky_polarization(
         desc, cand = chosen
         # orth inside g_i: inner coordinates make g_i the full space there
         g_next_inner = orth(inner, cand, cur_cov)
-        ann_x = orbit_annihilator(inner, cur_cov)
         orbit_abelian = all(
             ann_x.contains(inner.bracket(u, v))
             for u in cand.basis_rows() for v in cand.basis_rows()

@@ -12,6 +12,12 @@ factor named.
 semisimple + nilpotent is computed by Newton iteration against the
 squarefree part of the characteristic polynomial, with the inverse of its
 derivative obtained once by extended gcd; everything stays in Q.
+
+Trace pairings are read off the Gram matrix G[i][j] = tr(R_i R_j) of the
+representation, built once without forming any product R_i R_j: for
+elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
+covector of x is G x, and the trace-block and Levi checks of the parabolic
+report multiply no matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .linalg import (
     rank_kernel,
     solve,
     vec,
+    vec_dot,
 )
 from .polynomials import (
     charpoly,
@@ -86,8 +93,10 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
         raise ValueError("representation brackets do not match the structure constants"
                          if report.rep_failures else "algebra fails validation")
     n = alg.dim
-    gram = Matrix([[(alg.matrix_rep[i] * alg.matrix_rep[j]).trace() for j in range(n)]
-                   for i in range(n)])
+    # tr(R_i R_j) = sum_kl R_i[k][l] R_j[l][k]: flattened R_i against flattened R_j^T
+    flat = [[x for row in r.entries for x in row] for r in alg.matrix_rep]
+    flat_t = [[x for row in r.transpose().entries for x in row] for r in alg.matrix_rep]
+    gram = Matrix([[vec_dot(a, b) for b in flat_t] for a in flat], n)
     if rank_kernel(gram)[0] != n:
         raise ValueError("degenerate trace form: dual space cannot be identified with the algebra")
     return MatrixLieAlgebra(alg, gram)
@@ -113,9 +122,8 @@ def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
 
 
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:
-    """Trace-form dual of an algebra element."""
-    x = element_matrix(malg, coords)
-    return Covector(malg.algebra, [(x * r).trace() for r in malg.rep])
+    """Trace-form dual of an algebra element: (G x)_j = tr(M(x) R_j), G symmetric."""
+    return Covector(malg.algebra, malg.trace_gram.apply(vec(coords)))
 
 
 def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
@@ -288,10 +296,8 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
 
 def _trace_annihilator(malg: MatrixLieAlgebra, sub: Subspace) -> Subspace:
     """Elements trace-orthogonal to sub (the dual annihilator, identified)."""
-    if sub.dim == 0:
-        return Subspace.full(malg.dim)
     rows = [malg.trace_gram.apply(r) for r in sub.basis_rows()]
-    return rank_kernel(Matrix(rows))[1]
+    return rank_kernel(Matrix(rows, malg.dim))[1]
 
 
 @dataclass(frozen=True)
@@ -378,9 +384,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
     ann_q = _trace_annihilator(malg, q)
     image_ok = moved == ann_q
 
-    inside = all(u.contains(alg.bracket(z, coords)) for z in u.basis_rows())
-    restricted_rank = Subspace(n, [alg.bracket(z, coords) for z in u.basis_rows()]).dim
-    bijective = inside and restricted_rank == u.dim
+    bijective = u.contains_subspace(moved) and moved.dim == u.dim
 
     hull = moved
     while True:
@@ -392,26 +396,24 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
         hull = grown
     hull_ok = hull == ann_q
 
+    # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces
+    gram_rows = {a: [malg.trace_gram.apply(r) for r in grading.spaces[a].basis_rows()]
+                 for a in grading.eigenvalues}
     blocks_ok = True
     for a in grading.eigenvalues:
         for b in grading.eigenvalues:
-            pa, pb = grading.spaces[a], grading.spaces[b]
-            pairing = Matrix(
-                [[(element_matrix(malg, ra) * element_matrix(malg, rb)).trace()
-                  for rb in pb.basis_rows()] for ra in pa.basis_rows()]
-            ) if pa.dim and pb.dim else None
-            if pairing is None:
-                continue
+            pairing = Matrix([[vec_dot(ra, w) for w in gram_rows[b]]
+                              for ra in grading.spaces[a].basis_rows()])
             if a + b != 0:
                 if not pairing.is_zero():
                     blocks_ok = False
-            else:
-                if pa.dim != pb.dim or rank_kernel(pairing)[0] != pa.dim:
-                    blocks_ok = False
+            elif pairing.rows != pairing.cols or rank_kernel(pairing)[0] != pairing.rows:
+                blocks_ok = False
 
-    levi_ok = all((xmat * element_matrix(malg, z)).trace() == 0 for z in u.basis_rows())
-
+    # tr(M(x) M(z)) = x^T G z = <cov, z>
     cov = element_to_covector(malg, coords)
+    levi_ok = all(cov.pair(z) == 0 for z in u.basis_rows())
+
     dim_x = rank_kernel(kks_pairing(alg, cov))[0]
     cov_q, emb = restrict(alg, cov, q)
     dim_y = rank_kernel(kks_pairing(emb.algebra, cov_q))[0]

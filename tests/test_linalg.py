@@ -14,6 +14,7 @@ from orbitkit.linalg import (
     frac,
     rank_kernel,
     solve,
+    solve_in_subspace,
     sum_intersect,
     symmetric_signature,
 )
@@ -100,6 +101,33 @@ def test_solve_inconsistent():
 
 def test_solve_back_substitution():
     assert solve(Matrix([[1, 1], [0, 1]]), (3, 1)) == (F(2), F(1))
+
+
+# -- a matrix keeps its width -------------------------------------------------
+
+
+def test_a_matrix_with_no_rows_keeps_its_width():
+    empty = Matrix.zeros(0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert rank_kernel(empty) == (0, Subspace.full(3))
+    tall = empty.transpose()
+    assert (tall.rows, tall.cols) == (3, 0)
+    assert tall.transpose() == empty
+    assert Matrix([], 3) == empty
+
+
+def test_a_matrix_with_no_rows_and_no_width_is_refused():
+    with pytest.raises(ValueError, match="width"):
+        Matrix([])
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix([[1, 2]], 3)
+
+
+def test_solve_in_subspace_on_the_zero_subspace():
+    m = Matrix([[1, 2, 3], [0, 1, 1]])
+    zero = Subspace.zero(3)
+    assert solve_in_subspace(m, zero, (0, 0)) == (F(0),) * 3
+    assert solve_in_subspace(m, zero, (1, 0)) is None
 
 
 def test_rref_canonical_under_generator_shuffle():
@@ -240,8 +268,6 @@ def subspace_pairs(draw):
 
 def rref_annihilator(s):
     """Reference: the annihilator by a fresh `rank_kernel` of the basis."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
     return rank_kernel(s.basis)[1]
 
 
@@ -262,3 +288,27 @@ def test_annihilator_property(pair):
         assert ann == rref_annihilator(s)
         assert ann.dim == s.ambient_dim - s.dim
         assert annihilator(ann) == s
+
+
+@st.composite
+def matrices_and_row_operations(draw):
+    """A rational matrix with 0-5 rows and 1-5 columns, and an elementary
+    invertible matrix E acting on its rows: E scales row i by c != 0 when
+    i == j, and adds c times row j to row i otherwise."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[rationals] * cols), max_size=5))
+    e = [[F(int(i == j)) for j in range(len(rows))] for i in range(len(rows))]
+    if rows:
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        e[i][j] = draw(rationals.filter(lambda c: c != 0))
+    return Matrix(rows, cols), Matrix(e, len(rows))
+
+
+@PROPERTIES
+@given(matrices_and_row_operations())
+def test_rank_nullity_and_rref_invariance_property(case):
+    m, e = case
+    rank, ker = rank_kernel(m)
+    assert rank + ker.dim == m.cols
+    assert all(not any(m.apply(v)) for v in ker.basis_rows())
+    assert (e * m).rref() == m.rref()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -431,3 +432,54 @@ def test_dim_v_even_and_fiber_rank(entries, rng):
                 rep = mackey_report(alg, ideal, cov)
                 assert rep.dim_v % 2 == 0 and rep.dim_v >= 0
                 assert rep.dim_v == rep.fiber_rank
+
+
+# -- exp-linearity: one covector cov . ad(Z)^2 per direction --------------------
+
+
+def image_chain_exp_linear(data):
+    """Reference verdict: <c, [n_c, n]> = 0, and cov vanishes on the image of
+    ad(Z)^k for k = 2, 3, ... along each basis direction Z of n_c, each image
+    chain iterated until it stabilizes."""
+    alg, cov = data.algebra, data.covector
+    if any(cov.pair(alg.bracket(w, v)) != 0
+           for w in data.n_c.basis_rows() for v in data.ideal.basis_rows()):
+        return False
+    for z in data.n_c.basis_rows():
+        m = ad_matrix(alg, z)
+        power, prev_image = m * m, None
+        while True:
+            img = Subspace(power.rows, power.transpose().entries)
+            if any(cov.pair(direction) != 0 for direction in img.basis_rows()):
+                return False
+            if img == prev_image or img.dim == 0:
+                break
+            prev_image, power = img, power * m
+    return True
+
+
+def test_exp_linear_matches_the_image_chain_reference(entries, rng):
+    # On true little-group data exp-linearity always holds: for Z in n_c,
+    # ad(Z)^2 g lies in [Z, n], where cov vanishes.  Directions taken from
+    # all of g_c pass the <c, [Z, n]> = 0 test too but can fail the k >= 2 one.
+    verdicts = []
+    for entry in entries.values():
+        alg = entry.algebra
+        for ideal in list(entry.ideals.values()) + random_ideals(alg, rng, 3):
+            data = little_group_step(alg, ideal, rand_covector(alg, rng))
+            for case in (data, dataclasses.replace(data, n_c=data.g_c)):
+                verdict = verify_step_relations(case).exp_linear
+                assert verdict == image_chain_exp_linear(case)
+                verdicts.append(verdict)
+    assert len(verdicts) >= 60 and verdicts.count(False) >= 2
+
+
+def test_exp_linear_fails_with_the_higher_order_witness(entries):
+    # filiform4: [e1, e2] = e3, [e1, e3] = e4.  With Z = e1 and cov = e4*,
+    # cov . ad(Z) = e3* and cov . ad(Z)^2 = e2*, so <cov, ad(e1)^2 e2> = 1.
+    fil = entries["filiform4"]
+    data = little_group_step(fil.algebra, fil.ideals["center"], Covector(fil.algebra, (0, 0, 0, 1)))
+    data = dataclasses.replace(data, n_c=_span(4, 0))
+    rel = verify_step_relations(data)
+    assert not rel.exp_linear and not image_chain_exp_linear(data)
+    assert rel.witnesses["higher_order_term"] == (0, 1, 0, 0)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbitkit import polarization
 from orbitkit.conditions import check_conditions, orth
 from orbitkit.liealg import Covector, stabilizer
 from orbitkit.linalg import Subspace, basis_vector
@@ -108,6 +109,18 @@ def test_chain_is_read_in_each_window():
                                     chain=[s.ideal for s in auto.steps])
     assert replay.steps == auto.steps and replay.result == auto.result
     assert replay.conditions.all_flags()
+
+
+def test_one_orbit_annihilator_per_descent_step(monkeypatch):
+    """Candidate search, admissibility and the printed orbit-abelian
+    certificate of a step share one orbit annihilator."""
+    alg, _ = strictly_upper(5)
+    cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
+    real, calls = polarization.orbit_annihilator, []
+    monkeypatch.setattr(polarization, "orbit_annihilator",
+                        lambda *args: calls.append(args) or real(*args))
+    trace = pukanszky_polarization(alg, cov, override_precheck=True)
+    assert trace.rejected and len(calls) == len(trace.steps) == 3
 
 
 def test_polarization_chain_rejects_bad_ideal(entries):
