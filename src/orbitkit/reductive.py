@@ -7,7 +7,9 @@ ad(x_h)-grading assembles the parabolic q = g^0 (+) u.  The split is
 restricted to spectra inside Q(i): every irreducible factor of the minimal
 polynomial must be linear, or quadratic with negative discriminant whose
 imaginary part is rational; anything else is refused with the offending
-factor named.
+factor named.  Those factors are found p-adically by
+`polynomials.qi_factors`; sympy is imported only when they do not
+multiply back to the minimal polynomial, to name an unsupported factor.
 
 semisimple + nilpotent is computed by Newton iteration against the
 squarefree part of the characteristic polynomial, with the inverse of its
@@ -56,6 +58,7 @@ from .polynomials import (
     monic,
     mul,
     poly,
+    qi_factors,
     squarefree_part,
     to_string,
 )
@@ -173,7 +176,7 @@ def _zip_pad(p: tuple, q: tuple):
 
 def _factor_squarefree(p: tuple) -> list[tuple]:
     """Monic irreducible factors of a squarefree rational polynomial."""
-    import sympy  # deferred: exact factorization is the only use
+    import sympy  # deferred: only an unsupported spectrum gets here
 
     xsym = sympy.Symbol("x")
     spoly = sympy.Poly(
@@ -194,13 +197,17 @@ def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
     The hyperbolic part is sum a_i pi_i over the irreducible factors of the
     minimal polynomial, with a_i the (rational) real part of the factor's
     roots and pi_i the spectral projector built from the partial-fraction
-    idempotents; the elliptic part is the remainder.
+    idempotents; the elliptic part is the remainder.  The factors come from
+    `qi_factors`; when they do not multiply back to the minimal polynomial,
+    its full factorization names the first unsupported factor.
     """
     chi = charpoly(s)
     mu = squarefree_part(chi)
     if not eval_matrix(mu, s).is_zero():
         raise ValueError("matrix is not semisimple: squarefree minimal polynomial required")
-    factors = _factor_squarefree(mu)
+    factors = qi_factors(mu)
+    if sum(deg(f) for f in factors) != deg(mu):  # their product divides mu
+        factors = _factor_squarefree(mu)
     real_parts = []
     for f in factors:
         if deg(f) == 1:
@@ -266,7 +273,7 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     ad = ad_matrix(alg, coords)
     chi = charpoly(ad)
     # the rational eigenvalues a are the roots of the monic linear factors x - a
-    eigs = [-f[0] for f in _factor_squarefree(squarefree_part(chi)) if deg(f) == 1]
+    eigs = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
     spaces = {}
     total = 0
     n = alg.dim

@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
-from orbitkit.linalg import Matrix, solve
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitkit.liealg import ad_matrix
+from orbitkit.linalg import Matrix, basis_vector, solve
 from orbitkit.polynomials import (
     charpoly,
     count_negative_roots,
+    deg,
     derivative,
     divmod_poly,
     eval_at,
@@ -16,11 +23,13 @@ from orbitkit.polynomials import (
     monic,
     mul,
     poly,
+    qi_factors,
     squarefree_part,
     strip_zero_roots,
     to_string,
     xgcd,
 )
+from conftest import rand_vec
 
 
 def test_divmod_roundtrip():
@@ -122,3 +131,151 @@ def test_eval_consistency():
         x = F(rng.randint(-3, 3), rng.randint(1, 3))
         assert eval_at(mul(p, q), x) == eval_at(p, x) * eval_at(q, x)
         assert eval_at(derivative(mul(p, p)), x) == 2 * eval_at(p, x) * eval_at(derivative(p), x)
+
+
+# -- charpoly by Hessenberg reduction against Faddeev-LeVerrier ----------------
+
+
+def faddeev_leverrier(m):
+    """Reference: the monic characteristic polynomial from n dense products."""
+    n = m.rows
+    coeffs = [F(0)] * n + [F(1)]
+    mk = Matrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        c = -mk.trace() / k
+        coeffs[n - k] = c
+        mk = mk + Matrix.identity(n).scale(c)
+    return poly(coeffs)
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    """n x n, n <= 8; some subdiagonal entries are zeroed, so the pivot
+    search runs below the subdiagonal and rows and columns get swapped."""
+    n = draw(st.integers(0, 8))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    for j in draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=n)):
+        if j + 1 < n:
+            rows[j + 1][j] = F(0)
+    return Matrix(rows, n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(sparse_square_matrices())
+def test_charpoly_matches_the_reference_property(m):
+    chi = charpoly(m)
+    assert chi == faddeev_leverrier(m)
+    assert deg(chi) == m.rows and chi[-1] == 1
+    assert eval_matrix(chi, m).is_zero()          # Cayley-Hamilton
+
+
+def test_charpoly_swaps_when_the_subdiagonal_is_zero():
+    # column 0 is zero on the subdiagonal, so row/column 2 is swapped onto it
+    m = Matrix([[1, 2, 3], [0, 4, 5], [6, 0, 7]])
+    assert charpoly(m) == faddeev_leverrier(m)
+    assert charpoly(Matrix([], 0)) == poly([1])
+
+
+def test_charpoly_on_catalog_ad_matrices(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
+        elements += [rand_vec(rng, alg.dim) for _ in range(3)]
+        for z in elements:
+            ad = ad_matrix(alg, z)
+            assert charpoly(ad) == faddeev_leverrier(ad), (entry.name, z)
+
+
+def test_charpoly_multiplies_no_matrices(entries, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix product")
+
+    poin = entries["poincare"].algebra
+    ad = ad_matrix(poin, range(1, poin.dim + 1))
+    want = faddeev_leverrier(ad)
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert charpoly(ad) == want
+
+
+# -- roots in Q(i) against sympy's factorization -----------------------------
+
+
+def sympy_supported(mu):
+    """Reference: sympy's monic irreducible factors of mu, split into the ones
+    with roots in Q(i) (linear, or quadratic with a rational imaginary part)
+    and the rest, by the classification the Jordan split used before."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(mu)],
+                       x, domain="QQ")
+    supported, unsupported = [], []
+    for fac, _ in spoly.factor_list()[1]:
+        f = monic(poly([F(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]))
+        ok = deg(f) == 1 or (deg(f) == 2 and f[1] ** 2 < 4 * f[0]
+                             and is_rational_square(4 * f[0] - f[1] ** 2) is not None)
+        (supported if ok else unsupported).append(f)
+    return supported, unsupported
+
+
+UNSUPPORTED = [poly([-9, -5, 0, 1]), poly([-2, 0, 1]), poly([2, 0, 1])]
+
+
+def random_spectrum(rng):
+    """A squarefree product of linear factors of height up to 10^12 with
+    denominators, Gaussian quadratics (x - a)^2 + b^2 and at most one
+    factor with roots outside Q(i)."""
+    height = rng.choice([10, 10**6, 10**12])
+    roots = {F(rng.randint(-height, height), rng.randint(1, height))
+             for _ in range(rng.randint(0, 4))}
+    factors = [poly([-a, 1]) for a in roots]
+    for _ in range(rng.randint(0, 2)):
+        a = F(rng.randint(-height, height), rng.randint(1, 1000))
+        b = F(rng.randint(1, height), rng.randint(1, 1000))
+        factors.append(poly([a * a + b * b, -2 * a, 1]))
+    factors += rng.sample(UNSUPPORTED, rng.choice([0, 0, 1]))
+    return reduce(mul, factors, poly([1]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_qi_factors_match_sympy(seed):
+    rng = random.Random(seed)
+    mu = random_spectrum(rng)
+    supported, unsupported = sympy_supported(mu)
+    found = qi_factors(mu)
+    assert sorted(found) == sorted(supported)
+    assert (reduce(mul, found, poly([1])) == mu) == (not unsupported)
+
+
+@pytest.mark.parametrize("roots", [[0], [0, 5], [5, 10], [1, 6], [0, F(-3, 7), 10**12]])
+def test_qi_factors_edge_roots(roots):
+    # 5 and 10, or 1 and 6, meet mod 5: f = (x - 5)(x - 10) is x^2 mod 5,
+    # so the prime search must pass over p = 5
+    mu = reduce(mul, [poly([-F(a), 1]) for a in roots], poly([1]))
+    assert sorted(qi_factors(mu)) == sorted(poly([-F(a), 1]) for a in roots)
+
+
+def test_qi_factors_of_a_constant_and_refusals():
+    assert qi_factors(poly([3])) == []
+    with pytest.raises(ValueError):
+        qi_factors(())
+    with pytest.raises(ValueError):                     # (x - 1)^2 has no good prime
+        qi_factors(poly([1, -2, 1]))
+
+
+def test_qi_factors_keep_the_gaussian_pairs_only():
+    gaussian = poly([5, -2, 1])                          # roots 1 +- 2i
+    mu = mul(mul(gaussian, poly([2, 0, 1])), poly([-2, 0, 1]))
+    assert qi_factors(mu) == [gaussian]
+
+
+def test_qi_factors_at_a_height_no_divisor_search_reaches():
+    # constant terms of ~600 bits: the p-adic lift is polynomial in the bit length
+    roots = [F(3**300 + 1, 7**100), -F(2**500), F(1, 10**150)]
+    gaussian = poly([F(5**200) + 1, -2, 1])              # roots 1 +- 5^100 i
+    mu = reduce(mul, [poly([-a, 1]) for a in roots], gaussian)
+    assert sorted(qi_factors(mu)) == sorted([poly([-a, 1]) for a in roots] + [gaussian])

@@ -1,10 +1,13 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from orbitkit import reductive
 from orbitkit.liealg import Covector, validate
-from orbitkit.linalg import Matrix
+from orbitkit.catalog import algebra_from_rep
+from orbitkit.linalg import Matrix, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
@@ -12,6 +15,7 @@ from orbitkit.reductive import (
     element_matrix,
     element_to_covector,
     grade,
+    hyperbolic_elliptic_split,
     matrix_lie_algebra,
     parabolic_report,
 )
@@ -92,3 +96,119 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     assert verify_step_relations(data).exp_linear
     rep = parabolic_report(sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
     assert rep.u.dim > 0 and rep.trace_blocks_ok and rep.levi_pairing_zero
+
+
+# -- the elliptic branch: spectra in Q(i) --------------------------------------
+
+
+def sympy_path_split(s, monkeypatch):
+    """Reference: the split with its factors taken from sympy's factorization."""
+    with monkeypatch.context() as m:
+        m.setattr(reductive, "qi_factors", lambda mu: [])
+        return hyperbolic_elliptic_split(s)
+
+
+def test_rotation_scaling_splits_into_identity_and_rotation(monkeypatch):
+    xh, xe = hyperbolic_elliptic_split(Matrix([[1, -1], [1, 1]]))   # 1 +- i
+    assert xh == Matrix.identity(2)
+    assert xe == Matrix([[0, -1], [1, 0]])
+    assert (xh, xe) == sympy_path_split(Matrix([[1, -1], [1, 1]]), monkeypatch)
+
+
+def test_a_rotation_is_elliptic():
+    rot = Matrix([[0, -1], [1, 0]])
+    assert hyperbolic_elliptic_split(rot) == (Matrix.zeros(2, 2), rot)
+
+
+def _inverse(u):
+    n = u.rows
+    cols = [solve(u, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    return Matrix(cols, n).transpose()
+
+
+def _unimodular(rng, n):
+    u = Matrix.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        e = Matrix([[1 if a == b else (rng.randint(-3, 3) if (a, b) == (i, j) else 0)
+                     for b in range(n)] for a in range(n)])
+        u = e * u
+    return u
+
+
+def test_a_conjugated_gaussian_spectrum_matches_the_sympy_path(monkeypatch):
+    # spectrum {2, -3, 1 +- 2i}, conjugated by a unimodular integer matrix
+    d = Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
+    u = _unimodular(random.Random(7), 4)
+    u_inv = _inverse(u)
+    assert u * u_inv == Matrix.identity(4)
+    s = u * d * u_inv
+    xh, xe = hyperbolic_elliptic_split(s)
+    assert xh == u * Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * u_inv
+    assert xh * xe == xe * xh and xh + xe == s
+    assert (xh, xe) == sympy_path_split(s, monkeypatch)
+
+
+def _companion(f):
+    """The companion matrix of the monic polynomial f (coefficients lowest first)."""
+    n = len(f) - 1
+    return Matrix([[(1 if i == j + 1 else 0) if j < n - 1 else -f[i] for j in range(n)]
+                   for i in range(n)])
+
+
+@pytest.mark.parametrize("coeffs,reason", [
+    ((-9, -5, 0, 1), "factor x^3 - 5*x - 9 (irreducible factor of degree 3)"),
+    ((-2, 0, 1), "factor x^2 - 2 (irrational real eigenvalues)"),
+    ((2, 0, 1), "factor x^2 + 2 (imaginary part is irrational)"),
+])
+def test_unsupported_spectra_keep_the_sympy_error_text(coeffs, reason, monkeypatch):
+    # beside a supported block 1 +- i, which qi_factors does find
+    c = _companion(coeffs)
+    n = c.rows
+    s = Matrix([list(row) + [0, 0] for row in c.entries]
+               + [[0] * n + [1, -1], [0] * n + [1, 1]])
+    with pytest.raises(UnsupportedSpectrumError) as got:
+        hyperbolic_elliptic_split(s)
+    with pytest.raises(UnsupportedSpectrumError) as want:
+        sympy_path_split(s, monkeypatch)
+    assert str(got.value) == str(want.value) == f"unsupported spectrum: {reason}"
+
+
+# -- bounded time at large heights ---------------------------------------------
+
+
+def test_grade_at_a_diagonal_of_height_10_12(sl3):
+    a = (F(10**12), F(-10**12 + 7, 3), F(-2 * 10**12 - 7, 3))
+    start = time.perf_counter()
+    grading = grade(sl3, _diag(a))
+    assert time.perf_counter() - start < 2
+    assert list(grading.eigenvalues) == sorted({ai - aj for ai in a for aj in a})
+
+
+def _unit(n, i, j):
+    return [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
+
+
+@pytest.fixture(scope="module")
+def sl4():
+    n = 4
+    cartan = [[[1 if a == b == k else -1 if a == b == k + 1 else 0 for b in range(n)]
+               for a in range(n)] for k in range(n - 1)]
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    labels = [f"h{k + 1}" for k in range(n - 1)] + [f"e{i + 1}{j + 1}" for i, j in roots]
+    return matrix_lie_algebra(algebra_from_rep("sl4", labels,
+                                               cartan + [_unit(n, i, j) for i, j in roots]))
+
+
+def test_parabolic_report_on_sl4_at_height_10_9(sl4):
+    rng = random.Random(11)
+    diag = [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(3)]
+    diag.append(-sum(diag))
+    x = Matrix([[diag[i] if i == j else (F(rng.randint(-10**9, 10**9)) if i < j else 0)
+                 for j in range(4)] for i in range(4)])
+    start = time.perf_counter()
+    rep = parabolic_report(sl4, x)
+    assert time.perf_counter() - start < 2
+    assert rep.all_relations()
+    assert len(rep.grading.eigenvalues) == 13       # distinct a_i - a_j, and 0
+    assert rep.u.dim == 6 and rep.q.dim == 9       # a Borel subalgebra
