@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .liealg import LieAlgebra, validate
-from .linalg import Matrix, Subspace, basis_vector, frac, solve
+from .liealg import LieAlgebra, rep_coords, validate
+from .linalg import Matrix, Subspace, basis_vector, frac
 
 
 class CatalogError(ValueError):
@@ -41,20 +41,17 @@ class CatalogEntry:
 
 
 def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
-    """Structure constants computed from a faithful matrix representation."""
+    """Structure constants read off a faithful matrix representation by one `rep_coords`."""
     mats = [Matrix(m) for m in matrices]
-    n = len(mats)
-    flat_cols = Matrix([[x for row in m.entries for x in row] for m in mats]).transpose()
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    comms = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
     brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = solve(flat_cols, [x for row in comm.entries for x in row])
-            if coords is None:
-                raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
-            coeffs = {k: c for k, c in enumerate(coords) if c != 0}
-            if coeffs:
-                brackets[(i, j)] = coeffs
+    for (i, j), coords in zip(pairs, rep_coords(mats, comms)):
+        if coords is None:
+            raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
+        coeffs = {k: c for k, c in enumerate(coords) if c != 0}
+        if coeffs:
+            brackets[(i, j)] = coeffs
     return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
 
 
@@ -206,13 +203,9 @@ def _poincare() -> CatalogEntry:
             "spacelike": (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
             "zero_momentum": (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
         },
-        ideals={"translations": _span_range(10, 6, 10)},
-        complements={"lorentz": _span_range(10, 0, 6)},
+        ideals={"translations": _span(alg, range(6, 10))},
+        complements={"lorentz": _span(alg, range(6))},
     )
-
-
-def _span_range(n, lo, hi):
-    return Subspace(n, [basis_vector(n, i) for i in range(lo, hi)])
 
 
 _BUILDERS = (
@@ -285,8 +278,8 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
             rep = [Matrix([[_rat(x) for x in row] for row in m]) for m in doc["matrix_rep"]]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
-        if len(rep) != dim:
-            raise CatalogError(f"{source}: matrix_rep must list one matrix per basis element")
+        if len(rep) != dim or len({m.rows for m in rep} | {m.cols for m in rep}) > 1:
+            raise CatalogError(f"{source}: matrix_rep must list one n x n matrix per element")
     if "structure" in doc:
         try:
             tensor = tuple(
@@ -329,9 +322,9 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
     alg = parse_algebra(doc, source)
     report = validate(alg)
     if not report.ok:
-        bad = (report.antisymmetry_failures or
-               [t[:3] for t in report.jacobi_failures] or report.rep_failures)
-        raise CatalogError(f"{source}: algebra fails validation at triple {bad[0]!r}")
+        bad = report.antisymmetry_failures or [t[:3] for t in report.jacobi_failures]
+        where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report.rep_failures[0]}"
+        raise CatalogError(f"{source}: algebra fails validation at {where}")
     try:
         covectors = {
             key: tuple(_rat(x) for x in coords)

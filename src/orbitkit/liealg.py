@@ -12,6 +12,9 @@ the table `nonzeros[i][j]` of the (k, c[i][j][k]) pairs with c[i][j][k] != 0,
 and the kernels below (brackets, ad, the KKS pairing, the Killing form,
 the Krylov hull, centralizers and the Jacobi check) loop over it.
 
+A matrix representation is handled on flattened matrices (`flat`): `validate`
+checks its brackets there, and `rep_coords` reads coordinates in its span.
+
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
   * the infinitesimal coadjoint action is Z(m) = <m, [., Z]>, so in
@@ -40,6 +43,7 @@ from .linalg import (
     rank_kernel,
     symmetric_signature,
     vec,
+    vec_add,
     vec_dot,
 )
 
@@ -139,7 +143,7 @@ class ValidationReport:
     ok: bool
     antisymmetry_failures: tuple  # (i, j, k) triples
     jacobi_failures: tuple        # (i, j, k, defect vector)
-    rep_failures: tuple           # (i, j, defect matrix) when a matrix rep is present
+    rep_failures: tuple           # (i, j) pairs where the matrix rep breaks the bracket
 
     def to_json_dict(self):
         return {
@@ -148,13 +152,30 @@ class ValidationReport:
             "jacobi_failures": [
                 {"triple": [i, j, k], "defect": d} for (i, j, k, d) in self.jacobi_failures
             ],
-            "rep_failures": [[i, j] for (i, j, _) in self.rep_failures],
+            "rep_failures": [list(p) for p in self.rep_failures],
         }
+
+
+def flat(m: Matrix) -> tuple:
+    """Row-major entries of m: its coordinates in the basis of unit matrices."""
+    return tuple(x for row in m.entries for x in row)
+
+
+def rep_coords(rep: Sequence[Matrix], targets: Sequence[Matrix]) -> list:
+    """Coordinates of each target in the span of the matrices rep, or None.
+
+    Reducing (flat M | 0) against the echelon rows (flat R_k | e_k) leaves
+    (flat M - sum_k x_k flat R_k | -x): zero in the first block iff M = sum_k x_k R_k.
+    """
+    size, n = len(flat(rep[0])), len(rep)
+    echelon = Subspace(size + n, [flat(r) + basis_vector(n, k) for k, r in enumerate(rep)])
+    reduced = [echelon.reduce(flat(m) + (ZERO,) * n) for m in targets]
+    return [None if any(v[:size]) else tuple(-x for x in v[size:]) for v in reduced]
 
 
 @lru_cache(maxsize=None)
 def validate(alg: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry and the Jacobi identity on all basis triples."""
+    """Check antisymmetry, the Jacobi identity and the brackets of any matrix rep."""
     anti = []
     n = alg.dim
     for i in range(n):
@@ -177,15 +198,14 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                     jac.append((i, j, k, tuple(s)))
     rep = []
     if alg.matrix_rep is not None:
+        reps = alg.matrix_rep
+        flats = [flat(r) for r in reps]
         for i in range(n):
             for j in range(i + 1, n):
-                ri, rj = alg.matrix_rep[i], alg.matrix_rep[j]
-                comm = ri * rj - rj * ri
-                expected = Matrix.zeros(ri.rows, ri.cols)
-                for k, c in nz[i][j]:
-                    expected = expected + alg.matrix_rep[k].scale(c)
-                if comm != expected:
-                    rep.append((i, j, comm - expected))
+                # R_i R_j = R_j R_i + sum_k c[i][j][k] R_k
+                expected = combine(alg.structure[i][j], flats, len(flats[i]))
+                if flat(reps[i] * reps[j]) != vec_add(flat(reps[j] * reps[i]), expected):
+                    rep.append((i, j))
     return ValidationReport(not (anti or jac or rep), tuple(anti), tuple(jac), tuple(rep))
 
 
@@ -296,16 +316,13 @@ def orbit_record(alg: LieAlgebra, cov: Covector) -> OrbitRecord:
     return OrbitRecord(cov, b, rank, ker, hull, structure_probe(alg).is_nilpotent)
 
 
-def orbit_annihilator(alg: LieAlgebra, cov: Covector,
-                      hull: Optional[Subspace] = None) -> Subspace:
+def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
     """Elements pairing to zero with every point of cov + hull.
 
     This is the extraneous ideal of the identity-component orbit: the
     kernel of Z -> <., Z> as a function on the orbit's affine hull.
     """
-    if hull is None:
-        hull = krylov_hull(alg, cov)
-    rows = [cov.coords] + list(hull.basis_rows())
+    rows = [cov.coords] + list(krylov_hull(alg, cov).basis_rows())
     return rank_kernel(Matrix(rows))[1]
 
 
@@ -325,7 +342,7 @@ class EmbeddedSubalgebra:
         return coords
 
 
-def subalgebra(alg: LieAlgebra, sub: Subspace, name: str = "") -> EmbeddedSubalgebra:
+def subalgebra(alg: LieAlgebra, sub: Subspace) -> EmbeddedSubalgebra:
     """Structure constants of a bracket-closed subspace in its RREF basis."""
     rows = sub.basis_rows()
     m = sub.dim
@@ -339,7 +356,7 @@ def subalgebra(alg: LieAlgebra, sub: Subspace, name: str = "") -> EmbeddedSubalg
                 )
             brackets[(a, b)] = dict(enumerate(coords))
     inner = LieAlgebra.from_brackets([f"s{a}" for a in range(m)], brackets,
-                                     name or f"{alg.name}-sub")
+                                     f"{alg.name}-sub")
     return EmbeddedSubalgebra(alg, sub, inner)
 
 
@@ -384,7 +401,7 @@ def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
     return True
 
 
-def quotient(alg: LieAlgebra, ideal: Subspace, name: str = "") -> QuotientAlgebra:
+def quotient(alg: LieAlgebra, ideal: Subspace) -> QuotientAlgebra:
     """Quotient algebra by an ideal, with canonical coset representatives.
 
     Representatives are the standard basis vectors at non-pivot columns of
@@ -401,7 +418,7 @@ def quotient(alg: LieAlgebra, ideal: Subspace, name: str = "") -> QuotientAlgebr
             rep = ideal.reduce(alg.bracket(reps[a], reps[b]))
             brackets[(a, b)] = {k: rep[j] for k, j in enumerate(columns)}
     inner = LieAlgebra.from_brackets([f"q{a}" for a in range(len(reps))], brackets,
-                                     name or f"{alg.name}-quot")
+                                     f"{alg.name}-quot")
     return QuotientAlgebra(alg, ideal, columns, inner)
 
 

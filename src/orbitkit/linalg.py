@@ -13,7 +13,9 @@ coordinates written out at the pivots, and `reduce` takes any vector to
 the one representative of its coset that is 0 at the pivots.  The changes
 of coordinates above this module (into a subalgebra, onto a quotient, into
 a polarization window) read coordinates there and map them back through
-`combine`, with no linear solve.
+`combine`, with no linear solve.  Products are row combinations too: row i
+of A*B is `combine` of the rows of B with row i of A as coefficients,
+skipping the zero entries.
 
 No floating point enters this module.
 """
@@ -74,7 +76,7 @@ def combine(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
     out = [ZERO] * n
     for c, row in zip(coeffs, rows):
         if c != 0:
-            out = [a + c * b for a, b in zip(out, row)]
+            out = [a + c * b if b else a for a, b in zip(out, row)]
     return tuple(out)
 
 
@@ -140,9 +142,6 @@ class Matrix:
         self._same_shape(other)
         return Matrix(map(vec_sub, self.entries, other.entries), self.cols)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix((tuple(-a for a in row) for row in self.entries), self.cols)
-
     def scale(self, c) -> "Matrix":
         c = frac(c)
         return Matrix((tuple(c * a for a in row) for row in self.entries), self.cols)
@@ -152,10 +151,8 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return Matrix(
-            (tuple(vec_dot(row, col) for col in cols) for row in self.entries), other.cols
-        )
+        rows = other.entries
+        return Matrix([combine(row, rows, other.cols) for row in self.entries], other.cols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""

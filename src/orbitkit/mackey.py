@@ -30,12 +30,13 @@ from .liealg import (
     coadjoint_image,
     is_ideal,
     kks_pairing,
-    orbit_record,
+    orbit_annihilator,
     restrict,
     stabilizer,
     structure_probe,
     subalgebra,
     subquotient,
+    validate,
 )
 from .linalg import (
     Matrix,
@@ -190,7 +191,6 @@ class ObstructionReport:
     trivial: bool
     primitive: Optional[tuple]      # beta with f = beta([.,.]) when trivial
     extension_dims: tuple           # (dim n_c/j, dim h_c/j, dim h_c/n_c)
-    extension_choice: Optional[tuple]
 
     def to_json_dict(self):
         return {
@@ -206,7 +206,6 @@ class ObstructionReport:
 
 def obstruction_step(
     data: LittleGroupData,
-    extension_choice: Optional[Covector] = None,
     section_rows: Optional[Sequence[Sequence]] = None,
 ) -> ObstructionReport:
     """Infinitesimal Mackey obstruction of the little-group data.
@@ -217,13 +216,6 @@ def obstruction_step(
     coboundary of some linear form by an exact solve.
     """
     alg, cov = data.algebra, data.covector
-    if extension_choice is not None:
-        if extension_choice.algebra is not alg:
-            raise ValueError("extension choice must live on the same algebra")
-        for row in data.ideal.basis_rows():
-            if extension_choice.pair(row) != cov.pair(row):
-                raise ValueError("extension choice does not restrict to c on the ideal")
-
     h_c = data.g_c  # stabilizer of c inside h equals g_c since g_c <= h
     n_c = data.n_c
     ker_cov = rank_kernel(Matrix([cov.coords]))[1]
@@ -285,7 +277,6 @@ def obstruction_step(
         trivial=trivial,
         primitive=tuple(beta) if trivial else None,
         extension_dims=dims,
-        extension_choice=None if extension_choice is None else extension_choice.coords,
     )
 
 
@@ -370,10 +361,16 @@ def semidirect_witness(
     return SemidirectReport(True, None, None, None, tuple(rejections))
 
 
+def _orbit_dim(alg: LieAlgebra, cov: Covector) -> int:
+    """dim of the orbit of cov, refusing an algebra that fails validation."""
+    if not validate(alg).ok:
+        raise ValueError("algebra fails validation; see validate()")
+    return rank_kernel(kks_pairing(alg, cov))[0]
+
+
 @dataclass(frozen=True)
 class AbelianStepReport:
     h: Subspace
-    y_record: object            # OrbitRecord over the subalgebra h
     dim_x: int
     dim_gh: int
     dim_y: int
@@ -394,14 +391,12 @@ class AbelianStepReport:
 def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepReport:
     """Single reduction step along an orbit-abelian ideal a.
 
-    h is the stabilizer of the restriction of cov to a; the fiber record is
-    the orbit of cov restricted to h.  Verifies dim(G/H) = dim a(cov),
+    h is the stabilizer of the restriction of cov to a; the fiber Y is the
+    orbit of cov restricted to h.  Verifies dim(G/H) = dim a(cov),
     dim Y = dim(h / orth(h)) and dim X = 2 dim(G/H) + dim Y exactly.
     """
     if not is_ideal(alg, a):
         raise NotClosedError("the given subspace is not an ideal")
-    from .liealg import orbit_annihilator
-
     ann_x = orbit_annihilator(alg, cov)
     for u in a.basis_rows():
         for v in a.basis_rows():
@@ -410,18 +405,18 @@ def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepRepo
 
     h = orth(alg, a, cov)
     cov_h, emb = restrict(alg, cov, h)
-    y_rec = orbit_record(emb.algebra, cov_h)
-    dim_x = orbit_record(alg, cov).orbit_dim
+    dim_y = _orbit_dim(emb.algebra, cov_h)
+    dim_x = _orbit_dim(alg, cov)
     dim_gh = alg.dim - h.dim
     moved = coadjoint_image(alg, cov, a)
     orth_h = orth(alg, h, cov)
     ok = (
         dim_gh == moved.dim
         and h.contains_subspace(orth_h)
-        and y_rec.orbit_dim == h.dim - orth_h.dim
-        and dim_x == 2 * dim_gh + y_rec.orbit_dim
+        and dim_y == h.dim - orth_h.dim
+        and dim_x == 2 * dim_gh + dim_y
     )
-    return AbelianStepReport(h, y_rec, dim_x, dim_gh, y_rec.orbit_dim, moved.dim, orth_h, ok)
+    return AbelianStepReport(h, dim_x, dim_gh, dim_y, moved.dim, orth_h, ok)
 
 
 @dataclass(frozen=True)
@@ -506,13 +501,12 @@ class MackeyReport:
         return self.relations.all_hold() and self.dims_consistent
 
 
-def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector,
-                  extension_choice: Optional[Covector] = None) -> MackeyReport:
+def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
     """Full three-step report with the synopsis dimension bookkeeping."""
     data = little_group_step(alg, n, cov)
     relations = verify_step_relations(data)
-    obstruction = obstruction_step(data, extension_choice=extension_choice)
-    dim_x = orbit_record(alg, cov).orbit_dim
+    obstruction = obstruction_step(data)
+    dim_x = _orbit_dim(alg, cov)
     dim_u = n.dim - data.n_c.dim
     dim_gh = alg.dim - data.h.dim
     dim_v = dim_x - 2 * dim_gh - dim_u

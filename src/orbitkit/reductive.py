@@ -32,7 +32,9 @@ from .liealg import (
     Covector,
     LieAlgebra,
     ad_matrix,
+    flat,
     kks_pairing,
+    rep_coords,
     restrict,
     validate,
 )
@@ -41,6 +43,7 @@ from .linalg import (
     ONE,
     Subspace,
     ZERO,
+    combine,
     rank_kernel,
     solve,
     vec,
@@ -97,31 +100,26 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
                          if report.rep_failures else "algebra fails validation")
     n = alg.dim
     # tr(R_i R_j) = sum_kl R_i[k][l] R_j[l][k]: flattened R_i against flattened R_j^T
-    flat = [[x for row in r.entries for x in row] for r in alg.matrix_rep]
-    flat_t = [[x for row in r.transpose().entries for x in row] for r in alg.matrix_rep]
-    gram = Matrix([[vec_dot(a, b) for b in flat_t] for a in flat], n)
+    flats = [flat(r) for r in alg.matrix_rep]
+    flats_t = [flat(r.transpose()) for r in alg.matrix_rep]
+    gram = Matrix([[vec_dot(a, b) for b in flats_t] for a in flats], n)
     if rank_kernel(gram)[0] != n:
         raise ValueError("degenerate trace form: dual space cannot be identified with the algebra")
     return MatrixLieAlgebra(alg, gram)
 
 
 def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> Matrix:
-    coords = vec(coords)
-    out = malg.rep[0].scale(ZERO)
-    for c, r in zip(coords, malg.rep):
-        if c != 0:
-            out = out + r.scale(c)
-    return out
+    size = malg.rep[0].rows
+    entries = combine(vec(coords), [flat(r) for r in malg.rep], size * size)
+    return Matrix([entries[i * size:(i + 1) * size] for i in range(size)], size)
 
 
 def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
     """Coordinates of a representation matrix in the algebra basis."""
-    cols = [[x for row in r.entries for x in row] for r in malg.rep]
-    flat = [x for row in m.entries for x in row]
-    sol = solve(Matrix(cols).transpose(), flat)
-    if sol is None:
+    (coords,) = rep_coords(malg.rep, [m])
+    if coords is None:
         raise ValueError("matrix does not lie in the algebra")
-    return sol
+    return coords
 
 
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:

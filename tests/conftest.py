@@ -29,6 +29,18 @@ def rng():
     return random.Random(20240810)
 
 
+def sl_rep(n):
+    """Labels and matrices of sl_n: Cartan h_k = E_kk - E_{k+1,k+1}, then every E_ij, i != j."""
+    def unit(i, j):
+        return [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
+
+    cartan = [[[1 if a == b == k else -1 if a == b == k + 1 else 0 for b in range(n)]
+               for a in range(n)] for k in range(n - 1)]
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    labels = [f"h{k + 1}" for k in range(n - 1)] + [f"e{i + 1}{j + 1}" for i, j in roots]
+    return labels, cartan + [unit(i, j) for i, j in roots]
+
+
 def strictly_upper(n):
     """n_n, basis E_ab (a < b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -1,0 +1,74 @@
+"""Catalog entries built from matrix representations, and the checks on them."""
+
+import random
+import sys
+
+import pytest
+
+from orbitkit import catalog
+from orbitkit.catalog import CatalogError, algebra_from_rep
+from orbitkit.liealg import LieAlgebra, flat, validate
+from orbitkit.linalg import Matrix, solve
+from conftest import sl_rep
+
+
+def solved_algebra(name, labels, matrices):
+    """Reference: the coordinates of each commutator by its own `solve`."""
+    mats = [Matrix(m) for m in matrices]
+    flat_cols = Matrix([flat(m) for m in mats]).transpose()
+    brackets = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            coords = solve(flat_cols, flat(mats[i] * mats[j] - mats[j] * mats[i]))
+            brackets[(i, j)] = dict(enumerate(coords))
+    return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
+
+
+def rep_entries(entries):
+    return [e.algebra for e in entries.values() if e.algebra.matrix_rep is not None]
+
+
+def test_seven_catalog_entries_carry_a_representation(entries):
+    assert sorted(alg.name for alg in rep_entries(entries)) == [
+        "affine_line", "euclid2", "heisenberg3", "poincare", "sl2", "sl3", "so31"]
+
+
+def test_structure_constants_match_the_per_pair_solve(entries):
+    cases = [(alg.name, alg.labels, [r.entries for r in alg.matrix_rep])
+             for alg in rep_entries(entries)]
+    cases.append(("sl4", *sl_rep(4)))
+    for name, labels, mats in cases:
+        built = algebra_from_rep(name, labels, mats)
+        assert built == solved_algebra(name, labels, mats), name
+        assert validate(built).ok
+
+
+def test_a_commutator_outside_the_span_is_refused():
+    e12 = [[0, 1], [0, 0]]
+    e21 = [[0, 0], [1, 0]]
+    with pytest.raises(CatalogError, match=r"commutator \[e,f\] leaves the span"):
+        algebra_from_rep("no_cartan", ("e", "f"), [e12, e21])
+
+
+def test_one_wrong_constant_is_reported_at_its_pair(entries):
+    rng = random.Random(7)
+    for alg in rep_entries(entries):
+        brackets = {(i, j): dict(alg.nonzeros[i][j])
+                    for i in range(alg.dim) for j in range(i + 1, alg.dim)}
+        pair = rng.choice(sorted(brackets))
+        k = rng.randrange(alg.dim)
+        brackets[pair][k] = brackets[pair].get(k, 0) + 1
+        broken = LieAlgebra.from_brackets(alg.labels, brackets, name=alg.name,
+                                          matrix_rep=alg.matrix_rep)
+        assert validate(broken).rep_failures == (pair,), alg.name
+
+
+def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linear solve")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitkit") and hasattr(module, "solve"):
+            monkeypatch.setattr(module, "solve", refuse)
+    built = catalog._builtin_catalog_cached.__wrapped__()  # past the cache
+    assert built == catalog.builtin_catalog()

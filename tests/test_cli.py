@@ -25,6 +25,15 @@ MALFORMED = {
                           "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}],
                           "covectors": {"c": ["1", "2", "3"]}},
     "rep_not_rows.json": {"name": "bad", "dim": 1, "basis": ["a"], "matrix_rep": [[1]]},
+    # E11, E12 commute under the declared brackets but not as matrices
+    "rep_breaks_bracket.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
+                                "matrix_rep": [[["1", "0"], ["0", "0"]],
+                                               [["0", "1"], ["0", "0"]]]},
+    "rep_shapes.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                        "matrix_rep": [[["1", "0", "0"], ["0", "0", "0"]],
+                                       [["0", "1"], ["0", "0"], ["0", "0"]]]},
+    "rep_nonsquare.json": {"name": "bad", "dim": 1, "basis": ["a"],
+                           "matrix_rep": [[["1", "0", "0"], ["0", "0", "0"]]]},
     "covectors_list.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "covectors": []},
     "ideal_rows_int.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                             "ideals": {"x": {"rows": 5}}},
@@ -52,6 +61,10 @@ BAD_INPUTS = {
     "orbit_covector_wrong_length": ["orbit", "bad_covector.json", "--point=0,1"],
     # other malformed sections of a definition file
     "validate_matrix_rep_not_rows": ["validate", "rep_not_rows.json"],
+    "validate_matrix_rep_breaks_bracket": ["validate", "rep_breaks_bracket.json"],
+    "orbit_matrix_rep_breaks_bracket": ["orbit", "rep_breaks_bracket.json", "--point=1,0"],
+    "validate_matrix_rep_shapes": ["validate", "rep_shapes.json"],
+    "parabolic_matrix_rep_not_square": ["parabolic", "rep_nonsquare.json", "--element=1"],
     "orbit_covectors_not_an_object": ["orbit", "covectors_list.json", "--point=0,1"],
     "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
     # rationals and indices read from the command line or a referenced file
@@ -101,6 +114,7 @@ def test_bad_input_gives_the_error_envelope(case, workdir, capsys):
     assert code == 2
     assert env["ok"] is False and env["command"] == argv[0]
     assert isinstance(env["error"], str) and env["error"]
+    assert "Matrix[" not in env["error"]
     assert "results" not in env
 
 
@@ -114,6 +128,17 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "bad rational in point: Fraction(1, 0)"
     _, env = run(BAD_INPUTS["validate_top_level_list"], capsys)
     assert env["error"] == "top_list.json: a definition must be a JSON object"
+
+
+def test_a_representation_failure_names_its_pair(workdir, capsys):
+    _, env = run(BAD_INPUTS["orbit_matrix_rep_breaks_bracket"], capsys)
+    assert env["error"] == ("rep_breaks_bracket.json: algebra fails validation "
+                            "at matrix_rep pair (0, 1)")
+    _, env = run(BAD_INPUTS["validate_matrix_rep_breaks_bracket"], capsys)
+    assert json.loads(env["error"])["rep_failures"] == [[0, 1]]
+    _, env = run(BAD_INPUTS["parabolic_matrix_rep_not_square"], capsys)
+    assert env["error"] == ("rep_nonsquare.json: "
+                            "matrix_rep must list one n x n matrix per element")
 
 
 @pytest.mark.parametrize("command", sorted(HAPPY))

@@ -291,6 +291,28 @@ def test_annihilator_property(pair):
 
 
 @st.composite
+def product_pairs(draw):
+    """A (r x k) and B (k x c) with r, k, c in 0..4, more than half of the entries 0."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.just(F(0)), rationals)
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return Matrix(a, k), Matrix(b, c)
+
+
+@PROPERTIES
+@given(product_pairs())
+def test_product_is_the_sum_over_the_inner_index_property(pair):
+    a, b = pair
+    p = a * b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.entries == tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), F(0))
+              for j in range(b.cols))
+        for i in range(a.rows))
+
+
+@st.composite
 def matrices_and_row_operations(draw):
     """A rational matrix with 0-5 rows and 1-5 columns, and an elementary
     invertible matrix E acting on its rows: E scales row i by c != 0 when

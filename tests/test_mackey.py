@@ -137,16 +137,6 @@ def test_obstruction_poincare_trivial(entries):
     assert ob.trivial and ob.primitive == (F(0),) * 3
 
 
-def test_obstruction_extension_choice_validated(entries):
-    h3 = entries["heisenberg3"].algebra
-    cov = Covector(h3, (0, 0, 1))
-    data = little_group_step(h3, _span(3, 2), cov)
-    ok = obstruction_step(data, extension_choice=Covector(h3, (5, 7, 1)))
-    assert ok.extension_choice == (F(5), F(7), F(1))
-    with pytest.raises(ValueError):
-        obstruction_step(data, extension_choice=Covector(h3, (0, 0, 2)))
-
-
 def _random_sections(data, rng, count):
     """Canonical section rows shifted by random elements of n_c."""
     base = obstruction_step(data).section.entries

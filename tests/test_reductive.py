@@ -12,6 +12,7 @@ from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
     covector_to_element,
+    element_coords,
     element_matrix,
     element_to_covector,
     grade,
@@ -19,7 +20,7 @@ from orbitkit.reductive import (
     matrix_lie_algebra,
     parabolic_report,
 )
-from conftest import rand_vec
+from conftest import rand_vec, sl_rep
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,12 @@ def test_trace_pairings_match_the_product_forms(entries, rng, name):
         xmat = element_matrix(malg, x)
         assert cov.coords == tuple((xmat * r).trace() for r in rep)
         assert covector_to_element(malg, cov) == x
+        assert element_coords(malg, xmat) == x
+
+
+def test_element_coords_refuses_a_matrix_outside_the_algebra(sl3):
+    with pytest.raises(ValueError, match="does not lie in the algebra"):
+        element_coords(sl3, Matrix.identity(3))
 
 
 def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
@@ -185,19 +192,9 @@ def test_grade_at_a_diagonal_of_height_10_12(sl3):
     assert list(grading.eigenvalues) == sorted({ai - aj for ai in a for aj in a})
 
 
-def _unit(n, i, j):
-    return [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
-
-
 @pytest.fixture(scope="module")
 def sl4():
-    n = 4
-    cartan = [[[1 if a == b == k else -1 if a == b == k + 1 else 0 for b in range(n)]
-               for a in range(n)] for k in range(n - 1)]
-    roots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    labels = [f"h{k + 1}" for k in range(n - 1)] + [f"e{i + 1}{j + 1}" for i, j in roots]
-    return matrix_lie_algebra(algebra_from_rep("sl4", labels,
-                                               cartan + [_unit(n, i, j) for i, j in roots]))
+    return matrix_lie_algebra(algebra_from_rep("sl4", *sl_rep(4)))
 
 
 def test_parabolic_report_on_sl4_at_height_10_9(sl4):
