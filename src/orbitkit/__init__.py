@@ -26,6 +26,7 @@ from .liealg import (
     kks_pairing,
     orbit_annihilator,
     orbit_record,
+    orth,
     quotient,
     restrict,
     stabilizer,
@@ -33,7 +34,7 @@ from .liealg import (
     subalgebra,
     validate,
 )
-from .conditions import ConditionReport, check_conditions, orth
+from .conditions import ConditionReport, check_conditions
 from .mackey import (
     LittleGroupData,
     MackeyReport,

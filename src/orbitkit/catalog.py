@@ -261,6 +261,17 @@ def _rat(s) -> Fraction:
         raise CatalogError(f"bad rational literal {s!r}: {exc}") from None
 
 
+def parse_row(row, what: str) -> tuple:
+    """A JSON list of rationals.
+
+    Anything else, a string above all, is refused with the field named in
+    `what`; a string is never read one character per coordinate.
+    """
+    if not isinstance(row, list):
+        raise CatalogError(f"{what} must be a list of rationals, got {row!r}")
+    return tuple(_rat(x) for x in row)
+
+
 def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     if not isinstance(doc, dict):
         raise CatalogError(f"{source}: a definition must be a JSON object")
@@ -275,7 +286,8 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     rep = None
     if doc.get("matrix_rep") is not None:
         try:
-            rep = [Matrix([[_rat(x) for x in row] for row in m]) for m in doc["matrix_rep"]]
+            rep = [Matrix([parse_row(row, f"{source}: matrix_rep[{k}] row") for row in m])
+                   for k, m in enumerate(doc["matrix_rep"])]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
         if len(rep) != dim or len({m.rows for m in rep} | {m.cols for m in rep}) > 1:
@@ -283,7 +295,8 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     if "structure" in doc:
         try:
             tensor = tuple(
-                tuple(tuple(_rat(x) for x in row) for row in plane) for plane in doc["structure"]
+                tuple(parse_row(row, f"{source}: structure row") for row in plane)
+                for plane in doc["structure"]
             )
         except TypeError:
             raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor") from None
@@ -310,12 +323,13 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
                                     matrix_rep=rep)
 
 
-def _parse_subspace(alg: LieAlgebra, spec, source: str) -> Subspace:
+def _parse_subspace(alg: LieAlgebra, spec, what: str) -> Subspace:
     if isinstance(spec, dict) and "rows" in spec:
-        return Subspace(alg.dim, [[_rat(x) for x in row] for row in spec["rows"]])
+        return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
+                                  for r, row in enumerate(spec["rows"])])
     if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
         return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec])
-    raise CatalogError(f"{source}: subspace must be an index list or {{'rows': ...}}")
+    raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
 
 
 def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
@@ -327,15 +341,15 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
         raise CatalogError(f"{source}: algebra fails validation at {where}")
     try:
         covectors = {
-            key: tuple(_rat(x) for x in coords)
+            key: parse_row(coords, f"{source}: covector {key!r}")
             for key, coords in doc.get("covectors", {}).items()
         }
         ideals = {
-            key: _parse_subspace(alg, spec, source)
+            key: _parse_subspace(alg, spec, f"{source}: ideal {key!r}")
             for key, spec in doc.get("ideals", {}).items()
         }
         complements = {
-            key: _parse_subspace(alg, spec, source)
+            key: _parse_subspace(alg, spec, f"{source}: complement {key!r}")
             for key, spec in doc.get("complements", {}).items()
         }
     except (AttributeError, TypeError) as exc:

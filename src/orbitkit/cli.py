@@ -78,7 +78,8 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return Subspace(alg.dim, [[frac(x) for x in row] for row in doc["rows"]])
+            return Subspace(alg.dim, [cat.parse_row(row, f"rows[{r}]")
+                                      for r, row in enumerate(doc["rows"])])
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad subspace file {text[1:]}: {exc}") from None
     tokens = [t.strip() for t in text.split(",")]
@@ -194,21 +195,21 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
     entry = _load_entry(args.algebra)
     alg = entry.algebra
     points = [_parse_point(alg, p) for p in args.point]
-    strategy, chain = "auto", None
+    chain = None
     if args.strategy != "auto":
         if not args.strategy.startswith("chain:"):
             raise InputError("strategy must be `auto` or `chain:<file>`")
-        strategy = "chain"
         path = args.strategy.split(":", 1)[1]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             chain = []
-            for spec in doc["ideals"]:
+            for k, spec in enumerate(doc["ideals"]):
                 if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
                     chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
                 else:
-                    chain.append(Subspace(alg.dim, [[frac(x) for x in row] for row in spec]))
+                    chain.append(Subspace(alg.dim, [cat.parse_row(row, f"ideals[{k}][{r}]")
+                                                    for r, row in enumerate(spec)]))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chain file {path}: {exc}") from None
 
@@ -222,7 +223,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
     def run(cov):
         try:
             trace = pukanszky_polarization(
-                alg, cov, strategy=strategy, chain=chain, override_precheck=True)
+                alg, cov, chain=chain, override_precheck=True)
         except StrategyExhausted as exc:
             return {
                 "point": cov,

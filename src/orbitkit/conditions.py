@@ -8,6 +8,10 @@ containment, coisotropy ann(h(cov)) <= h, and the tangent Pukanszky
 inclusion ann(h) <= h(cov).  Group-level components are out of reach of
 structure-constant data, so the stabilizer and Pukanszky verdicts are
 recorded as infinitesimal-only.
+
+The coadjoint objects come from `liealg`: h(cov) is `coadjoint_image`
+(W(cov) = B_cov . W = -W^T B_cov) and the orthogonal is its annihilator,
+`liealg.orth`, so the check builds h(cov) once and reads both off it.
 """
 
 from __future__ import annotations
@@ -15,29 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    coadjoint_image,
-    kks_pairing,
-    stabilizer,
-    subalgebra,
-)
-from .linalg import Matrix, Subspace, annihilator, rank_kernel
-
-
-def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
-    """{Z : <cov, [W, Z]> = 0 for all W in h}.
-
-    orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
-    """
-    if h.ambient_dim != alg.dim:
-        raise ValueError("subspace ambient dimension does not match algebra")
-    b = kks_pairing(alg, cov)
-    # row_w[i] = <cov, [e_i, w]>: B is antisymmetric, so this is the
-    # negative of <cov, [w, e_i]> and has the same kernel
-    rows = [b.apply(w) for w in h.basis_rows()]
-    return rank_kernel(Matrix(rows, alg.dim))[1]
+from .liealg import Covector, LieAlgebra, coadjoint_image, stabilizer, subalgebra
+from .linalg import Subspace, annihilator
 
 
 @dataclass(frozen=True)
@@ -89,7 +72,8 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionRe
     """Flags for stabilizer containment, coisotropy, polarization, Pukanszky."""
     subalgebra(alg, h)  # raises NotClosedError when h is not a subalgebra
     stab = stabilizer(alg, cov)
-    orth_h = orth(alg, h, cov)
+    moved = coadjoint_image(alg, cov, h)
+    orth_h = annihilator(moved)  # liealg.orth(alg, h, cov)
     witnesses = {}
 
     w = _inclusion_witness(stab, h)
@@ -104,9 +88,7 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionRe
 
     is_polarization = coisotropic and h.contains_subspace(orth_h) and orth_h.contains_subspace(h)
 
-    ann_h = annihilator(h)
-    moved = coadjoint_image(alg, cov, h)
-    w = _inclusion_witness(ann_h, moved)
+    w = _inclusion_witness(annihilator(h), moved)
     pukanszky = w is None
     if w is not None:
         witnesses["annihilator_outside_image"] = w

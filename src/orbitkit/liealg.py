@@ -15,11 +15,17 @@ the Krylov hull, centralizers and the Jacobi check) loop over it.
 A matrix representation is handled on flattened matrices (`flat`): `validate`
 checks its brackets there, and `rep_coords` reads coordinates in its span.
 
+The coadjoint questions about a subspace h and a covector f have one home
+each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
+`orth`, and the Krylov hull and the ideal generated by a subspace are
+`linalg.invariant_closure` worklists.
+
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
   * the infinitesimal coadjoint action is Z(m) = <m, [., Z]>, so in
-    coordinates Z(cov) = B_cov . Z and the generator matrix of Z on the
-    dual space is -ad(Z)^T;
+    coordinates W(cov) = B_cov . W = -W^T B_cov (B_cov is antisymmetric):
+    h(f) is spanned by the row combinations W^T B_cov, and the generator
+    matrix of Z on the dual space is -ad(Z)^T;
   * subalgebras are handed around as canonical Subspace values, and their
     own structure constants are taken in the RREF basis.
 """
@@ -34,11 +40,12 @@ from typing import Optional, Sequence
 from .linalg import (
     Matrix,
     Subspace,
-    ONE,
     ZERO,
+    annihilator,
     basis_vector,
     combine,
     frac,
+    invariant_closure,
     is_zero_vec,
     rank_kernel,
     symmetric_signature,
@@ -233,9 +240,22 @@ def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
 
 
 def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
-    """The subspace {W(cov) : W in sub} of the dual."""
-    b = kks_pairing(alg, cov)
-    return Subspace(alg.dim, [b.apply(row) for row in sub.basis_rows()])
+    """The subspace sub(cov) = {W(cov) : W in sub} of the dual.
+
+    W(cov) = B W = -W^T B, so the row combinations W^T B span it.
+    """
+    if sub.ambient_dim != alg.dim:
+        raise ValueError("subspace ambient dimension does not match algebra")
+    rows = kks_pairing(alg, cov).entries
+    return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.basis_rows()])
+
+
+def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
+    """h^cov = {Z : <cov, [W, Z]> = 0 for all W in h} = ann(h(cov)).
+
+    orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
+    """
+    return annihilator(coadjoint_image(alg, cov, h))
 
 
 def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
@@ -249,45 +269,21 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     algebras the hull is exactly the direction space of the orbit's affine
     hull.
 
-    Worklist: the hull starts as the span of the columns e_i(cov) of the
-    pairing, and each direction xi that enlarges it is queued once; its
-    images (-ad(e_i)^T xi)_j = -sum_a c[i][j][a] xi_a are then tried
-    against the echelon rows kept so far.  The search stops as soon as
-    the hull is the whole dual.
+    The hull is the `invariant_closure` of the columns e_i(cov) of the
+    pairing under the maps xi -> -ad(e_i)^T xi, whose entries are
+    (-ad(e_i)^T xi)_j = -sum_a c[i][j][a] xi_a.
     """
-    n = alg.dim
-    rows = []     # (pivot, row): row[pivot] == 1, row is 0 at the earlier rows' pivots
-    work = []
-
-    def extend(v):
-        v = list(v)
-        for p, row in rows:
-            f = v[p]
-            if f != 0:
-                v = [a - f * b if b != 0 else a for a, b in zip(v, row)]
-        p = next((j for j, a in enumerate(v) if a != 0), None)
-        if p is not None:
-            inv = ONE / v[p]
-            v = [inv * a for a in v]
-            rows.append((p, v))
-            work.append(v)
-
-    for col in zip(*kks_pairing(alg, cov).entries):
-        extend(col)
-    while work and len(rows) < n:
-        xi = work.pop()
+    def images(xi):
         for plane in alg.nonzeros:
-            extend([-sum((c * xi[a] for a, c in entries if xi[a] != 0), ZERO)
-                    for entries in plane])
-            if len(rows) == n:
-                break
-    return Subspace(n, [row for _, row in rows])
+            yield [-sum((c * xi[a] for a, c in entries if xi[a] != 0), ZERO)
+                   for entries in plane]
+
+    return invariant_closure(alg.dim, zip(*kks_pairing(alg, cov).entries), images)
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
     covector: Covector
-    pairing: Matrix
     orbit_dim: int
     stabilizer: Subspace
     affine_hull_dirs: Subspace
@@ -310,10 +306,9 @@ def orbit_record(alg: LieAlgebra, cov: Covector) -> OrbitRecord:
     report = validate(alg)
     if not report.ok:
         raise ValueError("algebra fails validation; see validate()")
-    b = kks_pairing(alg, cov)
-    rank, ker = rank_kernel(b)
+    rank, ker = rank_kernel(kks_pairing(alg, cov))
     hull = krylov_hull(alg, cov)
-    return OrbitRecord(cov, b, rank, ker, hull, structure_probe(alg).is_nilpotent)
+    return OrbitRecord(cov, rank, ker, hull, structure_probe(alg).is_nilpotent)
 
 
 def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
@@ -393,12 +388,7 @@ class QuotientAlgebra:
 
 
 def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
-    n = alg.dim
-    for i in range(n):
-        for row in sub.basis_rows():
-            if not sub.contains(alg.bracket(basis_vector(n, i), row)):
-                return False
-    return True
+    return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
 
 
 def quotient(alg: LieAlgebra, ideal: Subspace) -> QuotientAlgebra:
@@ -444,14 +434,10 @@ def bracket_span(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
-    """Smallest ideal containing sub."""
-    full = Subspace.full(alg.dim)
-    cur = sub
-    while True:
-        nxt = cur.add(bracket_span(alg, full, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Smallest ideal containing sub: its closure under every ad(e_i)."""
+    basis = Subspace.full(alg.dim).basis_rows()
+    return invariant_closure(alg.dim, sub.basis_rows(),
+                             lambda v: (alg.bracket(e, v) for e in basis))
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -476,33 +462,24 @@ def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def _ascending_central_series_cached(alg: LieAlgebra) -> tuple:
-    return tuple(_ascending_central_series(alg))
-
-
-def ascending_central_series(alg: LieAlgebra) -> list[Subspace]:
-    return list(_ascending_central_series_cached(alg))
-
-
-def _ascending_central_series(alg: LieAlgebra) -> list[Subspace]:
+def ascending_central_series(alg: LieAlgebra) -> tuple:
     """0 = Z_0 < Z_1 <= Z_2 <= ... until stabilization (Z_1 = center)."""
     n = alg.dim
     series = [Subspace.zero(n)]
     while True:
         prev = series[-1]
         if prev.dim == n:
-            return series
+            return tuple(series)
         q = quotient(alg, prev)
         z_bar = center(q.algebra)
         lifted = prev.add(Subspace(n, [q.lift(r) for r in z_bar.basis_rows()]))
         if lifted == prev:
-            return series
+            return tuple(series)
         series.append(lifted)
 
 
 @dataclass(frozen=True)
 class StructureProbe:
-    center: Subspace
     derived_series: tuple
     lower_central_series: tuple
     is_solvable: bool
@@ -515,7 +492,7 @@ class StructureProbe:
 
 @lru_cache(maxsize=None)
 def structure_probe(alg: LieAlgebra) -> StructureProbe:
-    """Center, derived/lower-central series, solvability, Killing form."""
+    """Derived/lower-central series, solvability, nilpotency, Killing form."""
     n = alg.dim
     full = Subspace.full(n)
     derived = [full]
@@ -531,7 +508,6 @@ def structure_probe(alg: LieAlgebra) -> StructureProbe:
             break
         lower.append(nxt)
     return StructureProbe(
-        center=center(alg),
         derived_series=tuple(derived),
         lower_central_series=tuple(lower),
         is_solvable=derived[-1].dim == 0,

@@ -15,7 +15,14 @@ of coordinates above this module (into a subalgebra, onto a quotient, into
 a polarization window) read coordinates there and map them back through
 `combine`, with no linear solve.  Products are row combinations too: row i
 of A*B is `combine` of the rows of B with row i of A as coefficients,
-skipping the zero entries.
+skipping the zero entries, and a matrix acts on a vector w the same way,
+as w^T A = `combine(w, A.entries)`, which is A w when A is symmetric and
+-A w when A is antisymmetric.
+
+`invariant_closure` is the one worklist for a smallest subspace closed
+under a list of linear maps; the Krylov hull of an orbit and the ideal
+generated by a subspace (liealg) and the parabolic hull (reductive) are
+built on it.
 
 No floating point enters this module.
 """
@@ -23,7 +30,7 @@ No floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Scalar = Fraction
 
@@ -153,12 +160,6 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         rows = other.entries
         return Matrix([combine(row, rows, other.cols) for row in self.entries], other.cols)
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(vec_dot(row, v) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(row) for row in self.entries)
@@ -345,6 +346,41 @@ def annihilator(s: Subspace) -> Subspace:
     s's basis is already in RREF, so the kernel is read off its pivots.
     """
     return _echelon_kernel(s.basis.entries, s.pivots, s.ambient_dim)
+
+
+def invariant_closure(n: int, start_rows: Iterable[Sequence],
+                      images: Callable[[list], Iterable[Sequence]]) -> Subspace:
+    """Smallest subspace of Q^n containing start_rows and closed under some linear maps.
+
+    images(v) yields the image of v under each of the maps.  Worklist: each
+    row that enlarges the span is kept in echelon form and queued once, and
+    its images are reduced against the rows kept so far.  The search stops
+    as soon as the span is all of Q^n.
+    """
+    rows = []     # (pivot, row): row[pivot] == 1, row is 0 at the earlier rows' pivots
+    work = []
+
+    def extend(v):
+        v = list(v)
+        for p, row in rows:
+            f = v[p]
+            if f != 0:
+                v = [a - f * b if b != 0 else a for a, b in zip(v, row)]
+        p = next((j for j, a in enumerate(v) if a != 0), None)
+        if p is not None:
+            inv = ONE / v[p]
+            v = [inv * a for a in v]
+            rows.append((p, v))
+            work.append(v)
+
+    for v in start_rows:
+        extend(v)
+    while work and len(rows) < n:
+        for image in images(work.pop()):
+            extend(image)
+            if len(rows) == n:
+                break
+    return Subspace(n, [row for _, row in rows])
 
 
 def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:

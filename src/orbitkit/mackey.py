@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conditions import orth
 from .liealg import (
     Covector,
     LieAlgebra,
@@ -31,6 +30,7 @@ from .liealg import (
     is_ideal,
     kks_pairing,
     orbit_annihilator,
+    orth,
     restrict,
     stabilizer,
     structure_probe,
@@ -135,13 +135,11 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
     ann_h = annihilator(data.h)
     rel_b = moved == ann_h
 
-    rel_c = True
-    for w in data.n_c.basis_rows():
-        for v in data.ideal.basis_rows():
-            val = cov.pair(alg.bracket(w, v))
-            if val != 0:
-                rel_c = False
-                witnesses["c_pairs_with_nc_n_bracket"] = alg.bracket(w, v)
+    w = next((r for r in bracket_span(alg, data.n_c, data.ideal).basis_rows()
+              if cov.pair(r) != 0), None)
+    rel_c = w is None
+    if w is not None:
+        witnesses["c_pairs_with_nc_n_bracket"] = w
     if rel_c:
         for z in data.n_c.basis_rows():
             rows = ad_matrix(alg, z).entries
@@ -313,12 +311,7 @@ def semidirect_witness(
     if not is_ideal(alg, n):
         raise NotClosedError("the given subspace is not an ideal")
     nd = alg.dim
-    point_orbit = all(
-        cov.pair(alg.bracket(basis_vector(nd, i), w)) == 0
-        for i in range(nd)
-        for w in n.basis_rows()
-    )
-    if not point_orbit:
+    if any(cov.pair(r) != 0 for r in bracket_span(alg, Subspace.full(nd), n).basis_rows()):
         raise ValueError("point-orbit hypothesis <cov, [g, n]> = 0 fails")
 
     data = little_group_step(alg, n, cov)
@@ -374,8 +367,6 @@ class AbelianStepReport:
     dim_x: int
     dim_gh: int
     dim_y: int
-    moved_dim: int              # dim of a(cov)
-    orth_h: Subspace
     dims_match: bool            # both stated identities plus the induced count
 
     def to_json_dict(self):
@@ -397,18 +388,15 @@ def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepRepo
     """
     if not is_ideal(alg, a):
         raise NotClosedError("the given subspace is not an ideal")
-    ann_x = orbit_annihilator(alg, cov)
-    for u in a.basis_rows():
-        for v in a.basis_rows():
-            if not ann_x.contains(alg.bracket(u, v)):
-                raise ValueError("ideal is not orbit-abelian: [a, a] leaves ann(X)")
+    if not orbit_annihilator(alg, cov).contains_subspace(bracket_span(alg, a, a)):
+        raise ValueError("ideal is not orbit-abelian: [a, a] leaves ann(X)")
 
-    h = orth(alg, a, cov)
+    moved = coadjoint_image(alg, cov, a)
+    h = annihilator(moved)  # orth(alg, a, cov)
     cov_h, emb = restrict(alg, cov, h)
     dim_y = _orbit_dim(emb.algebra, cov_h)
     dim_x = _orbit_dim(alg, cov)
     dim_gh = alg.dim - h.dim
-    moved = coadjoint_image(alg, cov, a)
     orth_h = orth(alg, h, cov)
     ok = (
         dim_gh == moved.dim
@@ -416,7 +404,7 @@ def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepRepo
         and dim_y == h.dim - orth_h.dim
         and dim_x == 2 * dim_gh + dim_y
     )
-    return AbelianStepReport(h, dim_x, dim_gh, dim_y, moved.dim, orth_h, ok)
+    return AbelianStepReport(h, dim_x, dim_gh, dim_y, ok)
 
 
 @dataclass(frozen=True)

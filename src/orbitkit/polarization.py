@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conditions import ConditionReport, check_conditions, orth
+from .conditions import ConditionReport, check_conditions
 from .liealg import (
     Covector,
     LieAlgebra,
@@ -34,6 +34,7 @@ from .liealg import (
     is_ideal,
     kks_pairing,
     orbit_annihilator,
+    orth,
     quotient,
     restrict,
     structure_probe,
@@ -212,16 +213,9 @@ def _admissible(inner: LieAlgebra, ann_x: Subspace, cand: Subspace) -> Optional[
     """
     if not is_ideal(inner, cand):
         return "not an ideal"
-    for u in cand.basis_rows():
-        for v in cand.basis_rows():
-            if not ann_x.contains(inner.bracket(u, v)):
-                return "not orbit-abelian"
-    central = all(
-        ann_x.contains(inner.bracket(basis_vector(inner.dim, i), w))
-        for i in range(inner.dim)
-        for w in cand.basis_rows()
-    )
-    if central:
+    if not ann_x.contains_subspace(bracket_span(inner, cand, cand)):
+        return "not orbit-abelian"
+    if ann_x.contains_subspace(bracket_span(inner, Subspace.full(inner.dim), cand)):
         return "orbit-central (no dimension drop)"
     return None
 
@@ -229,22 +223,17 @@ def _admissible(inner: LieAlgebra, ann_x: Subspace, cand: Subspace) -> Optional[
 def pukanszky_polarization(
     alg: LieAlgebra,
     cov: Covector,
-    strategy: str = "auto",
     chain: Optional[Sequence[Subspace]] = None,
     override_precheck: bool = False,
 ) -> PolarizationTrace:
     """Run the descending-orthogonal construction at a covector.
 
-    strategy "auto" draws ideals deterministically (see module docstring);
-    strategy "chain" consumes the user-supplied ideals, given in ambient
-    coordinates, one per step.  The result always sits between every chosen
-    ideal and its orthogonal; the final subalgebra is re-verified with the
-    homogeneous-condition checker.
+    Without a chain the ideals are drawn deterministically (see module
+    docstring); a chain, even an empty one, supplies the ideals instead,
+    given in ambient coordinates, one per step.  The result always sits
+    between every chosen ideal and its orthogonal; the final subalgebra is
+    re-verified with the homogeneous-condition checker.
     """
-    if strategy not in ("auto", "chain"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "chain" and chain is None:
-        raise ValueError("strategy 'chain' requires the ideal chain")
     if not override_precheck:
         pre = exponential_precheck(alg)
         if not pre.passed:
@@ -274,7 +263,7 @@ def pukanszky_polarization(
             break  # self-orthogonal: done
         ann_x = orbit_annihilator(inner, cur_cov)
         chosen = None
-        if strategy == "chain":
+        if chain is not None:
             try:
                 ambient_ideal = next(chain_iter)
             except StopIteration:
@@ -303,10 +292,7 @@ def pukanszky_polarization(
         desc, cand = chosen
         # orth inside g_i: inner coordinates make g_i the full space there
         g_next_inner = orth(inner, cand, cur_cov)
-        orbit_abelian = all(
-            ann_x.contains(inner.bracket(u, v))
-            for u in cand.basis_rows() for v in cand.basis_rows()
-        )
+        orbit_abelian = ann_x.contains_subspace(bracket_span(inner, cand, cand))
         ideal_ambient = to_ambient(cand)
         orth_ambient = orth(alg, ideal_ambient, cov)
         g_next = to_ambient(g_next_inner)
@@ -369,10 +355,7 @@ def verify_monomial(alg: LieAlgebra, cov: Covector, h: Subspace) -> MonomialRepo
     undecided.
     """
     subalgebra(alg, h)  # raises when h is not closed
-    point_orbit = all(
-        cov.pair(alg.bracket(u, v)) == 0
-        for u in h.basis_rows() for v in h.basis_rows()
-    )
+    point_orbit = all(cov.pair(r) == 0 for r in bracket_span(alg, h, h).basis_rows())
     rank = rank_kernel(kks_pairing(alg, cov))[0]
     dim_identity = rank == 2 * (alg.dim - h.dim)
 

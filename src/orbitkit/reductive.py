@@ -19,7 +19,8 @@ Trace pairings are read off the Gram matrix G[i][j] = tr(R_i R_j) of the
 representation, built once without forming any product R_i R_j: for
 elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
 covector of x is G x, and the trace-block and Levi checks of the parabolic
-report multiply no matrices.
+report multiply no matrices.  G is symmetric, so G x is the row combination
+x^T G, built by `combine` like every other matrix-vector product.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .liealg import (
     Covector,
     LieAlgebra,
     ad_matrix,
+    bracket_span,
     flat,
     kks_pairing,
     rep_coords,
@@ -44,6 +46,7 @@ from .linalg import (
     Subspace,
     ZERO,
     combine,
+    invariant_closure,
     rank_kernel,
     solve,
     vec,
@@ -124,7 +127,7 @@ def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
 
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:
     """Trace-form dual of an algebra element: (G x)_j = tr(M(x) R_j), G symmetric."""
-    return Covector(malg.algebra, malg.trace_gram.apply(vec(coords)))
+    return Covector(malg.algebra, combine(vec(coords), malg.trace_gram.entries, malg.dim))
 
 
 def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
@@ -287,21 +290,15 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     # bracket grading [g^a, g^b] <= g^{a+b}
     for a in eigenvalues:
         for b in eigenvalues:
-            target = spaces.get(a + b)
-            for u in spaces[a].basis_rows():
-                for v in spaces[b].basis_rows():
-                    w = alg.bracket(u, v)
-                    if target is None:
-                        if any(x != 0 for x in w):
-                            raise AssertionError("bracket grading violated")
-                    elif not target.contains(w):
-                        raise AssertionError("bracket grading violated")
+            target = spaces.get(a + b, Subspace.zero(n))
+            if not target.contains_subspace(bracket_span(alg, spaces[a], spaces[b])):
+                raise AssertionError("bracket grading violated")
     return Grading(eigenvalues, spaces)
 
 
 def _trace_annihilator(malg: MatrixLieAlgebra, sub: Subspace) -> Subspace:
     """Elements trace-orthogonal to sub (the dual annihilator, identified)."""
-    rows = [malg.trace_gram.apply(r) for r in sub.basis_rows()]
+    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in sub.basis_rows()]
     return rank_kernel(Matrix(rows, malg.dim))[1]
 
 
@@ -391,18 +388,13 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim
 
-    hull = moved
-    while True:
-        grown = hull
-        for z in u.basis_rows():
-            grown = grown.add(Subspace(n, [alg.bracket(z, w) for w in hull.basis_rows()]))
-        if grown == hull:
-            break
-        hull = grown
+    hull = invariant_closure(n, moved.basis_rows(),
+                             lambda w: (alg.bracket(z, w) for z in u.basis_rows()))
     hull_ok = hull == ann_q
 
     # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces
-    gram_rows = {a: [malg.trace_gram.apply(r) for r in grading.spaces[a].basis_rows()]
+    gram_rows = {a: [combine(r, malg.trace_gram.entries, n)
+                     for r in grading.spaces[a].basis_rows()]
                  for a in grading.eigenvalues}
     blocks_ok = True
     for a in grading.eigenvalues:

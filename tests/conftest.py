@@ -5,11 +5,18 @@ import pytest
 
 from orbitkit.catalog import builtin_catalog
 from orbitkit.liealg import Covector, LieAlgebra
+from orbitkit.linalg import vec_dot
 
 
 @pytest.fixture(scope="session")
 def entries():
     return builtin_catalog()
+
+
+def dense_apply(m, v):
+    """Reference matrix times column vector: one entrywise dot per row of m."""
+    assert len(v) == m.cols
+    return tuple(vec_dot(row, v) for row in m.entries)
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

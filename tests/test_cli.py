@@ -40,6 +40,18 @@ MALFORMED = {
     "zero_den_rows.json": {"rows": [["1/0", "0", "0"]]},
     "chain_index.json": {"ideals": [[9]]},
     "chain_zero_den.json": {"ideals": [[["1/0", "0", "0"]]]},
+    # a JSON string where a list of rationals belongs is never read per character
+    "covector_string.json": {"name": "covector_string", "dim": 2, "basis": ["a", "b"],
+                             "covectors": {"c": "12"}},
+    "ideal_row_string.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                              "ideals": {"x": {"rows": ["01"]}}},
+    "rep_row_string.json": {"name": "bad", "dim": 1, "basis": ["a"], "matrix_rep": [["0"]]},
+    "structure_row_string.json": {"name": "bad", "dim": 1, "basis": ["a"],
+                                  "structure": [["0"]]},
+    "rows_string.json": {"rows": ["010"]},
+    "rows_string_signed.json": {"rows": ["-12"]},
+    "chain_row_string.json": {"ideals": [["001"]]},
+    "chain_ideal_string.json": {"ideals": ["12"]},
 }
 
 BAD_INPUTS = {
@@ -79,6 +91,19 @@ BAD_INPUTS = {
     "polarize_chain_zero_denominator": ["polarize", "catalog:heisenberg3",
                                         "--strategy", "chain:chain_zero_den.json",
                                         "--point=0,0,1"],
+    "orbit_covector_string": ["orbit", "covector_string.json", "--point=0,1"],
+    "orbit_ideal_row_string": ["orbit", "ideal_row_string.json", "--point=0,1"],
+    "validate_matrix_rep_row_string": ["validate", "rep_row_string.json"],
+    "validate_structure_row_string": ["validate", "structure_row_string.json"],
+    "conditions_rows_string": ["conditions", "catalog:heisenberg3", "--sub", "@rows_string.json",
+                               "--point=0,0,1"],
+    "conditions_rows_string_signed": ["conditions", "catalog:heisenberg3",
+                                      "--sub", "@rows_string_signed.json", "--point=0,0,1"],
+    "polarize_chain_row_string": ["polarize", "catalog:heisenberg3",
+                                  "--strategy", "chain:chain_row_string.json", "--point=0,0,1"],
+    "polarize_chain_ideal_string": ["polarize", "catalog:heisenberg3",
+                                    "--strategy", "chain:chain_ideal_string.json",
+                                    "--point=0,0,1"],
 }
 
 HAPPY = {
@@ -139,6 +164,40 @@ def test_a_representation_failure_names_its_pair(workdir, capsys):
     _, env = run(BAD_INPUTS["parabolic_matrix_rep_not_square"], capsys)
     assert env["error"] == ("rep_nonsquare.json: "
                             "matrix_rep must list one n x n matrix per element")
+
+
+def test_a_string_row_is_refused_by_name(workdir, capsys):
+    want = {
+        "orbit_covector_string": "covector_string.json: covector 'c' must be a list of "
+                                 "rationals, got '12'",
+        "orbit_ideal_row_string": "ideal_row_string.json: ideal 'x' rows[0] must be a list of "
+                                  "rationals, got '01'",
+        "validate_matrix_rep_row_string": "rep_row_string.json: matrix_rep[0] row must be a "
+                                          "list of rationals, got '0'",
+        "validate_structure_row_string": "structure_row_string.json: structure row must be a "
+                                         "list of rationals, got '0'",
+        "conditions_rows_string": "bad subspace file rows_string.json: rows[0] must be a list "
+                                  "of rationals, got '010'",
+        "conditions_rows_string_signed": "bad subspace file rows_string_signed.json: rows[0] "
+                                         "must be a list of rationals, got '-12'",
+        "polarize_chain_row_string": "bad chain file chain_row_string.json: ideals[0][0] must "
+                                     "be a list of rationals, got '001'",
+        "polarize_chain_ideal_string": "bad chain file chain_ideal_string.json: ideals[0][0] "
+                                       "must be a list of rationals, got '1'",
+    }
+    for case, error in want.items():
+        assert run(BAD_INPUTS[case], capsys) == (2, {
+            "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
+            "error": error, "ok": False, "schema": 1})
+
+
+def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):
+    extra = workdir / "extra"
+    extra.mkdir()
+    (workdir / "covector_string.json").rename(extra / "covector_string.json")
+    monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
+    code, env = run(["catalog"], capsys)
+    assert code == 2 and "covector 'c' must be a list of rationals" in env["error"]
 
 
 @pytest.mark.parametrize("command", sorted(HAPPY))

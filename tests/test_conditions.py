@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from orbitkit.conditions import check_conditions, orth
-from orbitkit.liealg import Covector, NotClosedError, stabilizer, subalgebra
+from orbitkit import conditions, liealg
+from orbitkit.conditions import check_conditions
+from orbitkit.liealg import Covector, NotClosedError, orth, stabilizer, subalgebra
 from orbitkit.linalg import Subspace, basis_vector
 from conftest import rand_covector
 
@@ -49,6 +50,18 @@ def test_check_conditions_sl2_cartan(entries):
     assert not rep.coisotropic
     assert rep.orth == Subspace.full(3)
     assert "orth_outside" in rep.witnesses
+
+
+def test_check_conditions_builds_the_pairing_twice(entries, monkeypatch):
+    """Once for the stabilizer and once for h(cov); the orthogonal is read off h(cov)."""
+    calls = []
+    real = liealg.kks_pairing
+    for mod in (liealg, conditions):
+        if hasattr(mod, "kks_pairing"):
+            monkeypatch.setattr(mod, "kks_pairing", lambda *args: calls.append(args) or real(*args))
+    h3 = entries["heisenberg3"].algebra
+    assert check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1))).all_flags()
+    assert len(calls) == 2
 
 
 def test_check_conditions_rejects_non_subalgebra(entries):

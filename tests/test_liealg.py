@@ -9,13 +9,16 @@ from orbitkit.liealg import (
     NotClosedError,
     ad_matrix,
     ascending_central_series,
+    bracket_span,
     center,
     centralizer,
+    coadjoint_image,
     ideal_closure,
     is_ideal,
     kks_pairing,
     krylov_hull,
     orbit_record,
+    orth,
     quotient,
     restrict,
     stabilizer,
@@ -25,10 +28,9 @@ from orbitkit.liealg import (
     validate,
 )
 from orbitkit import liealg, linalg
-from orbitkit.conditions import orth
 from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, solve, vec_dot
 from orbitkit.mackey import exp_coadjoint
-from conftest import rand_covector, rand_vec, strictly_upper
+from conftest import dense_apply, rand_covector, rand_vec, strictly_upper
 
 
 def test_validate_heisenberg(entries):
@@ -67,8 +69,8 @@ def test_ad_matrix_central_and_generic(entries):
     assert ad_matrix(h3, (0, 0, 1)).is_zero()
     ad1 = ad_matrix(h3, (1, 0, 0))
     # e1 sends e2 to e3 and kills the rest
-    assert ad1.apply((0, 1, 0)) == (F(0), F(0), F(1))
-    assert ad1.apply((1, 0, 0)) == (F(0), F(0), F(0))
+    assert dense_apply(ad1, (0, 1, 0)) == (F(0), F(0), F(1))
+    assert dense_apply(ad1, (1, 0, 0)) == (F(0), F(0), F(0))
 
 
 def test_ad_matrix_sl2(entries):
@@ -135,7 +137,7 @@ def test_restrict_rejects_non_subalgebra(entries):
 def test_structure_probe_heisenberg(entries):
     p = structure_probe(entries["heisenberg3"].algebra)
     assert p.is_nilpotent and p.is_solvable
-    assert p.center == Subspace(3, [(0, 0, 1)])
+    assert center(entries["heisenberg3"].algebra) == Subspace(3, [(0, 0, 1)])
     assert [s.dim for s in p.derived_series] == [3, 1, 0]
 
 
@@ -150,7 +152,7 @@ def test_structure_probe_sl2(entries):
 def test_structure_probe_abelian(entries):
     p = structure_probe(entries["abelian3"].algebra)
     assert p.is_nilpotent
-    assert p.center == Subspace.full(3)
+    assert center(entries["abelian3"].algebra) == Subspace.full(3)
 
 
 def test_subalgebra_and_quotient(entries):
@@ -158,10 +160,10 @@ def test_subalgebra_and_quotient(entries):
     sub = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
     emb = subalgebra(h3, sub)
     assert validate(emb.algebra).ok
-    assert structure_probe(emb.algebra).center.dim == 2  # abelian plane
+    assert center(emb.algebra).dim == 2  # abelian plane
     q = quotient(h3, Subspace(3, [basis_vector(3, 2)]))
     assert q.algebra.dim == 2
-    assert structure_probe(q.algebra).center.dim == 2  # h3 / center is abelian
+    assert center(q.algebra).dim == 2  # h3 / center is abelian
 
 
 def test_ideal_tools(entries):
@@ -249,12 +251,12 @@ def dense_krylov_hull(alg, cov):
     """Fixed point of u -> u + sum_i -ad(e_i)^T u, from the image of the pairing."""
     n = alg.dim
     b = dense_kks_pairing(alg, cov)
-    u = Subspace(n, [b.apply(basis_vector(n, i)) for i in range(n)])
+    u = Subspace(n, [dense_apply(b, basis_vector(n, i)) for i in range(n)])
     gens = [dense_ad(alg, basis_vector(n, i)).transpose().scale(-1) for i in range(n)]
     while True:
         nxt = u
         for g in gens:
-            nxt = nxt.add(Subspace(n, [g.apply(row) for row in u.basis_rows()]))
+            nxt = nxt.add(Subspace(n, [dense_apply(g, row) for row in u.basis_rows()]))
         if nxt == u:
             return u
         u = nxt
@@ -332,7 +334,6 @@ def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
         raise AssertionError("dense matrix product")
 
     monkeypatch.setattr(Matrix, "__mul__", refuse)
-    monkeypatch.setattr(Matrix, "apply", refuse)
     poincare = entries["poincare"]
     timelike = Covector(poincare.algebra, poincare.covectors["timelike"])
     for alg, cov in ((poincare.algebra, timelike), n7):
@@ -367,7 +368,7 @@ def stacked_quotient(alg, ideal):
 def _catalog_ideals(entry):
     probe = structure_probe(entry.algebra)
     yield from entry.ideals.values()
-    yield probe.center
+    yield center(entry.algebra)
     yield from probe.derived_series
     yield from probe.lower_central_series
 
@@ -437,3 +438,75 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
     emb, quot = subquotient(alg, g_c, n)
     for row in g_c.basis_rows():
         quot.project(emb.from_parent(row))
+
+
+# -- one coadjoint-action path: h(cov), its orthogonal and the ideal closure ----
+
+
+def dense_image_rows(alg, cov, sub):
+    """Reference rows W(cov) = B W, one entrywise dot per row of the dense pairing."""
+    b = dense_kks_pairing(alg, cov)
+    return [dense_apply(b, w) for w in sub.basis_rows()]
+
+
+def loop_is_ideal(alg, sub):
+    n = alg.dim
+    return all(sub.contains(alg.bracket(basis_vector(n, i), row))
+               for i in range(n) for row in sub.basis_rows())
+
+
+def loop_ideal_closure(alg, sub):
+    """Reference: add [g, S] to S until nothing changes."""
+    full = Subspace.full(alg.dim)
+    while True:
+        grown = sub.add(bracket_span(alg, full, sub))
+        if grown == sub:
+            return sub
+        sub = grown
+
+
+def seeded_subspaces(alg, rng):
+    """The zero and full subspaces, then spans of 1, 1, 2, 2 and dim - 1 small vectors."""
+    n = alg.dim
+    yield Subspace.zero(n)
+    yield Subspace.full(n)
+    for k in (1, 1, 2, 2, n - 1):
+        yield Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(k)])
+
+
+def test_coadjoint_image_and_orth_match_the_dense_rows(entries, rng):
+    assert len(entries) == 9
+    for entry in entries.values():
+        alg = entry.algebra
+        n = alg.dim
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        covs += [rand_covector(alg, rng) for _ in range(3)]
+        for cov in covs:
+            for sub in seeded_subspaces(alg, rng):
+                rows = dense_image_rows(alg, cov, sub)
+                assert coadjoint_image(alg, cov, sub) == Subspace(n, rows)
+                assert orth(alg, sub, cov) == rank_kernel(Matrix(rows, n))[1]
+
+
+def test_a_subspace_of_another_dimension_is_refused(entries):
+    h3 = entries["heisenberg3"].algebra
+    cov = Covector(h3, (0, 0, 1))
+    for sub in (Subspace.full(2), Subspace.full(4)):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            coadjoint_image(h3, cov, sub)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            orth(h3, sub, cov)
+
+
+def test_is_ideal_and_ideal_closure_match_the_loops(entries, rng):
+    verdicts = []
+    for entry in entries.values():
+        alg = entry.algebra
+        for sub in seeded_subspaces(alg, rng):
+            verdicts.append(is_ideal(alg, sub))
+            assert verdicts[-1] == loop_is_ideal(alg, sub)
+            closed = ideal_closure(alg, sub)
+            assert closed == loop_ideal_closure(alg, sub) and is_ideal(alg, closed)
+        for ideal in _catalog_ideals(entry):
+            assert is_ideal(alg, ideal) and ideal_closure(alg, ideal) == ideal
+    assert verdicts.count(False) > verdicts.count(True)

@@ -27,7 +27,7 @@ from orbitkit.mackey import (
     semidirect_witness,
     verify_step_relations,
 )
-from conftest import rand_covector, rand_vec
+from conftest import dense_apply, rand_covector, rand_vec
 
 
 def _span(n, *idx):
@@ -349,7 +349,7 @@ def test_exp_coadjoint_matches_matrix_exponential(entries, rng):
         cov = rand_covector(n4, rng)
         flow = exp_coadjoint(n4, z, cov)
         gen = ad_matrix(n4, z).transpose().scale(-1)
-        oracle = _matrix_exp_nilpotent(gen).apply(cov.coords)
+        oracle = dense_apply(_matrix_exp_nilpotent(gen), cov.coords)
         assert flow.coords == oracle
 
 
@@ -462,6 +462,16 @@ def test_exp_linear_matches_the_image_chain_reference(entries, rng):
                 assert verdict == image_chain_exp_linear(case)
                 verdicts.append(verdict)
     assert len(verdicts) >= 60 and verdicts.count(False) >= 2
+
+
+def test_exp_linear_fails_with_the_bracket_pairing_witness(entries):
+    # heisenberg3 at cov = e3*: with n_c replaced by e1, [n_c, n] = [e1, <e2, e3>] = <e3>,
+    # and its first echelon row pairs to 1 with cov
+    h3 = entries["heisenberg3"]
+    data = little_group_step(h3.algebra, h3.ideals["plane"], Covector(h3.algebra, (0, 0, 1)))
+    rel = verify_step_relations(dataclasses.replace(data, n_c=_span(3, 0)))
+    assert not rel.exp_linear
+    assert rel.witnesses["c_pairs_with_nc_n_bracket"] == (0, 0, 1)
 
 
 def test_exp_linear_fails_with_the_higher_order_witness(entries):

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from orbitkit import polarization
-from orbitkit.conditions import check_conditions, orth
-from orbitkit.liealg import Covector, stabilizer
+from orbitkit.conditions import check_conditions
+from orbitkit.liealg import Covector, orth, stabilizer
 from orbitkit.linalg import Subspace, basis_vector
 from orbitkit.polarization import (
     StrategyExhausted,
@@ -89,8 +89,7 @@ def test_polarization_user_chain(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
     # the other polarization, unreachable by the automatic order
-    trace = pukanszky_polarization(h3, cov, strategy="chain",
-                                   chain=[_span(3, 0, 2)])
+    trace = pukanszky_polarization(h3, cov, chain=[_span(3, 0, 2)])
     assert trace.result == _span(3, 0, 2)
     assert trace.conditions.all_flags()
 
@@ -105,7 +104,7 @@ def test_chain_is_read_in_each_window():
     cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
     auto = pukanszky_polarization(alg, cov, override_precheck=True)
     assert [s.g_i.dim for s in auto.steps] == [10, 8, 7]
-    replay = pukanszky_polarization(alg, cov, strategy="chain", override_precheck=True,
+    replay = pukanszky_polarization(alg, cov, override_precheck=True,
                                     chain=[s.ideal for s in auto.steps])
     assert replay.steps == auto.steps and replay.result == auto.result
     assert replay.conditions.all_flags()
@@ -128,7 +127,14 @@ def test_polarization_chain_rejects_bad_ideal(entries):
     cov = Covector(h3, (0, 0, 1))
     with pytest.raises(StrategyExhausted):
         # central ideal: no dimension drop possible
-        pukanszky_polarization(h3, cov, strategy="chain", chain=[_span(3, 2)])
+        pukanszky_polarization(h3, cov, chain=[_span(3, 2)])
+
+
+def test_an_empty_chain_is_still_a_user_chain(entries):
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(StrategyExhausted) as exc:
+        pukanszky_polarization(h3, Covector(h3, (0, 0, 1)), chain=[])
+    assert exc.value.rejections == ((0, "user chain", "chain exhausted"),)
 
 
 def test_polarization_requires_precheck(entries):
@@ -165,10 +171,9 @@ def test_polarization_result_invariant_under_input_presentation(entries, rng):
     # permuted/rescaled generator rows of the chain ideal give the same trace
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
-    base = pukanszky_polarization(h3, cov, strategy="chain", chain=[_span(3, 1, 2)])
+    base = pukanszky_polarization(h3, cov, chain=[_span(3, 1, 2)])
     for rows in ([(0, 0, 2), (0, 3, 0)], [(0, 1, 1), (0, 0, 5)], [(0, 2, 2), (0, 2, 3)]):
-        alt = pukanszky_polarization(h3, cov, strategy="chain",
-                                     chain=[Subspace(3, rows)])
+        alt = pukanszky_polarization(h3, cov, chain=[Subspace(3, rows)])
         assert alt.result == base.result
 
 

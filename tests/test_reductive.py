@@ -7,7 +7,7 @@ import pytest
 from orbitkit import reductive
 from orbitkit.liealg import Covector, validate
 from orbitkit.catalog import algebra_from_rep
-from orbitkit.linalg import Matrix, solve
+from orbitkit.linalg import Matrix, Subspace, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
@@ -103,6 +103,40 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     assert verify_step_relations(data).exp_linear
     rep = parabolic_report(sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
     assert rep.u.dim > 0 and rep.trace_blocks_ok and rep.levi_pairing_zero
+
+
+def fixed_point_hull(alg, start, u):
+    """Reference: add [z, hull] for every basis row z of u until nothing changes."""
+    hull = start
+    while True:
+        grown = hull
+        for z in u.basis_rows():
+            grown = grown.add(Subspace(alg.dim, [alg.bracket(z, w) for w in hull.basis_rows()]))
+        if grown == hull:
+            return hull
+        hull = grown
+
+
+def test_parabolic_hull_matches_the_fixed_point(entries, sl3, monkeypatch):
+    closures = []
+    real = reductive.invariant_closure
+
+    def recorded(n, start, images):
+        start = list(start)
+        closures.append((Subspace(n, start), real(n, start, images)))
+        return closures[-1][1]
+
+    monkeypatch.setattr(reductive, "invariant_closure", recorded)
+    sl2 = matrix_lie_algebra(entries["sl2"].algebra)
+    cases = [(sl2, (1, 0, 0)), (sl2, (0, 1, 0)),
+             (sl3, _diag((1, 0, -1))), (sl3, _diag((2, -1, -1))),
+             (sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))]
+    for malg, x in cases:
+        rep = parabolic_report(malg, x)
+        start, hull = closures.pop()
+        assert hull == fixed_point_hull(malg.algebra, start, rep.u)
+        assert rep.hull_matches_annihilator
+    assert not closures
 
 
 # -- the elliptic branch: spectra in Q(i) --------------------------------------
