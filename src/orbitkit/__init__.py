@@ -2,80 +2,47 @@
 
 Subspace conditions, the infinitesimal normal-subgroup machine, Pukanszky
 polarizations and parabolic data, all over arbitrary-precision rationals.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first access (PEP 562), so a caller pays only
+for the modules it uses.
 """
 
-from .linalg import (
-    Matrix,
-    Scalar,
-    Subspace,
-    annihilator,
-    frac,
-    rank_kernel,
-    solve,
-    sum_intersect,
-    symmetric_signature,
-)
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    NotClosedError,
-    OrbitRecord,
-    ad_matrix,
-    ideal_closure,
-    is_ideal,
-    kks_pairing,
-    orbit_annihilator,
-    orbit_record,
-    orth,
-    quotient,
-    restrict,
-    stabilizer,
-    structure_probe,
-    subalgebra,
-    validate,
-)
-from .conditions import ConditionReport, check_conditions
-from .mackey import (
-    LittleGroupData,
-    MackeyReport,
-    ObstructionReport,
-    abelian_step,
-    classify_little_algebra,
-    exp_coadjoint,
-    little_group_step,
-    mackey_report,
-    obstruction_step,
-    semidirect_witness,
-    verify_step_relations,
-)
-from .polarization import (
-    PolarizationTrace,
-    StrategyExhausted,
-    exponential_precheck,
-    pukanszky_polarization,
-    verify_monomial,
-)
-from .reductive import (
-    JordanTriple,
-    MatrixLieAlgebra,
-    ParabolicReport,
-    UnsupportedSpectrumError,
-    covector_to_element,
-    element_to_covector,
-    grade,
-    hyperbolic_elliptic_split,
-    jordan_chevalley,
-    jordan_triple,
-    matrix_lie_algebra,
-    parabolic_report,
-)
-from .induction import (
-    InducedRecord,
-    frobenius_check,
-    induced_dim,
-    point_fiber,
-    stages_flatten,
-)
-from .catalog import CatalogEntry, builtin_catalog, load_catalog
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect "
+                  "symmetric_signature",
+        "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix ideal_closure "
+                  "is_ideal kks_pairing orbit_annihilator orbit_record orth quotient restrict "
+                  "stabilizer structure_probe subalgebra validate",
+        "conditions": "ConditionReport check_conditions",
+        "mackey": "LittleGroupData MackeyReport ObstructionReport abelian_step "
+                  "classify_little_algebra exp_coadjoint little_group_step mackey_report "
+                  "obstruction_step semidirect_witness verify_step_relations",
+        "polarization": "PolarizationTrace StrategyExhausted exponential_precheck "
+                        "pukanszky_polarization verify_monomial",
+        "reductive": "JordanTriple MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "
+                     "covector_to_element element_to_covector grade hyperbolic_elliptic_split "
+                     "jordan_chevalley jordan_triple matrix_lie_algebra parabolic_report",
+        "induction": "InducedRecord frobenius_check induced_dim point_fiber stages_flatten",
+        "catalog": "CatalogEntry builtin_catalog load_catalog",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,8 +10,13 @@ with rationals serialized as "p/q" strings and only i < j bracket pairs
 allowed (omitted pairs are zero).  A raw "structure" tensor is accepted as
 an alternative to "brackets" so that deliberately broken tensors can be fed
 to the validator.  Catalog entries extend the schema with documented sample
-covectors and declared ideals/complements; the directory named by
-ORBITKIT_CATALOG_DIR is merged in at load time.
+covectors and declared ideals/complements.
+
+Built-in entries are built and validated by name, each once per process,
+so a caller that names one entry pays for that entry alone.  The entries
+of the directory named by ORBITKIT_CATALOG_DIR are all loaded on every
+lookup and merged over the built-ins: a file naming a built-in overrides
+it, and a malformed file fails every lookup.
 """
 
 from __future__ import annotations
@@ -208,46 +213,58 @@ def _poincare() -> CatalogEntry:
     )
 
 
-_BUILDERS = (
-    _abelian3,
-    _heisenberg3,
-    _filiform4,
-    _affine_line,
-    _euclid2,
-    _sl2,
-    _sl3,
-    _so31,
-    _poincare,
-)
+_BUILDERS = {
+    "abelian3": _abelian3,
+    "heisenberg3": _heisenberg3,
+    "filiform4": _filiform4,
+    "affine_line": _affine_line,
+    "euclid2": _euclid2,
+    "sl2": _sl2,
+    "sl3": _sl3,
+    "so31": _so31,
+    "poincare": _poincare,
+}
 
 
-@lru_cache(maxsize=1)
-def _builtin_catalog_cached() -> dict:
-    entries = {}
-    for build in _BUILDERS:
-        entry = build()
-        report = validate(entry.algebra)
-        if not report.ok:
-            raise AssertionError(f"catalog entry {entry.name} fails validation")
-        entries[entry.name] = entry
-    return entries
+@lru_cache(maxsize=None)
+def _builtin_entry(name: str) -> CatalogEntry:
+    entry = _BUILDERS[name]()
+    if not validate(entry.algebra).ok:
+        raise AssertionError(f"catalog entry {name} fails validation")
+    return entry
 
 
 def builtin_catalog() -> dict:
-    return dict(_builtin_catalog_cached())
+    return {name: _builtin_entry(name) for name in _BUILDERS}
+
+
+def _extra_entries() -> dict:
+    """The entries of every definition file in ORBITKIT_CATALOG_DIR, by name."""
+    extra_dir = os.environ.get("ORBITKIT_CATALOG_DIR")
+    if not (extra_dir and os.path.isdir(extra_dir)):
+        return {}
+    entries = {}
+    for fname in sorted(os.listdir(extra_dir)):
+        if fname.endswith(".json"):
+            entry = load_entry_file(os.path.join(extra_dir, fname))
+            entries[entry.name] = entry
+    return entries
 
 
 def load_catalog() -> dict:
     """Built-ins merged with any entries from ORBITKIT_CATALOG_DIR."""
-    entries = builtin_catalog()
-    extra_dir = os.environ.get("ORBITKIT_CATALOG_DIR")
-    if extra_dir and os.path.isdir(extra_dir):
-        for fname in sorted(os.listdir(extra_dir)):
-            if not fname.endswith(".json"):
-                continue
-            entry = load_entry_file(os.path.join(extra_dir, fname))
-            entries[entry.name] = entry
-    return entries
+    return {**builtin_catalog(), **_extra_entries()}
+
+
+def find_entry(name: str) -> CatalogEntry | None:
+    """The entry `load_catalog()` would hold under `name`, building no other built-in.
+
+    None when there is no such entry.
+    """
+    extras = _extra_entries()
+    if name in extras:
+        return extras[name]
+    return _builtin_entry(name) if name in _BUILDERS else None
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +295,14 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     try:
         name = doc.get("name", source)
         dim = doc["dim"]
-        labels = tuple(doc["basis"])
-    except (KeyError, TypeError) as exc:
+        labels = doc["basis"]
+    except KeyError as exc:
         raise CatalogError(f"{source}: missing field {exc}") from None
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise CatalogError(f"{source}: dim must be a non-negative integer, got {dim!r}")
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise CatalogError(f"{source}: basis must be a list of strings, got {labels!r}")
+    labels = tuple(labels)
     if len(labels) != dim:
         raise CatalogError(f"{source}: basis has {len(labels)} labels for dim {dim}")
     rep = None

@@ -18,6 +18,11 @@ turns it into the exit-2 envelope with the exception's text as `error`.
 The library's input errors (InputError here, CatalogError, NotClosedError,
 ChainError, UnsupportedSpectrumError) are all ValueErrors.  Usage errors
 are argparse's: exit 2 with a message on stderr.
+
+Start-up is paid on every invocation, so this module imports only what
+every subcommand needs (`catalog`, `liealg`, `linalg`).  Each handler
+imports its own analysis modules (`conditions`, `mackey`, `polarization`,
+`reductive`, `induction`), and `catalog:NAME` builds only the entry named.
 """
 
 from __future__ import annotations
@@ -29,17 +34,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import catalog as cat
-from .conditions import check_conditions
-from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
 from .liealg import Covector, LieAlgebra, orbit_record, validate
 from .linalg import Matrix, Subspace, basis_vector, frac, vec
-from .mackey import abelian_step, classify_little_algebra, mackey_report, semidirect_witness
-from .polarization import (
-    StrategyExhausted,
-    exponential_precheck,
-    pukanszky_polarization,
-)
-from .reductive import matrix_lie_algebra, parabolic_report
 
 SCHEMA = 1
 
@@ -51,10 +47,10 @@ class InputError(ValueError):
 def _load_entry(spec: str) -> cat.CatalogEntry:
     if spec.startswith("catalog:"):
         name = spec.split(":", 1)[1]
-        entries = cat.load_catalog()
-        if name not in entries:
+        entry = cat.find_entry(name)
+        if entry is None:
             raise InputError(f"unknown catalog entry {name!r}; try the `catalog` subcommand")
-        return entries[name]
+        return entry
     return cat.load_entry_file(spec)
 
 
@@ -159,6 +155,8 @@ def _cmd_orbit(args) -> tuple[dict, bool]:
 
 
 def _cmd_conditions(args) -> tuple[dict, bool]:
+    from .conditions import check_conditions
+
     entry = _load_entry(args.algebra)
     sub = _parse_subspace(entry, args.sub)
     points = [_parse_point(entry.algebra, p) for p in args.point]
@@ -173,6 +171,8 @@ def _cmd_conditions(args) -> tuple[dict, bool]:
 
 
 def _cmd_mackey(args) -> tuple[dict, bool]:
+    from .mackey import mackey_report, semidirect_witness
+
     entry = _load_entry(args.algebra)
     ideal = _parse_subspace(entry, args.ideal)
     points = [_parse_point(entry.algebra, p) for p in args.point]
@@ -192,6 +192,8 @@ def _cmd_mackey(args) -> tuple[dict, bool]:
 
 
 def _cmd_polarize(args) -> tuple[dict, bool]:
+    from .polarization import StrategyExhausted, exponential_precheck, pukanszky_polarization
+
     entry = _load_entry(args.algebra)
     alg = entry.algebra
     points = [_parse_point(alg, p) for p in args.point]
@@ -243,6 +245,8 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
 
 
 def _cmd_parabolic(args) -> tuple[dict, bool]:
+    from .reductive import matrix_lie_algebra, parabolic_report
+
     entry = _load_entry(args.algebra)
     malg = matrix_lie_algebra(entry.algebra)
     inputs = []
@@ -265,6 +269,8 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
+    from .mackey import abelian_step, classify_little_algebra
+
     entry = _load_entry(args.algebra)
     ideal = _parse_subspace(entry, args.ideal)
     points = [_parse_point(entry.algebra, p) for p in args.point]
@@ -284,6 +290,8 @@ def _cmd_classify(args) -> tuple[dict, bool]:
 
 
 def _cmd_record(args) -> tuple[dict, bool]:
+    from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
+
     entry = _load_entry(args.algebra)
     alg = entry.algebra
     subs = [_parse_subspace(entry, s) for s in args.sub]

@@ -68,7 +68,11 @@ def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
         raise AssertionError("linear solve")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("orbitkit") and hasattr(module, "solve"):
+        if name.startswith("orbitkit.") and hasattr(module, "solve"):
             monkeypatch.setattr(module, "solve", refuse)
-    built = catalog._builtin_catalog_cached.__wrapped__()  # past the cache
+    built = {name: catalog._builtin_entry.__wrapped__(name)  # past the cache
+             for name in catalog._BUILDERS}
     assert built == catalog.builtin_catalog()
+    assert [e.name for e in built.values()] == [
+        "abelian3", "heisenberg3", "filiform4", "affine_line", "euclid2",
+        "sl2", "sl3", "so31", "poincare"]

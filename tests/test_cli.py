@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitkit import catalog as cat
 from orbitkit import cli
 
 # Definition files that are malformed or declare out-of-range data.
@@ -52,6 +53,8 @@ MALFORMED = {
     "rows_string_signed.json": {"rows": ["-12"]},
     "chain_row_string.json": {"ideals": [["001"]]},
     "chain_ideal_string.json": {"ideals": ["12"]},
+    "basis_string.json": {"dim": 2, "basis": "ab", "brackets": []},
+    "dim_bool.json": {"dim": True, "basis": ["a"], "brackets": []},
 }
 
 BAD_INPUTS = {
@@ -79,6 +82,9 @@ BAD_INPUTS = {
     "parabolic_matrix_rep_not_square": ["parabolic", "rep_nonsquare.json", "--element=1"],
     "orbit_covectors_not_an_object": ["orbit", "covectors_list.json", "--point=0,1"],
     "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
+    "orbit_basis_string": ["orbit", "basis_string.json", "--point=0,1"],
+    "orbit_dim_bool": ["orbit", "dim_bool.json", "--point=0"],
+    "orbit_unknown_catalog_entry": ["orbit", "catalog:nosuch", "--point=0"],
     # rationals and indices read from the command line or a referenced file
     "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
     "orbit_point_zero_denominator": ["orbit", "catalog:heisenberg3", "--point=1/0,0,0"],
@@ -153,6 +159,12 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "bad rational in point: Fraction(1, 0)"
     _, env = run(BAD_INPUTS["validate_top_level_list"], capsys)
     assert env["error"] == "top_list.json: a definition must be a JSON object"
+    _, env = run(BAD_INPUTS["orbit_basis_string"], capsys)
+    assert env["error"] == "basis_string.json: basis must be a list of strings, got 'ab'"
+    _, env = run(BAD_INPUTS["orbit_dim_bool"], capsys)
+    assert env["error"] == "dim_bool.json: dim must be a non-negative integer, got True"
+    _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
+    assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
 
 
 def test_a_representation_failure_names_its_pair(workdir, capsys):
@@ -196,8 +208,42 @@ def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):
     extra.mkdir()
     (workdir / "covector_string.json").rename(extra / "covector_string.json")
     monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
+    for argv in (["catalog"], HAPPY["orbit"]):
+        code, env = run(argv, capsys)
+        assert code == 2 and "covector 'c' must be a list of rationals" in env["error"]
+
+
+# -- catalog entries are built by name ------------------------------------------
+
+@pytest.fixture
+def unbuilt_catalog():
+    cat._builtin_entry.cache_clear()
+    yield
+    cat._builtin_entry.cache_clear()
+
+
+def test_a_named_entry_builds_no_other(unbuilt_catalog, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("built an entry the invocation does not name")
+
+    for name in cat._BUILDERS:
+        if name != "heisenberg3":
+            monkeypatch.setitem(cat._BUILDERS, name, refuse)
+    code, env = run(HAPPY["orbit"], capsys)
+    assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 2
+
+
+def test_a_catalog_dir_entry_overrides_the_builtin_of_its_name(workdir, monkeypatch, capsys):
+    extra = workdir / "extra"
+    extra.mkdir()
+    abelian = {"name": "heisenberg3", "dim": 3, "basis": ["a", "b", "c"], "brackets": []}
+    (extra / "mine.json").write_text(json.dumps(abelian), encoding="utf-8")
+    monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
+    code, env = run(HAPPY["orbit"], capsys)
+    assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 0
     code, env = run(["catalog"], capsys)
-    assert code == 2 and "covector 'c' must be a list of rationals" in env["error"]
+    assert env["entries"]["heisenberg3"]["ideals"] == []
+    assert sorted(env["entries"]) == sorted(cat._BUILDERS)
 
 
 @pytest.mark.parametrize("command", sorted(HAPPY))

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitkit.catalog import builtin_catalog
 from orbitkit.liealg import (
     Covector,
     LieAlgebra,
@@ -114,6 +117,23 @@ def test_orbit_record_poincare_timelike(entries):
     rec = orbit_record(poin.algebra, Covector(poin.algebra, poin.covectors["timelike"]))
     assert rec.orbit_dim == 6
     assert rec.stabilizer.dim == 4
+
+
+@st.composite
+def catalog_points(draw):
+    """A catalog algebra and a rational covector on it, about half its coordinates 0."""
+    alg = draw(st.sampled_from([e.algebra for e in builtin_catalog().values()]))
+    coord = st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=4))
+    return alg, Covector(alg, [draw(coord) for _ in range(alg.dim)])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(catalog_points())
+def test_orbit_dim_is_the_even_rank_of_the_pairing_property(case):
+    alg, cov = case
+    rec = orbit_record(alg, cov)
+    assert rec.orbit_dim % 2 == 0
+    assert rec.orbit_dim == rank_kernel(kks_pairing(alg, cov))[0] == alg.dim - rec.stabilizer.dim
 
 
 def test_restrict_heisenberg(entries):
