@@ -298,6 +298,8 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
         labels = doc["basis"]
     except KeyError as exc:
         raise CatalogError(f"{source}: missing field {exc}") from None
+    if not isinstance(name, str):
+        raise CatalogError(f"{source}: name must be a string, got {name!r}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise CatalogError(f"{source}: dim must be a non-negative integer, got {dim!r}")
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):

@@ -215,7 +215,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chain file {path}: {exc}") from None
 
-    pre = exponential_precheck(alg, seed=args.seed)
+    pre = exponential_precheck(alg)
     if not pre.passed and not args.override_precheck:
         raise InputError(
             "exponential precheck failed; rerun with --override-precheck to force: "
@@ -370,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="auto", help="auto or chain:<file>")
     p.add_argument("--override-precheck", action="store_true",
                    help="run even when the exponential precheck fails")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled precheck")
 
     p = sub.add_parser("parabolic", help="Jordan split, grading, parabolic relations")
     common(p)

@@ -60,14 +60,6 @@ class ConditionReport:
         )
 
 
-def _inclusion_witness(small: Subspace, big: Subspace):
-    """First canonical basis vector of small outside big, else None."""
-    for row in small.basis_rows():
-        if not big.contains(row):
-            return row
-    return None
-
-
 def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionReport:
     """Flags for stabilizer containment, coisotropy, polarization, Pukanszky."""
     subalgebra(alg, h)  # raises NotClosedError when h is not a subalgebra
@@ -76,19 +68,19 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionRe
     orth_h = annihilator(moved)  # liealg.orth(alg, h, cov)
     witnesses = {}
 
-    w = _inclusion_witness(stab, h)
+    w = h.missing_row(stab)
     contains_stab = w is None
     if w is not None:
         witnesses["stabilizer_outside"] = w
 
-    w = _inclusion_witness(orth_h, h)
+    w = h.missing_row(orth_h)
     coisotropic = w is None
     if w is not None:
         witnesses["orth_outside"] = w
 
-    is_polarization = coisotropic and h.contains_subspace(orth_h) and orth_h.contains_subspace(h)
+    is_polarization = coisotropic and orth_h.contains_subspace(h)
 
-    w = _inclusion_witness(annihilator(h), moved)
+    w = moved.missing_row(annihilator(h))
     pukanszky = w is None
     if w is not None:
         witnesses["annihilator_outside_image"] = w

@@ -19,16 +19,22 @@ skipping the zero entries, and a matrix acts on a vector w the same way,
 as w^T A = `combine(w, A.entries)`, which is A w when A is symmetric and
 -A w when A is antisymmetric.
 
-`invariant_closure` is the one worklist for a smallest subspace closed
-under a list of linear maps; the Krylov hull of an orbit and the ideal
-generated by a subspace (liealg) and the parabolic hull (reductive) are
-built on it.
+Every elimination is one insertion step, `_insert`, into rows in RREF:
+reduce the vector at their pivots (the loop of `reduce`), drop it if it is
+0, else scale it to a leading 1, clear its pivot column from the kept rows
+and put it in at its pivot's place.  `rref` inserts row by row, and so does
+`invariant_closure`, the one worklist for a smallest subspace closed under
+linear maps (the Krylov hull, the ideal closure, the parabolic hull).  The
+order cannot change the result: the pivots are the columns where some
+vector of the row space has its first nonzero entry, and the row at pivot p
+is the one vector of the space that is 1 at p and 0 at the other pivots.
 
 No floating point enters this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -174,31 +180,38 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [inv * x for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
+        """Reduced row echelon form, padded with zero rows, and the pivot columns."""
+        rows, pivots = [], []
+        for row in self.entries:
+            if len(pivots) == self.cols:  # full rank: the other rows lie in the span
                 break
-        return Matrix(m, ncols), tuple(pivots)
+            _insert(rows, pivots, row)
+        rows += [(ZERO,) * self.cols] * (self.rows - len(rows))
+        return Matrix(rows, self.cols), tuple(pivots)
+
+
+def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> Sequence:
+    """v - sum_r v[pivots[r]] rows[r]; 0 at every pivot when the rows are in RREF."""
+    for p, row in zip(pivots, rows):
+        f = v[p]
+        if f:
+            v = tuple(a - f * b if b else a for a, b in zip(v, row))
+    return v
+
+
+def _insert(rows: list, pivots: list, v: Sequence) -> Optional[tuple]:
+    """Insert v into RREF rows with increasing pivots, in place; None if v is in their span."""
+    v = _reduce(rows, pivots, v)
+    p = next((j for j, a in enumerate(v) if a), None)
+    if p is None:
+        return None
+    inv = ONE / v[p]
+    v = tuple(inv * a for a in v)
+    rows[:] = [_reduce((v,), (p,), row) for row in rows]
+    k = bisect_left(pivots, p)
+    rows.insert(k, v)
+    pivots.insert(k, p)
+    return v
 
 
 def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
@@ -267,11 +280,7 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for p, row in zip(self.pivots, self.basis.entries):
-            f = v[p]
-            if f != 0:
-                v = tuple(a - f * b for a, b in zip(v, row))
-        return v
+        return _reduce(self.basis.entries, self.pivots, v)
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -287,8 +296,12 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        return self.missing_row(other) is None
+
+    def missing_row(self, other: "Subspace") -> Optional[tuple]:
+        """The first canonical basis row of other that self does not contain, else None."""
         self._same_ambient(other)
-        return all(self.contains(row) for row in other.basis.entries)
+        return next((row for row in other.basis.entries if not self.contains(row)), None)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -349,38 +362,24 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def invariant_closure(n: int, start_rows: Iterable[Sequence],
-                      images: Callable[[list], Iterable[Sequence]]) -> Subspace:
+                      images: Callable[[tuple], Iterable[Sequence]]) -> Subspace:
     """Smallest subspace of Q^n containing start_rows and closed under some linear maps.
 
     images(v) yields the image of v under each of the maps.  Worklist: each
-    row that enlarges the span is kept in echelon form and queued once, and
-    its images are reduced against the rows kept so far.  The search stops
-    as soon as the span is all of Q^n.
+    row that enlarges the span is queued once, as it was inserted, and its
+    images are inserted in turn, until the span is all of Q^n.
     """
-    rows = []     # (pivot, row): row[pivot] == 1, row is 0 at the earlier rows' pivots
-    work = []
-
-    def extend(v):
-        v = list(v)
-        for p, row in rows:
-            f = v[p]
-            if f != 0:
-                v = [a - f * b if b != 0 else a for a, b in zip(v, row)]
-        p = next((j for j, a in enumerate(v) if a != 0), None)
-        if p is not None:
-            inv = ONE / v[p]
-            v = [inv * a for a in v]
-            rows.append((p, v))
-            work.append(v)
-
+    rows, pivots, work = [], [], []
     for v in start_rows:
-        extend(v)
+        if row := _insert(rows, pivots, v):
+            work.append(row)
     while work and len(rows) < n:
         for image in images(work.pop()):
-            extend(image)
-            if len(rows) == n:
-                break
-    return Subspace(n, [row for _, row in rows])
+            if row := _insert(rows, pivots, image):
+                work.append(row)
+                if len(rows) == n:
+                    break
+    return Subspace(n, rows)
 
 
 def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:

@@ -124,12 +124,10 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
     witnesses = {}
 
     stab = stabilizer(alg, cov)
-    rel_a = data.h.contains_subspace(stab)
-    if not rel_a:
-        for row in stab.basis_rows():
-            if not data.h.contains(row):
-                witnesses["stabilizer_outside_h"] = row
-                break
+    w = data.h.missing_row(stab)
+    rel_a = w is None
+    if w is not None:
+        witnesses["stabilizer_outside_h"] = w
 
     moved = coadjoint_image(alg, cov, data.n_c)
     ann_h = annihilator(data.h)

@@ -55,6 +55,7 @@ MALFORMED = {
     "chain_ideal_string.json": {"ideals": ["12"]},
     "basis_string.json": {"dim": 2, "basis": "ab", "brackets": []},
     "dim_bool.json": {"dim": True, "basis": ["a"], "brackets": []},
+    "name_int.json": {"name": 5, "dim": 1, "basis": ["a"], "brackets": []},
 }
 
 BAD_INPUTS = {
@@ -84,6 +85,7 @@ BAD_INPUTS = {
     "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
     "orbit_basis_string": ["orbit", "basis_string.json", "--point=0,1"],
     "orbit_dim_bool": ["orbit", "dim_bool.json", "--point=0"],
+    "orbit_name_int": ["orbit", "name_int.json", "--point=0"],
     "orbit_unknown_catalog_entry": ["orbit", "catalog:nosuch", "--point=0"],
     # rationals and indices read from the command line or a referenced file
     "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
@@ -163,6 +165,8 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "basis_string.json: basis must be a list of strings, got 'ab'"
     _, env = run(BAD_INPUTS["orbit_dim_bool"], capsys)
     assert env["error"] == "dim_bool.json: dim must be a non-negative integer, got True"
+    _, env = run(BAD_INPUTS["orbit_name_int"], capsys)
+    assert env["error"] == "name_int.json: name must be a string, got 5"
     _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
     assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
 
@@ -211,6 +215,15 @@ def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):
     for argv in (["catalog"], HAPPY["orbit"]):
         code, env = run(argv, capsys)
         assert code == 2 and "covector 'c' must be a list of rationals" in env["error"]
+
+
+def test_catalog_refuses_a_name_that_is_not_a_string(workdir, monkeypatch, capsys):
+    extra = workdir / "extra"
+    extra.mkdir()
+    (workdir / "name_int.json").rename(extra / "name_int.json")
+    monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
+    code, env = run(["catalog"], capsys)
+    assert code == 2 and env["error"].endswith("name_int.json: name must be a string, got 5")
 
 
 # -- catalog entries are built by name ------------------------------------------

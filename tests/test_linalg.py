@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitkit.liealg import center, stabilizer, structure_probe
@@ -334,3 +334,46 @@ def test_rank_nullity_and_rref_invariance_property(case):
     assert rank + ker.dim == m.cols
     assert all(not any(dense_apply(m, v)) for v in ker.basis_rows())
     assert (e * m).rref() == m.rref()
+
+
+def gauss_jordan(m):
+    """Reference: column-by-column Gauss-Jordan elimination with row swaps."""
+    rows = [list(row) for row in m.entries]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(rows, m.cols), tuple(pivots)
+
+
+@st.composite
+def rref_cases(draw):
+    """A matrix with 0-7 rows and 1-4 columns, so often taller than wide, whose
+    rows combine at most `cols` drawn generators with coefficients that are
+    often 0, so its rank is often below both of its sides."""
+    cols = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[rationals] * cols), min_size=1, max_size=cols))
+    coeff = st.one_of(st.just(F(0)), rationals)
+    rows = draw(st.lists(st.tuples(*[coeff] * len(gens)), max_size=7))
+    return Matrix([combine(c, gens, cols) for c in rows], cols)
+
+
+@PROPERTIES
+@given(rref_cases())
+@example(Matrix([], 3))
+@example(Matrix([[1, 2], [3, 4], [5, 6]]))
+@example(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]]))
+def test_rref_matches_gauss_jordan_property(m):
+    assert m.rref() == gauss_jordan(m)
