@@ -23,26 +23,29 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .liealg import LieAlgebra, rep_coords, validate
-from .linalg import Matrix, Subspace, basis_vector, frac
+from .linalg import Matrix, Record, Subspace, basis_vector, frac
 
 
 class CatalogError(ValueError):
     """Definition file malformed or failing validation."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     algebra: LieAlgebra
     description: str = ""
-    covectors: dict = field(default_factory=dict)    # name -> coordinate tuple
-    ideals: dict = field(default_factory=dict)       # name -> Subspace
-    complements: dict = field(default_factory=dict)  # name -> Subspace
+    covectors: dict = None    # name -> coordinate tuple
+    ideals: dict = None       # name -> Subspace
+    complements: dict = None  # name -> Subspace
+
+    def __post_init__(self):
+        for name in ("covectors", "ideals", "complements"):  # each entry its own dict
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {})
 
 
 def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
@@ -307,6 +310,13 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     labels = tuple(labels)
     if len(labels) != dim:
         raise CatalogError(f"{source}: basis has {len(labels)} labels for dim {dim}")
+    # a subspace names its basis elements by label or by index, so each label
+    # must name one element and must not read as an index
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise CatalogError(f"{source}: basis label {label!r} is repeated")
+        if label.isdigit():
+            raise CatalogError(f"{source}: basis label {label!r} reads as an index")
     rep = None
     if doc.get("matrix_rep") is not None:
         try:

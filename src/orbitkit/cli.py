@@ -23,6 +23,8 @@ Start-up is paid on every invocation, so this module imports only what
 every subcommand needs (`catalog`, `liealg`, `linalg`).  Each handler
 imports its own analysis modules (`conditions`, `mackey`, `polarization`,
 `reductive`, `induction`), and `catalog:NAME` builds only the entry named.
+The report classes are `linalg.Record`s, so creating one costs nothing
+beyond its class statement and no invocation imports `dataclasses`.
 """
 
 from __future__ import annotations

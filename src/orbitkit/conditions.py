@@ -16,15 +16,13 @@ The coadjoint objects come from `liealg`: h(cov) is `coadjoint_image`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .liealg import Covector, LieAlgebra, coadjoint_image, stabilizer, subalgebra
-from .linalg import Subspace, annihilator
+from .linalg import Record, Subspace, annihilator
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     subalgebra: Subspace
     covector: Covector
     orth: Subspace

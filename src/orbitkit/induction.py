@@ -9,19 +9,17 @@ nested chains flatten by pure bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record, restrict
-from .linalg import Subspace, vec_sub
+from .linalg import Record, Subspace, vec_sub
 
 
 class ChainError(ValueError):
     """Nesting violates the required subalgebra chain."""
 
 
-@dataclass(frozen=True)
-class InducedRecord:
+class InducedRecord(Record):
     algebra: LieAlgebra
     space: Subspace   # ambient window of this stage, top coordinates
     sub: Subspace     # inducing subalgebra, top coordinates

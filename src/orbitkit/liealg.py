@@ -32,13 +32,13 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
+    Record,
     Subspace,
     ZERO,
     annihilator,
@@ -59,16 +59,15 @@ class NotClosedError(ValueError):
     """A subspace expected to be a subalgebra or ideal is not closed."""
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     dim: int
     labels: tuple[str, ...]
     structure: tuple  # c[i][j][k] grid of Fraction
     matrix_rep: Optional[tuple[Matrix, ...]] = None
     name: str = ""
-    # derived from structure: nonzeros[i][j] = ((k, c[i][j][k]), ...) for c != 0
-    nonzeros: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    # __post_init__ derives two attributes that are not fields, so equality
+    # and the repr skip them: nonzeros[i][j] = ((k, c[i][j][k]), ...) for
+    # c != 0, and the cached hash _hash
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
@@ -128,8 +127,7 @@ class LieAlgebra:
             raise KeyError(f"unknown basis label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(Record):
     algebra: LieAlgebra
     coords: tuple
 
@@ -145,8 +143,7 @@ class Covector:
         return is_zero_vec(self.coords)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     antisymmetry_failures: tuple  # (i, j, k) triples
     jacobi_failures: tuple        # (i, j, k, defect vector)
@@ -281,8 +278,7 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     return invariant_closure(alg.dim, zip(*kks_pairing(alg, cov).entries), images)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     covector: Covector
     orbit_dim: int
     stabilizer: Subspace
@@ -321,8 +317,7 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
     return rank_kernel(Matrix(rows))[1]
 
 
-@dataclass(frozen=True)
-class EmbeddedSubalgebra:
+class EmbeddedSubalgebra(Record):
     parent: LieAlgebra
     space: Subspace
     algebra: LieAlgebra
@@ -362,8 +357,7 @@ def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> tuple[Covector, E
     return Covector(emb.algebra, coords), emb
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(Record):
     """parent / ideal; class k is represented by the unit vector at columns[k].
 
     columns are the non-pivot columns of the ideal's RREF basis, so the
@@ -478,8 +472,7 @@ def ascending_central_series(alg: LieAlgebra) -> tuple:
         series.append(lifted)
 
 
-@dataclass(frozen=True)
-class StructureProbe:
+class StructureProbe(Record):
     derived_series: tuple
     lower_central_series: tuple
     is_solvable: bool

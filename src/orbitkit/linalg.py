@@ -30,6 +30,16 @@ vector of the row space has its first nonzero entry, and the row at pivot p
 is the one vector of the space that is 1 at p and 0 at the other pivots.
 
 No floating point enters this module.
+
+The package's reports and value types are `Record`s, defined here because
+every other module imports this one.  A Record subclass lists its fields as
+its own annotations, in order; a class attribute of a field's name is that
+field's default.  `__init__` binds the fields by position or keyword (a
+missing, extra or unknown argument is a TypeError), sets them and then
+calls `__post_init__`.  A record is immutable (assignment and deletion are
+AttributeErrors); records are equal when they are of one class with equal
+field tuples, and hash as that tuple; the repr is `Name(field=value, ...)`.
+Making a record class costs nothing beyond the class statement itself.
 """
 
 from __future__ import annotations
@@ -42,6 +52,60 @@ Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Record:
+    """Immutable value with named fields; see the module docstring."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unknown or repeated argument {name!r}")
+            values[name] = value
+        for name in fields:
+            if name in values:
+                value = values[name]
+            elif name in cls.__dict__:
+                value = cls.__dict__[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
 
 
 def frac(x) -> Fraction:
@@ -248,6 +312,17 @@ class Subspace:
         self.pivots = pivots  # pivots[r]: the column where basis row r has its leading 1
 
     @classmethod
+    def _from_rref(cls, ambient_dim: int, rows: Sequence[tuple],
+                   pivots: Sequence[int]) -> "Subspace":
+        """The subspace whose canonical basis is `rows`, Fraction rows already in RREF
+        with their leading 1s at `pivots`: no elimination or coercion is redone."""
+        basis = Matrix.__new__(Matrix)
+        basis.entries, basis.rows, basis.cols = tuple(rows), len(rows), ambient_dim
+        s = cls.__new__(cls)
+        s.ambient_dim, s.basis, s.pivots = ambient_dim, basis, tuple(pivots)
+        return s
+
+    @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n)
 
@@ -379,7 +454,7 @@ def invariant_closure(n: int, start_rows: Iterable[Sequence],
                 work.append(row)
                 if len(rows) == n:
                     break
-    return Subspace(n, rows)
+    return Subspace._from_rref(n, rows, pivots)  # _insert keeps rows in RREF
 
 
 def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:

@@ -16,7 +16,6 @@ supply, and the reports say so where it matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -40,6 +39,7 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
+    Record,
     Subspace,
     ZERO,
     annihilator,
@@ -54,8 +54,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class LittleGroupData:
+class LittleGroupData(Record):
     algebra: LieAlgebra
     ideal: Subspace
     covector: Covector
@@ -86,8 +85,7 @@ def little_group_step(alg: LieAlgebra, n: Subspace, cov: Covector) -> LittleGrou
     return LittleGroupData(alg, n, cov, c_coords, g_c, n_c, h)
 
 
-@dataclass(frozen=True)
-class StepRelations:
+class StepRelations(Record):
     stabilizer_in_h: bool          # (a) infinitesimal form
     annihilator_identity: bool     # (b) n_c(cov) = ann(h)
     exp_linear: bool               # (c) certified exactly
@@ -175,8 +173,7 @@ def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
     raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     j: Subspace                     # ker(c restricted to n_c)
     h_c: Subspace
     n_c: Subspace
@@ -276,8 +273,7 @@ def obstruction_step(
     )
 
 
-@dataclass(frozen=True)
-class SemidirectReport:
+class SemidirectReport(Record):
     point_orbit: bool
     witness_name: Optional[str]
     witness: Optional[Subspace]
@@ -359,8 +355,7 @@ def _orbit_dim(alg: LieAlgebra, cov: Covector) -> int:
     return rank_kernel(kks_pairing(alg, cov))[0]
 
 
-@dataclass(frozen=True)
-class AbelianStepReport:
+class AbelianStepReport(Record):
     h: Subspace
     dim_x: int
     dim_gh: int
@@ -405,8 +400,7 @@ def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepRepo
     return AbelianStepReport(h, dim_x, dim_gh, dim_y, ok)
 
 
-@dataclass(frozen=True)
-class LittleAlgebraType:
+class LittleAlgebraType(Record):
     dim: int
     is_solvable: bool
     is_nilpotent: bool
@@ -457,8 +451,7 @@ def classify_little_algebra(alg: LieAlgebra, a: Subspace, cov: Covector) -> Litt
     return LittleAlgebraType(quot.algebra.dim, probe.is_solvable, probe.is_nilpotent, sig, label)
 
 
-@dataclass(frozen=True)
-class MackeyReport:
+class MackeyReport(Record):
     little_group: LittleGroupData
     relations: StepRelations
     obstruction: ObstructionReport

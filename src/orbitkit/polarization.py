@@ -19,7 +19,6 @@ PRECHECK_SEED, via exact Sturm counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,6 +40,7 @@ from .liealg import (
     subalgebra,
 )
 from .linalg import (
+    Record,
     Subspace,
     annihilator,
     basis_vector,
@@ -69,8 +69,7 @@ class StrategyExhausted(RuntimeError):
         self.rejections = tuple(rejections)
 
 
-@dataclass(frozen=True)
-class ExponentialReport:
+class ExponentialReport(Record):
     is_solvable: bool
     eigenvalue_witness: Optional[tuple]   # element whose ad has eigenvalues on iR*
     elements_checked: int
@@ -132,8 +131,7 @@ def exponential_precheck(alg: LieAlgebra) -> ExponentialReport:
     )
 
 
-@dataclass(frozen=True)
-class PolarizationStep:
+class PolarizationStep(Record):
     g_i: Subspace
     ideal: Subspace
     ideal_orth: Subspace
@@ -159,8 +157,7 @@ class PolarizationStep:
         }
 
 
-@dataclass(frozen=True)
-class PolarizationTrace:
+class PolarizationTrace(Record):
     steps: tuple
     result: Subspace
     conditions: ConditionReport
@@ -321,8 +318,7 @@ def pukanszky_polarization(
     return PolarizationTrace(tuple(steps), g_here, conditions, tuple(rejected))
 
 
-@dataclass(frozen=True)
-class MonomialReport:
+class MonomialReport(Record):
     point_orbit: bool
     dim_identity: bool
     pukanszky_reachable: Optional[bool]  # None when not exactly decidable

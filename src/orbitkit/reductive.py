@@ -25,7 +25,6 @@ x^T G, built by `combine` like every other matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -43,6 +42,7 @@ from .liealg import (
 from .linalg import (
     Matrix,
     ONE,
+    Record,
     Subspace,
     ZERO,
     combine,
@@ -79,8 +79,7 @@ class UnsupportedSpectrumError(ValueError):
         super().__init__(f"unsupported spectrum: factor {to_string(factor)} ({reason})")
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(Record):
     algebra: LieAlgebra
     trace_gram: Matrix  # G[i][j] = Tr(R_i R_j)
 
@@ -235,8 +234,7 @@ def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
     return xh, s - xh
 
 
-@dataclass(frozen=True)
-class JordanTriple:
+class JordanTriple(Record):
     x: Matrix
     hyperbolic: Matrix
     elliptic: Matrix
@@ -250,8 +248,7 @@ def jordan_triple(x: Matrix) -> JordanTriple:
     return JordanTriple(x, xh, xe, n)
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Record):
     eigenvalues: tuple           # sorted rationals
     spaces: dict                 # eigenvalue -> Subspace (algebra coordinates)
 
@@ -302,8 +299,7 @@ def _trace_annihilator(malg: MatrixLieAlgebra, sub: Subspace) -> Subspace:
     return rank_kernel(Matrix(rows, malg.dim))[1]
 
 
-@dataclass(frozen=True)
-class ParabolicReport:
+class ParabolicReport(Record):
     x_coords: tuple
     triple: JordanTriple
     grading: Grading

@@ -56,6 +56,9 @@ MALFORMED = {
     "basis_string.json": {"dim": 2, "basis": "ab", "brackets": []},
     "dim_bool.json": {"dim": True, "basis": ["a"], "brackets": []},
     "name_int.json": {"name": 5, "dim": 1, "basis": ["a"], "brackets": []},
+    # labels a subspace argument could not tell apart
+    "labels_repeated.json": {"name": "bad", "dim": 2, "basis": ["a", "a"], "brackets": []},
+    "label_digits.json": {"name": "bad", "dim": 3, "basis": ["x", "0", "y"], "brackets": []},
 }
 
 BAD_INPUTS = {
@@ -87,6 +90,10 @@ BAD_INPUTS = {
     "orbit_dim_bool": ["orbit", "dim_bool.json", "--point=0"],
     "orbit_name_int": ["orbit", "name_int.json", "--point=0"],
     "orbit_unknown_catalog_entry": ["orbit", "catalog:nosuch", "--point=0"],
+    "conditions_labels_repeated": ["conditions", "labels_repeated.json", "--sub", "a",
+                                   "--point=0,1"],
+    "conditions_label_digits": ["conditions", "label_digits.json", "--sub", "0",
+                                "--point=0,0,1"],
     # rationals and indices read from the command line or a referenced file
     "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
     "orbit_point_zero_denominator": ["orbit", "catalog:heisenberg3", "--point=1/0,0,0"],
@@ -169,6 +176,10 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "name_int.json: name must be a string, got 5"
     _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
     assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
+    _, env = run(BAD_INPUTS["conditions_labels_repeated"], capsys)
+    assert env["error"] == "labels_repeated.json: basis label 'a' is repeated"
+    _, env = run(BAD_INPUTS["conditions_label_digits"], capsys)
+    assert env["error"] == "label_digits.json: basis label '0' reads as an index"
 
 
 def test_a_representation_failure_names_its_pair(workdir, capsys):

@@ -1,5 +1,6 @@
 """Imports: every module uses what it imports, and an invocation loads only
-the modules its subcommand runs.
+the modules its subcommand runs, and none of the standard library's costly
+class machinery (`dataclasses`, and through it `inspect`).
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -89,6 +90,21 @@ def test_scanner_checks_a_function_local_import_against_its_function(tmp_path):
     assert unused_imports(src) == [("json", 2), ("sep", 3)]
 
 
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append((path.name, node.lineno))
+    assert importers == []
+
+
 def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
@@ -113,10 +129,13 @@ LOADS = {   # the modules a subcommand adds to BASE
         ["conditions", "mackey", "polarization", "polynomials"],
 }
 
+SLOW_STDLIB = ("dataclasses", "inspect")   # never loaded by an invocation
+
 LOADED = """
 import json, sys
 {run}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "orbitkit")),
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "orbitkit" or m in {slow!r})),
       file=sys.stderr)
 """
 
@@ -124,7 +143,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "orbitkit")
 def _loaded_after(run: str) -> list:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     env.pop("ORBITKIT_CATALOG_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", LOADED.format(run=run)], env=env,
+    code = LOADED.format(run=run, slow=SLOW_STDLIB)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stderr)
 
@@ -134,6 +154,7 @@ def test_a_bare_package_import_loads_no_module():
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
+    # _loaded_after also lists SLOW_STDLIB modules, which no subcommand may load
     for argv, extra in LOADS.items():
         run = f"from orbitkit import cli\ncli.main({list(argv)!r})"
         assert _loaded_after(run) == sorted(BASE + [f"orbitkit.{m}" for m in extra]), argv

@@ -5,20 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitkit.liealg import center, stabilizer, structure_probe
+from orbitkit.catalog import CatalogEntry
+from orbitkit.liealg import LieAlgebra, center, stabilizer, structure_probe
 from orbitkit.linalg import (
     Matrix,
+    Record,
     Subspace,
     annihilator,
     combine,
     frac,
+    invariant_closure,
     rank_kernel,
     solve,
     solve_in_subspace,
     sum_intersect,
     symmetric_signature,
 )
-from conftest import dense_apply, rand_covector, rand_vec
+from conftest import dense_apply, rand_covector, rand_frac, rand_vec
 
 
 def test_rank_kernel_identity():
@@ -248,6 +251,120 @@ def test_reduce_gives_the_coset_representative_zero_at_the_pivots():
     assert s.coords_of((3, 1, 5)) is None
     with pytest.raises(ValueError):
         s.reduce((1, 2))
+
+
+def test_invariant_closure_is_the_canonical_subspace_of_its_rows(rng):
+    # the closure keeps its insertion rows as the basis, with no second
+    # elimination: they must be what Subspace makes of them, and the span
+    # must be the one a dense fixed-point iteration reaches
+    proper = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        maps = [Matrix([[rand_frac(rng) if j > i and rng.random() < 0.5 else 0
+                         for j in range(n)] for i in range(n)])
+                for _ in range(rng.randint(0, 2))]
+        start = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        closure = invariant_closure(n, start, lambda v: [combine(v, m.entries, n) for m in maps])
+        canonical = Subspace(n, closure.basis_rows())
+        assert closure == canonical and closure.pivots == canonical.pivots
+        assert all(type(x) is F for row in closure.basis_rows() for x in row)
+        dense = Subspace(n, start)
+        while True:
+            grown = dense.add(Subspace(n, [combine(v, m.entries, n)
+                                           for v in dense.basis_rows() for m in maps]))
+            if grown == dense:
+                break
+            dense = grown
+        assert closure == dense
+        proper += 0 < closure.dim < n
+    assert proper > 10
+
+
+# -- Record ----------------------------------------------------------------------
+
+class Point(Record):
+    x: int
+    y: int = 0
+
+
+class Pair(Record):
+    x: int
+    y: int = 0
+
+
+class Doubled(Record):
+    value: int
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValueError("negative value")
+        object.__setattr__(self, "double", 2 * self.value)
+
+
+def test_record_binds_by_position_keyword_and_default():
+    assert Point._fields == ("x", "y")
+    for p in (Point(1, 2), Point(x=1, y=2), Point(1, y=2), Point(y=2, x=1)):
+        assert (p.x, p.y) == (1, 2)
+    assert (Point(1).x, Point(1).y) == (1, 0)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                   # x missing
+    ((), {"y": 2}),             # x missing
+    ((1, 2, 3), {}),            # one argument too many
+    ((1,), {"z": 3}),           # unknown keyword
+    ((1,), {"x": 1}),           # x given twice
+])
+def test_record_refuses_a_missing_extra_or_unknown_argument(args, kwargs):
+    with pytest.raises(TypeError):
+        Point(*args, **kwargs)
+
+
+def test_record_is_immutable():
+    p = Point(1, 2)
+    for name in ("x", "z"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.x, p.y) == (1, 2)
+
+
+def test_record_equality_and_hash():
+    assert Point(1, 2) == Point(x=1, y=2) and hash(Point(1, 2)) == hash(Point(x=1, y=2))
+    assert Point(1, 2) != Point(1, 3)
+    assert Point(1, 2) != Pair(1, 2)
+    assert Point(1, 2).__eq__(Pair(1, 2)) is NotImplemented
+    assert Point(1, 2).__eq__((1, 2)) is NotImplemented
+
+
+def test_record_runs_post_init():
+    assert Doubled(3).double == 6
+    with pytest.raises(ValueError, match="negative"):
+        Doubled(-1)
+
+
+def test_record_repr_lists_the_fields_in_order():
+    assert repr(Point(1, F(1, 2))) == "Point(x=1, y=Fraction(1, 2))"
+    assert repr(Doubled(3)) == "Doubled(value=3)"
+
+
+def test_derived_lie_algebra_attributes_are_not_fields():
+    a = LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="h")
+    b = LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="h")
+    object.__setattr__(b, "nonzeros", ())
+    assert a.nonzeros != b.nonzeros
+    assert a == b and hash(a) == hash(b)
+    assert "nonzeros" not in repr(a) and "_hash" not in repr(a)
+    assert a != LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="other")
+
+
+def test_catalog_entries_do_not_share_their_default_dicts():
+    alg = LieAlgebra.from_brackets(("a",), {})
+    first, second = CatalogEntry("a", alg), CatalogEntry("b", alg)
+    for name in ("covectors", "ideals", "complements"):
+        assert getattr(first, name) == {} == getattr(second, name)
+        assert getattr(first, name) is not getattr(second, name)
 
 
 # -- properties over random rational subspaces --------------------------------
