@@ -17,13 +17,13 @@ _EXPORTS = {
     for module, names in {
         "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect "
                   "symmetric_signature",
-        "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix ideal_closure "
-                  "is_ideal kks_pairing orbit_annihilator orbit_record orth quotient restrict "
-                  "stabilizer structure_probe subalgebra validate",
+        "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix exp_coadjoint "
+                  "ideal_closure is_ideal kks_pairing orbit_annihilator orbit_record orth "
+                  "quotient restrict stabilizer structure_probe subalgebra validate",
         "conditions": "ConditionReport check_conditions",
         "mackey": "LittleGroupData MackeyReport ObstructionReport abelian_step "
-                  "classify_little_algebra exp_coadjoint little_group_step mackey_report "
-                  "obstruction_step semidirect_witness verify_step_relations",
+                  "classify_little_algebra little_group_step mackey_report obstruction_step "
+                  "semidirect_witness verify_step_relations",
         "polarization": "PolarizationTrace StrategyExhausted exponential_precheck "
                         "pukanszky_polarization verify_monomial",
         "reductive": "JordanTriple MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "

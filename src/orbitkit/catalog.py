@@ -7,10 +7,14 @@ Definition files look like
      "matrix_rep": [[["0","1"],["0","0"]], ...]}            # optional
 
 with rationals serialized as "p/q" strings and only i < j bracket pairs
-allowed (omitted pairs are zero).  A raw "structure" tensor is accepted as
-an alternative to "brackets" so that deliberately broken tensors can be fed
-to the validator.  Catalog entries extend the schema with documented sample
-covectors and declared ideals/complements.
+allowed (omitted pairs are zero).  A raw dense "structure" tensor is
+accepted as an alternative to "brackets" so that deliberately broken
+tensors can be fed to the validator; it is the only dim^3 grid in the
+package, read into the algebra's sparse bracket table as given (not made
+antisymmetric) and then dropped.  Catalog entries extend the schema with
+documented sample covectors and declared ideals/complements; a declared
+name may not be a basis label or all digits, since a subspace argument
+looks names up before labels and indices.
 
 Built-in entries are built and validated by name, each once per process,
 so a caller that names one entry pays for that entry alone.  The entries
@@ -57,9 +61,7 @@ def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
     for (i, j), coords in zip(pairs, rep_coords(mats, comms)):
         if coords is None:
             raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
-        coeffs = {k: c for k, c in enumerate(coords) if c != 0}
-        if coeffs:
-            brackets[(i, j)] = coeffs
+        brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
     return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
 
 
@@ -324,40 +326,46 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
                    for k, m in enumerate(doc["matrix_rep"])]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
-        if len(rep) != dim or len({m.rows for m in rep} | {m.cols for m in rep}) > 1:
-            raise CatalogError(f"{source}: matrix_rep must list one n x n matrix per element")
     if "structure" in doc:
         try:
-            tensor = tuple(
-                tuple(parse_row(row, f"{source}: structure row") for row in plane)
-                for plane in doc["structure"]
-            )
+            grid = [[parse_row(row, f"{source}: structure row") for row in plane]
+                    for plane in doc["structure"]]
         except TypeError:
-            raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor") from None
-        return LieAlgebra(dim, labels, tensor, tuple(rep) if rep else None, name)
-    items = doc.get("brackets", [])
-    if not isinstance(items, list):
-        raise CatalogError(f"{source}: brackets must be a list of bracket objects")
-    brackets = {}
-    for item in items:
-        try:
-            i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
-        except (KeyError, TypeError, AttributeError):
-            raise CatalogError(
-                f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
-            ) from None
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
-            raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
-        if (i, j) in brackets:
-            raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
-        brackets[(i, j)] = {int(k): _rat(v) for k, v in coeffs}
-        if any(not (0 <= k < dim) for k in brackets[(i, j)]):
-            raise CatalogError(f"{source}: coefficient index out of range in pair ({i},{j})")
-    return LieAlgebra.from_brackets(labels, brackets, name=name,
-                                    matrix_rep=rep)
+            grid = None
+        if grid is None or len(grid) != dim or any(
+                len(plane) != dim or any(len(row) != dim for row in plane) for plane in grid):
+            raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor")
+        # taken as given, not made antisymmetric, so that `validate` reports a broken tensor
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                      for plane in grid)
+    else:
+        table, items, brackets = None, doc.get("brackets", []), {}
+        if not isinstance(items, list):
+            raise CatalogError(f"{source}: brackets must be a list of bracket objects")
+        for item in items:
+            try:
+                i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
+            except (KeyError, TypeError, AttributeError):
+                raise CatalogError(
+                    f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
+                ) from None
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+                raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
+            if (i, j) in brackets:
+                raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
+            brackets[(i, j)] = {int(k): _rat(v) for k, v in coeffs}
+    try:  # the constructor checks the coefficient indices and the matrix_rep shapes
+        if table is None:
+            return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
+        return LieAlgebra(dim, labels, table, tuple(rep) if rep else None, name)
+    except ValueError as exc:
+        raise CatalogError(f"{source}: {exc}") from None
 
 
-def _parse_subspace(alg: LieAlgebra, spec, what: str) -> Subspace:
+def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
+    # a subspace argument is looked up by declared name before labels and indices
+    if name in alg.labels or name.isdigit():
+        raise CatalogError(f"{what} has the name of a basis label or index")
     if isinstance(spec, dict) and "rows" in spec:
         return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
                                   for r, row in enumerate(spec["rows"])])
@@ -378,14 +386,10 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
             key: parse_row(coords, f"{source}: covector {key!r}")
             for key, coords in doc.get("covectors", {}).items()
         }
-        ideals = {
-            key: _parse_subspace(alg, spec, f"{source}: ideal {key!r}")
-            for key, spec in doc.get("ideals", {}).items()
-        }
-        complements = {
-            key: _parse_subspace(alg, spec, f"{source}: complement {key!r}")
-            for key, spec in doc.get("complements", {}).items()
-        }
+        ideals, complements = (
+            {key: _parse_subspace(alg, key, spec, f"{source}: {kind} {key!r}")
+             for key, spec in doc.get(f"{kind}s", {}).items()}
+            for kind in ("ideal", "complement"))
     except (AttributeError, TypeError) as exc:
         raise CatalogError(f"{source}: malformed covectors, ideals or complements: {exc}") from None
     for key, coords in covectors.items():

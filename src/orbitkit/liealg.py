@@ -1,16 +1,16 @@
 """Lie algebras presented by structure constants, and their coadjoint data.
 
-An algebra is a tensor c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
+An algebra is its bracket table: [e_i, e_j] = sum_k c[i][j][k] e_k is
+stored as nonzeros[i][j] = ((k, c[i][j][k]), ...) over the k with
+c[i][j][k] != 0, in increasing k.  The table is the defining field:
+equality, hashing and the repr read it, and so do the kernels below
+(brackets, ad, the KKS pairing, the Killing form, the Krylov hull,
+centralizers and every check of `validate`).  Structure constants are
+mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept;
+one exists only while the catalog reads a file's dense "structure" tensor.
 Everything downstream (stabilizers, orbit dimensions, affine hulls,
 annihilator conditions) reduces here to exact kernels and ranks of the
 pairing matrix B[i][j] = <cov, [e_i, e_j]> attached to a covector.
-
-The dense tensor `structure` is the defining field: equality, hashing, the
-catalog format and every report read it.  Structure tensors are mostly
-zero (0-9 % nonzero in the catalog), so each algebra also derives, once,
-the table `nonzeros[i][j]` of the (k, c[i][j][k]) pairs with c[i][j][k] != 0,
-and the kernels below (brackets, ad, the KKS pairing, the Killing form,
-the Krylov hull, centralizers and the Jacobi check) loop over it.
 
 A matrix representation is handled on flattened matrices (`flat`): `validate`
 checks its brackets there, and `rep_coords` reads coordinates in its span.
@@ -62,29 +62,22 @@ class NotClosedError(ValueError):
 class LieAlgebra(Record):
     dim: int
     labels: tuple[str, ...]
-    structure: tuple  # c[i][j][k] grid of Fraction
+    nonzeros: tuple  # nonzeros[i][j] = ((k, c[i][j][k]), ...), k increasing, c != 0
     matrix_rep: Optional[tuple[Matrix, ...]] = None
     name: str = ""
-    # __post_init__ derives two attributes that are not fields, so equality
-    # and the repr skip them: nonzeros[i][j] = ((k, c[i][j][k]), ...) for
-    # c != 0, and the cached hash _hash
+    # __post_init__ caches the hash as _hash, which is not a field, so
+    # equality and the repr skip it
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise ValueError("label count does not match dimension")
-        if len(self.structure) != self.dim or any(
-            len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-            for plane in self.structure
-        ):
-            raise ValueError("structure tensor must be dim x dim x dim")
-        if self.matrix_rep is not None and len(self.matrix_rep) != self.dim:
-            raise ValueError("matrix representation must give one matrix per basis element")
-        object.__setattr__(self, "nonzeros", tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c != 0) for row in plane)
-            for plane in self.structure
-        ))
-        object.__setattr__(self, "_hash", hash(
-            (self.dim, self.labels, self.structure, self.matrix_rep, self.name)))
+        if len(self.nonzeros) != self.dim or any(len(p) != self.dim for p in self.nonzeros):
+            raise ValueError("bracket table must be dim x dim")
+        rep = self.matrix_rep
+        if rep is not None and (len(rep) != self.dim
+                                or len({m.rows for m in rep} | {m.cols for m in rep}) > 1):
+            raise ValueError("matrix_rep must list one n x n matrix per element")
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self):
         return self._hash
@@ -94,17 +87,17 @@ class LieAlgebra(Record):
                       matrix_rep=None) -> "LieAlgebra":
         """Build from a {(i, j): {k: coeff}} dict given for i < j only."""
         n = len(labels)
-        c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        table = [[()] * n for _ in range(n)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
-            for k, val in coeffs.items():
-                v = frac(val)
-                c[i][j][k] = v
-                c[j][i][k] = -v
-        tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
+            if any(not 0 <= k < n for k in coeffs):
+                raise ValueError(f"coefficient index out of range in pair ({i},{j})")
+            row = sorted((k, frac(v)) for k, v in coeffs.items())
+            table[i][j] = tuple((k, c) for k, c in row if c)
+            table[j][i] = tuple((k, -c) for k, c in table[i][j])
         rep = tuple(matrix_rep) if matrix_rep is not None else None
-        return cls(n, tuple(labels), tensor, rep, name)
+        return cls(n, tuple(labels), tuple(map(tuple, table)), rep, name)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         u, v = vec(u), vec(v)
@@ -180,14 +173,14 @@ def rep_coords(rep: Sequence[Matrix], targets: Sequence[Matrix]) -> list:
 @lru_cache(maxsize=None)
 def validate(alg: LieAlgebra) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity and the brackets of any matrix rep."""
+    n, nz = alg.dim, alg.nonzeros
     anti = []
-    n = alg.dim
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                if alg.structure[i][j][k] != -alg.structure[j][i][k]:
-                    anti.append((i, j, k))
-    nz = alg.nonzeros
+            # c[i][j][k] = -c[j][i][k] for every k, read off the two entries of the table
+            up, down = dict(nz[i][j]), dict(nz[j][i])
+            anti += [(i, j, k) for k in sorted(up.keys() | down.keys())
+                     if up.get(k, ZERO) != -down.get(k, ZERO)]
     jac = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -207,7 +200,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
         for i in range(n):
             for j in range(i + 1, n):
                 # R_i R_j = R_j R_i + sum_k c[i][j][k] R_k
-                expected = combine(alg.structure[i][j], flats, len(flats[i]))
+                expected = combine([c for _, c in nz[i][j]], [flats[k] for k, _ in nz[i][j]],
+                                   len(flats[i]))
                 if flat(reps[i] * reps[j]) != vec_add(flat(reps[j] * reps[i]), expected):
                     rep.append((i, j))
     return ValidationReport(not (anti or jac or rep), tuple(anti), tuple(jac), tuple(rep))
@@ -245,6 +239,25 @@ def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
         raise ValueError("subspace ambient dimension does not match algebra")
     rows = kks_pairing(alg, cov).entries
     return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.basis_rows()])
+
+
+def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
+    """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
+
+    Requires ad(Z) nilpotent so that the series
+    <exp(Z)(cov), Z'> = sum_k (-1)^k/k! <cov, ad(Z)^k Z'> terminates.
+    """
+    m = ad_matrix(alg, z)
+    n = alg.dim
+    coeffs, terms = [], []  # (-1)^k / k! and the covector cov . ad(Z)^k
+    power, fact = Matrix.identity(n), 1
+    for k in range(n + 1):
+        if power.is_zero():
+            return Covector(alg, combine(coeffs, terms, n))
+        coeffs.append(Fraction((-1) ** k, fact))
+        terms.append(combine(cov.coords, power.entries, n))
+        power, fact = power * m, fact * (k + 1)
+    raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
 
 
 def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:

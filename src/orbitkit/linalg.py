@@ -1,11 +1,15 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Vectors are tuples of Fraction, matrices are immutable row-major grids of
-Fraction, and subspaces are stored through their reduced row echelon basis
-with zero rows removed.  That canonical form is the equality witness used
-everywhere above this module: two subspaces are equal iff their basis grids
-are identical, so inclusion and equality questions about subalgebras,
-stabilizers and annihilators are decided without tolerances.
+Fraction, and a subspace is its reduced row echelon basis with zero rows
+removed: the tuple `rows`, nothing else.  That canonical form is the
+equality witness used everywhere above this module: two subspaces are equal
+iff their rows are identical, so inclusion and equality questions about
+subalgebras, stabilizers and annihilators are decided without tolerances.
+An entry is coerced to Fraction once, where it comes in (`Matrix(...)`,
+`vec`).  What this module builds from Fraction rows is taken as it is: the
+matrices of Matrix operations by `Matrix._of`, and rows already canonical
+(`full`, both halves of `sum_intersect`, a closure) by `Subspace._from_rref`.
 
 A Subspace also keeps the pivot columns of that basis.  Basis row r is 1 at
 pivot r and 0 at every other pivot, so a vector of the subspace has its
@@ -186,6 +190,13 @@ class Matrix:
             raise ValueError("ragged matrix")
 
     @classmethod
+    def _of(cls, grid: tuple, cols: int) -> "Matrix":
+        """The matrix of a tuple of Fraction rows of length cols, taken as it is."""
+        m = cls.__new__(cls)
+        m.entries, m.rows, m.cols = grid, len(grid), cols
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[ZERO] * cols for _ in range(rows)], cols)
 
@@ -194,7 +205,7 @@ class Matrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[row[j] for row in self.entries] for j in range(self.cols)], self.rows)
+        return Matrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -213,15 +224,15 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(map(vec_add, self.entries, other.entries), self.cols)
+        return Matrix._of(tuple(map(vec_add, self.entries, other.entries)), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(map(vec_sub, self.entries, other.entries), self.cols)
+        return Matrix._of(tuple(map(vec_sub, self.entries, other.entries)), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix((tuple(c * a for a in row) for row in self.entries), self.cols)
+        return Matrix._of(tuple(tuple(c * a for a in row) for row in self.entries), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -229,7 +240,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         rows = other.entries
-        return Matrix([combine(row, rows, other.cols) for row in self.entries], other.cols)
+        return Matrix._of(tuple(combine(r, rows, other.cols) for r in self.entries), other.cols)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(row) for row in self.entries)
@@ -251,7 +262,7 @@ class Matrix:
                 break
             _insert(rows, pivots, row)
         rows += [(ZERO,) * self.cols] * (self.rows - len(rows))
-        return Matrix(rows, self.cols), tuple(pivots)
+        return Matrix._of(tuple(rows), self.cols), tuple(pivots)
 
 
 def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> Sequence:
@@ -286,7 +297,7 @@ def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
     """
     if len(v) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = Matrix((tuple(row) + (val,) for row, val in zip(m.entries, vec(v))), m.cols + 1)
+    aug = Matrix._of(tuple(row + (val,) for row, val in zip(m.entries, vec(v))), m.cols + 1)
     red, pivots = aug.rref()
     if m.cols in pivots:  # pivot in the augmented column
         return None
@@ -297,65 +308,62 @@ def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
 
 
 class Subspace:
-    """Linear subspace of Q^n with canonical reduced-row-echelon basis."""
+    """Linear subspace of Q^n: its canonical RREF rows and their pivot columns."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, generators: Iterable[Iterable] = ()):
-        rows = [vec(row) for row in generators]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("generator length does not match ambient dimension")
-        red, pivots = Matrix(rows, ambient_dim).rref()
+        rows = tuple(vec(row) for row in generators)
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("generator length does not match ambient dimension")
+        red, pivots = Matrix._of(rows, ambient_dim).rref()
         self.ambient_dim = ambient_dim
-        self.basis = Matrix(red.entries[: len(pivots)], ambient_dim)
-        self.pivots = pivots  # pivots[r]: the column where basis row r has its leading 1
+        self.rows = red.entries[: len(pivots)]
+        self.pivots = pivots  # pivots[r]: the column where row r has its leading 1
 
     @classmethod
     def _from_rref(cls, ambient_dim: int, rows: Sequence[tuple],
                    pivots: Sequence[int]) -> "Subspace":
         """The subspace whose canonical basis is `rows`, Fraction rows already in RREF
         with their leading 1s at `pivots`: no elimination or coercion is redone."""
-        basis = Matrix.__new__(Matrix)
-        basis.entries, basis.rows, basis.cols = tuple(rows), len(rows), ambient_dim
         s = cls.__new__(cls)
-        s.ambient_dim, s.basis, s.pivots = ambient_dim, basis, tuple(pivots)
+        s.ambient_dim, s.rows, s.pivots = ambient_dim, tuple(rows), tuple(pivots)
         return s
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n)
+        return cls._from_rref(n, (), ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.identity(n).entries)
+        return cls._from_rref(n, [basis_vector(n, j) for j in range(n)], range(n))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def basis_rows(self) -> tuple:
-        return self.basis.entries
+        return self.rows
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
-        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {self.basis.entries})"
+        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {self.rows})"
 
     def reduce(self, v: Sequence) -> tuple:
         """The member of v + self that is 0 at the pivots: v - sum_r v[pivots[r]] row_r."""
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return _reduce(self.basis.entries, self.pivots, v)
+        return _reduce(self.rows, self.pivots, v)
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -376,11 +384,11 @@ class Subspace:
     def missing_row(self, other: "Subspace") -> Optional[tuple]:
         """The first canonical basis row of other that self does not contain, else None."""
         self._same_ambient(other)
-        return next((row for row in other.basis.entries if not self.contains(row)), None)
+        return next((row for row in other.rows if not self.contains(row)), None)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace(self.ambient_dim, self.basis.entries + other.basis.entries)
+        return Subspace(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return sum_intersect(self, other)[1]
@@ -411,21 +419,22 @@ def rank_kernel(m: Matrix) -> tuple[int, Subspace]:
 
 
 def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """Sum and intersection of two subspaces (Zassenhaus block trick)."""
+    """Sum and intersection of two subspaces (Zassenhaus block trick).
+
+    The RREF of the rows (a_r | a_r) and (b_r | 0) lists the rows with a
+    pivot left of n first: their left halves are the canonical rows of a + b.
+    The other rows are 0 on the left, and their right halves are the
+    canonical rows of a & b.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    rows = [tuple(r) + tuple(r) for r in a.basis.entries]
-    rows += [tuple(r) + (ZERO,) * n for r in b.basis.entries]
-    red, pivots = Matrix(rows, 2 * n).rref()
-    sum_rows, meet_rows = [], []
-    for row in red.entries[: len(pivots)]:
-        left, right = row[:n], row[n:]
-        if is_zero_vec(left):
-            meet_rows.append(right)
-        else:
-            sum_rows.append(left)
-    return Subspace(n, sum_rows), Subspace(n, meet_rows)
+    rows = tuple(r + r for r in a.rows) + tuple(r + (ZERO,) * n for r in b.rows)
+    red, pivots = Matrix._of(rows, 2 * n).rref()
+    k = bisect_left(pivots, n)
+    return (Subspace._from_rref(n, [row[:n] for row in red.entries[:k]], pivots[:k]),
+            Subspace._from_rref(n, [row[n:] for row in red.entries[k:len(pivots)]],
+                                [p - n for p in pivots[k:]]))
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -433,7 +442,7 @@ def annihilator(s: Subspace) -> Subspace:
 
     s's basis is already in RREF, so the kernel is read off its pivots.
     """
-    return _echelon_kernel(s.basis.entries, s.pivots, s.ambient_dim)
+    return _echelon_kernel(s.rows, s.pivots, s.ambient_dim)
 
 
 def invariant_closure(n: int, start_rows: Iterable[Sequence],
@@ -462,9 +471,9 @@ def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:
 
     Returned vector lives in the ambient space of sub.
     """
-    restricted = m * sub.basis.transpose()
+    restricted = m * Matrix._of(sub.rows, sub.ambient_dim).transpose()
     t = solve(restricted, v)
-    return None if t is None else combine(t, sub.basis.entries, sub.ambient_dim)
+    return None if t is None else combine(t, sub.rows, sub.ambient_dim)
 
 
 def symmetric_signature(m: Matrix) -> tuple[int, int, int]:

@@ -16,7 +16,6 @@ supply, and the reports say so where it matters.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .liealg import (
@@ -154,25 +153,6 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
     )
 
 
-def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
-    """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
-
-    Requires ad(Z) nilpotent so that the series
-    <exp(Z)(cov), Z'> = sum_k (-1)^k/k! <cov, ad(Z)^k Z'> terminates.
-    """
-    m = ad_matrix(alg, z)
-    n = alg.dim
-    coeffs, terms = [], []  # (-1)^k / k! and the covector cov . ad(Z)^k
-    power, fact = Matrix.identity(n), 1
-    for k in range(n + 1):
-        if power.is_zero():
-            return Covector(alg, combine(coeffs, terms, n))
-        coeffs.append(Fraction((-1) ** k, fact))
-        terms.append(combine(cov.coords, power.entries, n))
-        power, fact = power * m, fact * (k + 1)
-    raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
-
-
 class ObstructionReport(Record):
     j: Subspace                     # ker(c restricted to n_c)
     h_c: Subspace
@@ -247,10 +227,10 @@ def obstruction_step(
 
     # triviality: find beta with f(x,y) = beta([x,y]) on the quotient
     pair_rows, rhs = [], []
-    cq = quot.algebra.structure
     for a in range(m):
         for b in range(a + 1, m):
-            pair_rows.append([cq[a][b][k] for k in range(m)])
+            coeffs = dict(quot.algebra.nonzeros[a][b])
+            pair_rows.append([coeffs.get(k, ZERO) for k in range(m)])
             rhs.append(f[a][b])
     if pair_rows:  # else no bracket constrains beta, and the report prints []
         beta = solve(Matrix(pair_rows), rhs)
@@ -491,7 +471,8 @@ def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
     dim_v = dim_x - 2 * dim_gh - dim_u
     cov_gc, emb = restrict(alg, cov, data.g_c)
     fiber_rank = rank_kernel(kks_pairing(emb.algebra, cov_gc))[0]
-    consistent = dim_v >= 0 and dim_v % 2 == 0 and dim_u >= 0 and dim_gh >= 0
+    # step 2: V is the orbit of cov restricted to g_c, so dim_v is the rank of its pairing
+    consistent = dim_v == fiber_rank and dim_u >= 0 and dim_gh >= 0
     return MackeyReport(
         data, relations, obstruction, dim_x, dim_u, dim_gh, dim_v, fiber_rank, consistent
     )

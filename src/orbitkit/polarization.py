@@ -30,6 +30,7 @@ from .liealg import (
     ascending_central_series,
     bracket_span,
     centralizer,
+    exp_coadjoint,
     is_ideal,
     kks_pairing,
     orbit_annihilator,
@@ -50,7 +51,6 @@ from .linalg import (
     vec_add,
     vec_sub,
 )
-from .mackey import exp_coadjoint
 from .polynomials import (
     charpoly,
     count_negative_roots,

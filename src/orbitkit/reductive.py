@@ -44,7 +44,6 @@ from .linalg import (
     ONE,
     Record,
     Subspace,
-    ZERO,
     combine,
     invariant_closure,
     rank_kernel,
@@ -66,6 +65,7 @@ from .polynomials import (
     poly,
     qi_factors,
     squarefree_part,
+    sub,
     to_string,
 )
 
@@ -159,19 +159,11 @@ def jordan_chevalley(x: Matrix) -> tuple[Matrix, Matrix]:
         if not val:
             break
         corr = compose_mod(inv_mu_prime, p, chi)
-        p = divmod_poly(poly([a - b for a, b in _zip_pad(p, mul(val, corr))]), chi)[1]
+        p = divmod_poly(sub(p, mul(val, corr)), chi)[1]
     else:
         raise AssertionError("Newton iteration failed to converge")
     s = eval_matrix(p, x)
     return s, x - s
-
-
-def _zip_pad(p: tuple, q: tuple):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else ZERO, q[i] if i < len(q) else ZERO)
-        for i in range(n)
-    ]
 
 
 def _factor_squarefree(p: tuple) -> list[tuple]:
@@ -293,9 +285,9 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     return Grading(eigenvalues, spaces)
 
 
-def _trace_annihilator(malg: MatrixLieAlgebra, sub: Subspace) -> Subspace:
-    """Elements trace-orthogonal to sub (the dual annihilator, identified)."""
-    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in sub.basis_rows()]
+def _trace_annihilator(malg: MatrixLieAlgebra, space: Subspace) -> Subspace:
+    """Elements trace-orthogonal to space (the dual annihilator, identified)."""
+    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in space.basis_rows()]
     return rank_kernel(Matrix(rows, malg.dim))[1]
 
 

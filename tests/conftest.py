@@ -19,6 +19,45 @@ def dense_apply(m, v):
     return tuple(vec_dot(row, v) for row in m.entries)
 
 
+# -- the dense structure tensor, kept as a reference ---------------------------
+# An algebra is its sparse bracket table; these are the dense dim^3 forms the
+# table replaced.
+
+
+def dense_from_brackets(n, brackets):
+    """The old construction: c[i][j][k] from a {(i, j): {k: coeff}} dict, i < j."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in brackets.items():
+        for k, val in coeffs.items():
+            c[i][j][k] = Fraction(val)
+            c[j][i][k] = -Fraction(val)
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def dense_structure(alg):
+    """c[i][j][k] of an algebra, read off its bracket table."""
+    n = alg.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(alg.nonzeros):
+        for j, entries in enumerate(plane):
+            for k, x in entries:
+                c[i][j][k] = x
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def table_of(tensor):
+    """The bracket table of a dense tensor, taken as given (not made antisymmetric)."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                 for plane in tensor)
+
+
+def dense_antisymmetry_failures(tensor):
+    """The old triple loop of `validate`: every (i <= j, k) with c[i][j][k] != -c[j][i][k]."""
+    n = len(tensor)
+    return tuple((i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+                 if tensor[i][j][k] != -tensor[j][i][k])
+
+
 def rand_frac(rng, lo=-9, hi=9, max_den=4):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

@@ -63,6 +63,28 @@ def test_one_wrong_constant_is_reported_at_its_pair(entries):
         assert validate(broken).rep_failures == (pair,), alg.name
 
 
+def test_the_constructor_refuses_a_representation_of_the_wrong_shape():
+    square, wide = Matrix([[1, 0], [0, 0]]), Matrix([[1, 0, 0], [0, 0, 0]])
+    for rep in ([square], [square, wide], [wide, wide]):
+        with pytest.raises(ValueError, match="^matrix_rep must list one n x n matrix per element$"):
+            LieAlgebra.from_brackets(("a", "b"), {}, matrix_rep=rep)
+    assert LieAlgebra.from_brackets(("a", "b"), {}, matrix_rep=[square, square]).matrix_rep
+
+
+def test_the_constructors_refusals_name_the_file():
+    base = {"dim": 2, "basis": ["a", "b"]}
+    cases = {
+        "coefficient index out of range in pair (0,1)":
+            {"brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]},
+        "matrix_rep must list one n x n matrix per element":
+            {"matrix_rep": [[["1", "0"], ["0", "0"]], [["1"]]]},
+    }
+    for message, extra in cases.items():
+        with pytest.raises(CatalogError) as exc:
+            catalog.parse_algebra({**base, **extra}, "f.json")
+        assert str(exc.value) == f"f.json: {message}"
+
+
 def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("linear solve")

@@ -59,6 +59,11 @@ MALFORMED = {
     # labels a subspace argument could not tell apart
     "labels_repeated.json": {"name": "bad", "dim": 2, "basis": ["a", "a"], "brackets": []},
     "label_digits.json": {"name": "bad", "dim": 3, "basis": ["x", "0", "y"], "brackets": []},
+    # declared subspaces that would hide a basis label or an index
+    "ideal_label.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
+                         "ideals": {"a": [1]}},
+    "complement_digits.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
+                               "complements": {"0": [1]}},
 }
 
 BAD_INPUTS = {
@@ -94,6 +99,10 @@ BAD_INPUTS = {
                                    "--point=0,1"],
     "conditions_label_digits": ["conditions", "label_digits.json", "--sub", "0",
                                 "--point=0,0,1"],
+    "conditions_ideal_named_like_a_label": ["conditions", "ideal_label.json", "--sub", "a",
+                                            "--point=0,1"],
+    "conditions_complement_named_like_an_index": ["conditions", "complement_digits.json",
+                                                  "--sub", "0", "--point=0,1"],
     # rationals and indices read from the command line or a referenced file
     "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
     "orbit_point_zero_denominator": ["orbit", "catalog:heisenberg3", "--point=1/0,0,0"],
@@ -180,6 +189,11 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "labels_repeated.json: basis label 'a' is repeated"
     _, env = run(BAD_INPUTS["conditions_label_digits"], capsys)
     assert env["error"] == "label_digits.json: basis label '0' reads as an index"
+    _, env = run(BAD_INPUTS["conditions_ideal_named_like_a_label"], capsys)
+    assert env["error"] == "ideal_label.json: ideal 'a' has the name of a basis label or index"
+    _, env = run(BAD_INPUTS["conditions_complement_named_like_an_index"], capsys)
+    assert env["error"] == ("complement_digits.json: complement '0' "
+                            "has the name of a basis label or index")
 
 
 def test_a_representation_failure_names_its_pair(workdir, capsys):

@@ -126,7 +126,7 @@ LOADS = {   # the modules a subcommand adds to BASE
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"): ["induction"],
     ("parabolic", "catalog:sl2", "--element=1,0,0"): ["polynomials", "reductive"],
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
-        ["conditions", "mackey", "polarization", "polynomials"],
+        ["conditions", "polarization", "polynomials"],
 }
 
 SLOW_STDLIB = ("dataclasses", "inspect")   # never loaded by an invocation

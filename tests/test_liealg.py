@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.catalog import builtin_catalog
+from orbitkit.catalog import builtin_catalog, parse_algebra
 from orbitkit.liealg import (
     Covector,
     LieAlgebra,
@@ -16,6 +16,7 @@ from orbitkit.liealg import (
     center,
     centralizer,
     coadjoint_image,
+    exp_coadjoint,
     ideal_closure,
     is_ideal,
     kks_pairing,
@@ -31,9 +32,26 @@ from orbitkit.liealg import (
     validate,
 )
 from orbitkit import liealg, linalg
-from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, solve, vec_dot
-from orbitkit.mackey import exp_coadjoint
-from conftest import dense_apply, rand_covector, rand_vec, strictly_upper
+from orbitkit.linalg import (
+    Matrix,
+    Subspace,
+    basis_vector,
+    combine,
+    rank_kernel,
+    solve,
+    vec_add,
+    vec_dot,
+)
+from conftest import (
+    dense_antisymmetry_failures,
+    dense_apply,
+    dense_from_brackets,
+    dense_structure,
+    rand_covector,
+    rand_vec,
+    strictly_upper,
+    table_of,
+)
 
 
 def test_validate_heisenberg(entries):
@@ -51,7 +69,7 @@ def test_validate_antisymmetry_failure():
     c = [[[z, z, z] for _ in range(3)] for _ in range(3)]
     c[0][1][2] = one
     tensor = tuple(tuple(tuple(r) for r in p) for p in c)
-    alg = LieAlgebra(3, ("e1", "e2", "e3"), tensor)
+    alg = LieAlgebra(3, ("e1", "e2", "e3"), table_of(tensor))
     rep = validate(alg)
     assert not rep.ok
     assert (0, 1, 2) in rep.antisymmetry_failures
@@ -246,13 +264,13 @@ def test_flows_stay_in_affine_hull(entries, rng):
 
 
 # -- dense reference kernels --------------------------------------------------
-# The dense algorithms the sparse kernels replaced, read off `structure` alone.
+# The dense algorithms the sparse kernels replaced, read off the dense tensor alone.
 
 
 def dense_ad(alg, z):
     """ad(z)[k][j] = sum_i z_i c[i][j][k]."""
-    n = alg.dim
-    return Matrix([[sum((z[i] * alg.structure[i][j][k] for i in range(n)), F(0))
+    n, c = alg.dim, dense_structure(alg)
+    return Matrix([[sum((z[i] * c[i][j][k] for i in range(n)), F(0))
                     for j in range(n)] for k in range(n)])
 
 
@@ -263,8 +281,8 @@ def dense_killing_form(alg):
 
 
 def dense_kks_pairing(alg, cov):
-    n = alg.dim
-    return Matrix([[cov.pair(alg.structure[i][j]) for j in range(n)] for i in range(n)])
+    n, c = alg.dim, dense_structure(alg)
+    return Matrix([[cov.pair(c[i][j]) for j in range(n)] for i in range(n)])
 
 
 def dense_krylov_hull(alg, cov):
@@ -283,10 +301,10 @@ def dense_krylov_hull(alg, cov):
 
 
 def dense_centralizer(alg, sub):
-    n = alg.dim
+    n, c = alg.dim, dense_structure(alg)
     if sub.dim == 0:
         return Subspace.full(n)
-    rows = [[vec_dot([alg.structure[i][j][k] for j in range(n)], w) for i in range(n)]
+    rows = [[vec_dot([c[i][j][k] for j in range(n)], w) for i in range(n)]
             for w in sub.basis_rows() for k in range(n)]
     return rank_kernel(Matrix(rows))[1]
 
@@ -399,7 +417,7 @@ def test_quotient_matches_the_stacked_solve_reference(entries, rng):
         for ideal in _catalog_ideals(entry):
             q = quotient(alg, ideal)
             reps, project, tensor = stacked_quotient(alg, ideal)
-            assert q.algebra.structure == tensor
+            assert dense_structure(q.algebra) == tensor
             m = q.algebra.dim
             assert [q.lift(basis_vector(m, k)) for k in range(m)] == reps
             for _ in range(4):
@@ -418,8 +436,8 @@ def test_subalgebra_matches_the_solved_reference(entries, rng):
             emb = subalgebra(alg, sub)
             rows = sub.basis_rows()
             m = sub.dim
-            basis_t = sub.basis.transpose()
-            assert emb.algebra.structure == tuple(
+            basis_t = Matrix(rows, alg.dim).transpose()
+            assert dense_structure(emb.algebra) == tuple(
                 tuple(solve(basis_t, alg.bracket(rows[a], rows[b])) for b in range(m))
                 for a in range(m))
             c = rand_vec(rng, m)
@@ -530,3 +548,102 @@ def test_is_ideal_and_ideal_closure_match_the_loops(entries, rng):
         for ideal in _catalog_ideals(entry):
             assert is_ideal(alg, ideal) and ideal_closure(alg, ideal) == ideal
     assert verdicts.count(False) > verdicts.count(True)
+
+
+# -- the bracket table against the dense references ----------------------------
+# The table is the only form of an algebra; the dense construction and the
+# dense checks it replaced are the references.
+
+TABLE_PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+sparse_rationals = st.one_of(st.just(0), st.just(0), st.fractions(-5, 5, max_denominator=3))
+
+
+@st.composite
+def bracket_dicts(draw):
+    """n in 1..5 and a {(i, j): {k: coeff}} dict over some i < j, zero coefficients included."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, {p: draw(st.dictionaries(st.integers(0, n - 1), sparse_rationals, max_size=n))
+               for p in chosen}
+
+
+@st.composite
+def seeded_tensors(draw):
+    """A dense tensor: an antisymmetric one from brackets, then a few entries overwritten."""
+    n, brackets = draw(bracket_dicts())
+    c = [[list(row) for row in plane] for plane in dense_from_brackets(n, brackets)]
+    index = st.integers(0, n - 1)
+    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, sparse_rationals),
+                                    max_size=3)):
+        c[i][j][k] = F(x)
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def dense_rep_failures(alg):
+    """The old matrix_rep check: c[i][j] read as a dense row of coefficients."""
+    c, reps = dense_structure(alg), alg.matrix_rep
+    flats = [liealg.flat(r) for r in reps]
+    return tuple(
+        (i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
+        if liealg.flat(reps[i] * reps[j])
+        != vec_add(liealg.flat(reps[j] * reps[i]), combine(c[i][j], flats, len(flats[0]))))
+
+
+def assert_canonical(alg):
+    """Every entry of the table lists k increasing with c != 0."""
+    for plane in alg.nonzeros:
+        for entries in plane:
+            assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+            assert all(c != 0 and isinstance(c, F) for _, c in entries)
+
+
+@TABLE_PROPERTIES
+@given(bracket_dicts())
+def test_from_brackets_matches_the_dense_construction_property(case):
+    n, brackets = case
+    alg = LieAlgebra.from_brackets([f"e{k}" for k in range(n)], brackets)
+    assert_canonical(alg)
+    assert dense_structure(alg) == dense_from_brackets(n, brackets)
+    assert alg.nonzeros == table_of(dense_from_brackets(n, brackets))
+    assert validate(alg).antisymmetry_failures == ()
+
+
+@TABLE_PROPERTIES
+@given(seeded_tensors())
+def test_a_structure_file_keeps_its_tensor_and_its_failures_property(tensor):
+    n = len(tensor)
+    doc = {"dim": n, "basis": [f"e{k}" for k in range(n)],
+           "structure": [[[str(x) for x in row] for row in plane] for plane in tensor]}
+    alg = parse_algebra(doc)
+    assert_canonical(alg)
+    assert dense_structure(alg) == tensor
+    assert validate(alg).antisymmetry_failures == dense_antisymmetry_failures(tensor)
+
+
+@TABLE_PROPERTIES
+@given(st.sampled_from(sorted(builtin_catalog())), st.randoms(use_true_random=False))
+def test_catalog_tables_and_rep_checks_match_the_dense_references_property(name, rnd):
+    alg = builtin_catalog()[name].algebra
+    assert_canonical(alg)
+    assert alg.nonzeros == table_of(dense_structure(alg))
+    assert validate(alg).antisymmetry_failures == dense_antisymmetry_failures(
+        dense_structure(alg)) == ()
+    if alg.matrix_rep is None:
+        return
+    # one constant moved: the table check and the dense one name the same pairs
+    brackets = {(i, j): dict(alg.nonzeros[i][j])
+                for i in range(alg.dim) for j in range(i + 1, alg.dim)}
+    pair, k = rnd.choice(sorted(brackets)), rnd.randrange(alg.dim)
+    brackets[pair][k] = brackets[pair].get(k, 0) + rnd.choice([-1, 1, F(1, 2)])
+    broken = LieAlgebra.from_brackets(alg.labels, brackets, matrix_rep=alg.matrix_rep)
+    assert validate(broken).rep_failures == dense_rep_failures(broken) == (pair,)
+    assert dense_rep_failures(alg) == validate(alg).rep_failures == ()
+
+
+def test_from_brackets_refuses_a_pair_or_index_outside_the_basis():
+    labels = ("a", "b")
+    for brackets in ({(1, 0): {0: 1}}, {(0, 2): {0: 1}}, {(-1, 1): {0: 1}},
+                     {(0, 1): {2: 1}}, {(0, 1): {-1: 1}}):
+        with pytest.raises(ValueError, match="pair|index"):
+            LieAlgebra.from_brackets(labels, brackets)

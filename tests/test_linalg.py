@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitkit import linalg
 from orbitkit.catalog import CatalogEntry
 from orbitkit.liealg import LieAlgebra, center, stabilizer, structure_probe
 from orbitkit.linalg import (
@@ -197,7 +198,7 @@ def solved_coords_of(s, v):
     """Reference: coordinates of v in the canonical basis by a transposed solve."""
     if s.dim == 0:
         return () if all(x == 0 for x in v) else None
-    return solve(s.basis.transpose(), v)
+    return solve(Matrix(s.basis_rows(), s.ambient_dim).transpose(), v)
 
 
 def _catalog_subspaces(entries, rng):
@@ -350,13 +351,17 @@ def test_record_repr_lists_the_fields_in_order():
 
 
 def test_derived_lie_algebra_attributes_are_not_fields():
+    # the bracket table is a field; the cached hash _hash is not, so
+    # equality and the repr skip it
     a = LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="h")
     b = LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="h")
-    object.__setattr__(b, "nonzeros", ())
-    assert a.nonzeros != b.nonzeros
+    assert LieAlgebra._fields == ("dim", "labels", "nonzeros", "matrix_rep", "name")
     assert a == b and hash(a) == hash(b)
-    assert "nonzeros" not in repr(a) and "_hash" not in repr(a)
+    object.__setattr__(b, "_hash", a._hash + 1)
+    assert a == b
+    assert "_hash" not in repr(a) and "nonzeros=" in repr(a)
     assert a != LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 1}}, name="other")
+    assert a != LieAlgebra.from_brackets(("x", "y", "z"), {(0, 1): {2: 2}}, name="h")
 
 
 def test_catalog_entries_do_not_share_their_default_dicts():
@@ -385,7 +390,7 @@ def subspace_pairs(draw):
 
 def rref_annihilator(s):
     """Reference: the annihilator by a fresh `rank_kernel` of the basis."""
-    return rank_kernel(s.basis)[1]
+    return rank_kernel(Matrix(s.basis_rows(), s.ambient_dim))[1]
 
 
 @PROPERTIES
@@ -395,6 +400,40 @@ def test_grassmann_identity_property(pair):
     s, m = sum_intersect(a, b)
     assert s.dim + m.dim == a.dim + b.dim
     assert s == a.add(b) and m == a.intersect(b)
+
+
+def rereduced(s):
+    """Reference: s rebuilt by a full `Subspace` reduction of its own rows."""
+    return Subspace(s.ambient_dim, s.basis_rows())
+
+
+@PROPERTIES
+@given(subspace_pairs())
+def test_canonical_rows_are_taken_as_they_are_property(pair):
+    # sum_intersect, full and zero build from rows already in RREF, reducing nothing again
+    a, b = pair
+    n = a.ambient_dim
+    total, meet = sum_intersect(a, b)
+    for s in (total, meet, Subspace.full(n), Subspace.zero(n)):
+        again = rereduced(s)
+        assert again == s and again.pivots == s.pivots
+        assert all(isinstance(x, F) for row in s.basis_rows() for x in row)
+    assert total == Subspace(n, a.basis_rows() + b.basis_rows())
+    assert meet == annihilator(Subspace(n, annihilator(a).basis_rows()
+                                        + annihilator(b).basis_rows()))
+    assert Subspace.full(n) == Subspace(n, Matrix.identity(n).entries)
+    assert Subspace.zero(n) == Subspace(n) and Subspace.zero(n).dim == 0
+
+
+def test_a_subspace_coerces_each_entry_once(monkeypatch):
+    calls = []
+    real = linalg.frac
+    monkeypatch.setattr(linalg, "frac", lambda x: calls.append(x) or real(x))
+    rng = random.Random(3)
+    rows = [[rand_frac(rng) for _ in range(6)] for _ in range(4)]
+    s = Subspace(6, rows)
+    assert s.dim == 4
+    assert 0 < len(calls) <= 4 * 6
 
 
 @PROPERTIES

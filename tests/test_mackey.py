@@ -7,6 +7,7 @@ from orbitkit.liealg import (
     Covector,
     NotClosedError,
     ad_matrix,
+    exp_coadjoint,
     ideal_closure,
     kks_pairing,
     orbit_record,
@@ -19,14 +20,13 @@ from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, vec_sca
 from orbitkit.mackey import (
     abelian_step,
     classify_little_algebra,
-    exp_coadjoint,
     little_group_step,
     mackey_report,
     obstruction_step,
     semidirect_witness,
     verify_step_relations,
 )
-from conftest import dense_apply, rand_covector, rand_vec
+from conftest import dense_apply, dense_structure, rand_covector, rand_vec
 
 
 def _span(n, *idx):
@@ -175,7 +175,7 @@ def test_obstruction_section_independence(entries, rng):
             # the two cocycles differ by an exact coboundary
             diff = reference.cocycle - ob.cocycle
             m = ob.quotient_algebra.dim
-            cq = ob.quotient_algebra.structure
+            cq = dense_structure(ob.quotient_algebra)
             pair_rows = [[cq[a][b][k] for k in range(m)]
                          for a in range(m) for b in range(a + 1, m)]
             rhs = [diff.entries[a][b] for a in range(m) for b in range(a + 1, m)]
@@ -187,7 +187,7 @@ def test_obstruction_section_independence(entries, rng):
 def cocycle_identity_defect(quotient_algebra, cocycle):
     """Largest 2-cocycle identity defect over basis triples (0 = cocycle)."""
     m = quotient_algebra.dim
-    cq = quotient_algebra.structure
+    cq = dense_structure(quotient_algebra)
     worst = F(0)
     for a in range(m):
         for b in range(m):
