@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect "
-                  "symmetric_signature",
+        "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect",
         "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix exp_coadjoint "
-                  "ideal_closure is_ideal kks_pairing orbit_annihilator orbit_record orth "
-                  "quotient restrict stabilizer structure_probe subalgebra validate",
+                  "ideal_closure is_ideal kks_pairing orbit_annihilator orbit_dim orbit_record "
+                  "orth quotient restrict stabilizer structure_probe subalgebra validate",
         "conditions": "ConditionReport check_conditions",
         "mackey": "LittleGroupData MackeyReport ObstructionReport abelian_step "
                   "classify_little_algebra little_group_step mackey_report obstruction_step "
@@ -29,6 +28,7 @@ _EXPORTS = {
         "reductive": "JordanTriple MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "
                      "covector_to_element element_to_covector grade hyperbolic_elliptic_split "
                      "jordan_chevalley jordan_triple matrix_lie_algebra parabolic_report",
+        "polynomials": "symmetric_signature",
         "induction": "InducedRecord frobenius_check induced_dim point_fiber stages_flatten",
         "catalog": "CatalogEntry builtin_catalog load_catalog",
     }.items()

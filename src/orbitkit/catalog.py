@@ -363,9 +363,12 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
 
 
 def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
-    # a subspace argument is looked up by declared name before labels and indices
+    # a subspace argument is looked up by declared name before labels, indices,
+    # label lists and @files, so a name must not read as any of them
     if name in alg.labels or name.isdigit():
         raise CatalogError(f"{what} has the name of a basis label or index")
+    if "," in name or name.startswith("@"):
+        raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")
     if isinstance(spec, dict) and "rows" in spec:
         return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
                                   for r, row in enumerate(spec["rows"])])

@@ -56,14 +56,19 @@ def _load_entry(spec: str) -> cat.CatalogEntry:
     return cat.load_entry_file(spec)
 
 
-def _parse_point(alg: LieAlgebra, text: str) -> Covector:
+def _parse_coords(text: str, n: int, word: str) -> tuple:
+    """n comma-separated rationals; the errors name the `word` they were given as."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != alg.dim:
-        raise InputError(f"point needs {alg.dim} coordinates, got {len(parts)}")
+    if len(parts) != n:
+        raise InputError(f"{word} needs {n} coordinates, got {len(parts)}")
     try:
-        return Covector(alg, [frac(p) for p in parts])
+        return tuple(frac(p) for p in parts)
     except ValueError as exc:
-        raise InputError(f"bad rational in point: {exc}") from None
+        raise InputError(f"bad rational in {word}: {exc}") from None
+
+
+def _parse_point(alg: LieAlgebra, text: str) -> Covector:
+    return Covector(alg, _parse_coords(text, alg.dim, "point"))
 
 
 def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
@@ -251,14 +256,8 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
 
     entry = _load_entry(args.algebra)
     malg = matrix_lie_algebra(entry.algebra)
-    inputs = []
-    for text in args.element or ():
-        parts = [frac(p.strip()) for p in text.split(",")]
-        if len(parts) != malg.dim:
-            raise InputError(f"element needs {malg.dim} coordinates")
-        inputs.append(tuple(parts))
-    for text in args.point or ():
-        inputs.append(_parse_point(entry.algebra, text))
+    inputs = [_parse_coords(text, malg.dim, "element") for text in args.element]
+    inputs += [_parse_point(entry.algebra, text) for text in args.point]
     if not inputs:
         raise InputError("parabolic needs --element or --point")
 

@@ -17,7 +17,9 @@ checks its brackets there, and `rep_coords` reads coordinates in its span.
 
 The coadjoint questions about a subspace h and a covector f have one home
 each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
-`orth`, and the Krylov hull and the ideal generated by a subspace are
+`orth`, every orbit dimension (of f, or of f restricted to h) is
+`orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
+the Krylov hull and the ideal generated by a subspace are
 `linalg.invariant_closure` worklists.
 
 Conventions, fixed once for the whole package:
@@ -48,7 +50,6 @@ from .linalg import (
     invariant_closure,
     is_zero_vec,
     rank_kernel,
-    symmetric_signature,
     vec,
     vec_add,
     vec_dot,
@@ -266,6 +267,25 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
     """
     return annihilator(coadjoint_image(alg, cov, h))
+
+
+def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = None) -> int:
+    """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
+
+    The rank of W B W^T over the canonical rows W of sub (all of g when sub
+    is None), B the pairing of cov.  W B W^T is the pairing of the restricted
+    covector in sub's RREF basis, so no subalgebra is built.  An algebra that
+    fails validation is refused.
+    """
+    if not validate(alg).ok:
+        raise ValueError("algebra fails validation; see validate()")
+    b = kks_pairing(alg, cov)
+    if sub is not None:
+        if sub.ambient_dim != alg.dim:
+            raise ValueError("subspace ambient dimension does not match algebra")
+        wb = [combine(w, b.entries, alg.dim) for w in sub.rows]
+        b = Matrix._of(tuple(tuple(vec_dot(r, w) for w in sub.rows) for r in wb), sub.dim)
+    return len(b.rref()[1])
 
 
 def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
@@ -493,6 +513,8 @@ class StructureProbe(Record):
     killing_form: Matrix
 
     def killing_signature(self) -> tuple[int, int, int]:
+        from .polynomials import symmetric_signature  # only `classify` reads a signature
+
         return symmetric_signature(self.killing_form)
 
 

@@ -32,6 +32,8 @@ linear maps (the Krylov hull, the ideal closure, the parabolic hull).  The
 order cannot change the result: the pivots are the columns where some
 vector of the row space has its first nonzero entry, and the row at pivot p
 is the one vector of the space that is 1 at p and 0 at the other pivots.
+There is no second eliminator: the signature of a symmetric form is read
+off its characteristic polynomial (`polynomials.symmetric_signature`).
 
 No floating point enters this module.
 
@@ -137,11 +139,6 @@ def vec_add(u: Sequence, v: Sequence) -> tuple:
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def vec_dot(u: Sequence, v: Sequence) -> Fraction:
@@ -474,64 +471,3 @@ def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:
     restricted = m * Matrix._of(sub.rows, sub.ambient_dim).transpose()
     t = solve(restricted, v)
     return None if t is None else combine(t, sub.rows, sub.ambient_dim)
-
-
-def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
-    """(positives, negatives, rank) of a symmetric rational matrix.
-
-    Exact congruence diagonalization; no eigenvalues are computed.
-    """
-    if m.rows != m.cols:
-        raise ValueError("signature of non-square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_into(i, j, f):
-        # row_i += f*row_j and col_i += f*col_j
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] = row[i] + f * row[j]
-
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            found = None
-            for i in range(k + 1, n):
-                if a[i][i] != 0:
-                    found = i
-                    break
-            if found is not None:
-                swap(k, found)
-            else:
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    break  # remaining block is zero
-                i, j = off
-                add_into(i, j, ONE)  # makes a[i][i] = 2*a[i][j] != 0
-                if i != k:
-                    swap(k, i)
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_into(i, k, -a[i][k] / d)
-    return pos, neg, pos + neg

@@ -7,7 +7,9 @@ containment, the annihilator identity n_c(cov) = ann(h), and exact
 exp-linearity of the n_c flows.  Step 3 (obstruction): build the central
 extension 0 -> n_c/j -> h_c/j -> h_c/n_c with j = ker(c on n_c), compute
 its 2-cocycle through a linear section, and decide triviality by an exact
-coboundary solve.
+coboundary solve.  The section lifts each class to its canonical
+representative, or to its one element in a given complement of n_c in h_c,
+read off the complement's echelon rows (the semidirect witness's candidates).
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -26,15 +28,13 @@ from .liealg import (
     bracket_span,
     coadjoint_image,
     is_ideal,
-    kks_pairing,
     orbit_annihilator,
+    orbit_dim,
     orth,
-    restrict,
     stabilizer,
     structure_probe,
     subalgebra,
     subquotient,
-    validate,
 )
 from .linalg import (
     Matrix,
@@ -47,8 +47,6 @@ from .linalg import (
     is_zero_vec,
     rank_kernel,
     solve,
-    vec,
-    vec_scale,
     vec_sub,
 )
 
@@ -179,14 +177,17 @@ class ObstructionReport(Record):
 
 def obstruction_step(
     data: LittleGroupData,
-    section_rows: Optional[Sequence[Sequence]] = None,
+    complement: Optional[Subspace] = None,
 ) -> ObstructionReport:
     """Infinitesimal Mackey obstruction of the little-group data.
 
-    Builds j = ker(c|n_c), a linear section of h_c -> h_c/n_c (canonical
-    RREF-complement pivots unless section_rows is given), the 2-cocycle
+    Builds j = ker(c|n_c), a linear section s of h_c -> h_c/n_c, the 2-cocycle
     f(x, y) = <c, n_c-component of [sx, sy]>, and decides whether f is the
-    coboundary of some linear form by an exact solve.
+    coboundary of some linear form by an exact solve.  The section takes class
+    k to its canonical lift, or, given a complement, to row k of the echelon
+    rows (class of v | v) over the complement's basis: (e_k | its element in
+    class k).  A complement must give pivots 0..m-1 (m = dim h_c/n_c), i.e.
+    lie in h_c and map one-to-one onto the quotient; else it is a ValueError.
     """
     alg, cov = data.algebra, data.covector
     h_c = data.g_c  # stabilizer of c inside h equals g_c since g_c <= h
@@ -198,16 +199,14 @@ def obstruction_step(
     emb, quot = subquotient(alg, h_c, n_c)
     m = quot.algebra.dim
 
-    if section_rows is None:
+    if complement is None:
         sec = [emb.to_parent(quot.lift(basis_vector(m, k))) for k in range(m)]
     else:
-        sec = [vec(r) for r in section_rows]
-        if len(sec) != m:
-            raise ValueError("section must provide one lift per quotient basis class")
-        for k, row in enumerate(sec):
-            inner = emb.from_parent(row)  # raises if outside h_c
-            if quot.project(inner) != basis_vector(m, k):
-                raise ValueError(f"section row {k} does not project to the basis class")
+        echelon = Subspace(m + alg.dim, [quot.project(emb.from_parent(v)) + v
+                                         for v in complement.rows])
+        if echelon.pivots != tuple(range(m)):
+            raise ValueError("complement does not map one-to-one onto h_c/n_c")
+        sec = [row[m:] for row in echelon.rows]
     section = Matrix(sec, alg.dim)
 
     # section row k projects to class k, so [sx, sy] less the section lift
@@ -279,7 +278,7 @@ def semidirect_witness(
 
     Requires the point-orbit hypothesis <cov, [g, n]> = 0.  A candidate is
     accepted when it is a subalgebra complementary to n and the obstruction
-    cocycle computed with a section into it vanishes identically; failing
+    cocycle computed with the section into it vanishes identically; failing
     candidates are reported with the reason.
     """
     if not is_ideal(alg, n):
@@ -290,15 +289,14 @@ def semidirect_witness(
 
     data = little_group_step(alg, n, cov)
     assert data.g_c.dim == nd  # point orbit: everything stabilizes
-    emb, quot = subquotient(alg, data.g_c, n)
-    m = quot.algebra.dim
     rejections = []
     for name, s in candidates:
         if s.ambient_dim != nd:
             rejections.append((name, "wrong ambient dimension"))
             continue
-        total, meet = s.add(n), s.intersect(n)
-        if total.dim != nd or meet.dim != 0:
+        try:  # h_c = g and n_c = n here, so this refuses exactly the non-complements
+            report = obstruction_step(data, complement=s)
+        except ValueError:
             rejections.append((name, "not a linear complement of the ideal"))
             continue
         try:
@@ -306,33 +304,10 @@ def semidirect_witness(
         except NotClosedError:
             rejections.append((name, "declared complement is not a subalgebra"))
             continue
-        # lift the canonical quotient classes into s: solve rep = sigma - correction
-        # with sigma in s and the correction in n
-        aug = Matrix(list(s.basis_rows()) + [vec_scale(-1, r) for r in n.basis_rows()]).transpose()
-        sec = []
-        ok = True
-        for k in range(m):
-            rep = emb.to_parent(quot.lift(basis_vector(m, k)))
-            sol = solve(aug, rep)
-            if sol is None:
-                ok = False
-                break
-            sec.append(combine(sol[: s.dim], s.basis_rows(), nd))
-        if not ok:
-            rejections.append((name, "no section of the quotient lands in the candidate"))
-            continue
-        report = obstruction_step(data, section_rows=sec)
         if report.cocycle.is_zero():
             return SemidirectReport(True, name, s, True, tuple(rejections))
         rejections.append((name, "cocycle does not vanish on the candidate section"))
     return SemidirectReport(True, None, None, None, tuple(rejections))
-
-
-def _orbit_dim(alg: LieAlgebra, cov: Covector) -> int:
-    """dim of the orbit of cov, refusing an algebra that fails validation."""
-    if not validate(alg).ok:
-        raise ValueError("algebra fails validation; see validate()")
-    return rank_kernel(kks_pairing(alg, cov))[0]
 
 
 class AbelianStepReport(Record):
@@ -366,9 +341,8 @@ def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepRepo
 
     moved = coadjoint_image(alg, cov, a)
     h = annihilator(moved)  # orth(alg, a, cov)
-    cov_h, emb = restrict(alg, cov, h)
-    dim_y = _orbit_dim(emb.algebra, cov_h)
-    dim_x = _orbit_dim(alg, cov)
+    dim_y = orbit_dim(alg, cov, h)
+    dim_x = orbit_dim(alg, cov)
     dim_gh = alg.dim - h.dim
     orth_h = orth(alg, h, cov)
     ok = (
@@ -465,12 +439,11 @@ def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
     data = little_group_step(alg, n, cov)
     relations = verify_step_relations(data)
     obstruction = obstruction_step(data)
-    dim_x = _orbit_dim(alg, cov)
+    dim_x = orbit_dim(alg, cov)
     dim_u = n.dim - data.n_c.dim
     dim_gh = alg.dim - data.h.dim
     dim_v = dim_x - 2 * dim_gh - dim_u
-    cov_gc, emb = restrict(alg, cov, data.g_c)
-    fiber_rank = rank_kernel(kks_pairing(emb.algebra, cov_gc))[0]
+    fiber_rank = orbit_dim(alg, cov, data.g_c)
     # step 2: V is the orbit of cov restricted to g_c, so dim_v is the rank of its pairing
     consistent = dim_v == fiber_rank and dim_u >= 0 and dim_gh >= 0
     return MackeyReport(

@@ -34,6 +34,7 @@ from .liealg import (
     is_ideal,
     kks_pairing,
     orbit_annihilator,
+    orbit_dim,
     orth,
     quotient,
     restrict,
@@ -46,7 +47,6 @@ from .linalg import (
     annihilator,
     basis_vector,
     combine,
-    rank_kernel,
     solve_in_subspace,
     vec_add,
     vec_sub,
@@ -356,8 +356,7 @@ def verify_monomial(alg: LieAlgebra, cov: Covector, h: Subspace) -> MonomialRepo
     """
     subalgebra(alg, h)  # raises when h is not closed
     point_orbit = all(cov.pair(r) == 0 for r in bracket_span(alg, h, h).basis_rows())
-    rank = rank_kernel(kks_pairing(alg, cov))[0]
-    dim_identity = rank == 2 * (alg.dim - h.dim)
+    dim_identity = orbit_dim(alg, cov) == 2 * (alg.dim - h.dim)
 
     if not structure_probe(alg).is_nilpotent:
         return MonomialReport(point_orbit, dim_identity, None, 0, 0)

@@ -15,6 +15,11 @@ p-adically: roots mod the least suitable prime p = 1 (mod 4), Hensel
 lifting past 2 B^2 with B = 2 ceil(||f||_2) the Mignotte bound on the
 coefficients of an integer factor of degree <= 2, rational reconstruction,
 and exact division as the certificate.
+
+`symmetric_signature` reads a symmetric matrix's signature off chi =
+`charpoly`.  Its spectrum is real, so Descartes' rule of signs is exact: the
+sign variations of chi(x) and of chi(-x) count the positive and the negative
+eigenvalues with multiplicity, and (being diagonalizable) its rank is their sum.
 """
 
 from __future__ import annotations
@@ -420,6 +425,19 @@ def count_negative_roots(p: tuple) -> int:
     at_minus_inf = [_sign_at_minus_inf(c) for c in chain]
     at_zero = [eval_at(c, 0) for c in chain]
     return _sign_variations(at_minus_inf) - _sign_variations(at_zero)
+
+
+def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
+    """(positives, negatives, rank) of a symmetric rational matrix; see the module docstring."""
+    if m.rows != m.cols:
+        raise ValueError("signature of non-square matrix")
+    a = m.entries
+    if any(a[i][j] != a[j][i] for i in range(m.rows) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    chi = charpoly(m)
+    pos = _sign_variations(chi)
+    neg = _sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
+    return pos, neg, pos + neg
 
 
 def is_rational_square(r: Fraction) -> Optional[Fraction]:

@@ -34,9 +34,8 @@ from .liealg import (
     ad_matrix,
     bracket_span,
     flat,
-    kks_pairing,
+    orbit_dim,
     rep_coords,
-    restrict,
     validate,
 )
 from .linalg import (
@@ -399,9 +398,8 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
     cov = element_to_covector(malg, coords)
     levi_ok = all(cov.pair(z) == 0 for z in u.basis_rows())
 
-    dim_x = rank_kernel(kks_pairing(alg, cov))[0]
-    cov_q, emb = restrict(alg, cov, q)
-    dim_y = rank_kernel(kks_pairing(emb.algebra, cov_q))[0]
+    dim_x = orbit_dim(alg, cov)
+    dim_y = orbit_dim(alg, cov, q)
     dims_ok = dim_x == 2 * (n - q.dim) + dim_y
 
     return ParabolicReport(

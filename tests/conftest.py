@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from orbitkit.catalog import builtin_catalog
-from orbitkit.liealg import Covector, LieAlgebra
-from orbitkit.linalg import vec_dot
+from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, restrict
+from orbitkit.linalg import rank_kernel, vec_dot
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +56,16 @@ def dense_antisymmetry_failures(tensor):
     n = len(tensor)
     return tuple((i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
                  if tensor[i][j][k] != -tensor[j][i][k])
+
+
+# -- the subalgebra route to a restricted orbit dimension, kept as a reference ---
+
+
+def subalgebra_orbit_dim(alg, cov, sub):
+    """The route `liealg.orbit_dim` replaced: build the subalgebra sub, restrict
+    cov to it and take the rank of the restricted covector's pairing."""
+    cov_sub, emb = restrict(alg, cov, sub)
+    return rank_kernel(kks_pairing(emb.algebra, cov_sub))[0]
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

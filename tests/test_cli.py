@@ -64,6 +64,11 @@ MALFORMED = {
                          "ideals": {"a": [1]}},
     "complement_digits.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
                                "complements": {"0": [1]}},
+    # declared subspaces that would hide a label list or a subspace file
+    "ideal_comma.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
+                         "ideals": {"a,b": [0]}},
+    "complement_at.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
+                           "complements": {"@rows.json": [1]}},
 }
 
 BAD_INPUTS = {
@@ -103,8 +108,13 @@ BAD_INPUTS = {
                                             "--point=0,1"],
     "conditions_complement_named_like_an_index": ["conditions", "complement_digits.json",
                                                   "--sub", "0", "--point=0,1"],
+    "conditions_ideal_named_like_a_label_list": ["conditions", "ideal_comma.json",
+                                                 "--sub", "a,b", "--point=0,1"],
+    "conditions_complement_named_like_a_file": ["conditions", "complement_at.json",
+                                                "--sub", "a", "--point=0,1"],
     # rationals and indices read from the command line or a referenced file
     "parabolic_zero_denominator": ["parabolic", "catalog:sl2", "--element=1/0,0,0"],
+    "parabolic_short_element": ["parabolic", "catalog:sl2", "--element=1,0"],
     "orbit_point_zero_denominator": ["orbit", "catalog:heisenberg3", "--point=1/0,0,0"],
     "conditions_index_out_of_range": ["conditions", "catalog:heisenberg3", "--sub", "9",
                                       "--point=0,0,1"],
@@ -194,6 +204,18 @@ def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["conditions_complement_named_like_an_index"], capsys)
     assert env["error"] == ("complement_digits.json: complement '0' "
                             "has the name of a basis label or index")
+    _, env = run(BAD_INPUTS["conditions_ideal_named_like_a_label_list"], capsys)
+    assert env["error"] == ("ideal_comma.json: ideal 'a,b' "
+                            "has a name that reads as a label list or a subspace file")
+    _, env = run(BAD_INPUTS["conditions_complement_named_like_a_file"], capsys)
+    assert env["error"] == ("complement_at.json: complement '@rows.json' "
+                            "has a name that reads as a label list or a subspace file")
+    _, env = run(BAD_INPUTS["parabolic_bad_rational"], capsys)
+    assert env["error"] == "bad rational in element: Invalid literal for Fraction: 'a'"
+    _, env = run(BAD_INPUTS["parabolic_short_element"], capsys)
+    assert env["error"] == "element needs 3 coordinates, got 2"
+    _, env = run(BAD_INPUTS["parabolic_zero_denominator"], capsys)
+    assert env["error"] == "bad rational in element: Fraction(1, 0)"
 
 
 def test_a_representation_failure_names_its_pair(workdir, capsys):

@@ -122,7 +122,8 @@ LOADS = {   # the modules a subcommand adds to BASE
     ("orbit", "catalog:heisenberg3", "--point=0,0,1"): [],
     ("conditions", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"): ["conditions"],
     ("mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"): ["mackey"],
-    ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"): ["mackey"],
+    ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"):
+        ["mackey", "polynomials"],
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"): ["induction"],
     ("parabolic", "catalog:sl2", "--element=1,0,0"): ["polynomials", "reductive"],
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):

@@ -21,6 +21,7 @@ from orbitkit.liealg import (
     is_ideal,
     kks_pairing,
     krylov_hull,
+    orbit_dim,
     orbit_record,
     orth,
     quotient,
@@ -50,6 +51,7 @@ from conftest import (
     rand_covector,
     rand_vec,
     strictly_upper,
+    subalgebra_orbit_dim,
     table_of,
 )
 
@@ -152,6 +154,31 @@ def test_orbit_dim_is_the_even_rank_of_the_pairing_property(case):
     rec = orbit_record(alg, cov)
     assert rec.orbit_dim % 2 == 0
     assert rec.orbit_dim == rank_kernel(kks_pairing(alg, cov))[0] == alg.dim - rec.stabilizer.dim
+
+
+def test_orbit_dim_matches_the_subalgebra_route(entries, rng):
+    """Whole algebra, declared ideals and the g_c of each, at declared and seeded covectors."""
+    for entry in entries.values():
+        alg = entry.algebra
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        covs += [rand_covector(alg, rng) for _ in range(3)]
+        for cov in covs:
+            assert orbit_dim(alg, cov) == rank_kernel(kks_pairing(alg, cov))[0]
+            assert orbit_dim(alg, cov, Subspace.full(alg.dim)) == orbit_dim(alg, cov)
+            for ideal in entry.ideals.values():
+                for sub in (ideal, orth(alg, ideal, cov)):
+                    assert orbit_dim(alg, cov, sub) == subalgebra_orbit_dim(alg, cov, sub), (
+                        entry.name, cov.coords, sub)
+
+
+def test_orbit_dim_refuses_bad_input(entries):
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(ValueError, match="ambient dimension"):
+        orbit_dim(h3, Covector(h3, (0, 0, 1)), Subspace.full(2))
+    broken = LieAlgebra(2, ("a", "b"), (((), ((0, F(1)),)), ((), ())))  # not antisymmetric
+    with pytest.raises(ValueError, match="fails validation"):
+        orbit_dim(broken, Covector(broken, (1, 0)))
+    assert orbit_dim(h3, Covector(h3, (0, 0, 1)), Subspace.zero(3)) == 0
 
 
 def test_restrict_heisenberg(entries):

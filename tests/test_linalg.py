@@ -20,8 +20,8 @@ from orbitkit.linalg import (
     solve,
     solve_in_subspace,
     sum_intersect,
-    symmetric_signature,
 )
+from orbitkit.polynomials import symmetric_signature
 from conftest import dense_apply, rand_covector, rand_frac, rand_vec
 
 

@@ -16,7 +16,7 @@ from orbitkit.liealg import (
     subalgebra,
     validate,
 )
-from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel, vec_scale
+from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel
 from orbitkit.mackey import (
     abelian_step,
     classify_little_algebra,
@@ -141,8 +141,8 @@ def test_obstruction_poincare_trivial(entries):
     assert ob.trivial and ob.primitive == (F(0),) * 3
 
 
-def _random_sections(data, rng, count):
-    """Canonical section rows shifted by random elements of n_c."""
+def _random_complements(data, rng, count):
+    """Spans of the canonical section rows shifted by random elements of n_c."""
     base = obstruction_step(data).section.entries
     out = []
     for _ in range(count):
@@ -153,7 +153,7 @@ def _random_sections(data, rng, count):
                 c = F(rng.randint(-3, 3), rng.randint(1, 2))
                 shift = [a + c * b for a, b in zip(shift, w)]
             rows.append(tuple(a + b for a, b in zip(row, shift)))
-        out.append(rows)
+        out.append(Subspace(data.algebra.dim, rows))
     return out
 
 
@@ -169,8 +169,8 @@ def test_obstruction_section_independence(entries, rng):
         data = little_group_step(alg, ideal, cov)
         reference = obstruction_step(data)
         assert reference.trivial is expected_trivial
-        for rows in _random_sections(data, rng, 6):
-            ob = obstruction_step(data, section_rows=rows)
+        for complement in _random_complements(data, rng, 6):
+            ob = obstruction_step(data, complement=complement)
             assert ob.trivial is expected_trivial
             # the two cocycles differ by an exact coboundary
             diff = reference.cocycle - ob.cocycle
@@ -182,6 +182,46 @@ def test_obstruction_section_independence(entries, rng):
             from orbitkit.linalg import solve
             if pair_rows:
                 assert solve(Matrix(pair_rows), rhs) is not None
+
+
+def _little_group_cases(entries, rng):
+    """Little-group data of every declared ideal at declared and seeded covectors."""
+    for entry in entries.values():
+        alg = entry.algebra
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        covs += [rand_covector(alg, rng) for _ in range(2)]
+        for ideal in entry.ideals.values():
+            for cov in covs:
+                yield little_group_step(alg, ideal, cov)
+
+
+def test_obstruction_with_the_canonical_complement_is_the_default(entries, rng):
+    for data in _little_group_cases(entries, rng):
+        reference = obstruction_step(data)
+        lifts = Subspace(data.algebra.dim, reference.section.entries)
+        ob = obstruction_step(data, complement=lifts)
+        assert ob.section == reference.section
+        assert (ob.cocycle, ob.primitive, ob.trivial) == (
+            reference.cocycle, reference.primitive, reference.trivial)
+
+
+def test_obstruction_refuses_a_non_complement(entries, rng):
+    refused = 0
+    for data in _little_group_cases(entries, rng):
+        lifts = obstruction_step(data).section.entries
+        n = data.algebra.dim
+        bad = [Subspace(n, lifts[1:])]                   # misses a class
+        if data.n_c.dim:
+            bad.append(data.g_c)                         # h_c = g_c meets n_c
+        if data.g_c.dim < n:
+            bad.append(Subspace.full(n))                 # leaves h_c
+        for s in bad:
+            if s == Subspace(n, lifts):
+                continue
+            with pytest.raises(ValueError):
+                obstruction_step(data, complement=s)
+            refused += 1
+    assert refused > 20
 
 
 def cocycle_identity_defect(quotient_algebra, cocycle):
@@ -244,8 +284,12 @@ def test_semidirect_witness_heisenberg_fails(entries):
 def test_semidirect_witness_abelian(entries):
     ab = entries["abelian3"].algebra
     rep = semidirect_witness(ab, _span(3, 1, 2), Covector(ab, (1, 2, 3)),
-                             [("line", _span(3, 0))])
+                             [("meets", _span(3, 0, 1)), ("inside", _span(3, 1)),
+                              ("plane", Subspace.full(2)), ("line", _span(3, 0))])
     assert rep.witness_name == "line" and rep.cocycle_zero
+    assert rep.rejections == (("meets", "not a linear complement of the ideal"),
+                              ("inside", "not a linear complement of the ideal"),
+                              ("plane", "wrong ambient dimension"))
 
 
 def test_semidirect_witness_requires_point_orbit(entries):
@@ -362,7 +406,7 @@ def test_exp_coadjoint_inverse(entries, rng):
     for _ in range(10):
         z = rand_vec(rng, 3, lo=-4, hi=4, max_den=2)
         cov = rand_covector(h3, rng)
-        back = exp_coadjoint(h3, vec_scale(-1, z), exp_coadjoint(h3, z, cov))
+        back = exp_coadjoint(h3, tuple(-a for a in z), exp_coadjoint(h3, z, cov))
         assert back.coords == cov.coords
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.liealg import ad_matrix
+from orbitkit.liealg import ad_matrix, structure_probe
 from orbitkit.linalg import Matrix, basis_vector, solve
 from orbitkit.polynomials import (
     charpoly,
@@ -26,6 +26,7 @@ from orbitkit.polynomials import (
     qi_factors,
     squarefree_part,
     strip_zero_roots,
+    symmetric_signature,
     to_string,
     xgcd,
 )
@@ -279,3 +280,91 @@ def test_qi_factors_at_a_height_no_divisor_search_reaches():
     gaussian = poly([F(5**200) + 1, -2, 1])              # roots 1 +- 5^100 i
     mu = reduce(mul, [poly([-a, 1]) for a in roots], gaussian)
     assert sorted(qi_factors(mu)) == sorted([poly([-a, 1]) for a in roots] + [gaussian])
+
+
+# -- the signature from charpoly, against the congruence eliminator it replaced --
+
+
+def congruence_signature(m):
+    """Reference: (positives, negatives, rank) by exact congruence diagonalization.
+
+    Pivot on a nonzero diagonal entry, swapping it into place; when the rest
+    of the diagonal is zero, add row and column j into i for an off-diagonal
+    a[i][j] != 0, which makes a[i][i] = 2 a[i][j] != 0.  Then clear the
+    pivot's row and column and count its sign.
+    """
+    n = m.rows
+    a = [list(row) for row in m.entries]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_into(i, j, f):
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = row[i] + f * row[j]
+
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            found = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if found is not None:
+                swap(k, found)
+            else:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                            if a[i][j] != 0), None)
+                if off is None:
+                    break  # the remaining block is zero
+                i, j = off
+                add_into(i, j, F(1))
+                if i != k:
+                    swap(k, i)
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                add_into(i, k, -a[i][k] / d)
+    return pos, neg, pos + neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n, n <= 7, about half the entries 0.  Some have a zero
+    diagonal, so the reference pivots off the diagonal; some are P^T S P for a
+    smaller symmetric S, so their rank is below n."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=4))
+    r = draw(st.integers(0, n)) if draw(st.booleans()) else n
+    zero_diagonal = draw(st.booleans())
+    s = [[F(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            s[i][j] = s[j][i] = F(0) if i == j and zero_diagonal else draw(entry)
+    if r == n:
+        return Matrix(s, n)
+    p = Matrix([[draw(entry) for _ in range(n)] for _ in range(r)], n)
+    return p.transpose() * Matrix(s, r) * p
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(symmetric_matrices())
+def test_symmetric_signature_matches_the_congruence_reference_property(m):
+    assert symmetric_signature(m) == congruence_signature(m)
+
+
+def test_symmetric_signature_refuses_a_nonsymmetric_matrix():
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_signature(Matrix([[0, 1], [2, 0]]))
+    with pytest.raises(ValueError, match="non-square"):
+        symmetric_signature(Matrix([[0, 1]]))
+
+
+def test_killing_signatures_of_the_catalog_are_unchanged(entries):
+    for entry in entries.values():
+        probe = structure_probe(entry.algebra)
+        assert probe.killing_signature() == congruence_signature(probe.killing_form), entry.name

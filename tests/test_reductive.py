@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbitkit import reductive
-from orbitkit.liealg import Covector, validate
+from orbitkit.liealg import Covector, orbit_dim, validate
 from orbitkit.catalog import algebra_from_rep
 from orbitkit.linalg import Matrix, Subspace, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
@@ -20,7 +20,7 @@ from orbitkit.reductive import (
     matrix_lie_algebra,
     parabolic_report,
 )
-from conftest import rand_vec, sl_rep
+from conftest import rand_vec, sl_rep, subalgebra_orbit_dim
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,15 @@ def test_parabolic_hull_matches_the_fixed_point(entries, sl3, monkeypatch):
         assert hull == fixed_point_hull(malg.algebra, start, rep.u)
         assert rep.hull_matches_annihilator
     assert not closures
+
+
+def test_parabolic_dim_y_matches_the_subalgebra_route(sl3):
+    for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
+        rep = parabolic_report(sl3, x)
+        cov = element_to_covector(sl3, rep.x_coords)
+        assert rep.dim_y == orbit_dim(sl3.algebra, cov, rep.q)
+        assert rep.dim_y == subalgebra_orbit_dim(sl3.algebra, cov, rep.q)
+        assert rep.dims_match
 
 
 # -- the elliptic branch: spectra in Q(i) --------------------------------------
