@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .liealg import Covector, LieAlgebra, coadjoint_image, stabilizer, subalgebra
+from .liealg import Covector, LieAlgebra, check_subalgebra, coadjoint_image, stabilizer
 from .linalg import Record, Subspace, annihilator
 
 
@@ -60,7 +60,7 @@ class ConditionReport(Record):
 
 def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionReport:
     """Flags for stabilizer containment, coisotropy, polarization, Pukanszky."""
-    subalgebra(alg, h)  # raises NotClosedError when h is not a subalgebra
+    check_subalgebra(alg, h)
     stab = stabilizer(alg, cov)
     moved = coadjoint_image(alg, cov, h)
     orth_h = annihilator(moved)  # liealg.orth(alg, h, cov)

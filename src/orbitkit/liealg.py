@@ -104,10 +104,10 @@ class LieAlgebra(Record):
         u, v = vec(u), vec(v)
         out = [ZERO] * self.dim
         for a, plane in zip(u, self.nonzeros):
-            if a == 0:
+            if not a:
                 continue
             for b, entries in zip(v, plane):
-                if b == 0 or not entries:
+                if not b or not entries:
                     continue
                 coeff = a * b
                 for k, c in entries:
@@ -213,7 +213,7 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(vec(z), alg.nonzeros):
-        if a == 0:
+        if not a:
             continue
         for j, entries in enumerate(plane):
             for k, c in entries:
@@ -305,7 +305,7 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     """
     def images(xi):
         for plane in alg.nonzeros:
-            yield [-sum((c * xi[a] for a, c in entries if xi[a] != 0), ZERO)
+            yield [-sum((c * xi[a] for a, c in entries if xi[a]), ZERO)
                    for entries in plane]
 
     return invariant_closure(alg.dim, zip(*kks_pairing(alg, cov).entries), images)
@@ -365,20 +365,32 @@ class EmbeddedSubalgebra(Record):
         return coords
 
 
-def subalgebra(alg: LieAlgebra, sub: Subspace) -> EmbeddedSubalgebra:
-    """Structure constants of a bracket-closed subspace in its RREF basis."""
-    rows = sub.basis_rows()
-    m = sub.dim
-    brackets = {}
-    for a in range(m):
-        for b in range(a + 1, m):
+def _closed_brackets(alg: LieAlgebra, sub: Subspace):
+    """Yield ((a, b), coordinates of [row_a, row_b] in sub's RREF basis) for a < b.
+
+    Raises NotClosedError at the first bracket of basis rows that leaves sub.
+    """
+    rows = sub.rows
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
             coords = sub.coords_of(alg.bracket(rows[a], rows[b]))
             if coords is None:
                 raise NotClosedError(
                     f"subspace is not a subalgebra: bracket of basis rows {a},{b} escapes"
                 )
-            brackets[(a, b)] = dict(enumerate(coords))
-    inner = LieAlgebra.from_brackets([f"s{a}" for a in range(m)], brackets,
+            yield (a, b), coords
+
+
+def check_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
+    """Raise NotClosedError unless sub is closed under the bracket; builds no algebra."""
+    for _ in _closed_brackets(alg, sub):
+        pass
+
+
+def subalgebra(alg: LieAlgebra, sub: Subspace) -> EmbeddedSubalgebra:
+    """Structure constants of a bracket-closed subspace in its RREF basis."""
+    brackets = {ab: dict(enumerate(coords)) for ab, coords in _closed_brackets(alg, sub)}
+    inner = LieAlgebra.from_brackets([f"s{a}" for a in range(sub.dim)], brackets,
                                      f"{alg.name}-sub")
     return EmbeddedSubalgebra(alg, sub, inner)
 
@@ -481,7 +493,7 @@ def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
         block = [[ZERO] * n for _ in range(n)]
         for i, plane in enumerate(alg.nonzeros):
             for wj, entries in zip(w, plane):
-                if wj != 0:
+                if wj:
                     for k, c in entries:
                         block[k][i] += c * wj
         rows.extend(r for r in block if not is_zero_vec(r))

@@ -21,14 +21,25 @@ a polarization window) read coordinates there and map them back through
 of A*B is `combine` of the rows of B with row i of A as coefficients,
 skipping the zero entries, and a matrix acts on a vector w the same way,
 as w^T A = `combine(w, A.entries)`, which is A w when A is symmetric and
--A w when A is antisymmetric.
+-A w when A is antisymmetric.  No arithmetic is done on a zero: sums,
+differences, scalings and dot products (`vec_dot`) skip zero terms, and a
+zero is found by truthiness, not by `== 0`, a comparison that coerces.
 
-Every elimination is one insertion step, `_insert`, into rows in RREF:
-reduce the vector at their pivots (the loop of `reduce`), drop it if it is
-0, else scale it to a leading 1, clear its pivot column from the kept rows
-and put it in at its pivot's place.  `rref` inserts row by row, and so does
-`invariant_closure`, the one worklist for a smallest subspace closed under
-linear maps (the Krylov hull, the ideal closure, the parabolic hull).  The
+Every elimination is one insertion step, `_insert`, and it runs on integer
+rows.  A vector is scaled once by the least common multiple of its
+denominators, reduced at the kept rows' pivots by integer
+cross-multiplication, and dropped if it is 0; else it is divided by its
+content (the gcd of its entries), made positive at its first nonzero entry,
+its pivot, and put in at its pivot's place, after the kept rows are cleared
+at that pivot the same way.  So a kept row is primitive, positive at its
+pivot and 0 at the other pivots: the one such integer multiple of the
+canonical row.  Fractions are made once, by dividing each row by its pivot
+entry, when `rref` returns and when `invariant_closure` builds its Subspace;
+`_reduce` serves `Subspace.reduce` on those canonical rows.  `rref` inserts
+row by row, and so does `invariant_closure`, the one worklist for a
+smallest subspace closed under linear maps (the Krylov hull, the ideal
+closure, the parabolic hull).  Its worklist holds integer rows, which is
+enough: the images of a multiple of v span what the images of v span.  The
 order cannot change the result: the pivots are the columns where some
 vector of the row space has its first nonzero entry, and the row at pivot p
 is the one vector of the space that is 1 at p and 0 at the other pivots.
@@ -52,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 Scalar = Fraction
@@ -134,26 +146,27 @@ def vec(entries: Iterable) -> tuple:
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    """sum_i u_i v_i, forming no product with a zero factor."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def combine(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
     """sum_k coeffs[k] * rows[k] in Q^n; the zero vector when there are no rows."""
     out = [ZERO] * n
     for c, row in zip(coeffs, rows):
-        if c != 0:
+        if c:
             out = [a + c * b if b else a for a, b in zip(out, row)]
     return tuple(out)
 
@@ -229,7 +242,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix._of(tuple(tuple(c * a for a in row) for row in self.entries), self.cols)
+        return Matrix._of(tuple(tuple(c * a if a else a for a in row) for row in self.entries),
+                          self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -258,8 +272,8 @@ class Matrix:
             if len(pivots) == self.cols:  # full rank: the other rows lie in the span
                 break
             _insert(rows, pivots, row)
-        rows += [(ZERO,) * self.cols] * (self.rows - len(rows))
-        return Matrix._of(tuple(rows), self.cols), tuple(pivots)
+        red = _canonical(rows, pivots) + [(ZERO,) * self.cols] * (self.rows - len(rows))
+        return Matrix._of(tuple(red), self.cols), tuple(pivots)
 
 
 def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> Sequence:
@@ -271,19 +285,55 @@ def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> Seq
     return v
 
 
+def _integer_row(v: Sequence) -> list:
+    """v, whose entries are ints or Fractions, times the lcm of its denominators."""
+    ratios = [a.as_integer_ratio() for a in v]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios]
+
+
+def _primitive(w: Sequence[int]) -> tuple:
+    """A nonzero integer vector divided by the gcd of its entries, the signs kept."""
+    g = gcd(*w)
+    return tuple(a // g for a in w) if g > 1 else tuple(w)
+
+
 def _insert(rows: list, pivots: list, v: Sequence) -> Optional[tuple]:
-    """Insert v into RREF rows with increasing pivots, in place; None if v is in their span."""
-    v = _reduce(rows, pivots, v)
-    p = next((j for j, a in enumerate(v) if a), None)
+    """Insert v into integer echelon rows with increasing pivots, in place.
+
+    Each row is primitive, positive at its pivot and 0 at the other pivots,
+    before and after.  Returns the row v became, or None if v is in the
+    rows' span.
+    """
+    w = _integer_row(v)
+    for p, row in zip(pivots, rows):
+        f = w[p]
+        if f:
+            d = row[p]
+            g = gcd(d, f)
+            d, f = d // g, f // g
+            w = [d * a - f * b for a, b in zip(w, row)]
+    p = next((j for j, a in enumerate(w) if a), None)
     if p is None:
         return None
-    inv = ONE / v[p]
-    v = tuple(inv * a for a in v)
-    rows[:] = [_reduce((v,), (p,), row) for row in rows]
+    w = _primitive(w if w[p] > 0 else [-a for a in w])
+    d = w[p]
+    for r, row in enumerate(rows):
+        f = row[p]
+        if f:
+            g = gcd(d, f)
+            e, f = d // g, f // g
+            rows[r] = _primitive([e * a - f * b for a, b in zip(row, w)])
     k = bisect_left(pivots, p)
-    rows.insert(k, v)
+    rows.insert(k, w)
     pivots.insert(k, p)
-    return v
+    return w
+
+
+def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list:
+    """The canonical Fraction rows of integer echelon rows: each divided by its pivot entry."""
+    return [tuple(Fraction(a, row[p]) if a else ZERO for a in row)
+            for p, row in zip(pivots, rows)]
 
 
 def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
@@ -460,7 +510,7 @@ def invariant_closure(n: int, start_rows: Iterable[Sequence],
                 work.append(row)
                 if len(rows) == n:
                     break
-    return Subspace._from_rref(n, rows, pivots)  # _insert keeps rows in RREF
+    return Subspace._from_rref(n, _canonical(rows, pivots), pivots)
 
 
 def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:

@@ -26,6 +26,7 @@ from .liealg import (
     NotClosedError,
     ad_matrix,
     bracket_span,
+    check_subalgebra,
     coadjoint_image,
     is_ideal,
     orbit_annihilator,
@@ -33,7 +34,6 @@ from .liealg import (
     orth,
     stabilizer,
     structure_probe,
-    subalgebra,
     subquotient,
 )
 from .linalg import (
@@ -300,7 +300,7 @@ def semidirect_witness(
             rejections.append((name, "not a linear complement of the ideal"))
             continue
         try:
-            subalgebra(alg, s)
+            check_subalgebra(alg, s)
         except NotClosedError:
             rejections.append((name, "declared complement is not a subalgebra"))
             continue

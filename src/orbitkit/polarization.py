@@ -30,6 +30,7 @@ from .liealg import (
     ascending_central_series,
     bracket_span,
     centralizer,
+    check_subalgebra,
     exp_coadjoint,
     is_ideal,
     kks_pairing,
@@ -39,7 +40,6 @@ from .liealg import (
     quotient,
     restrict,
     structure_probe,
-    subalgebra,
 )
 from .linalg import (
     Record,
@@ -354,7 +354,7 @@ def verify_monomial(alg: LieAlgebra, cov: Covector, h: Subspace) -> MonomialRepo
     ann(h) through coadjoint exponential flows; otherwise it is left
     undecided.
     """
-    subalgebra(alg, h)  # raises when h is not closed
+    check_subalgebra(alg, h)
     point_orbit = all(cov.pair(r) == 0 for r in bracket_span(alg, h, h).basis_rows())
     dim_identity = orbit_dim(alg, cov) == 2 * (alg.dim - h.dim)
 

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from orbitkit.liealg import (
     bracket_span,
     center,
     centralizer,
+    check_subalgebra,
     coadjoint_image,
     exp_coadjoint,
     ideal_closure,
@@ -32,7 +35,10 @@ from orbitkit.liealg import (
     subquotient,
     validate,
 )
-from orbitkit import liealg, linalg
+from orbitkit import conditions, liealg, linalg, mackey, polarization
+from orbitkit.conditions import check_conditions
+from orbitkit.mackey import semidirect_witness
+from orbitkit.polarization import verify_monomial
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -54,6 +60,10 @@ from conftest import (
     subalgebra_orbit_dim,
     table_of,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
 
 
 def test_validate_heisenberg(entries):
@@ -393,6 +403,24 @@ def test_orbit_dims_of_dim_21_families(h21, n7):
         assert probe.killing_form.is_zero()
 
 
+# The benchmark's generated families at dim 28-45, read from their definition
+# files; at a covector whose sympy rank is the generic one, orbitkit's orbit
+# dimension must be the closed form dim - ind too.
+LADDER = [(families.heisenberg, 14), (families.heisenberg, 18), (families.nilradical, 8),
+          (families.nilradical, 10), (families.filiform, 30), (families.filiform, 45)]
+
+
+@pytest.mark.parametrize("make,size", LADDER, ids=[f"{m.__name__}{s}" for m, s in LADDER])
+def test_orbit_dim_at_a_generic_covector_is_dim_minus_index(make, size):
+    family = make(size, families.family_rng(0, f"ladder{size}"))
+    assert 28 <= family.dim <= 45
+    alg = parse_algebra(family.doc)
+    point = workloads._generic_point(random.Random(size), family)
+    record = orbit_record(alg, Covector(alg, point))
+    assert record.orbit_dim == family.dim - family.index
+    assert record.stabilizer.dim == family.index
+
+
 def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
     """The sparse kernels never fall back to dense matrix products."""
     def refuse(*args):
@@ -674,3 +702,66 @@ def test_from_brackets_refuses_a_pair_or_index_outside_the_basis():
                      {(0, 1): {2: 1}}, {(0, 1): {-1: 1}}):
         with pytest.raises(ValueError, match="pair|index"):
             LieAlgebra.from_brackets(labels, brackets)
+
+
+# -- closures on the benchmark's seeded families --------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closures_on_seeded_families_match_the_fixed_points(seed):
+    # the algebras of the `family_orbit` workload at the seed, read from their files
+    rng = random.Random(seed)
+    algebras = [parse_algebra(f.doc)
+                for f in workloads.build("family_orbit", seed).families.values()]
+    assert sorted(alg.dim for alg in algebras) == [9, 9, 9, 10, 10, 15]
+    proper = 0
+    for alg in algebras:
+        for _ in range(2):
+            cov = rand_covector(alg, rng)
+            assert krylov_hull(alg, cov) == dense_krylov_hull(alg, cov)
+        for sub in seeded_subspaces(alg, rng):
+            closed = ideal_closure(alg, sub)
+            assert closed == loop_ideal_closure(alg, sub)
+            proper += 0 < closed.dim < alg.dim
+    assert proper > 5
+
+
+# -- closure checks that build nothing -------------------------------------------
+
+
+def test_check_subalgebra_refuses_what_subalgebra_refuses(entries, rng):
+    verdicts = []
+    for entry in entries.values():
+        alg = entry.algebra
+        for sub in seeded_subspaces(alg, rng):
+            errors = []
+            for check in (subalgebra, check_subalgebra):
+                try:
+                    check(alg, sub)
+                    errors.append(None)
+                except NotClosedError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
+            assert errors[0] is None or "bracket of basis rows" in errors[0]
+            verdicts.append(errors[0] is None)
+    assert verdicts.count(False) > 10 and verdicts.count(True) > 10
+
+
+def test_closure_checks_build_no_algebra(entries, monkeypatch):
+    for module in (conditions, mackey, polarization):
+        assert not hasattr(module, "subalgebra")
+    h3e = entries["heisenberg3"]
+    h3, cov = h3e.algebra, Covector(h3e.algebra, (0, 0, 1))
+    lagrangian = Subspace(3, [(0, 1, 0), (0, 0, 1)])
+    rep = semidirect_witness(h3, h3e.ideals["center"], cov,
+                             [("xy_plane", h3e.complements["xy_plane"])])
+    assert rep.rejections == (("xy_plane", "declared complement is not a subalgebra"),)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("algebra built")
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(refuse))
+    assert check_conditions(h3, lagrangian, cov).all_flags()
+    assert verify_monomial(h3, cov, lagrangian).all_hold()
+    with pytest.raises(NotClosedError, match="bracket of basis rows 0,1 escapes"):
+        check_conditions(h3, Subspace(3, [(1, 0, 0), (0, 1, 0)]), cov)

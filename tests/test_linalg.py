@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from orbitkit.linalg import (
     solve,
     solve_in_subspace,
     sum_intersect,
+    vec_dot,
 )
 from orbitkit.polynomials import symmetric_signature
 from conftest import dense_apply, rand_covector, rand_frac, rand_vec
@@ -526,10 +529,82 @@ def rref_cases(draw):
     return Matrix([combine(c, gens, cols) for c in rows], cols)
 
 
+big_rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def large_rref_cases(draw):
+    """Up to 8 x 8, numerators and denominators up to 10^6, entries often 0.  A row
+    is new, 0, or a repeat of an earlier row or of its negative; a new row's first
+    nonzero entry, its pivot when the row is kept, is negative as often as not."""
+    cols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(F(0)), big_rationals)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("new", "new", "zero", "repeat", "negated")))
+        if kind == "zero":
+            rows.append((F(0),) * cols)
+        elif kind == "new" or not rows:
+            rows.append(tuple(draw(entry) for _ in range(cols)))
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "repeat" else tuple(-x for x in row))
+    return Matrix(rows, cols)
+
+
 @PROPERTIES
-@given(rref_cases())
+@given(st.one_of(rref_cases(), large_rref_cases()))
 @example(Matrix([], 3))
 @example(Matrix([[1, 2], [3, 4], [5, 6]]))
 @example(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]]))
+@example(Matrix([[F(-999999, 7), F(10**6, 999983), 0], [0, F(-5, 10**6), 1],
+                 [F(999999, 7), F(-10**6, 999983), 0], [0, 0, 0]]))
 def test_rref_matches_gauss_jordan_property(m):
     assert m.rref() == gauss_jordan(m)
+
+
+def fractions_built(fn):
+    """fn's result and how many Fractions it made: every call of Fraction.__new__
+    and of the constructors the arithmetic uses, counted by a profile hook."""
+    makers = {"__new__", "_from_coprime_ints"}
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in makers:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+def test_rref_of_an_integer_matrix_eliminates_on_ints():
+    # at most one Fraction per entry of the result: the elimination itself makes none
+    rng = random.Random(8)
+    n = 8
+    gens = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(5)]
+    cases = [Matrix([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]),
+             Matrix([combine([rng.randint(-3, 3) for _ in gens], gens, n) for _ in range(n)])]
+    for m in cases:
+        (red, pivots), built = fractions_built(m.rref)
+        assert built <= n * n
+        assert (red, pivots) == gauss_jordan(m) and len(pivots) in (5, 8)
+        assert fractions_built(lambda: gauss_jordan(m))[1] > n * n  # the counter sees them
+
+
+sparse_entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-5, 5), rationals)
+
+
+@PROPERTIES
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[sparse_entries] * n)] * 2)))
+def test_vec_dot_is_the_plain_sum_property(pair):
+    u, v = pair
+    got = vec_dot(u, v)
+    assert type(got) is F
+    assert got == sum((F(a) * F(b) for a, b in zip(u, v)), F(0))

@@ -1,13 +1,15 @@
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from orbitkit import reductive
-from orbitkit.liealg import Covector, orbit_dim, validate
-from orbitkit.catalog import algebra_from_rep
-from orbitkit.linalg import Matrix, Subspace, solve
+from orbitkit import liealg, reductive
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
+from orbitkit.catalog import algebra_from_rep, parse_algebra
+from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
@@ -17,10 +19,14 @@ from orbitkit.reductive import (
     element_to_covector,
     grade,
     hyperbolic_elliptic_split,
+    jordan_triple,
     matrix_lie_algebra,
     parabolic_report,
 )
 from conftest import rand_vec, sl_rep, subalgebra_orbit_dim
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +258,114 @@ def test_parabolic_report_on_sl4_at_height_10_9(sl4):
     assert rep.all_relations()
     assert len(rep.grading.eigenvalues) == 13       # distinct a_i - a_j, and 0
     assert rep.u.dim == 6 and rep.q.dim == 9       # a Borel subalgebra
+
+
+# -- the grading law: a derivation check against the bracket spans ---------------
+
+
+def span_grading_holds(alg, spaces):
+    """Reference: the check `grade` replaced, [g^a, g^b] <= g^{a+b} by one bracket
+    span per ordered pair of eigenvalues."""
+    zero = Subspace.zero(alg.dim)
+    return all(spaces.get(a + b, zero).contains_subspace(bracket_span(alg, spaces[a], spaces[b]))
+               for a in spaces for b in spaces)
+
+
+def grading_verdicts(malg, x, monkeypatch):
+    """(grade accepts x, the span check holds on the eigenspaces of ad(x)).
+
+    UnsupportedSpectrumError propagates: then the eigenspaces do not sum to g.
+    """
+    try:
+        grade(malg, x)
+        accepted = True
+    except AssertionError:
+        accepted = False
+    with monkeypatch.context() as m:  # the eigenspaces, with the law left unchecked
+        m.setattr(reductive, "_is_derivation", lambda alg, d: True)
+        spaces = grade(malg, x).spaces
+    return accepted, span_grading_holds(malg.algebra, spaces)
+
+
+def test_grade_agrees_with_the_span_check_on_the_catalog(entries, rng, monkeypatch):
+    compared = 0
+    for name in ("sl2", "sl3", "so31"):
+        malg = matrix_lie_algebra(entries[name].algebra)
+        n = malg.dim
+        elements = [basis_vector(n, i) for i in range(n)]
+        elements += [covector_to_element(malg, Covector(malg.algebra, c))
+                     for c in entries[name].covectors.values()]
+        elements += [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(6)]
+        for x in elements:
+            try:
+                hyperbolic = jordan_triple(element_matrix(malg, x)).hyperbolic
+            except UnsupportedSpectrumError:
+                continue
+            for element in (x, hyperbolic):
+                try:
+                    assert grading_verdicts(malg, element, monkeypatch) == (True, True)
+                except UnsupportedSpectrumError:
+                    continue
+                compared += 1
+    assert compared > 20
+
+
+def _parabolic_inputs():
+    """The (algebra, element) pairs of the `parabolic` invocations of the benchmark."""
+    wl = workloads.build("parabolic_polarize", workloads.DEFAULT_SEED)
+    algebras = {}
+    for inv in wl.round:
+        if inv.args[0] == "parabolic":
+            path, element = inv.args[1], inv.args[2]
+            if path not in algebras:
+                algebras[path] = matrix_lie_algebra(parse_algebra(wl.files[path]))
+            yield algebras[path], [F(c) for c in element.split("=", 1)[1].split(",")]
+
+
+def test_grade_agrees_with_the_span_check_on_the_benchmark_inputs(monkeypatch):
+    inputs = list(_parabolic_inputs())
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        hyperbolic = jordan_triple(element_matrix(malg, x)).hyperbolic
+        assert grading_verdicts(malg, hyperbolic, monkeypatch) == (True, True)
+
+
+def forged(malg, i, j, k, delta):
+    """malg with c[i][j][k] (and so c[j][i][k]) moved by delta, validation bypassed."""
+    alg = malg.algebra
+    brackets = {(a, b): dict(alg.nonzeros[a][b])
+                for a in range(alg.dim) for b in range(a + 1, alg.dim)}
+    brackets[(i, j)][k] = brackets[(i, j)].get(k, 0) + delta
+    bent = LieAlgebra.from_brackets(alg.labels, brackets, alg.name, alg.matrix_rep)
+    return reductive.MatrixLieAlgebra(bent, malg.trace_gram)
+
+
+def test_grade_and_the_span_check_refuse_the_same_forged_algebras(entries, monkeypatch):
+    rng = random.Random(15)
+    refused = accepted = 0
+    # every structure constant of sl2, 40 of sl3's; the elements are the Cartan basis
+    for name, samples, rank in (("sl2", 9, 1), ("sl3", 40, 2)):
+        malg = matrix_lie_algebra(entries[name].algebra)
+        n = malg.dim
+        cells = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        for i, j, k in rng.sample(cells, samples):
+            bent = forged(malg, i, j, k, rng.choice((1, -1, F(1, 2))))
+            for x in (basis_vector(n, c) for c in range(rank)):
+                try:
+                    grade_ok, span_ok = grading_verdicts(bent, x, monkeypatch)
+                except UnsupportedSpectrumError:
+                    continue  # the eigenspaces no longer sum to g
+                assert grade_ok == span_ok
+                refused += not grade_ok
+                accepted += grade_ok
+    assert refused > 20 and accepted > 0
+
+
+def test_grade_builds_no_bracket_span(sl3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bracket span built")
+
+    assert not hasattr(reductive, "bracket_span")
+    monkeypatch.setattr(liealg, "bracket_span", refuse)
+    for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
+        assert parabolic_report(sl3, x).all_relations()
