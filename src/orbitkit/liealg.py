@@ -22,6 +22,10 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 the Krylov hull and the ideal generated by a subspace are
 `linalg.invariant_closure` worklists.
 
+Structure facts are computed on demand, one function each: `derived_series`,
+`is_solvable`, `killing_form`, `ascending_central_series` (one `centralizer`
+per term) and `is_nilpotent` (one generator closure; the lemma is stated there).
+
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
   * the infinitesimal coadjoint action is Z(m) = <m, [., Z]>, so in
@@ -218,15 +222,15 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
         for j, entries in enumerate(plane):
             for k, c in entries:
                 m[k][j] += a * c
-    return Matrix(m, n)
+    return Matrix._of(tuple(map(tuple, m)), n)
 
 
 def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
     """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]> = sum_k x_k c[i][j][k]."""
     x = cov.coords
-    return Matrix(
-        [[sum((x[k] * c for k, c in entries), ZERO) for entries in plane]
-         for plane in alg.nonzeros],
+    return Matrix._of(
+        tuple(tuple(sum((x[k] * c for k, c in entries), ZERO) for entries in plane)
+              for plane in alg.nonzeros),
         alg.dim,
     )
 
@@ -332,12 +336,11 @@ class OrbitRecord(Record):
 
 def orbit_record(alg: LieAlgebra, cov: Covector) -> OrbitRecord:
     """Orbit dimension, stabilizer and affine hull data at a covector."""
-    report = validate(alg)
-    if not report.ok:
+    if not validate(alg).ok:
         raise ValueError("algebra fails validation; see validate()")
     rank, ker = rank_kernel(kks_pairing(alg, cov))
     hull = krylov_hull(alg, cov)
-    return OrbitRecord(cov, rank, ker, hull, structure_probe(alg).is_nilpotent)
+    return OrbitRecord(cov, rank, ker, hull, is_nilpotent(alg))
 
 
 def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
@@ -483,80 +486,77 @@ def center(alg: LieAlgebra) -> Subspace:
     return centralizer(alg, Subspace.full(alg.dim))
 
 
-def centralizer(alg: LieAlgebra, sub: Subspace) -> Subspace:
-    """All Z with [Z, sub] = 0."""
+def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Optional[Subspace] = None) -> Subspace:
+    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
     n = alg.dim
-    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j): one linear row per (w, k);
-    # rows that are identically zero constrain nothing and are dropped
+    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
+    # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
+    # of ann(modulo): one row a . block per (w, a), dropped when identically zero
+    ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
     rows = []
     for w in sub.basis_rows():
-        block = [[ZERO] * n for _ in range(n)]
+        block = {}
         for i, plane in enumerate(alg.nonzeros):
             for wj, entries in zip(w, plane):
                 if wj:
                     for k, c in entries:
-                        block[k][i] += c * wj
-        rows.extend(r for r in block if not is_zero_vec(r))
-    return rank_kernel(Matrix(rows, n))[1]
+                        block.setdefault(k, [ZERO] * n)[i] += c * wj
+        rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
+    return rank_kernel(Matrix._of(tuple(r for r in rows if not is_zero_vec(r)), n))[1]
+
+
+def _stable_series(first: Subspace, step) -> tuple:
+    """first, step(first), step(step(first)), ... up to the first term that repeats."""
+    series = [first]
+    while (nxt := step(series[-1])) != series[-1]:
+        series.append(nxt)
+    return tuple(series)
 
 
 @lru_cache(maxsize=None)
 def ascending_central_series(alg: LieAlgebra) -> tuple:
-    """0 = Z_0 < Z_1 <= Z_2 <= ... until stabilization (Z_1 = center)."""
-    n = alg.dim
-    series = [Subspace.zero(n)]
-    while True:
-        prev = series[-1]
-        if prev.dim == n:
-            return tuple(series)
-        q = quotient(alg, prev)
-        z_bar = center(q.algebra)
-        lifted = prev.add(Subspace(n, [q.lift(r) for r in z_bar.basis_rows()]))
-        if lifted == prev:
-            return tuple(series)
-        series.append(lifted)
-
-
-class StructureProbe(Record):
-    derived_series: tuple
-    lower_central_series: tuple
-    is_solvable: bool
-    is_nilpotent: bool
-    killing_form: Matrix
-
-    def killing_signature(self) -> tuple[int, int, int]:
-        from .polynomials import symmetric_signature  # only `classify` reads a signature
-
-        return symmetric_signature(self.killing_form)
+    """0 = Z_0 < Z_1 < ... until it stabilizes: Z_{k+1} is the centralizer of g modulo Z_k."""
+    full = Subspace.full(alg.dim)
+    return _stable_series(Subspace.zero(alg.dim), lambda z: centralizer(alg, full, modulo=z))
 
 
 @lru_cache(maxsize=None)
-def structure_probe(alg: LieAlgebra) -> StructureProbe:
-    """Derived/lower-central series, solvability, nilpotency, Killing form."""
+def derived_series(alg: LieAlgebra) -> tuple:
+    """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
+    return _stable_series(Subspace.full(alg.dim), lambda d: bracket_span(alg, d, d))
+
+
+def is_solvable(alg: LieAlgebra) -> bool:
+    return derived_series(alg)[-1].dim == 0
+
+
+@lru_cache(maxsize=None)
+def is_nilpotent(alg: LieAlgebra) -> bool:
+    """Whether the lower central series C^1 = [g, g], C^{k+1} = [g, C^k] reaches 0.
+
+    The unit vectors V at the non-pivot columns of C^1 span a complement of it.
+    A complement of [g, g] generates a nilpotent g (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. I, sec. 4; if h + C^1 = g, each C^k lies in h + C^{k+1}), so g
+    is not nilpotent if the ad(V)-closure of span V, the subalgebra V generates,
+    is smaller; a perfect g has no V at all.  Else each ad x is a sum of products
+    of the ad v, as ad[u, w] = [ad u, ad w], so C^{k+1} is the ad(V)-closure of
+    [V, C^k]: g is nilpotent iff that series reaches 0 before it stalls.
+    """
     n = alg.dim
-    full = Subspace.full(n)
-    derived = [full]
-    while derived[-1].dim > 0:
-        nxt = bracket_span(alg, derived[-1], derived[-1])
-        if nxt == derived[-1]:
-            break
-        derived.append(nxt)
-    lower = [full]
-    while lower[-1].dim > 0:
-        nxt = bracket_span(alg, full, lower[-1])
-        if nxt == lower[-1]:
-            break
-        lower.append(nxt)
-    return StructureProbe(
-        derived_series=tuple(derived),
-        lower_central_series=tuple(lower),
-        is_solvable=derived[-1].dim == 0,
-        is_nilpotent=lower[-1].dim == 0,
-        killing_form=_killing_form(alg),
-    )
+    derived = bracket_span(alg, Subspace.full(n), Subspace.full(n))
+    gens = [basis_vector(n, j) for j in range(n) if j not in derived.pivots]
+
+    def images(v):
+        return (alg.bracket(u, v) for u in gens)
+
+    if invariant_closure(n, gens, images).dim < n:
+        return False
+    lower = _stable_series(derived, lambda c: invariant_closure(
+        n, [alg.bracket(u, v) for u in gens for v in c.rows], images))
+    return lower[-1].dim == 0
 
 
-def _killing_form(alg: LieAlgebra) -> Matrix:
+def killing_form(alg: LieAlgebra) -> Matrix:
     """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} c[i][b][a] c[j][a][b]."""
     n = alg.dim
     # by_ab[a][b] lists (j, c[j][a][b]) over the nonzeros, so only
@@ -572,4 +572,4 @@ def _killing_form(alg: LieAlgebra) -> Matrix:
             for a, c in entries:
                 for j, d in by_ab[a][b]:
                     k[i][j] += c * d
-    return Matrix(k, n)
+    return Matrix._of(tuple(map(tuple, k)), n)

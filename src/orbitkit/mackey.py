@@ -29,11 +29,13 @@ from .liealg import (
     check_subalgebra,
     coadjoint_image,
     is_ideal,
+    is_nilpotent,
+    is_solvable,
+    killing_form,
     orbit_annihilator,
     orbit_dim,
     orth,
     stabilizer,
-    structure_probe,
     subquotient,
 )
 from .linalg import (
@@ -390,19 +392,19 @@ def classify_little_algebra(alg: LieAlgebra, a: Subspace, cov: Covector) -> Litt
         raise NotClosedError("the given subspace is not an ideal")
     if bracket_span(alg, a, a).dim != 0:
         raise ValueError("the given ideal is not abelian")
-    _, quot = subquotient(alg, orth(alg, a, cov), a)
-    probe = structure_probe(quot.algebra)
-    sig = probe.killing_signature()
-    key = (quot.algebra.dim, probe.is_solvable, probe.is_nilpotent, sig)
-    label = _TYPE_TABLE.get(key)
+    from .polynomials import symmetric_signature  # only `classify` reads a signature
+
+    q = subquotient(alg, orth(alg, a, cov), a)[1].algebra
+    solvable, nilpotent = is_solvable(q), is_nilpotent(q)
+    sig = symmetric_signature(killing_form(q))
+    label = _TYPE_TABLE.get((q.dim, solvable, nilpotent, sig))
     if label is None:
-        if key[0] == 3 and probe.is_solvable and not probe.is_nilpotent and sig[2] == 1:
+        if q.dim == 3 and solvable and not nilpotent and sig[2] == 1:
             label = "e(2)" if sig == (0, 1, 1) else "e(1,1)"
         else:
-            kind = "nilpotent" if probe.is_nilpotent else (
-                "solvable" if probe.is_solvable else "non-solvable")
-            label = f"dim{key[0]}-{kind}-sig({sig[0]},{sig[1]})"
-    return LittleAlgebraType(quot.algebra.dim, probe.is_solvable, probe.is_nilpotent, sig, label)
+            kind = "nilpotent" if nilpotent else ("solvable" if solvable else "non-solvable")
+            label = f"dim{q.dim}-{kind}-sig({sig[0]},{sig[1]})"
+    return LittleAlgebraType(q.dim, solvable, nilpotent, sig, label)
 
 
 class MackeyReport(Record):

@@ -31,15 +31,17 @@ from .liealg import (
     bracket_span,
     centralizer,
     check_subalgebra,
+    derived_series,
     exp_coadjoint,
     is_ideal,
+    is_nilpotent,
+    is_solvable,
     kks_pairing,
     orbit_annihilator,
     orbit_dim,
     orth,
     quotient,
     restrict,
-    structure_probe,
 )
 from .linalg import (
     Record,
@@ -111,23 +113,19 @@ PRECHECK_SAMPLES = 12
 
 def exponential_precheck(alg: LieAlgebra) -> ExponentialReport:
     """Solvability plus a sampled no-imaginary-ad-eigenvalue check."""
-    probe = structure_probe(alg)
+    solvable = is_solvable(alg)
     rng = random.Random(PRECHECK_SEED)
     elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
     for _ in range(PRECHECK_SAMPLES):
         elements.append(tuple(
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(alg.dim)
         ))
-    witness = None
-    for z in elements:
-        if _has_imaginary_eigenvalue(alg, z):
-            witness = z
-            break
+    witness = next((z for z in elements if _has_imaginary_eigenvalue(alg, z)), None)
     return ExponentialReport(
-        is_solvable=probe.is_solvable,
+        is_solvable=solvable,
         eigenvalue_witness=witness,
         elements_checked=len(elements),
-        passed=probe.is_solvable and witness is None,
+        passed=solvable and witness is None,
     )
 
 
@@ -188,17 +186,15 @@ def _automatic_candidates(inner: LieAlgebra, ann_x: Subspace):
     def pull(sub: Subspace) -> Subspace:
         return ann_x.add(Subspace(inner.dim, [quot.lift(r) for r in sub.basis_rows()]))
 
-    probe = structure_probe(qalg)
-    nonzero_derived = [s for s in probe.derived_series if s.dim > 0]
-    if len(nonzero_derived) > 1:
-        yield "terminal derived subalgebra", pull(nonzero_derived[-1])
+    derived = [s for s in derived_series(qalg) if s.dim > 0]
+    if len(derived) > 1:
+        yield "terminal derived subalgebra", pull(derived[-1])
     series = ascending_central_series(qalg)
     for idx, term in enumerate(series[1:], start=1):
         if bracket_span(qalg, term, term).dim == 0:
             yield f"ascending central term {idx}", pull(term)
-    if len(probe.derived_series) > 1 and probe.derived_series[1].dim > 0:
-        yield "centralizer of derived subalgebra", pull(
-            centralizer(qalg, probe.derived_series[1]))
+    if len(derived) > 1:
+        yield "centralizer of derived subalgebra", pull(centralizer(qalg, derived[1]))
     if len(series) > 2:
         z1, z2 = series[1], series[2]
         for row in reversed(z2.basis_rows()):
@@ -358,7 +354,7 @@ def verify_monomial(alg: LieAlgebra, cov: Covector, h: Subspace) -> MonomialRepo
     point_orbit = all(cov.pair(r) == 0 for r in bracket_span(alg, h, h).basis_rows())
     dim_identity = orbit_dim(alg, cov) == 2 * (alg.dim - h.dim)
 
-    if not structure_probe(alg).is_nilpotent:
+    if not is_nilpotent(alg):
         return MonomialReport(point_orbit, dim_identity, None, 0, 0)
 
     targets = [vec_add(cov.coords, u) for u in annihilator(h).basis_rows()]

@@ -19,9 +19,13 @@ from orbitkit.liealg import (
     centralizer,
     check_subalgebra,
     coadjoint_image,
+    derived_series,
     exp_coadjoint,
     ideal_closure,
     is_ideal,
+    is_nilpotent,
+    is_solvable,
+    killing_form,
     kks_pairing,
     krylov_hull,
     orbit_dim,
@@ -30,7 +34,6 @@ from orbitkit.liealg import (
     quotient,
     restrict,
     stabilizer,
-    structure_probe,
     subalgebra,
     subquotient,
     validate,
@@ -39,6 +42,7 @@ from orbitkit import conditions, liealg, linalg, mackey, polarization
 from orbitkit.conditions import check_conditions
 from orbitkit.mackey import semidirect_witness
 from orbitkit.polarization import verify_monomial
+from orbitkit.polynomials import symmetric_signature
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -209,24 +213,23 @@ def test_restrict_rejects_non_subalgebra(entries):
         restrict(h3, Covector(h3, (0, 0, 1)), Subspace(3, [(1, 0, 0), (0, 1, 0)]))
 
 
-def test_structure_probe_heisenberg(entries):
-    p = structure_probe(entries["heisenberg3"].algebra)
-    assert p.is_nilpotent and p.is_solvable
-    assert center(entries["heisenberg3"].algebra) == Subspace(3, [(0, 0, 1)])
-    assert [s.dim for s in p.derived_series] == [3, 1, 0]
+def test_structure_facts_heisenberg(entries):
+    h3 = entries["heisenberg3"].algebra
+    assert is_nilpotent(h3) and is_solvable(h3)
+    assert center(h3) == Subspace(3, [(0, 0, 1)])
+    assert [s.dim for s in derived_series(h3)] == [3, 1, 0]
 
 
-def test_structure_probe_sl2(entries):
-    p = structure_probe(entries["sl2"].algebra)
-    assert not p.is_solvable
-    assert p.killing_signature() == (2, 1, 3)
+def test_structure_facts_sl2(entries):
+    sl2 = entries["sl2"].algebra
+    assert not is_solvable(sl2)
+    assert symmetric_signature(killing_form(sl2)) == (2, 1, 3)
     # Killing form is 4x the trace form on sl2
-    assert p.killing_form == Matrix([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
+    assert killing_form(sl2) == Matrix([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
 
 
-def test_structure_probe_abelian(entries):
-    p = structure_probe(entries["abelian3"].algebra)
-    assert p.is_nilpotent
+def test_structure_facts_abelian(entries):
+    assert is_nilpotent(entries["abelian3"].algebra)
     assert center(entries["abelian3"].algebra) == Subspace.full(3)
 
 
@@ -337,12 +340,18 @@ def dense_krylov_hull(alg, cov):
         u = nxt
 
 
-def dense_centralizer(alg, sub):
+def dense_centralizer(alg, sub, modulo=None):
+    """{Z : [Z, sub] in modulo}: each [e_i, w] reduced modulo it, read where it has no pivot."""
     n, c = alg.dim, dense_structure(alg)
-    if sub.dim == 0:
+    m = modulo if modulo is not None else Subspace.zero(n)
+    if sub.dim == 0 or m.dim == n:
         return Subspace.full(n)
-    rows = [[vec_dot([c[i][j][k] for j in range(n)], w) for i in range(n)]
-            for w in sub.basis_rows() for k in range(n)]
+    free = [f for f in range(n) if f not in m.pivots]
+    rows = []
+    for w in sub.basis_rows():
+        images = [m.reduce([vec_dot([c[i][j][k] for j in range(n)], w) for k in range(n)])
+                  for i in range(n)]
+        rows += [[image[f] for image in images] for f in free]
     return rank_kernel(Matrix(rows))[1]
 
 
@@ -350,7 +359,7 @@ def test_sparse_kernels_match_dense_references(entries, rng):
     for entry in entries.values():
         alg = entry.algebra
         n = alg.dim
-        assert structure_probe(alg).killing_form == dense_killing_form(alg)
+        assert killing_form(alg) == dense_killing_form(alg)
         assert center(alg) == dense_centralizer(alg, Subspace.full(n))
         covs = [Covector(alg, c) for c in entry.covectors.values()]
         covs += [Covector(alg, (0,) * n)] + [rand_covector(alg, rng) for _ in range(4)]
@@ -360,9 +369,13 @@ def test_sparse_kernels_match_dense_references(entries, rng):
         for _ in range(3):
             z = rand_vec(rng, n)
             assert ad_matrix(alg, z) == dense_ad(alg, z)
-            sub = Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1)
-                               for _ in range(rng.randint(1, 2))])
+            sub, modulo = (Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1)
+                                        for _ in range(rng.randint(1, 2))]) for _ in range(2))
             assert centralizer(alg, sub) == dense_centralizer(alg, sub)
+            assert centralizer(alg, sub, modulo) == dense_centralizer(alg, sub, modulo)
+        full = Subspace.full(n)
+        for modulo in (center(alg), bracket_span(alg, full, full)):
+            assert centralizer(alg, full, modulo) == dense_centralizer(alg, full, modulo)
 
 
 # -- generated families past the catalog --------------------------------------
@@ -398,22 +411,22 @@ def test_orbit_dims_of_dim_21_families(h21, n7):
     assert alg.dim == 21
     assert orbit_record(alg, cascade).orbit_dim == 21 - 7 // 2
     for alg in (h21, alg):
-        probe = structure_probe(alg)
-        assert probe.is_nilpotent
-        assert probe.killing_form.is_zero()
+        assert is_nilpotent(alg)
+        assert killing_form(alg).is_zero()
 
 
-# The benchmark's generated families at dim 28-45, read from their definition
+# The benchmark's generated families at dim 28-60, read from their definition
 # files; at a covector whose sympy rank is the generic one, orbitkit's orbit
 # dimension must be the closed form dim - ind too.
 LADDER = [(families.heisenberg, 14), (families.heisenberg, 18), (families.nilradical, 8),
-          (families.nilradical, 10), (families.filiform, 30), (families.filiform, 45)]
+          (families.nilradical, 10), (families.filiform, 30), (families.filiform, 45),
+          (families.filiform, 60)]
 
 
 @pytest.mark.parametrize("make,size", LADDER, ids=[f"{m.__name__}{s}" for m, s in LADDER])
 def test_orbit_dim_at_a_generic_covector_is_dim_minus_index(make, size):
     family = make(size, families.family_rng(0, f"ladder{size}"))
-    assert 28 <= family.dim <= 45
+    assert 28 <= family.dim <= 60
     alg = parse_algebra(family.doc)
     point = workloads._generic_point(random.Random(size), family)
     record = orbit_record(alg, Covector(alg, point))
@@ -430,9 +443,111 @@ def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
     poincare = entries["poincare"]
     timelike = Covector(poincare.algebra, poincare.covectors["timelike"])
     for alg, cov in ((poincare.algebra, timelike), n7):
-        structure_probe.__wrapped__(alg)  # past the cache
+        for fact in (is_nilpotent, derived_series, ascending_central_series):
+            fact.__wrapped__(alg)  # past the cache
+        killing_form(alg)
         kks_pairing(alg, cov)
         krylov_hull(alg, cov)
+
+
+def test_orbit_record_builds_no_killing_form_and_no_derived_series(entries, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("structure fact that orbit_record does not read")
+
+    monkeypatch.setattr(liealg, "killing_form", refuse)
+    monkeypatch.setattr(liealg, "derived_series", refuse)
+    monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
+    for entry in entries.values():
+        for coords in entry.covectors.values():
+            orbit_record(entry.algebra, Covector(entry.algebra, coords))
+
+
+def test_is_nilpotent_on_L45_makes_few_brackets(monkeypatch):
+    family = families.filiform(45, families.family_rng(0, "ladder45"))
+    alg = parse_algebra(family.doc)
+    bracket, calls = LieAlgebra.bracket, []
+
+    def counted(self, u, v):
+        calls.append(None)
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    assert is_nilpotent.__wrapped__(alg)
+    # the lower central series by `bracket_span` makes 48,469 here
+    assert len(calls) <= 10_000
+
+
+# -- structure facts against the series they replaced ---------------------------
+
+
+def bracket_span_lower_central_series(alg):
+    """Reference: C^0 = g and C^{k+1} = [g, C^k] by `bracket_span`, until 0 or a repeat."""
+    full = Subspace.full(alg.dim)
+    lower = [full]
+    while lower[-1].dim > 0:
+        nxt = bracket_span(alg, full, lower[-1])
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+    return tuple(lower)
+
+
+def quotient_ascending_central_series(alg):
+    """Reference: Z_{k+1} is Z_k plus the lifted center of the quotient algebra g / Z_k."""
+    n = alg.dim
+    series = [Subspace.zero(n)]
+    while series[-1].dim < n:
+        q = quotient(alg, series[-1])
+        lifted = series[-1].add(Subspace(n, [q.lift(r) for r in center(q.algebra).basis_rows()]))
+        if lifted == series[-1]:
+            break
+        series.append(lifted)
+    return tuple(series)
+
+
+def assert_structure_facts_match_the_references(alg):
+    nilpotent = is_nilpotent.__wrapped__(alg)
+    assert nilpotent == (bracket_span_lower_central_series(alg)[-1].dim == 0)
+    upper = ascending_central_series.__wrapped__(alg)
+    assert upper == quotient_ascending_central_series(alg)
+    assert nilpotent == (upper[-1].dim == alg.dim)
+    assert is_solvable(alg) == (derived_series(alg)[-1].dim == 0)
+    return nilpotent
+
+
+def test_structure_facts_of_the_catalog_match_the_references(entries):
+    for entry in entries.values():
+        assert_structure_facts_match_the_references(entry.algebra)
+
+
+SEEDED = [(families.heisenberg, 4, True), (families.nilradical, 5, True),
+          (families.filiform, 9, True), (families.borel, 4, False), (families.borel, 5, False),
+          (families.poincare, 4, False), (families.poincare, 5, False), (families.sl, 3, False),
+          (families.sl, 4, False)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_structure_facts_of_seeded_families_match_the_references(seed):
+    for make, size, nilpotent in SEEDED:
+        family = make(size, families.family_rng(seed, f"facts{size}"))
+        assert assert_structure_facts_match_the_references(parse_algebra(family.doc)) is nilpotent
+
+
+def test_perfect_algebras_are_not_nilpotent(entries):
+    # [g, g] = g leaves no complement V to generate g from
+    for name in ("sl2", "sl3", "so31", "poincare"):
+        alg = entries[name].algebra
+        full = Subspace.full(alg.dim)
+        assert bracket_span(alg, full, full) == full
+        assert not is_nilpotent(alg), name
+
+
+def test_a_generating_complement_whose_series_stalls_is_not_nilpotent():
+    # aff(1) + R: V = {x1, x2} generates g, yet C^k = span(y) for every k >= 1
+    alg = LieAlgebra.from_brackets(["x1", "x2", "y"], {(0, 1): {2: 1}, (0, 2): {2: 1}})
+    assert validate(alg).ok
+    assert [s.dim for s in bracket_span_lower_central_series(alg)] == [3, 1]
+    assert not is_nilpotent(alg) and is_solvable(alg)
 
 
 # -- subalgebras and quotients read coordinates at the pivots ------------------
@@ -459,11 +574,10 @@ def stacked_quotient(alg, ideal):
 
 
 def _catalog_ideals(entry):
-    probe = structure_probe(entry.algebra)
     yield from entry.ideals.values()
     yield center(entry.algebra)
-    yield from probe.derived_series
-    yield from probe.lower_central_series
+    yield from derived_series(entry.algebra)
+    yield from bracket_span_lower_central_series(entry.algebra)
 
 
 def test_quotient_matches_the_stacked_solve_reference(entries, rng):
@@ -506,7 +620,7 @@ def test_subquotient_pulls_the_ideal_inside(entries):
     emb, quot = subquotient(alg, g_c, n)
     assert emb.space == g_c and quot.algebra.dim == g_c.dim - n.dim == 3
     assert quot.ideal == Subspace(7, [emb.from_parent(r) for r in n.basis_rows()])
-    assert structure_probe(quot.algebra).killing_signature() == (0, 3, 3)  # so(3)
+    assert symmetric_signature(killing_form(quot.algebra)) == (0, 3, 3)  # so(3)
     with pytest.raises(ValueError):
         subquotient(alg, n, g_c)  # g_c does not lie inside n
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitkit import linalg
 from orbitkit.catalog import CatalogEntry
-from orbitkit.liealg import LieAlgebra, center, stabilizer, structure_probe
+from orbitkit.liealg import LieAlgebra, center, derived_series, stabilizer
 from orbitkit.linalg import (
     Matrix,
     Record,
@@ -208,10 +208,9 @@ def _catalog_subspaces(entries, rng):
     """Declared ideals, centers, derived ideals and stabilizers of the catalog."""
     for entry in entries.values():
         alg = entry.algebra
-        probe = structure_probe(alg)
         yield from entry.ideals.values()
         yield center(alg)
-        yield from probe.derived_series[1:]
+        yield from derived_series(alg)[1:]
         for _ in range(3):
             yield stabilizer(alg, rand_covector(alg, rng))
 

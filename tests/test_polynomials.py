@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.liealg import ad_matrix, structure_probe
+from orbitkit.liealg import ad_matrix, killing_form
 from orbitkit.linalg import Matrix, basis_vector, solve
 from orbitkit.polynomials import (
     charpoly,
@@ -366,5 +366,5 @@ def test_symmetric_signature_refuses_a_nonsymmetric_matrix():
 
 def test_killing_signatures_of_the_catalog_are_unchanged(entries):
     for entry in entries.values():
-        probe = structure_probe(entry.algebra)
-        assert probe.killing_signature() == congruence_signature(probe.killing_form), entry.name
+        form = killing_form(entry.algebra)
+        assert symmetric_signature(form) == congruence_signature(form), entry.name
