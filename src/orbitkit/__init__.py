@@ -18,8 +18,8 @@ _EXPORTS = {
         "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect",
         "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix derived_series "
                   "exp_coadjoint ideal_closure is_ideal is_nilpotent is_solvable kks_pairing "
-                  "killing_form orbit_annihilator orbit_dim orbit_record orth quotient restrict "
-                  "stabilizer subalgebra validate",
+                  "killing_form orbit_annihilator orbit_dim orbit_record orth restrict "
+                  "stabilizer subquotient validate",
         "conditions": "ConditionReport check_conditions",
         "mackey": "LittleGroupData MackeyReport ObstructionReport abelian_step "
                   "classify_little_algebra little_group_step mackey_report obstruction_step "

@@ -7,7 +7,9 @@ Definition files look like
      "matrix_rep": [[["0","1"],["0","0"]], ...]}            # optional
 
 with rationals serialized as "p/q" strings and only i < j bracket pairs
-allowed (omitted pairs are zero).  A raw dense "structure" tensor is
+allowed (omitted pairs are zero).  A basis index (`i`, `j`, an entry of an
+index list) is a JSON integer, never `true` or `false`, and a coefficient
+key is a string of decimal digits.  A raw dense "structure" tensor is
 accepted as an alternative to "brackets" so that deliberately broken
 tensors can be fed to the validator; it is the only dim^3 grid in the
 package, read into the algebra's sparse bracket table as given (not made
@@ -276,11 +278,23 @@ def find_entry(name: str) -> CatalogEntry | None:
 # JSON format
 
 
-def _rat(s) -> Fraction:
+def _rat(s, what: str) -> Fraction:
     try:
         return frac(s)
     except (ValueError, TypeError) as exc:
-        raise CatalogError(f"bad rational literal {s!r}: {exc}") from None
+        raise CatalogError(f"{what}: bad rational literal {s!r}: {exc}") from None
+
+
+def is_index(x) -> bool:
+    """A JSON basis index: an int, never the bools that JSON true and false read as."""
+    return type(x) is int
+
+
+def _index_key(key, what: str) -> int:
+    """A JSON object key naming a basis index: plain decimal digits only."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise CatalogError(f"{what}: coefficient key {key!r} is not a basis index")
+    return int(key)
 
 
 def parse_row(row, what: str) -> tuple:
@@ -291,7 +305,7 @@ def parse_row(row, what: str) -> tuple:
     """
     if not isinstance(row, list):
         raise CatalogError(f"{what} must be a list of rationals, got {row!r}")
-    return tuple(_rat(x) for x in row)
+    return tuple(_rat(x, what) for x in row)
 
 
 def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
@@ -349,11 +363,12 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
                 raise CatalogError(
                     f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
                 ) from None
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+            if not (is_index(i) and is_index(j) and 0 <= i < j < dim):
                 raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
             if (i, j) in brackets:
                 raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
-            brackets[(i, j)] = {int(k): _rat(v) for k, v in coeffs}
+            what = f"{source}: bracket pair ({i},{j})"
+            brackets[(i, j)] = {_index_key(k, what): _rat(v, what) for k, v in coeffs}
     try:  # the constructor checks the coefficient indices and the matrix_rep shapes
         if table is None:
             return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
@@ -372,7 +387,7 @@ def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
     if isinstance(spec, dict) and "rows" in spec:
         return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
                                   for r, row in enumerate(spec["rows"])])
-    if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
+    if isinstance(spec, list) and all(map(is_index, spec)):
         return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec])
     raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
 

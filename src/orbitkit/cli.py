@@ -214,7 +214,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
                 doc = json.load(fh)
             chain = []
             for k, spec in enumerate(doc["ideals"]):
-                if isinstance(spec, list) and all(isinstance(i, int) for i in spec):
+                if isinstance(spec, list) and all(map(cat.is_index, spec)):
                     chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
                 else:
                     chain.append(Subspace(alg.dim, [cat.parse_row(row, f"ideals[{k}][{r}]")

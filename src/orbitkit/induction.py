@@ -63,8 +63,8 @@ def stages_flatten(rec: InducedRecord) -> InducedRecord:
 
 def point_fiber(alg: LieAlgebra, sub: Subspace, cov: Covector) -> OrbitRecord:
     """Orbit record of cov restricted to sub, in sub's canonical basis."""
-    cov_sub, emb = restrict(alg, cov, sub)
-    return orbit_record(emb.algebra, cov_sub)
+    cov_sub = restrict(alg, cov, sub)
+    return orbit_record(cov_sub.algebra, cov_sub)
 
 
 def frobenius_check(rec: InducedRecord, m: OrbitRecord) -> str:

@@ -22,6 +22,12 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 the Krylov hull and the ideal generated by a subspace are
 `linalg.invariant_closure` worklists.
 
+Every algebra built from a subspace comes from one routine, `subquotient`:
+a subalgebra h, or h / n for an ideal n of h, with structure constants in
+the basis of canonical lifts (the rows of h at pivots that are not pivots of
+n), read off in ambient coordinates; `restrict` takes a covector to a
+subalgebra through it, and `check_subalgebra` runs its closure check alone.
+
 Structure facts are computed on demand, one function each: `derived_series`,
 `is_solvable`, `killing_form`, `ascending_central_series` (one `centralizer`
 per term) and `is_nilpotent` (one generator closure; the lemma is stated there).
@@ -33,7 +39,8 @@ Conventions, fixed once for the whole package:
     h(f) is spanned by the row combinations W^T B_cov, and the generator
     matrix of Z on the dual space is -ad(Z)^T;
   * subalgebras are handed around as canonical Subspace values, and their
-    own structure constants are taken in the RREF basis.
+    own structure constants are taken in the RREF basis (the lifts of
+    `subquotient` with n = 0).
 """
 
 from __future__ import annotations
@@ -353,126 +360,91 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
     return rank_kernel(Matrix(rows))[1]
 
 
-class EmbeddedSubalgebra(Record):
-    parent: LieAlgebra
-    space: Subspace
-    algebra: LieAlgebra
+class Subquotient(Record):
+    """h / n for an ideal n of a subalgebra h, kept in the algebra's coordinates.
 
-    def to_parent(self, coords: Sequence) -> tuple:
-        return combine(vec(coords), self.space.basis_rows(), self.parent.dim)
-
-    def from_parent(self, v: Sequence) -> tuple:
-        coords = self.space.coords_of(v)
-        if coords is None:
-            raise ValueError("vector does not lie in the subalgebra")
-        return coords
-
-
-def _closed_brackets(alg: LieAlgebra, sub: Subspace):
-    """Yield ((a, b), coordinates of [row_a, row_b] in sub's RREF basis) for a < b.
-
-    Raises NotClosedError at the first bracket of basis rows that leaves sub.
+    Class k is represented by lifts[k], the canonical row of h at columns[k],
+    a pivot of h that is not a pivot of n; the class of a vector v of h has
+    the entries of n.reduce(v) at those columns as its coordinates.
     """
-    rows = sub.rows
+    algebra: LieAlgebra  # structure constants of h / n in the basis of classes
+    n: Subspace
+    lifts: tuple
+    columns: tuple
+
+    def project(self, v: Sequence) -> tuple:
+        """Class coordinates of a vector v of h."""
+        rep = self.n.reduce(v)
+        return tuple(rep[j] for j in self.columns)
+
+
+def _closed_brackets(alg: LieAlgebra, rows: Sequence, space: Subspace):
+    """Yield ((a, b), [rows[a], rows[b]]) for a < b.
+
+    Raises NotClosedError at the first bracket that leaves space.
+    """
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            coords = sub.coords_of(alg.bracket(rows[a], rows[b]))
-            if coords is None:
+            br = alg.bracket(rows[a], rows[b])
+            if not space.contains(br):
                 raise NotClosedError(
                     f"subspace is not a subalgebra: bracket of basis rows {a},{b} escapes"
                 )
-            yield (a, b), coords
+            yield (a, b), br
 
 
 def check_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
     """Raise NotClosedError unless sub is closed under the bracket; builds no algebra."""
-    for _ in _closed_brackets(alg, sub):
+    for _ in _closed_brackets(alg, sub.rows, sub):
         pass
 
 
-def subalgebra(alg: LieAlgebra, sub: Subspace) -> EmbeddedSubalgebra:
-    """Structure constants of a bracket-closed subspace in its RREF basis."""
-    brackets = {ab: dict(enumerate(coords)) for ab, coords in _closed_brackets(alg, sub)}
-    inner = LieAlgebra.from_brackets([f"s{a}" for a in range(sub.dim)], brackets,
-                                     f"{alg.name}-sub")
-    return EmbeddedSubalgebra(alg, sub, inner)
+def subquotient(alg: LieAlgebra, h: Subspace, n: Optional[Subspace] = None) -> Subquotient:
+    """The subalgebra h, or its quotient h / n by an ideal n of h (n = 0 by default).
 
-
-def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> tuple[Covector, EmbeddedSubalgebra]:
-    """Restrict a covector to a subalgebra, in the canonical RREF basis."""
-    emb = subalgebra(alg, sub)
-    coords = tuple(cov.pair(row) for row in sub.basis_rows())
-    return Covector(emb.algebra, coords), emb
-
-
-class QuotientAlgebra(Record):
-    """parent / ideal; class k is represented by the unit vector at columns[k].
-
-    columns are the non-pivot columns of the ideal's RREF basis, so the
-    representative of v + ideal that is 0 at the pivots is ideal.reduce(v),
-    and the class coordinates are its entries at those columns.
+    The pivots of n are pivots of h, and the rows of h at the other pivots,
+    the lifts, span a complement of n in h: they are 0 at n's pivots and
+    independent at their own.  So the lifts followed by n's rows are a basis
+    of h, and one bracket per pair of them checks that h is a subalgebra
+    (NotClosedError naming the first escaping pair; with n = 0 the basis is
+    h's canonical rows) and that [h, n] lies in n.  The brackets of lift
+    pairs, projected, are the table.  n not inside h is a ValueError.
     """
-    parent: LieAlgebra
-    ideal: Subspace
-    columns: tuple
-    algebra: LieAlgebra
+    n = Subspace.zero(alg.dim) if n is None else n
+    if h.missing_row(n) is not None:
+        raise ValueError("the ideal does not lie inside the subalgebra")
+    kept = [(row, p) for row, p in zip(h.rows, h.pivots) if p not in n.pivots]
+    lifts, columns = tuple(r for r, _ in kept), tuple(p for _, p in kept)
+    m = len(lifts)
+    brackets = {}
+    for (a, b), br in _closed_brackets(alg, lifts + n.rows, h):
+        rep = n.reduce(br)
+        if b < m:
+            brackets[(a, b)] = {k: rep[j] for k, j in enumerate(columns)}
+        elif not is_zero_vec(rep):
+            raise NotClosedError("subspace is not an ideal of the subalgebra")
+    inner = LieAlgebra.from_brackets([f"s{k}" for k in range(m)], brackets, f"{alg.name}-sub")
+    return Subquotient(inner, n, lifts, columns)
 
-    def project(self, v: Sequence) -> tuple:
-        """Coordinates of v + ideal in the representative basis."""
-        rep = self.ideal.reduce(v)
-        return tuple(rep[j] for j in self.columns)
 
-    def lift(self, coords: Sequence) -> tuple:
-        out = [ZERO] * self.parent.dim
-        for j, c in zip(self.columns, vec(coords)):
-            out[j] = c
-        return tuple(out)
+def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
+    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis."""
+    return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
 
 
 def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
     return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
 
 
-def quotient(alg: LieAlgebra, ideal: Subspace) -> QuotientAlgebra:
-    """Quotient algebra by an ideal, with canonical coset representatives.
-
-    Representatives are the standard basis vectors at non-pivot columns of
-    the ideal's RREF basis.
-    """
-    if not is_ideal(alg, ideal):
-        raise NotClosedError("subspace is not an ideal")
-    n = alg.dim
-    columns = tuple(j for j in range(n) if j not in ideal.pivots)
-    reps = [basis_vector(n, j) for j in columns]
-    brackets = {}
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            rep = ideal.reduce(alg.bracket(reps[a], reps[b]))
-            brackets[(a, b)] = {k: rep[j] for k, j in enumerate(columns)}
-    inner = LieAlgebra.from_brackets([f"q{a}" for a in range(len(reps))], brackets,
-                                     f"{alg.name}-quot")
-    return QuotientAlgebra(alg, ideal, columns, inner)
-
-
-def subquotient(alg: LieAlgebra, h: Subspace,
-                ideal: Subspace) -> tuple[EmbeddedSubalgebra, QuotientAlgebra]:
-    """The subalgebra h and its quotient h / ideal.
-
-    The ideal of h is given in the coordinates of alg and is pulled into
-    the RREF basis of h before the quotient is taken.
-    """
-    emb = subalgebra(alg, h)
-    inner = Subspace(h.dim, [emb.from_parent(r) for r in ideal.basis_rows()])
-    return emb, quotient(emb.algebra, inner)
-
-
 def bracket_span(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    rows = [
-        alg.bracket(u, v)
-        for u in a.basis_rows()
-        for v in b.basis_rows()
-    ]
-    return Subspace(alg.dim, rows)
+    """span [a, b]; [a, a] takes one bracket per pair of rows u < v, as [u, u] = 0
+    and [v, u] = -[u, v] in an antisymmetric table."""
+    if a == b:
+        rows = a.rows
+        brackets = [alg.bracket(u, v) for i, u in enumerate(rows) for v in rows[i + 1:]]
+    else:
+        brackets = [alg.bracket(u, v) for u in a.rows for v in b.rows]
+    return Subspace(alg.dim, brackets)
 
 
 def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:

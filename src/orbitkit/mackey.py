@@ -7,8 +7,10 @@ containment, the annihilator identity n_c(cov) = ann(h), and exact
 exp-linearity of the n_c flows.  Step 3 (obstruction): build the central
 extension 0 -> n_c/j -> h_c/j -> h_c/n_c with j = ker(c on n_c), compute
 its 2-cocycle through a linear section, and decide triviality by an exact
-coboundary solve.  The section lifts each class to its canonical
-representative, or to its one element in a given complement of n_c in h_c,
+coboundary solve.  `liealg.subquotient` gives h_c/n_c in ambient
+coordinates: its table, its canonical lifts and the class projection, so the
+table of h_c itself is never built.  The section lifts each class to its
+canonical lift, or to its one element in a given complement of n_c in h_c,
 read off the complement's echelon rows (the semidirect witness's candidates).
 
 Only infinitesimal data is computed: group components, coverings and the
@@ -44,7 +46,6 @@ from .linalg import (
     Subspace,
     ZERO,
     annihilator,
-    basis_vector,
     combine,
     is_zero_vec,
     rank_kernel,
@@ -188,8 +189,9 @@ def obstruction_step(
     coboundary of some linear form by an exact solve.  The section takes class
     k to its canonical lift, or, given a complement, to row k of the echelon
     rows (class of v | v) over the complement's basis: (e_k | its element in
-    class k).  A complement must give pivots 0..m-1 (m = dim h_c/n_c), i.e.
-    lie in h_c and map one-to-one onto the quotient; else it is a ValueError.
+    class k).  A complement must lie in h_c and give pivots 0..m-1
+    (m = dim h_c/n_c), i.e. map one-to-one onto the quotient; else it is a
+    ValueError.
     """
     alg, cov = data.algebra, data.covector
     h_c = data.g_c  # stabilizer of c inside h equals g_c since g_c <= h
@@ -198,29 +200,28 @@ def obstruction_step(
     j = n_c.intersect(ker_cov)
     c_vanishes = all(cov.pair(row) == 0 for row in n_c.basis_rows())
 
-    emb, quot = subquotient(alg, h_c, n_c)
+    quot = subquotient(alg, h_c, n_c)
     m = quot.algebra.dim
 
     if complement is None:
-        sec = [emb.to_parent(quot.lift(basis_vector(m, k))) for k in range(m)]
+        sec = list(quot.lifts)
     else:
-        echelon = Subspace(m + alg.dim, [quot.project(emb.from_parent(v)) + v
-                                         for v in complement.rows])
+        if not h_c.contains_subspace(complement):
+            raise ValueError("complement does not lie in h_c")
+        echelon = Subspace(m + alg.dim, [quot.project(v) + v for v in complement.rows])
         if echelon.pivots != tuple(range(m)):
             raise ValueError("complement does not map one-to-one onto h_c/n_c")
         sec = [row[m:] for row in echelon.rows]
     section = Matrix(sec, alg.dim)
 
-    # section row k projects to class k, so [sx, sy] less the section lift
-    # of its class is its n_c-component
+    # section row k projects to class k, so [sx, sy] (in h_c, which
+    # subquotient found closed) less the section lift of its class is its
+    # n_c-component
     f = [[ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             br = alg.bracket(sec[a], sec[b])
-            coords = h_c.coords_of(br)
-            if coords is None:
-                raise AssertionError("bracket escaped h_c; stabilizer not closed?")
-            n_part = vec_sub(br, combine(quot.project(coords), sec, alg.dim))
+            n_part = vec_sub(br, combine(quot.project(br), sec, alg.dim))
             val = cov.pair(n_part)
             f[a][b] = val
             f[b][a] = -val
@@ -394,7 +395,7 @@ def classify_little_algebra(alg: LieAlgebra, a: Subspace, cov: Covector) -> Litt
         raise ValueError("the given ideal is not abelian")
     from .polynomials import symmetric_signature  # only `classify` reads a signature
 
-    q = subquotient(alg, orth(alg, a, cov), a)[1].algebra
+    q = subquotient(alg, orth(alg, a, cov), a).algebra
     solvable, nilpotent = is_solvable(q), is_nilpotent(q)
     sig = symmetric_signature(killing_form(q))
     label = _TYPE_TABLE.get((q.dim, solvable, nilpotent, sig))

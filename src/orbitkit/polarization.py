@@ -40,8 +40,8 @@ from .liealg import (
     orbit_annihilator,
     orbit_dim,
     orth,
-    quotient,
     restrict,
+    subquotient,
 )
 from .linalg import (
     Record,
@@ -180,11 +180,12 @@ def _automatic_candidates(inner: LieAlgebra, ann_x: Subspace):
     ann_x, where orbit-abelian means abelian and orbit-central means
     central, then pulled back.
     """
-    quot = quotient(inner, ann_x)
+    quot = subquotient(inner, Subspace.full(inner.dim), ann_x)
     qalg = quot.algebra
 
     def pull(sub: Subspace) -> Subspace:
-        return ann_x.add(Subspace(inner.dim, [quot.lift(r) for r in sub.basis_rows()]))
+        return ann_x.add(Subspace(inner.dim, [combine(r, quot.lifts, inner.dim)
+                                              for r in sub.rows]))
 
     derived = [s for s in derived_series(qalg) if s.dim > 0]
     if len(derived) > 1:
@@ -306,8 +307,8 @@ def pukanszky_polarization(
         if g_next_inner.dim >= inner.dim:
             raise AssertionError("no dimension drop despite non-central ideal")
 
-        cur_cov, emb = restrict(inner, cur_cov, g_next_inner)
-        inner = emb.algebra
+        cur_cov = restrict(inner, cur_cov, g_next_inner)
+        inner = cur_cov.algebra
         g_here = g_next
 
     conditions = check_conditions(alg, g_here, cov)

@@ -64,8 +64,8 @@ def dense_antisymmetry_failures(tensor):
 def subalgebra_orbit_dim(alg, cov, sub):
     """The route `liealg.orbit_dim` replaced: build the subalgebra sub, restrict
     cov to it and take the rank of the restricted covector's pairing."""
-    cov_sub, emb = restrict(alg, cov, sub)
-    return rank_kernel(kks_pairing(emb.algebra, cov_sub))[0]
+    cov_sub = restrict(alg, cov, sub)
+    return rank_kernel(kks_pairing(cov_sub.algebra, cov_sub))[0]
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

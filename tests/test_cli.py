@@ -69,6 +69,18 @@ MALFORMED = {
                          "ideals": {"a,b": [0]}},
     "complement_at.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "brackets": [],
                            "complements": {"@rows.json": [1]}},
+    # JSON true and false are not basis indices, and a coefficient key is plain digits
+    "bracket_index_bool.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                                "brackets": [{"i": False, "j": 1, "coeffs": {"1": "1"}}]},
+    "ideal_index_bool.json": {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                              "brackets": [], "ideals": {"I": [True, 2]}},
+    "chain_index_bool.json": {"ideals": [[True, 2]]},
+    "coeff_key_letter.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                              "brackets": [{"i": 0, "j": 1, "coeffs": {"x": "1"}}]},
+    "coeff_key_space.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                             "brackets": [{"i": 0, "j": 1, "coeffs": {" 1": "1"}}]},
+    "coeff_value_letter.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                                "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "y"}}]},
 }
 
 BAD_INPUTS = {
@@ -138,6 +150,13 @@ BAD_INPUTS = {
     "polarize_chain_ideal_string": ["polarize", "catalog:heisenberg3",
                                     "--strategy", "chain:chain_ideal_string.json",
                                     "--point=0,0,1"],
+    "validate_bracket_index_bool": ["validate", "bracket_index_bool.json"],
+    "orbit_ideal_index_bool": ["orbit", "ideal_index_bool.json", "--point=0,0,1"],
+    "polarize_chain_index_bool": ["polarize", "catalog:heisenberg3",
+                                  "--strategy", "chain:chain_index_bool.json", "--point=0,0,1"],
+    "validate_coeff_key_letter": ["validate", "coeff_key_letter.json"],
+    "validate_coeff_key_space": ["validate", "coeff_key_space.json"],
+    "validate_coeff_value_letter": ["validate", "coeff_value_letter.json"],
 }
 
 HAPPY = {
@@ -247,6 +266,27 @@ def test_a_string_row_is_refused_by_name(workdir, capsys):
                                      "be a list of rationals, got '001'",
         "polarize_chain_ideal_string": "bad chain file chain_ideal_string.json: ideals[0][0] "
                                        "must be a list of rationals, got '1'",
+    }
+    for case, error in want.items():
+        assert run(BAD_INPUTS[case], capsys) == (2, {
+            "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
+            "error": error, "ok": False, "schema": 1})
+
+
+def test_a_bool_index_or_a_loose_key_is_refused_by_name(workdir, capsys):
+    want = {
+        "validate_bracket_index_bool": "bracket_index_bool.json: bracket pair (False,1) "
+                                       "violates 0 <= i < j < dim",
+        "orbit_ideal_index_bool": "ideal_index_bool.json: ideal 'I' must be an index list "
+                                  "or {'rows': ...}",
+        "polarize_chain_index_bool": "bad chain file chain_index_bool.json: ideals[0][0] must "
+                                     "be a list of rationals, got True",
+        "validate_coeff_key_letter": "coeff_key_letter.json: bracket pair (0,1): "
+                                     "coefficient key 'x' is not a basis index",
+        "validate_coeff_key_space": "coeff_key_space.json: bracket pair (0,1): "
+                                    "coefficient key ' 1' is not a basis index",
+        "validate_coeff_value_letter": "coeff_value_letter.json: bracket pair (0,1): bad "
+                                       "rational literal 'y': Invalid literal for Fraction: 'y'",
     }
     for case, error in want.items():
         assert run(BAD_INPUTS[case], capsys) == (2, {

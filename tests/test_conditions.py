@@ -4,7 +4,7 @@ import pytest
 
 from orbitkit import conditions, liealg
 from orbitkit.conditions import check_conditions
-from orbitkit.liealg import Covector, NotClosedError, orth, stabilizer, subalgebra
+from orbitkit.liealg import Covector, NotClosedError, check_subalgebra, orth, stabilizer
 from orbitkit.linalg import Subspace, basis_vector
 from conftest import rand_covector
 
@@ -118,7 +118,7 @@ def test_symplectic_quotient_dimension(entries, rng):
             for h in _random_subalgebras(alg, rng, 2):
                 h = h.add(stab)
                 try:
-                    subalgebra(alg, h)
+                    check_subalgebra(alg, h)
                 except NotClosedError:
                     continue
                 o = orth(alg, h, cov)

@@ -31,16 +31,14 @@ from orbitkit.liealg import (
     orbit_dim,
     orbit_record,
     orth,
-    quotient,
     restrict,
     stabilizer,
-    subalgebra,
     subquotient,
     validate,
 )
 from orbitkit import conditions, liealg, linalg, mackey, polarization
 from orbitkit.conditions import check_conditions
-from orbitkit.mackey import semidirect_witness
+from orbitkit.mackey import little_group_step, semidirect_witness
 from orbitkit.polarization import verify_monomial
 from orbitkit.polynomials import symmetric_signature
 from orbitkit.linalg import (
@@ -199,11 +197,11 @@ def test_restrict_heisenberg(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
     sub = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
-    c, emb = restrict(h3, cov, sub)
-    assert c.coords == (F(0), F(1))
-    full, _ = restrict(h3, cov, Subspace.full(3))
-    assert full.coords == cov.coords
-    center_restricted, _ = restrict(h3, Covector(h3, (1, 0, 0)), Subspace(3, [basis_vector(3, 2)]))
+    c = restrict(h3, cov, sub)
+    assert c.coords == (F(0), F(1)) and c.algebra.dim == 2
+    full = restrict(h3, cov, Subspace.full(3))
+    assert full.coords == cov.coords and full.algebra.nonzeros == h3.nonzeros
+    center_restricted = restrict(h3, Covector(h3, (1, 0, 0)), Subspace(3, [basis_vector(3, 2)]))
     assert center_restricted.is_zero()
 
 
@@ -236,10 +234,10 @@ def test_structure_facts_abelian(entries):
 def test_subalgebra_and_quotient(entries):
     h3 = entries["heisenberg3"].algebra
     sub = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
-    emb = subalgebra(h3, sub)
-    assert validate(emb.algebra).ok
-    assert center(emb.algebra).dim == 2  # abelian plane
-    q = quotient(h3, Subspace(3, [basis_vector(3, 2)]))
+    plane = subquotient(h3, sub).algebra
+    assert validate(plane).ok
+    assert center(plane).dim == 2  # abelian plane
+    q = subquotient(h3, Subspace.full(3), Subspace(3, [basis_vector(3, 2)]))
     assert q.algebra.dim == 2
     assert center(q.algebra).dim == 2  # h3 / center is abelian
 
@@ -278,7 +276,7 @@ def test_stabilizer_is_subalgebra(entries, rng):
         for _ in range(8):
             cov = rand_covector(alg, rng)
             stab = stabilizer(alg, cov)
-            subalgebra(alg, stab)  # raises when not closed
+            subquotient(alg, stab)  # raises when not closed
 
 
 def test_ad_is_morphism(entries, rng):
@@ -497,8 +495,9 @@ def quotient_ascending_central_series(alg):
     n = alg.dim
     series = [Subspace.zero(n)]
     while series[-1].dim < n:
-        q = quotient(alg, series[-1])
-        lifted = series[-1].add(Subspace(n, [q.lift(r) for r in center(q.algebra).basis_rows()]))
+        q = subquotient(alg, Subspace.full(n), series[-1])
+        lifted = series[-1].add(Subspace(n, [combine(r, q.lifts, n)
+                                             for r in center(q.algebra).basis_rows()]))
         if lifted == series[-1]:
             break
         series.append(lifted)
@@ -562,7 +561,7 @@ def stacked_quotient(alg, ideal):
     n = alg.dim
     pivots = {next(j for j, x in enumerate(row) if x != 0) for row in ideal.basis_rows()}
     reps = [basis_vector(n, j) for j in range(n) if j not in pivots]
-    stacked = Matrix(list(ideal.basis_rows()) + reps).transpose()
+    stacked = Matrix(list(ideal.basis_rows()) + reps, n).transpose()
 
     def project(v):
         return solve(stacked, v)[ideal.dim:]
@@ -584,16 +583,16 @@ def test_quotient_matches_the_stacked_solve_reference(entries, rng):
     for entry in entries.values():
         alg = entry.algebra
         for ideal in _catalog_ideals(entry):
-            q = quotient(alg, ideal)
+            q = subquotient(alg, Subspace.full(alg.dim), ideal)
             reps, project, tensor = stacked_quotient(alg, ideal)
             assert dense_structure(q.algebra) == tensor
             m = q.algebra.dim
-            assert [q.lift(basis_vector(m, k)) for k in range(m)] == reps
+            assert list(q.lifts) == reps
             for _ in range(4):
                 v = rand_vec(rng, alg.dim)
                 assert q.project(v) == project(v)
                 c = rand_vec(rng, m)
-                assert q.project(q.lift(c)) == c
+                assert q.project(combine(c, q.lifts, alg.dim)) == c
 
 
 def test_subalgebra_matches_the_solved_reference(entries, rng):
@@ -602,31 +601,80 @@ def test_subalgebra_matches_the_solved_reference(entries, rng):
         subs = list(_catalog_ideals(entry))
         subs += [stabilizer(alg, rand_covector(alg, rng)) for _ in range(3)]
         for sub in subs:
-            emb = subalgebra(alg, sub)
+            sq = subquotient(alg, sub)
             rows = sub.basis_rows()
             m = sub.dim
             basis_t = Matrix(rows, alg.dim).transpose()
-            assert dense_structure(emb.algebra) == tuple(
+            assert dense_structure(sq.algebra) == tuple(
                 tuple(solve(basis_t, alg.bracket(rows[a], rows[b])) for b in range(m))
                 for a in range(m))
+            assert sq.lifts == rows
             c = rand_vec(rng, m)
-            assert emb.from_parent(emb.to_parent(c)) == c
+            assert sq.project(combine(c, rows, alg.dim)) == c
+
+
+def two_stage_subquotient(alg, h, n):
+    """The route `subquotient` replaced: h's structure constants by a solve in
+    h's RREF basis, then the stacked-solve quotient by n's coordinates there.
+
+    Returns the lifts in ambient coordinates, the projection of a vector of h
+    and the structure tensor of h / n.
+    """
+    rows, d = h.rows, h.dim
+    basis_t = Matrix(rows, alg.dim).transpose()
+
+    def coords(v):
+        return solve(basis_t, v)
+
+    inner = LieAlgebra.from_brackets(
+        [f"s{a}" for a in range(d)],
+        {(a, b): dict(enumerate(coords(alg.bracket(rows[a], rows[b]))))
+         for a in range(d) for b in range(a + 1, d)})
+    reps, project, tensor = stacked_quotient(inner, Subspace(d, [coords(r) for r in n.rows]))
+    return [combine(r, rows, alg.dim) for r in reps], lambda v: project(coords(v)), tensor
+
+
+def test_subquotient_matches_the_two_stage_reference(entries, rng):
+    """h_c / n_c, h / n and h_c itself for the little-group data of every catalog
+    ideal at declared and seeded covectors."""
+    cases = 0
+    for entry in entries.values():
+        alg = entry.algebra
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        covs += [rand_covector(alg, rng) for _ in range(2)]
+        for ideal in _catalog_ideals(entry):
+            for cov in covs:
+                data = little_group_step(alg, ideal, cov)
+                for h, n in ((data.g_c, data.n_c), (data.h, ideal),
+                             (data.g_c, Subspace.zero(alg.dim))):
+                    sq = subquotient(alg, h, n)
+                    lifts, project, tensor = two_stage_subquotient(alg, h, n)
+                    assert dense_structure(sq.algebra) == tensor
+                    assert list(sq.lifts) == lifts
+                    v = combine(rand_vec(rng, h.dim), h.rows, alg.dim)
+                    assert sq.project(v) == project(v)
+                    cases += 1
+    assert cases > 300
 
 
 def test_subquotient_pulls_the_ideal_inside(entries):
     poincare = entries["poincare"]
     alg, n = poincare.algebra, poincare.ideals["translations"]
     g_c = orth(alg, n, Covector(alg, poincare.covectors["timelike"]))
-    emb, quot = subquotient(alg, g_c, n)
-    assert emb.space == g_c and quot.algebra.dim == g_c.dim - n.dim == 3
-    assert quot.ideal == Subspace(7, [emb.from_parent(r) for r in n.basis_rows()])
+    quot = subquotient(alg, g_c, n)
+    assert quot.algebra.dim == g_c.dim - n.dim == 3
+    # the lifts are the rows of g_c at the pivots that n lacks, in the order of g_c
+    assert quot.lifts == tuple(r for r, p in zip(g_c.rows, g_c.pivots) if p not in n.pivots)
+    assert [quot.project(r) for r in n.rows] == [(0, 0, 0)] * 4
     assert symmetric_signature(killing_form(quot.algebra)) == (0, 3, 3)  # so(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not lie inside"):
         subquotient(alg, n, g_c)  # g_c does not lie inside n
+    with pytest.raises(NotClosedError, match="not an ideal"):
+        subquotient(alg, Subspace.full(10), poincare.complements["lorentz"])
 
 
 def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
-    """subalgebra, quotient, subquotient and restrict read coordinates at pivots."""
+    """subquotient and restrict read coordinates at pivots."""
     poincare = entries["poincare"]
     alg, n = poincare.algebra, poincare.ideals["translations"]
     cov = Covector(alg, poincare.covectors["timelike"])
@@ -638,13 +686,13 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
     for mod in (linalg, liealg):
         if hasattr(mod, "solve"):
             monkeypatch.setattr(mod, "solve", refuse)
-    subalgebra(alg, poincare.complements["lorentz"])
-    q = quotient(alg, n)
-    q.project(q.lift((1, 2, 3, 4, 5, 6)))
+    subquotient(alg, poincare.complements["lorentz"])
+    q = subquotient(alg, Subspace.full(10), n)
+    q.project(combine((1, 2, 3, 4, 5, 6), q.lifts, 10))
     restrict(alg, cov, g_c)
-    emb, quot = subquotient(alg, g_c, n)
+    quot = subquotient(alg, g_c, n)
     for row in g_c.basis_rows():
-        quot.project(emb.from_parent(row))
+        quot.project(row)
 
 
 # -- one coadjoint-action path: h(cov), its orthogonal and the ideal closure ----
@@ -843,13 +891,13 @@ def test_closures_on_seeded_families_match_the_fixed_points(seed):
 # -- closure checks that build nothing -------------------------------------------
 
 
-def test_check_subalgebra_refuses_what_subalgebra_refuses(entries, rng):
+def test_check_subalgebra_refuses_what_subquotient_refuses(entries, rng):
     verdicts = []
     for entry in entries.values():
         alg = entry.algebra
         for sub in seeded_subspaces(alg, rng):
             errors = []
-            for check in (subalgebra, check_subalgebra):
+            for check in (subquotient, check_subalgebra):
                 try:
                     check(alg, sub)
                     errors.append(None)
@@ -879,3 +927,32 @@ def test_closure_checks_build_no_algebra(entries, monkeypatch):
     assert verify_monomial(h3, cov, lagrangian).all_hold()
     with pytest.raises(NotClosedError, match="bracket of basis rows 0,1 escapes"):
         check_conditions(h3, Subspace(3, [(1, 0, 0), (0, 1, 0)]), cov)
+
+
+# -- [a, a] takes one bracket per pair --------------------------------------------
+
+
+def test_bracket_span_of_a_subspace_with_itself_brackets_each_pair_once(monkeypatch):
+    family = families.filiform(45, families.family_rng(0, "ladder45"))
+    alg = parse_algebra(family.doc)
+    bracket, calls = LieAlgebra.bracket, []
+
+    def counted(self, u, v):
+        calls.append(None)
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    full = Subspace.full(45)
+    assert bracket_span(alg, full, Subspace.full(45)).dim == 43
+    assert len(calls) == 45 * 44 // 2 == 990
+    calls.clear()
+    assert is_nilpotent.__wrapped__(alg)
+    assert len(calls) == 4774  # 5,809 with all 2,025 ordered pairs in the [g, g] step
+
+
+def test_bracket_span_of_a_subspace_with_itself_matches_every_ordered_pair(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        for sub in [*seeded_subspaces(alg, rng), *_catalog_ideals(entry)]:
+            every_pair = Subspace(alg.dim, [alg.bracket(u, v) for u in sub.rows for v in sub.rows])
+            assert bracket_span(alg, sub, sub) == every_pair, (entry.name, sub)

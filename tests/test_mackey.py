@@ -1,19 +1,25 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitkit.catalog import parse_algebra, parse_entry
 from orbitkit.liealg import (
     Covector,
+    LieAlgebra,
     NotClosedError,
     ad_matrix,
     exp_coadjoint,
     ideal_closure,
     kks_pairing,
+    orbit_dim,
     orbit_record,
     restrict,
     stabilizer,
-    subalgebra,
     validate,
 )
 from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel
@@ -27,6 +33,10 @@ from orbitkit.mackey import (
     verify_step_relations,
 )
 from conftest import dense_apply, dense_structure, rand_covector, rand_vec
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
 
 
 def _span(n, *idx):
@@ -184,6 +194,26 @@ def test_obstruction_section_independence(entries, rng):
                 assert solve(Matrix(pair_rows), rhs) is not None
 
 
+def test_obstruction_step_builds_one_algebra(entries, monkeypatch):
+    """h_c / n_c is built from ambient brackets; the table of h_c itself never is."""
+    built = []
+    post_init = LieAlgebra.__post_init__
+
+    def counted(self):
+        built.append(self.dim)
+        post_init(self)
+
+    poin = entries["poincare"]
+    data = little_group_step(poin.algebra, poin.ideals["translations"],
+                             Covector(poin.algebra, poin.covectors["timelike"]))
+    assert (data.g_c.dim, data.n_c.dim) == (7, 4)
+    monkeypatch.setattr(LieAlgebra, "__post_init__", counted)
+    obstruction_step(data)
+    assert built == [3]  # so(3)
+    obstruction_step(data, complement=poin.complements["lorentz"].intersect(data.g_c))
+    assert built == [3, 3]
+
+
 def _little_group_cases(entries, rng):
     """Little-group data of every declared ideal at declared and seeded covectors."""
     for entry in entries.values():
@@ -261,13 +291,12 @@ def test_semidirect_witness_poincare_little_group(entries):
     poin = entries["poincare"]
     cov = Covector(poin.algebra, poin.covectors["timelike"])
     data = little_group_step(poin.algebra, poin.ideals["translations"], cov)
-    emb = subalgebra(poin.algebra, data.g_c)
-    n_inner = Subspace(7, [emb.from_parent(r)
+    cov_inner = restrict(poin.algebra, cov, data.g_c)
+    n_inner = Subspace(7, [data.g_c.coords_of(r)
                            for r in poin.ideals["translations"].basis_rows()])
-    cov_inner, _ = restrict(poin.algebra, cov, data.g_c)
     rot = poin.complements["lorentz"].intersect(data.g_c)
-    rot_inner = Subspace(7, [emb.from_parent(r) for r in rot.basis_rows()])
-    rep = semidirect_witness(emb.algebra, n_inner, cov_inner, [("rotations", rot_inner)])
+    rot_inner = Subspace(7, [data.g_c.coords_of(r) for r in rot.basis_rows()])
+    rep = semidirect_witness(cov_inner.algebra, n_inner, cov_inner, [("rotations", rot_inner)])
     assert rep.witness_name == "rotations"
     assert rep.cocycle_zero
 
@@ -410,6 +439,29 @@ def test_exp_coadjoint_inverse(entries, rng):
         assert back.coords == cov.coords
 
 
+GROUP_LAW_ALGEBRAS = [parse_algebra(make(size, families.family_rng(0, f"group{size}")).doc)
+                      for make, size in ((families.heisenberg, 3), (families.nilradical, 5),
+                                         (families.filiform, 8))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(GROUP_LAW_ALGEBRAS), st.randoms(use_true_random=False),
+       st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3))
+def test_exp_coadjoint_is_a_group_action_property(alg, rnd, s, t):
+    """On h7, n5 and L8: exp(sZ) exp(tZ) f = exp((s+t)Z) f, exp(-Z) exp(Z) f = f,
+    and the flow keeps f on its orbit, so the orbit dimension stays put."""
+    z = rand_vec(rnd, alg.dim, lo=-3, hi=3, max_den=2)
+    cov = rand_covector(alg, rnd)
+
+    def flow(c, f):
+        return exp_coadjoint(alg, tuple(c * a for a in z), f)
+
+    assert flow(s, flow(t, cov)) == flow(s + t, cov)
+    moved = flow(1, cov)
+    assert flow(-1, moved) == cov
+    assert orbit_dim(alg, moved) == orbit_dim(alg, cov)
+
+
 def test_exp_coadjoint_refuses_non_nilpotent(entries):
     sl2 = entries["sl2"].algebra
     with pytest.raises(ValueError):
@@ -531,3 +583,36 @@ def test_exp_linear_fails_with_the_higher_order_witness(entries):
     rel = verify_step_relations(data)
     assert not rel.exp_linear and not image_chain_exp_linear(data)
     assert rel.witnesses["higher_order_term"] == (0, 1, 0, 0)
+
+
+# -- step 2 against closed forms ------------------------------------------------
+
+
+def _mackey_dims(rep):
+    return rep.dim_x, rep.dim_gh, rep.dim_u, rep.dim_v
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mackey_step_two_on_heisenberg_matches_the_closed_form(k):
+    """h_{2k+1} over its Lagrangian ideal n = span(y_i, z) at f(z) != 0: the x_i
+    move f on n, so g_c = n, and X = G/N is the whole 2k-dimensional orbit."""
+    rng = families.family_rng(0, f"mackey-h{k}")
+    entry = parse_entry(families.heisenberg(k, rng).doc)
+    alg, n = entry.algebra, entry.ideals["lagrangian"]
+    coords = list(rand_vec(rng, alg.dim))
+    coords[alg.label_index("z")] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    rep = mackey_report(alg, n, Covector(alg, coords))
+    assert _mackey_dims(rep) == (2 * k, k, 0, 0)
+    assert rep.little_group.g_c == n and rep.all_checks()
+
+
+@pytest.mark.parametrize("size", range(4, 21))
+def test_mackey_step_two_on_filiform_matches_the_closed_form(size):
+    """L_n over its abelian ideal span(e2, ..., en) at a generic point: the orbit
+    has dimension 2 and e1 alone moves f on the ideal."""
+    family = families.filiform(size, families.family_rng(0, f"mackey-L{size}"))
+    entry = parse_entry(family.doc)
+    point = workloads._generic_point(random.Random(size), family)
+    rep = mackey_report(entry.algebra, entry.ideals["abelian"], Covector(entry.algebra, point))
+    assert _mackey_dims(rep) == (2, 1, 0, 0)
+    assert rep.all_checks()
