@@ -8,15 +8,15 @@ Definition files look like
 
 with rationals serialized as "p/q" strings and only i < j bracket pairs
 allowed (omitted pairs are zero).  A basis index (`i`, `j`, an entry of an
-index list) is a JSON integer, never `true` or `false`, and a coefficient
-key is a string of decimal digits.  A raw dense "structure" tensor is
-accepted as an alternative to "brackets" so that deliberately broken
-tensors can be fed to the validator; it is the only dim^3 grid in the
-package, read into the algebra's sparse bracket table as given (not made
-antisymmetric) and then dropped.  Catalog entries extend the schema with
-documented sample covectors and declared ideals/complements; a declared
-name may not be a basis label or all digits, since a subspace argument
-looks names up before labels and indices.
+index list) is a JSON integer, never `true` or `false`, and neither is a
+rational; a coefficient key is a string of ASCII decimal digits.  A raw
+dense "structure" tensor is accepted as an alternative to "brackets" so
+that deliberately broken tensors can be fed to the validator; it is the
+only dim^3 grid in the package, read into the algebra's sparse bracket
+table as given (not made antisymmetric) and then dropped.  Catalog entries
+extend the schema with documented sample covectors and declared
+ideals/complements; a declared name may not be a basis label or all ASCII
+digits, since a subspace argument looks names up before labels and indices.
 
 Built-in entries are built and validated by name, each once per process,
 so a caller that names one entry pays for that entry alone.  The entries
@@ -279,6 +279,8 @@ def find_entry(name: str) -> CatalogEntry | None:
 
 
 def _rat(s, what: str) -> Fraction:
+    if isinstance(s, bool):  # `frac` would read JSON true and false as 1 and 0
+        raise CatalogError(f"{what}: {json.dumps(s)} is not a rational")
     try:
         return frac(s)
     except (ValueError, TypeError) as exc:
@@ -290,9 +292,18 @@ def is_index(x) -> bool:
     return type(x) is int
 
 
+def is_index_token(text: str) -> bool:
+    """Text naming a basis index: ASCII decimal digits only, so not '²' or ' 2'.
+
+    The one rule for coefficient keys, `--sub` tokens, and the labels and
+    declared names that must not read as an index.
+    """
+    return text.isascii() and text.isdigit()
+
+
 def _index_key(key, what: str) -> int:
-    """A JSON object key naming a basis index: plain decimal digits only."""
-    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+    """A JSON object key naming a basis index."""
+    if not (isinstance(key, str) and is_index_token(key)):
         raise CatalogError(f"{what}: coefficient key {key!r} is not a basis index")
     return int(key)
 
@@ -331,7 +342,7 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     for k, label in enumerate(labels):
         if label in labels[:k]:
             raise CatalogError(f"{source}: basis label {label!r} is repeated")
-        if label.isdigit():
+        if is_index_token(label):
             raise CatalogError(f"{source}: basis label {label!r} reads as an index")
     rep = None
     if doc.get("matrix_rep") is not None:
@@ -380,7 +391,7 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
 def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
     # a subspace argument is looked up by declared name before labels, indices,
     # label lists and @files, so a name must not read as any of them
-    if name in alg.labels or name.isdigit():
+    if name in alg.labels or is_index_token(name):
         raise CatalogError(f"{what} has the name of a basis label or index")
     if "," in name or name.startswith("@"):
         raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")

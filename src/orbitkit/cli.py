@@ -88,7 +88,7 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
     tokens = [t.strip() for t in text.split(",")]
     rows = []
     for tok in tokens:
-        if tok.isdigit():
+        if cat.is_index_token(tok):
             idx = int(tok)
         else:
             try:
@@ -199,7 +199,8 @@ def _cmd_mackey(args) -> tuple[dict, bool]:
 
 
 def _cmd_polarize(args) -> tuple[dict, bool]:
-    from .polarization import StrategyExhausted, exponential_precheck, pukanszky_polarization
+    from .polarization import (StrategyExhausted, exponential_precheck,
+                               pukanszky_polarization, rejections_json)
 
     entry = _load_entry(args.algebra)
     alg = entry.algebra
@@ -237,9 +238,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
             return {
                 "point": cov,
                 "error": "strategy exhausted",
-                "rejected_candidates": [
-                    {"step": i, "candidate": d, "reason": r} for i, d, r in exc.rejections
-                ],
+                "rejected_candidates": rejections_json(exc.rejections),
                 "ok": False,
             }
         certs = all(s.certificates_hold() for s in trace.steps)

@@ -15,7 +15,7 @@ A Subspace also keeps the pivot columns of that basis.  Basis row r is 1 at
 pivot r and 0 at every other pivot, so a vector of the subspace has its
 coordinates written out at the pivots, and `reduce` takes any vector to
 the one representative of its coset that is 0 at the pivots.  The changes
-of coordinates above this module (into a subalgebra, onto a quotient, into
+of coordinates above this module (into a subalgebra, onto a quotient, out of
 a polarization window) read coordinates there and map them back through
 `combine`, with no linear solve.  Products are row combinations too: row i
 of A*B is `combine` of the rows of B with row i of A as coefficients,

@@ -1,14 +1,21 @@
 """Iterative construction of Pukanszky polarizations for exponential algebras.
 
-The driver descends g_0 > g_1 > ... by intersecting with the orthogonal of
-an orbit-abelian, non-orbit-central ideal until the current subalgebra is
-self-orthogonal at the restricted covector.  Candidate ideals are drawn in
-a fixed deterministic order from the quotient by the orbit's extraneous
-ideal: the terminal nonzero derived term, abelian terms of the ascending
-central series, the centralizer of the derived subalgebra, and finally the
-classical refinement center + single vector (which is what succeeds on
-Heisenberg-like steps).  The method does not claim to produce every
-Pukanszky polarization.
+The driver descends g = g_0 > g_1 > ... by g_{i+1} = g_i ∩ I^f, with I an
+orbit-abelian, non-orbit-central ideal of the window g_i, until the window
+is self-orthogonal at the restricted covector.  There is one coordinate
+system: every window, candidate ideal, orthogonal and step is a subspace of
+g, and I^f is the orthogonal in g.  The window's own algebra is built once
+per step, as `restrict(alg, cov, g_i)` in the basis of g_i's canonical rows,
+never from the previous window's algebra; it is read only for the stop test
+and the orbit annihilator, which is lifted back to g.
+
+Candidate ideals are drawn in a fixed deterministic order from
+`subquotient(alg, g_i, ann_x)`, the window's quotient by the orbit's
+extraneous ideal, and pulled back through its lifts: the terminal nonzero
+derived term, abelian terms of the ascending central series, the
+centralizer of the derived subalgebra, and finally the classical refinement
+center + single vector (which is what succeeds on Heisenberg-like steps).
+The method does not claim to produce every Pukanszky polarization.
 
 The exponential precheck is sampled and therefore necessary-only: it
 certifies solvability exactly and looks for purely imaginary ad-eigenvalues
@@ -33,7 +40,6 @@ from .liealg import (
     check_subalgebra,
     derived_series,
     exp_coadjoint,
-    is_ideal,
     is_nilpotent,
     is_solvable,
     kks_pairing,
@@ -129,6 +135,11 @@ def exponential_precheck(alg: LieAlgebra) -> ExponentialReport:
     )
 
 
+def rejections_json(rejections) -> list:
+    """The JSON form of (step_index, description, reason) rejections."""
+    return [{"step": i, "candidate": d, "reason": r} for i, d, r in rejections]
+
+
 class PolarizationStep(Record):
     g_i: Subspace
     ideal: Subspace
@@ -167,25 +178,22 @@ class PolarizationTrace(Record):
             "result_dim": self.result.dim,
             "result_basis": self.result,
             "conditions": self.conditions.to_json_dict(),
-            "rejected_candidates": [
-                {"step": i, "candidate": d, "reason": r} for i, d, r in self.rejected
-            ],
+            "rejected_candidates": rejections_json(self.rejected),
         }
 
 
-def _automatic_candidates(inner: LieAlgebra, ann_x: Subspace):
-    """Deterministic candidate ideals, yielded with a description.
+def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
+    """Deterministic candidate ideals of the window g_i, yielded with a description.
 
-    Everything is computed in the quotient by the orbit's extraneous ideal
-    ann_x, where orbit-abelian means abelian and orbit-central means
-    central, then pulled back.
+    Everything is computed in the quotient g_i / ann_x by the orbit's
+    extraneous ideal, where orbit-abelian means abelian and orbit-central
+    means central, then pulled back through the quotient's ambient lifts.
     """
-    quot = subquotient(inner, Subspace.full(inner.dim), ann_x)
-    qalg = quot.algebra
+    quot = subquotient(alg, g_i, ann_x)
+    qalg, n = quot.algebra, alg.dim
 
     def pull(sub: Subspace) -> Subspace:
-        return ann_x.add(Subspace(inner.dim, [combine(r, quot.lifts, inner.dim)
-                                              for r in sub.rows]))
+        return ann_x.add(Subspace(n, [combine(r, quot.lifts, n) for r in sub.rows]))
 
     derived = [s for s in derived_series(qalg) if s.dim > 0]
     if len(derived) > 1:
@@ -204,16 +212,18 @@ def _automatic_candidates(inner: LieAlgebra, ann_x: Subspace):
                     z1.add(Subspace(qalg.dim, [row])))
 
 
-def _admissible(inner: LieAlgebra, ann_x: Subspace, cand: Subspace) -> Optional[str]:
-    """None when admissible, otherwise the rejection reason.
+def _admissible(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace,
+                ideal: Subspace) -> Optional[str]:
+    """None when the subspace `ideal` of g_i is admissible, otherwise the rejection reason.
 
-    ann_x is the orbit annihilator of the current covector on inner.
+    ann_x is the orbit annihilator of the covector restricted to g_i.
     """
-    if not is_ideal(inner, cand):
+    moved = bracket_span(alg, g_i, ideal)
+    if not ideal.contains_subspace(moved):
         return "not an ideal"
-    if not ann_x.contains_subspace(bracket_span(inner, cand, cand)):
+    if not ann_x.contains_subspace(bracket_span(alg, ideal, ideal)):
         return "not orbit-abelian"
-    if ann_x.contains_subspace(bracket_span(inner, Subspace.full(inner.dim), cand)):
+    if ann_x.contains_subspace(moved):
         return "orbit-central (no dimension drop)"
     return None
 
@@ -240,79 +250,54 @@ def pukanszky_polarization(
                 "pass override_precheck=True to force"
             )
 
-    # the current window g_i, in ambient coordinates; `inner` is g_i in the
-    # RREF basis of g_here.  A product of RREF bases is again an RREF basis,
-    # so each g_next = to_ambient(g_next_inner) keeps the basis that
-    # `restrict` gives the next window.
     n = alg.dim
-    inner = alg
-    g_here = Subspace.full(n)
-    cur_cov = cov
+    g_i, win = Subspace.full(n), cov  # the window g_i, and cov restricted to it
     steps = []
     rejected = []
     chain_iter = iter(chain or ())
 
-    def to_ambient(sub: Subspace) -> Subspace:
-        return Subspace(n, [combine(r, g_here.basis_rows(), n) for r in sub.basis_rows()])
-
     for step_index in range(n + 1):
-        b = kks_pairing(inner, cur_cov)
-        if b.is_zero():
+        if kks_pairing(win.algebra, win).is_zero():
             break  # self-orthogonal: done
-        ann_x = orbit_annihilator(inner, cur_cov)
-        chosen = None
+        # the window's orbit annihilator, in the basis of g_i's canonical rows, lifted to g
+        ann_x = Subspace(n, [combine(r, g_i.rows, n)
+                             for r in orbit_annihilator(win.algebra, win).rows])
         if chain is not None:
             try:
-                ambient_ideal = next(chain_iter)
+                ideal = next(chain_iter)
             except StopIteration:
                 raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
-            rows = []
-            for r in ambient_ideal.basis_rows():
-                coords = g_here.coords_of(r)
-                if coords is None:
-                    raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
-                rows.append(coords)
-            cand = Subspace(inner.dim, rows)
-            reason = _admissible(inner, ann_x, cand)
+            if not g_i.contains_subspace(ideal):
+                raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
+            reason = _admissible(alg, g_i, ann_x, ideal)
             if reason is not None:
                 raise StrategyExhausted(rejected + [(step_index, "user chain ideal", reason)])
-            chosen = ("user chain ideal", cand)
         else:
-            for desc, cand in _automatic_candidates(inner, ann_x):
-                reason = _admissible(inner, ann_x, cand)
+            for desc, ideal in _automatic_candidates(alg, g_i, ann_x):
+                reason = _admissible(alg, g_i, ann_x, ideal)
                 if reason is None:
-                    chosen = (desc, cand)
                     break
                 rejected.append((step_index, desc, reason))
-            if chosen is None:
+            else:
                 raise StrategyExhausted(rejected)
 
-        desc, cand = chosen
-        # orth inside g_i: inner coordinates make g_i the full space there
-        g_next_inner = orth(inner, cand, cur_cov)
-        orbit_abelian = ann_x.contains_subspace(bracket_span(inner, cand, cand))
-        ideal_ambient = to_ambient(cand)
-        orth_ambient = orth(alg, ideal_ambient, cov)
-        g_next = to_ambient(g_next_inner)
-        assert g_next == g_here.intersect(orth_ambient)
+        ideal_orth = orth(alg, ideal, cov)
+        g_next = g_i.intersect(ideal_orth)
         steps.append(PolarizationStep(
-            g_i=g_here,
-            ideal=ideal_ambient,
-            ideal_orth=orth_ambient,
+            g_i=g_i,
+            ideal=ideal,
+            ideal_orth=ideal_orth,
             g_next=g_next,
-            orbit_abelian=orbit_abelian,
-            ideal_in_orth=orth_ambient.contains_subspace(ideal_ambient),
-            orth_not_containing_g=g_next_inner.dim < inner.dim,
+            orbit_abelian=ann_x.contains_subspace(bracket_span(alg, ideal, ideal)),
+            ideal_in_orth=ideal_orth.contains_subspace(ideal),
+            orth_not_containing_g=g_next.dim < g_i.dim,
         ))
-        if g_next_inner.dim >= inner.dim:
+        if g_next.dim >= g_i.dim:
             raise AssertionError("no dimension drop despite non-central ideal")
+        g_i, win = g_next, restrict(alg, cov, g_next)
 
-        cur_cov = restrict(inner, cur_cov, g_next_inner)
-        inner = cur_cov.algebra
-        g_here = g_next
-
-    conditions = check_conditions(alg, g_here, cov)
-    return PolarizationTrace(tuple(steps), g_here, conditions, tuple(rejected))
+    conditions = check_conditions(alg, g_i, cov)
+    return PolarizationTrace(tuple(steps), g_i, conditions, tuple(rejected))
 
 
 class MonomialReport(Record):

@@ -114,3 +114,10 @@ def strictly_upper(n):
                     brackets[(i, j)] = coeffs
     labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
     return LieAlgebra.from_brackets(labels, brackets, name=f"n{n}"), index
+
+
+def n5_three_steps():
+    """n5 and a covector at which the automatic descent takes three steps."""
+    alg, _ = strictly_upper(5)
+    return alg, Covector(alg, (Fraction(-1, 3), 7, Fraction(5, 2), -4, -2, 3, 3,
+                               Fraction(9, 2), Fraction(-9, 2), Fraction(4, 3)))

@@ -11,6 +11,9 @@ import pytest
 
 from orbitkit import catalog as cat
 from orbitkit import cli
+from orbitkit.linalg import Subspace, basis_vector
+from orbitkit.polarization import pukanszky_polarization
+from conftest import n5_three_steps
 
 # Definition files that are malformed or declare out-of-range data.
 MALFORMED = {
@@ -81,6 +84,13 @@ MALFORMED = {
                              "brackets": [{"i": 0, "j": 1, "coeffs": {" 1": "1"}}]},
     "coeff_value_letter.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                                 "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "y"}}]},
+    # nor are JSON true and false rationals
+    "coeff_value_bool.json": {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                              "brackets": [{"i": 0, "j": 1, "coeffs": {"2": True}}]},
+    "covector_bool.json": {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                           "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
+                           "covectors": {"c": [True, False, True]}},
+    "rows_bool.json": {"rows": [[True, False, False]]},
 }
 
 BAD_INPUTS = {
@@ -157,6 +167,15 @@ BAD_INPUTS = {
     "validate_coeff_key_letter": ["validate", "coeff_key_letter.json"],
     "validate_coeff_key_space": ["validate", "coeff_key_space.json"],
     "validate_coeff_value_letter": ["validate", "coeff_value_letter.json"],
+    "validate_coeff_value_bool": ["validate", "coeff_value_bool.json"],
+    "orbit_covector_bool": ["orbit", "covector_bool.json", "--point=0,0,1"],
+    "conditions_rows_bool": ["conditions", "catalog:heisenberg3", "--sub", "@rows_bool.json",
+                             "--point=0,0,1"],
+    # a digit outside ASCII is no index
+    "conditions_sub_superscript": ["conditions", "catalog:heisenberg3", "--sub", "\u00b2",
+                                   "--point=0,0,1"],
+    "conditions_sub_superscript_in_list": ["conditions", "catalog:heisenberg3",
+                                           "--sub", "0,1\u00b2", "--point=0,0,1"],
 }
 
 HAPPY = {
@@ -287,11 +306,48 @@ def test_a_bool_index_or_a_loose_key_is_refused_by_name(workdir, capsys):
                                     "coefficient key ' 1' is not a basis index",
         "validate_coeff_value_letter": "coeff_value_letter.json: bracket pair (0,1): bad "
                                        "rational literal 'y': Invalid literal for Fraction: 'y'",
+        "validate_coeff_value_bool": "coeff_value_bool.json: bracket pair (0,1): "
+                                     "true is not a rational",
+        "orbit_covector_bool": "covector_bool.json: covector 'c': true is not a rational",
+        "conditions_rows_bool": "bad subspace file rows_bool.json: rows[0]: "
+                                "true is not a rational",
+        "conditions_sub_superscript": "'\u00b2' is neither a declared subspace, basis label, "
+                                      "nor index",
+        "conditions_sub_superscript_in_list": "'1\u00b2' is neither a declared subspace, "
+                                              "basis label, nor index",
     }
     for case, error in want.items():
         assert run(BAD_INPUTS[case], capsys) == (2, {
             "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
             "error": error, "ok": False, "schema": 1})
+
+
+def test_a_label_of_non_ascii_digits_loads_and_resolves(tmp_path, monkeypatch, capsys):
+    doc = {"name": "sup", "dim": 3, "basis": ["x", "\u00b2", "z"],
+           "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}
+    (tmp_path / "sup.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    entry = cat.load_entry_file("sup.json")
+    assert cli._parse_subspace(entry, "\u00b2") == Subspace(3, [basis_vector(3, 1)])
+    code, env = run(["conditions", "sup.json", "--sub", "\u00b2,z", "--point=0,0,1"], capsys)
+    assert code == 0 and env["ok"] is True
+
+
+def test_a_chain_ideal_outside_its_window_gives_the_error_envelope(tmp_path, monkeypatch,
+                                                                  capsys):
+    alg, cov = n5_three_steps()
+    doc = {"name": "n5", "dim": alg.dim, "basis": list(alg.labels), "brackets": [
+        {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in alg.nonzeros[i][j]}}
+        for i in range(alg.dim) for j in range(i + 1, alg.dim) if alg.nonzeros[i][j]]}
+    first = pukanszky_polarization(alg, cov).steps[0].ideal
+    chain = {"ideals": [[[str(x) for x in row] for row in first.rows], list(range(alg.dim))]}
+    (tmp_path / "n5.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "chain.json").write_text(json.dumps(chain), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    point = "--point=" + ",".join(map(str, cov.coords))
+    assert run(["polarize", "n5.json", "--strategy", "chain:chain.json", point], capsys) == (2, {
+        "algebra": "n5.json", "command": "polarize", "ok": False, "schema": 1,
+        "error": "chain ideal at step 1 is not inside g_1"})
 
 
 def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):

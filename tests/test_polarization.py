@@ -1,19 +1,40 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from orbitkit import polarization
+from orbitkit.catalog import parse_algebra
 from orbitkit.conditions import check_conditions
-from orbitkit.liealg import Covector, orth, stabilizer
-from orbitkit.linalg import Subspace, basis_vector
+from orbitkit.liealg import (
+    Covector,
+    LieAlgebra,
+    ascending_central_series,
+    bracket_span,
+    centralizer,
+    derived_series,
+    is_ideal,
+    kks_pairing,
+    orbit_annihilator,
+    orth,
+    restrict,
+    stabilizer,
+    subquotient,
+)
+from orbitkit.linalg import Subspace, basis_vector, combine
 from orbitkit.polarization import (
+    PolarizationStep,
     StrategyExhausted,
     exponential_precheck,
     pukanszky_polarization,
     verify_monomial,
 )
-from conftest import rand_covector, strictly_upper
+from conftest import n5_three_steps, rand_covector, rand_vec, strictly_upper
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402  (perfbench/ is not a package)
 
 
 def _span(n, *idx):
@@ -95,10 +116,10 @@ def test_polarization_user_chain(entries):
 
 
 def test_chain_is_read_in_each_window():
-    """A chain ideal is taken in the coordinates of the current window g_i.
+    """A chain ideal, given in g's coordinates, is read against the current window g_i.
 
     On n5 at this covector the descent takes three steps, so the windows
-    after the first have a basis other than the standard one.
+    after the first are proper subspaces of g.
     """
     alg, _ = strictly_upper(5)
     cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
@@ -120,6 +141,29 @@ def test_one_orbit_annihilator_per_descent_step(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     trace = pukanszky_polarization(alg, cov, override_precheck=True)
     assert trace.rejected and len(calls) == len(trace.steps) == 3
+
+
+def test_every_window_algebra_is_built_from_alg(monkeypatch):
+    """Windows are subspaces of g: each step builds one window algebra and one
+    candidate quotient, both taken in alg itself, never in a window's algebra."""
+    alg, cov = n5_three_steps()
+    seen = []
+    for name in ("subquotient", "restrict"):
+        real = getattr(polarization, name)
+        monkeypatch.setattr(polarization, name,
+                            lambda a, *rest, real=real: seen.append(a) or real(a, *rest))
+    trace = pukanszky_polarization(alg, cov, override_precheck=True)
+    assert len(trace.steps) == 3 and len(seen) == 2 * len(trace.steps)
+    assert all(a is alg for a in seen)
+
+
+def test_a_chain_ideal_outside_its_window_is_refused():
+    alg, cov = n5_three_steps()
+    first = pukanszky_polarization(alg, cov, override_precheck=True).steps[0]
+    assert not first.g_next.contains_subspace(Subspace.full(alg.dim))
+    with pytest.raises(ValueError, match="^chain ideal at step 1 is not inside g_1$"):
+        pukanszky_polarization(alg, cov, override_precheck=True,
+                               chain=[first.ideal, Subspace.full(alg.dim)])
 
 
 def test_polarization_chain_rejects_bad_ideal(entries):
@@ -175,6 +219,158 @@ def test_polarization_result_invariant_under_input_presentation(entries, rng):
     for rows in ([(0, 0, 2), (0, 3, 0)], [(0, 1, 1), (0, 0, 5)], [(0, 2, 2), (0, 2, 3)]):
         alt = pukanszky_polarization(h3, cov, chain=[Subspace(3, rows)])
         assert alt.result == base.result
+
+
+# -- the nested-window descent, kept as a reference -------------------------------
+# The route the ambient descent replaced: each window's algebra is built from
+# the previous window's algebra by `restrict`, candidates, admissibility and
+# the orthogonal are taken in its coordinates, and each step is mapped back to
+# g, where the orthogonal is taken a second time and must give the same g_{i+1}.
+
+
+def _nested_candidates(inner, ann_x):
+    quot = subquotient(inner, Subspace.full(inner.dim), ann_x)
+    qalg = quot.algebra
+
+    def pull(sub):
+        return ann_x.add(Subspace(inner.dim, [combine(r, quot.lifts, inner.dim)
+                                              for r in sub.rows]))
+
+    derived = [s for s in derived_series(qalg) if s.dim > 0]
+    if len(derived) > 1:
+        yield "terminal derived subalgebra", pull(derived[-1])
+    series = ascending_central_series(qalg)
+    for idx, term in enumerate(series[1:], start=1):
+        if bracket_span(qalg, term, term).dim == 0:
+            yield f"ascending central term {idx}", pull(term)
+    if len(derived) > 1:
+        yield "centralizer of derived subalgebra", pull(centralizer(qalg, derived[1]))
+    if len(series) > 2:
+        z1, z2 = series[1], series[2]
+        for row in reversed(z2.rows):
+            if not z1.contains(row):
+                yield "center + vector refinement", pull(z1.add(Subspace(qalg.dim, [row])))
+
+
+def _nested_admissible(inner, ann_x, cand):
+    if not is_ideal(inner, cand):
+        return "not an ideal"
+    if not ann_x.contains_subspace(bracket_span(inner, cand, cand)):
+        return "not orbit-abelian"
+    if ann_x.contains_subspace(bracket_span(inner, Subspace.full(inner.dim), cand)):
+        return "orbit-central (no dimension drop)"
+    return None
+
+
+def nested_window_polarization(alg, cov, chain=None):
+    """(steps, rejected, result) of the descent by nested window algebras."""
+    n = alg.dim
+    inner, g_here, cur_cov = alg, Subspace.full(n), cov
+    steps, rejected = [], []
+    chain_iter = iter(chain or ())
+
+    def to_ambient(sub):
+        return Subspace(n, [combine(r, g_here.rows, n) for r in sub.rows])
+
+    for step_index in range(n + 1):
+        if kks_pairing(inner, cur_cov).is_zero():
+            break
+        ann_x = orbit_annihilator(inner, cur_cov)
+        if chain is not None:
+            try:
+                ideal = next(chain_iter)
+            except StopIteration:
+                raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
+            coords = [g_here.coords_of(r) for r in ideal.rows]
+            if None in coords:
+                raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
+            cand = Subspace(inner.dim, coords)
+            reason = _nested_admissible(inner, ann_x, cand)
+            if reason is not None:
+                raise StrategyExhausted(rejected + [(step_index, "user chain ideal", reason)])
+        else:
+            for desc, cand in _nested_candidates(inner, ann_x):
+                reason = _nested_admissible(inner, ann_x, cand)
+                if reason is None:
+                    break
+                rejected.append((step_index, desc, reason))
+            else:
+                raise StrategyExhausted(rejected)
+        g_next_inner = orth(inner, cand, cur_cov)
+        ideal_ambient = to_ambient(cand)
+        orth_ambient = orth(alg, ideal_ambient, cov)
+        g_next = to_ambient(g_next_inner)
+        assert g_next == g_here.intersect(orth_ambient)
+        steps.append(PolarizationStep(
+            g_here, ideal_ambient, orth_ambient, g_next,
+            ann_x.contains_subspace(bracket_span(inner, cand, cand)),
+            orth_ambient.contains_subspace(ideal_ambient),
+            g_next_inner.dim < inner.dim,
+        ))
+        assert g_next_inner.dim < inner.dim
+        cur_cov = restrict(inner, cur_cov, g_next_inner)
+        inner, g_here = cur_cov.algebra, g_next
+    return tuple(steps), tuple(rejected), g_here
+
+
+def _outcome(run):
+    try:
+        return run()
+    except StrategyExhausted as exc:
+        return "exhausted", exc.rejections
+
+
+def _ambient(alg, cov, chain=None):
+    trace = pukanszky_polarization(alg, cov, chain=chain, override_precheck=True)
+    return trace.steps, trace.rejected, trace.result
+
+
+def _assert_routes_agree(alg, cov):
+    auto = _outcome(lambda: _ambient(alg, cov))
+    assert auto == _outcome(lambda: nested_window_polarization(alg, cov))
+    if auto[0] != "exhausted":
+        chain = [s.ideal for s in auto[0]]
+        replay = _outcome(lambda: _ambient(alg, cov, chain))
+        assert replay == _outcome(lambda: nested_window_polarization(alg, cov, chain))
+        assert replay[0] == auto[0] and replay[2] == auto[2]
+
+
+def test_ambient_descent_matches_the_nested_route_on_the_catalog(entries, rng):
+    for entry in entries.values():
+        alg = entry.algebra
+        if not exponential_precheck(alg).passed:
+            continue
+        covs = [Covector(alg, c) for c in entry.covectors.values()]
+        for cov in covs + [rand_covector(alg, rng) for _ in range(4)]:
+            _assert_routes_agree(alg, cov)
+
+
+def test_ambient_descent_matches_the_nested_route_on_a_chain_that_is_not_nested():
+    """On h5 = span(x0, x1, y0, y1, z) at z*, the second ideal leaves out the
+    first, so its orthogonal is not inside g_1 and only g_1 ∩ I^f is g_2."""
+    h5 = LieAlgebra.from_brackets(("x0", "x1", "y0", "y1", "z"),
+                                  {(0, 2): {4: 1}, (1, 3): {4: 1}}, name="h5")
+    cov = Covector(h5, (0, 0, 0, 0, 1))
+    chain = [_span(5, 2, 4), _span(5, 1, 4)]
+    steps, rejected, result = _ambient(h5, cov, chain)
+    assert (steps, rejected, result) == nested_window_polarization(h5, cov, chain)
+    assert not steps[1].g_i.contains_subspace(steps[1].ideal_orth)
+    assert result == _span(5, 1, 2, 4)
+
+
+SEEDED = [(families.heisenberg, 4, "h9"),(families.nilradical, 5, "n5"),
+          (families.filiform, 9, "L9"), (families.borel, 3, "b3"),
+          (families.borel, 4, "b4"), (families.borel, 5, "b5")]
+
+
+@pytest.mark.parametrize("make,size,stem", SEEDED, ids=[s for _, _, s in SEEDED])
+def test_ambient_descent_matches_the_nested_route_on_seeded_families(make, size, stem):
+    for seed in range(2):
+        alg = parse_algebra(make(size, families.family_rng(seed, stem)).doc)
+        rng = random.Random(f"{stem}:{seed}")
+        for _ in range(3):
+            _assert_routes_agree(alg, Covector(alg, rand_vec(rng, alg.dim, lo=-5, hi=5,
+                                                             max_den=3)))
 
 
 # -- monomial verification ---------------------------------------------------------
