@@ -16,10 +16,10 @@ _EXPORTS = {
     name: module
     for module, names in {
         "linalg": "Matrix Scalar Subspace annihilator frac rank_kernel solve sum_intersect",
-        "liealg": "Covector LieAlgebra NotClosedError OrbitRecord ad_matrix derived_series "
-                  "exp_coadjoint ideal_closure is_ideal is_nilpotent is_solvable kks_pairing "
-                  "killing_form orbit_annihilator orbit_dim orbit_record orth restrict "
-                  "stabilizer subquotient validate",
+        "liealg": "Covector LieAlgebra OrbitRecord is_nilpotent kks_pairing orbit_record validate",
+        "structure": "NotClosedError ad_matrix derived_series exp_coadjoint ideal_closure is_ideal "
+                     "is_solvable killing_form orbit_annihilator orbit_dim orth restrict "
+                     "stabilizer subquotient",
         "conditions": "ConditionReport check_conditions",
         "mackey": "LittleGroupData MackeyReport ObstructionReport abelian_step "
                   "classify_little_algebra little_group_step mackey_report obstruction_step "

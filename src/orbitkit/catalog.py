@@ -19,10 +19,12 @@ ideals/complements; a declared name may not be a basis label or all ASCII
 digits, since a subspace argument looks names up before labels and indices.
 
 Built-in entries are built and validated by name, each once per process,
-so a caller that names one entry pays for that entry alone.  The entries
-of the directory named by ORBITKIT_CATALOG_DIR are all loaded on every
-lookup and merged over the built-ins: a file naming a built-in overrides
-it, and a malformed file fails every lookup.
+so a caller that names one entry pays for that entry alone.  Their
+constructors are in `builtin_entries`, which only a catalog lookup imports,
+so an invocation on a definition file never compiles them.  The entries of
+the directory named by ORBITKIT_CATALOG_DIR are all loaded on every lookup
+and merged over the built-ins: a file naming a built-in overrides it, and a
+malformed file fails every lookup.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
 
-from .liealg import LieAlgebra, rep_coords, validate
+from .liealg import LieAlgebra, validate
 from .linalg import Matrix, Record, Subspace, basis_vector, frac
 
 
@@ -54,195 +55,10 @@ class CatalogEntry(Record):
                 object.__setattr__(self, name, {})
 
 
-def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
-    """Structure constants read off a faithful matrix representation by one `rep_coords`."""
-    mats = [Matrix(m) for m in matrices]
-    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    comms = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
-    brackets = {}
-    for (i, j), coords in zip(pairs, rep_coords(mats, comms)):
-        if coords is None:
-            raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
-        brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
-    return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
-
-
-def _span(alg: LieAlgebra, indices) -> Subspace:
-    return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in indices])
-
-
-def _heisenberg3() -> CatalogEntry:
-    rep = [
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ]
-    alg = algebra_from_rep("heisenberg3", ("e1", "e2", "e3"), rep)
-    return CatalogEntry(
-        "heisenberg3", alg,
-        "Heisenberg algebra: [e1,e2]=e3, center spanned by e3.",
-        covectors={"center_dual": (0, 0, 1), "x_dual": (1, 0, 0)},
-        ideals={"center": _span(alg, [2]), "plane": _span(alg, [1, 2])},
-        complements={"xy_plane": _span(alg, [0, 1])},
-    )
-
-
-def _filiform4() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(
-        ("e1", "e2", "e3", "e4"),
-        {(0, 1): {2: 1}, (0, 2): {3: 1}},
-        name="filiform4",
-    )
-    return CatalogEntry(
-        "filiform4", alg,
-        "Filiform nilpotent algebra n4: [e1,e2]=e3, [e1,e3]=e4.",
-        covectors={"top_dual": (0, 0, 0, 1), "mixed": (0, 0, 1, 1)},
-        ideals={"center": _span(alg, [3]), "derived": _span(alg, [2, 3]),
-                "big_abelian": _span(alg, [1, 2, 3])},
-    )
-
-
-def _abelian3() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(("a1", "a2", "a3"), {}, name="abelian3")
-    return CatalogEntry("abelian3", alg, "Abelian Q^3.",
-                        covectors={"generic": (1, 2, 3)})
-
-
-def _affine_line() -> CatalogEntry:
-    rep = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
-    alg = algebra_from_rep("affine_line", ("a", "b"), rep)
-    return CatalogEntry(
-        "affine_line", alg,
-        "Affine algebra of the line: [a,b]=b; exponential but not nilpotent.",
-        covectors={"b_dual": (0, 1)},
-        ideals={"translations": _span(alg, [1])},
-        complements={"dilation": _span(alg, [0])},
-    )
-
-
-def _euclid2() -> CatalogEntry:
-    rep = [
-        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-    ]
-    alg = algebra_from_rep("euclid2", ("j", "p1", "p2"), rep)
-    return CatalogEntry(
-        "euclid2", alg,
-        "Euclidean algebra e(2): rotation j against translations p1, p2.",
-        covectors={"momentum": (0, 1, 0), "rotation_dual": (1, 0, 0)},
-        ideals={"translations": _span(alg, [1, 2])},
-        complements={"rotation": _span(alg, [0])},
-    )
-
-
-def _sl2() -> CatalogEntry:
-    rep = [
-        [[1, 0], [0, -1]],
-        [[0, 1], [0, 0]],
-        [[0, 0], [1, 0]],
-    ]
-    alg = algebra_from_rep("sl2", ("h", "e", "f"), rep)
-    return CatalogEntry(
-        "sl2", alg,
-        "sl(2,Q) with standard basis h, e, f.",
-        covectors={"hyperbolic_dual": (2, 0, 0), "nilpotent_dual": (0, 0, 1)},
-    )
-
-
-def _sl3() -> CatalogEntry:
-    def unit(i, j):
-        m = [[0] * 3 for _ in range(3)]
-        m[i][j] = 1
-        return m
-
-    h1 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
-    h2 = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
-    labels = ("h1", "h2", "e12", "e21", "e13", "e31", "e23", "e32")
-    rep = [h1, h2, unit(0, 1), unit(1, 0), unit(0, 2), unit(2, 0), unit(1, 2), unit(2, 1)]
-    alg = algebra_from_rep("sl3", labels, rep)
-    return CatalogEntry(
-        "sl3", alg,
-        "sl(3,Q): Cartan h1, h2 plus the six root vectors.",
-    )
-
-
-_ETA = (1, -1, -1, -1)
-
-
-def _lorentz_generators():
-    # (M_ab) r_nu = eta_b delta_{b nu} e_a - eta_a delta_{a nu} e_b
-    labels, mats = [], []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            m = [[0] * 4 for _ in range(4)]
-            m[a][b] = _ETA[b]
-            m[b][a] = -_ETA[a]
-            labels.append(f"m{a}{b}")
-            mats.append(m)
-    return labels, mats
-
-
-def _so31() -> CatalogEntry:
-    labels, mats = _lorentz_generators()
-    alg = algebra_from_rep("so31", tuple(labels), mats)
-    return CatalogEntry(
-        "so31", alg,
-        "Lorentz algebra so(3,1) with metric diag(1,-1,-1,-1).",
-        covectors={"boost_dual": (1, 0, 0, 0, 0, 0)},
-    )
-
-
-def _poincare() -> CatalogEntry:
-    lor_labels, lor_mats = _lorentz_generators()
-    labels = tuple(lor_labels) + ("p0", "p1", "p2", "p3")
-    mats = []
-    for m in lor_mats:
-        big = [row + [0] for row in m] + [[0] * 5]
-        mats.append(big)
-    for a in range(4):
-        big = [[0] * 5 for _ in range(5)]
-        big[a][4] = 1
-        mats.append(big)
-    alg = algebra_from_rep("poincare", labels, mats)
-    return CatalogEntry(
-        "poincare", alg,
-        "Poincare algebra so(3,1) |x R^{3,1}; translations p0..p3 form the abelian ideal.",
-        covectors={
-            "timelike": (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-            "timelike_spinning": (0, 0, 0, 1, 0, 0, 1, 0, 0, 0),
-            "lightlike": (0, 0, 0, 0, 0, 0, 1, 1, 0, 0),
-            "spacelike": (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
-            "zero_momentum": (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-        },
-        ideals={"translations": _span(alg, range(6, 10))},
-        complements={"lorentz": _span(alg, range(6))},
-    )
-
-
-_BUILDERS = {
-    "abelian3": _abelian3,
-    "heisenberg3": _heisenberg3,
-    "filiform4": _filiform4,
-    "affine_line": _affine_line,
-    "euclid2": _euclid2,
-    "sl2": _sl2,
-    "sl3": _sl3,
-    "so31": _so31,
-    "poincare": _poincare,
-}
-
-
-@lru_cache(maxsize=None)
-def _builtin_entry(name: str) -> CatalogEntry:
-    entry = _BUILDERS[name]()
-    if not validate(entry.algebra).ok:
-        raise AssertionError(f"catalog entry {name} fails validation")
-    return entry
-
-
 def builtin_catalog() -> dict:
-    return {name: _builtin_entry(name) for name in _BUILDERS}
+    from .builtin_entries import BUILDERS, builtin_entry
+
+    return {name: builtin_entry(name) for name in BUILDERS}
 
 
 def _extra_entries() -> dict:
@@ -271,7 +87,9 @@ def find_entry(name: str) -> CatalogEntry | None:
     extras = _extra_entries()
     if name in extras:
         return extras[name]
-    return _builtin_entry(name) if name in _BUILDERS else None
+    from .builtin_entries import BUILDERS, builtin_entry
+
+    return builtin_entry(name) if name in BUILDERS else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,30 @@ Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
 turns it into the exit-2 envelope with the exception's text as `error`.
 The library's input errors (InputError here, CatalogError, NotClosedError,
-ChainError, UnsupportedSpectrumError) are all ValueErrors.  Usage errors
-are argparse's: exit 2 with a message on stderr.
+ChainError, UnsupportedSpectrumError) are all ValueErrors.  An `--output`
+path that cannot be written gives the same envelope, on stdout, naming the
+path.  Usage errors (an unknown command or option, a missing value or
+argument) print a message on stderr, nothing on stdout, and exit 2.
+`_COMMANDS`, one table, both parses argv and prints the help.
 
-Start-up is paid on every invocation, so this module imports only what
-every subcommand needs (`catalog`, `liealg`, `linalg`).  Each handler
-imports its own analysis modules (`conditions`, `mackey`, `polarization`,
-`reductive`, `induction`), and `catalog:NAME` builds only the entry named.
+Start-up is paid on every invocation, and the import graph is where it is
+decided: without cached bytecode, compiling the modules an invocation
+imports is about a quarter of its time.  So this module imports only what
+every subcommand needs (`catalog`, `liealg`, `linalg`), and no argument
+parser library.  Each handler imports its own analysis modules
+(`conditions`, `mackey`, `polarization`, `reductive`, `induction`, and
+through them `structure`, `polynomials` and `qi_roots`), and `catalog:NAME`
+alone imports the built-in entries and builds only the entry named.
 The report classes are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from . import catalog as cat
@@ -206,7 +213,7 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
     alg = entry.algebra
     points = [_parse_point(alg, p) for p in args.point]
     chain = None
-    if args.strategy != "auto":
+    if args.strategy not in (None, "auto"):
         if not args.strategy.startswith("chain:"):
             raise InputError("strategy must be `auto` or `chain:<file>`")
         path = args.strategy.split(":", 1)[1]
@@ -333,88 +340,178 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitkit",
-        description="Exact coadjoint-orbit analysis for rational Lie algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# the command line: one table both parses argv and prints the help
 
-    def common(p, points=True):
-        p.add_argument("algebra", help="catalog:NAME or a JSON definition file")
-        if points:
-            p.add_argument("--point", "-p", action="append", default=[],
-                           help="covector coordinates, comma-separated rationals (repeatable)")
-        p.add_argument("--output", "-o", help="write the report to a file instead of stdout")
+_POINT = ("--point", "-p", "list", "covector coordinates, comma-separated rationals (repeatable)")
+_OUTPUT = ("--output", "-o", "value", "write the report to a file instead of stdout")
+_IDEAL = ("--ideal", None, "required", "ideal: declared name, labels, indices, or @file")
 
-    p = sub.add_parser("catalog", help="list built-in algebras")
-    p.add_argument("--output", "-o")
+# command -> (help, whether it takes an algebra, options).  An option is
+# (name, short name or None, kind, help), and its kind is "value" (the last
+# one given wins), "required" (a value that must be given), "list" (repeatable;
+# the values accumulate) or "flag" (takes no value).
+_COMMANDS = {
+    "catalog": ("list built-in algebras", False, (_OUTPUT,)),
+    "validate": ("check antisymmetry and Jacobi on a definition", True, (_OUTPUT,)),
+    "orbit": ("orbit dimension, stabilizer, affine hull", True, (_POINT, _OUTPUT)),
+    "conditions": ("coisotropy/polarization/Pukanszky flags", True, (
+        _POINT, _OUTPUT,
+        ("--sub", None, "required", "subalgebra: declared name, labels, indices, or @file"))),
+    "mackey": ("little group, induction relations, obstruction", True, (
+        _POINT, _OUTPUT, _IDEAL,
+        ("--complement", None, "value", "declared complement to test the semidirect witness"))),
+    "polarize": ("construct a Pukanszky polarization", True, (
+        _POINT, _OUTPUT,
+        ("--strategy", None, "value", "auto (the default) or chain:<file>"),
+        ("--override-precheck", None, "flag", "run even when the exponential precheck fails"))),
+    "parabolic": ("Jordan split, grading, parabolic relations", True, (
+        _POINT, _OUTPUT,
+        ("--element", None, "list", "algebra element coordinates (repeatable)"))),
+    "classify": ("little-algebra descriptor for an abelian ideal", True, (
+        _POINT, _OUTPUT, _IDEAL)),
+    "record": ("induced-dimension bookkeeping along a chain", True, (
+        _POINT, _OUTPUT,
+        ("--sub", None, "list", "subalgebra chain, outermost first (repeatable)"))),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("validate", help="check antisymmetry and Jacobi on a definition")
-    common(p, points=False)
 
-    p = sub.add_parser("orbit", help="orbit dimension, stabilizer, affine hull")
-    common(p)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    p = sub.add_parser("conditions", help="coisotropy/polarization/Pukanszky flags")
-    common(p)
-    p.add_argument("--sub", required=True, help="subalgebra: declared name, labels, indices, or @file")
 
-    p = sub.add_parser("mackey", help="little group, induction relations, obstruction")
-    common(p)
-    p.add_argument("--ideal", required=True, help="ideal: declared name, labels, indices, or @file")
-    p.add_argument("--complement", help="declared complement to test the semidirect witness")
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: orbitkit COMMAND [ARGS]"
+    _, algebra, options = _COMMANDS[command]
+    words = ["usage: orbitkit", command] + (["ALGEBRA"] if algebra else [])
+    for name, _, kind, _ in options:
+        value = f"{name} {_dest(name).upper()}"
+        words.append({"required": value, "value": f"[{value}]", "list": f"[{value}]...",
+                      "flag": f"[{name}]"}[kind])
+    return " ".join(words)
 
-    p = sub.add_parser("polarize", help="construct a Pukanszky polarization")
-    common(p)
-    p.add_argument("--strategy", default="auto", help="auto or chain:<file>")
-    p.add_argument("--override-precheck", action="store_true",
-                   help="run even when the exponential precheck fails")
 
-    p = sub.add_parser("parabolic", help="Jordan split, grading, parabolic relations")
-    common(p)
-    p.add_argument("--element", action="append", default=[],
-                   help="algebra element coordinates (repeatable)")
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
+        head = ["Exact coadjoint-orbit analysis for rational Lie algebras.", "", "commands:"]
+        tail = ["", "`orbitkit COMMAND -h` lists the options of a command."]
+    else:
+        text, algebra, options = _COMMANDS[command]
+        rows = [("ALGEBRA", "catalog:NAME or a JSON definition file")] if algebra else []
+        for name, short, kind, help_text in options:
+            left = f"{short}, {name}" if short else name
+            rows.append((left if kind == "flag" else f"{left} {_dest(name).upper()}", help_text))
+        head, tail = [text, "", "arguments:"], []
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    body = [f"  {left:<{width}}{right}" for left, right in rows]
+    return "\n".join([_usage(command), ""] + head + body + tail) + "\n"
 
-    p = sub.add_parser("classify", help="little-algebra descriptor for an abelian ideal")
-    common(p)
-    p.add_argument("--ideal", required=True)
 
-    p = sub.add_parser("record", help="induced-dimension bookkeeping along a chain")
-    common(p)
-    p.add_argument("--sub", action="append", default=[],
-                   help="subalgebra chain, outermost first (repeatable)")
+def _usage_error(command: Optional[str], message: str):
+    prog = "orbitkit" if command is None else f"orbitkit {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    return parser
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """The command and its option values, as `_COMMANDS` reads argv.
+
+    An option's value is the next argument, or follows `=` (`--point=1,2`)
+    or a short name (`-p1,2`); the next argument is taken even when it starts
+    with `-`, so `-p -1,2` gives the point -1,2.  A long name is matched in
+    full, never by a prefix.  `-h` prints the help and exits 0; a usage error
+    prints a message on stderr and exits 2.
+    """
+    if not argv:
+        _usage_error(None, "a command is required")
+    command = argv[0]
+    if command in _HELP:
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _usage_error(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, algebra, options = _COMMANDS[command]
+    values = {"command": command, "algebra": None}
+    by_name = {}
+    for opt in options:
+        name, short, kind, _ = opt
+        by_name[name] = opt
+        if short:
+            by_name[short] = opt
+        values[_dest(name)] = [] if kind == "list" else (False if kind == "flag" else None)
+    positional = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in _HELP:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if not arg.startswith("-") or arg == "-":
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in by_name and not arg.startswith("--") and arg[:2] in by_name:
+            name, eq, value = arg[:2], "=", arg[2:]
+        if name not in by_name:
+            _usage_error(command, f"unrecognized option {name}")
+        name, _, kind, _ = by_name[name]
+        if kind == "flag":
+            if eq:
+                _usage_error(command, f"{name} takes no value")
+            values[_dest(name)] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                _usage_error(command, f"{name} needs a value")
+        if kind == "list":
+            values[_dest(name)].append(value)
+        else:
+            values[_dest(name)] = value
+    if algebra and positional:
+        values["algebra"] = positional.pop(0)
+    if positional:
+        _usage_error(command, f"unrecognized arguments: {' '.join(positional)}")
+    missing = [name for name, _, kind, _ in options
+               if kind == "required" and values[_dest(name)] is None]
+    if algebra and values["algebra"] is None:
+        missing.insert(0, "ALGEBRA")
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _dumps(envelope: dict) -> str:
+    return json.dumps(envelope, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
-    envelope = {"schema": SCHEMA, "command": args.command}
-    if getattr(args, "algebra", None):
-        envelope["algebra"] = args.algebra
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    head = {"schema": SCHEMA, "command": args.command}
+    if args.algebra:
+        head["algebra"] = args.algebra
     try:
         if getattr(args, "point", None) == [] and args.command in (
             "orbit", "conditions", "mackey", "polarize", "classify", "record",
         ):
             raise InputError("at least one --point is required")
-        payload, ok = handler(args)
-        envelope.update(payload)
-        envelope["ok"] = ok
-        code = 0 if ok else 1
+        payload, ok = _HANDLERS[args.command](args)
+        envelope, code = {**head, **payload, "ok": ok}, 0 if ok else 1
     except ValueError as exc:
-        envelope["error"] = str(exc)
-        envelope["ok"] = False
-        code = 2
-    text = json.dumps(envelope, sort_keys=True, indent=2, default=_encode) + "\n"
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        envelope, code = {**head, "error": str(exc), "ok": False}, 2
+    text = _dumps(envelope)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            error = f"cannot write the report to {args.output}: {exc.strerror}"
+            text, code = _dumps({**head, "error": error, "ok": False}), 2
+    sys.stdout.write(text)
     return code
 
 

@@ -9,17 +9,18 @@ inclusion ann(h) <= h(cov).  Group-level components are out of reach of
 structure-constant data, so the stabilizer and Pukanszky verdicts are
 recorded as infinitesimal-only.
 
-The coadjoint objects come from `liealg`: h(cov) is `coadjoint_image`
+The coadjoint objects come from `structure`: h(cov) is `coadjoint_image`
 (W(cov) = B_cov . W = -W^T B_cov) and the orthogonal is its annihilator,
-`liealg.orth`, so the check builds h(cov) once and reads both off it.
+`structure.orth`, so the check builds h(cov) once and reads both off it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .liealg import Covector, LieAlgebra, check_subalgebra, coadjoint_image, stabilizer
+from .liealg import Covector, LieAlgebra
 from .linalg import Record, Subspace, annihilator
+from .structure import check_subalgebra, coadjoint_image, stabilizer
 
 
 class ConditionReport(Record):
@@ -63,7 +64,7 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionRe
     check_subalgebra(alg, h)
     stab = stabilizer(alg, cov)
     moved = coadjoint_image(alg, cov, h)
-    orth_h = annihilator(moved)  # liealg.orth(alg, h, cov)
+    orth_h = annihilator(moved)  # structure.orth(alg, h, cov)
     witnesses = {}
 
     w = h.missing_row(stab)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record, restrict
+from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record
 from .linalg import Record, Subspace, vec_sub
+from .structure import restrict
 
 
 class ChainError(ValueError):

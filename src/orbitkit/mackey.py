@@ -7,7 +7,7 @@ containment, the annihilator identity n_c(cov) = ann(h), and exact
 exp-linearity of the n_c flows.  Step 3 (obstruction): build the central
 extension 0 -> n_c/j -> h_c/j -> h_c/n_c with j = ker(c on n_c), compute
 its 2-cocycle through a linear section, and decide triviality by an exact
-coboundary solve.  `liealg.subquotient` gives h_c/n_c in ambient
+coboundary solve.  `structure.subquotient` gives h_c/n_c in ambient
 coordinates: its table, its canonical lifts and the class projection, so the
 table of h_c itself is never built.  The section lifts each class to its
 canonical lift, or to its one element in a given complement of n_c in h_c,
@@ -22,24 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    NotClosedError,
-    ad_matrix,
-    bracket_span,
-    check_subalgebra,
-    coadjoint_image,
-    is_ideal,
-    is_nilpotent,
-    is_solvable,
-    killing_form,
-    orbit_annihilator,
-    orbit_dim,
-    orth,
-    stabilizer,
-    subquotient,
-)
+from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent
 from .linalg import (
     Matrix,
     Record,
@@ -51,6 +34,20 @@ from .linalg import (
     rank_kernel,
     solve,
     vec_sub,
+)
+from .structure import (
+    NotClosedError,
+    ad_matrix,
+    check_subalgebra,
+    coadjoint_image,
+    is_ideal,
+    is_solvable,
+    killing_form,
+    orbit_annihilator,
+    orbit_dim,
+    orth,
+    stabilizer,
+    subquotient,
 )
 
 

@@ -30,26 +30,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .conditions import ConditionReport, check_conditions
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    ad_matrix,
-    ascending_central_series,
-    bracket_span,
-    centralizer,
-    check_subalgebra,
-    derived_series,
-    exp_coadjoint,
-    is_nilpotent,
-    is_solvable,
-    kks_pairing,
-    orbit_annihilator,
-    orbit_dim,
-    orth,
-    restrict,
-    subquotient,
-)
+from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent, kks_pairing
 from .linalg import (
+    ONE,
     Record,
     Subspace,
     annihilator,
@@ -61,11 +44,29 @@ from .linalg import (
 )
 from .polynomials import (
     charpoly,
-    count_negative_roots,
-    even_part,
+    deg,
+    derivative,
+    divmod_poly,
+    eval_at,
     gcd,
+    is_zero,
     poly,
-    strip_zero_roots,
+    scale,
+    sign_variations,
+)
+from .structure import (
+    ad_matrix,
+    ascending_central_series,
+    centralizer,
+    check_subalgebra,
+    derived_series,
+    exp_coadjoint,
+    is_solvable,
+    orbit_annihilator,
+    orbit_dim,
+    orth,
+    restrict,
+    subquotient,
 )
 
 
@@ -91,6 +92,59 @@ class ExponentialReport(Record):
             "passed": self.passed,
             "mode": "sampled",
         }
+
+
+# -- Sturm counts of real roots, for the exponential precheck -----------------
+
+
+def strip_zero_roots(p: tuple) -> tuple[int, tuple]:
+    """Write p = x^k * q with q(0) != 0; return (k, q)."""
+    k = 0
+    q = list(p)
+    while q and q[0] == 0:
+        q.pop(0)
+        k += 1
+    return k, poly(q)
+
+
+def even_part(p: tuple) -> Optional[tuple]:
+    """D with p(x) = D(x^2), or None if p has an odd-degree term."""
+    if any(a != 0 for i, a in enumerate(p) if i % 2 == 1):
+        return None
+    return poly([p[i] for i in range(0, len(p), 2)])
+
+
+def sturm_sequence(p: tuple) -> list[tuple]:
+    chain = [poly(p), derivative(p)]
+    while not is_zero(chain[-1]) and deg(chain[-1]) > 0:
+        rem = divmod_poly(chain[-2], chain[-1])[1]
+        if is_zero(rem):
+            break
+        chain.append(scale(-1, rem))
+    return [c for c in chain if not is_zero(c)]
+
+
+def _sign_at_minus_inf(p: tuple) -> Fraction:
+    s = p[-1] * (ONE if deg(p) % 2 == 0 else -ONE)
+    return s
+
+
+def count_negative_roots(p: tuple) -> int:
+    """Number of distinct real roots of p in (-inf, 0).
+
+    Requires p(0) != 0 so the Sturm count over (-inf, 0] equals the open
+    interval count.
+    """
+    if is_zero(p):
+        raise ValueError("zero polynomial")
+    if eval_at(p, 0) == 0:
+        raise ValueError("polynomial vanishes at 0; strip zero roots first")
+    if deg(p) == 0:
+        return 0
+    chain = sturm_sequence(p)
+    at_minus_inf = [_sign_at_minus_inf(c) for c in chain]
+    at_zero = [eval_at(c, 0) for c in chain]
+    return sign_variations(at_minus_inf) - sign_variations(at_zero)
 
 
 def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:

@@ -2,19 +2,16 @@
 
 Polynomials are coefficient tuples in increasing degree, always with exact
 Fraction entries and no trailing zeros.  This carries the characteristic
-polynomial, gcd/squarefree machinery behind the exact Jordan splitting,
-the factors with roots in Q(i) that the hyperbolic/elliptic split and the
-grading need, and Sturm sequences for counting real roots of the
-purely-imaginary-eigenvalue test.
+polynomial and the gcd/squarefree machinery behind the exact Jordan
+splitting.  The factors with roots in Q(i) that the hyperbolic/elliptic
+split and the grading need are in `qi_roots`, and the Sturm counts of the
+exponential precheck are in `polarization`, so `classify`, which reads only
+a signature, compiles neither.
 
 `charpoly` reduces the matrix to upper Hessenberg form by similarity over Q
 and reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
 Computational Algebraic Number Theory*, Alg. 2.2.9), with no matrix
-product.  `qi_factors` finds the roots in Q(i) of a squarefree polynomial
-p-adically: roots mod the least suitable prime p = 1 (mod 4), Hensel
-lifting past 2 B^2 with B = 2 ceil(||f||_2) the Mignotte bound on the
-coefficients of an integer factor of degree <= 2, rational reconstruction,
-and exact division as the certificate.
+product.
 
 `symmetric_signature` reads a symmetric matrix's signature off chi =
 `charpoly`.  Its spectrum is real, so Descartes' rule of signs is exact: the
@@ -246,185 +243,10 @@ def charpoly(m: Matrix) -> tuple:
     return poly(ps[n])
 
 
-# -- linear and Gaussian quadratic factors, p-adically ------------------------
-
-
-def _trim_mod(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gcd_is_one_mod(f: list[int], g: list[int], p: int) -> bool:
-    """Whether gcd(f, g) is a nonzero constant in F_p[x]."""
-    a = _trim_mod([x % p for x in f])
-    b = _trim_mod([x % p for x in g])
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for k, y in enumerate(b):
-                a[shift + k] = (a[shift + k] - q * y) % p
-            _trim_mod(a)
-        a, b = b, a
-    return len(a) == 1
-
-
-def _eval_mod(f: list[int], x: int, m: int) -> int:
-    acc = 0
-    for a in reversed(f):
-        acc = (acc * x + a) % m
-    return acc
-
-
-def _primes_one_mod_four():
-    p = 5
-    while True:
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-        p += 4
-
-
-def _reconstruct(r: int, m: int, bound: int) -> Optional[Fraction]:
-    """The u/v with u = v r (mod m), |u| <= bound, 0 < v <= bound, if any.
-
-    Unique when 2 bound^2 < m (Wang's rational reconstruction).
-    """
-    r0, r1, s0, s1 = m, r % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def qi_factors(mu: tuple) -> list[tuple]:
-    """The monic factors of a squarefree rational mu with roots in Q(i).
-
-    Returns every linear factor x - a of mu and every monic quadratic
-    x^2 - s x + t dividing mu whose roots a +- b i have b a nonzero
-    rational.  The product of the result is mu (up to its leading
-    coefficient) exactly when the whole spectrum lies in Q(i).
-
-    mu is made a primitive integer polynomial f, a root at 0 is stripped,
-    and p is the least prime p = 1 (mod 4) not dividing lc(f) with
-    gcd(f, f') = 1 mod p.  As i lies in Z_p, every root in Q(i) is p-adic
-    and reduces to a simple root of f mod p.  The roots mod p are
-    found by evaluating f at every residue and Hensel-lifted to a modulus
-    M > 2 B^2, where B = 2 ceil(||f||_2) bounds the coefficients of any
-    integer factor of f of degree <= 2 (Mignotte).  A lifted root is
-    rationally reconstructed as a linear candidate; a pair of lifted roots
-    rho, sigma gives s = rho + sigma and t = rho sigma, kept when s^2 < 4t
-    and 4t - s^2 is a rational square.  Each candidate is accepted only
-    after exact division of the remaining cofactor by it, so a wrong
-    reconstruction is never returned (Loos, SIAM J. Comput. 12, 1983).
-    """
-    rest = monic(poly(mu))
-    if not rest:
-        raise ValueError("factors of the zero polynomial")
-    if deg(gcd(rest, derivative(rest))) > 0:
-        raise ValueError("qi_factors needs a squarefree polynomial")  # no good prime exists
-    found = []
-    if rest[0] == 0:
-        found.append(poly([0, 1]))
-        rest = rest[1:]
-    if deg(rest) <= 0:
-        return found
-    den = math.lcm(*(a.denominator for a in rest))
-    f = [int(a * den) for a in rest]                       # lc(f) = den > 0
-    content = math.gcd(*f)
-    f = [a // content for a in f]
-    df = [k * a for k, a in enumerate(f)][1:]
-    for p in _primes_one_mod_four():
-        if f[-1] % p and _gcd_is_one_mod(f, df, p):
-            break
-    bound = 2 * (math.isqrt(sum(a * a for a in f) - 1) + 1)     # 2 ceil(||f||_2)
-    roots = [r for r in range(p) if _eval_mod(f, r, p) == 0]
-    m = p
-    while m <= 2 * bound * bound:
-        m *= m
-        roots = [(r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
-                 for r in roots]
-
-    def candidates():
-        for r in roots:
-            a = _reconstruct(r, m, bound)
-            if a is not None:
-                yield {r}, poly([-a, 1])
-        for i, rho in enumerate(roots):
-            for sigma in roots[i + 1:]:
-                s = _reconstruct(rho + sigma, m, bound)
-                t = _reconstruct(rho * sigma, m, bound)
-                if (s is not None and t is not None and s * s < 4 * t
-                        and is_rational_square(4 * t - s * s) is not None):
-                    yield {rho, sigma}, poly([t, -s, 1])
-
-    used = set()
-    for lifted, g in candidates():
-        if used.isdisjoint(lifted):
-            quot, rem = divmod_poly(rest, g)
-            if not rem:
-                found.append(g)
-                rest = quot
-                used |= lifted
-    return found
-
-
-def strip_zero_roots(p: tuple) -> tuple[int, tuple]:
-    """Write p = x^k * q with q(0) != 0; return (k, q)."""
-    k = 0
-    q = list(p)
-    while q and q[0] == 0:
-        q.pop(0)
-        k += 1
-    return k, poly(q)
-
-
-def even_part(p: tuple) -> Optional[tuple]:
-    """D with p(x) = D(x^2), or None if p has an odd-degree term."""
-    if any(a != 0 for i, a in enumerate(p) if i % 2 == 1):
-        return None
-    return poly([p[i] for i in range(0, len(p), 2)])
-
-
-def sturm_sequence(p: tuple) -> list[tuple]:
-    chain = [poly(p), derivative(p)]
-    while not is_zero(chain[-1]) and deg(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if is_zero(rem):
-            break
-        chain.append(scale(-1, rem))
-    return [c for c in chain if not is_zero(c)]
-
-
-def _sign_variations(values) -> int:
+def sign_variations(values) -> int:
+    """Sign changes along a sequence of rationals, its zeros skipped."""
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign_at_minus_inf(p: tuple) -> Fraction:
-    s = p[-1] * (ONE if deg(p) % 2 == 0 else -ONE)
-    return s
-
-
-def count_negative_roots(p: tuple) -> int:
-    """Number of distinct real roots of p in (-inf, 0).
-
-    Requires p(0) != 0 so the Sturm count over (-inf, 0] equals the open
-    interval count.
-    """
-    if is_zero(p):
-        raise ValueError("zero polynomial")
-    if eval_at(p, 0) == 0:
-        raise ValueError("polynomial vanishes at 0; strip zero roots first")
-    if deg(p) == 0:
-        return 0
-    chain = sturm_sequence(p)
-    at_minus_inf = [_sign_at_minus_inf(c) for c in chain]
-    at_zero = [eval_at(c, 0) for c in chain]
-    return _sign_variations(at_minus_inf) - _sign_variations(at_zero)
 
 
 def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
@@ -435,8 +257,8 @@ def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
     if any(a[i][j] != a[j][i] for i in range(m.rows) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     chi = charpoly(m)
-    pos = _sign_variations(chi)
-    neg = _sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
+    pos = sign_variations(chi)
+    neg = sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
     return pos, neg, pos + neg
 
 

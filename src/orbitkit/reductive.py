@@ -8,7 +8,7 @@ restricted to spectra inside Q(i): every irreducible factor of the minimal
 polynomial must be linear, or quadratic with negative discriminant whose
 imaginary part is rational; anything else is refused with the offending
 factor named.  Those factors are found p-adically by
-`polynomials.qi_factors`; sympy is imported only when they do not
+`qi_roots.qi_factors`; sympy is imported only when they do not
 multiply back to the minimal polynomial, to name an unsupported factor.
 
 The grading of g by the eigenvalues of D = ad(x_h) obeys [g^a, g^b] <= g^{a+b}
@@ -32,15 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    ad_matrix,
-    flat,
-    orbit_dim,
-    rep_coords,
-    validate,
-)
+from .liealg import Covector, LieAlgebra, flat, rep_coords, validate
 from .linalg import (
     Matrix,
     ONE,
@@ -66,11 +58,12 @@ from .polynomials import (
     monic,
     mul,
     poly,
-    qi_factors,
     squarefree_part,
     sub,
     to_string,
 )
+from .qi_roots import qi_factors
+from .structure import ad_matrix, orbit_dim
 
 
 class UnsupportedSpectrumError(ValueError):

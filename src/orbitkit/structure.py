@@ -1,0 +1,280 @@
+"""Constructions from subspaces of a Lie algebra, and its structure series.
+
+The coadjoint questions about a subspace h and a covector f have one home
+each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
+`orth`, every orbit dimension (of f, or of f restricted to h) is
+`orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
+the ideal generated by a subspace is a `linalg.invariant_closure` worklist.
+
+Every algebra built from a subspace comes from one routine, `subquotient`:
+a subalgebra h, or h / n for an ideal n of h, with structure constants in
+the basis of canonical lifts (the rows of h at pivots that are not pivots of
+n), read off in ambient coordinates; `restrict` takes a covector to a
+subalgebra through it, and `check_subalgebra` runs its closure check alone.
+
+Structure facts are computed on demand, one function each: `derived_series`,
+`is_solvable`, `killing_form` and `ascending_central_series` (one
+`centralizer` per term); `liealg.is_nilpotent` is the one that `orbit` reads.
+
+`orbit` and `validate` never import this module, so an invocation of either
+compiles none of it.  The conventions are those of `liealg`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Optional, Sequence
+
+from .liealg import (
+    Covector,
+    LieAlgebra,
+    bracket_span,
+    kks_pairing,
+    krylov_hull,
+    stable_series,
+    validate,
+)
+from .linalg import (
+    Matrix,
+    Record,
+    Subspace,
+    ZERO,
+    annihilator,
+    combine,
+    invariant_closure,
+    is_zero_vec,
+    rank_kernel,
+    vec,
+    vec_dot,
+)
+
+
+class NotClosedError(ValueError):
+    """A subspace expected to be a subalgebra or ideal is not closed."""
+
+
+def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
+    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j]."""
+    n = alg.dim
+    m = [[ZERO] * n for _ in range(n)]
+    for a, plane in zip(vec(z), alg.nonzeros):
+        if not a:
+            continue
+        for j, entries in enumerate(plane):
+            for k, c in entries:
+                m[k][j] += a * c
+    return Matrix._of(tuple(map(tuple, m)), n)
+
+
+def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
+    """The subspace sub(cov) = {W(cov) : W in sub} of the dual.
+
+    W(cov) = B W = -W^T B, so the row combinations W^T B span it.
+    """
+    if sub.ambient_dim != alg.dim:
+        raise ValueError("subspace ambient dimension does not match algebra")
+    rows = kks_pairing(alg, cov).entries
+    return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.basis_rows()])
+
+
+def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
+    """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
+
+    Requires ad(Z) nilpotent so that the series
+    <exp(Z)(cov), Z'> = sum_k (-1)^k/k! <cov, ad(Z)^k Z'> terminates.
+    """
+    m = ad_matrix(alg, z)
+    n = alg.dim
+    coeffs, terms = [], []  # (-1)^k / k! and the covector cov . ad(Z)^k
+    power, fact = Matrix.identity(n), 1
+    for k in range(n + 1):
+        if power.is_zero():
+            return Covector(alg, combine(coeffs, terms, n))
+        coeffs.append(Fraction((-1) ** k, fact))
+        terms.append(combine(cov.coords, power.entries, n))
+        power, fact = power * m, fact * (k + 1)
+    raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
+
+
+def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
+    """h^cov = {Z : <cov, [W, Z]> = 0 for all W in h} = ann(h(cov)).
+
+    orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
+    """
+    return annihilator(coadjoint_image(alg, cov, h))
+
+
+def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = None) -> int:
+    """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
+
+    The rank of W B W^T over the canonical rows W of sub (all of g when sub
+    is None), B the pairing of cov.  W B W^T is the pairing of the restricted
+    covector in sub's RREF basis, so no subalgebra is built.  An algebra that
+    fails validation is refused.
+    """
+    if not validate(alg).ok:
+        raise ValueError("algebra fails validation; see validate()")
+    b = kks_pairing(alg, cov)
+    if sub is not None:
+        if sub.ambient_dim != alg.dim:
+            raise ValueError("subspace ambient dimension does not match algebra")
+        wb = [combine(w, b.entries, alg.dim) for w in sub.rows]
+        b = Matrix._of(tuple(tuple(vec_dot(r, w) for w in sub.rows) for r in wb), sub.dim)
+    return len(b.rref()[1])
+
+
+def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
+    return rank_kernel(kks_pairing(alg, cov))[1]
+
+
+def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
+    """Elements pairing to zero with every point of cov + hull.
+
+    This is the extraneous ideal of the identity-component orbit: the
+    kernel of Z -> <., Z> as a function on the orbit's affine hull.
+    """
+    rows = [cov.coords] + list(krylov_hull(alg, cov).basis_rows())
+    return rank_kernel(Matrix(rows))[1]
+
+
+class Subquotient(Record):
+    """h / n for an ideal n of a subalgebra h, kept in the algebra's coordinates.
+
+    Class k is represented by lifts[k], the canonical row of h at columns[k],
+    a pivot of h that is not a pivot of n; the class of a vector v of h has
+    the entries of n.reduce(v) at those columns as its coordinates.
+    """
+    algebra: LieAlgebra  # structure constants of h / n in the basis of classes
+    n: Subspace
+    lifts: tuple
+    columns: tuple
+
+    def project(self, v: Sequence) -> tuple:
+        """Class coordinates of a vector v of h."""
+        rep = self.n.reduce(v)
+        return tuple(rep[j] for j in self.columns)
+
+
+def _closed_brackets(alg: LieAlgebra, rows: Sequence, space: Subspace):
+    """Yield ((a, b), [rows[a], rows[b]]) for a < b.
+
+    Raises NotClosedError at the first bracket that leaves space.
+    """
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            br = alg.bracket(rows[a], rows[b])
+            if not space.contains(br):
+                raise NotClosedError(
+                    f"subspace is not a subalgebra: bracket of basis rows {a},{b} escapes"
+                )
+            yield (a, b), br
+
+
+def check_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
+    """Raise NotClosedError unless sub is closed under the bracket; builds no algebra."""
+    for _ in _closed_brackets(alg, sub.rows, sub):
+        pass
+
+
+def subquotient(alg: LieAlgebra, h: Subspace, n: Optional[Subspace] = None) -> Subquotient:
+    """The subalgebra h, or its quotient h / n by an ideal n of h (n = 0 by default).
+
+    The pivots of n are pivots of h, and the rows of h at the other pivots,
+    the lifts, span a complement of n in h: they are 0 at n's pivots and
+    independent at their own.  So the lifts followed by n's rows are a basis
+    of h, and one bracket per pair of them checks that h is a subalgebra
+    (NotClosedError naming the first escaping pair; with n = 0 the basis is
+    h's canonical rows) and that [h, n] lies in n.  The brackets of lift
+    pairs, projected, are the table.  n not inside h is a ValueError.
+    """
+    n = Subspace.zero(alg.dim) if n is None else n
+    if h.missing_row(n) is not None:
+        raise ValueError("the ideal does not lie inside the subalgebra")
+    kept = [(row, p) for row, p in zip(h.rows, h.pivots) if p not in n.pivots]
+    lifts, columns = tuple(r for r, _ in kept), tuple(p for _, p in kept)
+    m = len(lifts)
+    brackets = {}
+    for (a, b), br in _closed_brackets(alg, lifts + n.rows, h):
+        rep = n.reduce(br)
+        if b < m:
+            brackets[(a, b)] = {k: rep[j] for k, j in enumerate(columns)}
+        elif not is_zero_vec(rep):
+            raise NotClosedError("subspace is not an ideal of the subalgebra")
+    inner = LieAlgebra.from_brackets([f"s{k}" for k in range(m)], brackets, f"{alg.name}-sub")
+    return Subquotient(inner, n, lifts, columns)
+
+
+def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
+    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis."""
+    return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
+
+
+def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
+    return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
+
+
+def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
+    """Smallest ideal containing sub: its closure under every ad(e_i)."""
+    basis = Subspace.full(alg.dim).basis_rows()
+    return invariant_closure(alg.dim, sub.basis_rows(),
+                             lambda v: (alg.bracket(e, v) for e in basis))
+
+
+def center(alg: LieAlgebra) -> Subspace:
+    return centralizer(alg, Subspace.full(alg.dim))
+
+
+def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Optional[Subspace] = None) -> Subspace:
+    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
+    n = alg.dim
+    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
+    # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
+    # of ann(modulo): one row a . block per (w, a), dropped when identically zero
+    ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
+    rows = []
+    for w in sub.basis_rows():
+        block = {}
+        for i, plane in enumerate(alg.nonzeros):
+            for wj, entries in zip(w, plane):
+                if wj:
+                    for k, c in entries:
+                        block.setdefault(k, [ZERO] * n)[i] += c * wj
+        rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
+    return rank_kernel(Matrix._of(tuple(r for r in rows if not is_zero_vec(r)), n))[1]
+
+
+@lru_cache(maxsize=None)
+def ascending_central_series(alg: LieAlgebra) -> tuple:
+    """0 = Z_0 < Z_1 < ... until it stabilizes: Z_{k+1} is the centralizer of g modulo Z_k."""
+    full = Subspace.full(alg.dim)
+    return stable_series(Subspace.zero(alg.dim), lambda z: centralizer(alg, full, modulo=z))
+
+
+@lru_cache(maxsize=None)
+def derived_series(alg: LieAlgebra) -> tuple:
+    """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
+    return stable_series(Subspace.full(alg.dim), lambda d: bracket_span(alg, d, d))
+
+
+def is_solvable(alg: LieAlgebra) -> bool:
+    return derived_series(alg)[-1].dim == 0
+
+
+def killing_form(alg: LieAlgebra) -> Matrix:
+    """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} c[i][b][a] c[j][a][b]."""
+    n = alg.dim
+    # by_ab[a][b] lists (j, c[j][a][b]) over the nonzeros, so only
+    # products of two nonzeros are formed
+    by_ab = [[[] for _ in range(n)] for _ in range(n)]
+    for j, plane in enumerate(alg.nonzeros):
+        for a, entries in enumerate(plane):
+            for b, c in entries:
+                by_ab[a][b].append((j, c))
+    k = [[ZERO] * n for _ in range(n)]
+    for i, plane in enumerate(alg.nonzeros):
+        for b, entries in enumerate(plane):
+            for a, c in entries:
+                for j, d in by_ab[a][b]:
+                    k[i][j] += c * d
+    return Matrix._of(tuple(map(tuple, k)), n)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from orbitkit.catalog import builtin_catalog
-from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, restrict
+from orbitkit.liealg import Covector, LieAlgebra, kks_pairing
 from orbitkit.linalg import rank_kernel, vec_dot
+from orbitkit.structure import restrict
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from orbitkit import catalog
-from orbitkit.catalog import CatalogError, algebra_from_rep
+from orbitkit import builtin_entries, catalog
+from orbitkit.builtin_entries import algebra_from_rep
+from orbitkit.catalog import CatalogError
 from orbitkit.liealg import LieAlgebra, flat, validate
 from orbitkit.linalg import Matrix, solve
 from conftest import sl_rep
@@ -92,8 +93,8 @@ def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("orbitkit.") and hasattr(module, "solve"):
             monkeypatch.setattr(module, "solve", refuse)
-    built = {name: catalog._builtin_entry.__wrapped__(name)  # past the cache
-             for name in catalog._BUILDERS}
+    built = {name: builtin_entries.builtin_entry.__wrapped__(name)  # past the cache
+             for name in builtin_entries.BUILDERS}
     assert built == catalog.builtin_catalog()
     assert [e.name for e in built.values()] == [
         "abelian3", "heisenberg3", "filiform4", "affine_line", "euclid2",

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitkit import builtin_entries
 from orbitkit import catalog as cat
 from orbitkit import cli
 from orbitkit.linalg import Subspace, basis_vector
@@ -373,18 +374,18 @@ def test_catalog_refuses_a_name_that_is_not_a_string(workdir, monkeypatch, capsy
 
 @pytest.fixture
 def unbuilt_catalog():
-    cat._builtin_entry.cache_clear()
+    builtin_entries.builtin_entry.cache_clear()
     yield
-    cat._builtin_entry.cache_clear()
+    builtin_entries.builtin_entry.cache_clear()
 
 
 def test_a_named_entry_builds_no_other(unbuilt_catalog, monkeypatch, capsys):
     def refuse():
         raise AssertionError("built an entry the invocation does not name")
 
-    for name in cat._BUILDERS:
+    for name in builtin_entries.BUILDERS:
         if name != "heisenberg3":
-            monkeypatch.setitem(cat._BUILDERS, name, refuse)
+            monkeypatch.setitem(builtin_entries.BUILDERS, name, refuse)
     code, env = run(HAPPY["orbit"], capsys)
     assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 2
 
@@ -399,7 +400,7 @@ def test_a_catalog_dir_entry_overrides_the_builtin_of_its_name(workdir, monkeypa
     assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 0
     code, env = run(["catalog"], capsys)
     assert env["entries"]["heisenberg3"]["ideals"] == []
-    assert sorted(env["entries"]) == sorted(cat._BUILDERS)
+    assert sorted(env["entries"]) == sorted(builtin_entries.BUILDERS)
 
 
 @pytest.mark.parametrize("command", sorted(HAPPY))
@@ -417,10 +418,131 @@ def test_semidirect_witness_at_a_point_orbit(capsys):
     assert env["results"][0]["semidirect"]["witness"] == "dilation"
 
 
-def test_jobs_option_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["orbit", "catalog:heisenberg3", "--point=0,0,1", "--jobs", "2"])
-    assert exc.value.code == 2
+# -- the argument parser ----------------------------------------------------------
+
+H3 = "catalog:heisenberg3"
+
+
+def invoke(argv, capsys):
+    """(exit code, stdout, stderr) of `cli.main(argv)`; a usage error is a SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def report_of(argv):
+    """stdout must be the report that argv gives."""
+    return ("report", argv)
+
+
+def points(*coords):
+    """stdout must be a report on these points, in this order."""
+    return ("holds", lambda env: [r["point"] for r in env["results"]] == [list(c) for c in coords])
+
+
+def sub_dims(env):
+    """The subalgebra dimensions along the chain of a one-point `record` report."""
+    dims, rec = [], env["results"][0]["record"]
+    while "sub_dim" in rec:
+        dims.append(rec["sub_dim"])
+        rec = rec["fiber"]
+    return dims
+
+
+USAGE = ""      # a usage error writes nothing to stdout
+HELP = "help"   # stdout is the help text, which starts with the usage line
+
+# case -> (argv, exit code, stdout, text that stderr holds; "" when stderr must be
+# empty).  stdout is USAGE, HELP, the report of another argv, or ("holds", test),
+# a test of the parsed report.
+PARSES = {
+    "equals_form": (["orbit", H3, "--point=0,0,1"], 0,
+                    report_of(["orbit", H3, "--point", "0,0,1"]), ""),
+    "short_form": (["orbit", H3, "-p", "0,0,1"], 0, report_of(["orbit", H3, "--point=0,0,1"]), ""),
+    "short_attached": (["orbit", H3, "-p0,0,1"], 0, report_of(["orbit", H3, "--point=0,0,1"]), ""),
+    "options_first": (["orbit", "--point=0,0,1", H3], 0,
+                      report_of(["orbit", H3, "--point=0,0,1"]), ""),
+    "points_accumulate": (["orbit", H3, "-p", "0,0,1", "--point=1,0,0", "-p0,1,0"], 0,
+                          points(("0", "0", "1"), ("1", "0", "0"), ("0", "1", "0")), ""),
+    "subs_accumulate": (["record", H3, "--sub", "plane", "--sub=center", "-p", "0,0,1"], 0,
+                        ("holds", lambda env: sub_dims(env) == [2, 1]), ""),
+    "last_ideal_wins": (["mackey", H3, "--ideal", "center", "--ideal=plane", "-p", "0,0,1"], 0,
+                        report_of(["mackey", H3, "--ideal", "plane", "-p", "0,0,1"]), ""),
+    "negative_value": (["orbit", "catalog:affine_line", "-p", "-1,2"], 0, points(("-1", "2")), ""),
+    "flag": (["polarize", H3, "--override-precheck", "-p", "0,0,1"], 0,
+             report_of(["polarize", H3, "-p", "0,0,1"]), ""),
+    "missing_ideal": (["mackey", H3, "-p", "0,0,1"], 2, USAGE,
+                      "the following arguments are required: --ideal"),
+    "missing_sub": (["conditions", H3, "-p", "0,0,1"], 2, USAGE,
+                    "the following arguments are required: --sub"),
+    "missing_algebra": (["orbit", "-p", "0,0,1"], 2, USAGE,
+                        "the following arguments are required: ALGEBRA"),
+    "jobs_option_is_gone": (["orbit", H3, "-p", "0,0,1", "--jobs", "2"], 2, USAGE,
+                            "unrecognized option --jobs"),
+    "prefix_refused": (["orbit", H3, "--poi=0,0,1"], 2, USAGE, "unrecognized option --poi"),
+    "missing_value": (["orbit", H3, "--point"], 2, USAGE, "--point needs a value"),
+    "flag_with_value": (["polarize", H3, "--override-precheck=yes", "-p", "0,0,1"], 2, USAGE,
+                        "--override-precheck takes no value"),
+    "extra_argument": (["orbit", H3, "extra", "-p", "0,0,1"], 2, USAGE,
+                       "unrecognized arguments: extra"),
+    "bare": ([], 2, USAGE, "a command is required"),
+    "unknown_command": (["frobnicate", H3], 2, USAGE, "unknown command 'frobnicate'"),
+    "top_help": (["-h"], 0, HELP, ""),
+    "top_help_long": (["--help"], 0, HELP, ""),
+    "help_after_options": (["orbit", H3, "-p", "0,0,1", "--help"], 0, HELP, ""),
+    **{f"help_{name}": ([name, "-h"], 0, HELP, "") for name in cli._COMMANDS},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSES))
+def test_the_parser_reads_argv(case, capsys):
+    argv, code, out, err = PARSES[case]
+    got_code, got_out, got_err = invoke(argv, capsys)
+    assert got_code == code
+    if out == USAGE:
+        assert got_out == ""
+    elif out == HELP:
+        assert got_out.startswith("usage: orbitkit")
+        assert argv[0] in ("-h", "--help") or f"usage: orbitkit {argv[0]}" in got_out
+    elif out[0] == "holds":
+        assert out[1](json.loads(got_out))
+    else:
+        assert got_out == invoke(out[1], capsys)[1]
+    if err:
+        assert err in got_err and got_err.startswith("usage: orbitkit")
+    else:
+        assert got_err == ""
+
+
+def test_the_parse_table_covers_every_handler():
+    assert list(cli._COMMANDS) == list(cli._HANDLERS)
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["orbitkit", "orbit", H3, "--point=0,0,1"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["orbit"]["orbit_dim"] == 2
+
+
+def test_output_goes_to_the_named_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert invoke(["orbit", H3, "--point=0,0,1", "-o", str(path)], capsys) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == invoke(["orbit", H3, "--point=0,0,1"], capsys)[1]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_an_output_path_that_cannot_be_opened_gives_the_error_envelope(where, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = invoke(["orbit", H3, "--point=0,0,1", "-o", str(path)], capsys)
+    assert (code, err) == (2, "")
+    env = json.loads(out)
+    assert env["ok"] is False and env["command"] == "orbit" and env["algebra"] == H3
+    assert env["error"].startswith(f"cannot write the report to {path}: ")
+    assert "results" not in env
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [{F(1)}, object()], ids=["set", "object"])

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from orbitkit import conditions, liealg
+from orbitkit import conditions, liealg, structure
 from orbitkit.conditions import check_conditions
-from orbitkit.liealg import Covector, NotClosedError, check_subalgebra, orth, stabilizer
+from orbitkit.liealg import Covector
 from orbitkit.linalg import Subspace, basis_vector
+from orbitkit.structure import NotClosedError, check_subalgebra, orth, stabilizer
 from conftest import rand_covector
 
 
@@ -56,7 +57,7 @@ def test_check_conditions_builds_the_pairing_twice(entries, monkeypatch):
     """Once for the stabilizer and once for h(cov); the orthogonal is read off h(cov)."""
     calls = []
     real = liealg.kks_pairing
-    for mod in (liealg, conditions):
+    for mod in (liealg, structure, conditions):
         if hasattr(mod, "kks_pairing"):
             monkeypatch.setattr(mod, "kks_pairing", lambda *args: calls.append(args) or real(*args))
     h3 = entries["heisenberg3"].algebra

@@ -11,10 +11,17 @@ from orbitkit.catalog import builtin_catalog, parse_algebra
 from orbitkit.liealg import (
     Covector,
     LieAlgebra,
+    bracket_span,
+    is_nilpotent,
+    kks_pairing,
+    krylov_hull,
+    orbit_record,
+    validate,
+)
+from orbitkit.structure import (
     NotClosedError,
     ad_matrix,
     ascending_central_series,
-    bracket_span,
     center,
     centralizer,
     check_subalgebra,
@@ -23,20 +30,15 @@ from orbitkit.liealg import (
     exp_coadjoint,
     ideal_closure,
     is_ideal,
-    is_nilpotent,
     is_solvable,
     killing_form,
-    kks_pairing,
-    krylov_hull,
     orbit_dim,
-    orbit_record,
     orth,
     restrict,
     stabilizer,
     subquotient,
-    validate,
 )
-from orbitkit import conditions, liealg, linalg, mackey, polarization
+from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.mackey import little_group_step, semidirect_witness
 from orbitkit.polarization import verify_monomial
@@ -452,8 +454,8 @@ def test_orbit_record_builds_no_killing_form_and_no_derived_series(entries, monk
     def refuse(*args):
         raise AssertionError("structure fact that orbit_record does not read")
 
-    monkeypatch.setattr(liealg, "killing_form", refuse)
-    monkeypatch.setattr(liealg, "derived_series", refuse)
+    monkeypatch.setattr(structure, "killing_form", refuse)
+    monkeypatch.setattr(structure, "derived_series", refuse)
     monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
     for entry in entries.values():
         for coords in entry.covectors.values():
@@ -683,7 +685,7 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
     def refuse(*args):
         raise AssertionError("linear solve")
 
-    for mod in (linalg, liealg):
+    for mod in (linalg, liealg, structure):
         if hasattr(mod, "solve"):
             monkeypatch.setattr(mod, "solve", refuse)
     subquotient(alg, poincare.complements["lorentz"])

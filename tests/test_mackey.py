@@ -8,20 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit.catalog import parse_algebra, parse_entry
-from orbitkit.liealg import (
-    Covector,
-    LieAlgebra,
-    NotClosedError,
-    ad_matrix,
-    exp_coadjoint,
-    ideal_closure,
-    kks_pairing,
-    orbit_dim,
-    orbit_record,
-    restrict,
-    stabilizer,
-    validate,
-)
+from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, orbit_record, validate
 from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel
 from orbitkit.mackey import (
     abelian_step,
@@ -31,6 +18,15 @@ from orbitkit.mackey import (
     obstruction_step,
     semidirect_witness,
     verify_step_relations,
+)
+from orbitkit.structure import (
+    NotClosedError,
+    ad_matrix,
+    exp_coadjoint,
+    ideal_closure,
+    orbit_dim,
+    restrict,
+    stabilizer,
 )
 from conftest import dense_apply, dense_structure, rand_covector, rand_vec
 
@@ -101,7 +97,7 @@ def test_relations_plane_case(entries):
     rel = verify_step_relations(data)
     assert rel.all_hold()
     # (13b) by hand: n_c moves cov along e1* only, which annihilates h
-    from orbitkit.liealg import coadjoint_image
+    from orbitkit.structure import coadjoint_image
     from orbitkit.linalg import annihilator
     assert coadjoint_image(h3, cov, data.n_c) == Subspace(3, [(1, 0, 0)])
     assert annihilator(data.h) == Subspace(3, [(1, 0, 0)])

@@ -8,15 +8,12 @@ import pytest
 from orbitkit import polarization
 from orbitkit.catalog import parse_algebra
 from orbitkit.conditions import check_conditions
-from orbitkit.liealg import (
-    Covector,
-    LieAlgebra,
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from orbitkit.structure import (
     ascending_central_series,
-    bracket_span,
     centralizer,
     derived_series,
     is_ideal,
-    kks_pairing,
     orbit_annihilator,
     orth,
     restrict,

@@ -6,30 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.liealg import ad_matrix, killing_form
 from orbitkit.linalg import Matrix, basis_vector, solve
+from orbitkit.polarization import count_negative_roots, even_part, strip_zero_roots
 from orbitkit.polynomials import (
     charpoly,
-    count_negative_roots,
     deg,
     derivative,
     divmod_poly,
     eval_at,
     eval_matrix,
-    even_part,
     gcd,
     invert_mod,
     is_rational_square,
     monic,
     mul,
     poly,
-    qi_factors,
     squarefree_part,
-    strip_zero_roots,
     symmetric_signature,
     to_string,
     xgcd,
 )
+from orbitkit.qi_roots import qi_factors
+from orbitkit.structure import ad_matrix, killing_form
 from conftest import rand_vec
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import liealg, reductive
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
-from orbitkit.catalog import algebra_from_rep, parse_algebra
+from orbitkit import liealg, reductive, structure
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, validate
+from orbitkit.builtin_entries import algebra_from_rep
+from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.reductive import (
@@ -23,6 +24,7 @@ from orbitkit.reductive import (
     matrix_lie_algebra,
     parabolic_report,
 )
+from orbitkit.structure import orbit_dim
 from conftest import rand_vec, sl_rep, subalgebra_orbit_dim
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -366,6 +368,7 @@ def test_grade_builds_no_bracket_span(sl3, monkeypatch):
         raise AssertionError("bracket span built")
 
     assert not hasattr(reductive, "bracket_span")
-    monkeypatch.setattr(liealg, "bracket_span", refuse)
+    for mod in (liealg, structure):
+        monkeypatch.setattr(mod, "bracket_span", refuse)
     for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
         assert parabolic_report(sl3, x).all_relations()
