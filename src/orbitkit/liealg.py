@@ -10,6 +10,9 @@ mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept;
 one exists only while the catalog reads a file's dense "structure" tensor.
 The coadjoint questions about a covector reduce to exact kernels and ranks
 of the pairing matrix B[i][j] = <cov, [e_i, e_j]> attached to it.
+`bracket` coerces its arguments with `vec`, as it does any outside input;
+the package's own brackets, of vectors it made itself, take
+`bracket_exact`, which coerces nothing.
 
 A matrix representation is handled on flattened matrices (`flat`): `validate`
 checks its brackets there, and `rep_coords` reads coordinates in its span.
@@ -97,7 +100,12 @@ class LieAlgebra(Record):
         return cls(n, tuple(labels), tuple(map(tuple, table)), rep, name)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        u, v = vec(u), vec(v)
+        """[u, v] of two coordinate vectors, coerced to Fractions first (`vec`)."""
+        return self.bracket_exact(vec(u), vec(v))
+
+    def bracket_exact(self, u: Sequence, v: Sequence) -> tuple:
+        """[u, v] of the package's own vectors (Fraction or integer entries),
+        taken as they are; the result's entries are Fractions."""
         out = [ZERO] * self.dim
         for a, plane in zip(u, self.nonzeros):
             if not a:
@@ -266,9 +274,9 @@ def bracket_span(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     and [v, u] = -[u, v] in an antisymmetric table."""
     if a == b:
         rows = a.rows
-        brackets = [alg.bracket(u, v) for i, u in enumerate(rows) for v in rows[i + 1:]]
+        brackets = [alg.bracket_exact(u, v) for i, u in enumerate(rows) for v in rows[i + 1:]]
     else:
-        brackets = [alg.bracket(u, v) for u in a.rows for v in b.rows]
+        brackets = [alg.bracket_exact(u, v) for u in a.rows for v in b.rows]
     return Subspace(alg.dim, brackets)
 
 
@@ -297,10 +305,10 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
     gens = [basis_vector(n, j) for j in range(n) if j not in derived.pivots]
 
     def images(v):
-        return (alg.bracket(u, v) for u in gens)
+        return (alg.bracket_exact(u, v) for u in gens)
 
     if invariant_closure(n, gens, images).dim < n:
         return False
     lower = stable_series(derived, lambda c: invariant_closure(
-        n, [alg.bracket(u, v) for u in gens for v in c.rows], images))
+        n, [alg.bracket_exact(u, v) for u in gens for v in c.rows], images))
     return lower[-1].dim == 0

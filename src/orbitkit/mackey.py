@@ -217,7 +217,7 @@ def obstruction_step(
     f = [[ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            br = alg.bracket(sec[a], sec[b])
+            br = alg.bracket_exact(sec[a], sec[b])
             n_part = vec_sub(br, combine(quot.project(br), sec, alg.dim))
             val = cov.pair(n_part)
             f[a][b] = val

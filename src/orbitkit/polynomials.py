@@ -199,14 +199,16 @@ def charpoly(m: Matrix) -> tuple:
 
         p_j = (x - h_jj) p_{j-1} - sum_{i<j} h_ij (prod_{k=i+1..j} h_{k,k-1}) p_{i-1},
 
-    and chi = p_n.  O(n^3) field operations and no matrix product.
+    and chi = p_n.  O(n^3) field operations and no matrix product; as in
+    `linalg`, a zero is found by truthiness and no term with a zero factor
+    is formed.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
     h = [list(row) for row in m.entries]
     for c in range(n - 2):
-        piv = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
         if piv is None:
             continue
         if piv != c + 1:
@@ -216,29 +218,35 @@ def charpoly(m: Matrix) -> tuple:
         top = h[c + 1]
         inv = ONE / top[c]
         for i in range(c + 2, n):
-            u = h[i][c] * inv
-            if u == 0:
-                continue
             ri = h[i]
+            if not ri[c]:
+                continue
+            u = ri[c] * inv
             for j in range(c, n):          # row i -= u * row c+1 (zero left of c)
-                ri[j] -= u * top[j]
+                if top[j]:
+                    ri[j] -= u * top[j]
             for row in h:                  # column c+1 += u * column i
-                row[c + 1] += u * row[i]
+                if row[i]:
+                    row[c + 1] += u * row[i]
     ps = [[ONE]]
     for j in range(n):
         prev = ps[j]
         p = [ZERO] + prev                  # x * p_{j-1}
-        for k, a in enumerate(prev):
-            p[k] -= h[j][j] * a
+        d = h[j][j]
+        if d:
+            for k, a in enumerate(prev):
+                if a:
+                    p[k] -= d * a
         t = ONE
         for i in range(j - 1, -1, -1):
             t *= h[i + 1][i]
-            if t == 0:
+            if not t:
                 break
-            c = h[i][j] * t
-            if c != 0:
+            if h[i][j]:
+                c = h[i][j] * t
                 for k, a in enumerate(ps[i]):
-                    p[k] -= c * a
+                    if a:
+                        p[k] -= c * a
         ps.append(p)
     return poly(ps[n])
 

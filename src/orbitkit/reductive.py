@@ -391,14 +391,14 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
     ad_x = ad_matrix(alg, coords)
     stab_ok = g0.contains_subspace(rank_kernel(ad_x)[1])
 
-    moved = Subspace(n, [alg.bracket(z, coords) for z in u.basis_rows()])
+    moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.basis_rows()])
     ann_q = _trace_annihilator(malg, q)
     image_ok = moved == ann_q
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim
 
     hull = invariant_closure(n, moved.basis_rows(),
-                             lambda w: (alg.bracket(z, w) for z in u.basis_rows()))
+                             lambda w: (alg.bracket_exact(z, w) for z in u.basis_rows()))
     hull_ok = hull == ann_q
 
     # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces

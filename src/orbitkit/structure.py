@@ -163,7 +163,7 @@ def _closed_brackets(alg: LieAlgebra, rows: Sequence, space: Subspace):
     """
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            br = alg.bracket(rows[a], rows[b])
+            br = alg.bracket_exact(rows[a], rows[b])
             if not space.contains(br):
                 raise NotClosedError(
                     f"subspace is not a subalgebra: bracket of basis rows {a},{b} escapes"
@@ -218,7 +218,7 @@ def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """Smallest ideal containing sub: its closure under every ad(e_i)."""
     basis = Subspace.full(alg.dim).basis_rows()
     return invariant_closure(alg.dim, sub.basis_rows(),
-                             lambda v: (alg.bracket(e, v) for e in basis))
+                             lambda v: (alg.bracket_exact(e, v) for e in basis))
 
 
 def center(alg: LieAlgebra) -> Subspace:

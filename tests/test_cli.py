@@ -1,5 +1,9 @@
-"""The CLI's exit codes and JSON envelope, called in-process through `main`."""
+"""The CLI's exit codes and JSON envelope, called in-process through `main`,
+and its process entry `run`, started as `python -m orbitkit.cli`."""
 
+import ast
+import errno
+import importlib
 import json
 import os
 import subprocess
@@ -610,3 +614,58 @@ def test_supported_runs_never_import_sympy(tmp_path):
     assert report["sympy_after_supported"] is False
     assert report["unsupported"] == [unsupported["exit"], unsupported["stdout"]]
     assert "factor x^3 - 5*x - 9 (irreducible factor of degree 3)" in unsupported["stdout"]
+
+
+# -- the process entry ----------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_the_console_script_and_the_main_block_call_one_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    module, _, attr = scripts["orbitkit"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    call = stmt.value
+    assert isinstance(call, ast.Call) and not call.args and not call.keywords
+    assert getattr(cli, call.func.id) is target is cli.run
+
+
+def test_every_file_the_package_opens_is_closed_by_a_with_block():
+    """`run` ends the process without teardown, so no file may be left open."""
+    for path in sorted((ROOT / "src" / "orbitkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        opens = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "open"}
+        in_with = {item.context_expr for node in ast.walk(tree) if isinstance(node, ast.With)
+                   for item in node.items}
+        assert opens <= in_with, path.name
+        assert "atexit" not in {alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.Import) for alias in node.names}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
+def test_a_report_that_cannot_be_written_exits_2(sink, unbuffered, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "orbitkit.cli", "orbit", H3, "--point=0,0,1"]
+    if sink == "closed_pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out, reason = os.fdopen(write_end, "wb"), os.strerror(errno.EPIPE)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        out, reason = open("/dev/full", "wb"), os.strerror(errno.ENOSPC)
+    with out:
+        proc = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+                              text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"cannot write the report to stdout: {reason}\n")

@@ -11,9 +11,16 @@ crashed with a traceback (empty stdout, exit 1); the benchmark marks them
 the benchmark.  For those the harness's own envelope rules are asserted
 instead: stdout is one JSON envelope, the exit code is 2 exactly when it has
 an `error` key, and `ok` agrees with the exit code.
+
+A few goldens are also replayed through a real process, `python -m
+orbitkit.cli`, whose entry `cli.run` ends without interpreter teardown: one
+per subcommand, among them an exit-1 report and an exit-2 envelope, plus an
+`--output` run, a usage error and `-h`.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +87,71 @@ def test_catalog_invocation_matches_its_golden_output(ident, tmp_path, monkeypat
 @pytest.mark.parametrize("name,ident", FAMILY_CASES, ids=[f"{n}:{i}" for n, i in FAMILY_CASES])
 def test_family_invocation_matches_its_golden_output(name, ident, tmp_path, monkeypatch, capsys):
     _replay(name, ident, tmp_path, monkeypatch, capsys)
+
+
+# -- the same goldens through a real process ---------------------------------
+
+# one golden per subcommand; conditions:n5 exits 1, invalid:validate_jacobi_failure 2
+PROCESS_CASES = [
+    ("catalog_sweep", "catalog"),
+    ("family_orbit", "validate:L9"),
+    ("family_orbit", "orbit:L9"),
+    ("family_orbit", "conditions:n5"),
+    ("family_orbit", "mackey:h9"),
+    ("parabolic_polarize", "polarize:L6"),
+    ("parabolic_polarize", "parabolic:sl3:0"),
+    ("family_orbit", "classify:L9"),
+    ("family_orbit", "record:h9"),
+    ("catalog_sweep", "invalid:validate_jacobi_failure"),
+]
+
+
+@pytest.fixture(scope="module")
+def workdirs(tmp_path_factory):
+    """One directory per workload, holding its definition files."""
+    dirs = {}
+    for name in {name for name, _ in PROCESS_CASES}:
+        dirs[name] = tmp_path_factory.mktemp(name)
+        workloads.write_files(WORKLOADS[name][0], dirs[name])
+    return dirs
+
+
+def _cli_process(args, cwd):
+    """The finished `python -m orbitkit.cli ARGS`, its stdout block-buffered, as
+    a user's pipe is, so a report left unflushed at the fast exit would be lost."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("ORBITKIT_CATALOG_DIR", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "orbitkit.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_the_process_cases_cover_every_subcommand_and_exit_code():
+    goldens = [WORKLOADS[name][2][ident] for name, ident in PROCESS_CASES]
+    assert sorted({g["args"][0] for g in goldens}) == sorted(cli._COMMANDS)
+    assert {g["exit"] for g in goldens} == {0, 1, 2}
+    assert not any(WORKLOADS[name][1][ident].known_failure for name, ident in PROCESS_CASES)
+
+
+@pytest.mark.parametrize("name,ident", PROCESS_CASES, ids=[i for _, i in PROCESS_CASES])
+def test_a_process_replays_its_golden_output(name, ident, workdirs):
+    want = WORKLOADS[name][2][ident]
+    proc = _cli_process(want["args"], workdirs[name])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want["exit"], want["stdout"], "")
+
+
+def test_a_process_writes_its_output_file(workdirs, tmp_path):
+    want = WORKLOADS["family_orbit"][2]["orbit:L9"]
+    path = tmp_path / "report.json"
+    proc = _cli_process(want["args"] + ["-o", str(path)], workdirs["family_orbit"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == want["stdout"]
+
+
+def test_a_process_reports_a_usage_error_and_its_help(tmp_path):
+    proc = _cli_process(["orbit"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "orbitkit orbit: error: the following arguments are required: ALGEBRA\n")
+    proc = _cli_process(["orbit", "-h"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli._help("orbit"), "")

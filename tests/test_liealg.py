@@ -50,6 +50,7 @@ from orbitkit.linalg import (
     combine,
     rank_kernel,
     solve,
+    vec,
     vec_add,
     vec_dot,
 )
@@ -465,16 +466,42 @@ def test_orbit_record_builds_no_killing_form_and_no_derived_series(entries, monk
 def test_is_nilpotent_on_L45_makes_few_brackets(monkeypatch):
     family = families.filiform(45, families.family_rng(0, "ladder45"))
     alg = parse_algebra(family.doc)
-    bracket, calls = LieAlgebra.bracket, []
+    bracket, calls = LieAlgebra.bracket_exact, []
 
     def counted(self, u, v):
         calls.append(None)
         return bracket(self, u, v)
 
-    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    monkeypatch.setattr(LieAlgebra, "bracket_exact", counted)
     assert is_nilpotent.__wrapped__(alg)
     # the lower central series by `bracket_span` makes 48,469 here
     assert len(calls) <= 10_000
+
+
+def test_an_orbit_run_coerces_no_vector_it_made_itself(monkeypatch, rng):
+    """The package's own brackets take `bracket_exact`, so a seeded `orbit_record`
+    (its nilpotency check included) calls `vec` on nothing: every vector is
+    already Fractions.  Through the coercing `bracket`, twice per bracket,
+    these three runs on L9 call it 882 times."""
+    family = families.filiform(9, families.family_rng(0, "vec_count"))
+    alg = parse_algebra(family.doc)
+    covs = [Covector(alg, rand_vec(rng, alg.dim)) for _ in range(3)]
+    calls = []
+
+    def counted(entries):
+        calls.append(None)
+        return vec(entries)
+
+    monkeypatch.setattr(liealg, "vec", counted)
+    monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
+    for cov in covs:
+        assert orbit_record(alg, cov).orbit_dim > 0
+    assert calls == []
+    assert alg.bracket((1,) + (0,) * 8, (0, 1) + (0,) * 7) == alg.bracket_exact(
+        basis_vector(9, 0), basis_vector(9, 1))
+    assert len(calls) == 2  # outside input is still coerced
+    with pytest.raises(TypeError, match="floating point"):
+        alg.bracket((0.5,) + (0,) * 8, basis_vector(9, 1))
 
 
 # -- structure facts against the series they replaced ---------------------------
@@ -937,13 +964,13 @@ def test_closure_checks_build_no_algebra(entries, monkeypatch):
 def test_bracket_span_of_a_subspace_with_itself_brackets_each_pair_once(monkeypatch):
     family = families.filiform(45, families.family_rng(0, "ladder45"))
     alg = parse_algebra(family.doc)
-    bracket, calls = LieAlgebra.bracket, []
+    bracket, calls = LieAlgebra.bracket_exact, []
 
     def counted(self, u, v):
         calls.append(None)
         return bracket(self, u, v)
 
-    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    monkeypatch.setattr(LieAlgebra, "bracket_exact", counted)
     full = Subspace.full(45)
     assert bracket_span(alg, full, Subspace.full(45)).dim == 43
     assert len(calls) == 45 * 44 // 2 == 990
