@@ -24,12 +24,17 @@ argument) print a message on stderr, nothing on stdout, and exit 2.
 
 Start-up is paid on every invocation, and the import graph is where it is
 decided: without cached bytecode, compiling the modules an invocation
-imports is about a quarter of its time.  So this module imports only what
-every subcommand needs (`catalog`, `liealg`, `linalg`), and no argument
-parser library.  Each handler imports its own analysis modules
-(`conditions`, `mackey`, `polarization`, `reductive`, `induction`, and
-through them `structure`, `polynomials` and `qi_roots`), and `catalog:NAME`
-alone imports the built-in entries and builds only the entry named.
+imports is about 30% of its time.  The median of `python -m orbitkit.cli`
+on four benchmark invocations (`orbit`, `mackey`, `parabolic`, `polarize`)
+read 81 ms with the package's `__pycache__` removed and
+PYTHONDONTWRITEBYTECODE=1, and 57 ms after `compileall`; three such runs
+of 11 to 21 repetitions read 28% to 37% (shared 2-core Linux host, Python
+3.11).  So this module imports only what every subcommand needs
+(`catalog`, `liealg`, `linalg`), and no argument parser library.  Each
+handler imports its own analysis modules (`conditions`, `mackey`,
+`polarization`, `reductive`, `induction`, and through them `structure`,
+`polynomials` and `qi_roots`), and `catalog:NAME` alone imports the
+built-in entries and builds only the entry named.
 The report classes are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.
 

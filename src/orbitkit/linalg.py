@@ -415,16 +415,6 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return is_zero_vec(self.reduce(v))
 
-    def coords_of(self, v: Sequence):
-        """Coordinates of v in the canonical basis, or None if outside.
-
-        They are v's entries at the pivots.
-        """
-        v = vec(v)
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.missing_row(other) is None
 

@@ -6,10 +6,10 @@ elliptic and nilpotent parts over Q, and the positive part of the
 ad(x_h)-grading assembles the parabolic q = g^0 (+) u.  The split is
 restricted to spectra inside Q(i): every irreducible factor of the minimal
 polynomial must be linear, or quadratic with negative discriminant whose
-imaginary part is rational; anything else is refused with the offending
-factor named.  Those factors are found p-adically by
-`qi_roots.qi_factors`; sympy is imported only when they do not
-multiply back to the minimal polynomial, to name an unsupported factor.
+imaginary part is rational.  Those factors are found p-adically by
+`qi_roots.qi_factors`, and the cofactor they leave, which has no root in
+Q(i), names a refused spectrum: at degree <= 3 it has no rational root, so
+it is the one irreducible unsupported factor; above that it is named whole.
 
 The grading of g by the eigenvalues of D = ad(x_h) obeys [g^a, g^b] <= g^{a+b}
 exactly when D is a derivation, and `grade` checks it in that form, on the
@@ -67,7 +67,11 @@ from .structure import ad_matrix, orbit_dim
 
 
 class UnsupportedSpectrumError(ValueError):
-    """Spectrum leaves Q(i); carries the offending irreducible factor."""
+    """Spectrum leaves Q(i); carries the offending factor.
+
+    The factor is irreducible when its degree is at most 3; a larger one is
+    the whole part of the minimal polynomial with no root in Q(i).
+    """
 
     def __init__(self, factor: tuple, reason: str):
         self.factor = factor
@@ -162,23 +166,6 @@ def jordan_chevalley(x: Matrix) -> tuple[Matrix, Matrix]:
     return s, x - s
 
 
-def _factor_squarefree(p: tuple) -> list[tuple]:
-    """Monic irreducible factors of a squarefree rational polynomial."""
-    import sympy  # deferred: only an unsupported spectrum gets here
-
-    xsym = sympy.Symbol("x")
-    spoly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], xsym, domain="QQ"
-    )
-    _, factors = spoly.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        f = monic(poly(coeffs))
-        out.extend([f] * mult)
-    return out
-
-
 def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
     """Split a semisimple rational matrix into hyperbolic + elliptic parts.
 
@@ -186,16 +173,24 @@ def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
     minimal polynomial, with a_i the (rational) real part of the factor's
     roots and pi_i the spectral projector built from the partial-fraction
     idempotents; the elliptic part is the remainder.  The factors come from
-    `qi_factors`; when they do not multiply back to the minimal polynomial,
-    its full factorization names the first unsupported factor.
+    `qi_factors`, and the monic cofactor `rest` they leave in the minimal
+    polynomial has no root in Q(i).  At degree 2 or 3 it has no rational
+    root, so it is irreducible over Q, and the loop below names why it is
+    unsupported; at degree >= 4 it is refused whole, with no claim that it
+    is irreducible ((x^2 - 2)(x^2 - 3) is one such cofactor).
     """
     chi = charpoly(s)
     mu = squarefree_part(chi)
     if not eval_matrix(mu, s).is_zero():
         raise ValueError("matrix is not semisimple: squarefree minimal polynomial required")
     factors = qi_factors(mu)
-    if sum(deg(f) for f in factors) != deg(mu):  # their product divides mu
-        factors = _factor_squarefree(mu)
+    rest = mu
+    for f in factors:
+        rest = divmod_poly(rest, f)[0]
+    if deg(rest) >= 4:
+        raise UnsupportedSpectrumError(monic(rest), "no root in Q(i)")
+    if deg(rest) > 0:
+        factors.append(monic(rest))
     real_parts = []
     for f in factors:
         if deg(f) == 1:

@@ -5,7 +5,8 @@ import pytest
 
 from orbitkit.catalog import builtin_catalog
 from orbitkit.liealg import Covector, LieAlgebra, kks_pairing
-from orbitkit.linalg import rank_kernel, vec_dot
+from orbitkit.linalg import rank_kernel, vec, vec_dot
+from orbitkit.polynomials import deg, is_rational_square, monic, poly
 from orbitkit.structure import restrict
 
 
@@ -67,6 +68,41 @@ def subalgebra_orbit_dim(alg, cov, sub):
     cov to it and take the rank of the restricted covector's pairing."""
     cov_sub = restrict(alg, cov, sub)
     return rank_kernel(kks_pairing(cov_sub.algebra, cov_sub))[0]
+
+
+# -- coordinates in a canonical basis -------------------------------------------
+
+
+def coords_of(s, v):
+    """Coordinates of v in the canonical basis of the subspace s, or None if outside.
+
+    They are v's entries at the pivots.
+    """
+    v = vec(v)
+    if not s.contains(v):
+        return None
+    return tuple(v[p] for p in s.pivots)
+
+
+# -- sympy's factorization, kept as the reference for spectra in Q(i) ------------
+
+
+def sympy_supported(mu):
+    """Reference: sympy's monic irreducible factors of mu, split into the ones
+    with roots in Q(i) (linear, or quadratic with a rational imaginary part)
+    and the rest, by the classification of `reductive.hyperbolic_elliptic_split`."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(mu)],
+                       x, domain="QQ")
+    supported, unsupported = [], []
+    for fac, _ in spoly.factor_list()[1]:
+        f = monic(poly([Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]))
+        ok = deg(f) == 1 or (deg(f) == 2 and f[1] ** 2 < 4 * f[0]
+                             and is_rational_square(4 * f[0] - f[1] ** 2) is not None)
+        (supported if ok else unsupported).append(f)
+    return supported, unsupported
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

@@ -1,9 +1,14 @@
-"""Catalog entries built from matrix representations, and the checks on them."""
+"""Catalog entries built from matrix representations, the checks on them, and
+the JSON definition format read back from a document written here."""
 
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit import builtin_entries, catalog
 from orbitkit.builtin_entries import algebra_from_rep
@@ -11,6 +16,9 @@ from orbitkit.catalog import CatalogError
 from orbitkit.liealg import LieAlgebra, flat, validate
 from orbitkit.linalg import Matrix, solve
 from conftest import sl_rep
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
 
 
 def solved_algebra(name, labels, matrices):
@@ -99,3 +107,77 @@ def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
     assert [e.name for e in built.values()] == [
         "abelian3", "heisenberg3", "filiform4", "affine_line", "euclid2",
         "sl2", "sl3", "so31", "poincare"]
+
+
+# -- the JSON format, read back from a written document ---------------------------
+
+
+def _rows(rows):
+    return [[str(x) for x in row] for row in rows]
+
+
+def algebra_doc(alg):
+    """The definition document of an algebra: its i < j brackets, rationals as strings."""
+    n = alg.dim
+    doc = {"name": alg.name, "dim": n, "basis": list(alg.labels),
+           "brackets": [{"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in alg.nonzeros[i][j]}}
+                        for i in range(n) for j in range(i + 1, n) if alg.nonzeros[i][j]]}
+    if alg.matrix_rep is not None:
+        doc["matrix_rep"] = [_rows(m.entries) for m in alg.matrix_rep]
+    return doc
+
+
+def entry_doc(entry):
+    """The definition document of a catalog entry: ideals and complements by their rows."""
+    return {**algebra_doc(entry.algebra), "description": entry.description,
+            "covectors": {name: [str(x) for x in c] for name, c in entry.covectors.items()},
+            "ideals": {name: {"rows": _rows(s.rows)} for name, s in entry.ideals.items()},
+            "complements": {name: {"rows": _rows(s.rows)}
+                            for name, s in entry.complements.items()}}
+
+
+def through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+RATIONALS = st.fractions(-9, 9, max_denominator=5)
+
+
+@st.composite
+def bracket_tables(draw):
+    """A LieAlgebra from a random bracket table (antisymmetric by construction, Jacobi
+    not required), dim <= 6, sometimes with a random matrix representation."""
+    n = draw(st.integers(0, 6))
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            brackets[(i, j)] = draw(st.dictionaries(st.integers(0, n - 1), RATIONALS,
+                                                    max_size=3))
+    rep = None
+    if n and draw(st.booleans()):
+        size = draw(st.integers(1, 3))
+        rep = [Matrix([[draw(RATIONALS) for _ in range(size)] for _ in range(size)])
+               for _ in range(n)]
+    name = draw(st.sampled_from(["", "g", "algebra one"]))
+    return LieAlgebra.from_brackets([f"e{k}" for k in range(n)], brackets, name, rep)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(bracket_tables())
+def test_an_algebra_reads_back_from_its_document_property(alg):
+    assert catalog.parse_algebra(through_json(algebra_doc(alg))) == alg
+
+
+def _family_entries():
+    """The entries of the seeded family documents of the benchmark's workloads."""
+    for name in ("catalog_sweep", "family_orbit", "parabolic_polarize"):
+        wl = workloads.build(name, workloads.DEFAULT_SEED)
+        for stem in wl.families:
+            yield catalog.parse_entry(wl.files[f"{stem}.json"], f"{stem}.json")
+
+
+def test_every_entry_reads_back_from_its_document(entries):
+    written = list(entries.values()) + list(_family_entries())
+    assert len(written) == 9 + 16
+    for entry in written:
+        assert catalog.parse_entry(through_json(entry_doc(entry))) == entry, entry.name

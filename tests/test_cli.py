@@ -558,64 +558,6 @@ def test_the_encoder_refuses_unknown_types(value, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-# -- sympy stays off the happy path --------------------------------------------
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-SUPPORTED_THEN_UNSUPPORTED = """
-import contextlib, io, json, sys
-from orbitkit import cli
-from orbitkit.linalg import Matrix
-from orbitkit.reductive import hyperbolic_elliptic_split
-
-def run(args):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(args)
-    return [code, out.getvalue()]
-
-cases = json.load(open("cases.json"))
-report = {"supported": [run(args) for args in cases["supported"]]}
-report["split"] = [m.entries == want for m, want in zip(
-    hyperbolic_elliptic_split(Matrix([[1, -1], [1, 1]])), (((1, 0), (0, 1)), ((0, -1), (1, 0))))]
-report["sympy_after_supported"] = "sympy" in sys.modules
-report["unsupported"] = run(cases["unsupported"])
-print(json.dumps(report))
-"""
-
-
-def test_supported_runs_never_import_sympy(tmp_path):
-    """One fresh interpreter runs two `parabolic` goldens, a `polarize` golden
-    and a Q(i) split without loading sympy; only the unsupported sl3 golden,
-    whose error names the irreducible cubic, may load it."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-
-    def goldens(name):
-        return json.loads((PERFBENCH / "golden" / f"{name}.json").read_text(encoding="utf-8"))
-
-    family, catalog = goldens("parabolic_polarize"), goldens("catalog_sweep")
-    workloads.write_files(workloads.build("parabolic_polarize", family["seed"]), tmp_path)
-    family, catalog = family["invocations"], catalog["invocations"]
-    wanted = [family["parabolic:sl3:0"], family["parabolic:sl4:14"], catalog["polarize:filiform4"]]
-    unsupported = catalog["parabolic:sl3"]
-    (tmp_path / "cases.json").write_text(json.dumps({
-        "supported": [g["args"] for g in wanted], "unsupported": unsupported["args"]}))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", SUPPORTED_THEN_UNSUPPORTED], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    report = json.loads(proc.stdout)
-    assert report["supported"] == [[g["exit"], g["stdout"]] for g in wanted]
-    assert report["split"] == [True, True]
-    assert report["sympy_after_supported"] is False
-    assert report["unsupported"] == [unsupported["exit"], unsupported["stdout"]]
-    assert "factor x^3 - 5*x - 9 (irreducible factor of degree 3)" in unsupported["stdout"]
-
-
 # -- the process entry ----------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -15,7 +15,9 @@ an `error` key, and `ok` agrees with the exit code.
 A few goldens are also replayed through a real process, `python -m
 orbitkit.cli`, whose entry `cli.run` ends without interpreter teardown: one
 per subcommand, among them an exit-1 report and an exit-2 envelope, plus an
-`--output` run, a usage error and `-h`.
+`--output` run, a usage error and `-h`.  Every `parabolic` golden is also
+replayed in one process that cannot import sympy, since the package runs on
+the standard library alone.
 """
 
 import json
@@ -146,6 +148,44 @@ def test_a_process_writes_its_output_file(workdirs, tmp_path):
     proc = _cli_process(want["args"] + ["-o", str(path)], workdirs["family_orbit"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert path.read_text(encoding="utf-8") == want["stdout"]
+
+
+# -- the parabolic goldens with sympy blocked ------------------------------------
+
+PARABOLIC_CASES = [(name, ident) for name in ("catalog_sweep", "parabolic_polarize")
+                   for ident in sorted(WORKLOADS[name][2]) if ident.startswith("parabolic:")]
+
+WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from orbitkit import cli
+
+def run(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(args)
+    return [code, out.getvalue()]
+
+print(json.dumps([run(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_parabolic_golden_replays_with_sympy_blocked(workdirs):
+    """One interpreter in which sympy cannot be imported replays every `parabolic`
+    golden: the 17 of parabolic_polarize and the 7 of catalog_sweep, among them
+    the sl3 spectrum whose error names the irreducible cubic."""
+    assert len(PARABOLIC_CASES) == 24
+    assert not any(WORKLOADS[name][1][ident].known_failure for name, ident in PARABOLIC_CASES)
+    wanted = [WORKLOADS[name][2][ident] for name, ident in PARABOLIC_CASES]
+    assert "factor x^3 - 5*x - 9 (irreducible factor of degree 3)" in \
+        WORKLOADS["catalog_sweep"][2]["parabolic:sl3"]["stdout"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("ORBITKIT_CATALOG_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SYMPY, json.dumps([want["args"] for want in wanted])],
+        cwd=workdirs["parabolic_polarize"], env=env, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[want["exit"], want["stdout"]] for want in wanted]
 
 
 def test_a_process_reports_a_usage_error_and_its_help(tmp_path):

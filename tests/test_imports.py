@@ -1,8 +1,8 @@
-"""Imports: every module uses what it imports, no module imports the CLI, and
-an invocation loads only the modules its subcommand runs, none of the
-standard library's costly class machinery (`dataclasses`, and through it
-`inspect`) and no argument parser library (`argparse`, with the `gettext`
-and `locale` it imports).
+"""Imports: every module uses what it imports, no module imports the CLI or
+anything outside the standard library, and an invocation loads only the
+modules its subcommand runs, none of the standard library's costly class
+machinery (`dataclasses`, and through it `inspect`) and no argument parser
+library (`argparse`, with the `gettext` and `locale` it imports).
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -114,6 +114,17 @@ def test_no_module_imports_dataclasses():
                  for name, line in imported_modules(path)
                  if name.split(".")[0] == "dataclasses"]
     assert importers == []
+
+
+def test_no_module_imports_outside_the_standard_library():
+    """The package runs on the standard library alone, and declares so."""
+    outside = [(path.name, name, line) for path in sorted(PACKAGE.glob("*.py"))
+               for name, line in imported_modules(path)
+               if name.split(".")[0] not in sys.stdlib_module_names | {"orbitkit"}]
+    assert outside == []
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
 
 
 def test_no_module_imports_the_cli():

@@ -28,7 +28,7 @@ from orbitkit.structure import (
     restrict,
     stabilizer,
 )
-from conftest import dense_apply, dense_structure, rand_covector, rand_vec
+from conftest import coords_of, dense_apply, dense_structure, rand_covector, rand_vec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -288,10 +288,10 @@ def test_semidirect_witness_poincare_little_group(entries):
     cov = Covector(poin.algebra, poin.covectors["timelike"])
     data = little_group_step(poin.algebra, poin.ideals["translations"], cov)
     cov_inner = restrict(poin.algebra, cov, data.g_c)
-    n_inner = Subspace(7, [data.g_c.coords_of(r)
+    n_inner = Subspace(7, [coords_of(data.g_c, r)
                            for r in poin.ideals["translations"].basis_rows()])
     rot = poin.complements["lorentz"].intersect(data.g_c)
-    rot_inner = Subspace(7, [data.g_c.coords_of(r) for r in rot.basis_rows()])
+    rot_inner = Subspace(7, [coords_of(data.g_c, r) for r in rot.basis_rows()])
     rep = semidirect_witness(cov_inner.algebra, n_inner, cov_inner, [("rotations", rot_inner)])
     assert rep.witness_name == "rotations"
     assert rep.cocycle_zero

@@ -28,7 +28,7 @@ from orbitkit.polarization import (
     pukanszky_polarization,
     verify_monomial,
 )
-from conftest import n5_three_steps, rand_covector, rand_vec, strictly_upper
+from conftest import coords_of, n5_three_steps, rand_covector, rand_vec, strictly_upper
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -278,7 +278,7 @@ def nested_window_polarization(alg, cov, chain=None):
                 ideal = next(chain_iter)
             except StopIteration:
                 raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
-            coords = [g_here.coords_of(r) for r in ideal.rows]
+            coords = [coords_of(g_here, r) for r in ideal.rows]
             if None in coords:
                 raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
             cand = Subspace(inner.dim, coords)

@@ -28,7 +28,7 @@ from orbitkit.polynomials import (
 )
 from orbitkit.qi_roots import qi_factors
 from orbitkit.structure import ad_matrix, killing_form
-from conftest import rand_vec
+from conftest import rand_vec, sympy_supported
 
 
 def test_divmod_roundtrip():
@@ -201,24 +201,6 @@ def test_charpoly_multiplies_no_matrices(entries, monkeypatch):
 
 
 # -- roots in Q(i) against sympy's factorization -----------------------------
-
-
-def sympy_supported(mu):
-    """Reference: sympy's monic irreducible factors of mu, split into the ones
-    with roots in Q(i) (linear, or quadratic with a rational imaginary part)
-    and the rest, by the classification the Jordan split used before."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(mu)],
-                       x, domain="QQ")
-    supported, unsupported = [], []
-    for fac, _ in spoly.factor_list()[1]:
-        f = monic(poly([F(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]))
-        ok = deg(f) == 1 or (deg(f) == 2 and f[1] ** 2 < 4 * f[0]
-                             and is_rational_square(4 * f[0] - f[1] ** 2) is not None)
-        (supported if ok else unsupported).append(f)
-    return supported, unsupported
 
 
 UNSUPPORTED = [poly([-9, -5, 0, 1]), poly([-2, 0, 1]), poly([2, 0, 1])]

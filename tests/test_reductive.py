@@ -2,6 +2,7 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from orbitkit.builtin_entries import algebra_from_rep
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
+from orbitkit.polynomials import deg, mul, poly
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
     covector_to_element,
@@ -25,7 +27,7 @@ from orbitkit.reductive import (
     parabolic_report,
 )
 from orbitkit.structure import orbit_dim
-from conftest import rand_vec, sl_rep, subalgebra_orbit_dim
+from conftest import rand_vec, sl_rep, subalgebra_orbit_dim, sympy_supported
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -159,18 +161,26 @@ def test_parabolic_dim_y_matches_the_subalgebra_route(sl3):
 # -- the elliptic branch: spectra in Q(i) --------------------------------------
 
 
-def sympy_path_split(s, monkeypatch):
-    """Reference: the split with its factors taken from sympy's factorization."""
-    with monkeypatch.context() as m:
-        m.setattr(reductive, "qi_factors", lambda mu: [])
-        return hyperbolic_elliptic_split(s)
+def sympy_split(s):
+    """Reference: (x_h, x_e) of a semisimple s whose spectrum lies in Q(i), from
+    sympy's diagonalization s = P D P^-1: x_h = P Re(D) P^-1."""
+    import sympy
+
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in s.entries])
+    p, d = m.diagonalize()
+    re_d = sympy.diag(*[sympy.re(d[i, i]) for i in range(d.rows)])
+    xh = (p * re_d * p.inv()).applyfunc(sympy.simplify)
+    assert all(x.is_Rational for x in xh)
+    xh = Matrix([[F(int(x.p), int(x.q)) for x in xh.row(i)] for i in range(xh.rows)])
+    return xh, s - xh
 
 
-def test_rotation_scaling_splits_into_identity_and_rotation(monkeypatch):
+def test_rotation_scaling_splits_into_identity_and_rotation():
     xh, xe = hyperbolic_elliptic_split(Matrix([[1, -1], [1, 1]]))   # 1 +- i
     assert xh == Matrix.identity(2)
     assert xe == Matrix([[0, -1], [1, 0]])
-    assert (xh, xe) == sympy_path_split(Matrix([[1, -1], [1, 1]]), monkeypatch)
+    assert (xh, xe) == sympy_split(Matrix([[1, -1], [1, 1]]))
 
 
 def test_a_rotation_is_elliptic():
@@ -194,7 +204,7 @@ def _unimodular(rng, n):
     return u
 
 
-def test_a_conjugated_gaussian_spectrum_matches_the_sympy_path(monkeypatch):
+def test_a_conjugated_gaussian_spectrum_matches_the_sympy_diagonalization():
     # spectrum {2, -3, 1 +- 2i}, conjugated by a unimodular integer matrix
     d = Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
     u = _unimodular(random.Random(7), 4)
@@ -204,7 +214,7 @@ def test_a_conjugated_gaussian_spectrum_matches_the_sympy_path(monkeypatch):
     xh, xe = hyperbolic_elliptic_split(s)
     assert xh == u * Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * u_inv
     assert xh * xe == xe * xh and xh + xe == s
-    assert (xh, xe) == sympy_path_split(s, monkeypatch)
+    assert (xh, xe) == sympy_split(s)
 
 
 def _companion(f):
@@ -214,22 +224,79 @@ def _companion(f):
                    for i in range(n)])
 
 
-@pytest.mark.parametrize("coeffs,reason", [
-    ((-9, -5, 0, 1), "factor x^3 - 5*x - 9 (irreducible factor of degree 3)"),
-    ((-2, 0, 1), "factor x^2 - 2 (irrational real eigenvalues)"),
-    ((2, 0, 1), "factor x^2 + 2 (imaginary part is irrational)"),
-])
-def test_unsupported_spectra_keep_the_sympy_error_text(coeffs, reason, monkeypatch):
-    # beside a supported block 1 +- i, which qi_factors does find
+def assert_names_sympys_unsupported_part(mu, err):
+    """The refused factor against sympy's factorization of the minimal polynomial mu:
+    at degree <= 3 it is sympy's one unsupported factor, above that their product."""
+    _, unsupported = sympy_supported(mu)
+    if deg(err.factor) <= 3:
+        assert [err.factor] == unsupported
+    else:
+        assert err.factor == reduce(mul, unsupported, poly([1]))
+        assert err.reason == "no root in Q(i)"
+
+
+def assert_refused_beside_a_gaussian_block(coeffs, reason):
+    """The companion block of coeffs beside a supported block 1 +- i, which
+    qi_factors does find, is refused with `reason`."""
     c = _companion(coeffs)
     n = c.rows
     s = Matrix([list(row) + [0, 0] for row in c.entries]
                + [[0] * n + [1, -1], [0] * n + [1, 1]])
     with pytest.raises(UnsupportedSpectrumError) as got:
         hyperbolic_elliptic_split(s)
-    with pytest.raises(UnsupportedSpectrumError) as want:
-        sympy_path_split(s, monkeypatch)
-    assert str(got.value) == str(want.value) == f"unsupported spectrum: {reason}"
+    assert str(got.value) == f"unsupported spectrum: {reason}"
+    assert_names_sympys_unsupported_part(mul(poly(coeffs), poly([2, -2, 1])), got.value)
+
+
+@pytest.mark.parametrize("coeffs,reason", [
+    ((-9, -5, 0, 1), "factor x^3 - 5*x - 9 (irreducible factor of degree 3)"),
+    ((-2, 0, 1), "factor x^2 - 2 (irrational real eigenvalues)"),
+    ((2, 0, 1), "factor x^2 + 2 (imaginary part is irrational)"),
+])
+def test_unsupported_spectra_keep_the_sympy_error_text(coeffs, reason):
+    # the texts the package gave when sympy named the factor
+    assert_refused_beside_a_gaussian_block(coeffs, reason)
+
+
+@pytest.mark.parametrize("coeffs,reason", [
+    ((6, 0, -5, 0, 1), "factor x^4 - 5*x^2 + 6 (no root in Q(i))"),   # (x^2 - 2)(x^2 - 3)
+    ((1, 0, 0, 0, 1), "factor x^4 + 1 (no root in Q(i))"),
+])
+def test_a_cofactor_of_degree_4_is_refused_whole(coeffs, reason):
+    assert_refused_beside_a_gaussian_block(coeffs, reason)
+
+
+# irreducible over Q with no root in Q(i), of degrees 2, 3 and 4
+OUTSIDE_QI = [poly(c) for c in ((-2, 0, 1), (-3, 0, 1), (2, 0, 1), (1, 1, 1), (-1, -1, 1),
+                                (-9, -5, 0, 1), (-2, 0, 0, 1), (1, 0, 0, 0, 1), (-2, 0, 0, 0, 1))]
+
+
+def mixed_spectrum(rng):
+    """A squarefree product of one to three linear factors, up to two Gaussian
+    quadratics (x - a)^2 + b^2 and up to two distinct factors from OUTSIDE_QI."""
+    roots = {F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))}
+    factors = [poly([-a, 1]) for a in roots]
+    gaussians = {(F(rng.randint(-5, 5), rng.randint(1, 3)),
+                  F(rng.randint(1, 5), rng.randint(1, 3))) for _ in range(rng.randint(0, 2))}
+    factors += [poly([a * a + b * b, -2 * a, 1]) for a, b in gaussians]
+    factors += rng.sample(OUTSIDE_QI, rng.randint(0, 2))
+    rng.shuffle(factors)
+    return reduce(mul, factors, poly([1]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_split_refuses_exactly_the_spectra_sympy_finds_outside_qi(seed):
+    mu = mixed_spectrum(random.Random(seed))
+    s = _companion(mu)
+    _, unsupported = sympy_supported(mu)
+    try:
+        xh, xe = hyperbolic_elliptic_split(s)
+    except UnsupportedSpectrumError as err:
+        assert unsupported
+        assert_names_sympys_unsupported_part(mu, err)
+    else:
+        assert not unsupported
+        assert xh + xe == s and xh * xe == xe * xh
 
 
 # -- bounded time at large heights ---------------------------------------------
