@@ -25,7 +25,7 @@ _EXPORTS = {
                   "classify_little_algebra little_group_step mackey_report obstruction_step "
                   "semidirect_witness verify_step_relations",
         "polarization": "PolarizationTrace StrategyExhausted exponential_precheck "
-                        "pukanszky_polarization verify_monomial",
+                        "pukanszky_polarization",
         "reductive": "JordanTriple MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "
                      "covector_to_element element_to_covector grade hyperbolic_elliptic_split "
                      "jordan_chevalley jordan_triple matrix_lie_algebra parabolic_report",

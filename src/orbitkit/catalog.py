@@ -217,7 +217,10 @@ def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
         return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
                                   for r, row in enumerate(spec["rows"])])
     if isinstance(spec, list) and all(map(is_index, spec)):
-        return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec])
+        try:
+            return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec])
+        except ValueError as exc:
+            raise CatalogError(f"{what}: {exc}") from None
     raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
 
 
@@ -248,10 +251,14 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
                         covectors, ideals, complements)
 
 
-def load_entry_file(path: str) -> CatalogEntry:
+def read_json(path: str):
+    """The JSON document in a definition file; an unreadable file or bad JSON names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
-    return parse_entry(doc, source=path)
+
+
+def load_entry_file(path: str) -> CatalogEntry:
+    return parse_entry(read_json(path), source=path)

@@ -20,7 +20,10 @@ ChainError, UnsupportedSpectrumError) are all ValueErrors.  An `--output`
 path that cannot be written gives the same envelope, on stdout, naming the
 path.  Usage errors (an unknown command or option, a missing value or
 argument) print a message on stderr, nothing on stdout, and exit 2.
-`_COMMANDS`, one table, both parses argv and prints the help.
+
+`_COMMANDS`, one table, describes each subcommand (help, options, whether
+it takes an algebra and needs a `--point`, handler): it parses argv, prints
+the help and dispatches.  The handlers that run on points share one loop.
 
 Start-up is paid on every invocation, and the import graph is where it is
 decided: without cached bytecode, compiling the modules an invocation
@@ -68,7 +71,7 @@ from typing import Optional
 
 from . import catalog as cat
 from .liealg import Covector, LieAlgebra, orbit_record, validate
-from .linalg import Matrix, Subspace, basis_vector, frac, vec
+from .linalg import Matrix, Record, Subspace, basis_vector, frac, vec
 
 SCHEMA = 1
 
@@ -98,8 +101,8 @@ def _parse_coords(text: str, n: int, word: str) -> tuple:
         raise InputError(f"bad rational in {word}: {exc}") from None
 
 
-def _parse_point(alg: LieAlgebra, text: str) -> Covector:
-    return Covector(alg, _parse_coords(text, alg.dim, "point"))
+def _parse_points(alg: LieAlgebra, texts: list) -> list:
+    return [Covector(alg, _parse_coords(text, alg.dim, "point")) for text in texts]
 
 
 def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
@@ -168,12 +171,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     if args.algebra.startswith("catalog:"):
         alg = _load_entry(args.algebra).algebra
     else:
-        try:
-            with open(args.algebra, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"{args.algebra}: {exc}") from None
-        alg = cat.parse_algebra(doc, source=args.algebra)
+        alg = cat.parse_algebra(cat.read_json(args.algebra), source=args.algebra)
     report = validate(alg)
     payload = {"validation": report.to_json_dict()}
     if not report.ok:
@@ -181,39 +179,50 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     return payload, True
 
 
-def _cmd_orbit(args) -> tuple[dict, bool]:
-    entry = _load_entry(args.algebra)
-    points = [_parse_point(entry.algebra, p) for p in args.point]
+def _per_point(setup):
+    """The handler whose report is payload and the run(x) of each input, in order.
 
+    setup(entry, args) -> (payload, inputs, run) parses the options and the
+    points in the order that decides which of two bad inputs is named.  The
+    report is ok when every result is; one without "ok" (an orbit) counts as ok.
+    """
+    def handler(args) -> tuple[dict, bool]:
+        payload, inputs, run = setup(_load_entry(args.algebra), args)
+        results = [run(x) for x in inputs]
+        return {**payload, "results": results}, all(r.get("ok", True) for r in results)
+
+    return handler
+
+
+@_per_point
+def _cmd_orbit(entry, args):
     def run(cov):
         rec = orbit_record(entry.algebra, cov)
         return {"point": cov, "orbit": rec.to_json_dict()}
 
-    return {"results": [run(cov) for cov in points]}, True
+    return {}, _parse_points(entry.algebra, args.point), run
 
 
-def _cmd_conditions(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_conditions(entry, args):
     from .conditions import check_conditions
 
-    entry = _load_entry(args.algebra)
     sub = _parse_subspace(entry, args.sub)
-    points = [_parse_point(entry.algebra, p) for p in args.point]
 
     def run(cov):
         rep = check_conditions(entry.algebra, sub, cov)
         return {"point": cov, "conditions": rep.to_json_dict(),
                 "ok": rep.all_flags()}
 
-    results = [run(cov) for cov in points]
-    return {"results": results}, all(r["ok"] for r in results)
+    return {}, _parse_points(entry.algebra, args.point), run
 
 
-def _cmd_mackey(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_mackey(entry, args):
     from .mackey import mackey_report, semidirect_witness
 
-    entry = _load_entry(args.algebra)
     ideal = _parse_subspace(entry, args.ideal)
-    points = [_parse_point(entry.algebra, p) for p in args.point]
+    points = _parse_points(entry.algebra, args.point)
     comp = _parse_subspace(entry, args.complement) if args.complement else None
 
     def run(cov):
@@ -225,17 +234,16 @@ def _cmd_mackey(args) -> tuple[dict, bool]:
             out["semidirect"] = witness.to_json_dict()
         return out
 
-    results = [run(cov) for cov in points]
-    return {"results": results}, all(r["ok"] for r in results)
+    return {}, points, run
 
 
-def _cmd_polarize(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_polarize(entry, args):
     from .polarization import (StrategyExhausted, exponential_precheck,
                                pukanszky_polarization, rejections_json)
 
-    entry = _load_entry(args.algebra)
     alg = entry.algebra
-    points = [_parse_point(alg, p) for p in args.point]
+    points = _parse_points(alg, args.point)
     chain = None
     if args.strategy not in (None, "auto"):
         if not args.strategy.startswith("chain:"):
@@ -276,18 +284,16 @@ def _cmd_polarize(args) -> tuple[dict, bool]:
         ok = certs and trace.conditions.all_flags()
         return {"point": cov, "trace": trace.to_json_dict(), "ok": ok}
 
-    results = [run(cov) for cov in points]
-    payload = {"precheck": pre.to_json_dict(), "results": results}
-    return payload, all(r["ok"] for r in results)
+    return {"precheck": pre.to_json_dict()}, points, run
 
 
-def _cmd_parabolic(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_parabolic(entry, args):
     from .reductive import matrix_lie_algebra, parabolic_report
 
-    entry = _load_entry(args.algebra)
     malg = matrix_lie_algebra(entry.algebra)
     inputs = [_parse_coords(text, malg.dim, "element") for text in args.element]
-    inputs += [_parse_point(entry.algebra, text) for text in args.point]
+    inputs += _parse_points(entry.algebra, args.point)
     if not inputs:
         raise InputError("parabolic needs --element or --point")
 
@@ -295,16 +301,14 @@ def _cmd_parabolic(args) -> tuple[dict, bool]:
         rep = parabolic_report(malg, x)
         return {"input": x, "parabolic": rep.to_json_dict(), "ok": rep.all_relations()}
 
-    results = [run(x) for x in inputs]
-    return {"results": results}, all(r["ok"] for r in results)
+    return {}, inputs, run
 
 
-def _cmd_classify(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_classify(entry, args):
     from .mackey import abelian_step, classify_little_algebra
 
-    entry = _load_entry(args.algebra)
     ideal = _parse_subspace(entry, args.ideal)
-    points = [_parse_point(entry.algebra, p) for p in args.point]
 
     def run(cov):
         kind = classify_little_algebra(entry.algebra, ideal, cov)
@@ -316,19 +320,17 @@ def _cmd_classify(args) -> tuple[dict, bool]:
             "ok": step.dims_match,
         }
 
-    results = [run(cov) for cov in points]
-    return {"results": results}, all(r["ok"] for r in results)
+    return {}, _parse_points(entry.algebra, args.point), run
 
 
-def _cmd_record(args) -> tuple[dict, bool]:
+@_per_point
+def _cmd_record(entry, args):
     from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
 
-    entry = _load_entry(args.algebra)
     alg = entry.algebra
     subs = [_parse_subspace(entry, s) for s in args.sub]
     if not subs:
         raise InputError("record needs at least one --sub")
-    points = [_parse_point(alg, p) for p in args.point]
 
     def run(cov):
         fiber = point_fiber(alg, subs[-1], cov)
@@ -347,54 +349,50 @@ def _cmd_record(args) -> tuple[dict, bool]:
             "ok": induced_dim(rec) == induced_dim(flattened),
         }
 
-    results = [run(cov) for cov in points]
-    return {"results": results}, all(r["ok"] for r in results)
-
-
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "validate": _cmd_validate,
-    "orbit": _cmd_orbit,
-    "conditions": _cmd_conditions,
-    "mackey": _cmd_mackey,
-    "polarize": _cmd_polarize,
-    "parabolic": _cmd_parabolic,
-    "classify": _cmd_classify,
-    "record": _cmd_record,
-}
+    return {}, _parse_points(entry.algebra, args.point), run
 
 
 # ---------------------------------------------------------------------------
-# the command line: one table both parses argv and prints the help
+# the command line: one table parses argv, prints the help and dispatches
+
+
+class _Command(Record):
+    help: str
+    handler: object       # args -> (payload, ok)
+    options: tuple
+    algebra: bool = True  # takes the ALGEBRA argument
+    point: bool = True    # refused without a --point, before the algebra is loaded
+
 
 _POINT = ("--point", "-p", "list", "covector coordinates, comma-separated rationals (repeatable)")
 _OUTPUT = ("--output", "-o", "value", "write the report to a file instead of stdout")
 _IDEAL = ("--ideal", None, "required", "ideal: declared name, labels, indices, or @file")
 
-# command -> (help, whether it takes an algebra, options).  An option is
-# (name, short name or None, kind, help), and its kind is "value" (the last
-# one given wins), "required" (a value that must be given), "list" (repeatable;
-# the values accumulate) or "flag" (takes no value).
+# An option is (name, short name or None, kind, help), and its kind is "value"
+# (the last one given wins), "required" (a value that must be given), "list"
+# (repeatable; the values accumulate) or "flag" (takes no value).
 _COMMANDS = {
-    "catalog": ("list built-in algebras", False, (_OUTPUT,)),
-    "validate": ("check antisymmetry and Jacobi on a definition", True, (_OUTPUT,)),
-    "orbit": ("orbit dimension, stabilizer, affine hull", True, (_POINT, _OUTPUT)),
-    "conditions": ("coisotropy/polarization/Pukanszky flags", True, (
+    "catalog": _Command("list built-in algebras", _cmd_catalog, (_OUTPUT,),
+                        algebra=False, point=False),
+    "validate": _Command("check antisymmetry and Jacobi on a definition", _cmd_validate,
+                         (_OUTPUT,), point=False),
+    "orbit": _Command("orbit dimension, stabilizer, affine hull", _cmd_orbit, (_POINT, _OUTPUT)),
+    "conditions": _Command("coisotropy/polarization/Pukanszky flags", _cmd_conditions, (
         _POINT, _OUTPUT,
         ("--sub", None, "required", "subalgebra: declared name, labels, indices, or @file"))),
-    "mackey": ("little group, induction relations, obstruction", True, (
+    "mackey": _Command("little group, induction relations, obstruction", _cmd_mackey, (
         _POINT, _OUTPUT, _IDEAL,
         ("--complement", None, "value", "declared complement to test the semidirect witness"))),
-    "polarize": ("construct a Pukanszky polarization", True, (
+    "polarize": _Command("construct a Pukanszky polarization", _cmd_polarize, (
         _POINT, _OUTPUT,
         ("--strategy", None, "value", "auto (the default) or chain:<file>"),
         ("--override-precheck", None, "flag", "run even when the exponential precheck fails"))),
-    "parabolic": ("Jordan split, grading, parabolic relations", True, (
+    "parabolic": _Command("Jordan split, grading, parabolic relations", _cmd_parabolic, (
         _POINT, _OUTPUT,
-        ("--element", None, "list", "algebra element coordinates (repeatable)"))),
-    "classify": ("little-algebra descriptor for an abelian ideal", True, (
+        ("--element", None, "list", "algebra element coordinates (repeatable)")), point=False),
+    "classify": _Command("little-algebra descriptor for an abelian ideal", _cmd_classify, (
         _POINT, _OUTPUT, _IDEAL)),
-    "record": ("induced-dimension bookkeeping along a chain", True, (
+    "record": _Command("induced-dimension bookkeeping along a chain", _cmd_record, (
         _POINT, _OUTPUT,
         ("--sub", None, "list", "subalgebra chain, outermost first (repeatable)"))),
 }
@@ -408,9 +406,9 @@ def _dest(name: str) -> str:
 def _usage(command: Optional[str]) -> str:
     if command is None:
         return "usage: orbitkit COMMAND [ARGS]"
-    _, algebra, options = _COMMANDS[command]
-    words = ["usage: orbitkit", command] + (["ALGEBRA"] if algebra else [])
-    for name, _, kind, _ in options:
+    spec = _COMMANDS[command]
+    words = ["usage: orbitkit", command] + (["ALGEBRA"] if spec.algebra else [])
+    for name, _, kind, _ in spec.options:
         value = f"{name} {_dest(name).upper()}"
         words.append({"required": value, "value": f"[{value}]", "list": f"[{value}]...",
                       "flag": f"[{name}]"}[kind])
@@ -419,16 +417,16 @@ def _usage(command: Optional[str]) -> str:
 
 def _help(command: Optional[str]) -> str:
     if command is None:
-        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
+        rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
         head = ["Exact coadjoint-orbit analysis for rational Lie algebras.", "", "commands:"]
         tail = ["", "`orbitkit COMMAND -h` lists the options of a command."]
     else:
-        text, algebra, options = _COMMANDS[command]
-        rows = [("ALGEBRA", "catalog:NAME or a JSON definition file")] if algebra else []
-        for name, short, kind, help_text in options:
+        spec = _COMMANDS[command]
+        rows = [("ALGEBRA", "catalog:NAME or a JSON definition file")] if spec.algebra else []
+        for name, short, kind, help_text in spec.options:
             left = f"{short}, {name}" if short else name
             rows.append((left if kind == "flag" else f"{left} {_dest(name).upper()}", help_text))
-        head, tail = [text, "", "arguments:"], []
+        head, tail = [spec.help, "", "arguments:"], []
     rows.append(("-h, --help", "show this help and exit"))
     width = max(len(left) for left, _ in rows) + 2
     body = [f"  {left:<{width}}{right}" for left, right in rows]
@@ -458,7 +456,7 @@ def _parse_args(argv: list) -> SimpleNamespace:
         raise SystemExit(0)
     if command not in _COMMANDS:
         _usage_error(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
-    _, algebra, options = _COMMANDS[command]
+    algebra, options = _COMMANDS[command].algebra, _COMMANDS[command].options
     values = {"command": command, "algebra": None}
     by_name = {}
     for opt in options:
@@ -518,11 +516,10 @@ def main(argv: Optional[list] = None) -> int:
     if args.algebra:
         head["algebra"] = args.algebra
     try:
-        if getattr(args, "point", None) == [] and args.command in (
-            "orbit", "conditions", "mackey", "polarize", "classify", "record",
-        ):
+        spec = _COMMANDS[args.command]
+        if spec.point and not args.point:
             raise InputError("at least one --point is required")
-        payload, ok = _HANDLERS[args.command](args)
+        payload, ok = spec.handler(args)
         envelope, code = {**head, **payload, "ok": ok}, 0 if ok else 1
     except ValueError as exc:
         envelope, code = {**head, "error": str(exc), "ok": False}, 2

@@ -502,12 +502,3 @@ def invariant_closure(n: int, start_rows: Iterable[Sequence],
                     break
     return Subspace._from_rref(n, _canonical(rows, pivots), pivots)
 
-
-def solve_in_subspace(m: Matrix, sub: Subspace, v: Sequence) -> Optional[tuple]:
-    """Find x in sub with m x = v, or None.
-
-    Returned vector lives in the ambient space of sub.
-    """
-    restricted = m * Matrix._of(sub.rows, sub.ambient_dim).transpose()
-    t = solve(restricted, v)
-    return None if t is None else combine(t, sub.rows, sub.ambient_dim)

@@ -30,18 +30,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .conditions import ConditionReport, check_conditions
-from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent, kks_pairing
-from .linalg import (
-    ONE,
-    Record,
-    Subspace,
-    annihilator,
-    basis_vector,
-    combine,
-    solve_in_subspace,
-    vec_add,
-    vec_sub,
-)
+from .liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from .linalg import ONE, Record, Subspace, basis_vector, combine
 from .polynomials import (
     charpoly,
     deg,
@@ -58,12 +48,9 @@ from .structure import (
     ad_matrix,
     ascending_central_series,
     centralizer,
-    check_subalgebra,
     derived_series,
-    exp_coadjoint,
     is_solvable,
     orbit_annihilator,
-    orbit_dim,
     orth,
     restrict,
     subquotient,
@@ -353,54 +340,3 @@ def pukanszky_polarization(
     conditions = check_conditions(alg, g_i, cov)
     return PolarizationTrace(tuple(steps), g_i, conditions, tuple(rejected))
 
-
-class MonomialReport(Record):
-    point_orbit: bool
-    dim_identity: bool
-    pukanszky_reachable: Optional[bool]  # None when not exactly decidable
-    targets_total: int
-    targets_reached: int
-
-    def all_hold(self) -> bool:
-        return self.point_orbit and self.dim_identity and self.pukanszky_reachable is not False
-
-
-def _reach_target(alg: LieAlgebra, h: Subspace, cov: Covector, target: tuple,
-                  max_rounds: int) -> bool:
-    """Drive cov to target by exact coadjoint flows of elements of h."""
-    current = cov
-    for _ in range(max_rounds):
-        residual = vec_sub(target, current.coords)
-        if all(x == 0 for x in residual):
-            return True
-        b = kks_pairing(alg, current)
-        z = solve_in_subspace(b, h, residual)
-        if z is None:
-            return False
-        current = exp_coadjoint(alg, z, current)
-    return all(x == 0 for x in vec_sub(target, current.coords))
-
-
-def verify_monomial(alg: LieAlgebra, cov: Covector, h: Subspace) -> MonomialReport:
-    """Certify that the orbit is induced from a point-orbit of h.
-
-    Checks the point-orbit pairing <cov, [h, h]> = 0 and the dimension
-    identity dim X = 2 dim(g/h).  For nilpotent algebras the Pukanszky
-    condition is certified exactly by reaching cov + u for a basis of
-    ann(h) through coadjoint exponential flows; otherwise it is left
-    undecided.
-    """
-    check_subalgebra(alg, h)
-    point_orbit = all(cov.pair(r) == 0 for r in bracket_span(alg, h, h).basis_rows())
-    dim_identity = orbit_dim(alg, cov) == 2 * (alg.dim - h.dim)
-
-    if not is_nilpotent(alg):
-        return MonomialReport(point_orbit, dim_identity, None, 0, 0)
-
-    targets = [vec_add(cov.coords, u) for u in annihilator(h).basis_rows()]
-    reached = 0
-    for t in targets:
-        if _reach_target(alg, h, cov, t, max_rounds=2 * alg.dim + 2):
-            reached += 1
-    reachable = reached == len(targets)
-    return MonomialReport(point_orbit, dim_identity, reachable, len(targets), reached)

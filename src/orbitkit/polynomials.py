@@ -31,7 +31,7 @@ from .linalg import Matrix, ONE, ZERO, frac
 def poly(coeffs: Sequence) -> tuple:
     """Normalize a coefficient sequence (lowest degree first)."""
     c = [frac(x) for x in coeffs]
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -59,7 +59,7 @@ def mul(p: tuple, q: tuple) -> tuple:
         return ()
     out = [ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
+        if not a:
             continue
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -77,8 +77,8 @@ def divmod_poly(p: tuple, q: tuple) -> tuple[tuple, tuple]:
     r = list(p)
     quot = [ZERO] * max(len(p) - len(q) + 1, 1)
     dq, lead = deg(q), q[-1]
-    while len(r) - 1 >= dq and any(x != 0 for x in r):
-        while r and r[-1] == 0:
+    while len(r) - 1 >= dq and any(r):
+        while r and not r[-1]:
             r.pop()
         if len(r) - 1 < dq:
             break
@@ -173,7 +173,7 @@ def to_string(p: tuple, var: str = "x") -> str:
     parts = []
     for i in range(deg(p), -1, -1):
         a = p[i]
-        if a == 0:
+        if not a:
             continue
         if i == 0:
             term = str(abs(a))
@@ -253,7 +253,7 @@ def charpoly(m: Matrix) -> tuple:
 
 def sign_variations(values) -> int:
     """Sign changes along a sequence of rationals, its zeros skipped."""
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    signs = [1 if v > 0 else -1 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

@@ -222,7 +222,7 @@ def test_bad_input_gives_the_error_envelope(case, workdir, capsys):
 
 def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["mackey_ideal_index_out_of_range"], capsys)
-    assert env["error"] == "basis index 9 out of range for dimension 2"
+    assert env["error"] == "bad_ideal.json: ideal 'x': basis index 9 out of range for dimension 2"
     _, env = run(BAD_INPUTS["polarize_chain_index"], capsys)
     assert env["error"] == ("bad chain file chain_index.json: "
                             "basis index 9 out of range for dimension 3")
@@ -259,6 +259,31 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "element needs 3 coordinates, got 2"
     _, env = run(BAD_INPUTS["parabolic_zero_denominator"], capsys)
     assert env["error"] == "bad rational in element: Fraction(1, 0)"
+
+
+# command -> the required options; each is refused without a --point
+NEEDS_POINT = {"orbit": [], "conditions": ["--sub", "x"], "mackey": ["--ideal", "x"],
+               "polarize": [], "classify": ["--ideal", "x"], "record": []}
+
+
+def test_only_the_point_commands_need_a_point():
+    assert {name for name, spec in cli._COMMANDS.items() if spec.point} == set(NEEDS_POINT)
+
+
+@pytest.mark.parametrize("command", sorted(NEEDS_POINT))
+def test_a_missing_point_is_refused_before_the_algebra_is_loaded(command, capsys):
+    assert run([command, "catalog:nosuch"] + NEEDS_POINT[command], capsys) == (2, {
+        "algebra": "catalog:nosuch", "command": command,
+        "error": "at least one --point is required", "ok": False, "schema": 1})
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["parabolic", "catalog:sl2"], "parabolic needs --element or --point"),
+    (["record", "catalog:heisenberg3", "--point=0,0,1"], "record needs at least one --sub"),
+], ids=["parabolic", "record"])
+def test_a_missing_input_is_named(argv, error, capsys):
+    assert run(argv, capsys) == (2, {"algebra": argv[1], "command": argv[0], "error": error,
+                                     "ok": False, "schema": 1})
 
 
 def test_a_representation_failure_names_its_pair(workdir, capsys):
@@ -521,8 +546,8 @@ def test_the_parser_reads_argv(case, capsys):
         assert got_err == ""
 
 
-def test_the_parse_table_covers_every_handler():
-    assert list(cli._COMMANDS) == list(cli._HANDLERS)
+def test_every_command_has_a_happy_path_case():
+    assert set(HAPPY) == set(cli._COMMANDS)
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
@@ -552,7 +577,8 @@ def test_an_output_path_that_cannot_be_opened_gives_the_error_envelope(where, tm
 @pytest.mark.parametrize("value", [{F(1)}, object()], ids=["set", "object"])
 def test_the_encoder_refuses_unknown_types(value, monkeypatch, capsys):
     # a report holding an unexpected object must fail loudly, not print its repr
-    monkeypatch.setitem(cli._HANDLERS, "catalog", lambda args: ({"entries": [value]}, True))
+    monkeypatch.setitem(cli._COMMANDS, "catalog", cli._Command(
+        "list", lambda args: ({"entries": [value]}, True), (), algebra=False, point=False))
     with pytest.raises(TypeError, match="no JSON form"):
         cli.main(["catalog"])
     assert capsys.readouterr().out == ""

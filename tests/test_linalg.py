@@ -20,7 +20,6 @@ from orbitkit.linalg import (
     invariant_closure,
     rank_kernel,
     solve,
-    solve_in_subspace,
     sum_intersect,
     vec_dot,
 )
@@ -129,13 +128,6 @@ def test_a_matrix_with_no_rows_and_no_width_is_refused():
         Matrix([])
     with pytest.raises(ValueError, match="ragged"):
         Matrix([[1, 2]], 3)
-
-
-def test_solve_in_subspace_on_the_zero_subspace():
-    m = Matrix([[1, 2, 3], [0, 1, 1]])
-    zero = Subspace.zero(3)
-    assert solve_in_subspace(m, zero, (0, 0)) == (F(0),) * 3
-    assert solve_in_subspace(m, zero, (1, 0)) is None
 
 
 def test_rref_canonical_under_generator_shuffle():

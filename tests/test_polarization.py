@@ -26,7 +26,6 @@ from orbitkit.polarization import (
     StrategyExhausted,
     exponential_precheck,
     pukanszky_polarization,
-    verify_monomial,
 )
 from conftest import coords_of, n5_three_steps, rand_covector, rand_vec, strictly_upper
 
@@ -370,39 +369,9 @@ def test_ambient_descent_matches_the_nested_route_on_seeded_families(make, size,
                                                              max_den=3)))
 
 
-# -- monomial verification ---------------------------------------------------------
-
-
-def test_verify_monomial_heisenberg(entries):
-    h3 = entries["heisenberg3"].algebra
-    cov = Covector(h3, (0, 0, 1))
-    rep = verify_monomial(h3, cov, _span(3, 1, 2))
-    assert rep.point_orbit and rep.dim_identity
-    assert rep.pukanszky_reachable is True
-    assert rep.targets_reached == rep.targets_total == 1
-
-
-def test_verify_monomial_point_orbit_failure(entries):
-    h3 = entries["heisenberg3"].algebra
-    rep = verify_monomial(h3, Covector(h3, (0, 0, 1)), Subspace.full(3))
-    assert not rep.point_orbit  # <cov, [e1, e2]> = 1
-
-
-def test_verify_monomial_filiform(entries):
-    n4 = entries["filiform4"].algebra
-    rep = verify_monomial(n4, Covector(n4, (0, 0, 0, 1)), _span(4, 1, 2, 3))
-    assert rep.point_orbit and rep.dim_identity and rep.pukanszky_reachable is True
-
-
-def test_verify_monomial_undecided_for_non_nilpotent(entries):
-    aff = entries["affine_line"].algebra
-    rep = verify_monomial(aff, Covector(aff, (0, 1)), _span(2, 1))
-    assert rep.pukanszky_reachable is None
-
-
 def test_random_covectors_full_pipeline(entries, rng):
-    # nilpotent catalog algebras: the algorithm succeeds and the monomial
-    # certificate passes in full, for every random rational covector
+    # nilpotent catalog algebras: the algorithm succeeds, with a polarization
+    # whose codimension is half the orbit's dimension, for every random covector
     for name in ("heisenberg3", "filiform4", "abelian3"):
         alg = entries[name].algebra
         for _ in range(20):
@@ -411,6 +380,3 @@ def test_random_covectors_full_pipeline(entries, rng):
             assert trace.conditions.all_flags()
             stab = stabilizer(alg, cov)
             assert 2 * trace.result.dim == alg.dim + stab.dim
-            rep = verify_monomial(alg, cov, trace.result)
-            assert rep.point_orbit and rep.dim_identity
-            assert rep.pukanszky_reachable is True
