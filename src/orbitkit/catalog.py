@@ -18,6 +18,12 @@ extend the schema with documented sample covectors and declared
 ideals/complements; a declared name may not be a basis label or all ASCII
 digits, since a subspace argument looks names up before labels and indices.
 
+`read_json` is the one reader of the files the CLI is given: a definition,
+a `--sub @file` and a `chain:` file.  One that cannot be read, is not UTF-8,
+is not JSON or nests too deeply is a CatalogError that names the file.  A
+rational literal is read by `linalg.frac`, which refuses an exponent above
+MAX_EXPONENT (4300) in magnitude before it builds the number.
+
 Built-in entries are built and validated by name, each once per process,
 so a caller that names one entry pays for that entry alone.  Their
 constructors are in `builtin_entries`, which only a catalog lookup imports,
@@ -251,13 +257,13 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
                         covectors, ideals, complements)
 
 
-def read_json(path: str):
-    """The JSON document in a definition file; an unreadable file or bad JSON names the path."""
+def read_json(path: str, what: str = None):
+    """The JSON document in an input file; an error's text starts with `what` or the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CatalogError(f"{path}: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON; nested too deep
+        raise CatalogError(f"{what or path}: {exc}") from None
 
 
 def load_entry_file(path: str) -> CatalogEntry:

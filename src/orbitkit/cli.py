@@ -112,13 +112,13 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
     if text in entry.complements:
         return entry.complements[text]
     if text.startswith("@"):
+        what = f"bad subspace file {text[1:]}"
+        doc = cat.read_json(text[1:], what)
         try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
             return Subspace(alg.dim, [cat.parse_row(row, f"rows[{r}]")
                                       for r, row in enumerate(doc["rows"])])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad subspace file {text[1:]}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{what}: {exc}") from None
     tokens = [t.strip() for t in text.split(",")]
     rows = []
     for tok in tokens:
@@ -230,7 +230,7 @@ def _cmd_mackey(entry, args):
         out = {"point": cov, "mackey": rep.to_json_dict(),
                "ok": rep.all_checks()}
         if comp is not None:
-            witness = semidirect_witness(entry.algebra, ideal, cov, [(args.complement, comp)])
+            witness = semidirect_witness(rep.little_group, [(args.complement, comp)])
             out["semidirect"] = witness.to_json_dict()
         return out
 
@@ -249,18 +249,18 @@ def _cmd_polarize(entry, args):
         if not args.strategy.startswith("chain:"):
             raise InputError("strategy must be `auto` or `chain:<file>`")
         path = args.strategy.split(":", 1)[1]
+        what = f"bad chain file {path}"
+        doc = cat.read_json(path, what)
+        chain = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            chain = []
             for k, spec in enumerate(doc["ideals"]):
                 if isinstance(spec, list) and all(map(cat.is_index, spec)):
                     chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
                 else:
                     chain.append(Subspace(alg.dim, [cat.parse_row(row, f"ideals[{k}][{r}]")
                                                     for r, row in enumerate(spec)]))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad chain file {path}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{what}: {exc}") from None
 
     pre = exponential_precheck(alg)
     if not pre.passed and not args.override_precheck:
@@ -306,13 +306,14 @@ def _cmd_parabolic(entry, args):
 
 @_per_point
 def _cmd_classify(entry, args):
-    from .mackey import abelian_step, classify_little_algebra
+    from .mackey import abelian_step, classify_little_algebra, little_group_step
 
     ideal = _parse_subspace(entry, args.ideal)
 
     def run(cov):
-        kind = classify_little_algebra(entry.algebra, ideal, cov)
-        step = abelian_step(entry.algebra, ideal, cov)
+        data = little_group_step(entry.algebra, ideal, cov)
+        kind = classify_little_algebra(data)
+        step = abelian_step(data)
         return {
             "point": cov,
             "little_algebra": kind.to_json_dict(),
@@ -520,10 +521,9 @@ def main(argv: Optional[list] = None) -> int:
         if spec.point and not args.point:
             raise InputError("at least one --point is required")
         payload, ok = spec.handler(args)
-        envelope, code = {**head, **payload, "ok": ok}, 0 if ok else 1
-    except ValueError as exc:
-        envelope, code = {**head, "error": str(exc), "ok": False}, 2
-    text = _dumps(envelope)
+        text, code = _dumps({**head, **payload, "ok": ok}), 0 if ok else 1
+    except ValueError as exc:  # a rational too long to print is one too, raised by `_dumps`
+        text, code = _dumps({**head, "error": str(exc), "ok": False}), 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

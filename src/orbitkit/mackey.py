@@ -1,17 +1,20 @@
 """The three-step normal subgroup analysis at the Lie-algebra level.
 
-Step 1 (little group): restrict a covector to an ideal n and collect the
-stabilizer data g_c, n_c, h = n + g_c.  Step 2 (induction): certify the
-three relations that make the orbit induced from h -- stabilizer
-containment, the annihilator identity n_c(cov) = ann(h), and exact
-exp-linearity of the n_c flows.  Step 3 (obstruction): build the central
-extension 0 -> n_c/j -> h_c/j -> h_c/n_c with j = ker(c on n_c), compute
-its 2-cocycle through a linear section, and decide triviality by an exact
-coboundary solve.  `structure.subquotient` gives h_c/n_c in ambient
-coordinates: its table, its canonical lifts and the class projection, so the
-table of h_c itself is never built.  The section lifts each class to its
-canonical lift, or to its one element in a given complement of n_c in h_c,
-read off the complement's echelon rows (the semidirect witness's candidates).
+Step 1 (little group): `little_group_step` restricts a covector to an ideal
+n and collects the stabilizer data g_c = orth(n), n_c and h = n + g_c.  It
+is the one place that checks the ideal and builds them: every later step
+takes its `LittleGroupData`, so a point that runs several steps decides each
+once.  Step 2 (induction): certify the three relations that make the orbit
+induced from h -- stabilizer containment, the annihilator identity
+n_c(cov) = ann(h), and exact exp-linearity of the n_c flows.  Step 3
+(obstruction): build the central extension 0 -> n_c/j -> h_c/j -> h_c/n_c
+with j = ker(c on n_c), compute its 2-cocycle through a linear section, and
+decide triviality by an exact coboundary solve.  `structure.subquotient`
+gives h_c/n_c in ambient coordinates: its table, its canonical lifts and the
+class projection, so the table of h_c itself is never built.  The section
+lifts each class to its canonical lift, or to its one element in a given
+complement of n_c in h_c, read off the complement's echelon rows (the
+semidirect witness's candidates).
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -153,7 +156,6 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
 
 class ObstructionReport(Record):
     j: Subspace                     # ker(c restricted to n_c)
-    h_c: Subspace
     n_c: Subspace
     quotient_algebra: LieAlgebra    # h_c / n_c
     section: Matrix                 # rows: lifts of the quotient basis, ambient coords
@@ -238,24 +240,14 @@ def obstruction_step(
     trivial = beta is not None
 
     dims = (n_c.dim - j.dim, h_c.dim - j.dim, m)
-    return ObstructionReport(
-        j=j,
-        h_c=h_c,
-        n_c=n_c,
-        quotient_algebra=quot.algebra,
-        section=section,
-        cocycle=cocycle,
-        c_vanishes_on_n_c=c_vanishes,
-        trivial=trivial,
-        primitive=tuple(beta) if trivial else None,
-        extension_dims=dims,
-    )
+    return ObstructionReport(j=j, n_c=n_c, quotient_algebra=quot.algebra, section=section,
+                             cocycle=cocycle, c_vanishes_on_n_c=c_vanishes, trivial=trivial,
+                             primitive=tuple(beta) if trivial else None, extension_dims=dims)
 
 
 class SemidirectReport(Record):
     point_orbit: bool
     witness_name: Optional[str]
-    witness: Optional[Subspace]
     cocycle_zero: Optional[bool]
     rejections: tuple  # (name, reason)
 
@@ -268,27 +260,19 @@ class SemidirectReport(Record):
         }
 
 
-def semidirect_witness(
-    alg: LieAlgebra,
-    n: Subspace,
-    cov: Covector,
-    candidates: Sequence[tuple[str, Subspace]],
-) -> SemidirectReport:
+def semidirect_witness(data: LittleGroupData,
+                       candidates: Sequence[tuple[str, Subspace]]) -> SemidirectReport:
     """Search declared complements s with g = s + n for one killing the cocycle.
 
-    Requires the point-orbit hypothesis <cov, [g, n]> = 0.  A candidate is
-    accepted when it is a subalgebra complementary to n and the obstruction
-    cocycle computed with the section into it vanishes identically; failing
-    candidates are reported with the reason.
+    Requires the point-orbit hypothesis <cov, [g, n]> = 0, which holds
+    exactly when g_c = orth(n) is all of g.  A candidate is accepted when it
+    is a subalgebra complementary to n and the obstruction cocycle computed
+    with the section into it vanishes identically; failing candidates are
+    reported with the reason.
     """
-    if not is_ideal(alg, n):
-        raise NotClosedError("the given subspace is not an ideal")
-    nd = alg.dim
-    if any(cov.pair(r) != 0 for r in bracket_span(alg, Subspace.full(nd), n).basis_rows()):
+    alg, nd = data.algebra, data.algebra.dim
+    if data.g_c.dim != nd:
         raise ValueError("point-orbit hypothesis <cov, [g, n]> = 0 fails")
-
-    data = little_group_step(alg, n, cov)
-    assert data.g_c.dim == nd  # point orbit: everything stabilizes
     rejections = []
     for name, s in candidates:
         if s.ambient_dim != nd:
@@ -305,9 +289,9 @@ def semidirect_witness(
             rejections.append((name, "declared complement is not a subalgebra"))
             continue
         if report.cocycle.is_zero():
-            return SemidirectReport(True, name, s, True, tuple(rejections))
+            return SemidirectReport(True, name, True, tuple(rejections))
         rejections.append((name, "cocycle does not vanish on the candidate section"))
-    return SemidirectReport(True, None, None, None, tuple(rejections))
+    return SemidirectReport(True, None, None, tuple(rejections))
 
 
 class AbelianStepReport(Record):
@@ -327,30 +311,24 @@ class AbelianStepReport(Record):
         }
 
 
-def abelian_step(alg: LieAlgebra, a: Subspace, cov: Covector) -> AbelianStepReport:
-    """Single reduction step along an orbit-abelian ideal a.
+def abelian_step(data: LittleGroupData) -> AbelianStepReport:
+    """Single reduction step along an orbit-abelian ideal a = data.ideal.
 
-    h is the stabilizer of the restriction of cov to a; the fiber Y is the
-    orbit of cov restricted to h.  Verifies dim(G/H) = dim a(cov),
-    dim Y = dim(h / orth(h)) and dim X = 2 dim(G/H) + dim Y exactly.
+    h = g_c is the stabilizer of cov restricted to a; the fiber Y is the orbit
+    of cov restricted to h.  Verifies h^cov <= h and dim X = 2 dim(G/H) + dim Y.
+    Two more identities hold by construction: dim(G/H) = dim a(cov) by
+    rank-nullity, as h = ann(a(cov)); and dim Y, the rank of the pairing on
+    h, is dim h - dim(h meet h^cov) = dim(h / h^cov) once h^cov <= h.
     """
-    if not is_ideal(alg, a):
-        raise NotClosedError("the given subspace is not an ideal")
+    alg, a, cov = data.algebra, data.ideal, data.covector
     if not orbit_annihilator(alg, cov).contains_subspace(bracket_span(alg, a, a)):
         raise ValueError("ideal is not orbit-abelian: [a, a] leaves ann(X)")
 
-    moved = coadjoint_image(alg, cov, a)
-    h = annihilator(moved)  # orth(alg, a, cov)
+    h = data.g_c  # a <= h since <cov, [a, a]> = 0, so h = a + g_c is g_c
     dim_y = orbit_dim(alg, cov, h)
     dim_x = orbit_dim(alg, cov)
     dim_gh = alg.dim - h.dim
-    orth_h = orth(alg, h, cov)
-    ok = (
-        dim_gh == moved.dim
-        and h.contains_subspace(orth_h)
-        and dim_y == h.dim - orth_h.dim
-        and dim_x == 2 * dim_gh + dim_y
-    )
+    ok = h.contains_subspace(orth(alg, h, cov)) and dim_x == 2 * dim_gh + dim_y
     return AbelianStepReport(h, dim_x, dim_gh, dim_y, ok)
 
 
@@ -379,20 +357,19 @@ _TYPE_TABLE = {
 }
 
 
-def classify_little_algebra(alg: LieAlgebra, a: Subspace, cov: Covector) -> LittleAlgebraType:
-    """Isomorphism-type descriptor of h/a for an abelian ideal a.
+def classify_little_algebra(data: LittleGroupData) -> LittleAlgebraType:
+    """Isomorphism-type descriptor of h/a for an abelian ideal a = data.ideal.
 
     Reports dimension, solvability, nilpotency and exact Killing signature
-    of the quotient of the little algebra by the ideal -- enough to
+    of the quotient of the little algebra h = g_c by the ideal -- enough to
     separate so(3), e(2), sl(2,R) and so(3,1).
     """
-    if not is_ideal(alg, a):
-        raise NotClosedError("the given subspace is not an ideal")
+    alg, a = data.algebra, data.ideal
     if bracket_span(alg, a, a).dim != 0:
         raise ValueError("the given ideal is not abelian")
     from .polynomials import symmetric_signature  # only `classify` reads a signature
 
-    q = subquotient(alg, orth(alg, a, cov), a).algebra
+    q = subquotient(alg, data.g_c, a).algebra
     solvable, nilpotent = is_solvable(q), is_nilpotent(q)
     sig = symmetric_signature(killing_form(q))
     label = _TYPE_TABLE.get((q.dim, solvable, nilpotent, sig))
@@ -445,7 +422,7 @@ def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
     dim_v = dim_x - 2 * dim_gh - dim_u
     fiber_rank = orbit_dim(alg, cov, data.g_c)
     # step 2: V is the orbit of cov restricted to g_c, so dim_v is the rank of its pairing
-    consistent = dim_v == fiber_rank and dim_u >= 0 and dim_gh >= 0
+    consistent = dim_v == fiber_rank
     return MackeyReport(
         data, relations, obstruction, dim_x, dim_u, dim_gh, dim_v, fiber_rank, consistent
     )

@@ -96,6 +96,12 @@ MALFORMED = {
                            "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
                            "covectors": {"c": [True, False, True]}},
     "rows_bool.json": {"rows": [[True, False, False]]},
+    # bytes are written as they are: a file that is not UTF-8
+    "not_utf8.json": b"\xff{}",
+    "too_deep.json": b"[" * 100000 + b"]" * 100000,
+    # an exponent past linalg.MAX_EXPONENT is refused before the number is built
+    "coeff_exponent_over_cap.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                                     "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e5000"}}]},
 }
 
 BAD_INPUTS = {
@@ -181,6 +187,18 @@ BAD_INPUTS = {
                                    "--point=0,0,1"],
     "conditions_sub_superscript_in_list": ["conditions", "catalog:heisenberg3",
                                            "--sub", "0,1\u00b2", "--point=0,0,1"],
+    # an input file that is not UTF-8, read through `catalog.read_json`
+    "validate_not_utf8": ["validate", "not_utf8.json"],
+    "orbit_not_utf8": ["orbit", "not_utf8.json", "--point=0"],
+    "validate_too_deep": ["validate", "too_deep.json"],
+    "conditions_rows_not_utf8": ["conditions", "catalog:heisenberg3", "--sub", "@not_utf8.json",
+                                 "--point=0,0,1"],
+    "polarize_chain_not_utf8": ["polarize", "catalog:heisenberg3",
+                                "--strategy", "chain:not_utf8.json", "--point=0,0,1"],
+    # numbers too large to build or to print
+    "orbit_point_exponent_over_cap": ["orbit", "catalog:heisenberg3", "--point=1e5000,0,1"],
+    "orbit_point_too_long_to_print": ["orbit", "catalog:heisenberg3", "--point=1e4300,0,1"],
+    "validate_coeff_exponent_over_cap": ["validate", "coeff_exponent_over_cap.json"],
 }
 
 HAPPY = {
@@ -199,7 +217,10 @@ HAPPY = {
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     for name, doc in MALFORMED.items():
-        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+        else:
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -350,6 +371,29 @@ def test_a_bool_index_or_a_loose_key_is_refused_by_name(workdir, capsys):
         assert run(BAD_INPUTS[case], capsys) == (2, {
             "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
             "error": error, "ok": False, "schema": 1})
+
+
+def test_an_unreadable_file_or_an_unprintable_number_is_named(workdir, capsys):
+    not_utf8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    over_cap = "exponent above 4300 in magnitude in a rational literal"
+    want = {
+        "validate_not_utf8": f"not_utf8.json: {not_utf8}",
+        "orbit_not_utf8": f"not_utf8.json: {not_utf8}",
+        "validate_too_deep": "too_deep.json: maximum recursion depth exceeded while decoding "
+                             "a JSON array from a unicode string",
+        "conditions_rows_not_utf8": f"bad subspace file not_utf8.json: {not_utf8}",
+        "polarize_chain_not_utf8": f"bad chain file not_utf8.json: {not_utf8}",
+        "orbit_point_exponent_over_cap": f"bad rational in point: {over_cap}",
+        "validate_coeff_exponent_over_cap": "coeff_exponent_over_cap.json: bracket pair (0,1): "
+                                            f"bad rational literal '1e5000': {over_cap}",
+    }
+    for case, error in want.items():
+        assert run(BAD_INPUTS[case], capsys) == (2, {
+            "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
+            "error": error, "ok": False, "schema": 1})
+    # 10**4300 is built, but has one digit more than Python prints
+    _, env = run(BAD_INPUTS["orbit_point_too_long_to_print"], capsys)
+    assert env["error"].startswith("Exceeds the limit (4300 digits) for integer string")
 
 
 def test_a_label_of_non_ascii_digits_loads_and_resolves(tmp_path, monkeypatch, capsys):

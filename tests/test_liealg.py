@@ -943,7 +943,7 @@ def test_closure_checks_build_no_algebra(entries, monkeypatch):
     h3e = entries["heisenberg3"]
     h3, cov = h3e.algebra, Covector(h3e.algebra, (0, 0, 1))
     lagrangian = Subspace(3, [(0, 1, 0), (0, 0, 1)])
-    rep = semidirect_witness(h3, h3e.ideals["center"], cov,
+    rep = semidirect_witness(little_group_step(h3, h3e.ideals["center"], cov),
                              [("xy_plane", h3e.complements["xy_plane"])])
     assert rep.rejections == (("xy_plane", "declared complement is not a subalgebra"),)
 

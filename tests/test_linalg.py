@@ -98,6 +98,26 @@ def test_frac_refuses_a_zero_denominator():
         frac(0.5)
 
 
+def test_frac_refuses_an_exponent_past_the_cap_before_building_the_number(monkeypatch):
+    assert frac("1e4300") == 10 ** 4300
+    assert frac(" -1.5E-0_4300 ") == F(-15, 10 ** 4301)
+    assert frac("2e0_1") == 20 and frac("1e00000005") == 10 ** 5
+    built = []
+
+    class Counted(F):
+        def __new__(cls, x):
+            built.append(x)
+            return F.__new__(cls, x)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    assert frac("1e-3") == F(1, 1000) and built == ["1e-3"]
+    built.clear()
+    for literal in ("1e4301", "1e-4301", "1E+5000", "1e100000", "1e1_0000"):
+        with pytest.raises(ValueError, match="exponent above 4300 in magnitude"):
+            frac(literal)
+    assert built == []
+
+
 def test_solve_identity():
     assert solve(Matrix.identity(3), (1, 2, 3)) == (F(1), F(2), F(3))
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit import cli, mackey
 from orbitkit.catalog import parse_algebra, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, orbit_record, validate
-from orbitkit.linalg import Matrix, Subspace, basis_vector, rank_kernel
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing, orbit_record, validate
+from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, rank_kernel
 from orbitkit.mackey import (
     abelian_step,
     classify_little_algebra,
@@ -22,9 +23,12 @@ from orbitkit.mackey import (
 from orbitkit.structure import (
     NotClosedError,
     ad_matrix,
+    coadjoint_image,
     exp_coadjoint,
     ideal_closure,
+    orbit_annihilator,
     orbit_dim,
+    orth,
     restrict,
     stabilizer,
 )
@@ -292,23 +296,23 @@ def test_semidirect_witness_poincare_little_group(entries):
                            for r in poin.ideals["translations"].basis_rows()])
     rot = poin.complements["lorentz"].intersect(data.g_c)
     rot_inner = Subspace(7, [coords_of(data.g_c, r) for r in rot.basis_rows()])
-    rep = semidirect_witness(cov_inner.algebra, n_inner, cov_inner, [("rotations", rot_inner)])
+    rep = semidirect_witness(little_group_step(cov_inner.algebra, n_inner, cov_inner),
+                             [("rotations", rot_inner)])
     assert rep.witness_name == "rotations"
     assert rep.cocycle_zero
 
 
 def test_semidirect_witness_heisenberg_fails(entries):
     h3e = entries["heisenberg3"]
-    rep = semidirect_witness(h3e.algebra, h3e.ideals["center"],
-                             Covector(h3e.algebra, (0, 0, 1)),
-                             [("xy_plane", h3e.complements["xy_plane"])])
+    data = little_group_step(h3e.algebra, h3e.ideals["center"], Covector(h3e.algebra, (0, 0, 1)))
+    rep = semidirect_witness(data, [("xy_plane", h3e.complements["xy_plane"])])
     assert rep.witness_name is None
     assert rep.rejections == (("xy_plane", "declared complement is not a subalgebra"),)
 
 
 def test_semidirect_witness_abelian(entries):
     ab = entries["abelian3"].algebra
-    rep = semidirect_witness(ab, _span(3, 1, 2), Covector(ab, (1, 2, 3)),
+    rep = semidirect_witness(little_group_step(ab, _span(3, 1, 2), Covector(ab, (1, 2, 3))),
                              [("meets", _span(3, 0, 1)), ("inside", _span(3, 1)),
                               ("plane", Subspace.full(2)), ("line", _span(3, 0))])
     assert rep.witness_name == "line" and rep.cocycle_zero
@@ -319,10 +323,10 @@ def test_semidirect_witness_abelian(entries):
 
 def test_semidirect_witness_requires_point_orbit(entries):
     poin = entries["poincare"]
-    with pytest.raises(ValueError):
-        semidirect_witness(poin.algebra, poin.ideals["translations"],
-                           Covector(poin.algebra, poin.covectors["timelike"]),
-                           [("lorentz", poin.complements["lorentz"])])
+    data = little_group_step(poin.algebra, poin.ideals["translations"],
+                             Covector(poin.algebra, poin.covectors["timelike"]))
+    with pytest.raises(ValueError, match="point-orbit hypothesis"):
+        semidirect_witness(data, [("lorentz", poin.complements["lorentz"])])
 
 
 # -- abelian step and classification -------------------------------------------
@@ -331,19 +335,19 @@ def test_semidirect_witness_requires_point_orbit(entries):
 def test_abelian_step_poincare_dims(entries):
     poin = entries["poincare"]
     trans = poin.ideals["translations"]
-    spin0 = abelian_step(poin.algebra, trans,
-                         Covector(poin.algebra, poin.covectors["timelike"]))
+    spin0 = abelian_step(little_group_step(poin.algebra, trans,
+                                           Covector(poin.algebra, poin.covectors["timelike"])))
     assert (spin0.dim_x, spin0.dim_gh, spin0.dim_y) == (6, 3, 0)
     assert spin0.dims_match
-    spinning = abelian_step(poin.algebra, trans,
-                            Covector(poin.algebra, poin.covectors["timelike_spinning"]))
+    spinning = abelian_step(little_group_step(
+        poin.algebra, trans, Covector(poin.algebra, poin.covectors["timelike_spinning"])))
     assert (spinning.dim_x, spinning.dim_gh, spinning.dim_y) == (8, 3, 2)
     assert spinning.dims_match
 
 
 def test_abelian_step_heisenberg(entries):
     h3 = entries["heisenberg3"].algebra
-    step = abelian_step(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1)))
+    step = abelian_step(little_group_step(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1))))
     assert step.h == _span(3, 1, 2)
     assert (step.dim_x, step.dim_gh, step.dim_y) == (2, 1, 0)
     assert step.dims_match
@@ -351,8 +355,9 @@ def test_abelian_step_heisenberg(entries):
 
 def test_abelian_step_rejects_non_orbit_abelian(entries):
     sl2 = entries["sl2"].algebra
-    with pytest.raises(ValueError):
-        abelian_step(sl2, Subspace.full(3), Covector(sl2, (2, 0, 0)))
+    data = little_group_step(sl2, Subspace.full(3), Covector(sl2, (2, 0, 0)))
+    with pytest.raises(ValueError, match="not orbit-abelian"):
+        abelian_step(data)
 
 
 def test_classification_poincare_cases(entries):
@@ -365,8 +370,8 @@ def test_classification_poincare_cases(entries):
         "zero_momentum": ("so(3,1)", 6, False, (3, 3, 6)),
     }
     for name, (label, dim, solv, sig) in expected.items():
-        kind = classify_little_algebra(poin.algebra, trans,
-                                       Covector(poin.algebra, poin.covectors[name]))
+        kind = classify_little_algebra(little_group_step(
+            poin.algebra, trans, Covector(poin.algebra, poin.covectors[name])))
         assert kind.label == label
         assert kind.dim == dim
         assert kind.is_solvable is solv
@@ -375,9 +380,94 @@ def test_classification_poincare_cases(entries):
 
 def test_classification_rejects_nonabelian_ideal(entries):
     poin = entries["poincare"]
-    with pytest.raises(ValueError):
-        classify_little_algebra(poin.algebra, Subspace.full(10),
-                                Covector(poin.algebra, poin.covectors["timelike"]))
+    data = little_group_step(poin.algebra, Subspace.full(10),
+                             Covector(poin.algebra, poin.covectors["timelike"]))
+    with pytest.raises(ValueError, match="not abelian"):
+        classify_little_algebra(data)
+
+
+# -- identities that hold by construction, so no step checks them ----------------
+
+SEEDED_ENTRIES = [parse_entry(make(size, families.family_rng(seed, stem)).doc)
+                  for seed in (1, 2)
+                  for make, size, stem in ((families.heisenberg, 4, "h9"),
+                                           (families.nilradical, 5, "n5"),
+                                           (families.filiform, 9, "L9"),
+                                           (families.poincare, 4, "poincare4"))]
+
+
+def _identity_cases(entries, rng):
+    """(algebra, ideal, covector) over the catalog and seeded h9, n5, L9 and
+    Poincare d=4: each declared ideal and one seeded ideal closure, at two
+    seeded covectors and at two seeded covectors vanishing on [g, n]."""
+    for entry in [*entries.values(), *SEEDED_ENTRIES]:
+        alg = entry.algebra
+        for ideal in [*entry.ideals.values(), *random_ideals(alg, rng, 1)]:
+            fixed = annihilator(bracket_span(alg, Subspace.full(alg.dim), ideal)).basis_rows()
+            covs = [rand_covector(alg, rng) for _ in range(2)]
+            covs += [Covector(alg, combine(rand_vec(rng, len(fixed)), fixed, alg.dim))
+                     for _ in range(2)]
+            for cov in covs:
+                yield alg, ideal, cov
+
+
+def test_g_c_is_g_exactly_when_the_point_orbit_hypothesis_holds(entries, rng):
+    """`semidirect_witness` reads <cov, [g, n]> = 0 as g_c = g; the bracket span
+    of g and n paired with cov is the oracle."""
+    verdicts = []
+    for alg, ideal, cov in _identity_cases(entries, rng):
+        oracle = all(cov.pair(r) == 0
+                     for r in bracket_span(alg, Subspace.full(alg.dim), ideal).basis_rows())
+        assert (little_group_step(alg, ideal, cov).g_c.dim == alg.dim) == oracle
+        verdicts.append(oracle)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_the_abelian_step_identities_hold_by_construction(entries, rng):
+    """For orbit-abelian a, with h = g_c: dim g - dim h = dim a(cov), and the
+    fiber dimension is dim h - dim h^cov whenever h^cov <= h."""
+    orbit_abelian = contained = 0
+    for alg, a, cov in _identity_cases(entries, rng):
+        data = little_group_step(alg, a, cov)
+        h, h_f = data.g_c, orth(alg, data.g_c, cov)
+        if h.contains_subspace(h_f):
+            assert orbit_dim(alg, cov, h) == h.dim - h_f.dim
+            contained += 1
+        if orbit_annihilator(alg, cov).contains_subspace(bracket_span(alg, a, a)):
+            step = abelian_step(data)
+            assert step.dim_gh == alg.dim - h.dim == coadjoint_image(alg, cov, a).dim
+            assert step.dims_match == (h.contains_subspace(h_f)
+                                       and step.dim_x == 2 * step.dim_gh + step.dim_y)
+            orbit_abelian += 1
+    assert orbit_abelian > 100 and contained > 100
+
+
+def test_one_ideal_check_and_one_little_group_per_point(monkeypatch, capsys):
+    """On two points each of `classify` and `mackey --complement`; the ideal's
+    orthogonal g_c = ann(n(cov)) is built once per `classify` point too."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            at = {"orth": 1, "coadjoint_image": 2}.get(name)  # the subspace argument
+            calls.append(name if at is None else (name, args[at]))
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_ideal", "little_group_step", "orth", "coadjoint_image"):
+        monkeypatch.setattr(mackey, name, counted(name, getattr(mackey, name)))
+    poincare = "catalog:poincare"
+    translations = Subspace(10, [basis_vector(10, i) for i in range(6, 10)])
+    assert cli.main(["classify", poincare, "--ideal", "translations",
+                     "--point=0,0,0,0,0,0,1,0,0,0", "--point=0,0,0,0,0,0,1,1,0,0"]) == 0
+    assert calls.count("is_ideal") == calls.count("little_group_step") == 2
+    assert calls.count(("orth", translations)) + calls.count(
+        ("coadjoint_image", translations)) == 2
+    calls.clear()
+    assert cli.main(["mackey", poincare, "--ideal", "translations", "--complement", "lorentz",
+                     "--point=0,0,0,1,0,0,0,0,0,0", "--point=0,0,0,0,0,0,0,0,0,0"]) == 0
+    assert '"witness": "lorentz"' in capsys.readouterr().out
+    assert calls.count("is_ideal") == calls.count("little_group_step") == 2
 
 
 # -- exact coadjoint exponential ------------------------------------------------
