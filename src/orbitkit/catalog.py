@@ -22,7 +22,8 @@ digits, since a subspace argument looks names up before labels and indices.
 a `--sub @file` and a `chain:` file.  One that cannot be read, is not UTF-8,
 is not JSON or nests too deeply is a CatalogError that names the file.  A
 rational literal is read by `linalg.frac`, which refuses an exponent above
-MAX_EXPONENT (4300) in magnitude before it builds the number.
+MAX_EXPONENT (4300) in magnitude, or more than that many digits in a row,
+before it builds the number.
 
 Built-in entries are built and validated by name, each once per process,
 so a caller that names one entry pays for that entry alone.  Their

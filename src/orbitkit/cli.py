@@ -10,7 +10,8 @@ The output format lives in one place, `_encode`, the `default=` hook of
 every `json.dumps` here.  The reports' `to_json_dict` methods hand it
 values: a Fraction is written as its canonical "p/q" string, a Subspace as
 its RREF basis rows, a Matrix as its rows and a Covector as its
-coordinates.  Any other type is an error, never a `repr` in a report.
+coordinates.  Any other type is an error, never a `repr` in a report, and
+so is a Fraction too long to print, a ValueError that says so.
 
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
@@ -138,9 +139,13 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
 def _encode(obj):
     """The JSON form of the exact values that reports hold."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ValueError(f"a number in the report has more than "
+                             f"{sys.get_int_max_str_digits()} digits, too long to print") from None
     if isinstance(obj, Subspace):
-        return obj.basis_rows()
+        return obj.rows
     if isinstance(obj, Matrix):
         return obj.entries
     if isinstance(obj, Covector):

@@ -82,7 +82,7 @@ def frobenius_check(rec: InducedRecord, m: OrbitRecord) -> str:
         return "undecided"
     if not (fiber.hull_exact and m.hull_exact):
         return "undecided"
-    h_rows = flat.sub.basis_rows()
+    h_rows = flat.sub.rows
     if fiber.covector.algebra.dim != len(h_rows):
         raise ChainError("fiber record does not match the inducing subalgebra")
 
@@ -90,7 +90,7 @@ def frobenius_check(rec: InducedRecord, m: OrbitRecord) -> str:
         return tuple(sum(c * r for c, r in zip(coords, row)) for row in h_rows)
 
     target = vec_sub(restrict_to_h(m.covector.coords), fiber.covector.coords)
-    directions = [restrict_to_h(u) for u in m.affine_hull_dirs.basis_rows()]
-    directions += list(fiber.affine_hull_dirs.basis_rows())
+    directions = [restrict_to_h(u) for u in m.affine_hull_dirs.rows]
+    directions += fiber.affine_hull_dirs.rows
     span = Subspace(len(h_rows), directions)
     return "yes" if span.contains(target) else "no"

@@ -129,14 +129,16 @@ class Record:
 
 MAX_EXPONENT = 4300  # as many digits as Python prints of an int by default
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_DIGITS = re.compile(r"\d[\d_]*")
 
 
 def frac(x) -> Fraction:
     """Coerce ints or strings like '3/4' or '1.5e-3' to an exact rational.
 
     A zero denominator is a ValueError, like any other malformed rational, and
-    so is an exponent above MAX_EXPONENT in magnitude, refused before the number
-    is built: `Fraction('1e1000000')` alone takes 0.3 s, growing with the exponent.
+    so are an exponent above MAX_EXPONENT in magnitude and a run of more than
+    MAX_EXPONENT digits, refused before the number is built:
+    `Fraction('1e1000000')` alone takes 0.3 s, growing with the exponent.
     """
     if isinstance(x, Fraction):
         return x
@@ -147,6 +149,9 @@ def frac(x) -> Fraction:
         digits = exp.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude in a rational literal")
+    if isinstance(x, str) and any(len(run) - run.count("_") > MAX_EXPONENT
+                                  for run in _DIGITS.findall(x)):
+        raise ValueError(f"more than {MAX_EXPONENT} digits in a row in a rational literal")
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:
@@ -400,9 +405,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def basis_rows(self) -> tuple:
-        return self.rows
 
     def __eq__(self, other) -> bool:
         return (

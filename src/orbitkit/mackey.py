@@ -81,7 +81,7 @@ def little_group_step(alg: LieAlgebra, n: Subspace, cov: Covector) -> LittleGrou
     g_c = orth(alg, n, cov)
     n_c = n.intersect(g_c)
     h = n.add(g_c)
-    c_coords = tuple(cov.pair(row) for row in n.basis_rows())
+    c_coords = tuple(cov.pair(row) for row in n.rows)
     return LittleGroupData(alg, n, cov, c_coords, g_c, n_c, h)
 
 
@@ -131,13 +131,13 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
     ann_h = annihilator(data.h)
     rel_b = moved == ann_h
 
-    w = next((r for r in bracket_span(alg, data.n_c, data.ideal).basis_rows()
+    w = next((r for r in bracket_span(alg, data.n_c, data.ideal).rows
               if cov.pair(r) != 0), None)
     rel_c = w is None
     if w is not None:
         witnesses["c_pairs_with_nc_n_bracket"] = w
     if rel_c:
-        for z in data.n_c.basis_rows():
+        for z in data.n_c.rows:
             rows = ad_matrix(alg, z).entries
             t = combine(combine(cov.coords, rows, alg.dim), rows, alg.dim)
             if not is_zero_vec(t):
@@ -197,7 +197,7 @@ def obstruction_step(
     n_c = data.n_c
     ker_cov = rank_kernel(Matrix([cov.coords]))[1]
     j = n_c.intersect(ker_cov)
-    c_vanishes = all(cov.pair(row) == 0 for row in n_c.basis_rows())
+    c_vanishes = all(cov.pair(row) == 0 for row in n_c.rows)
 
     quot = subquotient(alg, h_c, n_c)
     m = quot.algebra.dim

@@ -2,16 +2,15 @@
 
 The driver descends g = g_0 > g_1 > ... by g_{i+1} = g_i ∩ I^f, with I an
 orbit-abelian, non-orbit-central ideal of the window g_i, until the window
-is self-orthogonal at the restricted covector.  There is one coordinate
-system: every window, candidate ideal, orthogonal and step is a subspace of
-g, and I^f is the orthogonal in g.  The window's own algebra is built once
-per step, as `restrict(alg, cov, g_i)` in the basis of g_i's canonical rows,
-never from the previous window's algebra; it is read only for the stop test
-and the orbit annihilator, which is lifted back to g.
+is self-orthogonal at the restricted covector: `orbit_dim(alg, cov, g_i)`,
+a rank in g, is 0.  There is no window algebra: every window, ideal,
+orthogonal and step is a subspace of g, I^f is the orthogonal in g, and
+ann_x is `orbit_annihilator(alg, cov, g_i)`, the largest ideal of g_i
+inside ker f.  Each g_{i+1} is a subalgebra, by the Jacobi identity.
 
-Candidate ideals are drawn in a fixed deterministic order from
-`subquotient(alg, g_i, ann_x)`, the window's quotient by the orbit's
-extraneous ideal, and pulled back through its lifts: the terminal nonzero
+Candidate ideals are drawn in a fixed deterministic order from the quotient
+`subquotient(alg, g_i, ann_x)`, the one algebra an automatic step builds (a
+user chain builds none), and pulled back through its lifts: the terminal nonzero
 derived term, abelian terms of the ascending central series, the
 centralizer of the derived subalgebra, and finally the classical refinement
 center + single vector (which is what succeeds on Heisenberg-like steps).
@@ -30,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .conditions import ConditionReport, check_conditions
-from .liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from .liealg import Covector, LieAlgebra, bracket_span
 from .linalg import ONE, Record, Subspace, basis_vector, combine
 from .polynomials import (
     charpoly,
@@ -51,8 +50,8 @@ from .structure import (
     derived_series,
     is_solvable,
     orbit_annihilator,
+    orbit_dim,
     orth,
-    restrict,
     subquotient,
 )
 
@@ -247,7 +246,7 @@ def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
         yield "centralizer of derived subalgebra", pull(centralizer(qalg, derived[1]))
     if len(series) > 2:
         z1, z2 = series[1], series[2]
-        for row in reversed(z2.basis_rows()):
+        for row in reversed(z2.rows):
             if not z1.contains(row):
                 yield "center + vector refinement", pull(
                     z1.add(Subspace(qalg.dim, [row])))
@@ -292,17 +291,15 @@ def pukanszky_polarization(
             )
 
     n = alg.dim
-    g_i, win = Subspace.full(n), cov  # the window g_i, and cov restricted to it
+    g_i = Subspace.full(n)
     steps = []
     rejected = []
     chain_iter = iter(chain or ())
 
     for step_index in range(n + 1):
-        if kks_pairing(win.algebra, win).is_zero():
+        if orbit_dim(alg, cov, g_i) == 0:
             break  # self-orthogonal: done
-        # the window's orbit annihilator, in the basis of g_i's canonical rows, lifted to g
-        ann_x = Subspace(n, [combine(r, g_i.rows, n)
-                             for r in orbit_annihilator(win.algebra, win).rows])
+        ann_x = orbit_annihilator(alg, cov, g_i)
         if chain is not None:
             try:
                 ideal = next(chain_iter)
@@ -335,7 +332,7 @@ def pukanszky_polarization(
         ))
         if g_next.dim >= g_i.dim:
             raise AssertionError("no dimension drop despite non-central ideal")
-        g_i, win = g_next, restrict(alg, cov, g_next)
+        g_i = g_next
 
     conditions = check_conditions(alg, g_i, cov)
     return PolarizationTrace(tuple(steps), g_i, conditions, tuple(rejected))

@@ -303,7 +303,7 @@ def _is_derivation(alg: LieAlgebra, d: Matrix) -> bool:
 
 def _trace_annihilator(malg: MatrixLieAlgebra, space: Subspace) -> Subspace:
     """Elements trace-orthogonal to space (the dual annihilator, identified)."""
-    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in space.basis_rows()]
+    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in space.rows]
     return rank_kernel(Matrix(rows, malg.dim))[1]
 
 
@@ -386,25 +386,25 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
     ad_x = ad_matrix(alg, coords)
     stab_ok = g0.contains_subspace(rank_kernel(ad_x)[1])
 
-    moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.basis_rows()])
+    moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.rows])
     ann_q = _trace_annihilator(malg, q)
     image_ok = moved == ann_q
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim
 
-    hull = invariant_closure(n, moved.basis_rows(),
-                             lambda w: (alg.bracket_exact(z, w) for z in u.basis_rows()))
+    hull = invariant_closure(n, moved.rows,
+                             lambda w: (alg.bracket_exact(z, w) for z in u.rows))
     hull_ok = hull == ann_q
 
     # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces
     gram_rows = {a: [combine(r, malg.trace_gram.entries, n)
-                     for r in grading.spaces[a].basis_rows()]
+                     for r in grading.spaces[a].rows]
                  for a in grading.eigenvalues}
     blocks_ok = True
     for a in grading.eigenvalues:
         for b in grading.eigenvalues:
             pairing = Matrix([[vec_dot(ra, w) for w in gram_rows[b]]
-                              for ra in grading.spaces[a].basis_rows()])
+                              for ra in grading.spaces[a].rows])
             if a + b != 0:
                 if not pairing.is_zero():
                     blocks_ok = False
@@ -413,7 +413,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
 
     # tr(M(x) M(z)) = x^T G z = <cov, z>
     cov = element_to_covector(malg, coords)
-    levi_ok = all(cov.pair(z) == 0 for z in u.basis_rows())
+    levi_ok = all(cov.pair(z) == 0 for z in u.rows)
 
     dim_x = orbit_dim(alg, cov)
     dim_y = orbit_dim(alg, cov, q)

@@ -4,13 +4,16 @@ The coadjoint questions about a subspace h and a covector f have one home
 each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 `orth`, every orbit dimension (of f, or of f restricted to h) is
 `orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
-the ideal generated by a subspace is a `linalg.invariant_closure` worklist.
+the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
+g.  It and the ideal generated by a subspace are `linalg.invariant_closure`
+worklists, the former in g*.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
 the basis of canonical lifts (the rows of h at pivots that are not pivots of
 n), read off in ambient coordinates; `restrict` takes a covector to a
-subalgebra through it, and `check_subalgebra` runs its closure check alone.
+subalgebra through it, for its one caller `induction.point_fiber`, and
+`check_subalgebra` runs its closure check alone.
 
 Structure facts are computed on demand, one function each: `derived_series`,
 `is_solvable`, `killing_form` and `ascending_central_series` (one
@@ -31,7 +34,6 @@ from .liealg import (
     LieAlgebra,
     bracket_span,
     kks_pairing,
-    krylov_hull,
     stable_series,
     validate,
 )
@@ -75,7 +77,7 @@ def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     rows = kks_pairing(alg, cov).entries
-    return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.basis_rows()])
+    return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.rows])
 
 
 def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
@@ -128,14 +130,18 @@ def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
     return rank_kernel(kks_pairing(alg, cov))[1]
 
 
-def orbit_annihilator(alg: LieAlgebra, cov: Covector) -> Subspace:
-    """Elements pairing to zero with every point of cov + hull.
+def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = None) -> Subspace:
+    """The largest ideal of the subalgebra sub (g when None) inside ker cov: ann(V), V
+    the `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
 
-    This is the extraneous ideal of the identity-component orbit: the
-    kernel of Z -> <., Z> as a function on the orbit's affine hull.
+    ann(V) lies in sub and ker cov, and xi([W, Z]) = (xi . ad(W))(Z) = 0 for xi in
+    V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
+    every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
     """
-    rows = [cov.coords] + list(krylov_hull(alg, cov).basis_rows())
-    return rank_kernel(Matrix(rows))[1]
+    sub = Subspace.full(alg.dim) if sub is None else sub
+    ads = [ad_matrix(alg, w).entries for w in sub.rows]
+    return annihilator(invariant_closure(alg.dim, annihilator(sub).rows + (cov.coords,),
+                                         lambda xi: (combine(xi, ad, alg.dim) for ad in ads)))
 
 
 class Subquotient(Record):
@@ -216,8 +222,8 @@ def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
 
 def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """Smallest ideal containing sub: its closure under every ad(e_i)."""
-    basis = Subspace.full(alg.dim).basis_rows()
-    return invariant_closure(alg.dim, sub.basis_rows(),
+    basis = Subspace.full(alg.dim).rows
+    return invariant_closure(alg.dim, sub.rows,
                              lambda v: (alg.bracket_exact(e, v) for e in basis))
 
 
@@ -233,7 +239,7 @@ def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Optional[Subspace] = Non
     # of ann(modulo): one row a . block per (w, a), dropped when identically zero
     ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
     rows = []
-    for w in sub.basis_rows():
+    for w in sub.rows:
         block = {}
         for i, plane in enumerate(alg.nonzeros):
             for wj, entries in zip(w, plane):

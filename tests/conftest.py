@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from orbitkit.catalog import builtin_catalog
-from orbitkit.liealg import Covector, LieAlgebra, kks_pairing
-from orbitkit.linalg import rank_kernel, vec, vec_dot
+from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull
+from orbitkit.linalg import Matrix, rank_kernel, vec, vec_dot
 from orbitkit.polynomials import deg, is_rational_square, monic, poly
 from orbitkit.structure import restrict
 
@@ -68,6 +68,15 @@ def subalgebra_orbit_dim(alg, cov, sub):
     cov to it and take the rank of the restricted covector's pairing."""
     cov_sub = restrict(alg, cov, sub)
     return rank_kernel(kks_pairing(cov_sub.algebra, cov_sub))[0]
+
+
+# -- the Krylov-hull route to the orbit annihilator, kept as a reference -----------
+
+
+def hull_orbit_annihilator(alg, cov):
+    """The route `structure.orbit_annihilator` replaced for sub = g: the elements
+    pairing to zero with cov and with its Krylov hull, the orbit's linear span."""
+    return rank_kernel(Matrix([cov.coords, *krylov_hull(alg, cov).rows]))[1]
 
 
 # -- coordinates in a canonical basis -------------------------------------------

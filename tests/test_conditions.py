@@ -82,8 +82,8 @@ def _random_subalgebras(alg, rng, count):
         space = Subspace(alg.dim, seeds)
         while True:
             grown = space
-            for u in space.basis_rows():
-                for v in space.basis_rows():
+            for u in space.rows:
+                for v in space.rows:
                     br = alg.bracket(u, v)
                     if not grown.contains(br):
                         grown = grown.add(Subspace(alg.dim, [br]))

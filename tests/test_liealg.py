@@ -334,7 +334,7 @@ def dense_krylov_hull(alg, cov):
     while True:
         nxt = u
         for g in gens:
-            nxt = nxt.add(Subspace(n, [dense_apply(g, row) for row in u.basis_rows()]))
+            nxt = nxt.add(Subspace(n, [dense_apply(g, row) for row in u.rows]))
         if nxt == u:
             return u
         u = nxt
@@ -348,7 +348,7 @@ def dense_centralizer(alg, sub, modulo=None):
         return Subspace.full(n)
     free = [f for f in range(n) if f not in m.pivots]
     rows = []
-    for w in sub.basis_rows():
+    for w in sub.rows:
         images = [m.reduce([vec_dot([c[i][j][k] for j in range(n)], w) for k in range(n)])
                   for i in range(n)]
         rows += [[image[f] for image in images] for f in free]
@@ -525,7 +525,7 @@ def quotient_ascending_central_series(alg):
     while series[-1].dim < n:
         q = subquotient(alg, Subspace.full(n), series[-1])
         lifted = series[-1].add(Subspace(n, [combine(r, q.lifts, n)
-                                             for r in center(q.algebra).basis_rows()]))
+                                             for r in center(q.algebra).rows]))
         if lifted == series[-1]:
             break
         series.append(lifted)
@@ -587,9 +587,9 @@ def stacked_quotient(alg, ideal):
     and the structure tensor of alg / ideal.
     """
     n = alg.dim
-    pivots = {next(j for j, x in enumerate(row) if x != 0) for row in ideal.basis_rows()}
+    pivots = {next(j for j, x in enumerate(row) if x != 0) for row in ideal.rows}
     reps = [basis_vector(n, j) for j in range(n) if j not in pivots]
-    stacked = Matrix(list(ideal.basis_rows()) + reps, n).transpose()
+    stacked = Matrix(list(ideal.rows) + reps, n).transpose()
 
     def project(v):
         return solve(stacked, v)[ideal.dim:]
@@ -630,7 +630,7 @@ def test_subalgebra_matches_the_solved_reference(entries, rng):
         subs += [stabilizer(alg, rand_covector(alg, rng)) for _ in range(3)]
         for sub in subs:
             sq = subquotient(alg, sub)
-            rows = sub.basis_rows()
+            rows = sub.rows
             m = sub.dim
             basis_t = Matrix(rows, alg.dim).transpose()
             assert dense_structure(sq.algebra) == tuple(
@@ -719,7 +719,7 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
     q.project(combine((1, 2, 3, 4, 5, 6), q.lifts, 10))
     restrict(alg, cov, g_c)
     quot = subquotient(alg, g_c, n)
-    for row in g_c.basis_rows():
+    for row in g_c.rows:
         quot.project(row)
 
 
@@ -729,13 +729,13 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
 def dense_image_rows(alg, cov, sub):
     """Reference rows W(cov) = B W, one entrywise dot per row of the dense pairing."""
     b = dense_kks_pairing(alg, cov)
-    return [dense_apply(b, w) for w in sub.basis_rows()]
+    return [dense_apply(b, w) for w in sub.rows]
 
 
 def loop_is_ideal(alg, sub):
     n = alg.dim
     return all(sub.contains(alg.bracket(basis_vector(n, i), row))
-               for i in range(n) for row in sub.basis_rows())
+               for i in range(n) for row in sub.rows)
 
 
 def loop_ideal_closure(alg, sub):

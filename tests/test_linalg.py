@@ -44,7 +44,7 @@ def test_rank_kernel_antisymmetric():
     rank, ker = rank_kernel(m)
     assert rank == 2
     assert ker == Subspace(3, [(0, 0, 1)])
-    for row in ker.basis_rows():
+    for row in ker.rows:
         assert all(x == 0 for x in dense_apply(m, row))
 
 
@@ -85,8 +85,8 @@ def test_annihilator_pairing():
     s = Subspace(3, [(0, 1, 0), (0, 0, 1)])
     ann = annihilator(s)
     assert ann == Subspace(3, [(1, 0, 0)])
-    for u in ann.basis_rows():
-        for v in s.basis_rows():
+    for u in ann.rows:
+        for v in s.rows:
             assert sum(a * b for a, b in zip(u, v)) == 0
 
 
@@ -114,6 +114,27 @@ def test_frac_refuses_an_exponent_past_the_cap_before_building_the_number(monkey
     built.clear()
     for literal in ("1e4301", "1e-4301", "1E+5000", "1e100000", "1e1_0000"):
         with pytest.raises(ValueError, match="exponent above 4300 in magnitude"):
+            frac(literal)
+    assert built == []
+
+
+def test_frac_refuses_a_run_of_digits_past_the_cap_before_building_the_number(monkeypatch):
+    at_cap = "9" * 4300
+    assert frac(at_cap) == 10 ** 4300 - 1
+    assert frac(f"1/{at_cap}") == F(1, 10 ** 4300 - 1)
+    assert frac("1_" + "0" * 4299) == 10 ** 4299
+    built = []
+
+    class Counted(F):
+        def __new__(cls, x):
+            built.append(x)
+            return F.__new__(cls, x)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    over = "1" * 4301
+    for literal in (over, f"-{over}", f"1/{over}", f"{over}/7", f"0.{over}", f"{over}.5",
+                    f" {over}e3 ", "1_" + "0" * 4300, "0" * 4301):
+        with pytest.raises(ValueError, match="^more than 4300 digits in a row in a rational"):
             frac(literal)
     assert built == []
 
@@ -214,7 +235,7 @@ def solved_coords_of(s, v):
     """Reference: coordinates of v in the canonical basis by a transposed solve."""
     if s.dim == 0:
         return () if all(x == 0 for x in v) else None
-    return solve(Matrix(s.basis_rows(), s.ambient_dim).transpose(), v)
+    return solve(Matrix(s.rows, s.ambient_dim).transpose(), v)
 
 
 def _catalog_subspaces(entries, rng):
@@ -231,7 +252,7 @@ def _catalog_subspaces(entries, rng):
 def test_coords_of_matches_the_solved_reference(entries, rng):
     outside_checked = 0
     for s in _catalog_subspaces(entries, rng):
-        n, rows = s.ambient_dim, s.basis_rows()
+        n, rows = s.ambient_dim, s.rows
         assert len(s.pivots) == s.dim
         for p, row in zip(s.pivots, rows):
             assert row[p] == 1 and all(x == 0 for x in row[:p])
@@ -281,13 +302,13 @@ def test_invariant_closure_is_the_canonical_subspace_of_its_rows(rng):
                 for _ in range(rng.randint(0, 2))]
         start = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2))]
         closure = invariant_closure(n, start, lambda v: [combine(v, m.entries, n) for m in maps])
-        canonical = Subspace(n, closure.basis_rows())
+        canonical = Subspace(n, closure.rows)
         assert closure == canonical and closure.pivots == canonical.pivots
-        assert all(type(x) is F for row in closure.basis_rows() for x in row)
+        assert all(type(x) is F for row in closure.rows for x in row)
         dense = Subspace(n, start)
         while True:
             grown = dense.add(Subspace(n, [combine(v, m.entries, n)
-                                           for v in dense.basis_rows() for m in maps]))
+                                           for v in dense.rows for m in maps]))
             if grown == dense:
                 break
             dense = grown
@@ -405,7 +426,7 @@ def subspace_pairs(draw):
 
 def rref_annihilator(s):
     """Reference: the annihilator by a fresh `rank_kernel` of the basis."""
-    return rank_kernel(Matrix(s.basis_rows(), s.ambient_dim))[1]
+    return rank_kernel(Matrix(s.rows, s.ambient_dim))[1]
 
 
 @PROPERTIES
@@ -419,7 +440,7 @@ def test_grassmann_identity_property(pair):
 
 def rereduced(s):
     """Reference: s rebuilt by a full `Subspace` reduction of its own rows."""
-    return Subspace(s.ambient_dim, s.basis_rows())
+    return Subspace(s.ambient_dim, s.rows)
 
 
 @PROPERTIES
@@ -432,10 +453,10 @@ def test_canonical_rows_are_taken_as_they_are_property(pair):
     for s in (total, meet, Subspace.full(n), Subspace.zero(n)):
         again = rereduced(s)
         assert again == s and again.pivots == s.pivots
-        assert all(isinstance(x, F) for row in s.basis_rows() for x in row)
-    assert total == Subspace(n, a.basis_rows() + b.basis_rows())
-    assert meet == annihilator(Subspace(n, annihilator(a).basis_rows()
-                                        + annihilator(b).basis_rows()))
+        assert all(isinstance(x, F) for row in s.rows for x in row)
+    assert total == Subspace(n, a.rows + b.rows)
+    assert meet == annihilator(Subspace(n, annihilator(a).rows
+                                        + annihilator(b).rows))
     assert Subspace.full(n) == Subspace(n, Matrix.identity(n).entries)
     assert Subspace.zero(n) == Subspace(n) and Subspace.zero(n).dim == 0
 
@@ -503,7 +524,7 @@ def test_rank_nullity_and_rref_invariance_property(case):
     m, e = case
     rank, ker = rank_kernel(m)
     assert rank + ker.dim == m.cols
-    assert all(not any(dense_apply(m, v)) for v in ker.basis_rows())
+    assert all(not any(dense_apply(m, v)) for v in ker.rows)
     assert (e * m).rref() == m.rref()
 
 

@@ -159,7 +159,7 @@ def _random_complements(data, rng, count):
         rows = []
         for row in base:
             shift = [F(0)] * len(row)
-            for w in data.n_c.basis_rows():
+            for w in data.n_c.rows:
                 c = F(rng.randint(-3, 3), rng.randint(1, 2))
                 shift = [a + c * b for a, b in zip(shift, w)]
             rows.append(tuple(a + b for a, b in zip(row, shift)))
@@ -293,9 +293,9 @@ def test_semidirect_witness_poincare_little_group(entries):
     data = little_group_step(poin.algebra, poin.ideals["translations"], cov)
     cov_inner = restrict(poin.algebra, cov, data.g_c)
     n_inner = Subspace(7, [coords_of(data.g_c, r)
-                           for r in poin.ideals["translations"].basis_rows()])
+                           for r in poin.ideals["translations"].rows])
     rot = poin.complements["lorentz"].intersect(data.g_c)
-    rot_inner = Subspace(7, [coords_of(data.g_c, r) for r in rot.basis_rows()])
+    rot_inner = Subspace(7, [coords_of(data.g_c, r) for r in rot.rows])
     rep = semidirect_witness(little_group_step(cov_inner.algebra, n_inner, cov_inner),
                              [("rotations", rot_inner)])
     assert rep.witness_name == "rotations"
@@ -403,7 +403,7 @@ def _identity_cases(entries, rng):
     for entry in [*entries.values(), *SEEDED_ENTRIES]:
         alg = entry.algebra
         for ideal in [*entry.ideals.values(), *random_ideals(alg, rng, 1)]:
-            fixed = annihilator(bracket_span(alg, Subspace.full(alg.dim), ideal)).basis_rows()
+            fixed = annihilator(bracket_span(alg, Subspace.full(alg.dim), ideal)).rows
             covs = [rand_covector(alg, rng) for _ in range(2)]
             covs += [Covector(alg, combine(rand_vec(rng, len(fixed)), fixed, alg.dim))
                      for _ in range(2)]
@@ -417,7 +417,7 @@ def test_g_c_is_g_exactly_when_the_point_orbit_hypothesis_holds(entries, rng):
     verdicts = []
     for alg, ideal, cov in _identity_cases(entries, rng):
         oracle = all(cov.pair(r) == 0
-                     for r in bracket_span(alg, Subspace.full(alg.dim), ideal).basis_rows())
+                     for r in bracket_span(alg, Subspace.full(alg.dim), ideal).rows)
         assert (little_group_step(alg, ideal, cov).g_c.dim == alg.dim) == oracle
         verdicts.append(oracle)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
@@ -592,7 +592,7 @@ def test_annihilator_identity_guard_fuzzed(entries, rng):
             cov = rand_covector(alg, rng)
             data = little_group_step(alg, ideal, cov)
             rel = verify_step_relations(data)
-            assert rel.annihilator_identity, (entry.name, ideal.basis_rows(), cov.coords)
+            assert rel.annihilator_identity, (entry.name, ideal.rows, cov.coords)
             assert not rel.theorem_violated
             cases += 1
     assert cases >= 40
@@ -619,14 +619,14 @@ def image_chain_exp_linear(data):
     chain iterated until it stabilizes."""
     alg, cov = data.algebra, data.covector
     if any(cov.pair(alg.bracket(w, v)) != 0
-           for w in data.n_c.basis_rows() for v in data.ideal.basis_rows()):
+           for w in data.n_c.rows for v in data.ideal.rows):
         return False
-    for z in data.n_c.basis_rows():
+    for z in data.n_c.rows:
         m = ad_matrix(alg, z)
         power, prev_image = m * m, None
         while True:
             img = Subspace(power.rows, power.transpose().entries)
-            if any(cov.pair(direction) != 0 for direction in img.basis_rows()):
+            if any(cov.pair(direction) != 0 for direction in img.rows):
                 return False
             if img == prev_image or img.dim == 0:
                 break

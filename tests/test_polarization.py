@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 from orbitkit import polarization
-from orbitkit.catalog import parse_algebra
+from orbitkit.catalog import parse_algebra, parse_entry
 from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
 from orbitkit.structure import (
+    NotClosedError,
     ascending_central_series,
     centralizer,
+    check_subalgebra,
     derived_series,
     is_ideal,
     orbit_annihilator,
@@ -20,14 +22,22 @@ from orbitkit.structure import (
     stabilizer,
     subquotient,
 )
-from orbitkit.linalg import Subspace, basis_vector, combine
+from orbitkit.linalg import Subspace, basis_vector, combine, invariant_closure
 from orbitkit.polarization import (
     PolarizationStep,
     StrategyExhausted,
     exponential_precheck,
     pukanszky_polarization,
 )
-from conftest import coords_of, n5_three_steps, rand_covector, rand_vec, strictly_upper
+from conftest import (
+    coords_of,
+    hull_orbit_annihilator,
+    n5_three_steps,
+    rand_covector,
+    rand_frac,
+    rand_vec,
+    strictly_upper,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -139,18 +149,27 @@ def test_one_orbit_annihilator_per_descent_step(monkeypatch):
     assert trace.rejected and len(calls) == len(trace.steps) == 3
 
 
-def test_every_window_algebra_is_built_from_alg(monkeypatch):
-    """Windows are subspaces of g: each step builds one window algebra and one
-    candidate quotient, both taken in alg itself, never in a window's algebra."""
+def test_an_automatic_step_builds_one_algebra_and_a_chain_step_none(monkeypatch):
+    """No window algebra: the stop test and the orbit annihilator are read in g,
+    so an automatic step builds only its candidate quotient, taken in alg, and a
+    user chain builds no algebra.  The descent uses neither `restrict` nor
+    `kks_pairing`."""
+    assert not hasattr(polarization, "restrict") and not hasattr(polarization, "kks_pairing")
     alg, cov = n5_three_steps()
-    seen = []
-    for name in ("subquotient", "restrict"):
-        real = getattr(polarization, name)
-        monkeypatch.setattr(polarization, name,
-                            lambda a, *rest, real=real: seen.append(a) or real(a, *rest))
-    trace = pukanszky_polarization(alg, cov, override_precheck=True)
-    assert len(trace.steps) == 3 and len(seen) == 2 * len(trace.steps)
-    assert all(a is alg for a in seen)
+    built, quotients = [], []
+    from_brackets = LieAlgebra.from_brackets.__func__
+    monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(
+        lambda cls, *args, **kw: built.append(args) or from_brackets(cls, *args, **kw)))
+    real = polarization.subquotient
+    monkeypatch.setattr(polarization, "subquotient",
+                        lambda a, *rest: quotients.append(a) or real(a, *rest))
+    auto = pukanszky_polarization(alg, cov, override_precheck=True)
+    assert len(auto.steps) == 3 and len(quotients) == len(built) == 3
+    assert all(a is alg for a in quotients)
+    built.clear()
+    replay = pukanszky_polarization(alg, cov, override_precheck=True,
+                                    chain=[s.ideal for s in auto.steps])
+    assert replay.steps == auto.steps and built == []
 
 
 def test_a_chain_ideal_outside_its_window_is_refused():
@@ -271,7 +290,7 @@ def nested_window_polarization(alg, cov, chain=None):
     for step_index in range(n + 1):
         if kks_pairing(inner, cur_cov).is_zero():
             break
-        ann_x = orbit_annihilator(inner, cur_cov)
+        ann_x = hull_orbit_annihilator(inner, cur_cov)
         if chain is not None:
             try:
                 ideal = next(chain_iter)
@@ -354,19 +373,86 @@ def test_ambient_descent_matches_the_nested_route_on_a_chain_that_is_not_nested(
     assert result == _span(5, 1, 2, 4)
 
 
-SEEDED = [(families.heisenberg, 4, "h9"),(families.nilradical, 5, "n5"),
-          (families.filiform, 9, "L9"), (families.borel, 3, "b3"),
-          (families.borel, 4, "b4"), (families.borel, 5, "b5")]
+def _sparse_vec(rng, n):
+    """About half the entries 0: such covectors reach early stops and exhaustion."""
+    return tuple(F(0) if rng.random() < 0.5 else rand_frac(rng, -5, 5, 3) for _ in range(n))
 
 
-@pytest.mark.parametrize("make,size,stem", SEEDED, ids=[s for _, _, s in SEEDED])
-def test_ambient_descent_matches_the_nested_route_on_seeded_families(make, size, stem):
-    for seed in range(2):
+# seeded families at seeds 0-1, and the benchmark's `polarize` families
+# (`workloads._POLARIZE`: h5, h7, L6-L8, n4, b3, b4) at seeds 1-3
+SEEDED = [(families.heisenberg, 4, "h9", (0, 1)), (families.nilradical, 5, "n5", (0, 1)),
+          (families.filiform, 9, "L9", (0, 1)), (families.borel, 3, "b3", (0, 1, 2, 3)),
+          (families.borel, 4, "b4", (0, 1, 2, 3)), (families.borel, 5, "b5", (0, 1)),
+          (families.heisenberg, 2, "h5", (1, 2, 3)), (families.heisenberg, 3, "h7", (1, 2, 3)),
+          (families.filiform, 6, "L6", (1, 2, 3)), (families.filiform, 7, "L7", (1, 2, 3)),
+          (families.filiform, 8, "L8", (1, 2, 3)), (families.nilradical, 4, "n4", (1, 2, 3))]
+
+
+@pytest.mark.parametrize("make,size,stem,seeds", SEEDED, ids=[s for _, _, s, _ in SEEDED])
+def test_ambient_descent_matches_the_nested_route_on_seeded_families(make, size, stem, seeds):
+    for seed in seeds:
         alg = parse_algebra(make(size, families.family_rng(seed, stem)).doc)
         rng = random.Random(f"{stem}:{seed}")
         for _ in range(3):
             _assert_routes_agree(alg, Covector(alg, rand_vec(rng, alg.dim, lo=-5, hi=5,
                                                              max_den=3)))
+        _assert_routes_agree(alg, Covector(alg, _sparse_vec(rng, alg.dim)))
+
+
+# -- the orbit annihilator of a subalgebra, computed in g -------------------------
+
+
+ANNIHILATOR_FAMILIES = [parse_entry(make(size, families.family_rng(0, stem)).doc)
+                        for make, size, stem in ((families.heisenberg, 4, "h9"),
+                                                 (families.nilradical, 5, "n5"),
+                                                 (families.filiform, 9, "L9"),
+                                                 (families.borel, 4, "b4"),
+                                                 (families.poincare, 4, "poincare4"))]
+
+
+def _window_orbit_annihilator(alg, cov, sub):
+    """The window route: restrict cov to the subalgebra sub, take the reference
+    annihilator in sub's own algebra and lift it back to g."""
+    inner = restrict(alg, cov, sub)
+    return Subspace(alg.dim, [combine(r, sub.rows, alg.dim)
+                              for r in hull_orbit_annihilator(inner.algebra, inner).rows])
+
+
+def _subalgebras(alg, cov, ideals):
+    """g, the stabilizer, each declared ideal that is a subalgebra and each window
+    of the descent at cov (with its result), when the descent gets through."""
+    subs = [Subspace.full(alg.dim), stabilizer(alg, cov)]
+    for ideal in ideals:
+        try:
+            check_subalgebra(alg, ideal)
+            subs.append(ideal)
+        except NotClosedError:
+            pass
+    try:
+        trace = pukanszky_polarization(alg, cov, override_precheck=True)
+        subs += [s.g_i for s in trace.steps[1:]] + [trace.result]
+    except StrategyExhausted:
+        pass
+    return subs
+
+
+def test_orbit_annihilator_is_the_largest_ideal_of_the_subalgebra_inside_ker_f(entries, rng):
+    for entry in [*entries.values(), *ANNIHILATOR_FAMILIES]:
+        alg = entry.algebra
+        for cov in (rand_covector(alg, rng), Covector(alg, _sparse_vec(rng, alg.dim))):
+            assert orbit_annihilator(alg, cov) == hull_orbit_annihilator(alg, cov)
+            for sub in _subalgebras(alg, cov, entry.ideals.values()):
+                ann = orbit_annihilator(alg, cov, sub)
+                assert ann == _window_orbit_annihilator(alg, cov, sub), (entry.name, sub)
+                assert sub.contains_subspace(ann)
+                assert ann.contains_subspace(bracket_span(alg, sub, ann))
+                assert all(cov.pair(r) == 0 for r in ann.rows)
+                for row in sub.rows:
+                    if not ann.contains(row):
+                        grown = invariant_closure(
+                            alg.dim, ann.rows + (row,),
+                            lambda v: (alg.bracket_exact(w, v) for w in sub.rows))
+                        assert any(cov.pair(r) != 0 for r in grown.rows), (entry.name, row)
 
 
 def test_random_covectors_full_pipeline(entries, rng):

@@ -120,8 +120,8 @@ def fixed_point_hull(alg, start, u):
     hull = start
     while True:
         grown = hull
-        for z in u.basis_rows():
-            grown = grown.add(Subspace(alg.dim, [alg.bracket(z, w) for w in hull.basis_rows()]))
+        for z in u.rows:
+            grown = grown.add(Subspace(alg.dim, [alg.bracket(z, w) for w in hull.rows]))
         if grown == hull:
             return hull
         hull = grown
