@@ -26,19 +26,20 @@ argument) print a message on stderr, nothing on stdout, and exit 2.
 it takes an algebra and needs a `--point`, handler): it parses argv, prints
 the help and dispatches.  The handlers that run on points share one loop.
 
-Start-up is paid on every invocation, and the import graph is where it is
-decided: without cached bytecode, compiling the modules an invocation
-imports is about 30% of its time.  The median of `python -m orbitkit.cli`
-on four benchmark invocations (`orbit`, `mackey`, `parabolic`, `polarize`)
-read 81 ms with the package's `__pycache__` removed and
-PYTHONDONTWRITEBYTECODE=1, and 57 ms after `compileall`; three such runs
-of 11 to 21 repetitions read 28% to 37% (shared 2-core Linux host, Python
-3.11).  So this module imports only what every subcommand needs
-(`catalog`, `liealg`, `linalg`), and no argument parser library.  Each
-handler imports its own analysis modules (`conditions`, `mackey`,
-`polarization`, `reductive`, `induction`, and through them `structure`,
-`polynomials` and `qi_roots`), and `catalog:NAME` alone imports the
-built-in entries and builds only the entry named.
+Start-up is paid on every invocation.  Medians of 31 alternating runs,
+pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 (shared 2-core Linux host,
+Python 3.11): `python -c pass` takes 61 ms and `python -S -c pass` 13 ms,
+so about 48 ms of each invocation is the interpreter's `site` start-up,
+which the package cannot move.  Compiling the modules an invocation imports
+comes next: `orbit`, `mackey` and `polarize` on catalog algebras take 86,
+105 and 101 ms without cached bytecode and 62, 75 and 66 ms with it, while
+the analysis itself, in process after the imports, has a median of 1.4 to
+8.8 ms per benchmark invocation.  So this module imports only what every
+subcommand needs (`catalog`, `liealg`, `linalg`), and no argument parser
+library.  Each handler imports its own analysis modules (`conditions`,
+`mackey`, `polarization`, `reductive`, `induction`, and through them
+`structure`, `polynomials` and `qi_roots`), and `catalog:NAME` alone
+imports the built-in entries and builds only the entry named.
 The report classes are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.
 

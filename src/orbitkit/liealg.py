@@ -213,13 +213,23 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
 
 def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
-    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]> = sum_k x_k c[i][j][k]."""
-    x = cov.coords
-    return Matrix._of(
-        tuple(tuple(sum((x[k] * c for k, c in entries), ZERO) for entries in plane)
-              for plane in alg.nonzeros),
-        alg.dim,
-    )
+    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]> = sum_k x_k c[i][j][k].
+
+    It is built once per covector and kept on it as `_pairing`, which is not a
+    field, so equality and the repr skip it; a covector of another algebra is refused.
+    """
+    if cov.algebra is not alg and cov.algebra != alg:
+        raise ValueError("covector of another algebra")
+    b = getattr(cov, "_pairing", None)
+    if b is None:
+        x = cov.coords
+        b = Matrix._of(
+            tuple(tuple(sum((x[k] * c for k, c in entries), ZERO) for entries in plane)
+                  for plane in alg.nonzeros),
+            alg.dim,
+        )
+        object.__setattr__(cov, "_pairing", b)
+    return b
 
 
 def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:

@@ -19,7 +19,10 @@ The method does not claim to produce every Pukanszky polarization.
 The exponential precheck is sampled and therefore necessary-only: it
 certifies solvability exactly and looks for purely imaginary ad-eigenvalues
 on the basis plus PRECHECK_SAMPLES random elements drawn from the fixed
-PRECHECK_SEED, via exact Sturm counts.
+PRECHECK_SEED.  Each element z is tested exactly: with the characteristic
+polynomial of ad z at iy written A(y) + i B(y), the eigenvalues on iR* are
+the iy for the nonzero real roots y of gcd(A, B), which
+`polynomials.real_root_count` counts.
 """
 
 from __future__ import annotations
@@ -30,19 +33,8 @@ from typing import Optional, Sequence
 
 from .conditions import ConditionReport, check_conditions
 from .liealg import Covector, LieAlgebra, bracket_span
-from .linalg import ONE, Record, Subspace, basis_vector, combine
-from .polynomials import (
-    charpoly,
-    deg,
-    derivative,
-    divmod_poly,
-    eval_at,
-    gcd,
-    is_zero,
-    poly,
-    scale,
-    sign_variations,
-)
+from .linalg import Record, Subspace, basis_vector, combine
+from .polynomials import charpoly, gcd, poly, real_root_count
 from .structure import (
     ad_matrix,
     ascending_central_series,
@@ -80,76 +72,21 @@ class ExponentialReport(Record):
         }
 
 
-# -- Sturm counts of real roots, for the exponential precheck -----------------
-
-
-def strip_zero_roots(p: tuple) -> tuple[int, tuple]:
-    """Write p = x^k * q with q(0) != 0; return (k, q)."""
-    k = 0
-    q = list(p)
-    while q and q[0] == 0:
-        q.pop(0)
-        k += 1
-    return k, poly(q)
-
-
-def even_part(p: tuple) -> Optional[tuple]:
-    """D with p(x) = D(x^2), or None if p has an odd-degree term."""
-    if any(a != 0 for i, a in enumerate(p) if i % 2 == 1):
-        return None
-    return poly([p[i] for i in range(0, len(p), 2)])
-
-
-def sturm_sequence(p: tuple) -> list[tuple]:
-    chain = [poly(p), derivative(p)]
-    while not is_zero(chain[-1]) and deg(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if is_zero(rem):
-            break
-        chain.append(scale(-1, rem))
-    return [c for c in chain if not is_zero(c)]
-
-
-def _sign_at_minus_inf(p: tuple) -> Fraction:
-    s = p[-1] * (ONE if deg(p) % 2 == 0 else -ONE)
-    return s
-
-
-def count_negative_roots(p: tuple) -> int:
-    """Number of distinct real roots of p in (-inf, 0).
-
-    Requires p(0) != 0 so the Sturm count over (-inf, 0] equals the open
-    interval count.
-    """
-    if is_zero(p):
-        raise ValueError("zero polynomial")
-    if eval_at(p, 0) == 0:
-        raise ValueError("polynomial vanishes at 0; strip zero roots first")
-    if deg(p) == 0:
-        return 0
-    chain = sturm_sequence(p)
-    at_minus_inf = [_sign_at_minus_inf(c) for c in chain]
-    at_zero = [eval_at(c, 0) for c in chain]
-    return sign_variations(at_minus_inf) - sign_variations(at_zero)
-
-
 def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:
     """True when ad(z) has a nonzero purely imaginary eigenvalue.
 
-    With p the characteristic polynomial, d = gcd(p(x), p(-x)) collects the
-    eigenvalues symmetric under negation; writing d = x^k E(x^2), nonzero
-    imaginary pairs correspond exactly to negative real roots of E, counted
-    by an exact Sturm sequence.
+    With p = sum_k c_k x^k the characteristic polynomial, p(iy) = A(y) + i B(y)
+    for the real polynomials A(y) = sum_k c_2k (-1)^k y^2k and
+    B(y) = sum_k c_2k+1 (-1)^k y^2k+1, so for real y, iy is an eigenvalue
+    exactly when y is a root of g = gcd(A, B).  With g's factor y^m (the
+    eigenvalue 0) dropped, the answer is whether the rest has a real root:
+    one Sturm count, `polynomials.real_root_count`.
     """
     p = charpoly(ad_matrix(alg, z))
-    p_neg = poly([a if i % 2 == 0 else -a for i, a in enumerate(p)])
-    d = gcd(p, p_neg)
-    _, stripped = strip_zero_roots(d)
-    e = even_part(stripped)
-    if e is None:
-        # d(-x) = +/- d(x), so after stripping x^k the rest is even
-        raise AssertionError("even part extraction failed on a symmetric gcd")
-    return count_negative_roots(e) > 0
+    a = poly([(-1) ** (k // 2) * c if k % 2 == 0 else 0 for k, c in enumerate(p)])
+    b = poly([(-1) ** (k // 2) * c if k % 2 else 0 for k, c in enumerate(p)])
+    g = gcd(a, b)
+    return real_root_count(g[next(k for k, c in enumerate(g) if c):]) > 0
 
 
 # The sampled elements are fixed, so a precheck report depends on the algebra alone.

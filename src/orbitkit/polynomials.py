@@ -3,10 +3,11 @@
 Polynomials are coefficient tuples in increasing degree, always with exact
 Fraction entries and no trailing zeros.  This carries the characteristic
 polynomial and the gcd/squarefree machinery behind the exact Jordan
-splitting.  The factors with roots in Q(i) that the hyperbolic/elliptic
-split and the grading need are in `qi_roots`, and the Sturm counts of the
-exponential precheck are in `polarization`, so `classify`, which reads only
-a signature, compiles neither.
+splitting, and `real_root_count`, the number of distinct real roots by
+Sturm's theorem, which the exponential precheck's imaginary-eigenvalue test
+reads.  The factors with roots in Q(i) that the hyperbolic/elliptic split
+and the grading need are in `qi_roots`, so `classify`, which reads only a
+signature, does not compile them.
 
 `charpoly` reduces the matrix to upper Hessenberg form by similarity over Q
 and reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
@@ -130,14 +131,6 @@ def squarefree_part(p: tuple) -> tuple:
         return monic(p)
     g = gcd(p, derivative(p))
     return monic(divmod_poly(p, g)[0])
-
-
-def eval_at(p: tuple, x) -> Fraction:
-    x = frac(x)
-    acc = ZERO
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
 
 
 def eval_matrix(p: tuple, m: Matrix) -> Matrix:
@@ -268,6 +261,29 @@ def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
     pos = sign_variations(chi)
     neg = sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
     return pos, neg, pos + neg
+
+
+def sturm_sequence(p: tuple) -> list[tuple]:
+    """p, p', then the negated remainders -rem(p_{k-1}, p_k) up to the last nonzero one."""
+    chain = [p, derivative(p)]
+    while not is_zero(chain[-1]):
+        chain.append(scale(-1, divmod_poly(chain[-2], chain[-1])[1]))
+    return chain[:-1]
+
+
+def real_root_count(p: tuple) -> int:
+    """Number of distinct real roots of a nonzero p, by Sturm's theorem.
+
+    It is V(-inf) - V(+inf), V the sign variations along `sturm_sequence(p)`,
+    whose signs at +-inf are those of the leading coefficients, times
+    (-1)^deg at -inf (Basu-Pollack-Roy, *Algorithms in Real Algebraic
+    Geometry*, 2006, ch. 2).
+    """
+    if is_zero(p):
+        raise ValueError("the zero polynomial has no finite real root count")
+    chain = sturm_sequence(p)
+    return (sign_variations([-c[-1] if deg(c) % 2 else c[-1] for c in chain])
+            - sign_variations([c[-1] for c in chain]))
 
 
 def is_rational_square(r: Fraction) -> Optional[Fraction]:

@@ -1,18 +1,65 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from orbitkit.catalog import builtin_catalog
+from orbitkit.catalog import builtin_catalog, parse_entry
 from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull
 from orbitkit.linalg import Matrix, rank_kernel, vec, vec_dot
-from orbitkit.polynomials import deg, is_rational_square, monic, poly
+from orbitkit.polynomials import (
+    deg,
+    derivative,
+    divmod_poly,
+    gcd,
+    is_rational_square,
+    monic,
+    poly,
+    scale,
+    sign_variations,
+)
+from orbitkit.polarization import StrategyExhausted, pukanszky_polarization
 from orbitkit.structure import restrict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402  (perfbench/ is not a package)
 
 
 @pytest.fixture(scope="session")
 def entries():
     return builtin_catalog()
+
+
+def seeded_family_entries():
+    """The seeded h9, n5, L9, b4 and Poincare d=4 (seed 0), as catalog entries."""
+    return [parse_entry(make(size, families.family_rng(0, stem)).doc)
+            for make, size, stem in ((families.heisenberg, 4, "h9"),
+                                     (families.nilradical, 5, "n5"),
+                                     (families.filiform, 9, "L9"),
+                                     (families.borel, 4, "b4"),
+                                     (families.poincare, 4, "poincare4"))]
+
+
+@pytest.fixture(scope="session")
+def descents(entries):
+    """(entry, covector, trace) over the catalog and `seeded_family_entries`: each
+    declared covector, two seeded ones and a seeded one with about half its entries 0,
+    with the automatic descent at each (trace None where the ideal search is exhausted)."""
+    rng = random.Random(26)
+    out = []
+    for entry in [*entries.values(), *seeded_family_entries()]:
+        alg = entry.algebra
+        sparse = [0 if rng.random() < 0.5 else rand_frac(rng, -5, 5, 3) for _ in range(alg.dim)]
+        for coords in [*entry.covectors.values(), rand_vec(rng, alg.dim, -5, 5, 3),
+                       rand_vec(rng, alg.dim, -5, 5, 3), sparse]:
+            cov = Covector(alg, coords)
+            try:
+                trace = pukanszky_polarization(alg, cov, override_precheck=True)
+            except StrategyExhausted:
+                trace = None
+            out.append((entry, cov, trace))
+    return out
 
 
 def dense_apply(m, v):
@@ -77,6 +124,32 @@ def hull_orbit_annihilator(alg, cov):
     """The route `structure.orbit_annihilator` replaced for sub = g: the elements
     pairing to zero with cov and with its Krylov hull, the orbit's linear span."""
     return rank_kernel(Matrix([cov.coords, *krylov_hull(alg, cov).rows]))[1]
+
+
+# -- the negation-gcd route to an imaginary root, kept as a reference ------------
+
+
+def negation_gcd_has_imaginary_root(p):
+    """Whether p has a nonzero purely imaginary root, by the route that
+    `polarization._has_imaginary_eigenvalue` replaced: d = gcd(p(x), p(-x)) collects
+    the roots symmetric under negation.  Writing d = x^k E(x^2), the nonzero imaginary
+    pairs are the negative real roots of E, which a Sturm sequence counts as
+    V(-inf) - V(0)."""
+    d = gcd(p, poly([-a if i % 2 else a for i, a in enumerate(p)]))
+    while not d[0]:
+        d = d[1:]                   # strip the roots at 0
+    assert not any(d[1::2])        # d(-x) = +-d(x), so the rest is even
+    e = poly(d[::2])
+    if deg(e) == 0:
+        return False
+    chain = [e, derivative(e)]
+    while deg(chain[-1]) > 0:
+        rem = divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(scale(-1, rem))
+    at_minus_inf = [c[-1] if deg(c) % 2 == 0 else -c[-1] for c in chain]
+    return sign_variations(at_minus_inf) - sign_variations([c[0] for c in chain]) > 0
 
 
 # -- coordinates in a canonical basis -------------------------------------------

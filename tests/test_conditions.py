@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from orbitkit import conditions, liealg, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector
 from orbitkit.linalg import Subspace, basis_vector
@@ -51,18 +50,6 @@ def test_check_conditions_sl2_cartan(entries):
     assert not rep.coisotropic
     assert rep.orth == Subspace.full(3)
     assert "orth_outside" in rep.witnesses
-
-
-def test_check_conditions_builds_the_pairing_twice(entries, monkeypatch):
-    """Once for the stabilizer and once for h(cov); the orthogonal is read off h(cov)."""
-    calls = []
-    real = liealg.kks_pairing
-    for mod in (liealg, structure, conditions):
-        if hasattr(mod, "kks_pairing"):
-            monkeypatch.setattr(mod, "kks_pairing", lambda *args: calls.append(args) or real(*args))
-    h3 = entries["heisenberg3"].algebra
-    assert check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1))).all_flags()
-    assert len(calls) == 2
 
 
 def test_check_conditions_rejects_non_subalgebra(entries):
@@ -132,3 +119,35 @@ def test_polarization_dimension_formula(entries, rng):
     stab = stabilizer(h3, Covector(h3, (0, 0, 1)))
     assert rep.is_polarization
     assert 2 * rep.subalgebra.dim == h3.dim + stab.dim
+
+
+# -- printed flags that hold by theorem --------------------------------------------
+
+
+def _descent_subalgebras(entry, cov, trace):
+    """g, the stabilizer, each declared ideal and each window of the descent at cov,
+    with its result."""
+    subs = [Subspace.full(entry.algebra.dim), stabilizer(entry.algebra, cov),
+            *entry.ideals.values()]
+    return subs + ([s.g_i for s in trace.steps] + [trace.result] if trace else [])
+
+
+def test_the_tangent_pukanszky_flag_is_coisotropy(descents):
+    """h(f) = ann(h^f), so ann(h) <= h(f) iff h^f <= h."""
+    for entry, cov, trace in descents:
+        for h in _descent_subalgebras(entry, cov, trace):
+            rep = check_conditions(entry.algebra, h, cov)
+            assert rep.pukanszky_infinitesimal == rep.coisotropic, (entry.name, cov, h)
+
+
+def test_the_dimension_identity_is_true_whenever_it_is_not_null(descents):
+    """dim h^f = dim g - dim h + dim (h ∩ g_f), so h = h^f containing g_f has
+    2 dim h = dim g + dim g_f."""
+    decided = 0
+    for entry, cov, trace in descents:
+        for h in _descent_subalgebras(entry, cov, trace):
+            identity = check_conditions(entry.algebra, h, cov).dimension_identity
+            assert identity in (None, True), (entry.name, cov, h)
+            decided += identity is not None
+    assert decided >= 20
+

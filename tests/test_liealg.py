@@ -58,6 +58,7 @@ from conftest import (
     dense_apply,
     dense_from_brackets,
     dense_structure,
+    n5_three_steps,
     rand_covector,
     rand_vec,
     strictly_upper,
@@ -127,6 +128,62 @@ def test_kks_pairing_sl2_trace_dual(entries):
     b = kks_pairing(sl2, Covector(sl2, (2, 0, 0)))  # trace dual of h
     assert b.entries[1][2] == 2 and b.entries[2][1] == -2
     assert rank_kernel(b)[0] == 2
+
+
+def test_kks_pairing_refuses_a_covector_of_another_algebra(entries):
+    h3, sl2 = entries["heisenberg3"].algebra, entries["sl2"].algebra
+    with pytest.raises(ValueError, match="another algebra"):
+        kks_pairing(sl2, Covector(h3, (0, 0, 1)))
+    twin = LieAlgebra(h3.dim, h3.labels, h3.nonzeros, h3.matrix_rep, h3.name)
+    assert kks_pairing(twin, Covector(h3, (0, 0, 1))) == kks_pairing(h3, Covector(twin, (0, 0, 1)))
+
+
+ONE_POINT = ["mackey_report", "classify", "check_conditions", "orbit_record",
+             "polarize_filiform4", "n5_three_steps"]
+
+
+def _analyse_one_point(name, entries):
+    """Run one per-point analysis and return the covector it ran at.  The parent
+    built the pairing 5, 4, 2, 2, 5 and 9 times in these."""
+    if name == "n5_three_steps":
+        alg, cov = n5_three_steps()
+        polarization.pukanszky_polarization(alg, cov)
+        return cov
+    if name == "polarize_filiform4":
+        alg = entries["filiform4"].algebra
+        cov = Covector(alg, (0, 0, 1, 1))
+        polarization.pukanszky_polarization(alg, cov)
+        return cov
+    entry = entries["poincare"]
+    alg, n = entry.algebra, entry.ideals["translations"]
+    cov = Covector(alg, entry.covectors["timelike_spinning"])
+    if name == "mackey_report":
+        mackey.mackey_report(alg, n, cov)
+    elif name == "classify":
+        data = little_group_step(alg, n, cov)
+        mackey.classify_little_algebra(data)
+        mackey.abelian_step(data)
+    elif name == "check_conditions":
+        check_conditions(alg, Subspace.full(alg.dim), cov)
+    else:
+        orbit_record(alg, cov)
+    return cov
+
+
+@pytest.mark.parametrize("name", ONE_POINT)
+def test_each_point_builds_its_pairing_once(entries, monkeypatch, name):
+    """Every read of a covector's pairing returns the one matrix built for it."""
+    real, built = liealg.kks_pairing, []
+
+    def counted(alg, cov):
+        built.append(real(alg, cov))
+        return built[-1]
+
+    for mod in (liealg, structure):
+        monkeypatch.setattr(mod, "kks_pairing", counted)
+    cov = _analyse_one_point(name, entries)
+    assert len(built) >= 2 and len({id(b) for b in built}) == 1
+    assert built[0] == real(cov.algebra, Covector(cov.algebra, cov.coords))
 
 
 def test_orbit_record_heisenberg(entries):
@@ -432,6 +489,28 @@ def test_orbit_dim_at_a_generic_covector_is_dim_minus_index(make, size):
     record = orbit_record(alg, Covector(alg, point))
     assert record.orbit_dim == family.dim - family.index
     assert record.stabilizer.dim == family.index
+
+
+# Closed-form indices past the ladder, at dim 2-35; a seeded covector has the
+# generic orbit dimension dim - ind.
+#   * sl_n: ind = rank = n - 1, a regular semisimple stabilizer being a Cartan subalgebra.
+#   * b_n, the Borel subalgebra of sl_n: ind b = rk g - |K|, K Kostant's cascade of
+#     strongly orthogonal roots (A. Joseph, J. Algebra 48, 1977).  In type A_(n-1) the
+#     cascade is e_1 - e_n, e_2 - e_(n-1), ..., floor(n/2) roots, so
+#     ind b_n = n - 1 - floor(n/2) = floor((n-1)/2).
+#   * Poincare so(1, d-1) |x R^d: ind = floor((d+1)/2) (M. Rais, C. R. Acad. Sci. Paris
+#     Ser. A 287, 1978).
+CLOSED_FORM = ([(families.sl, n, n - 1) for n in range(2, 7)]
+               + [(families.borel, n, (n - 1) // 2) for n in range(2, 9)]
+               + [(families.poincare, d, (d + 1) // 2) for d in range(3, 7)])
+
+
+@pytest.mark.parametrize("make,size,index", CLOSED_FORM,
+                         ids=[f"{m.__name__}{s}" for m, s, _ in CLOSED_FORM])
+def test_orbit_dim_at_a_seeded_covector_is_dim_minus_the_closed_form_index(make, size, index):
+    alg = parse_algebra(make(size, families.family_rng(0, f"closed{size}")).doc)
+    cov = Covector(alg, rand_vec(random.Random(size), alg.dim, lo=-5, hi=5, max_den=3))
+    assert orbit_dim(alg, cov) == alg.dim - index
 
 
 def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):

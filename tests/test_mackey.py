@@ -634,6 +634,25 @@ def image_chain_exp_linear(data):
     return True
 
 
+def test_the_step_two_relations_and_the_dimension_count_hold_property(descents):
+    """For an ideal n and c = f|n: f([X, g]) = 0 gives f([X, n]) = 0, so g_f <= g_c <= h;
+    n_c(f) = ann(h) holds for every ideal (`verify_step_relations`); Z in n_c has
+    f([Z, n]) = 0 and [Z, g] <= n, so f([n_c, n]) = 0 and f . ad(Z)^2 = 0; and in the
+    symplectic g/g_f, with N the image of n and N^f that of g_c, both restricted ranks
+    are the dimension less dim(N ∩ N^f), which is codim(N + N^f), so
+    dim_x = 2 dim g/h + dim_u + dim_v."""
+    checked = 0
+    for entry, cov, _ in descents:
+        for n in entry.ideals.values():
+            rep = mackey_report(entry.algebra, n, cov)
+            rel = rep.relations
+            assert rel.stabilizer_in_h and rel.annihilator_identity and rel.exp_linear, (
+                entry.name, cov, n)
+            assert not rel.theorem_violated and rep.dims_consistent, (entry.name, cov, n)
+            checked += 1
+    assert checked >= 30
+
+
 def test_exp_linear_matches_the_image_chain_reference(entries, rng):
     # On true little-group data exp-linearity always holds: for Z in n_c,
     # ad(Z)^2 g lies in [Z, n], where cov vanishes.  Directions taken from

@@ -1,16 +1,19 @@
 import random
 import sys
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from orbitkit import polarization
-from orbitkit.catalog import parse_algebra, parse_entry
+from orbitkit.catalog import parse_algebra
 from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.structure import (
     NotClosedError,
+    ad_matrix,
     ascending_central_series,
     centralizer,
     check_subalgebra,
@@ -22,7 +25,7 @@ from orbitkit.structure import (
     stabilizer,
     subquotient,
 )
-from orbitkit.linalg import Subspace, basis_vector, combine, invariant_closure
+from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
 from orbitkit.polarization import (
     PolarizationStep,
     StrategyExhausted,
@@ -33,9 +36,11 @@ from conftest import (
     coords_of,
     hull_orbit_annihilator,
     n5_three_steps,
+    negation_gcd_has_imaginary_root,
     rand_covector,
     rand_frac,
     rand_vec,
+    seeded_family_entries,
     strictly_upper,
 )
 
@@ -69,6 +74,75 @@ def test_precheck_euclid_fails_with_rotation_witness(entries):
 def test_precheck_sl2_not_solvable(entries):
     rep = exponential_precheck(entries["sl2"].algebra)
     assert not rep.is_solvable and not rep.passed
+
+
+def _companion_algebra(p):
+    """R |x Q^d with ad(t) the companion matrix of the monic p of degree d on Q^d:
+    [t, e_j] = e_(j+1) for j < d - 1 and [t, e_(d-1)] = -sum_k p_k e_k, so
+    charpoly(ad t) = x p(x)."""
+    d = deg(p)
+    brackets = {(0, j + 1): {j + 2: 1} for j in range(d - 1)}
+    brackets[(0, d)] = {k + 1: -p[k] for k in range(d)}
+    return LieAlgebra.from_brackets(["t"] + [f"e{j}" for j in range(d)], brackets)
+
+
+def _seeded_monic_polynomial(rng):
+    """The charpoly of a random integer d x d matrix (d <= 7, about half its entries 0)
+    or of a random antisymmetric one, or a product of x, x - r, x^2 + b and
+    x^2 + a x + b factors."""
+    kind, d = rng.randrange(3), rng.randint(1, 7)
+    entry = lambda: rng.randint(-3, 3) if rng.random() < 0.5 else 0
+    if kind == 0:
+        return charpoly(Matrix([[entry() for _ in range(d)] for _ in range(d)], d))
+    if kind == 1:
+        upper = [[entry() for _ in range(d)] for _ in range(d)]
+        return charpoly(Matrix([[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                                 for j in range(d)] for i in range(d)], d))
+    factors = [poly([0, 1]), poly([-rand_frac(rng, -5, 5, 3), 1]),
+               poly([rand_frac(rng, -5, 5, 3), 0, 1]),
+               poly([rand_frac(rng, -5, 5, 3), rand_frac(rng, -5, 5, 3), 1])]
+    return reduce(mul, [rng.choice(factors) for _ in range(rng.randint(1, 4))])
+
+
+def test_the_imaginary_eigenvalue_test_matches_the_negation_gcd_route_on_5000_polynomials():
+    rng = random.Random(26)
+    found = 0
+    for _ in range(5000):
+        p = _seeded_monic_polynomial(rng)
+        alg = _companion_algebra(p)
+        want = negation_gcd_has_imaginary_root(mul(poly([0, 1]), p))
+        assert polarization._has_imaginary_eigenvalue(alg, basis_vector(alg.dim, 0)) == want, p
+        found += want
+    assert 1000 < found < 4000  # both answers are well represented
+
+
+# the benchmark's `polarize` families (`workloads._POLARIZE`) and sl3, sl4, at seed 0
+PRECHECK_FAMILIES = [(families.heisenberg, 2, "h5"), (families.heisenberg, 3, "h7"),
+                     (families.filiform, 6, "L6"), (families.filiform, 7, "L7"),
+                     (families.filiform, 8, "L8"), (families.nilradical, 4, "n4"),
+                     (families.borel, 3, "b3"), (families.borel, 4, "b4"),
+                     (families.sl, 3, "sl3"), (families.sl, 4, "sl4")]
+
+
+def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_element(
+        entries, monkeypatch):
+    """The wrapper answers "no" after checking, so the precheck visits every element."""
+    real, answers = polarization._has_imaginary_eigenvalue, []
+
+    def checked(alg, z):
+        got = real(alg, z)
+        assert got == negation_gcd_has_imaginary_root(charpoly(ad_matrix(alg, z))), (alg.name, z)
+        answers.append(got)
+        return False
+
+    monkeypatch.setattr(polarization, "_has_imaginary_eigenvalue", checked)
+    algebras = [e.algebra for e in entries.values()] + [
+        parse_algebra(make(size, families.family_rng(0, stem)).doc)
+        for make, size, stem in PRECHECK_FAMILIES]
+    for alg in algebras:
+        before = len(answers)
+        assert exponential_precheck(alg).elements_checked == len(answers) - before
+    assert any(answers) and not all(answers)
 
 
 # -- the algorithm ----------------------------------------------------------------
@@ -402,14 +476,6 @@ def test_ambient_descent_matches_the_nested_route_on_seeded_families(make, size,
 # -- the orbit annihilator of a subalgebra, computed in g -------------------------
 
 
-ANNIHILATOR_FAMILIES = [parse_entry(make(size, families.family_rng(0, stem)).doc)
-                        for make, size, stem in ((families.heisenberg, 4, "h9"),
-                                                 (families.nilradical, 5, "n5"),
-                                                 (families.filiform, 9, "L9"),
-                                                 (families.borel, 4, "b4"),
-                                                 (families.poincare, 4, "poincare4"))]
-
-
 def _window_orbit_annihilator(alg, cov, sub):
     """The window route: restrict cov to the subalgebra sub, take the reference
     annihilator in sub's own algebra and lift it back to g."""
@@ -437,7 +503,7 @@ def _subalgebras(alg, cov, ideals):
 
 
 def test_orbit_annihilator_is_the_largest_ideal_of_the_subalgebra_inside_ker_f(entries, rng):
-    for entry in [*entries.values(), *ANNIHILATOR_FAMILIES]:
+    for entry in [*entries.values(), *seeded_family_entries()]:
         alg = entry.algebra
         for cov in (rand_covector(alg, rng), Covector(alg, _sparse_vec(rng, alg.dim))):
             assert orbit_annihilator(alg, cov) == hull_orbit_annihilator(alg, cov)
@@ -453,6 +519,14 @@ def test_orbit_annihilator_is_the_largest_ideal_of_the_subalgebra_inside_ker_f(e
                             alg.dim, ann.rows + (row,),
                             lambda v: (alg.bracket_exact(w, v) for w in sub.rows))
                         assert any(cov.pair(r) != 0 for r in grown.rows), (entry.name, row)
+
+
+def test_every_returned_step_has_three_true_certificates(descents):
+    """An accepted ideal I passed `_admissible`, so [I, I] <= ann_x <= ker f: I is
+    orbit-abelian and inside I^f; and a step with no dimension drop raises."""
+    steps = [step for _, _, trace in descents if trace for step in trace.steps]
+    assert len(steps) >= 20
+    assert all(step.certificates_hold() for step in steps)
 
 
 def test_random_covectors_full_pipeline(entries, rng):

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit.linalg import Matrix, basis_vector, solve
-from orbitkit.polarization import count_negative_roots, even_part, strip_zero_roots
 from orbitkit.polynomials import (
     charpoly,
     deg,
     derivative,
     divmod_poly,
-    eval_at,
     eval_matrix,
     gcd,
     invert_mod,
@@ -21,6 +19,7 @@ from orbitkit.polynomials import (
     monic,
     mul,
     poly,
+    real_root_count,
     squarefree_part,
     symmetric_signature,
     to_string,
@@ -89,19 +88,16 @@ def test_charpoly_against_minimal_polynomial():
     assert eval_matrix(charpoly(m), m).is_zero()
 
 
-def test_sturm_negative_root_count():
-    # roots -2, -1, 1: two negative
-    p = mul(mul(poly([2, 1]), poly([1, 1])), poly([-1, 1]))
-    assert count_negative_roots(p) == 2
-    assert count_negative_roots(poly([1, 1])) == 1
-    assert count_negative_roots(poly([1, 0, 1])) == 0  # x^2+1 has no real roots
-
-
-def test_even_part_and_strip():
-    k, q = strip_zero_roots(poly([0, 0, 3, 0, 1]))  # x^2(3 + x^2)
-    assert k == 2
-    assert even_part(q) == poly([3, 1])
-    assert even_part(poly([1, 1])) is None
+def test_real_root_count_on_repeated_roots_x2_plus_1_and_a_constant():
+    line = lambda r: poly([-r, 1])
+    # (x - 1)^3 (x + 2)^2 (x^2 + 1): two distinct real roots, each repeated
+    p = reduce(mul, [line(1)] * 3 + [line(-2)] * 2 + [poly([1, 0, 1])])
+    assert real_root_count(p) == 2
+    assert real_root_count(poly([1, 0, 1])) == 0   # x^2 + 1
+    assert real_root_count(poly([0, 0, 0, 1])) == 1  # x^3
+    assert real_root_count(poly([F(-7, 3)])) == 0
+    with pytest.raises(ValueError):
+        real_root_count(())
 
 
 def test_invert_mod():
@@ -120,6 +116,14 @@ def test_is_rational_square():
 def test_to_string():
     assert to_string(poly([3, -2, 1])) == "x^2 - 2*x + 3"
     assert to_string(()) == "0"
+
+
+def eval_at(p, x):
+    """Horner evaluation of p at a rational x."""
+    acc = F(0)
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
 
 
 def test_eval_consistency():
@@ -198,6 +202,37 @@ def test_charpoly_multiplies_no_matrices(entries, monkeypatch):
     want = faddeev_leverrier(ad)
     monkeypatch.setattr(Matrix, "__mul__", refuse)
     assert charpoly(ad) == want
+
+
+# -- real root counts against sympy -------------------------------------------
+
+
+def sympy_distinct_real_roots(p):
+    """Reference: sympy's count of the distinct real roots of p."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    return len(set(sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+                              x, domain="QQ").real_roots()))
+
+
+@st.composite
+def polynomials_with_structure(draw):
+    """Products of linear factors, x^2 + b and x^2 + a x + b factors, powers of x and a
+    random cofactor, each factor possibly repeated."""
+    factors = [poly([0, 1])] * draw(st.integers(0, 2))
+    factors += [poly([-r, 1]) for r in draw(st.lists(rationals, max_size=3))
+                for _ in range(draw(st.integers(1, 2)))]
+    factors += [poly([b, a, 1]) for a, b in draw(st.lists(st.tuples(rationals, rationals),
+                                                         max_size=2))]
+    factors.append(poly(draw(st.lists(rationals, min_size=1, max_size=4))) or poly([1]))
+    return reduce(mul, factors, poly([draw(st.sampled_from([F(1), F(-2), F(1, 3)]))]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(polynomials_with_structure())
+def test_real_root_count_matches_sympy_property(p):
+    assert real_root_count(p) == sympy_distinct_real_roots(p)
 
 
 # -- roots in Q(i) against sympy's factorization -----------------------------

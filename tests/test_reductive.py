@@ -149,6 +149,32 @@ def test_parabolic_hull_matches_the_fixed_point(entries, sl3, monkeypatch):
     assert not closures
 
 
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so31"])
+def test_the_parabolic_relations_hold_on_seeded_supported_elements(entries, name):
+    """x commutes with its hyperbolic part x_h, a polynomial in x, so ad x keeps each
+    g^a and has eigenvalues of real part a there; hence:
+    g_x <= g^0 (stabilizer_in_g0);
+    [u, x] = u, ad x being invertible on each g^a with a > 0 (ad_x_bijective_on_u);
+    tr(g^a g^b) = 0 unless a + b = 0, by the ad(x_h)-invariance of the trace form, and
+    g^a x g^-a is nondegenerate, as the whole form is (trace_blocks);
+    so ann(q) = u = [u, x] (image_is_annihilator), the ad(u)-closure of u is u
+    (hull_matches_annihilator) and tr(x u) = 0 as x is in g^0 (levi_pairing_zero);
+    and q^f = ann[x, q] <= ann(u) = q with g_x <= q, so dim G.x = 2 codim q + the rank
+    of f on q (dimensions.consistent)."""
+    malg = matrix_lie_algebra(entries[name].algebra)
+    supported = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        x = [rng.randint(-3, 3) for _ in range(malg.dim)]
+        try:
+            rep = parabolic_report(malg, x)
+        except UnsupportedSpectrumError:
+            continue
+        assert rep.all_relations(), (name, x)
+        supported += 1
+    assert supported >= 5
+
+
 def test_parabolic_dim_y_matches_the_subalgebra_route(sl3):
     for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
         rep = parabolic_report(sl3, x)
