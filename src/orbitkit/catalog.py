@@ -221,14 +221,15 @@ def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
     if "," in name or name.startswith("@"):
         raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")
     if isinstance(spec, dict) and "rows" in spec:
-        return Subspace(alg.dim, [parse_row(row, f"{what} rows[{r}]")
-                                  for r, row in enumerate(spec["rows"])])
-    if isinstance(spec, list) and all(map(is_index, spec)):
-        try:
-            return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec])
-        except ValueError as exc:
-            raise CatalogError(f"{what}: {exc}") from None
-    raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
+        rows = [parse_row(row, f"{what} rows[{r}]") for r, row in enumerate(spec["rows"])]
+    elif not (isinstance(spec, list) and all(map(is_index, spec))):
+        raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
+    try:  # an index out of range, or a row of the wrong length
+        if isinstance(spec, list):
+            rows = [basis_vector(alg.dim, i) for i in spec]
+        return Subspace(alg.dim, rows)
+    except ValueError as exc:
+        raise CatalogError(f"{what}: {exc}") from None
 
 
 def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:

@@ -277,8 +277,7 @@ def _cmd_polarize(entry, args):
 
     def run(cov):
         try:
-            trace = pukanszky_polarization(
-                alg, cov, chain=chain, override_precheck=True)
+            trace = pukanszky_polarization(alg, cov, chain=chain)
         except StrategyExhausted as exc:
             return {
                 "point": cov,

@@ -12,9 +12,10 @@ with j = ker(c on n_c), compute its 2-cocycle through a linear section, and
 decide triviality by an exact coboundary solve.  `structure.subquotient`
 gives h_c/n_c in ambient coordinates: its table, its canonical lifts and the
 class projection, so the table of h_c itself is never built.  The section
-lifts each class to its canonical lift, or to its one element in a given
-complement of n_c in h_c, read off the complement's echelon rows (the
-semidirect witness's candidates).
+lifts each class to its canonical lift.  At a point orbit (g_c = g) the
+semidirect witness looks for a declared complement of n that is a
+subalgebra; the section into one is a homomorphism, so the cocycle vanishes
+on it and no obstruction is computed.
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -34,7 +35,6 @@ from .linalg import (
     annihilator,
     combine,
     is_zero_vec,
-    rank_kernel,
     solve,
     vec_sub,
 )
@@ -155,7 +155,7 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
 
 
 class ObstructionReport(Record):
-    j: Subspace                     # ker(c restricted to n_c)
+    j_dim: int                      # dim ker(c restricted to n_c)
     n_c: Subspace
     quotient_algebra: LieAlgebra    # h_c / n_c
     section: Matrix                 # rows: lifts of the quotient basis, ambient coords
@@ -167,7 +167,7 @@ class ObstructionReport(Record):
 
     def to_json_dict(self):
         return {
-            "j_dim": self.j.dim,
+            "j_dim": self.j_dim,
             "extension_dims": self.extension_dims,
             "c_vanishes_on_n_c": self.c_vanishes_on_n_c,
             "cocycle": self.cocycle,
@@ -177,41 +177,23 @@ class ObstructionReport(Record):
         }
 
 
-def obstruction_step(
-    data: LittleGroupData,
-    complement: Optional[Subspace] = None,
-) -> ObstructionReport:
+def obstruction_step(data: LittleGroupData) -> ObstructionReport:
     """Infinitesimal Mackey obstruction of the little-group data.
 
-    Builds j = ker(c|n_c), a linear section s of h_c -> h_c/n_c, the 2-cocycle
-    f(x, y) = <c, n_c-component of [sx, sy]>, and decides whether f is the
-    coboundary of some linear form by an exact solve.  The section takes class
-    k to its canonical lift, or, given a complement, to row k of the echelon
-    rows (class of v | v) over the complement's basis: (e_k | its element in
-    class k).  A complement must lie in h_c and give pivots 0..m-1
-    (m = dim h_c/n_c), i.e. map one-to-one onto the quotient; else it is a
-    ValueError.
+    j = ker(c|n_c) is all of n_c when c vanishes there and a hyperplane of it
+    otherwise, so only its dimension is kept.  The section s of h_c -> h_c/n_c
+    takes each class to its canonical lift, the 2-cocycle is f(x, y) = <c,
+    n_c-component of [sx, sy]>, and an exact solve decides whether f is the
+    coboundary of some linear form.
     """
     alg, cov = data.algebra, data.covector
     h_c = data.g_c  # stabilizer of c inside h equals g_c since g_c <= h
     n_c = data.n_c
-    ker_cov = rank_kernel(Matrix([cov.coords]))[1]
-    j = n_c.intersect(ker_cov)
     c_vanishes = all(cov.pair(row) == 0 for row in n_c.rows)
+    j_dim = n_c.dim - (0 if c_vanishes else 1)
 
     quot = subquotient(alg, h_c, n_c)
-    m = quot.algebra.dim
-
-    if complement is None:
-        sec = list(quot.lifts)
-    else:
-        if not h_c.contains_subspace(complement):
-            raise ValueError("complement does not lie in h_c")
-        echelon = Subspace(m + alg.dim, [quot.project(v) + v for v in complement.rows])
-        if echelon.pivots != tuple(range(m)):
-            raise ValueError("complement does not map one-to-one onto h_c/n_c")
-        sec = [row[m:] for row in echelon.rows]
-    section = Matrix(sec, alg.dim)
+    m, sec = quot.algebra.dim, quot.lifts
 
     # section row k projects to class k, so [sx, sy] (in h_c, which
     # subquotient found closed) less the section lift of its class is its
@@ -224,7 +206,6 @@ def obstruction_step(
             val = cov.pair(n_part)
             f[a][b] = val
             f[b][a] = -val
-    cocycle = Matrix(f, m)
 
     # triviality: find beta with f(x,y) = beta([x,y]) on the quotient
     pair_rows, rhs = [], []
@@ -233,15 +214,14 @@ def obstruction_step(
             coeffs = dict(quot.algebra.nonzeros[a][b])
             pair_rows.append([coeffs.get(k, ZERO) for k in range(m)])
             rhs.append(f[a][b])
-    if pair_rows:  # else no bracket constrains beta, and the report prints []
-        beta = solve(Matrix(pair_rows), rhs)
-    else:
-        beta = ()
+    # with no pair row no bracket constrains beta, and the report prints []
+    beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
     trivial = beta is not None
 
-    dims = (n_c.dim - j.dim, h_c.dim - j.dim, m)
-    return ObstructionReport(j=j, n_c=n_c, quotient_algebra=quot.algebra, section=section,
-                             cocycle=cocycle, c_vanishes_on_n_c=c_vanishes, trivial=trivial,
+    dims = (n_c.dim - j_dim, h_c.dim - j_dim, m)
+    return ObstructionReport(j_dim=j_dim, n_c=n_c, quotient_algebra=quot.algebra,
+                             section=Matrix(sec, alg.dim), cocycle=Matrix(f, m),
+                             c_vanishes_on_n_c=c_vanishes, trivial=trivial,
                              primitive=tuple(beta) if trivial else None, extension_dims=dims)
 
 
@@ -262,13 +242,17 @@ class SemidirectReport(Record):
 
 def semidirect_witness(data: LittleGroupData,
                        candidates: Sequence[tuple[str, Subspace]]) -> SemidirectReport:
-    """Search declared complements s with g = s + n for one killing the cocycle.
+    """The first declared complement s of n that is a subalgebra, with the rejections.
 
     Requires the point-orbit hypothesis <cov, [g, n]> = 0, which holds
-    exactly when g_c = orth(n) is all of g.  A candidate is accepted when it
-    is a subalgebra complementary to n and the obstruction cocycle computed
-    with the section into it vanishes identically; failing candidates are
-    reported with the reason.
+    exactly when g_c = orth(n) is all of g; then h_c = g and n_c = n.  A
+    candidate is rejected for the wrong ambient dimension, then for not being
+    a linear complement (dim s + dim n = dim g and s + n = g), then for not
+    being a subalgebra.  Any other candidate is the witness, and its cocycle
+    is zero by construction: the projection s -> g/n is a homomorphism (n is
+    an ideal) and one-to-one onto, so its inverse, the section into s, is a
+    homomorphism too.  Hence [sx, sy] = s[x, y] lies in s, its n-component is
+    0, and so is <c, that component>.
     """
     alg, nd = data.algebra, data.algebra.dim
     if data.g_c.dim != nd:
@@ -277,20 +261,15 @@ def semidirect_witness(data: LittleGroupData,
     for name, s in candidates:
         if s.ambient_dim != nd:
             rejections.append((name, "wrong ambient dimension"))
-            continue
-        try:  # h_c = g and n_c = n here, so this refuses exactly the non-complements
-            report = obstruction_step(data, complement=s)
-        except ValueError:
+        elif s.dim + data.ideal.dim != nd or data.ideal.add(s).dim != nd:
             rejections.append((name, "not a linear complement of the ideal"))
-            continue
-        try:
-            check_subalgebra(alg, s)
-        except NotClosedError:
-            rejections.append((name, "declared complement is not a subalgebra"))
-            continue
-        if report.cocycle.is_zero():
-            return SemidirectReport(True, name, True, tuple(rejections))
-        rejections.append((name, "cocycle does not vanish on the candidate section"))
+        else:
+            try:
+                check_subalgebra(alg, s)
+            except NotClosedError:
+                rejections.append((name, "declared complement is not a subalgebra"))
+            else:
+                return SemidirectReport(True, name, True, tuple(rejections))
     return SemidirectReport(True, None, None, tuple(rejections))
 
 

@@ -209,7 +209,6 @@ def pukanszky_polarization(
     alg: LieAlgebra,
     cov: Covector,
     chain: Optional[Sequence[Subspace]] = None,
-    override_precheck: bool = False,
 ) -> PolarizationTrace:
     """Run the descending-orthogonal construction at a covector.
 
@@ -217,16 +216,9 @@ def pukanszky_polarization(
     docstring); a chain, even an empty one, supplies the ideals instead,
     given in ambient coordinates, one per step.  The result always sits
     between every chosen ideal and its orthogonal; the final subalgebra is
-    re-verified with the homogeneous-condition checker.
+    re-verified with the homogeneous-condition checker.  The exponential
+    precheck is the caller's: the CLI runs it once per invocation.
     """
-    if not override_precheck:
-        pre = exponential_precheck(alg)
-        if not pre.passed:
-            raise ValueError(
-                "exponential precheck failed (non-solvable or imaginary ad-eigenvalue); "
-                "pass override_precheck=True to force"
-            )
-
     n = alg.dim
     g_i = Subspace.full(n)
     steps = []

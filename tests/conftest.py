@@ -7,7 +7,8 @@ import pytest
 
 from orbitkit.catalog import builtin_catalog, parse_entry
 from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull
-from orbitkit.linalg import Matrix, rank_kernel, vec, vec_dot
+from orbitkit.linalg import Matrix, Subspace, combine, rank_kernel, solve, vec, vec_dot, vec_sub
+from orbitkit.mackey import ObstructionReport
 from orbitkit.polynomials import (
     deg,
     derivative,
@@ -20,7 +21,7 @@ from orbitkit.polynomials import (
     sign_variations,
 )
 from orbitkit.polarization import StrategyExhausted, pukanszky_polarization
-from orbitkit.structure import restrict
+from orbitkit.structure import restrict, subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -31,9 +32,9 @@ def entries():
     return builtin_catalog()
 
 
-def seeded_family_entries():
-    """The seeded h9, n5, L9, b4 and Poincare d=4 (seed 0), as catalog entries."""
-    return [parse_entry(make(size, families.family_rng(0, stem)).doc)
+def seeded_family_entries(seed=0):
+    """The seeded h9, n5, L9, b4 and Poincare d=4, as catalog entries."""
+    return [parse_entry(make(size, families.family_rng(seed, stem)).doc)
             for make, size, stem in ((families.heisenberg, 4, "h9"),
                                      (families.nilradical, 5, "n5"),
                                      (families.filiform, 9, "L9"),
@@ -55,7 +56,7 @@ def descents(entries):
                        rand_vec(rng, alg.dim, -5, 5, 3), sparse]:
             cov = Covector(alg, coords)
             try:
-                trace = pukanszky_polarization(alg, cov, override_precheck=True)
+                trace = pukanszky_polarization(alg, cov)
             except StrategyExhausted:
                 trace = None
             out.append((entry, cov, trace))
@@ -150,6 +151,45 @@ def negation_gcd_has_imaginary_root(p):
         chain.append(scale(-1, rem))
     at_minus_inf = [c[-1] if deg(c) % 2 == 0 else -c[-1] for c in chain]
     return sign_variations(at_minus_inf) - sign_variations([c[0] for c in chain]) > 0
+
+
+# -- the obstruction through a section into a given complement, kept as a reference --
+
+
+def complement_obstruction(data, complement):
+    """The obstruction of little-group data through the section into `complement`,
+    by the route `mackey.obstruction_step` offered before its section was always the
+    canonical lifts: class k goes to row k of the echelon rows (class of v | v) over the
+    complement's basis, (e_k | its element in class k).  A complement must lie in h_c
+    and give pivots 0..m-1 (m = dim h_c/n_c), i.e. map one-to-one onto the quotient;
+    else it is a ValueError."""
+    alg, cov, h_c, n_c = data.algebra, data.covector, data.g_c, data.n_c
+    if not h_c.contains_subspace(complement):
+        raise ValueError("complement does not lie in h_c")
+    quot = subquotient(alg, h_c, n_c)
+    m = quot.algebra.dim
+    echelon = Subspace(m + alg.dim, [quot.project(v) + v for v in complement.rows])
+    if echelon.pivots != tuple(range(m)):
+        raise ValueError("complement does not map one-to-one onto h_c/n_c")
+    sec = [row[m:] for row in echelon.rows]
+    f = [[Fraction(0)] * m for _ in range(m)]
+    pair_rows, rhs = [], []
+    for a in range(m):
+        for b in range(a + 1, m):
+            br = alg.bracket_exact(sec[a], sec[b])
+            f[a][b] = cov.pair(vec_sub(br, combine(quot.project(br), sec, alg.dim)))
+            f[b][a] = -f[a][b]
+            coeffs = dict(quot.algebra.nonzeros[a][b])
+            pair_rows.append([coeffs.get(k, Fraction(0)) for k in range(m)])
+            rhs.append(f[a][b])
+    beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
+    c_vanishes = all(cov.pair(row) == 0 for row in n_c.rows)
+    j_dim = n_c.dim - (0 if c_vanishes else 1)
+    return ObstructionReport(
+        j_dim=j_dim, n_c=n_c, quotient_algebra=quot.algebra, section=Matrix(sec, alg.dim),
+        cocycle=Matrix(f, m), c_vanishes_on_n_c=c_vanishes, trivial=beta is not None,
+        primitive=None if beta is None else tuple(beta),
+        extension_dims=(n_c.dim - j_dim, h_c.dim - j_dim, m))
 
 
 # -- coordinates in a canonical basis -------------------------------------------

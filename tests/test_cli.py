@@ -46,6 +46,11 @@ MALFORMED = {
     "covectors_list.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "covectors": []},
     "ideal_rows_int.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                             "ideals": {"x": {"rows": 5}}},
+    # a declared row of the wrong length names its file and subspace
+    "ideal_row_short.json": {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                             "ideals": {"x": {"rows": [["0", "1"]]}}},
+    "complement_row_long.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                                 "complements": {"s": {"rows": [["1", "0", "0"]]}}},
     "zero_den_rows.json": {"rows": [["1/0", "0", "0"]]},
     "chain_index.json": {"ideals": [[9]]},
     "chain_zero_den.json": {"ideals": [[["1/0", "0", "0"]]]},
@@ -129,6 +134,8 @@ BAD_INPUTS = {
     "parabolic_matrix_rep_not_square": ["parabolic", "rep_nonsquare.json", "--element=1"],
     "orbit_covectors_not_an_object": ["orbit", "covectors_list.json", "--point=0,1"],
     "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
+    "orbit_ideal_row_wrong_length": ["orbit", "ideal_row_short.json", "--point=0,0,1"],
+    "orbit_complement_row_wrong_length": ["orbit", "complement_row_long.json", "--point=0,1"],
     "orbit_basis_string": ["orbit", "basis_string.json", "--point=0,1"],
     "orbit_dim_bool": ["orbit", "dim_bool.json", "--point=0"],
     "orbit_name_int": ["orbit", "name_int.json", "--point=0"],
@@ -246,6 +253,12 @@ def test_bad_input_gives_the_error_envelope(case, workdir, capsys):
 def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["mackey_ideal_index_out_of_range"], capsys)
     assert env["error"] == "bad_ideal.json: ideal 'x': basis index 9 out of range for dimension 2"
+    _, env = run(BAD_INPUTS["orbit_ideal_row_wrong_length"], capsys)
+    assert env["error"] == ("ideal_row_short.json: ideal 'x': "
+                            "generator length does not match ambient dimension")
+    _, env = run(BAD_INPUTS["orbit_complement_row_wrong_length"], capsys)
+    assert env["error"] == ("complement_row_long.json: complement 's': "
+                            "generator length does not match ambient dimension")
     _, env = run(BAD_INPUTS["polarize_chain_index"], capsys)
     assert env["error"] == ("bad chain file chain_index.json: "
                             "basis index 9 out of range for dimension 3")

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from orbitkit.conditions import check_conditions

@@ -1,8 +1,9 @@
-"""Imports: every module uses what it imports, no module imports the CLI or
-anything outside the standard library, and an invocation loads only the
-modules its subcommand runs, none of the standard library's costly class
-machinery (`dataclasses`, and through it `inspect`) and no argument parser
-library (`argparse`, with the `gettext` and `locale` it imports).
+"""Imports: every module and test file uses what it imports, no module
+imports the CLI or anything outside the standard library, and an invocation
+loads only the modules its subcommand runs, none of the standard library's
+costly class machinery (`dataclasses`, and through it `inspect`) and no
+argument parser library (`argparse`, with the `gettext` and `locale` it
+imports).
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -22,7 +23,8 @@ import pytest
 
 import orbitkit
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbitkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "orbitkit"
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -146,8 +148,10 @@ def test_the_import_scan_resolves_relative_and_package_imports(tmp_path):
 
 def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
-    unused = {p.name: found for p in modules if (found := unused_imports(p))}
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    unused = {str(p.relative_to(PACKAGE.parents[1])): found
+              for p in modules + tests if (found := unused_imports(p))}
     assert unused == {}
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from orbitkit import cli, mackey
 from orbitkit.catalog import parse_algebra, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing, orbit_record, validate
-from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, rank_kernel
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span
+from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add
 from orbitkit.mackey import (
+    SemidirectReport,
     abelian_step,
     classify_little_algebra,
     little_group_step,
@@ -23,6 +25,7 @@ from orbitkit.mackey import (
 from orbitkit.structure import (
     NotClosedError,
     ad_matrix,
+    check_subalgebra,
     coadjoint_image,
     exp_coadjoint,
     ideal_closure,
@@ -30,9 +33,16 @@ from orbitkit.structure import (
     orbit_dim,
     orth,
     restrict,
-    stabilizer,
 )
-from conftest import coords_of, dense_apply, dense_structure, rand_covector, rand_vec
+from conftest import (
+    complement_obstruction,
+    coords_of,
+    dense_apply,
+    dense_structure,
+    rand_covector,
+    rand_vec,
+    seeded_family_entries,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -124,7 +134,7 @@ def test_obstruction_heisenberg_nontrivial(entries):
     h3 = entries["heisenberg3"].algebra
     data = little_group_step(h3, _span(3, 2), Covector(h3, (0, 0, 1)))
     ob = obstruction_step(data)
-    assert ob.j.dim == 0
+    assert ob.j_dim == 0
     assert ob.extension_dims == (1, 3, 2)
     assert ob.cocycle.entries[0][1] == 1
     assert not ob.trivial and ob.primitive is None
@@ -168,6 +178,9 @@ def _random_complements(data, rng, count):
 
 
 def test_obstruction_section_independence(entries, rng):
+    """The canonical section and the sections into random complements of n_c
+    (`complement_obstruction`) agree on triviality, and their cocycles differ by
+    an exact coboundary."""
     h3 = entries["heisenberg3"].algebra
     poin = entries["poincare"]
     cases = [
@@ -180,8 +193,8 @@ def test_obstruction_section_independence(entries, rng):
         reference = obstruction_step(data)
         assert reference.trivial is expected_trivial
         for complement in _random_complements(data, rng, 6):
-            ob = obstruction_step(data, complement=complement)
-            assert ob.trivial is expected_trivial
+            ob = complement_obstruction(data, complement)
+            assert ob.trivial is reference.trivial
             # the two cocycles differ by an exact coboundary
             diff = reference.cocycle - ob.cocycle
             m = ob.quotient_algebra.dim
@@ -210,48 +223,6 @@ def test_obstruction_step_builds_one_algebra(entries, monkeypatch):
     monkeypatch.setattr(LieAlgebra, "__post_init__", counted)
     obstruction_step(data)
     assert built == [3]  # so(3)
-    obstruction_step(data, complement=poin.complements["lorentz"].intersect(data.g_c))
-    assert built == [3, 3]
-
-
-def _little_group_cases(entries, rng):
-    """Little-group data of every declared ideal at declared and seeded covectors."""
-    for entry in entries.values():
-        alg = entry.algebra
-        covs = [Covector(alg, c) for c in entry.covectors.values()]
-        covs += [rand_covector(alg, rng) for _ in range(2)]
-        for ideal in entry.ideals.values():
-            for cov in covs:
-                yield little_group_step(alg, ideal, cov)
-
-
-def test_obstruction_with_the_canonical_complement_is_the_default(entries, rng):
-    for data in _little_group_cases(entries, rng):
-        reference = obstruction_step(data)
-        lifts = Subspace(data.algebra.dim, reference.section.entries)
-        ob = obstruction_step(data, complement=lifts)
-        assert ob.section == reference.section
-        assert (ob.cocycle, ob.primitive, ob.trivial) == (
-            reference.cocycle, reference.primitive, reference.trivial)
-
-
-def test_obstruction_refuses_a_non_complement(entries, rng):
-    refused = 0
-    for data in _little_group_cases(entries, rng):
-        lifts = obstruction_step(data).section.entries
-        n = data.algebra.dim
-        bad = [Subspace(n, lifts[1:])]                   # misses a class
-        if data.n_c.dim:
-            bad.append(data.g_c)                         # h_c = g_c meets n_c
-        if data.g_c.dim < n:
-            bad.append(Subspace.full(n))                 # leaves h_c
-        for s in bad:
-            if s == Subspace(n, lifts):
-                continue
-            with pytest.raises(ValueError):
-                obstruction_step(data, complement=s)
-            refused += 1
-    assert refused > 20
 
 
 def cocycle_identity_defect(quotient_algebra, cocycle):
@@ -327,6 +298,106 @@ def test_semidirect_witness_requires_point_orbit(entries):
                              Covector(poin.algebra, poin.covectors["timelike"]))
     with pytest.raises(ValueError, match="point-orbit hypothesis"):
         semidirect_witness(data, [("lorentz", poin.complements["lorentz"])])
+
+
+def complement_section_witness(data, candidates):
+    """The witness search `semidirect_witness` replaced: the obstruction through the
+    section into each candidate, whose refusal marks a non-complement, and a
+    subalgebra is accepted when that cocycle vanishes."""
+    rejections = []
+    for name, s in candidates:
+        if s.ambient_dim != data.algebra.dim:
+            rejections.append((name, "wrong ambient dimension"))
+            continue
+        try:
+            report = complement_obstruction(data, s)
+        except ValueError:
+            rejections.append((name, "not a linear complement of the ideal"))
+            continue
+        try:
+            check_subalgebra(data.algebra, s)
+        except NotClosedError:
+            rejections.append((name, "declared complement is not a subalgebra"))
+            continue
+        if report.cocycle.is_zero():
+            return SemidirectReport(True, name, True, tuple(rejections))
+        rejections.append((name, "cocycle does not vanish on the candidate section"))
+    return SemidirectReport(True, None, None, tuple(rejections))
+
+
+def _point_orbit_candidates(entries):
+    """(data, candidates) over the catalog and seeded h9, n5, L9, b4 and Poincare d=4
+    at seeds 0-2: each declared ideal n at four covectors drawn from ann([g, n]), so
+    g_c = g.  The candidates are the declared complements, each also moved by a
+    random element x of n: by exp(ad x) = 1 + ad x when n is abelian (an
+    automorphism, so a subalgebra stays one) and row by row; random subspaces of
+    dimension k - 1, k and k + 1 (k = dim g - dim n, entries in -1..1); and one
+    subspace of the wrong ambient dimension."""
+    rng = random.Random(27)
+    seeded = [e for seed in range(3) for e in seeded_family_entries(seed)]
+    for entry in [*entries.values(), *seeded]:
+        alg, nd = entry.algebra, entry.algebra.dim
+        for ideal in entry.ideals.values():
+            fixed = annihilator(bracket_span(alg, Subspace.full(nd), ideal)).rows
+            k, abelian = nd - ideal.dim, bracket_span(alg, ideal, ideal).dim == 0
+            for _ in range(4):
+                cov = Covector(alg, combine(rand_vec(rng, len(fixed)), fixed, nd))
+                candidates = []
+                for name, s in entry.complements.items():
+                    candidates.append((name, s))
+                    if abelian:
+                        x = combine(rand_vec(rng, ideal.dim, -2, 2, 2), ideal.rows, nd)
+                        candidates.append((f"{name}_conjugate", Subspace(nd, [
+                            vec_add(y, alg.bracket_exact(x, y)) for y in s.rows])))
+                    candidates.append((f"{name}_shifted", Subspace(nd, [
+                        vec_add(y, combine(rand_vec(rng, ideal.dim, -1, 1, 1), ideal.rows, nd))
+                        for y in s.rows])))
+                candidates += [(f"random{d}", Subspace(nd, [rand_vec(rng, nd, -1, 1, 1)
+                                                            for _ in range(d)]))
+                               for d in (k - 1, k, k + 1) if 0 <= d <= nd]
+                candidates.append(("wide", Subspace.full(nd + 1)))
+                yield little_group_step(alg, ideal, cov), candidates
+
+
+def test_the_witness_matches_the_complement_section_route(entries):
+    """At a point orbit a subalgebra complement s of n makes the section into s a
+    homomorphism, so the cocycle the old route computed on it is zero: deciding each
+    candidate by its definition gives the old route's witness and rejections, one
+    candidate at a time and for the whole list."""
+    outcomes = Counter()
+    for data, candidates in _point_orbit_candidates(entries):
+        assert semidirect_witness(data, candidates) == complement_section_witness(
+            data, candidates)
+        for name, s in candidates:
+            rep = semidirect_witness(data, [(name, s)])
+            assert rep == complement_section_witness(data, [(name, s)]), name
+            if rep.witness_name is not None:
+                assert complement_obstruction(data, s).cocycle.is_zero()
+            outcomes[rep.rejections[0][1] if rep.rejections else "witness"] += 1
+    assert outcomes["witness"] > 40 and outcomes["wrong ambient dimension"] > 80
+    assert outcomes["not a linear complement of the ideal"] > 150
+    assert outcomes["declared complement is not a subalgebra"] > 50
+
+
+def test_the_witness_runs_no_obstruction(entries, monkeypatch):
+    """Every verdict of `semidirect_witness` is read off the candidate: no obstruction
+    step, subquotient or coboundary solve runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the semidirect witness ran an obstruction")
+
+    for name in ("obstruction_step", "subquotient", "solve"):
+        monkeypatch.setattr(mackey, name, refuse)
+    poin = entries["poincare"]
+    alg, lorentz = poin.algebra, poin.complements["lorentz"]
+    data = little_group_step(alg, poin.ideals["translations"],
+                             Covector(alg, poin.covectors["zero_momentum"]))
+    boosted = Subspace(10, [*lorentz.rows[:-1], vec_add(lorentz.rows[-1], basis_vector(10, 6))])
+    rep = semidirect_witness(data, [("wide", Subspace.full(11)), ("all", Subspace.full(10)),
+                                    ("boosted", boosted), ("lorentz", lorentz)])
+    assert rep == SemidirectReport(True, "lorentz", True, (
+        ("wide", "wrong ambient dimension"),
+        ("all", "not a linear complement of the ideal"),
+        ("boosted", "declared complement is not a subalgebra")))
 
 
 # -- abelian step and classification -------------------------------------------

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import polarization
+from orbitkit import cli, polarization
 from orbitkit.catalog import parse_algebra
-from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
 from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.structure import (
@@ -203,10 +202,9 @@ def test_chain_is_read_in_each_window():
     """
     alg, _ = strictly_upper(5)
     cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
-    auto = pukanszky_polarization(alg, cov, override_precheck=True)
+    auto = pukanszky_polarization(alg, cov)
     assert [s.g_i.dim for s in auto.steps] == [10, 8, 7]
-    replay = pukanszky_polarization(alg, cov, override_precheck=True,
-                                    chain=[s.ideal for s in auto.steps])
+    replay = pukanszky_polarization(alg, cov, chain=[s.ideal for s in auto.steps])
     assert replay.steps == auto.steps and replay.result == auto.result
     assert replay.conditions.all_flags()
 
@@ -219,7 +217,7 @@ def test_one_orbit_annihilator_per_descent_step(monkeypatch):
     real, calls = polarization.orbit_annihilator, []
     monkeypatch.setattr(polarization, "orbit_annihilator",
                         lambda *args: calls.append(args) or real(*args))
-    trace = pukanszky_polarization(alg, cov, override_precheck=True)
+    trace = pukanszky_polarization(alg, cov)
     assert trace.rejected and len(calls) == len(trace.steps) == 3
 
 
@@ -237,22 +235,20 @@ def test_an_automatic_step_builds_one_algebra_and_a_chain_step_none(monkeypatch)
     real = polarization.subquotient
     monkeypatch.setattr(polarization, "subquotient",
                         lambda a, *rest: quotients.append(a) or real(a, *rest))
-    auto = pukanszky_polarization(alg, cov, override_precheck=True)
+    auto = pukanszky_polarization(alg, cov)
     assert len(auto.steps) == 3 and len(quotients) == len(built) == 3
     assert all(a is alg for a in quotients)
     built.clear()
-    replay = pukanszky_polarization(alg, cov, override_precheck=True,
-                                    chain=[s.ideal for s in auto.steps])
+    replay = pukanszky_polarization(alg, cov, chain=[s.ideal for s in auto.steps])
     assert replay.steps == auto.steps and built == []
 
 
 def test_a_chain_ideal_outside_its_window_is_refused():
     alg, cov = n5_three_steps()
-    first = pukanszky_polarization(alg, cov, override_precheck=True).steps[0]
+    first = pukanszky_polarization(alg, cov).steps[0]
     assert not first.g_next.contains_subspace(Subspace.full(alg.dim))
     with pytest.raises(ValueError, match="^chain ideal at step 1 is not inside g_1$"):
-        pukanszky_polarization(alg, cov, override_precheck=True,
-                               chain=[first.ideal, Subspace.full(alg.dim)])
+        pukanszky_polarization(alg, cov, chain=[first.ideal, Subspace.full(alg.dim)])
 
 
 def test_polarization_chain_rejects_bad_ideal(entries):
@@ -270,17 +266,16 @@ def test_an_empty_chain_is_still_a_user_chain(entries):
     assert exc.value.rejections == ((0, "user chain", "chain exhausted"),)
 
 
-def test_polarization_requires_precheck(entries):
-    e2 = entries["euclid2"].algebra
-    with pytest.raises(ValueError):
-        pukanszky_polarization(e2, Covector(e2, (0, 1, 0)))
+def test_polarization_requires_precheck(capsys):
+    # the CLI runs the precheck, once per invocation; the descent never does
+    assert cli.main(["polarize", "catalog:euclid2", "--point=0,1,0"]) == 2
+    assert "exponential precheck failed" in capsys.readouterr().out
 
 
 def test_polarization_override_runs_euclid(entries):
-    # overriding the precheck still yields a coisotropic result here
+    # past the failed precheck the descent still yields a coisotropic result here
     e2 = entries["euclid2"].algebra
-    trace = pukanszky_polarization(e2, Covector(e2, (0, 1, 0)),
-                                   override_precheck=True)
+    trace = pukanszky_polarization(e2, Covector(e2, (0, 1, 0)))
     assert trace.conditions.coisotropic
 
 
@@ -410,7 +405,7 @@ def _outcome(run):
 
 
 def _ambient(alg, cov, chain=None):
-    trace = pukanszky_polarization(alg, cov, chain=chain, override_precheck=True)
+    trace = pukanszky_polarization(alg, cov, chain=chain)
     return trace.steps, trace.rejected, trace.result
 
 
@@ -495,7 +490,7 @@ def _subalgebras(alg, cov, ideals):
         except NotClosedError:
             pass
     try:
-        trace = pukanszky_polarization(alg, cov, override_precheck=True)
+        trace = pukanszky_polarization(alg, cov)
         subs += [s.g_i for s in trace.steps[1:]] + [trace.result]
     except StrategyExhausted:
         pass
