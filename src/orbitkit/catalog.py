@@ -1,4 +1,4 @@
-"""Built-in algebra catalog plus the JSON on-disk format.
+"""The JSON definition format, and the catalog of entries read from it.
 
 Definition files look like
 
@@ -14,9 +14,10 @@ dense "structure" tensor is accepted as an alternative to "brackets" so
 that deliberately broken tensors can be fed to the validator; it is the
 only dim^3 grid in the package, read into the algebra's sparse bracket
 table as given (not made antisymmetric) and then dropped.  Catalog entries
-extend the schema with documented sample covectors and declared
-ideals/complements; a declared name may not be a basis label or all ASCII
-digits, since a subspace argument looks names up before labels and indices.
+extend the schema with a description string, documented sample covectors
+and declared ideals/complements, each an index list or {"rows": ...}; a
+declared name may not be a basis label or all ASCII digits, since a
+subspace argument looks names up before labels and indices.
 
 `read_json` is the one reader of the files the CLI is given: a definition,
 a `--sub @file` and a `chain:` file.  One that cannot be read, is not UTF-8,
@@ -25,13 +26,15 @@ rational literal is read by `linalg.frac`, which refuses an exponent above
 MAX_EXPONENT (4300) in magnitude, or more than that many digits in a row,
 before it builds the number.
 
-Built-in entries are built and validated by name, each once per process,
-so a caller that names one entry pays for that entry alone.  Their
-constructors are in `builtin_entries`, which only a catalog lookup imports,
-so an invocation on a definition file never compiles them.  The entries of
-the directory named by ORBITKIT_CATALOG_DIR are all loaded on every lookup
-and merged over the built-ins: a file naming a built-in overrides it, and a
-malformed file fails every lookup.
+The built-in entries are definition files too, NAME.json in the package's
+`algebras` directory, read by `load_entry_file` like any other: the same
+parser, the same validation (which checks each file's brackets against its
+`matrix_rep`) and the same errors.  A built-in is read by name, each once
+per process, so a caller that names one entry reads that file alone; the
+name is looked up in the directory's listing, never joined into a path.
+The entries of the directory named by ORBITKIT_CATALOG_DIR are read by the
+same loader on every lookup and merged over the built-ins: a file naming a
+built-in overrides it, and a malformed file fails every lookup.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 from .liealg import LieAlgebra, validate
 from .linalg import Matrix, Record, Subspace, basis_vector, frac
@@ -62,10 +66,29 @@ class CatalogEntry(Record):
                 object.__setattr__(self, name, {})
 
 
-def builtin_catalog() -> dict:
-    from .builtin_entries import BUILDERS, builtin_entry
+BUILTIN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "algebras")
 
-    return {name: builtin_entry(name) for name in BUILDERS}
+
+def _entry_files(directory: str) -> list:
+    """The definition files of a directory, sorted: the listing a name is looked up in."""
+    return sorted(fname for fname in os.listdir(directory) if fname.endswith(".json"))
+
+
+def _directory_entries(directory: str, load) -> dict:
+    """The entry of every definition file in a directory, by name, each read by `load`."""
+    entries = (load(os.path.join(directory, fname)) for fname in _entry_files(directory))
+    return {entry.name: entry for entry in entries}
+
+
+@lru_cache(maxsize=None)
+def _builtin_entry(path: str) -> CatalogEntry:
+    """A built-in definition file, read once per process."""
+    return load_entry_file(path)
+
+
+def builtin_catalog() -> dict:
+    """The built-in entries: the definition files in BUILTIN_DIR."""
+    return _directory_entries(BUILTIN_DIR, _builtin_entry)
 
 
 def _extra_entries() -> dict:
@@ -73,12 +96,7 @@ def _extra_entries() -> dict:
     extra_dir = os.environ.get("ORBITKIT_CATALOG_DIR")
     if not (extra_dir and os.path.isdir(extra_dir)):
         return {}
-    entries = {}
-    for fname in sorted(os.listdir(extra_dir)):
-        if fname.endswith(".json"):
-            entry = load_entry_file(os.path.join(extra_dir, fname))
-            entries[entry.name] = entry
-    return entries
+    return _directory_entries(extra_dir, load_entry_file)
 
 
 def load_catalog() -> dict:
@@ -87,16 +105,17 @@ def load_catalog() -> dict:
 
 
 def find_entry(name: str) -> CatalogEntry | None:
-    """The entry `load_catalog()` would hold under `name`, building no other built-in.
+    """The entry `load_catalog()` would hold under `name`, reading no other built-in.
 
     None when there is no such entry.
     """
     extras = _extra_entries()
     if name in extras:
         return extras[name]
-    from .builtin_entries import BUILDERS, builtin_entry
-
-    return builtin_entry(name) if name in BUILDERS else None
+    fname = f"{name}.json"
+    if fname not in _entry_files(BUILTIN_DIR):
+        return None
+    return _builtin_entry(os.path.join(BUILTIN_DIR, fname))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +163,15 @@ def parse_row(row, what: str) -> tuple:
     return tuple(_rat(x, what) for x in row)
 
 
+def _parse_matrix(rows, what: str) -> Matrix:
+    """A JSON list of rows of rationals; a ragged or empty one names `what`."""
+    rows = [parse_row(row, f"{what} row") for row in rows]
+    try:
+        return Matrix(rows)
+    except ValueError as exc:
+        raise CatalogError(f"{what}: {exc}") from None
+
+
 def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     if not isinstance(doc, dict):
         raise CatalogError(f"{source}: a definition must be a JSON object")
@@ -172,7 +200,7 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     rep = None
     if doc.get("matrix_rep") is not None:
         try:
-            rep = [Matrix([parse_row(row, f"{source}: matrix_rep[{k}] row") for row in m])
+            rep = [_parse_matrix(m, f"{source}: matrix_rep[{k}]")
                    for k, m in enumerate(doc["matrix_rep"])]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
@@ -255,8 +283,10 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
             raise CatalogError(
                 f"{source}: covector {key!r} has {len(coords)} coordinates for dim {alg.dim}"
             )
-    return CatalogEntry(alg.name, alg, doc.get("description", ""),
-                        covectors, ideals, complements)
+    description = doc.get("description", "")
+    if not isinstance(description, str):
+        raise CatalogError(f"{source}: description must be a string, got {description!r}")
+    return CatalogEntry(alg.name, alg, description, covectors, ideals, complements)
 
 
 def read_json(path: str, what: str = None):

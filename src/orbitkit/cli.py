@@ -38,8 +38,9 @@ the analysis itself, in process after the imports, has a median of 1.4 to
 subcommand needs (`catalog`, `liealg`, `linalg`), and no argument parser
 library.  Each handler imports its own analysis modules (`conditions`,
 `mackey`, `polarization`, `reductive`, `induction`, and through them
-`structure`, `polynomials` and `qi_roots`), and `catalog:NAME` alone
-imports the built-in entries and builds only the entry named.
+`structure`, `polynomials` and `qi_roots`).  A built-in entry is a
+definition file shipped with the package, and `catalog:NAME` reads the
+file of the entry named and no other.
 The report classes are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.
 

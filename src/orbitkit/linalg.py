@@ -154,8 +154,8 @@ def frac(x) -> Fraction:
         raise ValueError(f"more than {MAX_EXPONENT} digits in a row in a rational literal")
     try:
         return Fraction(x)
-    except ZeroDivisionError as exc:
-        raise ValueError(str(exc)) from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {x!r}") from None
 
 
 def vec(entries: Iterable) -> tuple:

@@ -5,9 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit.catalog import builtin_catalog, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull
-from orbitkit.linalg import Matrix, Subspace, combine, rank_kernel, solve, vec, vec_dot, vec_sub
+from orbitkit.catalog import CatalogEntry, CatalogError, builtin_catalog, parse_entry
+from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull, rep_coords
+from orbitkit.linalg import (
+    Matrix,
+    Subspace,
+    basis_vector,
+    combine,
+    rank_kernel,
+    solve,
+    vec,
+    vec_dot,
+    vec_sub,
+)
 from orbitkit.mackey import ObstructionReport
 from orbitkit.polynomials import (
     deg,
@@ -25,6 +35,192 @@ from orbitkit.structure import restrict, subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
+
+
+# -- the built-in entries as Python builders, kept as a reference ----------------
+# The package ships each built-in as a definition file in orbitkit/algebras; these
+# builders are what the files are checked against, brackets from a matrix
+# representation read off its commutators by `algebra_from_rep`.
+
+
+def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
+    """Structure constants read off a faithful matrix representation by one `rep_coords`:
+    the commutator of each pair of matrices, in the coordinates of the matrices."""
+    mats = [Matrix(m) for m in matrices]
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    comms = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
+    brackets = {}
+    for (i, j), coords in zip(pairs, rep_coords(mats, comms)):
+        if coords is None:
+            raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
+        brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
+    return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
+
+
+def _span(alg: LieAlgebra, indices) -> Subspace:
+    return Subspace(alg.dim, [basis_vector(alg.dim, i) for i in indices])
+
+
+def _heisenberg3() -> CatalogEntry:
+    rep = [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ]
+    alg = algebra_from_rep("heisenberg3", ("e1", "e2", "e3"), rep)
+    return CatalogEntry(
+        "heisenberg3", alg,
+        "Heisenberg algebra: [e1,e2]=e3, center spanned by e3.",
+        covectors={"center_dual": (0, 0, 1), "x_dual": (1, 0, 0)},
+        ideals={"center": _span(alg, [2]), "plane": _span(alg, [1, 2])},
+        complements={"xy_plane": _span(alg, [0, 1])},
+    )
+
+
+def _filiform4() -> CatalogEntry:
+    alg = LieAlgebra.from_brackets(
+        ("e1", "e2", "e3", "e4"),
+        {(0, 1): {2: 1}, (0, 2): {3: 1}},
+        name="filiform4",
+    )
+    return CatalogEntry(
+        "filiform4", alg,
+        "Filiform nilpotent algebra n4: [e1,e2]=e3, [e1,e3]=e4.",
+        covectors={"top_dual": (0, 0, 0, 1), "mixed": (0, 0, 1, 1)},
+        ideals={"center": _span(alg, [3]), "derived": _span(alg, [2, 3]),
+                "big_abelian": _span(alg, [1, 2, 3])},
+    )
+
+
+def _abelian3() -> CatalogEntry:
+    alg = LieAlgebra.from_brackets(("a1", "a2", "a3"), {}, name="abelian3")
+    return CatalogEntry("abelian3", alg, "Abelian Q^3.",
+                        covectors={"generic": (1, 2, 3)})
+
+
+def _affine_line() -> CatalogEntry:
+    rep = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+    alg = algebra_from_rep("affine_line", ("a", "b"), rep)
+    return CatalogEntry(
+        "affine_line", alg,
+        "Affine algebra of the line: [a,b]=b; exponential but not nilpotent.",
+        covectors={"b_dual": (0, 1)},
+        ideals={"translations": _span(alg, [1])},
+        complements={"dilation": _span(alg, [0])},
+    )
+
+
+def _euclid2() -> CatalogEntry:
+    rep = [
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    ]
+    alg = algebra_from_rep("euclid2", ("j", "p1", "p2"), rep)
+    return CatalogEntry(
+        "euclid2", alg,
+        "Euclidean algebra e(2): rotation j against translations p1, p2.",
+        covectors={"momentum": (0, 1, 0), "rotation_dual": (1, 0, 0)},
+        ideals={"translations": _span(alg, [1, 2])},
+        complements={"rotation": _span(alg, [0])},
+    )
+
+
+def _sl2() -> CatalogEntry:
+    rep = [
+        [[1, 0], [0, -1]],
+        [[0, 1], [0, 0]],
+        [[0, 0], [1, 0]],
+    ]
+    alg = algebra_from_rep("sl2", ("h", "e", "f"), rep)
+    return CatalogEntry(
+        "sl2", alg,
+        "sl(2,Q) with standard basis h, e, f.",
+        covectors={"hyperbolic_dual": (2, 0, 0), "nilpotent_dual": (0, 0, 1)},
+    )
+
+
+def _sl3() -> CatalogEntry:
+    def unit(i, j):
+        m = [[0] * 3 for _ in range(3)]
+        m[i][j] = 1
+        return m
+
+    h1 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    h2 = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
+    labels = ("h1", "h2", "e12", "e21", "e13", "e31", "e23", "e32")
+    rep = [h1, h2, unit(0, 1), unit(1, 0), unit(0, 2), unit(2, 0), unit(1, 2), unit(2, 1)]
+    alg = algebra_from_rep("sl3", labels, rep)
+    return CatalogEntry(
+        "sl3", alg,
+        "sl(3,Q): Cartan h1, h2 plus the six root vectors.",
+    )
+
+
+_ETA = (1, -1, -1, -1)
+
+
+def _lorentz_generators():
+    # (M_ab) r_nu = eta_b delta_{b nu} e_a - eta_a delta_{a nu} e_b
+    labels, mats = [], []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            m = [[0] * 4 for _ in range(4)]
+            m[a][b] = _ETA[b]
+            m[b][a] = -_ETA[a]
+            labels.append(f"m{a}{b}")
+            mats.append(m)
+    return labels, mats
+
+
+def _so31() -> CatalogEntry:
+    labels, mats = _lorentz_generators()
+    alg = algebra_from_rep("so31", tuple(labels), mats)
+    return CatalogEntry(
+        "so31", alg,
+        "Lorentz algebra so(3,1) with metric diag(1,-1,-1,-1).",
+        covectors={"boost_dual": (1, 0, 0, 0, 0, 0)},
+    )
+
+
+def _poincare() -> CatalogEntry:
+    lor_labels, lor_mats = _lorentz_generators()
+    labels = tuple(lor_labels) + ("p0", "p1", "p2", "p3")
+    mats = []
+    for m in lor_mats:
+        big = [row + [0] for row in m] + [[0] * 5]
+        mats.append(big)
+    for a in range(4):
+        big = [[0] * 5 for _ in range(5)]
+        big[a][4] = 1
+        mats.append(big)
+    alg = algebra_from_rep("poincare", labels, mats)
+    return CatalogEntry(
+        "poincare", alg,
+        "Poincare algebra so(3,1) |x R^{3,1}; translations p0..p3 form the abelian ideal.",
+        covectors={
+            "timelike": (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            "timelike_spinning": (0, 0, 0, 1, 0, 0, 1, 0, 0, 0),
+            "lightlike": (0, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+            "spacelike": (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+            "zero_momentum": (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+        },
+        ideals={"translations": _span(alg, range(6, 10))},
+        complements={"lorentz": _span(alg, range(6))},
+    )
+
+
+BUILDERS = {
+    "abelian3": _abelian3,
+    "heisenberg3": _heisenberg3,
+    "filiform4": _filiform4,
+    "affine_line": _affine_line,
+    "euclid2": _euclid2,
+    "sl2": _sl2,
+    "sl3": _sl3,
+    "so31": _so31,
+    "poincare": _poincare,
+}
 
 
 @pytest.fixture(scope="session")

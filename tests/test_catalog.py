@@ -1,21 +1,24 @@
-"""Catalog entries built from matrix representations, the checks on them, and
-the JSON definition format read back from a document written here."""
+"""The built-in definition files against the reference builders, structure
+constants read off matrix representations, the checks on them, and the JSON
+definition format read back from a document written here."""
 
+import fnmatch
 import json
+import os
 import random
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import builtin_entries, catalog
-from orbitkit.builtin_entries import algebra_from_rep
+from orbitkit import catalog
 from orbitkit.catalog import CatalogError
 from orbitkit.liealg import LieAlgebra, flat, validate
 from orbitkit.linalg import Matrix, solve
-from conftest import sl_rep
+from conftest import BUILDERS, algebra_from_rep, sl_rep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -94,19 +97,50 @@ def test_the_constructors_refusals_name_the_file():
         assert str(exc.value) == f"f.json: {message}"
 
 
-def test_the_catalog_builds_without_a_linear_solve(monkeypatch):
+# -- the built-in definition files ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_each_shipped_file_is_named_after_its_entry():
+    files = sorted(os.listdir(catalog.BUILTIN_DIR))
+    assert files == sorted(f"{name}.json" for name in BUILDERS)
+    for fname in files:
+        doc = catalog.read_json(os.path.join(catalog.BUILTIN_DIR, fname))
+        assert f"{doc['name']}.json" == fname
+
+
+def test_each_shipped_file_is_its_reference_builders_entry(entries):
+    assert sorted(entries) == sorted(BUILDERS)
+    for name, build in BUILDERS.items():
+        ref, entry = build(), entries[name]
+        assert entry == ref, name    # algebra, covectors, ideals, complements, description
+        alg = entry.algebra
+        if alg.matrix_rep is not None:
+            mats = [m.entries for m in alg.matrix_rep]
+            assert algebra_from_rep(name, alg.labels, mats) == alg, name
+
+
+def test_the_catalog_reads_without_a_linear_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("linear solve")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("orbitkit.") and hasattr(module, "solve"):
             monkeypatch.setattr(module, "solve", refuse)
-    built = {name: builtin_entries.builtin_entry.__wrapped__(name)  # past the cache
-             for name in builtin_entries.BUILDERS}
-    assert built == catalog.builtin_catalog()
-    assert [e.name for e in built.values()] == [
-        "abelian3", "heisenberg3", "filiform4", "affine_line", "euclid2",
-        "sl2", "sl3", "so31", "poincare"]
+    read = {name: catalog.load_entry_file(os.path.join(catalog.BUILTIN_DIR, f"{name}.json"))
+            for name in BUILDERS}
+    assert read == catalog.builtin_catalog()
+
+
+def test_the_declared_package_data_is_every_shipped_file():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["orbitkit"]
+    package = Path(catalog.__file__).parent
+    shipped = sorted(str(p.relative_to(package)) for p in package.rglob("*")
+                     if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts)
+    assert shipped == sorted(f"algebras/{name}.json" for name in BUILDERS)
+    assert [p for p in shipped if not any(fnmatch.fnmatch(p, g) for g in globs)] == []
 
 
 # -- the JSON format, read back from a written document ---------------------------

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import builtin_entries
 from orbitkit import catalog as cat
 from orbitkit import cli
 from orbitkit.linalg import Subspace, basis_vector
 from orbitkit.polarization import pukanszky_polarization
-from conftest import n5_three_steps
+from conftest import BUILDERS, n5_three_steps
 
 # Definition files that are malformed or declare out-of-range data.
 MALFORMED = {
@@ -43,6 +42,12 @@ MALFORMED = {
                                        [["0", "1"], ["0", "0"], ["0", "0"]]]},
     "rep_nonsquare.json": {"name": "bad", "dim": 1, "basis": ["a"],
                            "matrix_rep": [[["1", "0", "0"], ["0", "0", "0"]]]},
+    "rep_ragged.json": {"name": "bad", "dim": 1, "basis": ["a"],
+                        "matrix_rep": [[["1", "0"], ["0"]]]},
+    "rep_empty.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                       "matrix_rep": [[["1"]], []]},
+    "description_int.json": {"name": "bad", "dim": 1, "basis": ["a"], "brackets": [],
+                             "description": 5},
     "covectors_list.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "covectors": []},
     "ideal_rows_int.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                             "ideals": {"x": {"rows": 5}}},
@@ -132,6 +137,9 @@ BAD_INPUTS = {
     "orbit_matrix_rep_breaks_bracket": ["orbit", "rep_breaks_bracket.json", "--point=1,0"],
     "validate_matrix_rep_shapes": ["validate", "rep_shapes.json"],
     "parabolic_matrix_rep_not_square": ["parabolic", "rep_nonsquare.json", "--element=1"],
+    "validate_matrix_rep_ragged": ["validate", "rep_ragged.json"],
+    "validate_matrix_rep_empty": ["validate", "rep_empty.json"],
+    "orbit_description_not_a_string": ["orbit", "description_int.json", "--point=0"],
     "orbit_covectors_not_an_object": ["orbit", "covectors_list.json", "--point=0,1"],
     "orbit_ideal_rows_not_a_list": ["orbit", "ideal_rows_int.json", "--point=0,1"],
     "orbit_ideal_row_wrong_length": ["orbit", "ideal_row_short.json", "--point=0,0,1"],
@@ -263,7 +271,7 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == ("bad chain file chain_index.json: "
                             "basis index 9 out of range for dimension 3")
     _, env = run(BAD_INPUTS["orbit_point_zero_denominator"], capsys)
-    assert env["error"] == "bad rational in point: Fraction(1, 0)"
+    assert env["error"] == "bad rational in point: zero denominator in rational literal '1/0'"
     _, env = run(BAD_INPUTS["validate_top_level_list"], capsys)
     assert env["error"] == "top_list.json: a definition must be a JSON object"
     _, env = run(BAD_INPUTS["orbit_basis_string"], capsys)
@@ -272,6 +280,12 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "dim_bool.json: dim must be a non-negative integer, got True"
     _, env = run(BAD_INPUTS["orbit_name_int"], capsys)
     assert env["error"] == "name_int.json: name must be a string, got 5"
+    _, env = run(BAD_INPUTS["validate_matrix_rep_ragged"], capsys)
+    assert env["error"] == "rep_ragged.json: matrix_rep[0]: ragged matrix"
+    _, env = run(BAD_INPUTS["validate_matrix_rep_empty"], capsys)
+    assert env["error"] == "rep_empty.json: matrix_rep[1]: a matrix with no rows needs its width"
+    _, env = run(BAD_INPUTS["orbit_description_not_a_string"], capsys)
+    assert env["error"] == "description_int.json: description must be a string, got 5"
     _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
     assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
     _, env = run(BAD_INPUTS["conditions_labels_repeated"], capsys)
@@ -294,7 +308,8 @@ def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["parabolic_short_element"], capsys)
     assert env["error"] == "element needs 3 coordinates, got 2"
     _, env = run(BAD_INPUTS["parabolic_zero_denominator"], capsys)
-    assert env["error"] == "bad rational in element: Fraction(1, 0)"
+    assert env["error"] == ("bad rational in element: "
+                            "zero denominator in rational literal '1/0'")
 
 
 # command -> the required options; each is refused without a --point
@@ -460,24 +475,55 @@ def test_catalog_refuses_a_name_that_is_not_a_string(workdir, monkeypatch, capsy
     assert code == 2 and env["error"].endswith("name_int.json: name must be a string, got 5")
 
 
-# -- catalog entries are built by name ------------------------------------------
+@pytest.mark.parametrize("fname, error", [
+    ("rep_ragged.json", "matrix_rep[0]: ragged matrix"),
+    ("rep_empty.json", "matrix_rep[1]: a matrix with no rows needs its width"),
+    ("description_int.json", "description must be a string, got 5"),
+])
+def test_the_catalog_listing_names_a_bad_file(fname, error, workdir, monkeypatch, capsys):
+    extra = workdir / "extra"
+    extra.mkdir()
+    (workdir / fname).rename(extra / fname)
+    monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
+    code, env = run(["catalog"], capsys)
+    assert (code, env["error"]) == (2, f"{extra / fname}: {error}")
+
+
+# -- catalog entries are read by name ------------------------------------------
 
 @pytest.fixture
-def unbuilt_catalog():
-    builtin_entries.builtin_entry.cache_clear()
-    yield
-    builtin_entries.builtin_entry.cache_clear()
+def opened(monkeypatch):
+    """The paths the catalog opens, read past its cache of built-in files."""
+    paths = []
+
+    def spy(path, *args, **kwargs):
+        paths.append(os.path.abspath(path))
+        return open(path, *args, **kwargs)
+
+    cat._builtin_entry.cache_clear()
+    monkeypatch.setattr(cat, "open", spy, raising=False)   # shadows the builtin in catalog
+    yield paths
+    cat._builtin_entry.cache_clear()
 
 
-def test_a_named_entry_builds_no_other(unbuilt_catalog, monkeypatch, capsys):
-    def refuse():
-        raise AssertionError("built an entry the invocation does not name")
-
-    for name in builtin_entries.BUILDERS:
-        if name != "heisenberg3":
-            monkeypatch.setitem(builtin_entries.BUILDERS, name, refuse)
+def test_a_named_entry_reads_its_file_and_no_other(opened, capsys):
     code, env = run(HAPPY["orbit"], capsys)
     assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 2
+    assert opened == [os.path.join(cat.BUILTIN_DIR, "heisenberg3.json")]
+
+
+def test_a_name_is_not_joined_into_a_path(opened, tmp_path, monkeypatch, capsys):
+    # a definition file that `../heisenberg3`, joined to the working directory, would reach
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "heisenberg3.json").write_text(
+        (Path(cat.BUILTIN_DIR) / "heisenberg3.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "sub")
+    for name in ("../heisenberg3", "../algebras/heisenberg3", str(tmp_path / "heisenberg3")):
+        code, env = run(["validate", f"catalog:{name}"], capsys)
+        assert (code, env["error"]) == (
+            2, f"unknown catalog entry {name!r}; try the `catalog` subcommand")
+    assert opened == []
 
 
 def test_a_catalog_dir_entry_overrides_the_builtin_of_its_name(workdir, monkeypatch, capsys):
@@ -490,7 +536,7 @@ def test_a_catalog_dir_entry_overrides_the_builtin_of_its_name(workdir, monkeypa
     assert code == 0 and env["results"][0]["orbit"]["orbit_dim"] == 0
     code, env = run(["catalog"], capsys)
     assert env["entries"]["heisenberg3"]["ideals"] == []
-    assert sorted(env["entries"]) == sorted(builtin_entries.BUILDERS)
+    assert sorted(env["entries"]) == sorted(BUILDERS)
 
 
 @pytest.mark.parametrize("command", sorted(HAPPY))

@@ -160,22 +160,22 @@ def test_no_unused_imports():
 BASE = ["orbitkit", "orbitkit.catalog", "orbitkit.cli", "orbitkit.liealg", "orbitkit.linalg"]
 
 LOADS = {   # the modules a subcommand adds to BASE
-    ("catalog",): ["builtin_entries"],
-    ("validate", "catalog:heisenberg3"): ["builtin_entries"],
-    ("orbit", "catalog:heisenberg3", "--point=0,0,1"): ["builtin_entries"],
+    ("catalog",): [],
+    ("validate", "catalog:heisenberg3"): [],
+    ("orbit", "catalog:heisenberg3", "--point=0,0,1"): [],
     ("conditions", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
-        ["builtin_entries", "conditions", "structure"],
+        ["conditions", "structure"],
     ("mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"):
-        ["builtin_entries", "mackey", "structure"],
+        ["mackey", "structure"],
     ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"):
-        ["builtin_entries", "mackey", "polynomials", "structure"],
+        ["mackey", "polynomials", "structure"],
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
-        ["builtin_entries", "induction", "structure"],
+        ["induction", "structure"],
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        ["builtin_entries", "polynomials", "qi_roots", "reductive", "structure"],
+        ["polynomials", "qi_roots", "reductive", "structure"],
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
-        ["builtin_entries", "conditions", "polarization", "polynomials", "structure"],
-    # definition files, the benchmark's own traffic, never load the built-ins
+        ["conditions", "polarization", "polynomials", "structure"],
+    # definition files, the benchmark's own traffic
     ("validate", "h3.json"): [],
     ("orbit", "h3.json", "--point=0,0,1"): [],
     ("classify", "h3.json", "--ideal", "plane", "--point=0,0,1"):

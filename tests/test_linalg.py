@@ -92,7 +92,7 @@ def test_annihilator_pairing():
 
 def test_frac_refuses_a_zero_denominator():
     assert frac("-6/8") == F(-3, 4)
-    with pytest.raises(ValueError, match=r"Fraction\(1, 0\)"):
+    with pytest.raises(ValueError, match=r"^zero denominator in rational literal '1/0'$"):
         frac("1/0")
     with pytest.raises(TypeError):
         frac(0.5)

@@ -9,7 +9,6 @@ import pytest
 
 from orbitkit import liealg, reductive, structure
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, validate
-from orbitkit.builtin_entries import algebra_from_rep
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
@@ -27,7 +26,7 @@ from orbitkit.reductive import (
     parabolic_report,
 )
 from orbitkit.structure import orbit_dim
-from conftest import rand_vec, sl_rep, subalgebra_orbit_dim, sympy_supported
+from conftest import algebra_from_rep, rand_vec, sl_rep, subalgebra_orbit_dim, sympy_supported
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
