@@ -24,7 +24,8 @@ a `--sub @file` and a `chain:` file.  One that cannot be read, is not UTF-8,
 is not JSON or nests too deeply is a CatalogError that names the file.  A
 rational literal is read by `linalg.frac`, which refuses an exponent above
 MAX_EXPONENT (4300) in magnitude, or more than that many digits in a row,
-before it builds the number.
+before it builds the number, and a numerator or denominator of more than
+that many digits after.
 
 The built-in entries are definition files too, NAME.json in the package's
 `algebras` directory, read by `load_entry_file` like any other: the same
@@ -34,7 +35,8 @@ per process, so a caller that names one entry reads that file alone; the
 name is looked up in the directory's listing, never joined into a path.
 The entries of the directory named by ORBITKIT_CATALOG_DIR are read by the
 same loader on every lookup and merged over the built-ins: a file naming a
-built-in overrides it, and a malformed file fails every lookup.
+built-in overrides it, and a malformed file, or two files naming one entry,
+fails every lookup.
 """
 
 from __future__ import annotations
@@ -75,9 +77,18 @@ def _entry_files(directory: str) -> list:
 
 
 def _directory_entries(directory: str, load) -> dict:
-    """The entry of every definition file in a directory, by name, each read by `load`."""
-    entries = (load(os.path.join(directory, fname)) for fname in _entry_files(directory))
-    return {entry.name: entry for entry in entries}
+    """The entry of every definition file in a directory, by name, each read by `load`.
+
+    Two files that name the same entry are a CatalogError naming both.
+    """
+    entries, paths = {}, {}
+    for fname in _entry_files(directory):
+        path = os.path.join(directory, fname)
+        entry = load(path)
+        if entry.name in paths:
+            raise CatalogError(f"{paths[entry.name]} and {path} both name the entry {entry.name!r}")
+        entries[entry.name], paths[entry.name] = entry, path
+    return entries
 
 
 @lru_cache(maxsize=None)

@@ -333,6 +333,7 @@ def _cmd_classify(entry, args):
 @_per_point
 def _cmd_record(entry, args):
     from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
+    from .structure import check_subalgebra
 
     alg = entry.algebra
     subs = [_parse_subspace(entry, s) for s in args.sub]
@@ -345,6 +346,8 @@ def _cmd_record(entry, args):
         rec = InducedRecord(alg, spaces[-2], spaces[-1], fiber)
         for outer_space, outer_sub in zip(reversed(spaces[:-2]), reversed(subs[:-1])):
             rec = InducedRecord(alg, outer_space, outer_sub, rec)
+        for outer_sub in subs[:-1]:  # point_fiber checked the innermost one
+            check_subalgebra(alg, outer_sub)
         flattened = stages_flatten(rec)
         verdict = frobenius_check(rec, orbit_record(alg, cov))
         return {

@@ -128,6 +128,7 @@ class Record:
 
 
 MAX_EXPONENT = 4300  # as many digits as Python prints of an int by default
+_TOO_LONG = 10 ** MAX_EXPONENT  # the least int of MAX_EXPONENT + 1 digits
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _DIGITS = re.compile(r"\d[\d_]*")
 
@@ -139,6 +140,9 @@ def frac(x) -> Fraction:
     so are an exponent above MAX_EXPONENT in magnitude and a run of more than
     MAX_EXPONENT digits, refused before the number is built:
     `Fraction('1e1000000')` alone takes 0.3 s, growing with the exponent.
+    A string whose numerator or denominator has more than MAX_EXPONENT digits
+    once built ('1e4300', '1e-4300') is refused too, so that no input number
+    is too long to print.
     """
     if isinstance(x, Fraction):
         return x
@@ -153,9 +157,13 @@ def frac(x) -> Fraction:
                                   for run in _DIGITS.findall(x)):
         raise ValueError(f"more than {MAX_EXPONENT} digits in a row in a rational literal")
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal {x!r}") from None
+    if isinstance(x, str) and max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        raise ValueError(f"more than {MAX_EXPONENT} digits in the numerator or denominator "
+                         "of a rational literal")
+    return q
 
 
 def vec(entries: Iterable) -> tuple:

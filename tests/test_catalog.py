@@ -7,7 +7,6 @@ import json
 import os
 import random
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -134,6 +133,7 @@ def test_the_catalog_reads_without_a_linear_solve(monkeypatch):
 
 
 def test_the_declared_package_data_is_every_shipped_file():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as fh:
         globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["orbitkit"]
     package = Path(catalog.__file__).parent

@@ -216,6 +216,9 @@ BAD_INPUTS = {
     "orbit_point_digits_over_cap": ["orbit", "catalog:heisenberg3",
                                     "--point=" + "1" * 5000 + ",0,1"],
     "validate_coeff_exponent_over_cap": ["validate", "coeff_exponent_over_cap.json"],
+    # an outer stage of a `record` chain that is not a subalgebra
+    "record_outer_sub_not_a_subalgebra": ["record", "catalog:filiform4", "--sub", "0,1,3",
+                                          "--sub", "center", "--point=0,0,0,1"],
 }
 
 HAPPY = {
@@ -286,6 +289,10 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "rep_empty.json: matrix_rep[1]: a matrix with no rows needs its width"
     _, env = run(BAD_INPUTS["orbit_description_not_a_string"], capsys)
     assert env["error"] == "description_int.json: description must be a string, got 5"
+    _, env = run(BAD_INPUTS["record_outer_sub_not_a_subalgebra"], capsys)
+    assert env["error"] == "subspace is not a subalgebra: bracket of basis rows 0,1 escapes"
+    assert run(["record", "catalog:filiform4", "--sub", "0,1,3", "--point=0,0,0,1"],
+               capsys)[1]["error"] == env["error"]
     _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
     assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
     _, env = run(BAD_INPUTS["conditions_labels_repeated"], capsys)
@@ -416,9 +423,9 @@ def test_an_unreadable_file_or_an_unprintable_number_is_named(workdir, capsys):
         "orbit_point_exponent_over_cap": f"bad rational in point: {over_cap}",
         "orbit_point_digits_over_cap": "bad rational in point: more than 4300 digits in a "
                                        "row in a rational literal",
-        # 10**4300 is built, but has one digit more than Python prints
-        "orbit_point_too_long_to_print": "a number in the report has more than 4300 digits, "
-                                         "too long to print",
+        # 10**4300 has one digit more than Python prints
+        "orbit_point_too_long_to_print": "bad rational in point: more than 4300 digits in the "
+                                         "numerator or denominator of a rational literal",
         "validate_coeff_exponent_over_cap": "coeff_exponent_over_cap.json: bracket pair (0,1): "
                                             f"bad rational literal '1e5000': {over_cap}",
     }
@@ -487,6 +494,18 @@ def test_the_catalog_listing_names_a_bad_file(fname, error, workdir, monkeypatch
     monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(extra))
     code, env = run(["catalog"], capsys)
     assert (code, env["error"]) == (2, f"{extra / fname}: {error}")
+
+
+def test_two_catalog_dir_files_naming_one_entry_are_refused(tmp_path, monkeypatch, capsys):
+    for fname, dim, description in (("a.json", 1, "first"), ("b.json", 2, "second")):
+        doc = {"name": "x", "dim": dim, "basis": [f"e{k}" for k in range(dim)],
+               "brackets": [], "description": description}
+        (tmp_path / fname).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBITKIT_CATALOG_DIR", str(tmp_path))
+    error = f"{tmp_path / 'a.json'} and {tmp_path / 'b.json'} both name the entry 'x'"
+    for argv in (["catalog"], ["orbit", "catalog:x", "--point=0"], HAPPY["orbit"]):
+        code, env = run(argv, capsys)
+        assert (code, env["error"]) == (2, error)
 
 
 # -- catalog entries are read by name ------------------------------------------
@@ -689,6 +708,18 @@ def test_the_encoder_refuses_unknown_types(value, monkeypatch, capsys):
     with pytest.raises(TypeError, match="no JSON form"):
         cli.main(["catalog"])
     assert capsys.readouterr().out == ""
+
+
+def test_a_report_number_too_long_to_print_gives_the_error_envelope(monkeypatch, capsys):
+    # every literal is refused past 4300 digits, but products of accepted ones can grow past it
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setitem(cli._COMMANDS, "catalog", cli._Command(
+        "list", lambda args: ({"entries": [F(10 ** limit, 3)]}, True), (cli._OUTPUT,),
+        algebra=False, point=False))
+    assert run(["catalog"], capsys) == (2, {
+        "command": "catalog", "ok": False, "schema": 1,
+        "error": f"a number in the report has more than {limit} digits, too long to print"})
+    assert cli._encode(F(10 ** limit - 1, 2)) == "9" * limit + "/2"
 
 
 # -- the process entry ----------------------------------------------------------

@@ -99,8 +99,8 @@ def test_frac_refuses_a_zero_denominator():
 
 
 def test_frac_refuses_an_exponent_past_the_cap_before_building_the_number(monkeypatch):
-    assert frac("1e4300") == 10 ** 4300
-    assert frac(" -1.5E-0_4300 ") == F(-15, 10 ** 4301)
+    assert frac("1e4299") == 10 ** 4299
+    assert frac(" -1.5E-0_4298 ") == F(-15, 10 ** 4299)
     assert frac("2e0_1") == 20 and frac("1e00000005") == 10 ** 5
     built = []
 
@@ -137,6 +137,19 @@ def test_frac_refuses_a_run_of_digits_past_the_cap_before_building_the_number(mo
         with pytest.raises(ValueError, match="^more than 4300 digits in a row in a rational"):
             frac(literal)
     assert built == []
+
+
+def test_frac_refuses_a_numerator_or_denominator_past_the_cap():
+    # 10**4300 has 4301 digits, one more than Python prints
+    assert frac("9" * 4300) == 10 ** 4300 - 1
+    assert frac("-1/" + "9" * 4300) == F(-1, 10 ** 4300 - 1)
+    assert frac("1e-4299") == F(1, 10 ** 4299)
+    for literal in ("1e4300", "-1e4300", "1e-4300", "-1.3e-4299", "10e4299", "1" * 4300 + ".5e1"):
+        with pytest.raises(ValueError, match="^more than 4300 digits in the numerator or "
+                                             "denominator of a rational literal$"):
+            frac(literal)
+    assert frac(10 ** 4300) == 10 ** 4300  # an int is no literal
+    assert frac(F(1, 10 ** 4300)) == F(1, 10 ** 4300)
 
 
 def test_solve_identity():
