@@ -9,18 +9,28 @@ Definition files look like
 with rationals serialized as "p/q" strings and only i < j bracket pairs
 allowed (omitted pairs are zero).  A basis index (`i`, `j`, an entry of an
 index list) is a JSON integer, never `true` or `false`, and neither is a
-rational; a coefficient key is a string of ASCII decimal digits.  A raw
-dense "structure" tensor is accepted as an alternative to "brackets" so
+rational; a coefficient key is a string of ASCII decimal digits, and two
+keys of one bracket may not name one index ("2" and "02").  The dimension
+is at most MAX_DIM (128), so a file of a few kilobytes cannot start a
+validation that runs for minutes; a `LieAlgebra` built in code has no cap.
+A raw dense "structure" tensor is accepted as an alternative to "brackets" so
 that deliberately broken tensors can be fed to the validator; it is the
 only dim^3 grid in the package, read into the algebra's sparse bracket
 table as given (not made antisymmetric) and then dropped.  Catalog entries
-extend the schema with a description string, documented sample covectors
-and declared ideals/complements, each an index list or {"rows": ...}; a
-declared name may not be a basis label or all ASCII digits, since a
-subspace argument looks names up before labels and indices.
+extend the schema with a description string and three JSON objects keyed
+by name: documented sample covectors, declared ideals and declared
+complements.  A declared name may not be a basis label, all ASCII digits,
+a label list or an @file, since a subspace argument looks names up first.
+
+A subspace in JSON has one grammar, read by `parse_subspace` alone: a list
+of basis indices, or {"rows": [row, ...]} with each row a list of dim
+rationals.  A definition declares its ideals and complements in it; the
+file of a `--sub`, `--ideal` or `--complement` argument @FILE holds one
+subspace; a `--strategy chain:FILE` file is {"ideals": [subspace, ...]},
+read by `parse_chain`.
 
 `read_json` is the one reader of the files the CLI is given: a definition,
-a `--sub @file` and a `chain:` file.  One that cannot be read, is not UTF-8,
+a subspace file and a chain file.  One that cannot be read, is not UTF-8,
 is not JSON or nests too deeply is a CatalogError that names the file.  A
 rational literal is read by `linalg.frac`, which refuses an exponent above
 MAX_EXPONENT (4300) in magnitude, or more than that many digits in a row,
@@ -48,6 +58,9 @@ from functools import lru_cache
 
 from .liealg import LieAlgebra, validate
 from .linalg import Matrix, Record, Subspace, basis_vector, frac
+
+
+MAX_DIM = 128  # the largest dimension a definition file may declare
 
 
 class CatalogError(ValueError):
@@ -196,6 +209,8 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
         raise CatalogError(f"{source}: name must be a string, got {name!r}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise CatalogError(f"{source}: dim must be a non-negative integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise CatalogError(f"{source}: dim {dim} is above the limit {MAX_DIM}")
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise CatalogError(f"{source}: basis must be a list of strings, got {labels!r}")
     labels = tuple(labels)
@@ -243,7 +258,13 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
             if (i, j) in brackets:
                 raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
             what = f"{source}: bracket pair ({i},{j})"
-            brackets[(i, j)] = {_index_key(k, what): _rat(v, what) for k, v in coeffs}
+            brackets[(i, j)], keys = {}, {}
+            for key, value in coeffs:
+                k = _index_key(key, what)
+                if k in keys:  # "2" and "02"
+                    raise CatalogError(f"{what}: coefficient keys {keys[k]!r} and {key!r} "
+                                       f"name one index {k}")
+                keys[k], brackets[(i, j)][k] = key, _rat(value, what)
     try:  # the constructor checks the coefficient indices and the matrix_rep shapes
         if table is None:
             return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
@@ -252,14 +273,9 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
         raise CatalogError(f"{source}: {exc}") from None
 
 
-def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
-    # a subspace argument is looked up by declared name before labels, indices,
-    # label lists and @files, so a name must not read as any of them
-    if name in alg.labels or is_index_token(name):
-        raise CatalogError(f"{what} has the name of a basis label or index")
-    if "," in name or name.startswith("@"):
-        raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")
-    if isinstance(spec, dict) and "rows" in spec:
+def parse_subspace(alg: LieAlgebra, spec, what: str) -> Subspace:
+    """The subspace a JSON spec names; an error's text starts with `what`."""
+    if isinstance(spec, dict) and isinstance(spec.get("rows"), list):
         rows = [parse_row(row, f"{what} rows[{r}]") for r, row in enumerate(spec["rows"])]
     elif not (isinstance(spec, list) and all(map(is_index, spec))):
         raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
@@ -271,6 +287,32 @@ def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
         raise CatalogError(f"{what}: {exc}") from None
 
 
+def parse_chain(alg: LieAlgebra, doc, what: str) -> list:
+    """The subspaces of a chain file, in order; an error's text starts with `what`."""
+    ideals = doc.get("ideals") if isinstance(doc, dict) else None
+    if not isinstance(ideals, list):
+        raise CatalogError(f"{what}: 'ideals' is missing or not a list")
+    return [parse_subspace(alg, spec, f"{what}: ideals[{k}]") for k, spec in enumerate(ideals)]
+
+
+def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
+    # a subspace argument is looked up by declared name before labels, indices,
+    # label lists and @files, so a name must not read as any of them
+    if name in alg.labels or is_index_token(name):
+        raise CatalogError(f"{what} has the name of a basis label or index")
+    if "," in name or name.startswith("@"):
+        raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")
+    return parse_subspace(alg, spec, what)
+
+
+def _object_field(doc: dict, field: str, source: str) -> dict:
+    """A field of a definition that holds a JSON object, {} when it is absent."""
+    value = doc.get(field, {})
+    if not isinstance(value, dict):
+        raise CatalogError(f"{source}: {field} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
     alg = parse_algebra(doc, source)
     report = validate(alg)
@@ -278,17 +320,12 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
         bad = report.antisymmetry_failures or [t[:3] for t in report.jacobi_failures]
         where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report.rep_failures[0]}"
         raise CatalogError(f"{source}: algebra fails validation at {where}")
-    try:
-        covectors = {
-            key: parse_row(coords, f"{source}: covector {key!r}")
-            for key, coords in doc.get("covectors", {}).items()
-        }
-        ideals, complements = (
-            {key: _parse_subspace(alg, key, spec, f"{source}: {kind} {key!r}")
-             for key, spec in doc.get(f"{kind}s", {}).items()}
-            for kind in ("ideal", "complement"))
-    except (AttributeError, TypeError) as exc:
-        raise CatalogError(f"{source}: malformed covectors, ideals or complements: {exc}") from None
+    covectors = {key: parse_row(coords, f"{source}: covector {key!r}")
+                 for key, coords in _object_field(doc, "covectors", source).items()}
+    ideals, complements = (
+        {key: _parse_subspace(alg, key, spec, f"{source}: {kind} {key!r}")
+         for key, spec in _object_field(doc, f"{kind}s", source).items()}
+        for kind in ("ideal", "complement"))
     for key, coords in covectors.items():
         if len(coords) != alg.dim:
             raise CatalogError(

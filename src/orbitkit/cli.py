@@ -116,12 +116,7 @@ def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
         return entry.complements[text]
     if text.startswith("@"):
         what = f"bad subspace file {text[1:]}"
-        doc = cat.read_json(text[1:], what)
-        try:
-            return Subspace(alg.dim, [cat.parse_row(row, f"rows[{r}]")
-                                      for r, row in enumerate(doc["rows"])])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{what}: {exc}") from None
+        return cat.parse_subspace(alg, cat.read_json(text[1:], what), what)
     tokens = [t.strip() for t in text.split(",")]
     rows = []
     for tok in tokens:
@@ -257,17 +252,7 @@ def _cmd_polarize(entry, args):
             raise InputError("strategy must be `auto` or `chain:<file>`")
         path = args.strategy.split(":", 1)[1]
         what = f"bad chain file {path}"
-        doc = cat.read_json(path, what)
-        chain = []
-        try:
-            for k, spec in enumerate(doc["ideals"]):
-                if isinstance(spec, list) and all(map(cat.is_index, spec)):
-                    chain.append(Subspace(alg.dim, [basis_vector(alg.dim, i) for i in spec]))
-                else:
-                    chain.append(Subspace(alg.dim, [cat.parse_row(row, f"ideals[{k}][{r}]")
-                                                    for r, row in enumerate(spec)]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{what}: {exc}") from None
+        chain = cat.parse_chain(alg, cat.read_json(path, what), what)
 
     pre = exponential_precheck(alg)
     if not pre.passed and not args.override_precheck:
@@ -395,7 +380,8 @@ _COMMANDS = {
         ("--complement", None, "value", "declared complement to test the semidirect witness"))),
     "polarize": _Command("construct a Pukanszky polarization", _cmd_polarize, (
         _POINT, _OUTPUT,
-        ("--strategy", None, "value", "auto (the default) or chain:<file>"),
+        ("--strategy", None, "value",
+         "auto (the default) or chain:<file> holding {\"ideals\": [subspace, ...]}"),
         ("--override-precheck", None, "flag", "run even when the exponential precheck fails"))),
     "parabolic": _Command("Jordan split, grading, parabolic relations", _cmd_parabolic, (
         _POINT, _OUTPUT,

@@ -190,6 +190,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
+                if not (nz[j][k] or nz[k][i] or nz[i][j]):
+                    continue  # every term brackets with one of these, so the sum is 0
                 # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
                 s = [ZERO] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

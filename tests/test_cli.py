@@ -6,6 +6,7 @@ import errno
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,7 +18,7 @@ from orbitkit import catalog as cat
 from orbitkit import cli
 from orbitkit.linalg import Subspace, basis_vector
 from orbitkit.polarization import pukanszky_polarization
-from conftest import BUILDERS, n5_three_steps
+from conftest import BUILDERS, n5_three_steps, seeded_family_entries
 
 # Definition files that are malformed or declare out-of-range data.
 MALFORMED = {
@@ -58,7 +59,7 @@ MALFORMED = {
                                  "complements": {"s": {"rows": [["1", "0", "0"]]}}},
     "zero_den_rows.json": {"rows": [["1/0", "0", "0"]]},
     "chain_index.json": {"ideals": [[9]]},
-    "chain_zero_den.json": {"ideals": [[["1/0", "0", "0"]]]},
+    "chain_zero_den.json": {"ideals": [{"rows": [["1/0", "0", "0"]]}]},
     # a JSON string where a list of rationals belongs is never read per character
     "covector_string.json": {"name": "covector_string", "dim": 2, "basis": ["a", "b"],
                              "covectors": {"c": "12"}},
@@ -69,7 +70,7 @@ MALFORMED = {
                                   "structure": [["0"]]},
     "rows_string.json": {"rows": ["010"]},
     "rows_string_signed.json": {"rows": ["-12"]},
-    "chain_row_string.json": {"ideals": [["001"]]},
+    "chain_row_string.json": {"ideals": [{"rows": ["001"]}]},
     "chain_ideal_string.json": {"ideals": ["12"]},
     "basis_string.json": {"dim": 2, "basis": "ab", "brackets": []},
     "dim_bool.json": {"dim": True, "basis": ["a"], "brackets": []},
@@ -106,6 +107,22 @@ MALFORMED = {
                            "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
                            "covectors": {"c": [True, False, True]}},
     "rows_bool.json": {"rows": [[True, False, False]]},
+    # subspaces in JSON outside their one grammar, or not subspaces of the algebra
+    "sub_file_index_list.json": [0, 1],
+    "sub_file_index_out_of_range.json": [0, 9],
+    "sub_file_int.json": 5,
+    "chain_ideals_int.json": {"ideals": 5},
+    "chain_no_ideals.json": {"chain": []},
+    "chain_bare_rows.json": {"ideals": [[["0", "0", "1"]]]},
+    "chain_rows_short.json": {"ideals": [{"rows": [["0", "1"]]}]},
+    "ideal_rows_object.json": {"name": "bad", "dim": 3, "basis": ["x", "y", "z"],
+                               "ideals": {"c": {"rows": {"a": 1}}}},
+    "ideals_list.json": {"name": "bad", "dim": 2, "basis": ["a", "b"], "ideals": [[0]]},
+    "complements_null.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                              "complements": None},
+    # two keys of one bracket that name one index
+    "coeff_keys_one_index.json": {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                                  "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1", "02": "5"}}]},
     # bytes are written as they are: a file that is not UTF-8
     "not_utf8.json": b"\xff{}",
     "too_deep.json": b"[" * 100000 + b"]" * 100000,
@@ -219,6 +236,29 @@ BAD_INPUTS = {
     # an outer stage of a `record` chain that is not a subalgebra
     "record_outer_sub_not_a_subalgebra": ["record", "catalog:filiform4", "--sub", "0,1,3",
                                           "--sub", "center", "--point=0,0,0,1"],
+    # subspaces in JSON, read by `catalog.parse_subspace`, and the fields that hold them
+    "conditions_sub_file_not_a_subalgebra": ["conditions", "catalog:heisenberg3",
+                                             "--sub", "@sub_file_index_list.json",
+                                             "--point=0,0,1"],
+    "conditions_sub_file_index_out_of_range": ["conditions", "catalog:heisenberg3",
+                                               "--sub", "@sub_file_index_out_of_range.json",
+                                               "--point=0,0,1"],
+    "mackey_ideal_file_not_a_subspace": ["mackey", "catalog:heisenberg3",
+                                         "--ideal", "@sub_file_int.json", "--point=0,0,1"],
+    "polarize_chain_ideals_not_a_list": ["polarize", "catalog:heisenberg3",
+                                         "--strategy", "chain:chain_ideals_int.json",
+                                         "--point=0,0,1"],
+    "polarize_chain_no_ideals": ["polarize", "catalog:heisenberg3",
+                                 "--strategy", "chain:chain_no_ideals.json", "--point=0,0,1"],
+    "polarize_chain_bare_rows": ["polarize", "catalog:heisenberg3",
+                                 "--strategy", "chain:chain_bare_rows.json", "--point=0,0,1"],
+    "polarize_chain_row_wrong_length": ["polarize", "catalog:heisenberg3",
+                                        "--strategy", "chain:chain_rows_short.json",
+                                        "--point=0,0,1"],
+    "orbit_ideal_rows_an_object": ["orbit", "ideal_rows_object.json", "--point=0,0,1"],
+    "orbit_ideals_not_an_object": ["orbit", "ideals_list.json", "--point=0,1"],
+    "orbit_complements_null": ["orbit", "complements_null.json", "--point=0,1"],
+    "validate_coeff_keys_name_one_index": ["validate", "coeff_keys_one_index.json"],
 }
 
 HAPPY = {
@@ -261,6 +301,49 @@ def test_bad_input_gives_the_error_envelope(case, workdir, capsys):
     assert "results" not in env
 
 
+def test_no_error_text_is_a_python_message(workdir, capsys):
+    for case, argv in BAD_INPUTS.items():
+        error = run(argv, capsys)[1]["error"]
+        for phrase in ("object is not", "has no attribute", "list indices", "not iterable"):
+            assert phrase not in error, (case, error)
+
+
+def test_malformed_json_is_refused_in_the_package_words(workdir, capsys):
+    grammar = "must be an index list or {'rows': ...}"
+    want = {
+        "conditions_sub_file_not_a_subalgebra": "subspace is not a subalgebra: "
+                                                "bracket of basis rows 0,1 escapes",
+        "conditions_sub_file_index_out_of_range": "bad subspace file "
+                                                  "sub_file_index_out_of_range.json: basis "
+                                                  "index 9 out of range for dimension 3",
+        "mackey_ideal_file_not_a_subspace": f"bad subspace file sub_file_int.json {grammar}",
+        "polarize_chain_ideals_not_a_list": "bad chain file chain_ideals_int.json: "
+                                            "'ideals' is missing or not a list",
+        "polarize_chain_no_ideals": "bad chain file chain_no_ideals.json: "
+                                    "'ideals' is missing or not a list",
+        "polarize_chain_bare_rows": f"bad chain file chain_bare_rows.json: ideals[0] {grammar}",
+        "polarize_chain_row_wrong_length": "bad chain file chain_rows_short.json: ideals[0]: "
+                                           "generator length does not match ambient dimension",
+        "orbit_ideal_rows_an_object": f"ideal_rows_object.json: ideal 'c' {grammar}",
+        "orbit_ideal_rows_not_a_list": f"ideal_rows_int.json: ideal 'x' {grammar}",
+        "orbit_covectors_not_an_object": "covectors_list.json: covectors must be a JSON "
+                                         "object, got []",
+        "orbit_ideals_not_an_object": "ideals_list.json: ideals must be a JSON object, "
+                                      "got [[0]]",
+        "orbit_complements_null": "complements_null.json: complements must be a JSON object, "
+                                  "got None",
+        "validate_coeff_keys_name_one_index": "coeff_keys_one_index.json: bracket pair (0,1): "
+                                              "coefficient keys '2' and '02' name one index 2",
+        "polarize_chain_zero_denominator": "bad chain file chain_zero_den.json: ideals[0] "
+                                           "rows[0]: bad rational literal '1/0': zero "
+                                           "denominator in rational literal '1/0'",
+    }
+    for case, error in want.items():
+        assert run(BAD_INPUTS[case], capsys) == (2, {
+            "algebra": BAD_INPUTS[case][1], "command": BAD_INPUTS[case][0],
+            "error": error, "ok": False, "schema": 1})
+
+
 def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["mackey_ideal_index_out_of_range"], capsys)
     assert env["error"] == "bad_ideal.json: ideal 'x': basis index 9 out of range for dimension 2"
@@ -271,7 +354,7 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == ("complement_row_long.json: complement 's': "
                             "generator length does not match ambient dimension")
     _, env = run(BAD_INPUTS["polarize_chain_index"], capsys)
-    assert env["error"] == ("bad chain file chain_index.json: "
+    assert env["error"] == ("bad chain file chain_index.json: ideals[0]: "
                             "basis index 9 out of range for dimension 3")
     _, env = run(BAD_INPUTS["orbit_point_zero_denominator"], capsys)
     assert env["error"] == "bad rational in point: zero denominator in rational literal '1/0'"
@@ -365,14 +448,14 @@ def test_a_string_row_is_refused_by_name(workdir, capsys):
                                           "list of rationals, got '0'",
         "validate_structure_row_string": "structure_row_string.json: structure row must be a "
                                          "list of rationals, got '0'",
-        "conditions_rows_string": "bad subspace file rows_string.json: rows[0] must be a list "
+        "conditions_rows_string": "bad subspace file rows_string.json rows[0] must be a list "
                                   "of rationals, got '010'",
-        "conditions_rows_string_signed": "bad subspace file rows_string_signed.json: rows[0] "
+        "conditions_rows_string_signed": "bad subspace file rows_string_signed.json rows[0] "
                                          "must be a list of rationals, got '-12'",
-        "polarize_chain_row_string": "bad chain file chain_row_string.json: ideals[0][0] must "
-                                     "be a list of rationals, got '001'",
-        "polarize_chain_ideal_string": "bad chain file chain_ideal_string.json: ideals[0][0] "
-                                       "must be a list of rationals, got '1'",
+        "polarize_chain_row_string": "bad chain file chain_row_string.json: ideals[0] rows[0] "
+                                     "must be a list of rationals, got '001'",
+        "polarize_chain_ideal_string": "bad chain file chain_ideal_string.json: ideals[0] "
+                                       "must be an index list or {'rows': ...}",
     }
     for case, error in want.items():
         assert run(BAD_INPUTS[case], capsys) == (2, {
@@ -386,8 +469,8 @@ def test_a_bool_index_or_a_loose_key_is_refused_by_name(workdir, capsys):
                                        "violates 0 <= i < j < dim",
         "orbit_ideal_index_bool": "ideal_index_bool.json: ideal 'I' must be an index list "
                                   "or {'rows': ...}",
-        "polarize_chain_index_bool": "bad chain file chain_index_bool.json: ideals[0][0] must "
-                                     "be a list of rationals, got True",
+        "polarize_chain_index_bool": "bad chain file chain_index_bool.json: ideals[0] must "
+                                     "be an index list or {'rows': ...}",
         "validate_coeff_key_letter": "coeff_key_letter.json: bracket pair (0,1): "
                                      "coefficient key 'x' is not a basis index",
         "validate_coeff_key_space": "coeff_key_space.json: bracket pair (0,1): "
@@ -397,7 +480,7 @@ def test_a_bool_index_or_a_loose_key_is_refused_by_name(workdir, capsys):
         "validate_coeff_value_bool": "coeff_value_bool.json: bracket pair (0,1): "
                                      "true is not a rational",
         "orbit_covector_bool": "covector_bool.json: covector 'c': true is not a rational",
-        "conditions_rows_bool": "bad subspace file rows_bool.json: rows[0]: "
+        "conditions_rows_bool": "bad subspace file rows_bool.json rows[0]: "
                                 "true is not a rational",
         "conditions_sub_superscript": "'\u00b2' is neither a declared subspace, basis label, "
                                       "nor index",
@@ -453,7 +536,8 @@ def test_a_chain_ideal_outside_its_window_gives_the_error_envelope(tmp_path, mon
         {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in alg.nonzeros[i][j]}}
         for i in range(alg.dim) for j in range(i + 1, alg.dim) if alg.nonzeros[i][j]]}
     first = pukanszky_polarization(alg, cov).steps[0].ideal
-    chain = {"ideals": [[[str(x) for x in row] for row in first.rows], list(range(alg.dim))]}
+    chain = {"ideals": [{"rows": [[str(x) for x in row] for row in first.rows]},
+                        list(range(alg.dim))]}
     (tmp_path / "n5.json").write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "chain.json").write_text(json.dumps(chain), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -461,6 +545,81 @@ def test_a_chain_ideal_outside_its_window_gives_the_error_envelope(tmp_path, mon
     assert run(["polarize", "n5.json", "--strategy", "chain:chain.json", point], capsys) == (2, {
         "algebra": "n5.json", "command": "polarize", "ok": False, "schema": 1,
         "error": "chain ideal at step 1 is not inside g_1"})
+
+
+def index_and_rows_forms(alg, rng, indices):
+    """The index list and a {"rows": ...} spec of span(e_i : i in indices), the rows
+    those basis vectors after a random unitriangular change of basis, shuffled."""
+    k = len(indices)
+    coeffs = [[1 if a == b else (rng.randint(-3, 3) if b > a else 0) for b in range(k)]
+              for a in range(k)]
+    rows = [[0] * alg.dim for _ in range(k)]
+    for a in range(k):
+        for b, i in enumerate(indices):
+            rows[a][i] = coeffs[a][b]
+    rng.shuffle(rows)
+    return list(indices), {"rows": [[str(x) for x in row] for row in rows]}
+
+
+def subspace_cases():
+    """(entry, index list) for each declared ideal of heisenberg3 and filiform4, and for
+    seeded coordinate subspaces of the seeded h9 and L9."""
+    cases = []
+    for name in ("heisenberg3", "filiform4"):
+        doc = json.loads((Path(cat.BUILTIN_DIR) / f"{name}.json").read_text(encoding="utf-8"))
+        cases += [(cat.find_entry(name), spec) for spec in doc["ideals"].values()]
+    h9, _, l9, _, _ = seeded_family_entries(0)
+    for seed, entry in enumerate([h9, l9] * 4):
+        rng = random.Random(seed)
+        cases.append((entry, sorted(rng.sample(range(entry.algebra.dim),
+                                               rng.randint(1, entry.algebra.dim)))))
+    return cases
+
+
+def test_the_index_and_rows_forms_read_as_one_subspace_everywhere(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for seed, (entry, indices) in enumerate(subspace_cases()):
+        alg = entry.algebra
+        want = Subspace(alg.dim, [basis_vector(alg.dim, i) for i in indices])
+        by_index, by_rows = index_and_rows_forms(alg, random.Random(seed), indices)
+        doc = {"name": "g", "dim": alg.dim, "basis": list(alg.labels),
+               "brackets": [{"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in nz}}
+                            for i in range(alg.dim) for j in range(i + 1, alg.dim)
+                            if (nz := alg.nonzeros[i][j])],
+               "ideals": {"by_index": by_index, "by_rows": by_rows}}
+        declared = cat.parse_entry(doc)
+        assert declared.ideals == {"by_index": want, "by_rows": want}
+        for fname, spec in (("index.json", by_index), ("rows.json", by_rows)):
+            (tmp_path / fname).write_text(json.dumps(spec), encoding="utf-8")
+            assert cli._parse_subspace(entry, f"@{fname}") == want
+        chain = cat.parse_chain(alg, {"ideals": [by_index, by_rows]}, "chain")
+        assert chain == [want, want]
+
+
+def test_a_chain_file_in_either_form_gives_one_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    chains = {"index.json": {"ideals": [[0, 2]]},
+              "rows.json": {"ideals": [{"rows": [["2", "0", "1"], ["1", "0", "-1"]]}]}}
+    reports = []
+    for fname, chain in chains.items():
+        (tmp_path / fname).write_text(json.dumps(chain), encoding="utf-8")
+        code, out, _ = invoke(["polarize", H3, "--strategy", f"chain:{fname}", "-p", "0,0,1"],
+                              capsys)
+        reports.append((code, out))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_a_definition_is_at_most_max_dim(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for dim in (cat.MAX_DIM, cat.MAX_DIM + 1):
+        doc = {"name": "abelian", "dim": dim, "basis": [f"e{k}" for k in range(dim)],
+               "brackets": []}
+        (tmp_path / f"a{dim}.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cat.MAX_DIM == 128
+    assert run(["validate", "a128.json"], capsys)[0] == 0
+    assert run(["validate", "a129.json"], capsys) == (2, {
+        "algebra": "a129.json", "command": "validate", "ok": False, "schema": 1,
+        "error": "a129.json: dim 129 is above the limit 128"})
 
 
 def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):

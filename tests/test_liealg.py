@@ -102,6 +102,15 @@ def test_validate_jacobi_failure():
     assert rep.jacobi_failures[0][3] == (0, 0, 1)  # [e2, [e3, e1]] = [e1, e2] = e3
 
 
+def test_validate_skips_the_triples_whose_three_brackets_are_zero(entries, monkeypatch):
+    calls = []
+    real = liealg.is_zero_vec
+    monkeypatch.setattr(liealg, "is_zero_vec", lambda v: calls.append(v) or real(v))
+    abelian = LieAlgebra.from_brackets(tuple(f"e{k}" for k in range(40)), {})
+    assert validate.__wrapped__(abelian).ok and calls == []  # not one per triple, C(40, 3) = 9880
+    assert validate.__wrapped__(entries["heisenberg3"].algebra).ok and len(calls) == 1
+
+
 def test_ad_matrix_central_and_generic(entries):
     h3 = entries["heisenberg3"].algebra
     assert ad_matrix(h3, (0, 0, 1)).is_zero()
