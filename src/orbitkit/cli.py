@@ -94,8 +94,8 @@ def _load_entry(spec: str) -> cat.CatalogEntry:
 
 
 def _parse_coords(text: str, n: int, word: str) -> tuple:
-    """n comma-separated rationals; the errors name the `word` they were given as."""
-    parts = [p.strip() for p in text.split(",")]
+    """n comma-separated rationals (an empty text for n = 0); errors name the `word`."""
+    parts = [p.strip() for p in text.split(",")] if n or text.strip() else []
     if len(parts) != n:
         raise InputError(f"{word} needs {n} coordinates, got {len(parts)}")
     try:

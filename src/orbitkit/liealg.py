@@ -4,21 +4,24 @@ An algebra is its bracket table: [e_i, e_j] = sum_k c[i][j][k] e_k is
 stored as nonzeros[i][j] = ((k, c[i][j][k]), ...) over the k with
 c[i][j][k] != 0, in increasing k.  The table is the defining field:
 equality, hashing and the repr read it, and so do the kernels (brackets,
-the KKS pairing, the Krylov hull, every check of `validate`, and in
-`structure` ad, the Killing form and centralizers).  Structure constants are
-mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept;
-one exists only while the catalog reads a file's dense "structure" tensor.
-The coadjoint questions about a covector reduce to exact kernels and ranks
-of the pairing matrix B[i][j] = <cov, [e_i, e_j]> attached to it.
+the coadjoint `pairing`, every check of `validate`, and in `structure` ad,
+the Killing form and centralizers).  Structure constants are mostly zero
+(0-9 % nonzero in the catalog), so no dim^3 grid is ever kept; one exists
+only while the catalog reads a file's dense "structure" tensor.
 `bracket` coerces its arguments with `vec`, as it does any outside input;
 the package's own brackets, of vectors it made itself, take
 `bracket_exact`, which coerces nothing.
+
+The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
+xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
+pairing B, whose exact kernels and ranks answer the coadjoint questions; the
+Krylov hull, `structure.orbit_annihilator` and `mackey`'s witness run on it.
 
 A matrix representation is handled on flattened matrices (`flat`): `validate`
 checks its brackets there, and `rep_coords` reads coordinates in its span.
 
 This module holds what `validate` and `orbit` run: the algebra and covector
-types, `validate`, the KKS pairing, the Krylov hull (a
+types, `validate`, the pairing kernel, the KKS pairing, the Krylov hull (a
 `linalg.invariant_closure` worklist), `orbit_record` and `is_nilpotent`
 (one generator closure; the lemma is stated there).  The constructions from
 subspaces (orthogonals, stabilizers, subquotients, centralizers) and the
@@ -214,8 +217,14 @@ def validate(alg: LieAlgebra) -> ValidationReport:
     return ValidationReport(not (anti or jac or rep), tuple(anti), tuple(jac), tuple(rep))
 
 
+def pairing(alg: LieAlgebra, xi: Sequence) -> tuple:
+    """Rows P[i][j] = xi([e_i, e_j]) of a dual vector xi; row i is xi . ad(e_i)."""
+    return tuple(tuple(sum([xi[k] * c for k, c in entries if xi[k]], ZERO) if entries else ZERO
+                       for entries in plane) for plane in alg.nonzeros)
+
+
 def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
-    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]> = sum_k x_k c[i][j][k].
+    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]>, the `pairing` of cov.
 
     It is built once per covector and kept on it as `_pairing`, which is not a
     field, so equality and the repr skip it; a covector of another algebra is refused.
@@ -224,12 +233,7 @@ def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
         raise ValueError("covector of another algebra")
     b = getattr(cov, "_pairing", None)
     if b is None:
-        x = cov.coords
-        b = Matrix._of(
-            tuple(tuple(sum((x[k] * c for k, c in entries), ZERO) for entries in plane)
-                  for plane in alg.nonzeros),
-            alg.dim,
-        )
+        b = Matrix._of(pairing(alg, cov.coords), alg.dim)
         object.__setattr__(cov, "_pairing", b)
     return b
 
@@ -239,18 +243,11 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
 
     The identity-component orbit of cov lies in cov + hull; for nilpotent
     algebras the hull is exactly the direction space of the orbit's affine
-    hull.
-
-    The hull is the `invariant_closure` of the columns e_i(cov) of the
-    pairing under the maps xi -> -ad(e_i)^T xi, whose entries are
-    (-ad(e_i)^T xi)_j = -sum_a c[i][j][a] xi_a.
+    hull.  It closes the rows of the pairing B, which span g(cov), under
+    xi -> the nonzero rows of `pairing(alg, xi)`.
     """
-    def images(xi):
-        for plane in alg.nonzeros:
-            yield [-sum((c * xi[a] for a, c in entries if xi[a]), ZERO)
-                   for entries in plane]
-
-    return invariant_closure(alg.dim, zip(*kks_pairing(alg, cov).entries), images)
+    return invariant_closure(alg.dim, kks_pairing(alg, cov).entries,
+                             lambda xi: filter(any, pairing(alg, xi)))
 
 
 class OrbitRecord(Record):

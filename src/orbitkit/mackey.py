@@ -6,7 +6,8 @@ is the one place that checks the ideal and builds them: every later step
 takes its `LittleGroupData`, so a point that runs several steps decides each
 once.  Step 2 (induction): certify the three relations that make the orbit
 induced from h -- stabilizer containment, the annihilator identity
-n_c(cov) = ann(h), and exact exp-linearity of the n_c flows.  Step 3
+n_c(cov) = ann(h), and exact exp-linearity of the n_c flows, whose witness
+cov . ad(Z)^2 comes from the coadjoint kernel `liealg.pairing`.  Step 3
 (obstruction): build the central extension 0 -> n_c/j -> h_c/j -> h_c/n_c
 with j = ker(c on n_c), compute its 2-cocycle through a linear section, and
 decide triviality by an exact coboundary solve.  `structure.subquotient`
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent
+from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent, kks_pairing, pairing
 from .linalg import (
     Matrix,
     Record,
@@ -34,13 +35,11 @@ from .linalg import (
     ZERO,
     annihilator,
     combine,
-    is_zero_vec,
     solve,
     vec_sub,
 )
 from .structure import (
     NotClosedError,
-    ad_matrix,
     check_subalgebra,
     coadjoint_image,
     is_ideal,
@@ -115,8 +114,8 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
     direction Z of n_c; this makes exp(Z)(cov) = cov + Z(cov) an exact
     identity.  Since cov . ad(Z)^k = (cov . ad(Z)^2) . ad(Z)^(k-2), all of
     those pairings vanish exactly when the covector t = cov . ad(Z)^2 is
-    zero, so t is computed by two row combinations of ad(Z) and, when it is
-    not zero, reported as the `higher_order_term` witness.
+    zero, so t is computed by the `pairing` kernel twice and, when it is not
+    zero, reported as the `higher_order_term` witness.
     """
     alg, cov = data.algebra, data.covector
     witnesses = {}
@@ -133,17 +132,14 @@ def verify_step_relations(data: LittleGroupData) -> StepRelations:
 
     w = next((r for r in bracket_span(alg, data.n_c, data.ideal).rows
               if cov.pair(r) != 0), None)
+    b, n = kks_pairing(alg, cov).entries, alg.dim
+    higher = (combine(z, pairing(alg, combine(z, b, n)), n) for z in data.n_c.rows)
     rel_c = w is None
     if w is not None:
         witnesses["c_pairs_with_nc_n_bracket"] = w
-    if rel_c:
-        for z in data.n_c.rows:
-            rows = ad_matrix(alg, z).entries
-            t = combine(combine(cov.coords, rows, alg.dim), rows, alg.dim)
-            if not is_zero_vec(t):
-                rel_c = False
-                witnesses["higher_order_term"] = t
-                break
+    elif (t := next(filter(any, higher), None)) is not None:
+        rel_c = False
+        witnesses["higher_order_term"] = t
 
     return StepRelations(
         stabilizer_in_h=rel_a,

@@ -94,7 +94,7 @@ class MatrixLieAlgebra(Record):
 
 def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
     """Wrap an algebra with a faithful representation and nondegenerate trace form."""
-    if alg.matrix_rep is None:
+    if not alg.matrix_rep:  # None, or the empty representation of a 0-dimensional algebra
         raise ValueError("algebra carries no matrix representation")
     report = validate(alg)
     if not report.ok:

@@ -6,7 +6,7 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 `orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
 the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
 g.  It and the ideal generated by a subspace are `linalg.invariant_closure`
-worklists, the former in g*.
+worklists, the former in g* under the one coadjoint kernel `liealg.pairing`.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -34,6 +34,7 @@ from .liealg import (
     LieAlgebra,
     bracket_span,
     kks_pairing,
+    pairing,
     stable_series,
     validate,
 )
@@ -138,10 +139,14 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = 
     V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
     every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
     """
-    sub = Subspace.full(alg.dim) if sub is None else sub
-    ads = [ad_matrix(alg, w).entries for w in sub.rows]
-    return annihilator(invariant_closure(alg.dim, annihilator(sub).rows + (cov.coords,),
-                                         lambda xi: (combine(xi, ad, alg.dim) for ad in ads)))
+    n = alg.dim
+    sub = Subspace.full(n) if sub is None else sub
+
+    def images(xi):
+        rows = pairing(alg, xi)  # row i is xi . ad(e_i)
+        return filter(any, rows if sub.dim == n else (combine(w, rows, n) for w in sub.rows))
+
+    return annihilator(invariant_closure(n, annihilator(sub).rows + (cov.coords,), images))
 
 
 class Subquotient(Record):
@@ -234,6 +239,7 @@ def center(alg: LieAlgebra) -> Subspace:
 def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Optional[Subspace] = None) -> Subspace:
     """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
     n = alg.dim
+    # its own block form, not `pairing`: block is sparse in k, each row P_a . w is dense
     # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
     # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
     # of ann(modulo): one row a . block per (w, a), dropped when identically zero

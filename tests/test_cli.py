@@ -129,6 +129,9 @@ MALFORMED = {
     # an exponent past linalg.MAX_EXPONENT is refused before the number is built
     "coeff_exponent_over_cap.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                                      "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e5000"}}]},
+    # a 0-dimensional algebra whose representation has no matrix to read a size from
+    "dim0_rep_empty.json": {"name": "d0", "dim": 0, "basis": [], "brackets": [],
+                            "matrix_rep": []},
 }
 
 BAD_INPUTS = {
@@ -259,6 +262,7 @@ BAD_INPUTS = {
     "orbit_ideals_not_an_object": ["orbit", "ideals_list.json", "--point=0,1"],
     "orbit_complements_null": ["orbit", "complements_null.json", "--point=0,1"],
     "validate_coeff_keys_name_one_index": ["validate", "coeff_keys_one_index.json"],
+    "parabolic_dim0_rep_empty": ["parabolic", "dim0_rep_empty.json", "--element="],
 }
 
 HAPPY = {
@@ -620,6 +624,22 @@ def test_a_definition_is_at_most_max_dim(tmp_path, monkeypatch, capsys):
     assert run(["validate", "a129.json"], capsys) == (2, {
         "algebra": "a129.json", "command": "validate", "ok": False, "schema": 1,
         "error": "a129.json: dim 129 is above the limit 128"})
+
+
+def test_an_empty_point_is_the_one_point_of_a_0_dimensional_algebra(workdir, capsys):
+    for command in ("orbit", "polarize"):
+        code, env = run([command, "dim0_rep_empty.json", "--point="], capsys)
+        assert code == 0 and env["ok"] is True
+        assert [r["point"] for r in env["results"]] == [[]]
+    refused = {"algebra": "dim0_rep_empty.json", "command": "parabolic", "ok": False,
+               "schema": 1, "error": "algebra carries no matrix representation"}
+    for given in ("--element=", "--point="):
+        assert run(["parabolic", "dim0_rep_empty.json", given], capsys) == (2, refused)
+    # a text that is not empty, or an empty one at dimension 3, is still counted
+    assert run(["orbit", "dim0_rep_empty.json", "--point=0"], capsys)[1]["error"] \
+        == "point needs 0 coordinates, got 1"
+    assert run(["orbit", "catalog:heisenberg3", "--point="], capsys)[1]["error"] \
+        == "point needs 3 coordinates, got 1"
 
 
 def test_catalog_refuses_a_string_covector(workdir, monkeypatch, capsys):

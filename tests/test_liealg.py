@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.catalog import builtin_catalog, parse_algebra
+from orbitkit.catalog import builtin_catalog, parse_algebra, parse_entry
 from orbitkit.liealg import (
     Covector,
     LieAlgebra,
@@ -16,6 +16,7 @@ from orbitkit.liealg import (
     kks_pairing,
     krylov_hull,
     orbit_record,
+    pairing,
     validate,
 )
 from orbitkit.structure import (
@@ -32,6 +33,7 @@ from orbitkit.structure import (
     is_ideal,
     is_solvable,
     killing_form,
+    orbit_annihilator,
     orbit_dim,
     orth,
     restrict,
@@ -40,11 +42,17 @@ from orbitkit.structure import (
 )
 from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
 from orbitkit.conditions import check_conditions
-from orbitkit.mackey import little_group_step, semidirect_witness
+from orbitkit.mackey import (
+    LittleGroupData,
+    little_group_step,
+    semidirect_witness,
+    verify_step_relations,
+)
 from orbitkit.polynomials import symmetric_signature
 from orbitkit.linalg import (
     Matrix,
     Subspace,
+    annihilator,
     basis_vector,
     combine,
     rank_kernel,
@@ -61,6 +69,7 @@ from conftest import (
     n5_three_steps,
     rand_covector,
     rand_vec,
+    seeded_family_entries,
     strictly_upper,
     subalgebra_orbit_dim,
     table_of,
@@ -1071,3 +1080,137 @@ def test_bracket_span_of_a_subspace_with_itself_matches_every_ordered_pair(entri
         for sub in [*seeded_subspaces(alg, rng), *_catalog_ideals(entry)]:
             every_pair = Subspace(alg.dim, [alg.bracket(u, v) for u in sub.rows for v in sub.rows])
             assert bracket_span(alg, sub, sub) == every_pair, (entry.name, sub)
+
+
+# -- one coadjoint kernel: the pairing rows of a dual vector ----------------------
+
+
+def kernel_cases(entries, rng):
+    """(entry, covector) over the catalog and `seeded_family_entries`: each declared
+    covector, the zero covector and two seeded ones."""
+    for entry in [*entries.values(), *seeded_family_entries()]:
+        alg = entry.algebra
+        for coords in [*entry.covectors.values(), (0,) * alg.dim,
+                       rand_vec(rng, alg.dim, -5, 5, 3), rand_vec(rng, alg.dim, -5, 5, 3)]:
+            yield entry, Covector(alg, coords)
+
+
+def dense_orbit_annihilator(alg, cov, sub):
+    """ann(V), V the fixed point of V -> V + V . dense_ad(W) over the rows W of sub,
+    from ann(sub) and cov: the dense-ad route `structure.orbit_annihilator` replaced."""
+    n = alg.dim
+    ads = [dense_ad(alg, w).entries for w in sub.rows]
+    v = annihilator(sub).add(Subspace(n, [cov.coords]))
+    while True:
+        grown = v.add(Subspace(n, [combine(xi, ad, n) for ad in ads for xi in v.rows]))
+        if grown == v:
+            return annihilator(v)
+        v = grown
+
+
+def dense_higher_order_term(data):
+    """The first nonzero cov . ad(Z)^2 over the rows Z of n_c, from `ad_matrix`, or None."""
+    n, cov = data.algebra.dim, data.covector.coords
+    for z in data.n_c.rows:
+        ad = ad_matrix(data.algebra, z).entries
+        t = combine(combine(cov, ad, n), ad, n)
+        if any(t):
+            return t
+    return None
+
+
+def test_pairing_rows_are_the_dual_vector_times_ad(entries, rng):
+    for entry, cov in kernel_cases(entries, rng):
+        alg, n = cov.algebra, cov.algebra.dim
+        rows = pairing(alg, cov.coords)
+        assert rows == tuple(combine(cov.coords, ad_matrix(alg, basis_vector(n, i)).entries, n)
+                             for i in range(n)), entry.name
+        assert kks_pairing(alg, cov).entries == rows
+
+
+def test_orbit_annihilator_matches_the_dense_ad_closure(entries, descents, rng):
+    """For g, the declared ideals that are subalgebras and the windows of the descent."""
+    cases = [(entry, cov, None) for entry, cov in kernel_cases(entries, rng)] + descents
+    proper = 0
+    for entry, cov, trace in cases:
+        alg = entry.algebra
+        subs = [Subspace.full(alg.dim)]
+        for ideal in entry.ideals.values():
+            try:
+                check_subalgebra(alg, ideal)
+                subs.append(ideal)
+            except NotClosedError:
+                pass
+        if trace is not None:
+            subs += [s.g_i for s in trace.steps[1:]] + [trace.result]
+        assert orbit_annihilator(alg, cov) == dense_orbit_annihilator(alg, cov, subs[0])
+        for sub in subs:
+            assert orbit_annihilator(alg, cov, sub) == dense_orbit_annihilator(alg, cov, sub), \
+                (entry.name, cov.coords, sub)
+            proper += sub.dim < alg.dim
+    assert proper > 100
+
+
+def test_exp_linearity_witness_is_cov_times_ad_squared(entries, rng):
+    """On the little-group data of every ideal the witness never fires: for Z in n_c
+    inside the ideal n, cov([Z, [Z, g]]) lies in <c, [n_c, n]>, which the first check
+    has found 0.  So it is also read on data whose ideal is 0 (the first check then
+    passes) and whose n_c is g or a seeded subspace, where it does fire."""
+    fired = 0
+    for entry, cov in kernel_cases(entries, rng):
+        alg, n = entry.algebra, entry.algebra.dim
+        data = [little_group_step(alg, ideal, cov) for ideal in _catalog_ideals(entry)
+                if is_ideal(alg, ideal)]
+        zero = Subspace.zero(n)
+        data += [LittleGroupData(alg, zero, cov, (), sub, sub, sub)
+                 for sub in list(seeded_subspaces(alg, rng))[1:]]
+        for d in data:
+            rel = verify_step_relations(d)
+            if "c_pairs_with_nc_n_bracket" in rel.witnesses:
+                continue
+            t = dense_higher_order_term(d)
+            assert rel.witnesses.get("higher_order_term") == t, (entry.name, d.n_c)
+            assert rel.exp_linear == (t is None)
+            fired += t is not None
+    assert fired > 100
+
+
+def test_the_coadjoint_closures_are_handed_no_zero_image(monkeypatch):
+    """`krylov_hull` and `orbit_annihilator` insert only nonzero images, on seeded h33
+    and L32 at g and at the declared ideal."""
+    real, images_seen = linalg.invariant_closure, []
+
+    def counted(n, start_rows, images):
+        def recorded(v):
+            for image in images(v):
+                images_seen.append(any(image))
+                yield image
+        return real(n, start_rows, recorded)
+
+    for mod in (liealg, structure):
+        monkeypatch.setattr(mod, "invariant_closure", counted)
+    rng = random.Random(31)
+    for family in (families.heisenberg(16, families.family_rng(0, "h33")),
+                   families.filiform(32, families.family_rng(0, "L32"))):
+        entry = parse_entry(family.doc)
+        alg = entry.algebra
+        cov = Covector(alg, rand_vec(rng, alg.dim, -5, 5, 3))
+        krylov_hull(alg, cov)
+        orbit_annihilator(alg, cov)
+        orbit_annihilator(alg, cov, entry.ideals[family.ideal])
+    assert len(images_seen) > 500 and all(images_seen)
+
+
+def test_the_coadjoint_kernel_builds_no_ad_matrix(entries, monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("dense ad(Z)")
+
+    monkeypatch.setattr(structure, "ad_matrix", refuse)
+    assert not hasattr(mackey, "ad_matrix")
+    poincare = entries["poincare"]
+    alg, ideal = poincare.algebra, poincare.ideals["translations"]
+    for coords in poincare.covectors.values():
+        cov = Covector(alg, coords)
+        orbit_annihilator(alg, cov)
+        orbit_annihilator(alg, cov, ideal)
+        verify_step_relations(little_group_step(alg, ideal, cov))
