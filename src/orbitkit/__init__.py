@@ -26,9 +26,9 @@ _EXPORTS = {
                   "semidirect_witness verify_step_relations",
         "polarization": "PolarizationTrace StrategyExhausted exponential_precheck "
                         "pukanszky_polarization",
-        "reductive": "JordanTriple MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "
-                     "covector_to_element element_to_covector grade hyperbolic_elliptic_split "
-                     "jordan_chevalley jordan_triple matrix_lie_algebra parabolic_report",
+        "reductive": "MatrixLieAlgebra ParabolicReport UnsupportedSpectrumError "
+                     "covector_to_element element_to_covector grade hyperbolic_part "
+                     "matrix_lie_algebra parabolic_report",
         "polynomials": "symmetric_signature",
         "induction": "InducedRecord frobenius_check induced_dim point_fiber stages_flatten",
         "catalog": "CatalogEntry builtin_catalog load_catalog",

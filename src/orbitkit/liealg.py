@@ -102,9 +102,17 @@ class LieAlgebra(Record):
         rep = tuple(matrix_rep) if matrix_rep is not None else None
         return cls(n, tuple(labels), tuple(map(tuple, table)), rep, name)
 
+    def coords(self, v: Sequence) -> tuple:
+        """v as a coordinate vector of this algebra (`vec`), refused unless of length dim."""
+        v = vec(v)
+        if len(v) != self.dim:
+            raise ValueError(f"coordinate vector of length {len(v)} "
+                             f"for an algebra of dimension {self.dim}")
+        return v
+
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """[u, v] of two coordinate vectors, coerced to Fractions first (`vec`)."""
-        return self.bracket_exact(vec(u), vec(v))
+        """[u, v] of two coordinate vectors of length dim, coerced to Fractions first."""
+        return self.bracket_exact(self.coords(u), self.coords(v))
 
     def bracket_exact(self, u: Sequence, v: Sequence) -> tuple:
         """[u, v] of the package's own vectors (Fraction or integer entries),

@@ -2,12 +2,12 @@
 
 Polynomials are coefficient tuples in increasing degree, always with exact
 Fraction entries and no trailing zeros.  This carries the characteristic
-polynomial and the gcd/squarefree machinery behind the exact Jordan
-splitting, and `real_root_count`, the number of distinct real roots by
-Sturm's theorem, which the exponential precheck's imaginary-eigenvalue test
-reads.  The factors with roots in Q(i) that the hyperbolic/elliptic split
-and the grading need are in `qi_roots`, so `classify`, which reads only a
-signature, does not compile them.
+polynomial and the gcd/squarefree/modular-inverse machinery behind the
+exact hyperbolic part of `reductive.hyperbolic_part`, and `real_root_count`,
+the number of distinct real roots by Sturm's theorem, which the exponential
+precheck's imaginary-eigenvalue test reads.  The factors with roots in Q(i)
+that the hyperbolic part and the grading need are in `qi_roots`, so
+`classify`, which reads only a signature, does not compile them.
 
 `charpoly` reduces the matrix to upper Hessenberg form by similarity over Q
 and reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
@@ -140,15 +140,6 @@ def eval_matrix(p: tuple, m: Matrix) -> Matrix:
     ident = Matrix.identity(n)
     for a in reversed(p):
         acc = acc * m + ident.scale(a)
-    return acc
-
-
-def compose_mod(p: tuple, q: tuple, modulus: tuple) -> tuple:
-    """p(q) reduced modulo `modulus`."""
-    acc = ()
-    for a in reversed(p):
-        acc = add(mul(acc, q), poly([a]))
-        acc = divmod_poly(acc, modulus)[1]
     return acc
 
 

@@ -1,24 +1,30 @@
-"""Trace-form duality, exact Jordan decomposition, and parabolic data.
+"""Trace-form duality, the exact hyperbolic part, and parabolic data.
 
 For a matrix Lie algebra with nondegenerate trace form, a dual element is
-identified with a matrix x, split exactly into commuting hyperbolic,
-elliptic and nilpotent parts over Q, and the positive part of the
-ad(x_h)-grading assembles the parabolic q = g^0 (+) u.  The split is
-restricted to spectra inside Q(i): every irreducible factor of the minimal
-polynomial must be linear, or quadratic with negative discriminant whose
-imaginary part is rational.  Those factors are found p-adically by
-`qi_roots.qi_factors`, and the cofactor they leave, which has no root in
-Q(i), names a refused spectrum: at degree <= 3 it has no rational root, so
-it is the one irreducible unsupported factor; above that it is named whole.
+identified with a matrix x, its hyperbolic part x_h is computed exactly
+over Q, and the positive part of the ad(x_h)-grading assembles the
+parabolic q = g^0 (+) u.  x_h is restricted to spectra inside Q(i): every
+irreducible factor of the characteristic polynomial must be linear, or
+quadratic with negative discriminant whose imaginary part is rational.
+Those factors are found p-adically by `qi_roots.qi_factors`, and the
+cofactor they leave, which has no root in Q(i), names a refused spectrum:
+at degree <= 3 it has no rational root, so it is the one irreducible
+unsupported factor; above that it is named whole.
 
 The grading of g by the eigenvalues of D = ad(x_h) obeys [g^a, g^b] <= g^{a+b}
 because D is a derivation: that is the Jacobi identity, which `validate`
 checks on the bracket table once per algebra.  So `grade` refuses an
 algebra that fails `validate` and proves nothing more per element.
 
-semisimple + nilpotent is computed by Newton iteration against the
-squarefree part of the characteristic polynomial, with the inverse of its
-derivative obtained once by extended gcd; everything stays in Q.
+x_h is read off x's own spectral projectors.  With chi = charpoly(x) =
+prod f_i^{m_i}, the projection onto the generalized eigenspace ker
+f_i(x)^{m_i} is e_i(x), e_i = 1 mod f_i^{m_i} and 0 mod the other blocks
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+§4.2), and x_h = sum a_i e_i(x), a_i the real part of f_i's roots.  This is
+the hyperbolic part of the semisimple part x_s of x = x_s + x_n: the
+generalized eigenspaces of x are the eigenspaces of x_s, and charpoly(x) =
+charpoly(x_s), so the factors, their real parts and the projectors are the
+same.  x_s itself is never formed; everything stays in Q.
 
 Trace pairings are read off the Gram matrix G[i][j] = tr(R_i R_j) of the
 representation, built once without forming any product R_i R_j: for
@@ -36,7 +42,6 @@ from typing import Sequence, Union
 from .liealg import Covector, LieAlgebra, flat, rep_coords, validate
 from .linalg import (
     Matrix,
-    ONE,
     Record,
     Subspace,
     combine,
@@ -47,19 +52,18 @@ from .linalg import (
     vec_dot,
 )
 from .polynomials import (
+    add,
     charpoly,
-    compose_mod,
     deg,
     divmod_poly,
-    derivative,
     eval_matrix,
     invert_mod,
     is_rational_square,
     monic,
     mul,
     poly,
+    scale,
     squarefree_part,
-    sub,
     to_string,
 )
 from .qi_roots import qi_factors
@@ -112,7 +116,7 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
 
 def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> Matrix:
     size = malg.rep[0].rows
-    entries = combine(vec(coords), [flat(r) for r in malg.rep], size * size)
+    entries = combine(malg.algebra.coords(coords), [flat(r) for r in malg.rep], size * size)
     return Matrix([entries[i * size:(i + 1) * size] for i in range(size)], size)
 
 
@@ -137,52 +141,25 @@ def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
     return sol
 
 
-def jordan_chevalley(x: Matrix) -> tuple[Matrix, Matrix]:
-    """Exact semisimple + nilpotent decomposition x = s + n.
+def hyperbolic_part(x: Matrix) -> Matrix:
+    """The hyperbolic part x_h of a square rational matrix, a polynomial in x.
 
-    s is a polynomial in x, found by Newton iteration against the
-    squarefree part mu of the characteristic polynomial: p <- p - mu(p) *
-    (mu')^{-1}(p), all modulo the characteristic polynomial.  Quadratic
-    convergence needs ceil(log2(multiplicity)) rounds; the loop simply runs
-    until mu(p) vanishes.
+    x_h = h(x), where h = a_i mod f_i^{m_i} (Chinese remainder theorem) over
+    chi = charpoly(x) = prod f_i^{m_i}: the f_i are the factors `qi_factors`
+    finds in the squarefree part mu of chi, a_i is the rational real part of
+    f_i's roots and m_i the multiplicity of f_i in chi; the module docstring
+    says why this is the hyperbolic part of x's semisimple part.
+
+    The monic cofactor `rest` the factors leave in mu has no root in Q(i).
+    At degree 2 or 3 it has no rational root, so it is irreducible over Q,
+    and the loop below names why it is unsupported; at degree >= 4 it is
+    refused whole, with no claim that it is irreducible ((x^2 - 2)(x^2 - 3)
+    is one such cofactor).
     """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
     chi = charpoly(x)
     mu = squarefree_part(chi)
-    if mu == monic(chi):
-        return x, Matrix.zeros(x.rows, x.cols)  # already squarefree: x semisimple
-    inv_mu_prime = invert_mod(derivative(mu), mu)
-    p = poly([0, 1])
-    for _ in range(x.rows.bit_length() + 2):
-        val = compose_mod(mu, p, chi)
-        if not val:
-            break
-        corr = compose_mod(inv_mu_prime, p, chi)
-        p = divmod_poly(sub(p, mul(val, corr)), chi)[1]
-    else:
-        raise AssertionError("Newton iteration failed to converge")
-    s = eval_matrix(p, x)
-    return s, x - s
-
-
-def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
-    """Split a semisimple rational matrix into hyperbolic + elliptic parts.
-
-    The hyperbolic part is sum a_i pi_i over the irreducible factors of the
-    minimal polynomial, with a_i the (rational) real part of the factor's
-    roots and pi_i the spectral projector built from the partial-fraction
-    idempotents; the elliptic part is the remainder.  The factors come from
-    `qi_factors`, and the monic cofactor `rest` they leave in the minimal
-    polynomial has no root in Q(i).  At degree 2 or 3 it has no rational
-    root, so it is irreducible over Q, and the loop below names why it is
-    unsupported; at degree >= 4 it is refused whole, with no claim that it
-    is irreducible ((x^2 - 2)(x^2 - 3) is one such cofactor).
-    """
-    chi = charpoly(s)
-    mu = squarefree_part(chi)
-    if not eval_matrix(mu, s).is_zero():
-        raise ValueError("matrix is not semisimple: squarefree minimal polynomial required")
     factors = qi_factors(mu)
     rest = mu
     for f in factors:
@@ -191,44 +168,30 @@ def hyperbolic_elliptic_split(s: Matrix) -> tuple[Matrix, Matrix]:
         raise UnsupportedSpectrumError(monic(rest), "no root in Q(i)")
     if deg(rest) > 0:
         factors.append(monic(rest))
-    real_parts = []
+    h = ()
     for f in factors:
         if deg(f) == 1:
-            real_parts.append(-f[0] / f[1])
-        elif deg(f) == 2:
-            c0, c1, c2 = f[0] / f[2], f[1] / f[2], ONE
-            disc = c1 * c1 - 4 * c0
+            a = -f[0]
+        elif deg(f) == 2:  # monic: roots (-f[1] +- sqrt(disc)) / 2
+            disc = f[1] * f[1] - 4 * f[0]
             if disc >= 0:
                 raise UnsupportedSpectrumError(f, "irrational real eigenvalues")
             if is_rational_square(-disc) is None:
                 raise UnsupportedSpectrumError(f, "imaginary part is irrational")
-            real_parts.append(-c1 / 2)
+            a = -f[1] / 2
         else:
             raise UnsupportedSpectrumError(f, f"irreducible factor of degree {deg(f)}")
-    n = s.rows
-    xh = Matrix.zeros(n, n)
-    for f, a in zip(factors, real_parts):
-        if a == 0:
+        if not a:
             continue
-        g = divmod_poly(mu, f)[0]
-        w = invert_mod(divmod_poly(g, f)[1], f)
-        idem = divmod_poly(mul(g, w), mu)[1]
-        xh = xh + eval_matrix(idem, s).scale(a)
-    return xh, s - xh
-
-
-class JordanTriple(Record):
-    x: Matrix
-    hyperbolic: Matrix
-    elliptic: Matrix
-    nilpotent: Matrix
-
-
-def jordan_triple(x: Matrix) -> JordanTriple:
-    """x = x_h + x_e + x_n with commuting parts, exact over Q."""
-    s, n = jordan_chevalley(x)
-    xh, xe = hyperbolic_elliptic_split(s)
-    return JordanTriple(x, xh, xe, n)
+        # chi = g f^m with f coprime to g; g (g^-1 mod f^m) is 1 mod f^m and 0 mod g
+        g, block = chi, poly([1])
+        while True:
+            quot, r = divmod_poly(g, f)
+            if r:
+                break
+            g, block = quot, mul(block, f)
+        h = add(h, scale(a, mul(g, invert_mod(g, block))))
+    return eval_matrix(divmod_poly(h, chi)[1], x)
 
 
 class Grading(Record):
@@ -283,7 +246,6 @@ def _trace_annihilator(malg: MatrixLieAlgebra, space: Subspace) -> Subspace:
 
 class ParabolicReport(Record):
     x_coords: tuple
-    triple: JordanTriple
     grading: Grading
     g0: Subspace
     u: Subspace
@@ -346,8 +308,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
         coords = vec(x)
     alg = malg.algebra
     xmat = element_matrix(malg, coords)
-    triple = jordan_triple(xmat)
-    grading = grade(malg, triple.hyperbolic)
+    grading = grade(malg, hyperbolic_part(xmat))
     n = alg.dim
 
     g0 = grading.spaces.get(Fraction(0), Subspace.zero(n))
@@ -395,7 +356,6 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
 
     return ParabolicReport(
         x_coords=tuple(coords),
-        triple=triple,
         grading=grading,
         g0=g0,
         u=u,

@@ -48,7 +48,6 @@ from .linalg import (
     invariant_closure,
     is_zero_vec,
     rank_kernel,
-    vec,
     vec_dot,
 )
 
@@ -61,7 +60,7 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
     """Matrix of ad(Z); column j holds the coordinates of [Z, e_j]."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
-    for a, plane in zip(vec(z), alg.nonzeros):
+    for a, plane in zip(alg.coords(z), alg.nonzeros):
         if not a:
             continue
         for j, entries in enumerate(plane):

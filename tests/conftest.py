@@ -408,7 +408,7 @@ def coords_of(s, v):
 def sympy_supported(mu):
     """Reference: sympy's monic irreducible factors of mu, split into the ones
     with roots in Q(i) (linear, or quadratic with a rational imaginary part)
-    and the rest, by the classification of `reductive.hyperbolic_elliptic_split`."""
+    and the rest, by the classification of `reductive.hyperbolic_part`."""
     import sympy
 
     x = sympy.Symbol("x")

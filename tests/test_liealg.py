@@ -129,6 +129,14 @@ def test_ad_matrix_central_and_generic(entries):
     assert dense_apply(ad1, (1, 0, 0)) == (F(0), F(0), F(0))
 
 
+@pytest.mark.parametrize("u,v", [((1,), (0, 1, 0)), ((1, 0, 0), (0, 1, 0, 0))])
+def test_bracket_refuses_a_vector_of_the_wrong_length(entries, u, v):
+    h3 = entries["heisenberg3"].algebra
+    bad = u if len(u) != 3 else v
+    with pytest.raises(ValueError, match=f"length {len(bad)} for an algebra of dimension 3"):
+        h3.bracket(u, v)
+
+
 def test_ad_matrix_sl2(entries):
     sl2 = entries["sl2"].algebra
     assert ad_matrix(sl2, (1, 0, 0)) == Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -2]])

@@ -556,6 +556,12 @@ def test_exp_coadjoint_heisenberg(entries):
     assert out.coords == (F(1), F(0), F(1))  # cov + e1*
 
 
+def test_exp_coadjoint_refuses_a_vector_of_the_wrong_length(entries):
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(ValueError, match="length 2 for an algebra of dimension 3"):
+        exp_coadjoint(h3, (0, 1), Covector(h3, (0, 0, 1)))
+
+
 def _matrix_exp_nilpotent(m):
     n = m.rows
     total = Matrix.identity(n)

@@ -20,8 +20,7 @@ from orbitkit.reductive import (
     element_matrix,
     element_to_covector,
     grade,
-    hyperbolic_elliptic_split,
-    jordan_triple,
+    hyperbolic_part,
     matrix_lie_algebra,
     parabolic_report,
 )
@@ -48,6 +47,16 @@ def test_grade_at_a_large_diagonal_element(sl3):
     assert list(grading.eigenvalues) == want
     assert grading.space(0).dim == 2                  # the Cartan subalgebra
     assert all(grading.space(e).dim == 1 for e in want if e != 0)
+
+
+def test_grade_refuses_coordinates_of_the_wrong_length(sl3):
+    with pytest.raises(ValueError, match="length 1 for an algebra of dimension 8"):
+        grade(sl3, (1,))
+
+
+def test_parabolic_report_refuses_coordinates_of_the_wrong_length(sl3):
+    with pytest.raises(ValueError, match="length 2 for an algebra of dimension 8"):
+        parabolic_report(sl3, (1, 0))
 
 
 def test_grade_refuses_a_nondiagonalizable_ad(sl3):
@@ -80,7 +89,7 @@ def test_element_coords_refuses_a_matrix_outside_the_algebra(sl3):
 
 def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     """The trace pairings and the step-2 relations read the Gram matrix and
-    the covector; only the Jordan decomposition and the grading that
+    the covector; only the hyperbolic part and the grading that
     `parabolic_report` calls still multiply matrices."""
     real_mul = Matrix.__mul__
     permitted = []
@@ -104,7 +113,7 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
                              Covector(poin.algebra, poin.covectors["timelike"]))
     validate(sl3.algebra)  # cached; its representation check forms commutators
     monkeypatch.setattr(Matrix, "__mul__", guarded)
-    monkeypatch.setattr(reductive, "jordan_triple", permit(reductive.jordan_triple))
+    monkeypatch.setattr(reductive, "hyperbolic_part", permit(reductive.hyperbolic_part))
     monkeypatch.setattr(reductive, "grade", permit(reductive.grade))
 
     assert matrix_lie_algebra(sl3.algebra).trace_gram == sl3.trace_gram
@@ -186,31 +195,30 @@ def test_parabolic_dim_y_matches_the_subalgebra_route(sl3):
 # -- the elliptic branch: spectra in Q(i) --------------------------------------
 
 
-def sympy_split(s):
-    """Reference: (x_h, x_e) of a semisimple s whose spectrum lies in Q(i), from
-    sympy's diagonalization s = P D P^-1: x_h = P Re(D) P^-1."""
+def sympy_hyperbolic(x):
+    """Reference: x_h of a matrix x whose spectrum lies in Q(i), from sympy's
+    Jordan form x = P J P^-1: x_h = P Re(diag J) P^-1."""
     import sympy
 
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                      for row in s.entries])
-    p, d = m.diagonalize()
-    re_d = sympy.diag(*[sympy.re(d[i, i]) for i in range(d.rows)])
+    m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                      for row in x.entries])
+    p, j = m.jordan_form()
+    re_d = sympy.diag(*[sympy.re(j[i, i]) for i in range(j.rows)])
     xh = (p * re_d * p.inv()).applyfunc(sympy.simplify)
-    assert all(x.is_Rational for x in xh)
-    xh = Matrix([[F(int(x.p), int(x.q)) for x in xh.row(i)] for i in range(xh.rows)])
-    return xh, s - xh
+    assert all(e.is_Rational for e in xh)
+    return Matrix([[F(int(e.p), int(e.q)) for e in xh.row(i)] for i in range(xh.rows)])
 
 
 def test_rotation_scaling_splits_into_identity_and_rotation():
-    xh, xe = hyperbolic_elliptic_split(Matrix([[1, -1], [1, 1]]))   # 1 +- i
+    s = Matrix([[1, -1], [1, 1]])   # 1 +- i
+    xh = hyperbolic_part(s)
     assert xh == Matrix.identity(2)
-    assert xe == Matrix([[0, -1], [1, 0]])
-    assert (xh, xe) == sympy_split(Matrix([[1, -1], [1, 1]]))
+    assert s - xh == Matrix([[0, -1], [1, 0]])
+    assert xh == sympy_hyperbolic(s)
 
 
 def test_a_rotation_is_elliptic():
-    rot = Matrix([[0, -1], [1, 0]])
-    assert hyperbolic_elliptic_split(rot) == (Matrix.zeros(2, 2), rot)
+    assert hyperbolic_part(Matrix([[0, -1], [1, 0]])) == Matrix.zeros(2, 2)
 
 
 def _inverse(u):
@@ -236,10 +244,67 @@ def test_a_conjugated_gaussian_spectrum_matches_the_sympy_diagonalization():
     u_inv = _inverse(u)
     assert u * u_inv == Matrix.identity(4)
     s = u * d * u_inv
-    xh, xe = hyperbolic_elliptic_split(s)
+    xh = hyperbolic_part(s)
+    xe = s - xh
     assert xh == u * Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * u_inv
-    assert xh * xe == xe * xh and xh + xe == s
-    assert (xh, xe) == sympy_split(s)
+    assert xh * xe == xe * xh
+    assert xh == sympy_hyperbolic(s)
+
+
+def real_jordan_block(rng, gaussian, size):
+    """A real Jordan block of one eigenvalue, or one conjugate pair, taken `size`
+    times, with the diagonal of its x_h, which is diagonal.
+
+    Rational: a on the diagonal and 1 above it, so x_h = a I.  Gaussian: the
+    rotation-scaling block [[a, -b], [b, a]] (eigenvalues a +- b i) on the
+    diagonal and I_2 above it, so x_h = a I again."""
+    a = F(rng.randint(-5, 5), rng.randint(1, 3))
+    if not gaussian:
+        return ([[a if i == j else (1 if j == i + 1 else 0) for j in range(size)]
+                 for i in range(size)], [a] * size)
+    b = F(rng.randint(1, 4), rng.randint(1, 2))
+    n = 2 * size
+    rows = [[0] * n for _ in range(n)]
+    for k in range(size):
+        i = 2 * k
+        rows[i][i], rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = a, -b, b, a
+        if k + 1 < size:
+            rows[i][i + 2] = rows[i + 1][i + 3] = 1
+    return rows, [a] * n
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return Matrix(out)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+@pytest.mark.parametrize("seed", range(4))
+def test_hyperbolic_part_of_a_conjugated_real_jordan_form(gaussian, seed):
+    """A nilpotent part on a rational or a Gaussian block, beside one or two
+    semisimple blocks, conjugated by a unimodular integer matrix u: x_h is
+    u Re(diag) u^-1, and sympy's Jordan form gives the same."""
+    rng = random.Random(seed)
+    blocks = [real_jordan_block(rng, gaussian, 2 if gaussian else rng.randint(2, 3))]
+    while (size := sum(len(b) for b, _ in blocks)) < 5:   # a 5 x 5 matrix in all
+        blocks.append(real_jordan_block(rng, size <= 3 and rng.random() < 0.5, 1))
+    rng.shuffle(blocks)
+    d = block_diagonal([b for b, _ in blocks])
+    n = d.rows
+    reals = [a for _, parts in blocks for a in parts]
+    u = _unimodular(rng, n)
+    u_inv = _inverse(u)
+    x = u * d * u_inv
+    xh = hyperbolic_part(x)
+    assert xh == u * Matrix([[reals[i] if i == j else 0 for j in range(n)]
+                             for i in range(n)]) * u_inv
+    assert xh * x == x * xh
+    assert xh == sympy_hyperbolic(x)
 
 
 def _companion(f):
@@ -268,7 +333,7 @@ def assert_refused_beside_a_gaussian_block(coeffs, reason):
     s = Matrix([list(row) + [0, 0] for row in c.entries]
                + [[0] * n + [1, -1], [0] * n + [1, 1]])
     with pytest.raises(UnsupportedSpectrumError) as got:
-        hyperbolic_elliptic_split(s)
+        hyperbolic_part(s)
     assert str(got.value) == f"unsupported spectrum: {reason}"
     assert_names_sympys_unsupported_part(mul(poly(coeffs), poly([2, -2, 1])), got.value)
 
@@ -315,13 +380,14 @@ def test_the_split_refuses_exactly_the_spectra_sympy_finds_outside_qi(seed):
     s = _companion(mu)
     _, unsupported = sympy_supported(mu)
     try:
-        xh, xe = hyperbolic_elliptic_split(s)
+        xh = hyperbolic_part(s)
     except UnsupportedSpectrumError as err:
         assert unsupported
         assert_names_sympys_unsupported_part(mu, err)
     else:
         assert not unsupported
-        assert xh + xe == s and xh * xe == xe * xh
+        xe = s - xh
+        assert xh * xe == xe * xh
 
 
 # -- bounded time at large heights ---------------------------------------------
@@ -375,7 +441,7 @@ def test_the_grading_law_holds_on_the_catalog(entries, rng):
         elements += [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(6)]
         for x in elements:
             try:
-                hyperbolic = jordan_triple(element_matrix(malg, x)).hyperbolic
+                hyperbolic = hyperbolic_part(element_matrix(malg, x))
             except UnsupportedSpectrumError:
                 continue
             for element in (x, hyperbolic):
@@ -388,9 +454,9 @@ def test_the_grading_law_holds_on_the_catalog(entries, rng):
     assert checked > 20
 
 
-def _parabolic_inputs():
+def _parabolic_inputs(seed=workloads.DEFAULT_SEED):
     """The (algebra, element) pairs of the `parabolic` invocations of the benchmark."""
-    wl = workloads.build("parabolic_polarize", workloads.DEFAULT_SEED)
+    wl = workloads.build("parabolic_polarize", seed)
     algebras = {}
     for inv in wl.round:
         if inv.args[0] == "parabolic":
@@ -404,8 +470,19 @@ def test_the_grading_law_holds_on_the_benchmark_inputs():
     inputs = list(_parabolic_inputs())
     assert len(inputs) == 17
     for malg, x in inputs:
-        hyperbolic = jordan_triple(element_matrix(malg, x)).hyperbolic
+        hyperbolic = hyperbolic_part(element_matrix(malg, x))
         assert span_grading_holds(malg.algebra, grade(malg, hyperbolic).spaces)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hyperbolic_part_of_the_benchmark_elements_matches_sympy(seed):
+    """Every `parabolic` element of the benchmark at seeds 0-7, against sympy's
+    Jordan form; the benchmark compares stdout byte for byte only at seed 0."""
+    inputs = list(_parabolic_inputs(seed))
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        xmat = element_matrix(malg, x)
+        assert hyperbolic_part(xmat) == sympy_hyperbolic(xmat), x
 
 
 def forged(malg, i, j, k, delta):
