@@ -15,7 +15,8 @@ the package's own brackets, of vectors it made itself, take
 The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
 xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
 pairing B, whose exact kernels and ranks answer the coadjoint questions; the
-Krylov hull, `structure.orbit_annihilator` and `mackey`'s witness run on it.
+Krylov hull, `structure.orbit_annihilator`, the coadjoint flow
+`structure.exp_coadjoint` and `mackey`'s witness run on it.
 
 A matrix representation is handled on flattened matrices (`flat`): `validate`
 checks its brackets there, and `rep_coords` reads coordinates in its span.

@@ -6,8 +6,8 @@ removed: the tuple `rows`, nothing else.  That canonical form is the
 equality witness used everywhere above this module: two subspaces are equal
 iff their rows are identical, so inclusion and equality questions about
 subalgebras, stabilizers and annihilators are decided without tolerances.
-An entry is coerced to Fraction once, where it comes in (`Matrix(...)`,
-`vec`).  What this module builds from Fraction rows is taken as it is: the
+An entry is coerced to Fraction once, where it comes in, by `vec` (a row of
+`Matrix(...)` too).  What this module builds from Fraction rows is taken as it is: the
 matrices of Matrix operations by `Matrix._of`, and rows already canonical
 (`full`, both halves of `sum_intersect`, a closure) by `Subspace._from_rref`.
 
@@ -167,6 +167,10 @@ def frac(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> tuple:
+    """The one reader of a coordinate sequence: its entries, each read by `frac`.
+    A str or bytes is refused whole; read per character, "100" would be (1, 0, 0)."""
+    if isinstance(entries, (str, bytes)):
+        raise TypeError("a string is not a coordinate sequence; pass its entries")
     return tuple(frac(x) for x in entries)
 
 
@@ -213,7 +217,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: Optional[int] = None):
-        grid = tuple(tuple(frac(x) for x in row) for row in entries)
+        grid = tuple(map(vec, entries))
         if cols is None:
             if not grid:
                 raise ValueError("a matrix with no rows needs its width")

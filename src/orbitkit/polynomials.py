@@ -26,12 +26,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, ONE, ZERO, frac
+from .linalg import Matrix, ONE, ZERO, frac, vec
 
 
 def poly(coeffs: Sequence) -> tuple:
     """Normalize a coefficient sequence (lowest degree first)."""
-    c = [frac(x) for x in coeffs]
+    c = list(vec(coeffs))
     while c and not c[-1]:
         c.pop()
     return tuple(c)

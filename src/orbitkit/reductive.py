@@ -31,7 +31,9 @@ representation, built once without forming any product R_i R_j: for
 elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
 covector of x is G x, and the trace-block and Levi checks of the parabolic
 report multiply no matrices.  G is symmetric, so G x is the row combination
-x^T G, built by `combine` like every other matrix-vector product.
+x^T G, built by `combine` like every other matrix-vector product; the trace
+annihilator of q is ann(G r : r in q).  The report builds no ad(x): x's
+stabilizer is its centralizer, and a matrix x is taken as it is.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .linalg import (
     Matrix,
     Record,
     Subspace,
+    annihilator,
     combine,
     invariant_closure,
     rank_kernel,
@@ -67,7 +70,7 @@ from .polynomials import (
     to_string,
 )
 from .qi_roots import qi_factors
-from .structure import ad_matrix, orbit_dim
+from .structure import ad_matrix, centralizer, orbit_dim
 
 
 class UnsupportedSpectrumError(ValueError):
@@ -122,6 +125,9 @@ def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> Matrix:
 
 def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
     """Coordinates of a representation matrix in the algebra basis."""
+    size = malg.rep[0].rows
+    if (m.rows, m.cols) != (size, size):
+        raise ValueError(f"matrix of shape {m.rows}x{m.cols} for a representation of size {size}")
     (coords,) = rep_coords(malg.rep, [m])
     if coords is None:
         raise ValueError("matrix does not lie in the algebra")
@@ -238,12 +244,6 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     return Grading(tuple(sorted(spaces)), spaces)
 
 
-def _trace_annihilator(malg: MatrixLieAlgebra, space: Subspace) -> Subspace:
-    """Elements trace-orthogonal to space (the dual annihilator, identified)."""
-    rows = [combine(r, malg.trace_gram.entries, malg.dim) for r in space.rows]
-    return rank_kernel(Matrix(rows, malg.dim))[1]
-
-
 class ParabolicReport(Record):
     x_coords: tuple
     grading: Grading
@@ -297,17 +297,15 @@ class ParabolicReport(Record):
 def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector]) -> ParabolicReport:
     """Build q = g^0 (+) u at x and verify the induction relations exactly.
 
-    x may be a representation matrix, algebra coordinates, or a covector
-    (converted through the trace form).
+    x may be a representation matrix, taken as it is, algebra coordinates,
+    or a covector (converted through the trace form).
     """
-    if isinstance(x, Covector):
-        coords = covector_to_element(malg, x)
-    elif isinstance(x, Matrix):
-        coords = element_coords(malg, x)
+    if isinstance(x, Matrix):
+        coords, xmat = element_coords(malg, x), x
     else:
-        coords = vec(x)
+        coords = covector_to_element(malg, x) if isinstance(x, Covector) else vec(x)
+        xmat = element_matrix(malg, coords)
     alg = malg.algebra
-    xmat = element_matrix(malg, coords)
     grading = grade(malg, hyperbolic_part(xmat))
     n = alg.dim
 
@@ -318,11 +316,10 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
             u = u.add(grading.spaces[a])
     q = g0.add(u)
 
-    ad_x = ad_matrix(alg, coords)
-    stab_ok = g0.contains_subspace(rank_kernel(ad_x)[1])
+    stab_ok = g0.contains_subspace(centralizer(alg, Subspace(n, [coords])))
 
     moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.rows])
-    ann_q = _trace_annihilator(malg, q)
+    ann_q = annihilator(Subspace(n, [combine(r, malg.trace_gram.entries, n) for r in q.rows]))
     image_ok = moved == ann_q
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim

@@ -6,7 +6,8 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 `orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
 the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
 g.  It and the ideal generated by a subspace are `linalg.invariant_closure`
-worklists, the former in g* under the one coadjoint kernel `liealg.pairing`.
+worklists, the former in g* under the one coadjoint kernel `liealg.pairing`,
+which the flow `exp_coadjoint` walks too; `ad_matrix` is built for its spectrum.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -57,7 +58,10 @@ class NotClosedError(ValueError):
 
 
 def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
-    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j]."""
+    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
+
+    Built only to read its spectrum: in `reductive.grade` and
+    `polarization._has_imaginary_eigenvalue`."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(alg.coords(z), alg.nonzeros):
@@ -83,20 +87,19 @@ def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
 def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
     """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
 
-    Requires ad(Z) nilpotent so that the series
-    <exp(Z)(cov), Z'> = sum_k (-1)^k/k! <cov, ad(Z)^k Z'> terminates.
+    exp(Z)(cov) = sum_k (-1)^k/k! t_k with t_0 = cov, t_{k+1} = t_k . ad(Z) =
+    `combine(z, pairing(alg, t_k))`, up to the first t_k = 0.  The t_k span
+    cov's Krylov space under ad(Z), of dimension d <= dim, and the series ends
+    (at t_d) iff ad(Z) is nilpotent there; dim + 1 nonzero terms are refused.
     """
-    m = ad_matrix(alg, z)
-    n = alg.dim
-    coeffs, terms = [], []  # (-1)^k / k! and the covector cov . ad(Z)^k
-    power, fact = Matrix.identity(n), 1
-    for k in range(n + 1):
-        if power.is_zero():
-            return Covector(alg, combine(coeffs, terms, n))
-        coeffs.append(Fraction((-1) ** k, fact))
-        terms.append(combine(cov.coords, power.entries, n))
-        power, fact = power * m, fact * (k + 1)
-    raise ValueError("ad(Z) is not nilpotent; exact exponential refused")
+    n, z = alg.dim, alg.coords(z)
+    total, term, coeff = (ZERO,) * n, cov.coords, Fraction(1)  # coeff = (-1)^k / k!
+    for k in range(1, n + 2):
+        if not any(term):
+            return Covector(alg, total)
+        total = combine((1, coeff), (total, term), n)
+        term, coeff = combine(z, pairing(alg, term), n), -coeff / k
+    raise ValueError("the series of exp(Z) at cov never ends; exact exponential refused")
 
 
 def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:

@@ -137,6 +137,20 @@ def test_bracket_refuses_a_vector_of_the_wrong_length(entries, u, v):
         h3.bracket(u, v)
 
 
+def test_bracket_refuses_strings(entries):
+    """Read per character, "100" was e1, and [e1, e2] = e3 came back."""
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(TypeError, match="a string is not a coordinate sequence"):
+        h3.bracket("100", "010")
+
+
+def test_covector_refuses_a_string(entries):
+    """Read per character, "001" was e3*."""
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(TypeError, match="a string is not a coordinate sequence"):
+        Covector(h3, "001")
+
+
 def test_ad_matrix_sl2(entries):
     sl2 = entries["sl2"].algebra
     assert ad_matrix(sl2, (1, 0, 0)) == Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
@@ -1222,3 +1236,4 @@ def test_the_coadjoint_kernel_builds_no_ad_matrix(entries, monkeypatch, rng):
         orbit_annihilator(alg, cov)
         orbit_annihilator(alg, cov, ideal)
         verify_step_relations(little_group_step(alg, ideal, cov))
+        exp_coadjoint(alg, ideal.rows[0], cov)  # ad of a translation is nilpotent

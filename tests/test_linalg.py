@@ -21,6 +21,7 @@ from orbitkit.linalg import (
     rank_kernel,
     solve,
     sum_intersect,
+    vec,
     vec_dot,
 )
 from orbitkit.polynomials import symmetric_signature
@@ -96,6 +97,26 @@ def test_frac_refuses_a_zero_denominator():
         frac("1/0")
     with pytest.raises(TypeError):
         frac(0.5)
+
+
+STRING_REFUSED = "a string is not a coordinate sequence"
+
+
+@pytest.mark.parametrize("text", ["100", b"100"], ids=["str", "bytes"])
+def test_vec_refuses_a_string_whole(text):
+    """Read per character, "100" was (1, 0, 0); as bytes, its character codes."""
+    with pytest.raises(TypeError, match=STRING_REFUSED):
+        vec(text)
+
+
+def test_subspace_refuses_a_string_generator():
+    with pytest.raises(TypeError, match=STRING_REFUSED):
+        Subspace(3, ["100"])
+
+
+def test_matrix_refuses_string_rows():
+    with pytest.raises(TypeError, match=STRING_REFUSED):
+        Matrix(["10", "01"])
 
 
 def test_frac_refuses_an_exponent_past_the_cap_before_building_the_number(monkeypatch):

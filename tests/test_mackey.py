@@ -582,13 +582,23 @@ def _factorial(k):
     return out
 
 
-def test_exp_coadjoint_matches_matrix_exponential(entries, rng):
-    n4 = entries["filiform4"].algebra
+FLOW_FAMILIES = {stem: parse_algebra(make(size, families.family_rng(0, stem)).doc)
+                 for make, size, stem in ((families.heisenberg, 4, "h9"),
+                                          (families.nilradical, 5, "n5"),
+                                          (families.filiform, 9, "L9"),
+                                          (families.heisenberg, 16, "h33"))}
+
+
+@pytest.mark.parametrize("name", ["filiform4", *FLOW_FAMILIES])
+def test_exp_coadjoint_matches_matrix_exponential(entries, rng, name):
+    """The catalog's filiform4 and seeded h9, n5, L9 and h33: the series on
+    `pairing` against the dense exp(-ad(Z)^T) applied to f."""
+    alg = FLOW_FAMILIES[name] if name in FLOW_FAMILIES else entries[name].algebra
     for _ in range(12):
-        z = rand_vec(rng, 4, lo=-3, hi=3, max_den=2)
-        cov = rand_covector(n4, rng)
-        flow = exp_coadjoint(n4, z, cov)
-        gen = ad_matrix(n4, z).transpose().scale(-1)
+        z = rand_vec(rng, alg.dim, lo=-3, hi=3, max_den=2)
+        cov = rand_covector(alg, rng)
+        flow = exp_coadjoint(alg, z, cov)
+        gen = ad_matrix(alg, z).transpose().scale(-1)
         oracle = dense_apply(_matrix_exp_nilpotent(gen), cov.coords)
         assert flow.coords == oracle
 
@@ -625,10 +635,19 @@ def test_exp_coadjoint_is_a_group_action_property(alg, rnd, s, t):
     assert orbit_dim(alg, moved) == orbit_dim(alg, cov)
 
 
-def test_exp_coadjoint_refuses_non_nilpotent(entries):
+def test_exp_coadjoint_at_a_fixed_point_of_a_non_nilpotent_flow(entries):
+    """ad(h) on sl2 is not nilpotent, but h* . ad(h) = 0, so exp(h) fixes 2h*."""
     sl2 = entries["sl2"].algebra
-    with pytest.raises(ValueError):
-        exp_coadjoint(sl2, (1, 0, 0), Covector(sl2, (2, 0, 0)))
+    f = Covector(sl2, (2, 0, 0))
+    assert exp_coadjoint(sl2, (1, 0, 0), f) == f
+
+
+@pytest.mark.parametrize("coords", [(0, 1, 0), (0, 0, 1)], ids=["e*", "f*"])
+def test_exp_coadjoint_refuses_non_nilpotent(entries, coords):
+    """e* . ad(h) = 2e* and f* . ad(h) = -2f* on sl2: the series never ends."""
+    sl2 = entries["sl2"].algebra
+    with pytest.raises(ValueError, match="never ends"):
+        exp_coadjoint(sl2, (1, 0, 0), Covector(sl2, coords))
 
 
 # -- full report and fuzzed theorem guard ---------------------------------------

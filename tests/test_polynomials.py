@@ -30,6 +30,12 @@ from orbitkit.structure import ad_matrix, killing_form
 from conftest import rand_vec, sympy_supported
 
 
+def test_poly_refuses_a_string_of_coefficients():
+    """Read per character, "12" was 1 + 2x."""
+    with pytest.raises(TypeError, match="a string is not a coordinate sequence"):
+        poly("12")
+
+
 def test_divmod_roundtrip():
     rng = random.Random(3)
     for _ in range(50):

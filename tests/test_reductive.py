@@ -474,6 +474,45 @@ def test_the_grading_law_holds_on_the_benchmark_inputs():
         assert span_grading_holds(malg.algebra, grade(malg, hyperbolic).spaces)
 
 
+def test_parabolic_report_builds_ad_only_for_the_grading(monkeypatch):
+    """One ad(x_h), in `grade`, per report on the benchmark elements: x's stabilizer
+    is its centralizer, and no other step builds the matrix of an ad."""
+    calls, real = [], structure.ad_matrix
+    for mod in (reductive, structure):
+        monkeypatch.setattr(mod, "ad_matrix", lambda *args: calls.append(args) or real(*args))
+    inputs = list(_parabolic_inputs())
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        calls.clear()
+        parabolic_report(malg, x)
+        assert len(calls) == 1, x
+
+
+def test_a_matrix_input_is_taken_as_it_is(monkeypatch):
+    """A representation matrix gives the report of its coordinates, and is never
+    rebuilt from them."""
+    cases = [(malg, element_matrix(malg, x), parabolic_report(malg, x))
+             for malg, x in _parabolic_inputs()]
+
+    def refuse(*args):
+        raise AssertionError("the matrix was rebuilt from its coordinates")
+
+    monkeypatch.setattr(reductive, "element_matrix", refuse)
+    for malg, xmat, report in cases:
+        assert parabolic_report(malg, xmat) == report
+
+
+def test_element_coords_refuses_a_matrix_of_another_shape(sl3):
+    """The flattened diag(1, 0, -1) has the right entries but not the shape."""
+    flat_diag = [1, 0, 0, 0, 0, 0, 0, 0, -1]
+    for m in (Matrix([flat_diag]), Matrix([[a] for a in flat_diag]), Matrix.identity(2)):
+        shape = f"shape {m.rows}x{m.cols} for a representation of size 3"
+        with pytest.raises(ValueError, match=shape):
+            element_coords(sl3, m)
+        with pytest.raises(ValueError, match="shape"):
+            parabolic_report(sl3, m)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_hyperbolic_part_of_the_benchmark_elements_matches_sympy(seed):
     """Every `parabolic` element of the benchmark at seeds 0-7, against sympy's
