@@ -18,16 +18,14 @@ pairing B, whose exact kernels and ranks answer the coadjoint questions; the
 Krylov hull, `structure.orbit_annihilator`, the coadjoint flow
 `structure.exp_coadjoint` and `mackey`'s witness run on it.
 
-A matrix representation is handled on flattened matrices (`flat`): `validate`
-checks its brackets there, and `rep_coords` reads coordinates in its span.
-
 This module holds what `validate` and `orbit` run: the algebra and covector
-types, `validate`, the pairing kernel, the KKS pairing, the Krylov hull (a
-`linalg.invariant_closure` worklist), `orbit_record` and `is_nilpotent`
-(one generator closure; the lemma is stated there).  The constructions from
-subspaces (orthogonals, stabilizers, subquotients, centralizers) and the
-structure series are in `structure`, which only the subcommands that use
-them import.
+types, `validate` (which checks a matrix representation's brackets on
+flattened matrices, `flat`), the pairing kernel, the KKS pairing, the
+Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record` and
+`is_nilpotent` (one generator closure; the lemma is stated there).  The
+constructions from subspaces (orthogonals, stabilizers, subquotients,
+centralizers) and the structure series are in `structure`, which only the
+subcommands that use them import.
 
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
@@ -173,18 +171,6 @@ class ValidationReport(Record):
 def flat(m: Matrix) -> tuple:
     """Row-major entries of m: its coordinates in the basis of unit matrices."""
     return tuple(x for row in m.entries for x in row)
-
-
-def rep_coords(rep: Sequence[Matrix], targets: Sequence[Matrix]) -> list:
-    """Coordinates of each target in the span of the matrices rep, or None.
-
-    Reducing (flat M | 0) against the echelon rows (flat R_k | e_k) leaves
-    (flat M - sum_k x_k flat R_k | -x): zero in the first block iff M = sum_k x_k R_k.
-    """
-    size, n = len(flat(rep[0])), len(rep)
-    echelon = Subspace(size + n, [flat(r) + basis_vector(n, k) for k, r in enumerate(rep)])
-    reduced = [echelon.reduce(flat(m) + (ZERO,) * n) for m in targets]
-    return [None if any(v[:size]) else tuple(-x for x in v[size:]) for v in reduced]
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,6 @@ cofactor they leave, which has no root in Q(i), names a refused spectrum:
 at degree <= 3 it has no rational root, so it is the one irreducible
 unsupported factor; above that it is named whole.
 
-The grading of g by the eigenvalues of D = ad(x_h) obeys [g^a, g^b] <= g^{a+b}
-because D is a derivation: that is the Jacobi identity, which `validate`
-checks on the bracket table once per algebra.  So `grade` refuses an
-algebra that fails `validate` and proves nothing more per element.
-
 x_h is read off x's own spectral projectors.  With chi = charpoly(x) =
 prod f_i^{m_i}, the projection onto the generalized eigenspace ker
 f_i(x)^{m_i} is e_i(x), e_i = 1 mod f_i^{m_i} and 0 mod the other blocks
@@ -25,6 +20,18 @@ the hyperbolic part of the semisimple part x_s of x = x_s + x_n: the
 generalized eigenspaces of x are the eigenspaces of x_s, and charpoly(x) =
 charpoly(x_s), so the factors, their real parts and the projectors are the
 same.  x_s itself is never formed; everything stays in Q.
+
+The grading of g by D = ad(x_h) is read off x_h's own spectrum.  On gl(V),
+V the representation space, D is left minus right multiplication by x_h,
+two commuting maps, so its eigenvalues are the differences a_i - a_j of
+x_h's eigenvalues, E_ij being one for a_i - a_j when x_h is diagonal
+(Humphreys, §4.2), and g is D-invariant.  So `grade` factors charpoly(x_h),
+of the representation's degree, not charpoly(D), of the algebra's.  The
+grading obeys [g^a, g^b] <= g^{a+b} because D is a derivation: for x in g^a
+and y in g^b, D[x, y] = [Dx, y] + [x, Dy] = (a + b)[x, y] by the Jacobi
+identity, which `validate` checks on the bracket table once per algebra.
+So `grade` refuses an algebra that fails `validate` and proves nothing more
+per element.
 
 Trace pairings are read off the Gram matrix G[i][j] = tr(R_i R_j) of the
 representation, built once without forming any product R_i R_j: for
@@ -38,20 +45,20 @@ stabilizer is its centralizer, and a matrix x is taken as it is.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Union
 
-from .liealg import Covector, LieAlgebra, flat, rep_coords, validate
+from .liealg import Covector, LieAlgebra, flat, validate
 from .linalg import (
     Matrix,
     Record,
     Subspace,
+    ZERO,
     annihilator,
     combine,
+    frac,
     invariant_closure,
     rank_kernel,
     solve,
-    vec,
     vec_dot,
 )
 from .polynomials import (
@@ -76,8 +83,8 @@ from .structure import ad_matrix, centralizer, orbit_dim
 class UnsupportedSpectrumError(ValueError):
     """Spectrum leaves Q(i); carries the offending factor.
 
-    The factor is irreducible when its degree is at most 3; a larger one is
-    the whole part of the minimal polynomial with no root in Q(i).
+    `grade`'s is charpoly(x_h); any other is irreducible at degree <= 3, and
+    above that the whole part of the minimal polynomial with no root in Q(i).
     """
 
     def __init__(self, factor: tuple, reason: str):
@@ -124,19 +131,29 @@ def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> Matrix:
 
 
 def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
-    """Coordinates of a representation matrix in the algebra basis."""
+    """Coordinates of a representation matrix in the algebra basis: the solution
+    of sum_k x_k flat(R_k) = flat(m), unique as the R_k are independent."""
     size = malg.rep[0].rows
     if (m.rows, m.cols) != (size, size):
         raise ValueError(f"matrix of shape {m.rows}x{m.cols} for a representation of size {size}")
-    (coords,) = rep_coords(malg.rep, [m])
+    coords = solve(Matrix._of(tuple(zip(*map(flat, malg.rep))), malg.dim), flat(m))
     if coords is None:
         raise ValueError("matrix does not lie in the algebra")
     return coords
 
 
+def _coords_and_matrix(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence]) -> tuple:
+    """An element given as a representation matrix, taken as it is, or as coordinates."""
+    if isinstance(x, Matrix):
+        return element_coords(malg, x), x
+    coords = malg.algebra.coords(x)
+    return coords, element_matrix(malg, coords)
+
+
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:
     """Trace-form dual of an algebra element: (G x)_j = tr(M(x) R_j), G symmetric."""
-    return Covector(malg.algebra, combine(vec(coords), malg.trace_gram.entries, malg.dim))
+    return Covector(malg.algebra,
+                    combine(malg.algebra.coords(coords), malg.trace_gram.entries, malg.dim))
 
 
 def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
@@ -205,7 +222,7 @@ class Grading(Record):
     spaces: dict                 # eigenvalue -> Subspace (algebra coordinates)
 
     def space(self, a) -> Subspace:
-        return self.spaces.get(Fraction(a))
+        return self.spaces.get(frac(a))
 
     def to_json_dict(self):
         # JSON object keys never reach the encoder, so the eigenvalues are written here
@@ -215,33 +232,34 @@ class Grading(Record):
 def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     """Eigenspace grading of the algebra under ad(x_h).
 
-    Refuses an algebra that fails `validate`, and refuses when ad(x_h) is not
-    diagonalizable with rational eigenvalues.  The grading then obeys
-    [g^a, g^b] <= g^{a+b}.  D = ad(x_h) is a derivation by the Jacobi
-    identity, which `validate` checked on every basis triple, so for x in
-    g^a and y in g^b, D[x, y] = [Dx, y] + [x, Dy] = (a + b)[x, y]: [x, y] is
-    an eigenvector of D for a + b, or 0 when a + b is no eigenvalue.
+    The candidate eigenvalues are 0 and the differences a - b of the rational
+    roots of chi = charpoly(x_h), of the representation's degree; each
+    candidate c keeps ker(ad(x_h) - c) when it is nonzero.  Refuses an
+    algebra that fails `validate`, and refuses, naming chi, unless the kept
+    eigenspaces sum to g: that sum is the certificate.
+
+    Every eigenvalue of ad(x_h) is a difference of two roots of chi (module
+    docstring), so an x_h whose roots are all rational is refused exactly when
+    ad(x_h) is not diagonalizable over Q, and never when x_h is diagonalizable
+    over Q, as every `hyperbolic_part` is.  Irrational roots can hide a nonzero
+    rational eigenvalue of ad(x_h); such an x_h is refused too.
     """
     alg = malg.algebra
     if not validate(alg).ok:
         raise ValueError("algebra fails validation; see validate()")
-    coords = element_coords(malg, xh) if isinstance(xh, Matrix) else vec(xh)
+    coords, xmat = _coords_and_matrix(malg, xh)
+    chi = charpoly(xmat)
+    # the rational roots a are those of the monic linear factors x - a
+    roots = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
     ad = ad_matrix(alg, coords)
-    chi = charpoly(ad)
-    # the rational eigenvalues a are the roots of the monic linear factors x - a
-    eigs = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
-    spaces = {}
-    total = 0
     n = alg.dim
-    for a in eigs:
-        shifted = ad - Matrix.identity(n).scale(a)
-        _, ker = rank_kernel(shifted)
-        if ker.dim:
-            spaces[a] = ker
-            total += ker.dim
-    if total != n:
-        raise UnsupportedSpectrumError(chi, "ad(x_h) is not diagonalizable over Q")
-    return Grading(tuple(sorted(spaces)), spaces)
+    kernels = {c: rank_kernel(ad - Matrix.identity(n).scale(c))[1]
+               for c in sorted({a - b for a in roots for b in roots} | {ZERO})}
+    spaces = {c: ker for c, ker in kernels.items() if ker.dim}
+    if sum(space.dim for space in spaces.values()) != n:
+        raise UnsupportedSpectrumError(
+            chi, "ad(x_h) is not diagonalizable over the differences of x_h's rational eigenvalues")
+    return Grading(tuple(spaces), spaces)
 
 
 class ParabolicReport(Record):
@@ -300,20 +318,14 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector
     x may be a representation matrix, taken as it is, algebra coordinates,
     or a covector (converted through the trace form).
     """
-    if isinstance(x, Matrix):
-        coords, xmat = element_coords(malg, x), x
-    else:
-        coords = covector_to_element(malg, x) if isinstance(x, Covector) else vec(x)
-        xmat = element_matrix(malg, coords)
+    coords, xmat = _coords_and_matrix(
+        malg, covector_to_element(malg, x) if isinstance(x, Covector) else x)
     alg = malg.algebra
     grading = grade(malg, hyperbolic_part(xmat))
     n = alg.dim
 
-    g0 = grading.spaces.get(Fraction(0), Subspace.zero(n))
-    u = Subspace.zero(n)
-    for a in grading.eigenvalues:
-        if a > 0:
-            u = u.add(grading.spaces[a])
+    g0 = grading.spaces.get(ZERO, Subspace.zero(n))
+    u = Subspace(n, [r for a in grading.eigenvalues if a > 0 for r in grading.spaces[a].rows])
     q = g0.add(u)
 
     stab_ok = g0.contains_subspace(centralizer(alg, Subspace(n, [coords])))

@@ -7,7 +7,8 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
 g.  It and the ideal generated by a subspace are `linalg.invariant_closure`
 worklists, the former in g* under the one coadjoint kernel `liealg.pairing`,
-which the flow `exp_coadjoint` walks too; `ad_matrix` is built for its spectrum.
+which the flow `exp_coadjoint` walks too; `ad_matrix` is built only for its
+spectrum or its eigenspaces.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -60,8 +61,8 @@ class NotClosedError(ValueError):
 def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
     """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
 
-    Built only to read its spectrum: in `reductive.grade` and
-    `polarization._has_imaginary_eigenvalue`."""
+    Built only to read its eigenspaces, in `reductive.grade`, and its
+    spectrum, in `polarization._has_imaginary_eigenvalue`."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(alg.coords(z), alg.nonzeros):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from orbitkit.catalog import CatalogEntry, CatalogError, builtin_catalog, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, kks_pairing, krylov_hull, rep_coords
+from orbitkit.liealg import Covector, LieAlgebra, flat, kks_pairing, krylov_hull
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -20,6 +20,7 @@ from orbitkit.linalg import (
 )
 from orbitkit.mackey import ObstructionReport
 from orbitkit.polynomials import (
+    charpoly,
     deg,
     derivative,
     divmod_poly,
@@ -29,9 +30,12 @@ from orbitkit.polynomials import (
     poly,
     scale,
     sign_variations,
+    squarefree_part,
 )
 from orbitkit.polarization import StrategyExhausted, pukanszky_polarization
-from orbitkit.structure import restrict, subquotient
+from orbitkit.qi_roots import qi_factors
+from orbitkit.reductive import Grading, element_coords
+from orbitkit.structure import ad_matrix, restrict, subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -44,16 +48,18 @@ import families  # noqa: E402  (perfbench/ is not a package)
 
 
 def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
-    """Structure constants read off a faithful matrix representation by one `rep_coords`:
-    the commutator of each pair of matrices, in the coordinates of the matrices."""
+    """Structure constants read off a faithful matrix representation by `solve`:
+    the commutator of each pair of matrices, in the coordinates of the matrices
+    (the columns of the system are the flattened matrices)."""
     mats = [Matrix(m) for m in matrices]
-    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    comms = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
+    columns = Matrix(list(zip(*map(flat, mats))), len(mats))
     brackets = {}
-    for (i, j), coords in zip(pairs, rep_coords(mats, comms)):
-        if coords is None:
-            raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
-        brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            coords = solve(columns, flat(mats[i] * mats[j] - mats[j] * mats[i]))
+            if coords is None:
+                raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
+            brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
     return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
 
 
@@ -421,6 +427,27 @@ def sympy_supported(mu):
                              and is_rational_square(4 * f[0] - f[1] ** 2) is not None)
         (supported if ok else unsupported).append(f)
     return supported, unsupported
+
+
+# -- the grading by charpoly(ad(x_h)), kept as the reference for `grade` ------------
+
+
+def reference_grading(malg, xh):
+    """The grading's former route: the candidate eigenvalues are the roots of the
+    linear factors `qi_factors` finds in charpoly(ad(x_h)), of the algebra's
+    degree, each keeping its kernel of ad(x_h) - c; None when they do not sum to g."""
+    n = malg.dim
+    coords = element_coords(malg, xh) if isinstance(xh, Matrix) else vec(xh)
+    ad = ad_matrix(malg.algebra, coords)
+    eigs = [-f[0] for f in qi_factors(squarefree_part(charpoly(ad))) if deg(f) == 1]
+    spaces = {}
+    for a in sorted(eigs):
+        _, ker = rank_kernel(ad - Matrix.identity(n).scale(a))
+        if ker.dim:
+            spaces[a] = ker
+    if sum(s.dim for s in spaces.values()) != n:
+        return None
+    return Grading(tuple(spaces), spaces)
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

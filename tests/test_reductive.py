@@ -12,7 +12,7 @@ from orbitkit.liealg import Covector, LieAlgebra, bracket_span, validate
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
 from orbitkit.mackey import little_group_step, verify_step_relations
-from orbitkit.polynomials import deg, mul, poly
+from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
     covector_to_element,
@@ -25,7 +25,14 @@ from orbitkit.reductive import (
     parabolic_report,
 )
 from orbitkit.structure import orbit_dim
-from conftest import algebra_from_rep, rand_vec, sl_rep, subalgebra_orbit_dim, sympy_supported
+from conftest import (
+    algebra_from_rep,
+    rand_vec,
+    reference_grading,
+    sl_rep,
+    subalgebra_orbit_dim,
+    sympy_supported,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -60,9 +67,66 @@ def test_parabolic_report_refuses_coordinates_of_the_wrong_length(sl3):
 
 
 def test_grade_refuses_a_nondiagonalizable_ad(sl3):
+    """The refusal names charpoly(x_h), of degree 3, not charpoly(ad(x_h)), of degree 8."""
     e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(UnsupportedSpectrumError):
+    with pytest.raises(UnsupportedSpectrumError) as got:
         grade(sl3, e12)
+    assert str(got.value) == ("unsupported spectrum: factor x^3 (ad(x_h) is not diagonalizable "
+                              "over the differences of x_h's rational eigenvalues)")
+    assert reference_grading(sl3, e12) is None
+
+
+def test_grade_refuses_a_rational_ad_spectrum_between_irrational_roots():
+    """The contract on an x_h that is not diagonalizable over Q.  With
+    A = [[0, 2], [1, 0]] (eigenvalues +-sqrt 2), c = diag(A, A) is central in
+    g = span(c, k, y, z) inside sl4, k = diag(-1, -1, 1, 1), y = [[0, 0], [I, 0]]
+    and z = [[0, I], [0, 0]] spanning an sl2.  At x_h = c + k/2, ad(x_h) = ad(k)/2
+    is diagonalizable with eigenvalues -1, 0, 1, which the reference route finds;
+    but x_h's eigenvalues +-sqrt 2 +- 1/2 are irrational, so 0 is `grade`'s one
+    candidate, and it refuses, naming charpoly(x_h)."""
+    c = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    k = [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    y = [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
+    z = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    malg = matrix_lie_algebra(algebra_from_rep("q_plus_sl2", ("c", "k", "y", "z"), [c, k, y, z]))
+    xh = element_matrix(malg, (1, F(1, 2), 0, 0))
+    want = reference_grading(malg, xh)
+    assert {a: s.dim for a, s in want.spaces.items()} == {-1: 1, 0: 2, 1: 1}
+    with pytest.raises(UnsupportedSpectrumError) as got:
+        grade(malg, xh)
+    assert got.value.factor == charpoly(xh) == poly([F(49, 16), 0, F(-9, 2), 0, 1])
+
+
+def test_grade_keeps_0_when_x_h_has_no_rational_eigenvalue():
+    """A central x_h with eigenvalues +-i: 0 is no difference of rational roots,
+    and still a candidate."""
+    malg = matrix_lie_algebra(algebra_from_rep("so2", ("j",), [[[0, -1], [1, 0]]]))
+    grading = grade(malg, (1,))
+    assert grading.eigenvalues == (0,) and grading.space(0).dim == 1
+    assert grading == reference_grading(malg, (1,))
+
+
+def test_grade_matches_the_reference_route_on_the_catalog(entries):
+    """On the hyperbolic parts of seeded elements of every catalog entry with a
+    matrix representation.  `grade` reads no trace form, so a degenerate one is
+    taken as it is."""
+    rng = random.Random(35)
+    with_rep = {name for name, entry in entries.items() if entry.algebra.matrix_rep}
+    graded = set()
+    for name in sorted(with_rep):
+        alg = entries[name].algebra
+        rep = alg.matrix_rep
+        malg = reductive.MatrixLieAlgebra(alg, Matrix([[(a * b).trace() for b in rep] for a in rep]))
+        elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
+        elements += [rand_vec(rng, alg.dim, lo=-3, hi=3, max_den=2) for _ in range(10)]
+        for x in elements:
+            try:
+                xh = hyperbolic_part(element_matrix(malg, x))
+            except UnsupportedSpectrumError:
+                continue
+            assert grade(malg, xh) == reference_grading(malg, xh), (name, x)
+            graded.add(name)
+    assert graded == with_rep and len(with_rep) == 7
 
 
 # -- trace pairings read off the Gram matrix ----------------------------------
@@ -80,6 +144,22 @@ def test_trace_pairings_match_the_product_forms(entries, rng, name):
         assert cov.coords == tuple((xmat * r).trace() for r in rep)
         assert covector_to_element(malg, cov) == x
         assert element_coords(malg, xmat) == x
+
+
+def test_element_to_covector_refuses_coordinates_of_the_wrong_length(sl3):
+    for coords in ((1, 2), tuple(range(11))):
+        with pytest.raises(ValueError,
+                           match=f"length {len(coords)} for an algebra of dimension 8"):
+            element_to_covector(sl3, coords)
+
+
+def test_grading_space_refuses_a_float(sl3):
+    grading = grade(sl3, _diag((1, 0, -1)))
+    assert grading.space(1) == grading.space("1") == grading.space(F(1)) is not None
+    assert grading.space(F(1, 2)) is None
+    for a in (1.0, 0.5):
+        with pytest.raises(TypeError, match="floating point"):
+            grading.space(a)
 
 
 def test_element_coords_refuses_a_matrix_outside_the_algebra(sl3):
@@ -472,6 +552,32 @@ def test_the_grading_law_holds_on_the_benchmark_inputs():
     for malg, x in inputs:
         hyperbolic = hyperbolic_part(element_matrix(malg, x))
         assert span_grading_holds(malg.algebra, grade(malg, hyperbolic).spaces)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grade_matches_the_reference_route_on_the_benchmark_elements(seed):
+    """The grading of every `parabolic` element of the benchmark at seeds 0-7 (136
+    in all) is the one the eigenvalues of ad(x_h) give."""
+    inputs = list(_parabolic_inputs(seed))
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        xh = hyperbolic_part(element_matrix(malg, x))
+        assert grade(malg, xh) == reference_grading(malg, xh), x
+
+
+def test_parabolic_report_takes_charpoly_only_of_the_representation(monkeypatch):
+    """charpoly runs on x and on x_h, of the representation's size (3 or 4 on the
+    benchmark), and never on ad(x_h), of the algebra's (8 or 15)."""
+    shapes, real = [], reductive.charpoly
+    monkeypatch.setattr(reductive, "charpoly",
+                        lambda m: shapes.append((m.rows, m.cols)) or real(m))
+    inputs = list(_parabolic_inputs())
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        shapes.clear()
+        parabolic_report(malg, x)
+        size = malg.rep[0].rows
+        assert shapes == [(size, size)] * 2, x
 
 
 def test_parabolic_report_builds_ad_only_for_the_grading(monkeypatch):
