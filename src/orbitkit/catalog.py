@@ -32,10 +32,10 @@ read by `parse_chain`.
 `read_json` is the one reader of the files the CLI is given: a definition,
 a subspace file and a chain file.  One that cannot be read, is not UTF-8,
 is not JSON or nests too deeply is a CatalogError that names the file.  A
-rational literal is read by `linalg.frac`, which refuses an exponent above
-MAX_EXPONENT (4300) in magnitude, or more than that many digits in a row,
-before it builds the number, and a numerator or denominator of more than
-that many digits after.
+rational literal is read by `linalg.frac`, in one grammar on every Python
+version, which refuses an exponent above MAX_EXPONENT (4300) in magnitude,
+or more than that many digits in a row, before it builds the number, and a
+numerator or denominator of more than that many digits after.
 
 The built-in entries are definition files too, NAME.json in the package's
 `algebras` directory, read by `load_entry_file` like any other: the same

@@ -42,7 +42,14 @@ library.  Each handler imports its own analysis modules (`conditions`,
 definition file shipped with the package, and `catalog:NAME` reads the
 file of the entry named and no other.
 The report classes are `linalg.Record`s, so creating one costs nothing
-beyond its class statement and no invocation imports `dataclasses`.
+beyond its class statement and no invocation imports `dataclasses`.  The
+package root imports nothing and binds no public name, and no module
+imports `typing`: every annotation stays a string (PEP 563), and `Sequence`
+and its kin come from `collections.abc`, which `fractions` loads anyway.
+A site hook (a `.pth` file in site-packages) may import `typing` and more
+before the package runs, so an import-graph change is measured under
+`python -S` too: there, dropping both took the median `orbit` invocation
+on h9 from about 42 to 39 ms.
 
 The end of a process is paid on every invocation too.  `run`, the one
 process entry (`python -m orbitkit.cli` and the `orbitkit` script), calls
@@ -70,7 +77,6 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional
 
 from . import catalog as cat
 from .liealg import Covector, LieAlgebra, orbit_record, validate
@@ -399,7 +405,7 @@ def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return "usage: orbitkit COMMAND [ARGS]"
     spec = _COMMANDS[command]
@@ -411,7 +417,7 @@ def _usage(command: Optional[str]) -> str:
     return " ".join(words)
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     if command is None:
         rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
         head = ["Exact coadjoint-orbit analysis for rational Lie algebras.", "", "commands:"]
@@ -429,7 +435,7 @@ def _help(command: Optional[str]) -> str:
     return "\n".join([_usage(command), ""] + head + body + tail) + "\n"
 
 
-def _usage_error(command: Optional[str], message: str):
+def _usage_error(command: str | None, message: str):
     prog = "orbitkit" if command is None else f"orbitkit {command}"
     sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
     raise SystemExit(2)
@@ -506,7 +512,7 @@ def _dumps(envelope: dict) -> str:
     return json.dumps(envelope, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     head = {"schema": SCHEMA, "command": args.command}
     if args.algebra:

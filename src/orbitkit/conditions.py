@@ -16,8 +16,6 @@ The coadjoint objects come from `structure`: h(cov) is `coadjoint_image`
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .liealg import Covector, LieAlgebra
 from .linalg import Record, Subspace, annihilator
 from .structure import check_subalgebra, coadjoint_image, stabilizer
@@ -31,7 +29,7 @@ class ConditionReport(Record):
     coisotropic: bool
     is_polarization: bool
     pukanszky_infinitesimal: bool
-    dimension_identity: Optional[bool]  # 2 dim h = dim g + dim g_cov, when polarization
+    dimension_identity: bool | None  # 2 dim h = dim g + dim g_cov, when polarization
     witnesses: dict
 
     def to_json_dict(self):

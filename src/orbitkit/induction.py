@@ -9,8 +9,6 @@ nested chains flatten by pure bookkeeping.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record
 from .linalg import Record, Subspace, vec_sub
 from .structure import restrict
@@ -24,7 +22,7 @@ class InducedRecord(Record):
     algebra: LieAlgebra
     space: Subspace   # ambient window of this stage, top coordinates
     sub: Subspace     # inducing subalgebra, top coordinates
-    fiber: Union["InducedRecord", OrbitRecord]
+    fiber: InducedRecord | OrbitRecord
 
     def __post_init__(self):
         if not self.space.contains_subspace(self.sub):

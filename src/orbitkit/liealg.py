@@ -40,9 +40,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -65,7 +65,7 @@ class LieAlgebra(Record):
     dim: int
     labels: tuple[str, ...]
     nonzeros: tuple  # nonzeros[i][j] = ((k, c[i][j][k]), ...), k increasing, c != 0
-    matrix_rep: Optional[tuple[Matrix, ...]] = None
+    matrix_rep: tuple[Matrix, ...] | None = None
     name: str = ""
     # __post_init__ caches the hash as _hash, which is not a field, so
     # equality and the repr skip it

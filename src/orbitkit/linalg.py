@@ -63,11 +63,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
-
-Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -129,15 +127,25 @@ class Record:
 
 MAX_EXPONENT = 4300  # as many digits as Python prints of an int by default
 _TOO_LONG = 10 ** MAX_EXPONENT  # the least int of MAX_EXPONENT + 1 digits
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-_DIGITS = re.compile(r"\d[\d_]*")
+# the rational grammar of Python 3.11's Fraction, on every version: digits
+# with single underscores between them; no spaces around "/", which 3.12
+# allows and 3.10 refuses, as it refuses every underscore
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(rf"""
+    \s*[-+]?
+    (?=\d|\.\d)(?P<num>{_DIGITS})?
+    (?: /(?P<denom>{_DIGITS})
+      | (?:\.(?P<decimal>{_DIGITS})?)? (?:[eE][-+]?(?P<exp>{_DIGITS}))? )
+    \s*""", re.VERBOSE)
 
 
 def frac(x) -> Fraction:
     """Coerce ints or strings like '3/4' or '1.5e-3' to an exact rational.
 
-    A zero denominator is a ValueError, like any other malformed rational, and
-    so are an exponent above MAX_EXPONENT in magnitude and a run of more than
+    A string is read by one grammar on every Python version (`_LITERAL`);
+    any other is refused in Python's own words, "Invalid literal for
+    Fraction: ...".  A zero denominator is a ValueError too, and so are an
+    exponent above MAX_EXPONENT in magnitude and a run of more than
     MAX_EXPONENT digits, refused before the number is built:
     `Fraction('1e1000000')` alone takes 0.3 s, growing with the exponent.
     A string whose numerator or denominator has more than MAX_EXPONENT digits
@@ -148,19 +156,22 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact computations")
-    exp = _EXPONENT.search(x) if isinstance(x, str) else None
-    if exp:
-        digits = exp.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude in a rational literal")
-    if isinstance(x, str) and any(len(run) - run.count("_") > MAX_EXPONENT
-                                  for run in _DIGITS.findall(x)):
+    if not isinstance(x, str):
+        return Fraction(x)
+    m = _LITERAL.fullmatch(x)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {x!r}")
+    runs = [run.replace("_", "") for run in m.groups("")]  # num, denom, decimal, exp
+    exp = runs[3].lstrip("0")
+    if len(exp) > len(str(MAX_EXPONENT)) or int(exp or 0) > MAX_EXPONENT:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude in a rational literal")
+    if max(map(len, runs)) > MAX_EXPONENT:
         raise ValueError(f"more than {MAX_EXPONENT} digits in a row in a rational literal")
     try:
-        q = Fraction(x)
+        q = Fraction(x.replace("_", ""))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal {x!r}") from None
-    if isinstance(x, str) and max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+    if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
         raise ValueError(f"more than {MAX_EXPONENT} digits in the numerator or denominator "
                          "of a rational literal")
     return q
@@ -216,7 +227,7 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable], cols: Optional[int] = None):
+    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         grid = tuple(map(vec, entries))
         if cols is None:
             if not grid:
@@ -327,7 +338,7 @@ def _primitive(w: Sequence[int]) -> tuple:
     return tuple(a // g for a in w) if g > 1 else tuple(w)
 
 
-def _insert(rows: list, pivots: list, v: Sequence) -> Optional[tuple]:
+def _insert(rows: list, pivots: list, v: Sequence) -> tuple | None:
     """Insert v into integer echelon rows with increasing pivots, in place.
 
     Each row is primitive, positive at its pivot and 0 at the other pivots,
@@ -365,7 +376,7 @@ def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list:
             for p, row in zip(pivots, rows)]
 
 
-def solve(m: Matrix, v: Sequence) -> Optional[tuple]:
+def solve(m: Matrix, v: Sequence) -> tuple | None:
     """Solve m x = v exactly; None when the system is inconsistent.
 
     When solutions form an affine space an arbitrary but deterministic
@@ -444,7 +455,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.missing_row(other) is None
 
-    def missing_row(self, other: "Subspace") -> Optional[tuple]:
+    def missing_row(self, other: "Subspace") -> tuple | None:
         """The first canonical basis row of other that self does not contain, else None."""
         self._same_ambient(other)
         return next((row for row in other.rows if not self.contains(row)), None)

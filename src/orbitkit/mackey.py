@@ -25,7 +25,7 @@ supply, and the reports say so where it matters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent, kks_pairing, pairing
 from .linalg import (
@@ -158,7 +158,7 @@ class ObstructionReport(Record):
     cocycle: Matrix                 # antisymmetric form on h_c/n_c
     c_vanishes_on_n_c: bool
     trivial: bool
-    primitive: Optional[tuple]      # beta with f = beta([.,.]) when trivial
+    primitive: tuple | None         # beta with f = beta([.,.]) when trivial
     extension_dims: tuple           # (dim n_c/j, dim h_c/j, dim h_c/n_c)
 
     def to_json_dict(self):
@@ -223,8 +223,8 @@ def obstruction_step(data: LittleGroupData) -> ObstructionReport:
 
 class SemidirectReport(Record):
     point_orbit: bool
-    witness_name: Optional[str]
-    cocycle_zero: Optional[bool]
+    witness_name: str | None
+    cocycle_zero: bool | None
     rejections: tuple  # (name, reason)
 
     def to_json_dict(self):

@@ -28,8 +28,8 @@ the iy for the nonzero real roots y of gcd(A, B), which
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .conditions import ConditionReport, check_conditions
 from .liealg import Covector, LieAlgebra, bracket_span
@@ -58,7 +58,7 @@ class StrategyExhausted(RuntimeError):
 
 class ExponentialReport(Record):
     is_solvable: bool
-    eigenvalue_witness: Optional[tuple]   # element whose ad has eigenvalues on iR*
+    eigenvalue_witness: tuple | None  # element whose ad has eigenvalues on iR*
     elements_checked: int
     passed: bool
 
@@ -190,7 +190,7 @@ def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
 
 
 def _admissible(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace,
-                ideal: Subspace) -> Optional[str]:
+                ideal: Subspace) -> str | None:
     """None when the subspace `ideal` of g_i is admissible, otherwise the rejection reason.
 
     ann_x is the orbit annihilator of the covector restricted to g_i.
@@ -208,7 +208,7 @@ def _admissible(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace,
 def pukanszky_polarization(
     alg: LieAlgebra,
     cov: Covector,
-    chain: Optional[Sequence[Subspace]] = None,
+    chain: Sequence[Subspace] | None = None,
 ) -> PolarizationTrace:
     """Run the descending-orthogonal construction at a covector.
 

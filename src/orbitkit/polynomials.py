@@ -23,8 +23,8 @@ eigenvalues with multiplicity, and (being diagonalizable) its rank is their sum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .linalg import Matrix, ONE, ZERO, frac, vec
 
@@ -277,7 +277,7 @@ def real_root_count(p: tuple) -> int:
             - sign_variations([c[-1] for c in chain]))
 
 
-def is_rational_square(r: Fraction) -> Optional[Fraction]:
+def is_rational_square(r: Fraction) -> Fraction | None:
     """The exact nonnegative square root of r if one exists, else None."""
     r = frac(r)
     if r < 0:

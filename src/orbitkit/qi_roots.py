@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .polynomials import deg, derivative, divmod_poly, gcd, is_rational_square, monic, poly
 
@@ -54,7 +53,7 @@ def _primes_one_mod_four():
         p += 4
 
 
-def _reconstruct(r: int, m: int, bound: int) -> Optional[Fraction]:
+def _reconstruct(r: int, m: int, bound: int) -> Fraction | None:
     """The u/v with u = v r (mod m), |u| <= bound, 0 < v <= bound, if any.
 
     Unique when 2 bound^2 < m (Wang's rational reconstruction).

@@ -45,7 +45,7 @@ stabilizer is its centralizer, and a matrix x is taken as it is.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .liealg import Covector, LieAlgebra, flat, validate
 from .linalg import (
@@ -142,7 +142,7 @@ def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
     return coords
 
 
-def _coords_and_matrix(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence]) -> tuple:
+def _coords_and_matrix(malg: MatrixLieAlgebra, x: Matrix | Sequence) -> tuple:
     """An element given as a representation matrix, taken as it is, or as coordinates."""
     if isinstance(x, Matrix):
         return element_coords(malg, x), x
@@ -229,7 +229,7 @@ class Grading(Record):
         return {str(a): self.spaces[a] for a in self.eigenvalues}
 
 
-def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
+def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     """Eigenspace grading of the algebra under ad(x_h).
 
     The candidate eigenvalues are 0 and the differences a - b of the rational
@@ -244,10 +244,14 @@ def grade(malg: MatrixLieAlgebra, xh: Union[Matrix, Sequence]) -> Grading:
     over Q, as every `hyperbolic_part` is.  Irrational roots can hide a nonzero
     rational eigenvalue of ad(x_h); such an x_h is refused too.
     """
+    return _grade(malg, *_coords_and_matrix(malg, xh))
+
+
+def _grade(malg: MatrixLieAlgebra, coords: tuple, xmat: Matrix) -> Grading:
+    """`grade` of the element with these coordinates and this matrix."""
     alg = malg.algebra
     if not validate(alg).ok:
         raise ValueError("algebra fails validation; see validate()")
-    coords, xmat = _coords_and_matrix(malg, xh)
     chi = charpoly(xmat)
     # the rational roots a are those of the monic linear factors x - a
     roots = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
@@ -312,16 +316,24 @@ class ParabolicReport(Record):
         }
 
 
-def parabolic_report(malg: MatrixLieAlgebra, x: Union[Matrix, Sequence, Covector]) -> ParabolicReport:
+def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) -> ParabolicReport:
     """Build q = g^0 (+) u at x and verify the induction relations exactly.
 
     x may be a representation matrix, taken as it is, algebra coordinates,
-    or a covector (converted through the trace form).
+    or a covector (converted through the trace form).  An x whose hyperbolic
+    part x_h is not in g is refused: g is not closed under the Jordan
+    decomposition, and there is no grading of g by ad(x_h).
     """
     coords, xmat = _coords_and_matrix(
         malg, covector_to_element(malg, x) if isinstance(x, Covector) else x)
     alg = malg.algebra
-    grading = grade(malg, hyperbolic_part(xmat))
+    xh = hyperbolic_part(xmat)
+    try:
+        xh_coords = element_coords(malg, xh)
+    except ValueError:
+        raise ValueError("x_h, the hyperbolic part of x, does not lie in the algebra: "
+                         "the algebra is not closed under the Jordan decomposition") from None
+    grading = _grade(malg, xh_coords, xh)
     n = alg.dim
 
     g0 = grading.spaces.get(ZERO, Subspace.zero(n))

@@ -27,9 +27,9 @@ compiles none of it.  The conventions are those of `liealg`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .liealg import (
     Covector,
@@ -111,7 +111,7 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     return annihilator(coadjoint_image(alg, cov, h))
 
 
-def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = None) -> int:
+def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> int:
     """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
 
     The rank of W B W^T over the canonical rows W of sub (all of g when sub
@@ -134,7 +134,7 @@ def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
     return rank_kernel(kks_pairing(alg, cov))[1]
 
 
-def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Optional[Subspace] = None) -> Subspace:
+def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
     """The largest ideal of the subalgebra sub (g when None) inside ker cov: ann(V), V
     the `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
 
@@ -191,7 +191,7 @@ def check_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
         pass
 
 
-def subquotient(alg: LieAlgebra, h: Subspace, n: Optional[Subspace] = None) -> Subquotient:
+def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subquotient:
     """The subalgebra h, or its quotient h / n by an ideal n of h (n = 0 by default).
 
     The pivots of n are pivots of h, and the rows of h at the other pivots,
@@ -239,7 +239,7 @@ def center(alg: LieAlgebra) -> Subspace:
     return centralizer(alg, Subspace.full(alg.dim))
 
 
-def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Optional[Subspace] = None) -> Subspace:
+def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:
     """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
     n = alg.dim
     # its own block form, not `pairing`: block is sparse in k, each row P_a . w is dense

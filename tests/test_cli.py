@@ -129,6 +129,9 @@ MALFORMED = {
     # an exponent past linalg.MAX_EXPONENT is refused before the number is built
     "coeff_exponent_over_cap.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                                      "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e5000"}}]},
+    # x = [[1, 1], [0, 1]] spans g, but its hyperbolic part, the identity, is not in g
+    "rep_unipotent_line.json": {"name": "line", "dim": 1, "basis": ["x"], "brackets": [],
+                                "matrix_rep": [[["1", "1"], ["0", "1"]]]},
     # a 0-dimensional algebra whose representation has no matrix to read a size from
     "dim0_rep_empty.json": {"name": "d0", "dim": 0, "basis": [], "brackets": [],
                             "matrix_rep": []},
@@ -263,6 +266,10 @@ BAD_INPUTS = {
     "orbit_complements_null": ["orbit", "complements_null.json", "--point=0,1"],
     "validate_coeff_keys_name_one_index": ["validate", "coeff_keys_one_index.json"],
     "parabolic_dim0_rep_empty": ["parabolic", "dim0_rep_empty.json", "--element="],
+    "parabolic_hyperbolic_part_outside": ["parabolic", "rep_unipotent_line.json",
+                                          "--element=1"],
+    # the rational grammar of Python 3.11 on every version: no spaces around "/"
+    "orbit_point_spaced_slash": ["orbit", "catalog:heisenberg3", "--point=1,2 / 3,0"],
 }
 
 HAPPY = {
@@ -404,6 +411,11 @@ def test_error_text_keeps_its_context(workdir, capsys):
     _, env = run(BAD_INPUTS["parabolic_zero_denominator"], capsys)
     assert env["error"] == ("bad rational in element: "
                             "zero denominator in rational literal '1/0'")
+    _, env = run(BAD_INPUTS["parabolic_hyperbolic_part_outside"], capsys)
+    assert env["error"] == ("x_h, the hyperbolic part of x, does not lie in the algebra: "
+                            "the algebra is not closed under the Jordan decomposition")
+    _, env = run(BAD_INPUTS["orbit_point_spaced_slash"], capsys)
+    assert env["error"] == "bad rational in point: Invalid literal for Fraction: '2 / 3'"
 
 
 # command -> the required options; each is refused without a --point

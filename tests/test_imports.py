@@ -1,9 +1,9 @@
 """Imports: every module and test file uses what it imports, no module
 imports the CLI or anything outside the standard library, and an invocation
 loads only the modules its subcommand runs, none of the standard library's
-costly class machinery (`dataclasses`, and through it `inspect`) and no
-argument parser library (`argparse`, with the `gettext` and `locale` it
-imports).
+costly class machinery (`dataclasses`, and through it `inspect`), no
+`typing` and no argument parser library (`argparse`, with the `gettext` and
+`locale` it imports).  The package root binds no public name.
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -12,7 +12,6 @@ string annotations count as used.
 """
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -20,8 +19,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import orbitkit
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "orbitkit"
@@ -111,11 +108,19 @@ def imported_modules(path: Path):
                 yield f"{base}.{alias.name}", node.lineno
 
 
+def _importers_of(module: str) -> list:
+    return [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for name, line in imported_modules(path) if name.split(".")[0] == module]
+
+
 def test_no_module_imports_dataclasses():
-    importers = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
-                 for name, line in imported_modules(path)
-                 if name.split(".")[0] == "dataclasses"]
-    assert importers == []
+    assert _importers_of("dataclasses") == []
+
+
+def test_no_module_imports_typing():
+    # every annotation is a string (PEP 563): `X | None` needs no import, and
+    # Callable, Iterable and Sequence come from collections.abc
+    assert _importers_of("typing") == []
 
 
 def test_no_module_imports_outside_the_standard_library():
@@ -200,9 +205,10 @@ DEFINITIONS = {
                                 [["0", "0"], ["1", "0"]]]},
 }
 
-# never loaded by an invocation: the standard library's class machinery, and
-# the argument parser library with the translation modules it imports
-SLOW_STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+# never loaded by an invocation: the standard library's class machinery and
+# `typing`, and the argument parser library with the translation modules it
+# imports
+SLOW_STDLIB = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 
 LOADED = """
 import json, sys
@@ -214,10 +220,14 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def _loaded_after(run: str, cwd=None) -> list:
+    # -S: a site hook (a .pth file in site-packages) may import any of
+    # SLOW_STDLIB before the package runs, which would hide what the package
+    # imports itself; PYTHONPATH still applies, and the package needs nothing
+    # outside the standard library
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     env.pop("ORBITKIT_CATALOG_DIR", None)
     code = LOADED.format(run=run, slow=SLOW_STDLIB)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stderr)
 
@@ -237,10 +247,9 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
             BASE + [f"orbitkit.{m}" for m in extra]), argv
 
 
-def test_every_package_name_is_its_modules_attribute():
-    for name, module in orbitkit._EXPORTS.items():
-        assert getattr(orbitkit, name) is getattr(
-            importlib.import_module(f"orbitkit.{module}"), name), name
-    assert set(orbitkit._EXPORTS) <= set(dir(orbitkit))
-    with pytest.raises(AttributeError, match="nosuch"):
-        orbitkit.nosuch
+def test_the_package_root_binds_no_public_name():
+    # each name is imported from its module; the root has no PEP 562 hook
+    run = ("import orbitkit\n"
+           "assert [n for n in vars(orbitkit) if not n.startswith('_')] == []\n"
+           "assert not hasattr(orbitkit, 'Matrix')")
+    assert _loaded_after(run) == ["orbitkit"]

@@ -99,6 +99,27 @@ def test_frac_refuses_a_zero_denominator():
         frac(0.5)
 
 
+# Python 3.10 refuses every underscore, 3.12 allows spaces around "/", and
+# 3.11 and 3.12 misread "1.d"; frac reads 3.11's intended grammar on each
+READ = [("3/4", F(3, 4)), ("-6/8", F(-3, 4)), (" +1.5e-3 ", F(3, 2000)), ("\t7\n", 7),
+        ("1_000", 1000), ("1_000/3_0", F(100, 3)), ("2e0_1", 20), ("1.5_0", F(3, 2)),
+        (".5", F(1, 2)), ("1.", 1), ("1.e2", 100), ("١/٢", F(1, 2))]
+REFUSED = ["1 / 3", "1/ 3", "1 /3", "1__0", "_1", "1_", "1._5", "1.d", "/3", "", " ",
+           "0x10", "nan", "inf", "1/3e5", "1e", "e5", "1e+", "+-1", "1/-3", "1.5/2"]
+
+
+@pytest.mark.parametrize("literal, value", READ)
+def test_frac_reads_one_grammar_on_every_python_version(literal, value):
+    assert frac(literal) == value
+
+
+@pytest.mark.parametrize("literal", REFUSED)
+def test_frac_refuses_what_its_grammar_does_not_read_in_pythons_words(literal):
+    with pytest.raises(ValueError) as refused:
+        frac(literal)
+    assert str(refused.value) == f"Invalid literal for Fraction: {literal!r}"
+
+
 STRING_REFUSED = "a string is not a coordinate sequence"
 
 
