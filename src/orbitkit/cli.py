@@ -323,32 +323,14 @@ def _cmd_classify(entry, args):
 
 @_per_point
 def _cmd_record(entry, args):
-    from .induction import InducedRecord, frobenius_check, induced_dim, point_fiber, stages_flatten
-    from .structure import check_subalgebra
+    from .induction import record_report
 
-    alg = entry.algebra
     subs = [_parse_subspace(entry, s) for s in args.sub]
     if not subs:
         raise InputError("record needs at least one --sub")
 
     def run(cov):
-        fiber = point_fiber(alg, subs[-1], cov)
-        spaces = [Subspace.full(alg.dim)] + subs
-        rec = InducedRecord(alg, spaces[-2], spaces[-1], fiber)
-        for outer_space, outer_sub in zip(reversed(spaces[:-2]), reversed(subs[:-1])):
-            rec = InducedRecord(alg, outer_space, outer_sub, rec)
-        for outer_sub in subs[:-1]:  # point_fiber checked the innermost one
-            check_subalgebra(alg, outer_sub)
-        flattened = stages_flatten(rec)
-        verdict = frobenius_check(rec, orbit_record(alg, cov))
-        return {
-            "point": cov,
-            "record": rec.to_json_dict(),
-            "flattened": flattened.to_json_dict(),
-            "induced_dim": induced_dim(rec),
-            "frobenius_vs_full_orbit": verdict,
-            "ok": induced_dim(rec) == induced_dim(flattened),
-        }
+        return {"point": cov, **record_report(entry.algebra, subs, cov)}
 
     return {}, _parse_points(entry.algebra, args.point), run
 

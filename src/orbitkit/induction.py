@@ -1,94 +1,62 @@
-"""Dimension bookkeeping for induced hamiltonian data.
+"""The `record` report: induced dimensions along a chain of subalgebras.
 
-A record stores which subalgebra induces which fiber; the only numerics are
-the count 2 dim(G/H) + dim(fiber), the stages collapse, and an exact
-affine-hull intersection standing in for the reciprocity test.  All
-subspaces live in the coordinates of the top ambient algebra so that
-nested chains flatten by pure bookkeeping.
+A chain g > h_1 > ... > h_m and a covector f of g induce, stage by stage, a
+space of dimension 2 dim(h_{k-1}/h_k) plus that of the next stage, ending at
+the orbit of p(f) = f|h_m.  Its dimension d is `structure.orbit_dim(alg, f,
+h_m)`, a rank in g's coordinates, so no subalgebra is built.  The stages
+collapse to one, g > h_m, of induced dimension 2(dim g - dim h_m) + d, which
+`ok` compares with the chain's.
+
+The verdict `frobenius_vs_full_orbit` is closed form.  It asks whether the
+affine hull of G.f, restricted to h_m, meets that of the fiber orbit H_m.p(f),
+and the hull test decides only when both Krylov hulls are exact, that is when
+both algebras are nilpotent.  The fiber sits at p(f) itself, so the two hulls
+share p(f): the difference of base points, p(f) - p(f) = 0, lies in every
+span, and a decided answer is "yes".  h_m is nilpotent whenever g is, and f's
+own hull is not exact when g is not, so the verdict is "yes" for nilpotent g
+and "undecided" otherwise.  It checks nothing: ROADMAP item 3 replaces it with
+a test that can say "no".
 """
 
 from __future__ import annotations
 
-from .liealg import Covector, LieAlgebra, OrbitRecord, orbit_record
-from .linalg import Record, Subspace, vec_sub
-from .structure import restrict
+from collections.abc import Sequence
+
+from .liealg import Covector, LieAlgebra, is_nilpotent
+from .linalg import Subspace
+from .structure import check_subalgebra, orbit_dim
 
 
 class ChainError(ValueError):
     """Nesting violates the required subalgebra chain."""
 
 
-class InducedRecord(Record):
-    algebra: LieAlgebra
-    space: Subspace   # ambient window of this stage, top coordinates
-    sub: Subspace     # inducing subalgebra, top coordinates
-    fiber: InducedRecord | OrbitRecord
+def record_report(alg: LieAlgebra, subs: Sequence[Subspace], cov: Covector) -> dict:
+    """The `record` report of cov along subs, a nonempty chain below g, outermost first.
 
-    def __post_init__(self):
-        if not self.space.contains_subspace(self.sub):
-            raise ChainError("subalgebra not contained in ambient")
-        if isinstance(self.fiber, InducedRecord):
-            if self.fiber.space != self.sub:
-                raise ChainError("nested record must sit over the inducing subalgebra")
-
-    def fiber_dim(self) -> int:
-        if isinstance(self.fiber, InducedRecord):
-            return induced_dim(self.fiber)
-        return self.fiber.orbit_dim
-
-    def to_json_dict(self):
-        inner = (self.fiber.to_json_dict() if isinstance(self.fiber, InducedRecord)
-                 else {"orbit_dim": self.fiber.orbit_dim})
-        return {
-            "space_dim": self.space.dim,
-            "sub_dim": self.sub.dim,
-            "fiber": inner,
-            "induced_dim": induced_dim(self),
-        }
-
-
-def induced_dim(rec: InducedRecord) -> int:
-    """2 dim(space/sub) + fiber dimension, recursively."""
-    return 2 * (rec.space.dim - rec.sub.dim) + rec.fiber_dim()
-
-
-def stages_flatten(rec: InducedRecord) -> InducedRecord:
-    """Collapse a nested chain into a single stage over the innermost subalgebra."""
-    if not isinstance(rec.fiber, InducedRecord):
-        return rec
-    inner = stages_flatten(rec.fiber)
-    return InducedRecord(rec.algebra, rec.space, inner.sub, inner.fiber)
-
-
-def point_fiber(alg: LieAlgebra, sub: Subspace, cov: Covector) -> OrbitRecord:
-    """Orbit record of cov restricted to sub, in sub's canonical basis."""
-    cov_sub = restrict(alg, cov, sub)
-    return orbit_record(cov_sub.algebra, cov_sub)
-
-
-def frobenius_check(rec: InducedRecord, m: OrbitRecord) -> str:
-    """'yes'/'no' when the restricted affine hull of m meets the fiber hull.
-
-    Decidable only when both hulls are exact (nilpotent certification on
-    both records); everything else is 'undecided'.  The fiber record's
-    coordinates must be taken in the canonical basis of rec.sub, as
-    point_fiber produces them.
+    Refused, in this order: an innermost sub that is not a subalgebra
+    (NotClosedError), a sub outside the one before it, innermost first
+    (ChainError), and an outer sub that is not a subalgebra, outermost first.
     """
-    flat = stages_flatten(rec)
-    fiber = flat.fiber
-    if not isinstance(fiber, OrbitRecord):
-        return "undecided"
-    if not (fiber.hull_exact and m.hull_exact):
-        return "undecided"
-    h_rows = flat.sub.rows
-    if fiber.covector.algebra.dim != len(h_rows):
-        raise ChainError("fiber record does not match the inducing subalgebra")
-
-    def restrict_to_h(coords):
-        return tuple(sum(c * r for c, r in zip(coords, row)) for row in h_rows)
-
-    target = vec_sub(restrict_to_h(m.covector.coords), fiber.covector.coords)
-    directions = [restrict_to_h(u) for u in m.affine_hull_dirs.rows]
-    directions += fiber.affine_hull_dirs.rows
-    span = Subspace(len(h_rows), directions)
-    return "yes" if span.contains(target) else "no"
+    check_subalgebra(alg, subs[-1])
+    stages = list(zip([Subspace.full(alg.dim), *subs], subs))[::-1]  # innermost first
+    for space, sub in stages:
+        if not space.contains_subspace(sub):
+            raise ChainError("subalgebra not contained in ambient")
+    for sub in subs[:-1]:
+        check_subalgebra(alg, sub)
+    d = orbit_dim(alg, cov, subs[-1])
+    record, induced = {"orbit_dim": d}, d
+    for space, sub in stages:
+        induced += 2 * (space.dim - sub.dim)
+        record = {"space_dim": space.dim, "sub_dim": sub.dim, "fiber": record,
+                  "induced_dim": induced}
+    flat = 2 * (alg.dim - subs[-1].dim) + d
+    return {
+        "record": record,
+        "flattened": {"space_dim": alg.dim, "sub_dim": subs[-1].dim,
+                      "fiber": {"orbit_dim": d}, "induced_dim": flat},
+        "induced_dim": induced,
+        "frobenius_vs_full_orbit": "yes" if is_nilpotent(alg) else "undecided",
+        "ok": induced == flat,
+    }

@@ -296,7 +296,8 @@ def abelian_step(data: LittleGroupData) -> AbelianStepReport:
     h, is dim h - dim(h meet h^cov) = dim(h / h^cov) once h^cov <= h.
     """
     alg, a, cov = data.algebra, data.ideal, data.covector
-    if not orbit_annihilator(alg, cov).contains_subspace(bracket_span(alg, a, a)):
+    aa = bracket_span(alg, a, a)  # 0 for the abelian ideals `classify` admits
+    if aa.dim and not orbit_annihilator(alg, cov).contains_subspace(aa):
         raise ValueError("ideal is not orbit-abelian: [a, a] leaves ann(X)")
 
     h = data.g_c  # a <= h since <cov, [a, a]> = 0, so h = a + g_c is g_c

@@ -39,8 +39,12 @@ elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
 covector of x is G x, and the trace-block and Levi checks of the parabolic
 report multiply no matrices.  G is symmetric, so G x is the row combination
 x^T G, built by `combine` like every other matrix-vector product; the trace
-annihilator of q is ann(G r : r in q).  The report builds no ad(x): x's
-stabilizer is its centralizer, and a matrix x is taken as it is.
+annihilator of q is ann(G r : r in q).  The report builds no ad(x), and a
+matrix x is taken as it is.  x's centralizer is the stabilizer of its dual
+covector f = tr(x .), the kernel of f's KKS pairing, whose rank is dim O_x:
+f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and the trace form is
+nondegenerate on g (`matrix_lie_algebra` checks it), so g_f = ker ad x.  One
+elimination gives both.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from .polynomials import (
     to_string,
 )
 from .qi_roots import qi_factors
-from .structure import ad_matrix, centralizer, orbit_dim
+from .structure import ad_matrix, orbit_dim, stabilizer
 
 
 class UnsupportedSpectrumError(ValueError):
@@ -340,7 +344,10 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
     u = Subspace(n, [r for a in grading.eigenvalues if a > 0 for r in grading.spaces[a].rows])
     q = g0.add(u)
 
-    stab_ok = g0.contains_subspace(centralizer(alg, Subspace(n, [coords])))
+    # tr(M(x) M(z)) = x^T G z = <cov, z>; g_cov = ker ad x (module docstring)
+    cov = element_to_covector(malg, coords)
+    stab = stabilizer(alg, cov)
+    stab_ok = g0.contains_subspace(stab)
 
     moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.rows])
     ann_q = annihilator(Subspace(n, [combine(r, malg.trace_gram.entries, n) for r in q.rows]))
@@ -367,11 +374,9 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
             elif pairing.rows != pairing.cols or rank_kernel(pairing)[0] != pairing.rows:
                 blocks_ok = False
 
-    # tr(M(x) M(z)) = x^T G z = <cov, z>
-    cov = element_to_covector(malg, coords)
     levi_ok = all(cov.pair(z) == 0 for z in u.rows)
 
-    dim_x = orbit_dim(alg, cov)
+    dim_x = n - stab.dim
     dim_y = orbit_dim(alg, cov, q)
     dims_ok = dim_x == 2 * (n - q.dim) + dim_y
 

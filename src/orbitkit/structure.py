@@ -14,8 +14,9 @@ Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
 the basis of canonical lifts (the rows of h at pivots that are not pivots of
 n), read off in ambient coordinates; `restrict` takes a covector to a
-subalgebra through it, for its one caller `induction.point_fiber`, and
-`check_subalgebra` runs its closure check alone.
+subalgebra through it, the reference route that the tests compare
+`orbit_dim` on a subalgebra against, and `check_subalgebra` runs its
+closure check alone.
 
 Structure facts are computed on demand, one function each: `derived_series`,
 `is_solvable`, `killing_form` and `ascending_central_series` (one
@@ -220,7 +221,9 @@ def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subq
 
 
 def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
-    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis."""
+    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis.
+
+    No report builds it: `orbit_dim(alg, cov, sub)` reads the same rank in g."""
     return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
 
 

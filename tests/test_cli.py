@@ -242,6 +242,9 @@ BAD_INPUTS = {
     # an outer stage of a `record` chain that is not a subalgebra
     "record_outer_sub_not_a_subalgebra": ["record", "catalog:filiform4", "--sub", "0,1,3",
                                           "--sub", "center", "--point=0,0,0,1"],
+    # a `record` chain whose inner stage does not lie in the one before it
+    "record_chain_not_nested": ["record", "catalog:heisenberg3", "--sub", "center",
+                                "--sub", "plane", "--point=0,0,1"],
     # subspaces in JSON, read by `catalog.parse_subspace`, and the fields that hold them
     "conditions_sub_file_not_a_subalgebra": ["conditions", "catalog:heisenberg3",
                                              "--sub", "@sub_file_index_list.json",
@@ -387,6 +390,8 @@ def test_error_text_keeps_its_context(workdir, capsys):
     assert env["error"] == "subspace is not a subalgebra: bracket of basis rows 0,1 escapes"
     assert run(["record", "catalog:filiform4", "--sub", "0,1,3", "--point=0,0,0,1"],
                capsys)[1]["error"] == env["error"]
+    _, env = run(BAD_INPUTS["record_chain_not_nested"], capsys)
+    assert env["error"] == "subalgebra not contained in ambient"
     _, env = run(BAD_INPUTS["orbit_unknown_catalog_entry"], capsys)
     assert env["error"] == "unknown catalog entry 'nosuch'; try the `catalog` subcommand"
     _, env = run(BAD_INPUTS["conditions_labels_repeated"], capsys)

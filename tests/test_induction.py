@@ -1,72 +1,135 @@
+import random
+import sys
+
 import pytest
 
-from orbitkit.induction import (
-    ChainError,
-    InducedRecord,
-    frobenius_check,
-    induced_dim,
-    point_fiber,
-    stages_flatten,
-)
+from conftest import rand_covector, seeded_family_entries
+from orbitkit import cli, liealg, structure
+from orbitkit.induction import ChainError, record_report
 from orbitkit.liealg import Covector, orbit_record
-from orbitkit.linalg import Subspace
+from orbitkit.linalg import Subspace, basis_vector
+from orbitkit.structure import NotClosedError, restrict
 
 
-def _record(entry, sub_name, point):
-    alg = entry.algebra
-    sub = entry.ideals[sub_name]
-    cov = Covector(alg, point)
-    return InducedRecord(alg, Subspace.full(alg.dim), sub, point_fiber(alg, sub, cov)), cov
-
-
-def test_sub_outside_its_space_is_a_chain_error(entries):
-    f4 = entries["filiform4"]
-    alg = f4.algebra
-    fiber = point_fiber(alg, f4.ideals["big_abelian"], Covector(alg, (0, 0, 0, 1)))
-    with pytest.raises(ChainError):
-        InducedRecord(alg, f4.ideals["derived"], f4.ideals["big_abelian"], fiber)
-
-
-def test_fiber_not_over_the_sub_is_a_chain_error(entries):
-    f4 = entries["filiform4"]
-    alg, ideals = f4.algebra, f4.ideals
-    cov = Covector(alg, (0, 0, 0, 1))
-    inner = InducedRecord(alg, ideals["derived"], ideals["center"],
-                          point_fiber(alg, ideals["center"], cov))
-    with pytest.raises(ChainError):
-        InducedRecord(alg, Subspace.full(4), ideals["big_abelian"], inner)
+def _span(n, *indices):
+    return Subspace(n, [basis_vector(n, i) for i in indices])
 
 
 def test_three_stage_chain_in_filiform4(entries):
     f4 = entries["filiform4"]
     alg, ideals = f4.algebra, f4.ideals
-    cov = Covector(alg, (0, 0, 1, 1))
-    fiber = point_fiber(alg, ideals["center"], cov)
-    assert fiber.orbit_dim == 0 and fiber.covector.coords == (1,)
-    inner = InducedRecord(alg, ideals["derived"], ideals["center"], fiber)
-    middle = InducedRecord(alg, ideals["big_abelian"], ideals["derived"], inner)
-    top = InducedRecord(alg, Subspace.full(4), ideals["big_abelian"], middle)
-    # 2 (4 - 3) + 2 (3 - 2) + 2 (2 - 1) + 0
-    assert [induced_dim(r) for r in (inner, middle, top)] == [2, 4, 6]
-    flat = stages_flatten(top)
-    assert (flat.space, flat.sub, flat.fiber) == (Subspace.full(4), ideals["center"], fiber)
-    assert induced_dim(flat) == induced_dim(top) == 2 * (4 - 1)
-    assert stages_flatten(inner) is inner
-    assert top.to_json_dict()["fiber"]["fiber"]["induced_dim"] == 2
+    chain = [ideals["big_abelian"], ideals["derived"], ideals["center"]]
+    rep = record_report(alg, chain, Covector(alg, (0, 0, 1, 1)))
+    stages, rec = [], rep["record"]
+    while "fiber" in rec:
+        stages.append(rec)
+        rec = rec["fiber"]
+    assert rec == {"orbit_dim": 0}
+    # 2 (4 - 3) + 2 (3 - 2) + 2 (2 - 1) + 0, innermost first
+    assert [s["induced_dim"] for s in reversed(stages)] == [2, 4, 6]
+    assert [(s["space_dim"], s["sub_dim"]) for s in stages] == [(4, 3), (3, 2), (2, 1)]
+    assert rep["flattened"] == {"space_dim": 4, "sub_dim": 1, "fiber": {"orbit_dim": 0},
+                                "induced_dim": 2 * (4 - 1) + 0}
+    assert rep["induced_dim"] == 6 and rep["ok"] is True
 
 
-def test_frobenius_check_on_heisenberg3(entries):
-    h3 = entries["heisenberg3"]
-    rec, cov = _record(h3, "plane", (0, 0, 1))
-    assert frobenius_check(rec, orbit_record(h3.algebra, cov)) == "yes"
-    # the orbit of (0, 0, 2) restricts to the plane away from (0, 1)
-    other = orbit_record(h3.algebra, Covector(h3.algebra, (0, 0, 2)))
-    assert frobenius_check(rec, other) == "no"
+@pytest.mark.parametrize("name, sub, point, verdict", [
+    ("heisenberg3", "plane", (0, 0, 1), "yes"),
+    ("filiform4", "big_abelian", (0, 0, 0, 1), "yes"),
+    ("euclid2", "translations", (0, 1, 0), "undecided"),
+    ("sl2", (0, 1), (2, 0, 0), "undecided"),
+])
+def test_the_verdict_is_yes_exactly_on_nilpotent_algebras(entries, name, sub, point, verdict):
+    """The fiber sits at p(f) itself, so a decided verdict is "yes"; it is decided
+    when the Krylov hulls are exact, that is when g is nilpotent."""
+    alg = entries[name].algebra
+    sub = entries[name].ideals[sub] if isinstance(sub, str) else _span(alg.dim, *sub)
+    rep = record_report(alg, [sub], Covector(alg, point))
+    assert rep["frobenius_vs_full_orbit"] == verdict
+    assert (verdict == "yes") == liealg.is_nilpotent(alg)
 
 
-def test_frobenius_check_is_undecided_off_nilpotent_algebras(entries):
-    e2 = entries["euclid2"]
-    rec, cov = _record(e2, "translations", (0, 1, 0))
-    m = orbit_record(e2.algebra, cov)
-    assert rec.fiber.hull_exact and not m.hull_exact
-    assert frobenius_check(rec, m) == "undecided"
+def _declared_subalgebras(entry):
+    for sub in [*entry.ideals.values(), *entry.complements.values()]:
+        try:
+            structure.check_subalgebra(entry.algebra, sub)
+        except NotClosedError:
+            continue
+        yield sub
+
+
+def test_the_fiber_orbit_dim_is_the_subalgebra_route(entries):
+    """The fiber's orbit_dim, a rank in g, is the orbit dimension of cov restricted
+    to the subalgebra that `restrict` builds."""
+    rng = random.Random(37)
+    cases = 0
+    for entry in [*entries.values(), *seeded_family_entries()]:
+        alg = entry.algebra
+        for sub in _declared_subalgebras(entry):
+            for cov in [*(Covector(alg, c) for c in entry.covectors.values()),
+                        *(rand_covector(alg, rng) for _ in range(3))]:
+                fiber = record_report(alg, [sub], cov)["record"]["fiber"]
+                cov_sub = restrict(alg, cov, sub)
+                assert fiber == {"orbit_dim": orbit_record(cov_sub.algebra, cov_sub).orbit_dim}
+                cases += 1
+    assert cases > 60
+
+
+def test_sub_outside_its_space_is_a_chain_error(entries):
+    f4 = entries["filiform4"]
+    alg = f4.algebra
+    with pytest.raises(ChainError, match="subalgebra not contained in ambient"):
+        record_report(alg, [f4.ideals["derived"], f4.ideals["big_abelian"]],
+                      Covector(alg, (0, 0, 0, 1)))
+
+
+def test_the_errors_keep_their_order(entries):
+    """The innermost sub's closure first, then the nesting, then the outer subs'
+    closures, outermost first."""
+    f4 = entries["filiform4"]
+    alg, center = f4.algebra, f4.ideals["center"]
+    cov = Covector(alg, (0, 0, 0, 1))
+    not_closed = _span(4, 0, 1, 3)
+    # innermost not a subalgebra, and outside the center before it
+    with pytest.raises(NotClosedError, match="rows 0,1 escapes"):
+        record_report(alg, [center, not_closed], cov)
+    # the nesting fails, and the outermost is not a subalgebra
+    with pytest.raises(ChainError):
+        record_report(alg, [not_closed, center, f4.ideals["derived"]], cov)
+    # nested, and both outer subs are not subalgebras: the outermost is named
+    outer, middle = _span(4, 0, 1, 2), _span(4, 0, 1)
+    for sub, rows in ((outer, "0,2"), (middle, "0,1")):
+        with pytest.raises(NotClosedError, match=f"rows {rows} escapes"):
+            record_report(alg, [sub, _span(4, 0)], cov)
+    with pytest.raises(NotClosedError, match="rows 0,2 escapes"):
+        record_report(alg, [outer, middle, _span(4, 0)], cov)
+
+
+def test_a_record_builds_no_subalgebra_hull_or_orbit_record(monkeypatch, capsys):
+    """Every field comes from one restricted rank, the chain's dimensions and the
+    cached nilpotency test: a seeded record runs with subquotient, krylov_hull
+    and orbit_record refused at every binding."""
+    rng = random.Random(0)
+    argvs = []
+    for name, dim, chain in (("heisenberg3", 3, ["plane", "center"]),
+                             ("filiform4", 4, ["big_abelian", "derived", "center"]),
+                             ("euclid2", 3, ["translations"])):
+        points = [",".join(str(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(3)]
+        argvs.append(["record", f"catalog:{name}", *(a for s in chain for a in ("--sub", s)),
+                      *(f"--point={p}" for p in points)])
+
+    def reports():
+        return [(cli.main(argv), capsys.readouterr().out) for argv in argvs]
+
+    want = reports()
+    assert {code for code, _ in want} == {0}
+
+    def refuse(*args):
+        raise AssertionError("record built a subalgebra, a hull or an orbit record")
+
+    originals = (structure.subquotient, liealg.krylov_hull, liealg.orbit_record)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("orbitkit")]:
+        for attr, value in list(vars(mod).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(mod, attr, refuse)
+    assert reports() == want

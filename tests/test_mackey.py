@@ -431,6 +431,42 @@ def test_abelian_step_rejects_non_orbit_abelian(entries):
         abelian_step(data)
 
 
+def test_classify_runs_no_orbit_annihilator_on_abelian_ideals(entries, tmp_path, monkeypatch,
+                                                              capsys):
+    """[a, a] = 0 for every ideal `classify` admits, so `abelian_step` has nothing
+    to test against ann(X): the reports stay the same with the closure refused,
+    on every abelian declared catalog ideal and on the family_orbit invocations."""
+    rng = random.Random(5)
+    argvs = []
+    for name, entry in entries.items():
+        alg = entry.algebra
+        points = [f"--point={','.join(map(str, c))}" for c in entry.covectors.values()]
+        points.append("--point=" + ",".join(str(rng.randint(-3, 3)) for _ in range(alg.dim)))
+        argvs += [["classify", f"catalog:{name}", "--ideal", ideal, *points]
+                  for ideal, a in entry.ideals.items() if bracket_span(alg, a, a).dim == 0]
+    wl = workloads.build("family_orbit", 0)
+    workloads.write_files(wl, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argvs += [inv.args for inv in wl.round if inv.args[0] == "classify"]
+    assert len(argvs) == 13
+
+    def reports():
+        out = []
+        for argv in argvs:
+            code = cli.main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    want = reports()
+    assert {code for code, _ in want} == {0}
+
+    def refuse(*args):
+        raise AssertionError("orbit_annihilator ran on an abelian ideal")
+
+    monkeypatch.setattr(mackey, "orbit_annihilator", refuse)
+    assert reports() == want
+
+
 def test_classification_poincare_cases(entries):
     poin = entries["poincare"]
     trans = poin.ideals["translations"]

@@ -594,6 +594,22 @@ def test_parabolic_report_builds_ad_only_for_the_grading(monkeypatch):
         assert len(calls) == 1, x
 
 
+def test_the_stabilizer_of_x_dual_is_its_centralizer(entries):
+    """tr(x[Z, Y]) = tr([x, Z]Y) and the trace form is nondegenerate, so the
+    stabilizer of f = tr(x .) is ker ad x, on the benchmark elements and on
+    seeded elements of sl2, sl3 and so(3,1)."""
+    rng = random.Random(11)
+    inputs = list(_parabolic_inputs())
+    for name in ("sl2", "sl3", "so31"):
+        malg = matrix_lie_algebra(entries[name].algebra)
+        inputs += [(malg, rand_vec(rng, malg.dim, -3, 3, 2)) for _ in range(8)]
+    inputs.append((malg, [0] * malg.dim))
+    for malg, x in inputs:
+        alg = malg.algebra
+        assert (structure.stabilizer(alg, element_to_covector(malg, x))
+                == structure.centralizer(alg, Subspace(alg.dim, [x]))), x
+
+
 def test_a_matrix_input_is_taken_as_it_is(monkeypatch):
     """A representation matrix gives the report of its coordinates, and is never
     rebuilt from them."""
