@@ -43,10 +43,8 @@ parser, the same validation (which checks each file's brackets against its
 `matrix_rep`) and the same errors.  A built-in is read by name, each once
 per process, so a caller that names one entry reads that file alone; the
 name is looked up in the directory's listing, never joined into a path.
-The entries of the directory named by ORBITKIT_CATALOG_DIR are read by the
-same loader on every lookup and merged over the built-ins: a file naming a
-built-in overrides it, and a malformed file, or two files naming one entry,
-fails every lookup.
+The shipped files are the whole catalog, and a user's own algebra is named
+by its path: a report depends only on its argv and the files it names.
 """
 
 from __future__ import annotations
@@ -89,21 +87,6 @@ def _entry_files(directory: str) -> list:
     return sorted(fname for fname in os.listdir(directory) if fname.endswith(".json"))
 
 
-def _directory_entries(directory: str, load) -> dict:
-    """The entry of every definition file in a directory, by name, each read by `load`.
-
-    Two files that name the same entry are a CatalogError naming both.
-    """
-    entries, paths = {}, {}
-    for fname in _entry_files(directory):
-        path = os.path.join(directory, fname)
-        entry = load(path)
-        if entry.name in paths:
-            raise CatalogError(f"{paths[entry.name]} and {path} both name the entry {entry.name!r}")
-        entries[entry.name], paths[entry.name] = entry, path
-    return entries
-
-
 @lru_cache(maxsize=None)
 def _builtin_entry(path: str) -> CatalogEntry:
     """A built-in definition file, read once per process."""
@@ -111,31 +94,14 @@ def _builtin_entry(path: str) -> CatalogEntry:
 
 
 def builtin_catalog() -> dict:
-    """The built-in entries: the definition files in BUILTIN_DIR."""
-    return _directory_entries(BUILTIN_DIR, _builtin_entry)
-
-
-def _extra_entries() -> dict:
-    """The entries of every definition file in ORBITKIT_CATALOG_DIR, by name."""
-    extra_dir = os.environ.get("ORBITKIT_CATALOG_DIR")
-    if not (extra_dir and os.path.isdir(extra_dir)):
-        return {}
-    return _directory_entries(extra_dir, load_entry_file)
-
-
-def load_catalog() -> dict:
-    """Built-ins merged with any entries from ORBITKIT_CATALOG_DIR."""
-    return {**builtin_catalog(), **_extra_entries()}
+    """The built-in entries, by name: the definition files in BUILTIN_DIR."""
+    entries = (_builtin_entry(os.path.join(BUILTIN_DIR, fname))
+               for fname in _entry_files(BUILTIN_DIR))
+    return {entry.name: entry for entry in entries}
 
 
 def find_entry(name: str) -> CatalogEntry | None:
-    """The entry `load_catalog()` would hold under `name`, reading no other built-in.
-
-    None when there is no such entry.
-    """
-    extras = _extra_entries()
-    if name in extras:
-        return extras[name]
+    """The built-in entry named `name`, reading no other; None when there is none."""
     fname = f"{name}.json"
     if fname not in _entry_files(BUILTIN_DIR):
         return None

@@ -161,7 +161,7 @@ def _encode(obj):
 
 
 def _cmd_catalog(args) -> tuple[dict, bool]:
-    entries = cat.load_catalog()
+    entries = cat.builtin_catalog()
     listing = {
         name: {
             "dim": e.algebra.dim,
@@ -323,16 +323,18 @@ def _cmd_classify(entry, args):
 
 @_per_point
 def _cmd_record(entry, args):
-    from .induction import record_report
+    from .induction import check_chain, record_report
 
     subs = [_parse_subspace(entry, s) for s in args.sub]
     if not subs:
         raise InputError("record needs at least one --sub")
+    points = _parse_points(entry.algebra, args.point)
+    check_chain(entry.algebra, subs)
 
     def run(cov):
         return {"point": cov, **record_report(entry.algebra, subs, cov)}
 
-    return {}, _parse_points(entry.algebra, args.point), run
+    return {}, points, run
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def pukanszky_polarization(
             ideal=ideal,
             ideal_orth=ideal_orth,
             g_next=g_next,
-            orbit_abelian=ann_x.contains_subspace(bracket_span(alg, ideal, ideal)),
+            orbit_abelian=True,  # `_admissible` just checked ann_x >= [I, I]
             ideal_in_orth=ideal_orth.contains_subspace(ideal),
             orth_not_containing_g=g_next.dim < g_i.dim,
         ))

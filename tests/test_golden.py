@@ -122,7 +122,6 @@ def _cli_process(args, cwd):
     """The finished `python -m orbitkit.cli ARGS`, its stdout block-buffered, as
     a user's pipe is, so a report left unflushed at the fast exit would be lost."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    env.pop("ORBITKIT_CATALOG_DIR", None)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "orbitkit.cli", *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -180,7 +179,6 @@ def test_every_parabolic_golden_replays_with_sympy_blocked(workdirs):
     assert "factor x^3 - 5*x - 9 (irreducible factor of degree 3)" in \
         WORKLOADS["catalog_sweep"][2]["parabolic:sl3"]["stdout"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    env.pop("ORBITKIT_CATALOG_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-c", WITHOUT_SYMPY, json.dumps([want["args"] for want in wanted])],
         cwd=workdirs["parabolic_polarize"], env=env, capture_output=True, text=True,

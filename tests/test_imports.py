@@ -3,7 +3,8 @@ imports the CLI or anything outside the standard library, and an invocation
 loads only the modules its subcommand runs, none of the standard library's
 costly class machinery (`dataclasses`, and through it `inspect`), no
 `typing` and no argument parser library (`argparse`, with the `gettext` and
-`locale` it imports).  The package root binds no public name.
+`locale` it imports).  The package root binds no public name, and no module
+reads the environment.
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -142,6 +143,33 @@ def test_no_module_imports_the_cli():
     assert importers == []
 
 
+def environment_reads(path: Path) -> list:
+    """(name, line) for each read of the environment in `path`: `os.environ`,
+    `os.getenv` and their bytes forms, as an attribute or imported by name."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(alias.name, node.lineno) for alias in node.names if alias.name in names]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_the_environment_scan_finds_each_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\nfrom os import getenv\nos.environ.get('X')\n"
+                   "os.getenv('Y')\nos.path.join('a')\n")
+    assert environment_reads(src) == [("getenv", 2), ("environ", 3), ("getenv", 4)]
+
+
+def test_no_module_reads_the_environment():
+    """A report depends only on its argv and the files it names."""
+    reads = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+             if (found := environment_reads(path))}
+    assert reads == {}
+
+
 def test_the_import_scan_resolves_relative_and_package_imports(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("from . import cli\nfrom .cli import main\nimport orbitkit.cli\n"
@@ -225,7 +253,6 @@ def _loaded_after(run: str, cwd=None) -> list:
     # imports itself; PYTHONPATH still applies, and the package needs nothing
     # outside the standard library
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    env.pop("ORBITKIT_CATALOG_DIR", None)
     code = LOADED.format(run=run, slow=SLOW_STDLIB)
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60, check=True)

@@ -1,11 +1,12 @@
+import json
 import random
 import sys
 
 import pytest
 
 from conftest import rand_covector, seeded_family_entries
-from orbitkit import cli, liealg, structure
-from orbitkit.induction import ChainError, record_report
+from orbitkit import cli, induction, liealg, structure
+from orbitkit.induction import ChainError, check_chain, record_report
 from orbitkit.liealg import Covector, orbit_record
 from orbitkit.linalg import Subspace, basis_vector
 from orbitkit.structure import NotClosedError, restrict
@@ -77,10 +78,8 @@ def test_the_fiber_orbit_dim_is_the_subalgebra_route(entries):
 
 def test_sub_outside_its_space_is_a_chain_error(entries):
     f4 = entries["filiform4"]
-    alg = f4.algebra
     with pytest.raises(ChainError, match="subalgebra not contained in ambient"):
-        record_report(alg, [f4.ideals["derived"], f4.ideals["big_abelian"]],
-                      Covector(alg, (0, 0, 0, 1)))
+        check_chain(f4.algebra, [f4.ideals["derived"], f4.ideals["big_abelian"]])
 
 
 def test_the_errors_keep_their_order(entries):
@@ -88,21 +87,40 @@ def test_the_errors_keep_their_order(entries):
     closures, outermost first."""
     f4 = entries["filiform4"]
     alg, center = f4.algebra, f4.ideals["center"]
-    cov = Covector(alg, (0, 0, 0, 1))
     not_closed = _span(4, 0, 1, 3)
     # innermost not a subalgebra, and outside the center before it
     with pytest.raises(NotClosedError, match="rows 0,1 escapes"):
-        record_report(alg, [center, not_closed], cov)
+        check_chain(alg, [center, not_closed])
     # the nesting fails, and the outermost is not a subalgebra
     with pytest.raises(ChainError):
-        record_report(alg, [not_closed, center, f4.ideals["derived"]], cov)
+        check_chain(alg, [not_closed, center, f4.ideals["derived"]])
     # nested, and both outer subs are not subalgebras: the outermost is named
     outer, middle = _span(4, 0, 1, 2), _span(4, 0, 1)
     for sub, rows in ((outer, "0,2"), (middle, "0,1")):
         with pytest.raises(NotClosedError, match=f"rows {rows} escapes"):
-            record_report(alg, [sub, _span(4, 0)], cov)
+            check_chain(alg, [sub, _span(4, 0)])
     with pytest.raises(NotClosedError, match="rows 0,2 escapes"):
-        record_report(alg, [outer, middle, _span(4, 0)], cov)
+        check_chain(alg, [outer, middle, _span(4, 0)])
+
+
+def test_a_record_checks_its_chain_once(monkeypatch, capsys):
+    """The chain depends on no point: a 3-point record along a 3-sub chain makes
+    one closure check per sub, not one per sub and point."""
+    real, calls = induction.check_subalgebra, []
+    monkeypatch.setattr(induction, "check_subalgebra",
+                        lambda alg, sub: calls.append(sub) or real(alg, sub))
+    argv = ["record", "catalog:filiform4", "--sub", "big_abelian", "--sub", "derived",
+            "--sub", "center", "--point=0,0,1,1", "--point=1,2,3,4", "--point=0,0,0,1"]
+    code = cli.main(argv)
+    capsys.readouterr()
+    assert code == 0 and len(calls) == 3
+
+
+def test_a_bad_point_is_named_before_a_bad_chain(capsys):
+    code = cli.main(["record", "catalog:filiform4", "--sub", "derived", "--sub",
+                     "big_abelian", "--point=0,0,1"])
+    assert code == 2 and json.loads(capsys.readouterr().out)["error"] \
+        == "point needs 4 coordinates, got 3"
 
 
 def test_a_record_builds_no_subalgebra_hull_or_orbit_record(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -45,6 +46,7 @@ from conftest import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
 
 
 def _span(n, *idx):
@@ -210,8 +212,7 @@ def test_chain_is_read_in_each_window():
 
 
 def test_one_orbit_annihilator_per_descent_step(monkeypatch):
-    """Candidate search, admissibility and the printed orbit-abelian
-    certificate of a step share one orbit annihilator."""
+    """Candidate search and admissibility of a step share one orbit annihilator."""
     alg, _ = strictly_upper(5)
     cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
     real, calls = polarization.orbit_annihilator, []
@@ -219,6 +220,29 @@ def test_one_orbit_annihilator_per_descent_step(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     trace = pukanszky_polarization(alg, cov)
     assert trace.rejected and len(calls) == len(trace.steps) == 3
+
+
+def test_a_step_records_its_admission_verdict(tmp_path, monkeypatch, capsys):
+    """Every seed-0 `polarize` invocation of the benchmark brackets only in the
+    candidate search and the admission test: the descent reads the printed
+    orbit-abelian certificate off the admission verdict, where it once made one
+    more `bracket_span` per printed step."""
+    callers = []
+    real = polarization.bracket_span
+    monkeypatch.setattr(polarization, "bracket_span", lambda *args: callers.append(
+        sys._getframe(1).f_code.co_name) or real(*args))
+    steps = 0
+    for name in ("catalog_sweep", "parabolic_polarize"):
+        wl = workloads.build(name, 0, full=True)
+        workloads.write_files(wl, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for inv in wl.setup + wl.round:
+            if inv.args[0] == "polarize":
+                cli.main(inv.args)
+                results = json.loads(capsys.readouterr().out).get("results", ())
+                steps += sum(len(r["trace"]["steps"]) for r in results if "trace" in r)
+    assert steps == 15  # printed by the goldens of these invocations
+    assert set(callers) == {"_admissible", "_automatic_candidates"}
 
 
 def test_an_automatic_step_builds_one_algebra_and_a_chain_step_none(monkeypatch):
