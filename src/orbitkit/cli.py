@@ -227,11 +227,12 @@ def _cmd_conditions(entry, args):
 
 @_per_point
 def _cmd_mackey(entry, args):
-    from .mackey import mackey_report, semidirect_witness
+    from .mackey import check_ideal, mackey_report, semidirect_witness
 
     ideal = _parse_subspace(entry, args.ideal)
     points = _parse_points(entry.algebra, args.point)
     comp = _parse_subspace(entry, args.complement) if args.complement else None
+    check_ideal(entry.algebra, ideal)
 
     def run(cov):
         rep = mackey_report(entry.algebra, ideal, cov)
@@ -303,22 +304,23 @@ def _cmd_parabolic(entry, args):
 
 @_per_point
 def _cmd_classify(entry, args):
-    from .mackey import abelian_step, classify_little_algebra, little_group_step
+    from .mackey import check_ideal, classify_little_algebra, dimensions, little_group_step
 
     ideal = _parse_subspace(entry, args.ideal)
+    points = _parse_points(entry.algebra, args.point)
+    check_ideal(entry.algebra, ideal)
 
     def run(cov):
         data = little_group_step(entry.algebra, ideal, cov)
         kind = classify_little_algebra(data)
-        step = abelian_step(data)
-        return {
-            "point": cov,
-            "little_algebra": kind.to_json_dict(),
-            "abelian_step": step.to_json_dict(),
-            "ok": step.dims_match,
-        }
+        # the ideal is abelian, so h = g_c, dim_u = 0 and dim_y is the fiber rank
+        dim_x, _, dim_gh, _, dim_y, ok = dimensions(data)
+        step = {"h_dim": data.h.dim, "dim_x": dim_x, "dim_gh": dim_gh, "dim_y": dim_y,
+                "identities_hold": ok}
+        return {"point": cov, "little_algebra": kind.to_json_dict(), "abelian_step": step,
+                "ok": ok}
 
-    return {}, _parse_points(entry.algebra, args.point), run
+    return {}, points, run
 
 
 @_per_point

@@ -1,13 +1,16 @@
 """The three-step normal subgroup analysis at the Lie-algebra level.
 
-Step 1 (little group): `little_group_step` restricts a covector to an ideal
-n and collects the stabilizer data g_c = orth(n), n_c and h = n + g_c.  It
-is the one place that checks the ideal and builds them: every later step
-takes its `LittleGroupData`, so a point that runs several steps decides each
-once.  Step 2 (induction): certify the three relations that make the orbit
-induced from h -- stabilizer containment, the annihilator identity
-n_c(cov) = ann(h), and exact exp-linearity of the n_c flows, whose witness
-cov . ad(Z)^2 comes from the coadjoint kernel `liealg.pairing`.  Step 3
+The ideal depends on no point, so `check_ideal` refuses a subspace that is
+not an ideal once per invocation, before any point's report, and the steps
+assume a checked ideal.  Step 1 (little group): `little_group_step`
+restricts a covector to the ideal n and collects the stabilizer data
+g_c = orth(n), n_c = n & g_c and h = n + g_c, the last two from one
+elimination.  Every later step takes its `LittleGroupData`, so a point that
+runs several steps decides each once.  Step 2 (induction): certify the
+three relations that make the orbit induced from h -- stabilizer
+containment, the annihilator identity n_c(cov) = ann(h), and exact
+exp-linearity of the n_c flows, whose witness cov . ad(Z)^2 comes from the
+coadjoint kernel `liealg.pairing`.  Step 3
 (obstruction): build the central extension 0 -> n_c/j -> h_c/j -> h_c/n_c
 with j = ker(c on n_c), compute its 2-cocycle through a linear section, and
 decide triviality by an exact coboundary solve.  `structure.subquotient`
@@ -16,7 +19,8 @@ class projection, so the table of h_c itself is never built.  The section
 lifts each class to its canonical lift.  At a point orbit (g_c = g) the
 semidirect witness looks for a declared complement of n that is a
 subalgebra; the section into one is a homomorphism, so the cocycle vanishes
-on it and no obstruction is computed.
+on it and no obstruction is computed.  `dimensions` does the synopsis
+bookkeeping of a point, for `mackey` and for `classify`'s abelian ideals.
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -36,6 +40,7 @@ from .linalg import (
     annihilator,
     combine,
     solve,
+    sum_intersect,
     vec_sub,
 )
 from .structure import (
@@ -45,7 +50,6 @@ from .structure import (
     is_ideal,
     is_solvable,
     killing_form,
-    orbit_annihilator,
     orbit_dim,
     orth,
     stabilizer,
@@ -73,13 +77,16 @@ class LittleGroupData(Record):
         }
 
 
-def little_group_step(alg: LieAlgebra, n: Subspace, cov: Covector) -> LittleGroupData:
-    """Stabilizer data of cov restricted to an ideal n."""
+def check_ideal(alg: LieAlgebra, n: Subspace) -> None:
+    """Raise NotClosedError unless n is an ideal of alg."""
     if not is_ideal(alg, n):
         raise NotClosedError("the given subspace is not an ideal")
+
+
+def little_group_step(alg: LieAlgebra, n: Subspace, cov: Covector) -> LittleGroupData:
+    """Stabilizer data of cov restricted to n, an ideal that `check_ideal` passed."""
     g_c = orth(alg, n, cov)
-    n_c = n.intersect(g_c)
-    h = n.add(g_c)
+    h, n_c = sum_intersect(n, g_c)
     c_coords = tuple(cov.pair(row) for row in n.rows)
     return LittleGroupData(alg, n, cov, c_coords, g_c, n_c, h)
 
@@ -269,45 +276,6 @@ def semidirect_witness(data: LittleGroupData,
     return SemidirectReport(True, None, None, tuple(rejections))
 
 
-class AbelianStepReport(Record):
-    h: Subspace
-    dim_x: int
-    dim_gh: int
-    dim_y: int
-    dims_match: bool            # both stated identities plus the induced count
-
-    def to_json_dict(self):
-        return {
-            "h_dim": self.h.dim,
-            "dim_x": self.dim_x,
-            "dim_gh": self.dim_gh,
-            "dim_y": self.dim_y,
-            "identities_hold": self.dims_match,
-        }
-
-
-def abelian_step(data: LittleGroupData) -> AbelianStepReport:
-    """Single reduction step along an orbit-abelian ideal a = data.ideal.
-
-    h = g_c is the stabilizer of cov restricted to a; the fiber Y is the orbit
-    of cov restricted to h.  Verifies h^cov <= h and dim X = 2 dim(G/H) + dim Y.
-    Two more identities hold by construction: dim(G/H) = dim a(cov) by
-    rank-nullity, as h = ann(a(cov)); and dim Y, the rank of the pairing on
-    h, is dim h - dim(h meet h^cov) = dim(h / h^cov) once h^cov <= h.
-    """
-    alg, a, cov = data.algebra, data.ideal, data.covector
-    aa = bracket_span(alg, a, a)  # 0 for the abelian ideals `classify` admits
-    if aa.dim and not orbit_annihilator(alg, cov).contains_subspace(aa):
-        raise ValueError("ideal is not orbit-abelian: [a, a] leaves ann(X)")
-
-    h = data.g_c  # a <= h since <cov, [a, a]> = 0, so h = a + g_c is g_c
-    dim_y = orbit_dim(alg, cov, h)
-    dim_x = orbit_dim(alg, cov)
-    dim_gh = alg.dim - h.dim
-    ok = h.contains_subspace(orth(alg, h, cov)) and dim_x == 2 * dim_gh + dim_y
-    return AbelianStepReport(h, dim_x, dim_gh, dim_y, ok)
-
-
 class LittleAlgebraType(Record):
     dim: int
     is_solvable: bool
@@ -387,18 +355,23 @@ class MackeyReport(Record):
         return self.relations.all_hold() and self.dims_consistent
 
 
-def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
-    """Full three-step report with the synopsis dimension bookkeeping."""
-    data = little_group_step(alg, n, cov)
-    relations = verify_step_relations(data)
-    obstruction = obstruction_step(data)
+def dimensions(data: LittleGroupData) -> tuple:
+    """(dim_x, dim_u, dim_gh, dim_v, fiber_rank, consistent) of the synopsis.
+
+    dim X = 2 dim(G/H) + dim U + dim V, and V is the orbit of cov restricted
+    to g_c, so dim_v is consistent when it is the rank of that pairing.
+    """
+    alg, cov = data.algebra, data.covector
     dim_x = orbit_dim(alg, cov)
-    dim_u = n.dim - data.n_c.dim
+    dim_u = data.ideal.dim - data.n_c.dim
     dim_gh = alg.dim - data.h.dim
     dim_v = dim_x - 2 * dim_gh - dim_u
     fiber_rank = orbit_dim(alg, cov, data.g_c)
-    # step 2: V is the orbit of cov restricted to g_c, so dim_v is the rank of its pairing
-    consistent = dim_v == fiber_rank
-    return MackeyReport(
-        data, relations, obstruction, dim_x, dim_u, dim_gh, dim_v, fiber_rank, consistent
-    )
+    return dim_x, dim_u, dim_gh, dim_v, fiber_rank, dim_v == fiber_rank
+
+
+def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> MackeyReport:
+    """Full three-step report with the synopsis dimension bookkeeping."""
+    data = little_group_step(alg, n, cov)
+    return MackeyReport(data, verify_step_relations(data), obstruction_step(data),
+                        *dimensions(data))

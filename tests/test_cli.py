@@ -273,6 +273,15 @@ BAD_INPUTS = {
                                           "--element=1"],
     # the rational grammar of Python 3.11 on every version: no spaces around "/"
     "orbit_point_spaced_slash": ["orbit", "catalog:heisenberg3", "--point=1,2 / 3,0"],
+    # an ideal refused once per invocation, after the points are parsed
+    "mackey_ideal_not_an_ideal": ["mackey", "catalog:heisenberg3", "--ideal", "0",
+                                  "--point=0,0,1"],
+    "classify_ideal_not_an_ideal": ["classify", "catalog:heisenberg3", "--ideal", "0",
+                                    "--point=0,0,1"],
+    "classify_ideal_not_abelian": ["classify", "catalog:sl2", "--ideal", "0,1,2",
+                                   "--point=1,0,0"],
+    "mackey_bad_point_before_the_ideal": ["mackey", "catalog:heisenberg3", "--ideal", "0",
+                                          "--point=1,x,0"],
 }
 
 HAPPY = {
@@ -351,6 +360,11 @@ def test_malformed_json_is_refused_in_the_package_words(workdir, capsys):
         "polarize_chain_zero_denominator": "bad chain file chain_zero_den.json: ideals[0] "
                                            "rows[0]: bad rational literal '1/0': zero "
                                            "denominator in rational literal '1/0'",
+        "mackey_ideal_not_an_ideal": "the given subspace is not an ideal",
+        "classify_ideal_not_an_ideal": "the given subspace is not an ideal",
+        "classify_ideal_not_abelian": "the given ideal is not abelian",
+        "mackey_bad_point_before_the_ideal": "bad rational in point: "
+                                             "Invalid literal for Fraction: 'x'",
     }
     for case, error in want.items():
         assert run(BAD_INPUTS[case], capsys) == (2, {

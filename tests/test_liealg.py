@@ -202,7 +202,7 @@ def _analyse_one_point(name, entries):
     elif name == "classify":
         data = little_group_step(alg, n, cov)
         mackey.classify_little_algebra(data)
-        mackey.abelian_step(data)
+        mackey.dimensions(data)
     elif name == "check_conditions":
         check_conditions(alg, Subspace.full(alg.dim), cov)
     else:

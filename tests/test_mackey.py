@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -14,7 +15,7 @@ from orbitkit.liealg import Covector, LieAlgebra, bracket_span
 from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add
 from orbitkit.mackey import (
     SemidirectReport,
-    abelian_step,
+    check_ideal,
     classify_little_algebra,
     little_group_step,
     mackey_report,
@@ -29,7 +30,6 @@ from orbitkit.structure import (
     coadjoint_image,
     exp_coadjoint,
     ideal_closure,
-    orbit_annihilator,
     orbit_dim,
     orth,
     restrict,
@@ -88,8 +88,9 @@ def test_little_group_poincare(entries):
 
 def test_little_group_rejects_non_ideal(entries):
     h3 = entries["heisenberg3"].algebra
-    with pytest.raises(NotClosedError):
-        little_group_step(h3, _span(3, 0), Covector(h3, (0, 0, 1)))
+    with pytest.raises(NotClosedError, match="the given subspace is not an ideal"):
+        check_ideal(h3, _span(3, 0))
+    check_ideal(h3, _span(3, 2))
 
 
 # -- induction-step relations --------------------------------------------------
@@ -403,39 +404,33 @@ def test_the_witness_runs_no_obstruction(entries, monkeypatch):
 # -- abelian step and classification -------------------------------------------
 
 
-def test_abelian_step_poincare_dims(entries):
+def _classify_blocks(argv, capsys):
+    assert cli.main(["classify", *argv]) == 0
+    return [r["abelian_step"] for r in json.loads(capsys.readouterr().out)["results"]]
+
+
+def test_abelian_step_poincare_dims(entries, capsys):
     poin = entries["poincare"]
-    trans = poin.ideals["translations"]
-    spin0 = abelian_step(little_group_step(poin.algebra, trans,
-                                           Covector(poin.algebra, poin.covectors["timelike"])))
-    assert (spin0.dim_x, spin0.dim_gh, spin0.dim_y) == (6, 3, 0)
-    assert spin0.dims_match
-    spinning = abelian_step(little_group_step(
-        poin.algebra, trans, Covector(poin.algebra, poin.covectors["timelike_spinning"])))
-    assert (spinning.dim_x, spinning.dim_gh, spinning.dim_y) == (8, 3, 2)
-    assert spinning.dims_match
+    points = [f"--point={','.join(map(str, poin.covectors[name]))}"
+              for name in ("timelike", "timelike_spinning")]
+    spin0, spinning = _classify_blocks(["catalog:poincare", "--ideal", "translations",
+                                        *points], capsys)
+    assert (spin0["dim_x"], spin0["dim_gh"], spin0["dim_y"]) == (6, 3, 0)
+    assert (spinning["dim_x"], spinning["dim_gh"], spinning["dim_y"]) == (8, 3, 2)
+    assert spin0["identities_hold"] and spinning["identities_hold"]
 
 
-def test_abelian_step_heisenberg(entries):
-    h3 = entries["heisenberg3"].algebra
-    step = abelian_step(little_group_step(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1))))
-    assert step.h == _span(3, 1, 2)
-    assert (step.dim_x, step.dim_gh, step.dim_y) == (2, 1, 0)
-    assert step.dims_match
+def test_abelian_step_heisenberg(capsys):
+    step, = _classify_blocks(["catalog:heisenberg3", "--ideal", "1,2", "--point=0,0,1"],
+                             capsys)
+    assert step == {"h_dim": 2, "dim_x": 2, "dim_gh": 1, "dim_y": 0, "identities_hold": True}
 
 
-def test_abelian_step_rejects_non_orbit_abelian(entries):
-    sl2 = entries["sl2"].algebra
-    data = little_group_step(sl2, Subspace.full(3), Covector(sl2, (2, 0, 0)))
-    with pytest.raises(ValueError, match="not orbit-abelian"):
-        abelian_step(data)
-
-
-def test_classify_runs_no_orbit_annihilator_on_abelian_ideals(entries, tmp_path, monkeypatch,
-                                                              capsys):
-    """[a, a] = 0 for every ideal `classify` admits, so `abelian_step` has nothing
-    to test against ann(X): the reports stay the same with the closure refused,
-    on every abelian declared catalog ideal and on the family_orbit invocations."""
+def test_classify_runs_orth_once_per_point_on_abelian_ideals(entries, tmp_path, monkeypatch,
+                                                             capsys):
+    """On every abelian declared catalog ideal and on the family_orbit
+    invocations, `classify` builds one orthogonal per point, g_c = orth(a): the
+    dimensions are read from `mackey`'s bookkeeping, which builds none."""
     rng = random.Random(5)
     argvs = []
     for name, entry in entries.items():
@@ -459,12 +454,16 @@ def test_classify_runs_no_orbit_annihilator_on_abelian_ideals(entries, tmp_path,
 
     want = reports()
     assert {code for code, _ in want} == {0}
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("orbit_annihilator ran on an abelian ideal")
+    def counted(*args):
+        calls.append(args)
+        return orth(*args)
 
-    monkeypatch.setattr(mackey, "orbit_annihilator", refuse)
+    monkeypatch.setattr(mackey, "orth", counted)
     assert reports() == want
+    points = sum(len(json.loads(out)["results"]) for _, out in want)
+    assert len(calls) == points > 13
 
 
 def test_classification_poincare_cases(entries):
@@ -483,6 +482,27 @@ def test_classification_poincare_cases(entries):
         assert kind.dim == dim
         assert kind.is_solvable is solv
         assert kind.killing_signature == sig
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_wigner_little_groups_in_closed_form(d, seed):
+    """On the translations of seeded Poincare algebras in d dimensions the little
+    algebra of a timelike momentum is so(d-1), of a spacelike one so(1, d-2) and
+    of zero momentum so(1, d-1), with m = (d-1)(d-2)/2 rotations: Killing
+    signatures (0, m, m), (d-2, (d-2)(d-3)/2, m) and (d-1, m, d(d-1)/2).  At
+    d = 3 the first two are so(2) and so(1, 1), abelian, with zero Killing form."""
+    entry = parse_entry(families.poincare(d, families.family_rng(seed, f"poincare{d}")).doc)
+    alg, trans = entry.algebra, entry.ideals["translations"]
+    m, full = (d - 1) * (d - 2) // 2, d * (d - 1) // 2
+    want = {"p0": (m, (0, m, m)), "p1": (m, (d - 2, (d - 2) * (d - 3) // 2, m)),
+            None: (full, (d - 1, m, full))}
+    if d == 3:
+        want["p0"] = want["p1"] = (1, (0, 0, 0))
+    for label, (dim, sig) in want.items():
+        coords = basis_vector(alg.dim, alg.labels.index(label)) if label else (0,) * alg.dim
+        kind = classify_little_algebra(little_group_step(alg, trans, Covector(alg, coords)))
+        assert (kind.dim, kind.killing_signature) == (dim, sig), label
 
 
 def test_classification_rejects_nonabelian_ideal(entries):
@@ -531,22 +551,23 @@ def test_g_c_is_g_exactly_when_the_point_orbit_hypothesis_holds(entries, rng):
 
 
 def test_the_abelian_step_identities_hold_by_construction(entries, rng):
-    """For orbit-abelian a, with h = g_c: dim g - dim h = dim a(cov), and the
-    fiber dimension is dim h - dim h^cov whenever h^cov <= h."""
-    orbit_abelian = contained = 0
+    """For an abelian ideal a, with h = g_c: h^cov <= h, which `classify` no
+    longer checks, and dim g - dim h = dim a(cov); the fiber dimension is
+    dim h - dim h^cov whenever h^cov <= h."""
+    abelian = contained = 0
     for alg, a, cov in _identity_cases(entries, rng):
         data = little_group_step(alg, a, cov)
         h, h_f = data.g_c, orth(alg, data.g_c, cov)
         if h.contains_subspace(h_f):
             assert orbit_dim(alg, cov, h) == h.dim - h_f.dim
             contained += 1
-        if orbit_annihilator(alg, cov).contains_subspace(bracket_span(alg, a, a)):
-            step = abelian_step(data)
-            assert step.dim_gh == alg.dim - h.dim == coadjoint_image(alg, cov, a).dim
-            assert step.dims_match == (h.contains_subspace(h_f)
-                                       and step.dim_x == 2 * step.dim_gh + step.dim_y)
-            orbit_abelian += 1
-    assert orbit_abelian > 100 and contained > 100
+        if bracket_span(alg, a, a).dim == 0:
+            dim_x, dim_u, dim_gh, _, dim_y, consistent = mackey.dimensions(data)
+            assert h.contains_subspace(h_f) and data.h == h and dim_u == 0
+            assert dim_gh == alg.dim - h.dim == coadjoint_image(alg, cov, a).dim
+            assert consistent == (dim_x == 2 * dim_gh + dim_y)
+            abelian += 1
+    assert abelian > 60 and contained > 100
 
 
 def test_one_ideal_check_and_one_little_group_per_point(monkeypatch, capsys):
@@ -567,14 +588,14 @@ def test_one_ideal_check_and_one_little_group_per_point(monkeypatch, capsys):
     translations = Subspace(10, [basis_vector(10, i) for i in range(6, 10)])
     assert cli.main(["classify", poincare, "--ideal", "translations",
                      "--point=0,0,0,0,0,0,1,0,0,0", "--point=0,0,0,0,0,0,1,1,0,0"]) == 0
-    assert calls.count("is_ideal") == calls.count("little_group_step") == 2
+    assert calls.count("is_ideal") == 1 and calls.count("little_group_step") == 2
     assert calls.count(("orth", translations)) + calls.count(
         ("coadjoint_image", translations)) == 2
     calls.clear()
     assert cli.main(["mackey", poincare, "--ideal", "translations", "--complement", "lorentz",
                      "--point=0,0,0,1,0,0,0,0,0,0", "--point=0,0,0,0,0,0,0,0,0,0"]) == 0
     assert '"witness": "lorentz"' in capsys.readouterr().out
-    assert calls.count("is_ideal") == calls.count("little_group_step") == 2
+    assert calls.count("is_ideal") == 1 and calls.count("little_group_step") == 2
 
 
 # -- exact coadjoint exponential ------------------------------------------------

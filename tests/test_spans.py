@@ -25,7 +25,8 @@ import tracer  # noqa: E402
 # spans run.py reads whose functions are gone; the next change to the
 # benchmark drops or renames them
 DEAD = {"liealg.structure_probe", "liealg.subalgebra", "liealg.quotient",
-        "polynomials.rational_roots", "linalg.Matrix.apply", "reductive.jordan_triple"}
+        "polynomials.rational_roots", "linalg.Matrix.apply", "reductive.jordan_triple",
+        "mackey.abelian_step"}
 # made by the tracer around the first import of sympy, not by wrapping a function
 MADE_BY_THE_TRACER = {"cli.sympy_import"}
 
