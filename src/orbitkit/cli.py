@@ -7,11 +7,12 @@ and results are listed in input order, so identical invocations produce
 byte-identical reports.
 
 The output format lives in one place, `_encode`, the `default=` hook of
-every `json.dumps` here.  The reports' `to_json_dict` methods hand it
-values: a Fraction is written as its canonical "p/q" string, a Subspace as
-its RREF basis rows, a Matrix as its rows and a Covector as its
-coordinates.  Any other type is an error, never a `repr` in a report, and
-so is a Fraction too long to print, a ValueError that says so.
+every `json.dumps` here.  Each analysis function returns the dict that is
+printed, and `_encode` writes the exact values in it: a Fraction as its
+canonical "p/q" string, a Subspace as its RREF basis rows, a Matrix as its
+rows and a Covector as its coordinates.  Any other type is an error, never
+a `repr` in a report, and so is a Fraction too long to print, a ValueError
+that says so.
 
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
@@ -41,7 +42,7 @@ library.  Each handler imports its own analysis modules (`conditions`,
 `structure`, `polynomials` and `qi_roots`).  A built-in entry is a
 definition file shipped with the package, and `catalog:NAME` reads the
 file of the entry named and no other.
-The report classes are `linalg.Record`s, so creating one costs nothing
+The value types are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.  The
 package root imports nothing and binds no public name, and no module
 imports `typing`: every annotation stays a string (PEP 563), and `Sequence`
@@ -193,6 +194,8 @@ def _per_point(setup):
     setup(entry, args) -> (payload, inputs, run) parses the options and the
     points in the order that decides which of two bad inputs is named.  The
     report is ok when every result is; one without "ok" (an orbit) counts as ok.
+    A result is the point and the dict its analysis function returns, the
+    printed blocks and, but for `orbit`, their "ok".
     """
     def handler(args) -> tuple[dict, bool]:
         payload, inputs, run = setup(_load_entry(args.algebra), args)
@@ -205,8 +208,7 @@ def _per_point(setup):
 @_per_point
 def _cmd_orbit(entry, args):
     def run(cov):
-        rec = orbit_record(entry.algebra, cov)
-        return {"point": cov, "orbit": rec.to_json_dict()}
+        return {"point": cov, **orbit_record(entry.algebra, cov)}
 
     return {}, _parse_points(entry.algebra, args.point), run
 
@@ -218,16 +220,14 @@ def _cmd_conditions(entry, args):
     sub = _parse_subspace(entry, args.sub)
 
     def run(cov):
-        rep = check_conditions(entry.algebra, sub, cov)
-        return {"point": cov, "conditions": rep.to_json_dict(),
-                "ok": rep.all_flags()}
+        return {"point": cov, **check_conditions(entry.algebra, sub, cov)}
 
     return {}, _parse_points(entry.algebra, args.point), run
 
 
 @_per_point
 def _cmd_mackey(entry, args):
-    from .mackey import check_ideal, mackey_report, semidirect_witness
+    from .mackey import check_ideal, little_group_step, mackey_steps, semidirect_witness
 
     ideal = _parse_subspace(entry, args.ideal)
     points = _parse_points(entry.algebra, args.point)
@@ -235,12 +235,10 @@ def _cmd_mackey(entry, args):
     check_ideal(entry.algebra, ideal)
 
     def run(cov):
-        rep = mackey_report(entry.algebra, ideal, cov)
-        out = {"point": cov, "mackey": rep.to_json_dict(),
-               "ok": rep.all_checks()}
+        data = little_group_step(entry.algebra, ideal, cov)
+        out = {"point": cov, **mackey_steps(data)}
         if comp is not None:
-            witness = semidirect_witness(rep.little_group, [(args.complement, comp)])
-            out["semidirect"] = witness.to_json_dict()
+            out["semidirect"] = semidirect_witness(data, [(args.complement, comp)])
         return out
 
     return {}, points, run
@@ -262,15 +260,15 @@ def _cmd_polarize(entry, args):
         chain = cat.parse_chain(alg, cat.read_json(path, what), what)
 
     pre = exponential_precheck(alg)
-    if not pre.passed and not args.override_precheck:
+    if not pre["passed"] and not args.override_precheck:
         raise InputError(
             "exponential precheck failed; rerun with --override-precheck to force: "
-            + json.dumps(pre.to_json_dict(), sort_keys=True, default=_encode)
+            + json.dumps(pre, sort_keys=True, default=_encode)
         )
 
     def run(cov):
         try:
-            trace = pukanszky_polarization(alg, cov, chain=chain)
+            return {"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
         except StrategyExhausted as exc:
             return {
                 "point": cov,
@@ -278,11 +276,8 @@ def _cmd_polarize(entry, args):
                 "rejected_candidates": rejections_json(exc.rejections),
                 "ok": False,
             }
-        certs = all(s.certificates_hold() for s in trace.steps)
-        ok = certs and trace.conditions.all_flags()
-        return {"point": cov, "trace": trace.to_json_dict(), "ok": ok}
 
-    return {"precheck": pre.to_json_dict()}, points, run
+    return {"precheck": pre}, points, run
 
 
 @_per_point
@@ -296,29 +291,29 @@ def _cmd_parabolic(entry, args):
         raise InputError("parabolic needs --element or --point")
 
     def run(x):
-        rep = parabolic_report(malg, x)
-        return {"input": x, "parabolic": rep.to_json_dict(), "ok": rep.all_relations()}
+        return {"input": x, **parabolic_report(malg, x)}
 
     return {}, inputs, run
 
 
 @_per_point
 def _cmd_classify(entry, args):
-    from .mackey import check_ideal, classify_little_algebra, dimensions, little_group_step
+    from .mackey import (check_abelian, check_ideal, classify_little_algebra, dimensions,
+                         little_group_step)
 
     ideal = _parse_subspace(entry, args.ideal)
     points = _parse_points(entry.algebra, args.point)
     check_ideal(entry.algebra, ideal)
+    check_abelian(entry.algebra, ideal)
 
     def run(cov):
         data = little_group_step(entry.algebra, ideal, cov)
-        kind = classify_little_algebra(data)
         # the ideal is abelian, so h = g_c, dim_u = 0 and dim_y is the fiber rank
         dim_x, _, dim_gh, _, dim_y, ok = dimensions(data)
         step = {"h_dim": data.h.dim, "dim_x": dim_x, "dim_gh": dim_gh, "dim_y": dim_y,
                 "identities_hold": ok}
-        return {"point": cov, "little_algebra": kind.to_json_dict(), "abelian_step": step,
-                "ok": ok}
+        return {"point": cov, "little_algebra": classify_little_algebra(data),
+                "abelian_step": step, "ok": ok}
 
     return {}, points, run
 

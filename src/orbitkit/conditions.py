@@ -17,48 +17,19 @@ The coadjoint objects come from `structure`: h(cov) is `coadjoint_image`
 from __future__ import annotations
 
 from .liealg import Covector, LieAlgebra
-from .linalg import Record, Subspace, annihilator
+from .linalg import Subspace, annihilator
 from .structure import check_subalgebra, coadjoint_image, stabilizer
 
 
-class ConditionReport(Record):
-    subalgebra: Subspace
-    covector: Covector
-    orth: Subspace
-    contains_stabilizer: bool
-    coisotropic: bool
-    is_polarization: bool
-    pukanszky_infinitesimal: bool
-    dimension_identity: bool | None  # 2 dim h = dim g + dim g_cov, when polarization
-    witnesses: dict
+def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> dict:
+    """The `conditions` result of h at cov: {"conditions": the block, "ok": ...}.
 
-    def to_json_dict(self):
-        return {
-            "subalgebra_dim": self.subalgebra.dim,
-            "orth_dim": self.orth.dim,
-            "flags": {
-                "contains_stabilizer": self.contains_stabilizer,
-                "coisotropic": self.coisotropic,
-                "is_polarization": self.is_polarization,
-                "pukanszky_infinitesimal": self.pukanszky_infinitesimal,
-            },
-            "dimension_identity": self.dimension_identity,
-            "stabilizer_check_level": "infinitesimal",
-            "pukanszky_check_level": "tangent",
-            "witnesses": self.witnesses,
-        }
-
-    def all_flags(self) -> bool:
-        return (
-            self.contains_stabilizer
-            and self.coisotropic
-            and self.is_polarization
-            and self.pukanszky_infinitesimal
-        )
-
-
-def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionReport:
-    """Flags for stabilizer containment, coisotropy, polarization, Pukanszky."""
+    The block holds the four flags (stabilizer containment, coisotropy,
+    polarization, tangent Pukanszky), the dimension identity 2 dim h = dim g +
+    dim g_cov when h is a polarization containing the stabilizer (else null),
+    and a witness for each failed flag that has one.  ok is whether all four
+    flags hold.
+    """
     check_subalgebra(alg, h)
     stab = stabilizer(alg, cov)
     moved = coadjoint_image(alg, cov, h)
@@ -86,14 +57,20 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> ConditionRe
     if is_polarization and contains_stab:
         dim_identity = 2 * h.dim == alg.dim + stab.dim
 
-    return ConditionReport(
-        subalgebra=h,
-        covector=cov,
-        orth=orth_h,
-        contains_stabilizer=contains_stab,
-        coisotropic=coisotropic,
-        is_polarization=is_polarization,
-        pukanszky_infinitesimal=pukanszky,
-        dimension_identity=dim_identity,
-        witnesses=witnesses,
-    )
+    return {
+        "conditions": {
+            "subalgebra_dim": h.dim,
+            "orth_dim": orth_h.dim,
+            "flags": {
+                "contains_stabilizer": contains_stab,
+                "coisotropic": coisotropic,
+                "is_polarization": is_polarization,
+                "pukanszky_infinitesimal": pukanszky,
+            },
+            "dimension_identity": dim_identity,
+            "stabilizer_check_level": "infinitesimal",
+            "pukanszky_check_level": "tangent",
+            "witnesses": witnesses,
+        },
+        "ok": contains_stab and coisotropic and is_polarization and pukanszky,
+    }

@@ -245,32 +245,24 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
                              lambda xi: filter(any, pairing(alg, xi)))
 
 
-class OrbitRecord(Record):
-    covector: Covector
-    orbit_dim: int
-    stabilizer: Subspace
-    affine_hull_dirs: Subspace
-    hull_exact: bool  # True when the algebra is nilpotent
+def orbit_record(alg: LieAlgebra, cov: Covector) -> dict:
+    """The `orbit` result of cov: {"orbit": its dimension, stabilizer and affine hull}.
 
-    def to_json_dict(self):
-        return {
-            "covector": self.covector,
-            "orbit_dim": self.orbit_dim,
-            "stabilizer_dim": self.stabilizer.dim,
-            "stabilizer_basis": self.stabilizer,
-            "affine_hull_dim": self.affine_hull_dirs.dim,
-            "affine_hull_basis": self.affine_hull_dirs,
-            "hull_exact": self.hull_exact,
-        }
-
-
-def orbit_record(alg: LieAlgebra, cov: Covector) -> OrbitRecord:
-    """Orbit dimension, stabilizer and affine hull data at a covector."""
+    The hull is exact (`hull_exact`) when the algebra is nilpotent.
+    """
     if not validate(alg).ok:
         raise ValueError("algebra fails validation; see validate()")
     rank, ker = rank_kernel(kks_pairing(alg, cov))
     hull = krylov_hull(alg, cov)
-    return OrbitRecord(cov, rank, ker, hull, is_nilpotent(alg))
+    return {"orbit": {
+        "covector": cov,
+        "orbit_dim": rank,
+        "stabilizer_dim": ker.dim,
+        "stabilizer_basis": ker,
+        "affine_hull_dim": hull.dim,
+        "affine_hull_basis": hull,
+        "hull_exact": is_nilpotent(alg),
+    }}
 
 
 def bracket_span(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

@@ -48,15 +48,17 @@ off its characteristic polynomial (`polynomials.symmetric_signature`).
 
 No floating point enters this module.
 
-The package's reports and value types are `Record`s, defined here because
-every other module imports this one.  A Record subclass lists its fields as
-its own annotations, in order; a class attribute of a field's name is that
-field's default.  `__init__` binds the fields by position or keyword (a
-missing, extra or unknown argument is a TypeError), sets them and then
-calls `__post_init__`.  A record is immutable (assignment and deletion are
-AttributeErrors); records are equal when they are of one class with equal
-field tuples, and hash as that tuple; the repr is `Name(field=value, ...)`.
-Making a record class costs nothing beyond the class statement itself.
+The package's value types (an algebra, a covector, the data one step hands
+the next) are `Record`s, defined here because every other module imports
+this one; a report is the plain dict that the CLI prints.  A Record
+subclass lists its fields as its own annotations, in order; a class
+attribute of a field's name is that field's default.  `__init__` binds
+the fields by position or keyword (a missing, extra or unknown argument is
+a TypeError), sets them and then calls `__post_init__`.  A record is
+immutable (assignment and deletion are AttributeErrors); records are equal
+when they are of one class with equal field tuples, and hash as that tuple;
+the repr is `Name(field=value, ...)`.  Making a record class costs nothing
+beyond the class statement itself.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .conditions import ConditionReport, check_conditions
+from .conditions import check_conditions
 from .liealg import Covector, LieAlgebra, bracket_span
-from .linalg import Record, Subspace, basis_vector, combine
+from .linalg import Subspace, basis_vector, combine
 from .polynomials import charpoly, gcd, poly, real_root_count
 from .structure import (
     ad_matrix,
@@ -54,22 +54,6 @@ class StrategyExhausted(RuntimeError):
     def __init__(self, rejections):
         super().__init__("ideal selection strategy exhausted with no admissible ideal")
         self.rejections = tuple(rejections)
-
-
-class ExponentialReport(Record):
-    is_solvable: bool
-    eigenvalue_witness: tuple | None  # element whose ad has eigenvalues on iR*
-    elements_checked: int
-    passed: bool
-
-    def to_json_dict(self):
-        return {
-            "is_solvable": self.is_solvable,
-            "eigenvalue_witness": self.eigenvalue_witness,
-            "elements_checked": self.elements_checked,
-            "passed": self.passed,
-            "mode": "sampled",
-        }
 
 
 def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:
@@ -94,8 +78,13 @@ PRECHECK_SEED = 0
 PRECHECK_SAMPLES = 12
 
 
-def exponential_precheck(alg: LieAlgebra) -> ExponentialReport:
-    """Solvability plus a sampled no-imaginary-ad-eigenvalue check."""
+def exponential_precheck(alg: LieAlgebra) -> dict:
+    """The `precheck` block: solvability plus a sampled no-imaginary-ad-eigenvalue check.
+
+    `eigenvalue_witness` is the first sampled element whose ad has an
+    eigenvalue on iR* (else null), and `passed` is whether the algebra is
+    solvable and no element is a witness.
+    """
     solvable = is_solvable(alg)
     rng = random.Random(PRECHECK_SEED)
     elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
@@ -104,59 +93,18 @@ def exponential_precheck(alg: LieAlgebra) -> ExponentialReport:
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(alg.dim)
         ))
     witness = next((z for z in elements if _has_imaginary_eigenvalue(alg, z)), None)
-    return ExponentialReport(
-        is_solvable=solvable,
-        eigenvalue_witness=witness,
-        elements_checked=len(elements),
-        passed=solvable and witness is None,
-    )
+    return {
+        "is_solvable": solvable,
+        "eigenvalue_witness": witness,
+        "elements_checked": len(elements),
+        "passed": solvable and witness is None,
+        "mode": "sampled",
+    }
 
 
 def rejections_json(rejections) -> list:
     """The JSON form of (step_index, description, reason) rejections."""
     return [{"step": i, "candidate": d, "reason": r} for i, d, r in rejections]
-
-
-class PolarizationStep(Record):
-    g_i: Subspace
-    ideal: Subspace
-    ideal_orth: Subspace
-    g_next: Subspace
-    orbit_abelian: bool
-    ideal_in_orth: bool
-    orth_not_containing_g: bool
-
-    def certificates_hold(self) -> bool:
-        return self.orbit_abelian and self.ideal_in_orth and self.orth_not_containing_g
-
-    def to_json_dict(self):
-        return {
-            "g_dim": self.g_i.dim,
-            "ideal": self.ideal,
-            "ideal_orth": self.ideal_orth,
-            "g_next": self.g_next,
-            "certificates": {
-                "orbit_abelian": self.orbit_abelian,
-                "ideal_in_orth": self.ideal_in_orth,
-                "orth_not_containing_g": self.orth_not_containing_g,
-            },
-        }
-
-
-class PolarizationTrace(Record):
-    steps: tuple
-    result: Subspace
-    conditions: ConditionReport
-    rejected: tuple  # (step_index, description, reason)
-
-    def to_json_dict(self):
-        return {
-            "steps": [s.to_json_dict() for s in self.steps],
-            "result_dim": self.result.dim,
-            "result_basis": self.result,
-            "conditions": self.conditions.to_json_dict(),
-            "rejected_candidates": rejections_json(self.rejected),
-        }
 
 
 def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
@@ -209,15 +157,19 @@ def pukanszky_polarization(
     alg: LieAlgebra,
     cov: Covector,
     chain: Sequence[Subspace] | None = None,
-) -> PolarizationTrace:
-    """Run the descending-orthogonal construction at a covector.
+) -> dict:
+    """The `polarize` result at a covector: {"trace": the descent, "ok": ...}.
 
     Without a chain the ideals are drawn deterministically (see module
     docstring); a chain, even an empty one, supplies the ideals instead,
     given in ambient coordinates, one per step.  The result always sits
     between every chosen ideal and its orthogonal; the final subalgebra is
-    re-verified with the homogeneous-condition checker.  The exponential
-    precheck is the caller's: the CLI runs it once per invocation.
+    re-verified with the homogeneous-condition checker, whose block is the
+    trace's `conditions`.  Each step lists its window's dimension, the
+    ideal, its orthogonal, the next window and three certificates.  ok is
+    whether every step's certificates and all four condition flags hold.
+    The exponential precheck is the caller's: the CLI runs it once per
+    invocation.
     """
     n = alg.dim
     g_i = Subspace.full(n)
@@ -250,19 +202,25 @@ def pukanszky_polarization(
 
         ideal_orth = orth(alg, ideal, cov)
         g_next = g_i.intersect(ideal_orth)
-        steps.append(PolarizationStep(
-            g_i=g_i,
-            ideal=ideal,
-            ideal_orth=ideal_orth,
-            g_next=g_next,
-            orbit_abelian=True,  # `_admissible` just checked ann_x >= [I, I]
-            ideal_in_orth=ideal_orth.contains_subspace(ideal),
-            orth_not_containing_g=g_next.dim < g_i.dim,
-        ))
+        certificates = {
+            "orbit_abelian": True,  # `_admissible` just checked ann_x >= [I, I]
+            "ideal_in_orth": ideal_orth.contains_subspace(ideal),
+            "orth_not_containing_g": g_next.dim < g_i.dim,
+        }
+        steps.append({"g_dim": g_i.dim, "ideal": ideal, "ideal_orth": ideal_orth,
+                      "g_next": g_next, "certificates": certificates})
         if g_next.dim >= g_i.dim:
             raise AssertionError("no dimension drop despite non-central ideal")
         g_i = g_next
 
     conditions = check_conditions(alg, g_i, cov)
-    return PolarizationTrace(tuple(steps), g_i, conditions, tuple(rejected))
-
+    return {
+        "trace": {
+            "steps": steps,
+            "result_dim": g_i.dim,
+            "result_basis": g_i,
+            "conditions": conditions["conditions"],
+            "rejected_candidates": rejections_json(rejected),
+        },
+        "ok": all(all(s["certificates"].values()) for s in steps) and conditions["ok"],
+    }

@@ -228,10 +228,6 @@ class Grading(Record):
     def space(self, a) -> Subspace:
         return self.spaces.get(frac(a))
 
-    def to_json_dict(self):
-        # JSON object keys never reach the encoder, so the eigenvalues are written here
-        return {str(a): self.spaces[a] for a in self.eigenvalues}
-
 
 def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     """Eigenspace grading of the algebra under ad(x_h).
@@ -248,11 +244,7 @@ def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     over Q, as every `hyperbolic_part` is.  Irrational roots can hide a nonzero
     rational eigenvalue of ad(x_h); such an x_h is refused too.
     """
-    return _grade(malg, *_coords_and_matrix(malg, xh))
-
-
-def _grade(malg: MatrixLieAlgebra, coords: tuple, xmat: Matrix) -> Grading:
-    """`grade` of the element with these coordinates and this matrix."""
+    coords, xmat = _coords_and_matrix(malg, xh)
     alg = malg.algebra
     if not validate(alg).ok:
         raise ValueError("algebra fails validation; see validate()")
@@ -270,63 +262,16 @@ def _grade(malg: MatrixLieAlgebra, coords: tuple, xmat: Matrix) -> Grading:
     return Grading(tuple(spaces), spaces)
 
 
-class ParabolicReport(Record):
-    x_coords: tuple
-    grading: Grading
-    g0: Subspace
-    u: Subspace
-    q: Subspace
-    stabilizer_in_g0: bool       # (16a) infinitesimal
-    image_is_annihilator: bool   # (16b)
-    ad_x_bijective_on_u: bool    # (16c) first half
-    hull_matches_annihilator: bool  # (16c) second half, Krylov under u
-    trace_blocks_ok: bool
-    levi_pairing_zero: bool
-    dim_x: int
-    dim_y: int
-    dims_match: bool
-
-    def all_relations(self) -> bool:
-        return (
-            self.stabilizer_in_g0
-            and self.image_is_annihilator
-            and self.ad_x_bijective_on_u
-            and self.hull_matches_annihilator
-            and self.trace_blocks_ok
-            and self.levi_pairing_zero
-            and self.dims_match
-        )
-
-    def to_json_dict(self):
-        return {
-            "x": self.x_coords,
-            "grading": self.grading.to_json_dict(),
-            "q_dim": self.q.dim,
-            "q_basis": self.q,
-            "u_dim": self.u.dim,
-            "relations": {
-                "stabilizer_in_g0": self.stabilizer_in_g0,
-                "image_is_annihilator": self.image_is_annihilator,
-                "ad_x_bijective_on_u": self.ad_x_bijective_on_u,
-                "hull_matches_annihilator": self.hull_matches_annihilator,
-                "trace_blocks": self.trace_blocks_ok,
-                "levi_pairing_zero": self.levi_pairing_zero,
-            },
-            "dimensions": {
-                "dim_x": self.dim_x,
-                "dim_y": self.dim_y,
-                "consistent": self.dims_match,
-            },
-        }
-
-
-def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) -> ParabolicReport:
-    """Build q = g^0 (+) u at x and verify the induction relations exactly.
+def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) -> dict:
+    """The `parabolic` result at x: {"parabolic": q = g^0 (+) u and its checks, "ok": ...}.
 
     x may be a representation matrix, taken as it is, algebra coordinates,
     or a covector (converted through the trace form).  An x whose hyperbolic
     part x_h is not in g is refused: g is not closed under the Jordan
-    decomposition, and there is no grading of g by ad(x_h).
+    decomposition, and there is no grading of g by ad(x_h).  The block holds
+    x's coordinates, the grading, q, dim u, the six induction relations,
+    checked exactly, and the dimensions dim O_x = 2 dim(g/q) + dim y.  ok is
+    whether every relation holds and the dimensions are consistent.
     """
     coords, xmat = _coords_and_matrix(
         malg, covector_to_element(malg, x) if isinstance(x, Covector) else x)
@@ -337,7 +282,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
     except ValueError:
         raise ValueError("x_h, the hyperbolic part of x, does not lie in the algebra: "
                          "the algebra is not closed under the Jordan decomposition") from None
-    grading = _grade(malg, xh_coords, xh)
+    grading = grade(malg, xh_coords)
     n = alg.dim
 
     g0 = grading.spaces.get(ZERO, Subspace.zero(n))
@@ -380,19 +325,24 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
     dim_y = orbit_dim(alg, cov, q)
     dims_ok = dim_x == 2 * (n - q.dim) + dim_y
 
-    return ParabolicReport(
-        x_coords=tuple(coords),
-        grading=grading,
-        g0=g0,
-        u=u,
-        q=q,
-        stabilizer_in_g0=stab_ok,
-        image_is_annihilator=image_ok,
-        ad_x_bijective_on_u=bijective,
-        hull_matches_annihilator=hull_ok,
-        trace_blocks_ok=blocks_ok,
-        levi_pairing_zero=levi_ok,
-        dim_x=dim_x,
-        dim_y=dim_y,
-        dims_match=dims_ok,
-    )
+    return {
+        "parabolic": {
+            "x": tuple(coords),
+            # JSON object keys never reach the encoder, so the eigenvalues are written here
+            "grading": {str(a): grading.spaces[a] for a in grading.eigenvalues},
+            "q_dim": q.dim,
+            "q_basis": q,
+            "u_dim": u.dim,
+            "relations": {
+                "stabilizer_in_g0": stab_ok,
+                "image_is_annihilator": image_ok,
+                "ad_x_bijective_on_u": bijective,
+                "hull_matches_annihilator": hull_ok,
+                "trace_blocks": blocks_ok,
+                "levi_pairing_zero": levi_ok,
+            },
+            "dimensions": {"dim_x": dim_x, "dim_y": dim_y, "consistent": dims_ok},
+        },
+        "ok": (stab_ok and image_ok and bijective and hull_ok and blocks_ok and levi_ok
+               and dims_ok),
+    }

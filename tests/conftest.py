@@ -18,7 +18,6 @@ from orbitkit.linalg import (
     vec_dot,
     vec_sub,
 )
-from orbitkit.mackey import ObstructionReport
 from orbitkit.polynomials import (
     charpoly,
     deg,
@@ -248,7 +247,8 @@ def seeded_family_entries(seed=0):
 def descents(entries):
     """(entry, covector, trace) over the catalog and `seeded_family_entries`: each
     declared covector, two seeded ones and a seeded one with about half its entries 0,
-    with the automatic descent at each (trace None where the ideal search is exhausted)."""
+    with the automatic descent's "trace" block at each (None where the ideal search
+    is exhausted)."""
     rng = random.Random(26)
     out = []
     for entry in [*entries.values(), *seeded_family_entries()]:
@@ -258,7 +258,7 @@ def descents(entries):
                        rand_vec(rng, alg.dim, -5, 5, 3), sparse]:
             cov = Covector(alg, coords)
             try:
-                trace = pukanszky_polarization(alg, cov)
+                trace = pukanszky_polarization(alg, cov)["trace"]
             except StrategyExhausted:
                 trace = None
             out.append((entry, cov, trace))
@@ -359,8 +359,8 @@ def negation_gcd_has_imaginary_root(p):
 
 
 def complement_obstruction(data, complement):
-    """The obstruction of little-group data through the section into `complement`,
-    by the route `mackey.obstruction_step` offered before its section was always the
+    """The `obstruction` block of little-group data through the section into
+    `complement`, by the route `mackey.obstruction_step` offered before its section was always the
     canonical lifts: class k goes to row k of the echelon rows (class of v | v) over the
     complement's basis, (e_k | its element in class k).  A complement must lie in h_c
     and give pivots 0..m-1 (m = dim h_c/n_c), i.e. map one-to-one onto the quotient;
@@ -387,11 +387,10 @@ def complement_obstruction(data, complement):
     beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
     c_vanishes = all(cov.pair(row) == 0 for row in n_c.rows)
     j_dim = n_c.dim - (0 if c_vanishes else 1)
-    return ObstructionReport(
-        j_dim=j_dim, n_c=n_c, quotient_algebra=quot.algebra, section=Matrix(sec, alg.dim),
-        cocycle=Matrix(f, m), c_vanishes_on_n_c=c_vanishes, trivial=beta is not None,
-        primitive=None if beta is None else tuple(beta),
-        extension_dims=(n_c.dim - j_dim, h_c.dim - j_dim, m))
+    return {"j_dim": j_dim, "extension_dims": (n_c.dim - j_dim, h_c.dim - j_dim, m),
+            "c_vanishes_on_n_c": c_vanishes, "cocycle": Matrix(f, m),
+            "trivial": beta is not None, "primitive": None if beta is None else tuple(beta),
+            "level": "infinitesimal"}
 
 
 # -- coordinates in a canonical basis -------------------------------------------

@@ -570,7 +570,7 @@ def test_a_chain_ideal_outside_its_window_gives_the_error_envelope(tmp_path, mon
     doc = {"name": "n5", "dim": alg.dim, "basis": list(alg.labels), "brackets": [
         {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in alg.nonzeros[i][j]}}
         for i in range(alg.dim) for j in range(i + 1, alg.dim) if alg.nonzeros[i][j]]}
-    first = pukanszky_polarization(alg, cov).steps[0].ideal
+    first = pukanszky_polarization(alg, cov)["trace"]["steps"][0]["ideal"]
     chain = {"ideals": [{"rows": [[str(x) for x in row] for row in first.rows]},
                         list(range(alg.dim))]}
     (tmp_path / "n5.json").write_text(json.dumps(doc), encoding="utf-8")

@@ -26,28 +26,30 @@ def test_orth_extremes(entries):
 
 def test_check_conditions_heisenberg_polarization(entries):
     h3 = entries["heisenberg3"].algebra
-    rep = check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1)))
-    assert rep.contains_stabilizer and rep.coisotropic
-    assert rep.is_polarization and rep.pukanszky_infinitesimal
-    assert rep.dimension_identity is True
-    assert rep.all_flags()
+    res = check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1)))
+    flags = res["conditions"]["flags"]
+    assert flags["contains_stabilizer"] and flags["coisotropic"]
+    assert flags["is_polarization"] and flags["pukanszky_infinitesimal"]
+    assert res["conditions"]["dimension_identity"] is True
+    assert res["ok"]
 
 
 def test_check_conditions_full_algebra(entries):
     for name in ("heisenberg3", "sl2", "poincare"):
         alg = entries[name].algebra
         cov = Covector(alg, [1] * alg.dim)
-        rep = check_conditions(alg, Subspace.full(alg.dim), cov)
-        assert rep.coisotropic and rep.pukanszky_infinitesimal
+        flags = check_conditions(alg, Subspace.full(alg.dim), cov)["conditions"]["flags"]
+        assert flags["coisotropic"] and flags["pukanszky_infinitesimal"]
 
 
 def test_check_conditions_sl2_cartan(entries):
     sl2 = entries["sl2"].algebra
-    rep = check_conditions(sl2, _span(3, 0), Covector(sl2, (2, 0, 0)))
-    assert rep.contains_stabilizer
-    assert not rep.coisotropic
-    assert rep.orth == Subspace.full(3)
-    assert "orth_outside" in rep.witnesses
+    cov = Covector(sl2, (2, 0, 0))
+    rep = check_conditions(sl2, _span(3, 0), cov)["conditions"]
+    assert rep["flags"]["contains_stabilizer"]
+    assert not rep["flags"]["coisotropic"]
+    assert orth(sl2, _span(3, 0), cov) == Subspace.full(3) and rep["orth_dim"] == 3
+    assert "orth_outside" in rep["witnesses"]
 
 
 def test_check_conditions_rejects_non_subalgebra(entries):
@@ -113,10 +115,10 @@ def test_symplectic_quotient_dimension(entries, rng):
 
 def test_polarization_dimension_formula(entries, rng):
     h3 = entries["heisenberg3"].algebra
-    rep = check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1)))
+    rep = check_conditions(h3, _span(3, 1, 2), Covector(h3, (0, 0, 1)))["conditions"]
     stab = stabilizer(h3, Covector(h3, (0, 0, 1)))
-    assert rep.is_polarization
-    assert 2 * rep.subalgebra.dim == h3.dim + stab.dim
+    assert rep["flags"]["is_polarization"]
+    assert 2 * rep["subalgebra_dim"] == h3.dim + stab.dim
 
 
 # -- printed flags that hold by theorem --------------------------------------------
@@ -124,18 +126,18 @@ def test_polarization_dimension_formula(entries, rng):
 
 def _descent_subalgebras(entry, cov, trace):
     """g, the stabilizer, each declared ideal and each window of the descent at cov,
-    with its result."""
-    subs = [Subspace.full(entry.algebra.dim), stabilizer(entry.algebra, cov),
-            *entry.ideals.values()]
-    return subs + ([s.g_i for s in trace.steps] + [trace.result] if trace else [])
+    with its result: g, then each step's next window."""
+    full = Subspace.full(entry.algebra.dim)
+    subs = [full, stabilizer(entry.algebra, cov), *entry.ideals.values()]
+    return subs + ([full] + [s["g_next"] for s in trace["steps"]] if trace else [])
 
 
 def test_the_tangent_pukanszky_flag_is_coisotropy(descents):
     """h(f) = ann(h^f), so ann(h) <= h(f) iff h^f <= h."""
     for entry, cov, trace in descents:
         for h in _descent_subalgebras(entry, cov, trace):
-            rep = check_conditions(entry.algebra, h, cov)
-            assert rep.pukanszky_infinitesimal == rep.coisotropic, (entry.name, cov, h)
+            flags = check_conditions(entry.algebra, h, cov)["conditions"]["flags"]
+            assert flags["pukanszky_infinitesimal"] == flags["coisotropic"], (entry.name, cov, h)
 
 
 def test_the_dimension_identity_is_true_whenever_it_is_not_null(descents):
@@ -144,7 +146,7 @@ def test_the_dimension_identity_is_true_whenever_it_is_not_null(descents):
     decided = 0
     for entry, cov, trace in descents:
         for h in _descent_subalgebras(entry, cov, trace):
-            identity = check_conditions(entry.algebra, h, cov).dimension_identity
+            identity = check_conditions(entry.algebra, h, cov)["conditions"]["dimension_identity"]
             assert identity in (None, True), (entry.name, cov, h)
             decided += identity is not None
     assert decided >= 20

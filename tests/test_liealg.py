@@ -228,26 +228,26 @@ def test_each_point_builds_its_pairing_once(entries, monkeypatch, name):
 
 def test_orbit_record_heisenberg(entries):
     h3 = entries["heisenberg3"].algebra
-    rec = orbit_record(h3, Covector(h3, (0, 0, 1)))
-    assert rec.orbit_dim == 2
-    assert rec.stabilizer == Subspace(3, [(0, 0, 1)])
-    assert rec.affine_hull_dirs == Subspace(3, [(1, 0, 0), (0, 1, 0)])
-    assert rec.hull_exact
+    rec = orbit_record(h3, Covector(h3, (0, 0, 1)))["orbit"]
+    assert rec["orbit_dim"] == 2
+    assert rec["stabilizer_basis"] == Subspace(3, [(0, 0, 1)])
+    assert rec["affine_hull_basis"] == Subspace(3, [(1, 0, 0), (0, 1, 0)])
+    assert rec["hull_exact"]
 
 
 def test_orbit_record_abelian(entries):
     ab = entries["abelian3"].algebra
-    rec = orbit_record(ab, Covector(ab, (1, 2, 3)))
-    assert rec.orbit_dim == 0
-    assert rec.stabilizer == Subspace.full(3)
-    assert rec.affine_hull_dirs.dim == 0
+    rec = orbit_record(ab, Covector(ab, (1, 2, 3)))["orbit"]
+    assert rec["orbit_dim"] == 0
+    assert rec["stabilizer_basis"] == Subspace.full(3)
+    assert rec["affine_hull_basis"].dim == 0 == rec["affine_hull_dim"]
 
 
 def test_orbit_record_poincare_timelike(entries):
     poin = entries["poincare"]
     rec = orbit_record(poin.algebra, Covector(poin.algebra, poin.covectors["timelike"]))
-    assert rec.orbit_dim == 6
-    assert rec.stabilizer.dim == 4
+    assert rec["orbit"]["orbit_dim"] == 6
+    assert rec["orbit"]["stabilizer_basis"].dim == 4 == rec["orbit"]["stabilizer_dim"]
 
 
 @st.composite
@@ -262,9 +262,10 @@ def catalog_points(draw):
 @given(catalog_points())
 def test_orbit_dim_is_the_even_rank_of_the_pairing_property(case):
     alg, cov = case
-    rec = orbit_record(alg, cov)
-    assert rec.orbit_dim % 2 == 0
-    assert rec.orbit_dim == rank_kernel(kks_pairing(alg, cov))[0] == alg.dim - rec.stabilizer.dim
+    rec = orbit_record(alg, cov)["orbit"]
+    stab = rec["stabilizer_basis"]
+    assert rec["orbit_dim"] % 2 == 0
+    assert rec["orbit_dim"] == rank_kernel(kks_pairing(alg, cov))[0] == alg.dim - stab.dim
 
 
 def test_orbit_dim_matches_the_subalgebra_route(entries, rng):
@@ -503,10 +504,10 @@ def n7():
 
 def test_orbit_dims_of_dim_21_families(h21, n7):
     cov = Covector(h21, basis_vector(21, 20))
-    assert orbit_record(h21, cov).orbit_dim == 21 - 1
+    assert orbit_record(h21, cov)["orbit"]["orbit_dim"] == 21 - 1
     alg, cascade = n7
     assert alg.dim == 21
-    assert orbit_record(alg, cascade).orbit_dim == 21 - 7 // 2
+    assert orbit_record(alg, cascade)["orbit"]["orbit_dim"] == 21 - 7 // 2
     for alg in (h21, alg):
         assert is_nilpotent(alg)
         assert killing_form(alg).is_zero()
@@ -526,9 +527,9 @@ def test_orbit_dim_at_a_generic_covector_is_dim_minus_index(make, size):
     assert 28 <= family.dim <= 60
     alg = parse_algebra(family.doc)
     point = workloads._generic_point(random.Random(size), family)
-    record = orbit_record(alg, Covector(alg, point))
-    assert record.orbit_dim == family.dim - family.index
-    assert record.stabilizer.dim == family.index
+    record = orbit_record(alg, Covector(alg, point))["orbit"]
+    assert record["orbit_dim"] == family.dim - family.index
+    assert record["stabilizer_basis"].dim == family.index
 
 
 # Closed-form indices past the ladder, at dim 2-35; a seeded covector has the
@@ -613,7 +614,7 @@ def test_an_orbit_run_coerces_no_vector_it_made_itself(monkeypatch, rng):
     monkeypatch.setattr(liealg, "vec", counted)
     monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
     for cov in covs:
-        assert orbit_record(alg, cov).orbit_dim > 0
+        assert orbit_record(alg, cov)["orbit"]["orbit_dim"] > 0
     assert calls == []
     assert alg.bracket((1,) + (0,) * 8, (0, 1) + (0,) * 7) == alg.bracket_exact(
         basis_vector(9, 0), basis_vector(9, 1))
@@ -1064,13 +1065,14 @@ def test_closure_checks_build_no_algebra(entries, monkeypatch):
     lagrangian = Subspace(3, [(0, 1, 0), (0, 0, 1)])
     rep = semidirect_witness(little_group_step(h3, h3e.ideals["center"], cov),
                              [("xy_plane", h3e.complements["xy_plane"])])
-    assert rep.rejections == (("xy_plane", "declared complement is not a subalgebra"),)
+    assert rep["rejections"] == [
+        {"candidate": "xy_plane", "reason": "declared complement is not a subalgebra"}]
 
     def refuse(*args, **kwargs):
         raise AssertionError("algebra built")
 
     monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(refuse))
-    assert check_conditions(h3, lagrangian, cov).all_flags()
+    assert check_conditions(h3, lagrangian, cov)["ok"]
     with pytest.raises(NotClosedError, match="bracket of basis rows 0,1 escapes"):
         check_conditions(h3, Subspace(3, [(1, 0, 0), (0, 1, 0)]), cov)
 
@@ -1164,7 +1166,7 @@ def test_orbit_annihilator_matches_the_dense_ad_closure(entries, descents, rng):
             except NotClosedError:
                 pass
         if trace is not None:
-            subs += [s.g_i for s in trace.steps[1:]] + [trace.result]
+            subs += [s["g_next"] for s in trace["steps"]]
         assert orbit_annihilator(alg, cov) == dense_orbit_annihilator(alg, cov, subs[0])
         for sub in subs:
             assert orbit_annihilator(alg, cov, sub) == dense_orbit_annihilator(alg, cov, sub), \
@@ -1184,15 +1186,15 @@ def test_exp_linearity_witness_is_cov_times_ad_squared(entries, rng):
         data = [little_group_step(alg, ideal, cov) for ideal in _catalog_ideals(entry)
                 if is_ideal(alg, ideal)]
         zero = Subspace.zero(n)
-        data += [LittleGroupData(alg, zero, cov, (), sub, sub, sub)
+        data += [LittleGroupData(alg, zero, cov, (), sub, sub, sub, stabilizer(alg, cov))
                  for sub in list(seeded_subspaces(alg, rng))[1:]]
         for d in data:
             rel = verify_step_relations(d)
-            if "c_pairs_with_nc_n_bracket" in rel.witnesses:
+            if "c_pairs_with_nc_n_bracket" in rel["witnesses"]:
                 continue
             t = dense_higher_order_term(d)
-            assert rel.witnesses.get("higher_order_term") == t, (entry.name, d.n_c)
-            assert rel.exp_linear == (t is None)
+            assert rel["witnesses"].get("higher_order_term") == t, (entry.name, d.n_c)
+            assert rel["exp_linear"] == (t is None)
             fired += t is not None
     assert fired > 100
 

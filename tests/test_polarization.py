@@ -27,10 +27,10 @@ from orbitkit.structure import (
 )
 from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
 from orbitkit.polarization import (
-    PolarizationStep,
     StrategyExhausted,
     exponential_precheck,
     pukanszky_polarization,
+    rejections_json,
 )
 from conftest import (
     coords_of,
@@ -53,28 +53,43 @@ def _span(n, *idx):
     return Subspace(n, [basis_vector(n, i) for i in idx])
 
 
+def _trace(alg, cov, chain=None):
+    """The `trace` block of the descent at cov."""
+    return pukanszky_polarization(alg, cov, chain=chain)["trace"]
+
+
+def _certified(step):
+    """Whether a step's three certificates hold."""
+    return all(step["certificates"].values())
+
+
+def _all_flags(trace):
+    """Whether the four condition flags of a trace's result hold."""
+    return all(trace["conditions"]["flags"].values())
+
+
 # -- exponential precheck --------------------------------------------------------
 
 
 def test_precheck_nilpotent_passes(entries):
     rep = exponential_precheck(entries["heisenberg3"].algebra)
-    assert rep.passed and rep.is_solvable and rep.eigenvalue_witness is None
+    assert rep["passed"] and rep["is_solvable"] and rep["eigenvalue_witness"] is None
 
 
 def test_precheck_affine_passes(entries):
     # ad eigenvalues are 0 and 1: real, so exponential
-    assert exponential_precheck(entries["affine_line"].algebra).passed
+    assert exponential_precheck(entries["affine_line"].algebra)["passed"]
 
 
 def test_precheck_euclid_fails_with_rotation_witness(entries):
     rep = exponential_precheck(entries["euclid2"].algebra)
-    assert rep.is_solvable and not rep.passed
-    assert rep.eigenvalue_witness == (F(1), F(0), F(0))  # the rotation generator
+    assert rep["is_solvable"] and not rep["passed"]
+    assert rep["eigenvalue_witness"] == (F(1), F(0), F(0))  # the rotation generator
 
 
 def test_precheck_sl2_not_solvable(entries):
     rep = exponential_precheck(entries["sl2"].algebra)
-    assert not rep.is_solvable and not rep.passed
+    assert not rep["is_solvable"] and not rep["passed"]
 
 
 def _companion_algebra(p):
@@ -142,7 +157,7 @@ def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_el
         for make, size, stem in PRECHECK_FAMILIES]
     for alg in algebras:
         before = len(answers)
-        assert exponential_precheck(alg).elements_checked == len(answers) - before
+        assert exponential_precheck(alg)["elements_checked"] == len(answers) - before
     assert any(answers) and not all(answers)
 
 
@@ -152,48 +167,49 @@ def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_el
 def test_polarization_heisenberg(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
-    trace = pukanszky_polarization(h3, cov)
-    assert trace.result == _span(3, 1, 2)
-    assert len(trace.steps) == 1
-    step = trace.steps[0]
-    assert step.ideal == _span(3, 1, 2)
-    assert step.certificates_hold()
+    result = pukanszky_polarization(h3, cov)
+    trace = result["trace"]
+    assert trace["result_basis"] == _span(3, 1, 2)
+    assert len(trace["steps"]) == 1
+    step = trace["steps"][0]
+    assert step["ideal"] == _span(3, 1, 2)
+    assert _certified(step)
     # the derived subalgebra span(e3) was rejected as orbit-central
-    assert any("orbit-central" in reason for (_, _, reason) in trace.rejected)
-    assert trace.conditions.all_flags()
-    assert trace.result.dim == 2 and 2 * 2 == 3 + 1
+    assert any("orbit-central" in r["reason"] for r in trace["rejected_candidates"])
+    assert _all_flags(trace) and result["ok"]
+    assert trace["result_dim"] == 2 and 2 * 2 == 3 + 1
 
 
 def test_polarization_abelian_zero_steps(entries):
     ab = entries["abelian3"].algebra
-    trace = pukanszky_polarization(ab, Covector(ab, (1, 2, 3)))
-    assert trace.steps == ()
-    assert trace.result == Subspace.full(3)
+    trace = _trace(ab, Covector(ab, (1, 2, 3)))
+    assert trace["steps"] == []
+    assert trace["result_basis"] == Subspace.full(3)
 
 
 def test_polarization_filiform(entries):
     n4 = entries["filiform4"].algebra
     cov = Covector(n4, (0, 0, 0, 1))
-    trace = pukanszky_polarization(n4, cov)
-    assert trace.result == _span(4, 1, 2, 3)
-    assert trace.result.dim == 3 and 2 * 3 == 4 + 2
-    assert trace.conditions.all_flags()
+    trace = _trace(n4, cov)
+    assert trace["result_basis"] == _span(4, 1, 2, 3)
+    assert trace["result_dim"] == 3 and 2 * 3 == 4 + 2
+    assert _all_flags(trace)
 
 
 def test_polarization_affine(entries):
     aff = entries["affine_line"].algebra
-    trace = pukanszky_polarization(aff, Covector(aff, (0, 1)))
-    assert trace.result == _span(2, 1)
-    assert trace.conditions.all_flags()
+    trace = _trace(aff, Covector(aff, (0, 1)))
+    assert trace["result_basis"] == _span(2, 1)
+    assert _all_flags(trace)
 
 
 def test_polarization_user_chain(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
     # the other polarization, unreachable by the automatic order
-    trace = pukanszky_polarization(h3, cov, chain=[_span(3, 0, 2)])
-    assert trace.result == _span(3, 0, 2)
-    assert trace.conditions.all_flags()
+    trace = _trace(h3, cov, chain=[_span(3, 0, 2)])
+    assert trace["result_basis"] == _span(3, 0, 2)
+    assert _all_flags(trace)
 
 
 def test_chain_is_read_in_each_window():
@@ -204,11 +220,11 @@ def test_chain_is_read_in_each_window():
     """
     alg, _ = strictly_upper(5)
     cov = Covector(alg, (F(-1, 3), 7, F(5, 2), -4, -2, 3, 3, F(9, 2), F(-9, 2), F(4, 3)))
-    auto = pukanszky_polarization(alg, cov)
-    assert [s.g_i.dim for s in auto.steps] == [10, 8, 7]
-    replay = pukanszky_polarization(alg, cov, chain=[s.ideal for s in auto.steps])
-    assert replay.steps == auto.steps and replay.result == auto.result
-    assert replay.conditions.all_flags()
+    auto = _trace(alg, cov)
+    assert [s["g_dim"] for s in auto["steps"]] == [10, 8, 7]
+    replay = _trace(alg, cov, chain=[s["ideal"] for s in auto["steps"]])
+    assert replay["steps"] == auto["steps"] and replay["result_basis"] == auto["result_basis"]
+    assert _all_flags(replay)
 
 
 def test_one_orbit_annihilator_per_descent_step(monkeypatch):
@@ -218,8 +234,8 @@ def test_one_orbit_annihilator_per_descent_step(monkeypatch):
     real, calls = polarization.orbit_annihilator, []
     monkeypatch.setattr(polarization, "orbit_annihilator",
                         lambda *args: calls.append(args) or real(*args))
-    trace = pukanszky_polarization(alg, cov)
-    assert trace.rejected and len(calls) == len(trace.steps) == 3
+    trace = _trace(alg, cov)
+    assert trace["rejected_candidates"] and len(calls) == len(trace["steps"]) == 3
 
 
 def test_a_step_records_its_admission_verdict(tmp_path, monkeypatch, capsys):
@@ -259,20 +275,20 @@ def test_an_automatic_step_builds_one_algebra_and_a_chain_step_none(monkeypatch)
     real = polarization.subquotient
     monkeypatch.setattr(polarization, "subquotient",
                         lambda a, *rest: quotients.append(a) or real(a, *rest))
-    auto = pukanszky_polarization(alg, cov)
-    assert len(auto.steps) == 3 and len(quotients) == len(built) == 3
+    auto = _trace(alg, cov)
+    assert len(auto["steps"]) == 3 and len(quotients) == len(built) == 3
     assert all(a is alg for a in quotients)
     built.clear()
-    replay = pukanszky_polarization(alg, cov, chain=[s.ideal for s in auto.steps])
-    assert replay.steps == auto.steps and built == []
+    replay = _trace(alg, cov, chain=[s["ideal"] for s in auto["steps"]])
+    assert replay["steps"] == auto["steps"] and built == []
 
 
 def test_a_chain_ideal_outside_its_window_is_refused():
     alg, cov = n5_three_steps()
-    first = pukanszky_polarization(alg, cov).steps[0]
-    assert not first.g_next.contains_subspace(Subspace.full(alg.dim))
+    first = _trace(alg, cov)["steps"][0]
+    assert not first["g_next"].contains_subspace(Subspace.full(alg.dim))
     with pytest.raises(ValueError, match="^chain ideal at step 1 is not inside g_1$"):
-        pukanszky_polarization(alg, cov, chain=[first.ideal, Subspace.full(alg.dim)])
+        pukanszky_polarization(alg, cov, chain=[first["ideal"], Subspace.full(alg.dim)])
 
 
 def test_polarization_chain_rejects_bad_ideal(entries):
@@ -299,8 +315,8 @@ def test_polarization_requires_precheck(capsys):
 def test_polarization_override_runs_euclid(entries):
     # past the failed precheck the descent still yields a coisotropic result here
     e2 = entries["euclid2"].algebra
-    trace = pukanszky_polarization(e2, Covector(e2, (0, 1, 0)))
-    assert trace.conditions.coisotropic
+    trace = _trace(e2, Covector(e2, (0, 1, 0)))
+    assert trace["conditions"]["flags"]["coisotropic"]
 
 
 def test_trace_sandwich_invariants(entries, rng):
@@ -308,25 +324,26 @@ def test_trace_sandwich_invariants(entries, rng):
         alg = entries[name].algebra
         for _ in range(12):
             cov = rand_covector(alg, rng)
-            trace = pukanszky_polarization(alg, cov)
-            h = trace.result
-            for step in trace.steps:
-                assert step.certificates_hold()
-                assert h.contains_subspace(step.ideal)
-                assert step.ideal_orth.contains_subspace(h)
-                assert step.g_i.contains_subspace(h)
-                assert h.contains_subspace(orth(alg, step.g_i, cov).intersect(step.g_i))
-                assert step.g_next.dim < step.g_i.dim
+            trace = _trace(alg, cov)
+            h, g_i = trace["result_basis"], Subspace.full(alg.dim)
+            for step in trace["steps"]:
+                assert _certified(step)
+                assert h.contains_subspace(step["ideal"])
+                assert step["ideal_orth"].contains_subspace(h)
+                assert g_i.contains_subspace(h)
+                assert h.contains_subspace(orth(alg, g_i, cov).intersect(g_i))
+                assert step["g_next"].dim < g_i.dim == step["g_dim"]
+                g_i = step["g_next"]
 
 
 def test_polarization_result_invariant_under_input_presentation(entries, rng):
     # permuted/rescaled generator rows of the chain ideal give the same trace
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
-    base = pukanszky_polarization(h3, cov, chain=[_span(3, 1, 2)])
+    base = _trace(h3, cov, chain=[_span(3, 1, 2)])
     for rows in ([(0, 0, 2), (0, 3, 0)], [(0, 1, 1), (0, 0, 5)], [(0, 2, 2), (0, 2, 3)]):
-        alt = pukanszky_polarization(h3, cov, chain=[Subspace(3, rows)])
-        assert alt.result == base.result
+        alt = _trace(h3, cov, chain=[Subspace(3, rows)])
+        assert alt["result_basis"] == base["result_basis"]
 
 
 # -- the nested-window descent, kept as a reference -------------------------------
@@ -371,7 +388,8 @@ def _nested_admissible(inner, ann_x, cand):
 
 
 def nested_window_polarization(alg, cov, chain=None):
-    """(steps, rejected, result) of the descent by nested window algebras."""
+    """(steps, rejected, result) of the descent by nested window algebras, the
+    steps and rejections as the trace prints them."""
     n = alg.dim
     inner, g_here, cur_cov = alg, Subspace.full(n), cov
     steps, rejected = [], []
@@ -409,16 +427,16 @@ def nested_window_polarization(alg, cov, chain=None):
         orth_ambient = orth(alg, ideal_ambient, cov)
         g_next = to_ambient(g_next_inner)
         assert g_next == g_here.intersect(orth_ambient)
-        steps.append(PolarizationStep(
-            g_here, ideal_ambient, orth_ambient, g_next,
-            ann_x.contains_subspace(bracket_span(inner, cand, cand)),
-            orth_ambient.contains_subspace(ideal_ambient),
-            g_next_inner.dim < inner.dim,
-        ))
+        steps.append({"g_dim": g_here.dim, "ideal": ideal_ambient, "ideal_orth": orth_ambient,
+                      "g_next": g_next, "certificates": {
+                          "orbit_abelian": ann_x.contains_subspace(
+                              bracket_span(inner, cand, cand)),
+                          "ideal_in_orth": orth_ambient.contains_subspace(ideal_ambient),
+                          "orth_not_containing_g": g_next_inner.dim < inner.dim}})
         assert g_next_inner.dim < inner.dim
         cur_cov = restrict(inner, cur_cov, g_next_inner)
         inner, g_here = cur_cov.algebra, g_next
-    return tuple(steps), tuple(rejected), g_here
+    return steps, rejections_json(rejected), g_here
 
 
 def _outcome(run):
@@ -429,15 +447,15 @@ def _outcome(run):
 
 
 def _ambient(alg, cov, chain=None):
-    trace = pukanszky_polarization(alg, cov, chain=chain)
-    return trace.steps, trace.rejected, trace.result
+    trace = _trace(alg, cov, chain)
+    return trace["steps"], trace["rejected_candidates"], trace["result_basis"]
 
 
 def _assert_routes_agree(alg, cov):
     auto = _outcome(lambda: _ambient(alg, cov))
     assert auto == _outcome(lambda: nested_window_polarization(alg, cov))
     if auto[0] != "exhausted":
-        chain = [s.ideal for s in auto[0]]
+        chain = [s["ideal"] for s in auto[0]]
         replay = _outcome(lambda: _ambient(alg, cov, chain))
         assert replay == _outcome(lambda: nested_window_polarization(alg, cov, chain))
         assert replay[0] == auto[0] and replay[2] == auto[2]
@@ -446,7 +464,7 @@ def _assert_routes_agree(alg, cov):
 def test_ambient_descent_matches_the_nested_route_on_the_catalog(entries, rng):
     for entry in entries.values():
         alg = entry.algebra
-        if not exponential_precheck(alg).passed:
+        if not exponential_precheck(alg)["passed"]:
             continue
         covs = [Covector(alg, c) for c in entry.covectors.values()]
         for cov in covs + [rand_covector(alg, rng) for _ in range(4)]:
@@ -462,7 +480,7 @@ def test_ambient_descent_matches_the_nested_route_on_a_chain_that_is_not_nested(
     chain = [_span(5, 2, 4), _span(5, 1, 4)]
     steps, rejected, result = _ambient(h5, cov, chain)
     assert (steps, rejected, result) == nested_window_polarization(h5, cov, chain)
-    assert not steps[1].g_i.contains_subspace(steps[1].ideal_orth)
+    assert not steps[0]["g_next"].contains_subspace(steps[1]["ideal_orth"])  # g_1
     assert result == _span(5, 1, 2, 4)
 
 
@@ -514,8 +532,7 @@ def _subalgebras(alg, cov, ideals):
         except NotClosedError:
             pass
     try:
-        trace = pukanszky_polarization(alg, cov)
-        subs += [s.g_i for s in trace.steps[1:]] + [trace.result]
+        subs += [s["g_next"] for s in _trace(alg, cov)["steps"]]
     except StrategyExhausted:
         pass
     return subs
@@ -543,9 +560,9 @@ def test_orbit_annihilator_is_the_largest_ideal_of_the_subalgebra_inside_ker_f(e
 def test_every_returned_step_has_three_true_certificates(descents):
     """An accepted ideal I passed `_admissible`, so [I, I] <= ann_x <= ker f: I is
     orbit-abelian and inside I^f; and a step with no dimension drop raises."""
-    steps = [step for _, _, trace in descents if trace for step in trace.steps]
+    steps = [step for _, _, trace in descents if trace for step in trace["steps"]]
     assert len(steps) >= 20
-    assert all(step.certificates_hold() for step in steps)
+    assert all(_certified(step) for step in steps)
 
 
 def test_random_covectors_full_pipeline(entries, rng):
@@ -555,7 +572,7 @@ def test_random_covectors_full_pipeline(entries, rng):
         alg = entries[name].algebra
         for _ in range(20):
             cov = rand_covector(alg, rng)
-            trace = pukanszky_polarization(alg, cov)
-            assert trace.conditions.all_flags()
+            trace = _trace(alg, cov)
+            assert _all_flags(trace)
             stab = stabilizer(alg, cov)
-            assert 2 * trace.result.dim == alg.dim + stab.dim
+            assert 2 * trace["result_dim"] == alg.dim + stab.dim

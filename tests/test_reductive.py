@@ -47,6 +47,13 @@ def _diag(values):
     return Matrix([[v if i == j else 0 for j in range(3)] for i, v in enumerate(values)])
 
 
+def _u(block):
+    """u, the sum of the positive eigenspaces of a `parabolic` block's grading."""
+    n = block["q_basis"].ambient_dim
+    return Subspace(n, [r for a, space in block["grading"].items() if F(a) > 0
+                        for r in space.rows])
+
+
 def test_grade_at_a_large_diagonal_element(sl3):
     a = (F(10**6), F(3, 7), -F(10**6) - F(3, 7))
     grading = grade(sl3, _diag(a))
@@ -198,9 +205,10 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
 
     assert matrix_lie_algebra(sl3.algebra).trace_gram == sl3.trace_gram
     element_to_covector(sl3, range(1, 9))
-    assert verify_step_relations(data).exp_linear
-    rep = parabolic_report(sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
-    assert rep.u.dim > 0 and rep.trace_blocks_ok and rep.levi_pairing_zero
+    assert verify_step_relations(data)["exp_linear"]
+    rep = parabolic_report(sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))["parabolic"]
+    assert rep["u_dim"] > 0
+    assert rep["relations"]["trace_blocks"] and rep["relations"]["levi_pairing_zero"]
 
 
 def fixed_point_hull(alg, start, u):
@@ -230,10 +238,10 @@ def test_parabolic_hull_matches_the_fixed_point(entries, sl3, monkeypatch):
              (sl3, _diag((1, 0, -1))), (sl3, _diag((2, -1, -1))),
              (sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))]
     for malg, x in cases:
-        rep = parabolic_report(malg, x)
+        rep = parabolic_report(malg, x)["parabolic"]
         start, hull = closures.pop()
-        assert hull == fixed_point_hull(malg.algebra, start, rep.u)
-        assert rep.hull_matches_annihilator
+        assert hull == fixed_point_hull(malg.algebra, start, _u(rep))
+        assert rep["relations"]["hull_matches_annihilator"]
     assert not closures
 
 
@@ -258,18 +266,19 @@ def test_the_parabolic_relations_hold_on_seeded_supported_elements(entries, name
             rep = parabolic_report(malg, x)
         except UnsupportedSpectrumError:
             continue
-        assert rep.all_relations(), (name, x)
+        assert rep["ok"], (name, x)
         supported += 1
     assert supported >= 5
 
 
 def test_parabolic_dim_y_matches_the_subalgebra_route(sl3):
     for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
-        rep = parabolic_report(sl3, x)
-        cov = element_to_covector(sl3, rep.x_coords)
-        assert rep.dim_y == orbit_dim(sl3.algebra, cov, rep.q)
-        assert rep.dim_y == subalgebra_orbit_dim(sl3.algebra, cov, rep.q)
-        assert rep.dims_match
+        rep = parabolic_report(sl3, x)["parabolic"]
+        cov = element_to_covector(sl3, rep["x"])
+        dims = rep["dimensions"]
+        assert dims["dim_y"] == orbit_dim(sl3.algebra, cov, rep["q_basis"])
+        assert dims["dim_y"] == subalgebra_orbit_dim(sl3.algebra, cov, rep["q_basis"])
+        assert dims["consistent"]
 
 
 # -- the elliptic branch: spectra in Q(i) --------------------------------------
@@ -495,9 +504,10 @@ def test_parabolic_report_on_sl4_at_height_10_9(sl4):
     start = time.perf_counter()
     rep = parabolic_report(sl4, x)
     assert time.perf_counter() - start < 2
-    assert rep.all_relations()
-    assert len(rep.grading.eigenvalues) == 13       # distinct a_i - a_j, and 0
-    assert rep.u.dim == 6 and rep.q.dim == 9       # a Borel subalgebra
+    assert rep["ok"]
+    rep = rep["parabolic"]
+    assert len(rep["grading"]) == 13               # distinct a_i - a_j, and 0
+    assert rep["u_dim"] == 6 and rep["q_dim"] == 9  # a Borel subalgebra
 
 
 # -- the grading law [g^a, g^b] <= g^{a+b}, read off the bracket spans -----------
@@ -612,12 +622,16 @@ def test_the_stabilizer_of_x_dual_is_its_centralizer(entries):
 
 def test_a_matrix_input_is_taken_as_it_is(monkeypatch):
     """A representation matrix gives the report of its coordinates, and is never
-    rebuilt from them."""
+    rebuilt from them; only `grade` builds a matrix from coordinates, x_h's."""
     cases = [(malg, element_matrix(malg, x), parabolic_report(malg, x))
              for malg, x in _parabolic_inputs()]
+    real = reductive.element_matrix
 
     def refuse(*args):
-        raise AssertionError("the matrix was rebuilt from its coordinates")
+        # the caller is `_coords_and_matrix`, and its caller `grade` or the report
+        if sys._getframe(2).f_code.co_name != "grade":
+            raise AssertionError("the matrix was rebuilt from its coordinates")
+        return real(*args)
 
     monkeypatch.setattr(reductive, "element_matrix", refuse)
     for malg, xmat, report in cases:
@@ -675,6 +689,17 @@ def test_grade_refuses_every_forged_algebra(entries):
     assert refused == 9 + 40 * 2
 
 
+def test_parabolic_report_grades_through_grade(monkeypatch):
+    """The grading of each report is one call of `grade`, so the span that times
+    `grade` sees its work."""
+    real, calls = reductive.grade, []
+    monkeypatch.setattr(reductive, "grade", lambda *args: calls.append(args) or real(*args))
+    inputs = list(_parabolic_inputs())
+    for malg, x in inputs:
+        parabolic_report(malg, x)
+    assert len(calls) == len(inputs) == 17
+
+
 def test_grade_builds_no_bracket_span(sl3, monkeypatch):
     def refuse(*args):
         raise AssertionError("bracket span built")
@@ -683,4 +708,4 @@ def test_grade_builds_no_bracket_span(sl3, monkeypatch):
     for mod in (liealg, structure):
         monkeypatch.setattr(mod, "bracket_span", refuse)
     for x in (_diag((1, 0, -1)), _diag((2, -1, -1)), Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]])):
-        assert parabolic_report(sl3, x).all_relations()
+        assert parabolic_report(sl3, x)["ok"]
