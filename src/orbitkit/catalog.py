@@ -282,9 +282,9 @@ def _object_field(doc: dict, field: str, source: str) -> dict:
 def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
     alg = parse_algebra(doc, source)
     report = validate(alg)
-    if not report.ok:
-        bad = report.antisymmetry_failures or [t[:3] for t in report.jacobi_failures]
-        where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report.rep_failures[0]}"
+    if not report["ok"]:
+        bad = report["antisymmetry_failures"] or [f["triple"] for f in report["jacobi_failures"]]
+        where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report['rep_failures'][0]}"
         raise CatalogError(f"{source}: algebra fails validation at {where}")
     covectors = {key: parse_row(coords, f"{source}: covector {key!r}")
                  for key, coords in _object_field(doc, "covectors", source).items()}

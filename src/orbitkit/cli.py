@@ -182,10 +182,9 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     else:
         alg = cat.parse_algebra(cat.read_json(args.algebra), source=args.algebra)
     report = validate(alg)
-    payload = {"validation": report.to_json_dict()}
-    if not report.ok:
-        raise InputError(json.dumps(payload["validation"], sort_keys=True, default=_encode))
-    return payload, True
+    if not report["ok"]:
+        raise InputError(json.dumps(report, sort_keys=True, default=_encode))
+    return {"validation": report}, True
 
 
 def _per_point(setup):
@@ -216,13 +215,16 @@ def _cmd_orbit(entry, args):
 @_per_point
 def _cmd_conditions(entry, args):
     from .conditions import check_conditions
+    from .structure import check_subalgebra
 
     sub = _parse_subspace(entry, args.sub)
+    points = _parse_points(entry.algebra, args.point)
+    check_subalgebra(entry.algebra, sub)
 
     def run(cov):
         return {"point": cov, **check_conditions(entry.algebra, sub, cov)}
 
-    return {}, _parse_points(entry.algebra, args.point), run
+    return {}, points, run
 
 
 @_per_point
@@ -246,8 +248,7 @@ def _cmd_mackey(entry, args):
 
 @_per_point
 def _cmd_polarize(entry, args):
-    from .polarization import (StrategyExhausted, exponential_precheck,
-                               pukanszky_polarization, rejections_json)
+    from .polarization import exponential_precheck, pukanszky_polarization
 
     alg = entry.algebra
     points = _parse_points(alg, args.point)
@@ -267,15 +268,7 @@ def _cmd_polarize(entry, args):
         )
 
     def run(cov):
-        try:
-            return {"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
-        except StrategyExhausted as exc:
-            return {
-                "point": cov,
-                "error": "strategy exhausted",
-                "rejected_candidates": rejections_json(exc.rejections),
-                "ok": False,
-            }
+        return {"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
 
     return {"precheck": pre}, points, run
 

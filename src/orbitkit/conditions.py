@@ -18,19 +18,20 @@ from __future__ import annotations
 
 from .liealg import Covector, LieAlgebra
 from .linalg import Subspace, annihilator
-from .structure import check_subalgebra, coadjoint_image, stabilizer
+from .structure import coadjoint_image, stabilizer
 
 
 def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> dict:
     """The `conditions` result of h at cov: {"conditions": the block, "ok": ...}.
 
+    h is a subalgebra the caller has checked closed
+    (`structure.check_subalgebra`), as the `conditions` command does once.
     The block holds the four flags (stabilizer containment, coisotropy,
     polarization, tangent Pukanszky), the dimension identity 2 dim h = dim g +
     dim g_cov when h is a polarization containing the stabilizer (else null),
     and a witness for each failed flag that has one.  ok is whether all four
     flags hold.
     """
-    check_subalgebra(alg, h)
     stab = stabilizer(alg, cov)
     moved = coadjoint_image(alg, cov, h)
     orth_h = annihilator(moved)  # structure.orth(alg, h, cov)

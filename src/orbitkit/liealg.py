@@ -15,14 +15,15 @@ the package's own brackets, of vectors it made itself, take
 The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
 xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
 pairing B, whose exact kernels and ranks answer the coadjoint questions; the
-Krylov hull, `structure.orbit_annihilator`, the coadjoint flow
-`structure.exp_coadjoint` and `mackey`'s witness run on it.
+Krylov hull, `structure.orbit_annihilator` and the coadjoint flow
+`structure.exp_coadjoint` run on it.
 
 This module holds what `validate` and `orbit` run: the algebra and covector
-types, `validate` (which checks a matrix representation's brackets on
-flattened matrices, `flat`), the pairing kernel, the KKS pairing, the
-Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record` and
-`is_nilpotent` (one generator closure; the lemma is stated there).  The
+types, `validate` (which returns the `validation` block the CLI prints, and
+checks a matrix representation's brackets on flattened matrices, `flat`),
+the pairing kernel, the KKS pairing, the Krylov hull (a
+`linalg.invariant_closure` worklist), `orbit_record` and `is_nilpotent`
+(one generator closure; the lemma is stated there).  The
 constructions from subspaces (orthogonals, stabilizers, subquotients,
 centralizers) and the structure series are in `structure`, which only the
 subcommands that use them import.
@@ -151,31 +152,17 @@ class Covector(Record):
         return is_zero_vec(self.coords)
 
 
-class ValidationReport(Record):
-    ok: bool
-    antisymmetry_failures: tuple  # (i, j, k) triples
-    jacobi_failures: tuple        # (i, j, k, defect vector)
-    rep_failures: tuple           # (i, j) pairs where the matrix rep breaks the bracket
-
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "antisymmetry_failures": [list(t[:3]) for t in self.antisymmetry_failures],
-            "jacobi_failures": [
-                {"triple": [i, j, k], "defect": d} for (i, j, k, d) in self.jacobi_failures
-            ],
-            "rep_failures": [list(p) for p in self.rep_failures],
-        }
-
-
 def flat(m: Matrix) -> tuple:
     """Row-major entries of m: its coordinates in the basis of unit matrices."""
     return tuple(x for row in m.entries for x in row)
 
 
 @lru_cache(maxsize=None)
-def validate(alg: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry, the Jacobi identity and the brackets of any matrix rep."""
+def validate(alg: LieAlgebra) -> dict:
+    """The `validation` block: "ok", the (i, j, k) where antisymmetry fails, a
+    {"triple": (i, j, k), "defect": the Jacobi sum} per Jacobi failure and the
+    (i, j) where a matrix rep breaks the bracket.  Cached and shared: no
+    caller may change it."""
     n, nz = alg.dim, alg.nonzeros
     anti = []
     for i in range(n):
@@ -197,7 +184,7 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                         for l, y in nz[a][m]:
                             s[l] += x * y
                 if not is_zero_vec(s):
-                    jac.append((i, j, k, tuple(s)))
+                    jac.append({"triple": (i, j, k), "defect": tuple(s)})
     rep = []
     if alg.matrix_rep is not None:
         reps = alg.matrix_rep
@@ -209,7 +196,8 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                                    len(flats[i]))
                 if flat(reps[i] * reps[j]) != vec_add(flat(reps[j] * reps[i]), expected):
                     rep.append((i, j))
-    return ValidationReport(not (anti or jac or rep), tuple(anti), tuple(jac), tuple(rep))
+    return {"ok": not (anti or jac or rep), "antisymmetry_failures": tuple(anti),
+            "jacobi_failures": tuple(jac), "rep_failures": tuple(rep)}
 
 
 def pairing(alg: LieAlgebra, xi: Sequence) -> tuple:
@@ -250,7 +238,7 @@ def orbit_record(alg: LieAlgebra, cov: Covector) -> dict:
 
     The hull is exact (`hull_exact`) when the algebra is nilpotent.
     """
-    if not validate(alg).ok:
+    if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
     rank, ker = rank_kernel(kks_pairing(alg, cov))
     hull = krylov_hull(alg, cov)

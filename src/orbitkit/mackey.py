@@ -10,20 +10,21 @@ stabilizer g_f, one elimination of its KKS pairing.  Every later step
 takes its `LittleGroupData`, so a point that runs several steps decides
 each once.  Step 2 (induction): certify the three relations that make the
 orbit induced from h -- stabilizer containment, the annihilator identity
-n_c(cov) = ann(h), and exact exp-linearity of the n_c flows, whose witness
-cov . ad(Z)^2 comes from the coadjoint kernel `liealg.pairing`.  Step 3
+n_c(cov) = ann(h), and exact exp-linearity of the n_c flows, which
+<c, [n_c, n]> = 0 alone certifies, as n_c lies in the ideal n.  Step 3
 (obstruction): build the central extension 0 -> n_c/j -> h_c/j -> h_c/n_c
 with j = ker(c on n_c), compute its 2-cocycle through a linear section, and
 decide triviality by an exact coboundary solve.  `structure.subquotient`
-gives h_c/n_c in ambient coordinates: its table, its canonical lifts and the
-class projection, so the table of h_c itself is never built.  The section
-lifts each class to its canonical lift.  At a point orbit (g_c = g) the
-semidirect witness looks for a declared complement of n that is a
-subalgebra; the section into one is a homomorphism, so the cocycle vanishes
-on it and no obstruction is computed.  `dimensions` does the synopsis
-bookkeeping of a point, for `mackey` and for `classify`'s abelian ideals.
-Each step returns the block of the report that it prints, and
-`mackey_steps` the point's whole `mackey` result.
+gives h_c/n_c in ambient coordinates, its table and its canonical lifts, so
+the table of h_c itself is never built.  The section lifts each class to
+its canonical lift, which n_c.reduce reads off any member of the class.
+At a point orbit (g_c = g) the semidirect witness looks for a declared
+complement of n that is a subalgebra; the section into one is a
+homomorphism, so the cocycle vanishes on it and no obstruction is
+computed.  `dimensions` does the synopsis bookkeeping of a point, for
+`mackey` and for `classify`'s abelian ideals.  Each step returns the block
+of the report that it prints, and `mackey_steps` the point's whole
+`mackey` result.
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -34,14 +35,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent, kks_pairing, pairing
+from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent
 from .linalg import (
     Matrix,
     Record,
     Subspace,
     ZERO,
     annihilator,
-    combine,
     solve,
     sum_intersect,
     vec_sub,
@@ -100,15 +100,14 @@ def verify_step_relations(data: LittleGroupData) -> dict:
     has one.  The annihilator identity holds unconditionally for ideals, so a
     failure there is flagged as a bug (`theorem_violated`) rather than a
     property of the input.
-    Exp-linearity is certified by <c, [n_c, n]> = 0 together with the
-    vanishing of <cov, ad(Z)^k g> for every k >= 2, every g and every basis
-    direction Z of n_c; this makes exp(Z)(cov) = cov + Z(cov) an exact
-    identity.  Since cov . ad(Z)^k = (cov . ad(Z)^2) . ad(Z)^(k-2), all of
-    those pairings vanish exactly when the covector t = cov . ad(Z)^2 is
-    zero, so t is computed by the `pairing` kernel twice and, when it is not
-    zero, reported as the `higher_order_term` witness.
+    Exp-linearity, exp(Z)(cov) = cov + Z(cov) for every Z in n_c, holds when
+    <cov, ad(Z)^2 g> = 0, and <c, [n_c, n]> = 0 gives that: Z lies in the ideal
+    n, so [Z, [Z, g]] lies in [n_c, n].  Data whose n_c is not inside its
+    ideal is refused with a ValueError.
     """
     alg, cov = data.algebra, data.covector
+    if data.ideal.missing_row(data.n_c) is not None:
+        raise ValueError("n_c does not lie inside the ideal")
     witnesses = {}
 
     w = data.h.missing_row(data.g_f)
@@ -122,14 +121,9 @@ def verify_step_relations(data: LittleGroupData) -> dict:
 
     w = next((r for r in bracket_span(alg, data.n_c, data.ideal).rows
               if cov.pair(r) != 0), None)
-    b, n = kks_pairing(alg, cov).entries, alg.dim
-    higher = (combine(z, pairing(alg, combine(z, b, n)), n) for z in data.n_c.rows)
     rel_c = w is None
     if w is not None:
         witnesses["c_pairs_with_nc_n_bracket"] = w
-    elif (t := next(filter(any, higher), None)) is not None:
-        rel_c = False
-        witnesses["higher_order_term"] = t
 
     return {
         "stabilizer_in_h": rel_a,
@@ -160,14 +154,14 @@ def obstruction_step(data: LittleGroupData) -> dict:
     quot = subquotient(alg, h_c, n_c)
     m, sec = quot.algebra.dim, quot.lifts
 
-    # section row k projects to class k, so [sx, sy] (in h_c, which
-    # subquotient found closed) less the section lift of its class is its
-    # n_c-component
+    # [sx, sy] lies in h_c, which subquotient found closed, and n_c.reduce of
+    # it is the combination of the lifts at its class coordinates, the
+    # section lift of its class; the rest is its n_c-component
     f = [[ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             br = alg.bracket_exact(sec[a], sec[b])
-            n_part = vec_sub(br, combine(quot.project(br), sec, alg.dim))
+            n_part = vec_sub(br, n_c.reduce(br))
             val = cov.pair(n_part)
             f[a][b] = val
             f[b][a] = -val

@@ -14,7 +14,10 @@ user chain builds none), and pulled back through its lifts: the terminal nonzero
 derived term, abelian terms of the ascending central series, the
 centralizer of the derived subalgebra, and finally the classical refinement
 center + single vector (which is what succeeds on Heisenberg-like steps).
-The method does not claim to produce every Pukanszky polarization.
+The method does not claim to produce every Pukanszky polarization.  A step
+with no admissible ideal gives the point's result {"error": "strategy
+exhausted", "rejected_candidates": [...], "ok": false}, each rejection a
+{"step", "candidate", "reason"} as in a trace.
 
 The exponential precheck is sampled and therefore necessary-only: it
 certifies solvability exactly and looks for purely imaginary ad-eigenvalues
@@ -39,6 +42,7 @@ from .structure import (
     ad_matrix,
     ascending_central_series,
     centralizer,
+    check_subalgebra,
     derived_series,
     is_solvable,
     orbit_annihilator,
@@ -46,14 +50,6 @@ from .structure import (
     orth,
     subquotient,
 )
-
-
-class StrategyExhausted(RuntimeError):
-    """No admissible ideal was found; carries the rejected candidates."""
-
-    def __init__(self, rejections):
-        super().__init__("ideal selection strategy exhausted with no admissible ideal")
-        self.rejections = tuple(rejections)
 
 
 def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:
@@ -100,11 +96,6 @@ def exponential_precheck(alg: LieAlgebra) -> dict:
         "passed": solvable and witness is None,
         "mode": "sampled",
     }
-
-
-def rejections_json(rejections) -> list:
-    """The JSON form of (step_index, description, reason) rejections."""
-    return [{"step": i, "candidate": d, "reason": r} for i, d, r in rejections]
 
 
 def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
@@ -162,8 +153,11 @@ def pukanszky_polarization(
 
     Without a chain the ideals are drawn deterministically (see module
     docstring); a chain, even an empty one, supplies the ideals instead,
-    given in ambient coordinates, one per step.  The result always sits
-    between every chosen ideal and its orthogonal; the final subalgebra is
+    given in ambient coordinates, one per step.  A step with no admissible
+    ideal (a chain that runs out or whose ideal is rejected, a search that
+    finds none) ends the descent with the exhausted-strategy result (see
+    module docstring).  The result always sits between every chosen ideal
+    and its orthogonal; the final subalgebra is checked closed and
     re-verified with the homogeneous-condition checker, whose block is the
     trace's `conditions`.  Each step lists its window's dimension, the
     ideal, its orthogonal, the next window and three certificates.  ok is
@@ -175,6 +169,8 @@ def pukanszky_polarization(
     g_i = Subspace.full(n)
     steps = []
     rejected = []
+    # the result of a step with no admissible ideal; `rejected` fills in as the descent runs
+    exhausted = {"error": "strategy exhausted", "rejected_candidates": rejected, "ok": False}
     chain_iter = iter(chain or ())
 
     for step_index in range(n + 1):
@@ -182,23 +178,24 @@ def pukanszky_polarization(
             break  # self-orthogonal: done
         ann_x = orbit_annihilator(alg, cov, g_i)
         if chain is not None:
-            try:
-                ideal = next(chain_iter)
-            except StopIteration:
-                raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
-            if not g_i.contains_subspace(ideal):
+            ideal = next(chain_iter, None)
+            if ideal is None:
+                desc, reason = "user chain", "chain exhausted"
+            elif not g_i.contains_subspace(ideal):
                 raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
-            reason = _admissible(alg, g_i, ann_x, ideal)
+            else:
+                desc, reason = "user chain ideal", _admissible(alg, g_i, ann_x, ideal)
             if reason is not None:
-                raise StrategyExhausted(rejected + [(step_index, "user chain ideal", reason)])
+                rejected.append({"step": step_index, "candidate": desc, "reason": reason})
+                return exhausted
         else:
             for desc, ideal in _automatic_candidates(alg, g_i, ann_x):
                 reason = _admissible(alg, g_i, ann_x, ideal)
                 if reason is None:
                     break
-                rejected.append((step_index, desc, reason))
+                rejected.append({"step": step_index, "candidate": desc, "reason": reason})
             else:
-                raise StrategyExhausted(rejected)
+                return exhausted
 
         ideal_orth = orth(alg, ideal, cov)
         g_next = g_i.intersect(ideal_orth)
@@ -213,6 +210,7 @@ def pukanszky_polarization(
             raise AssertionError("no dimension drop despite non-central ideal")
         g_i = g_next
 
+    check_subalgebra(alg, g_i)
     conditions = check_conditions(alg, g_i, cov)
     return {
         "trace": {
@@ -220,7 +218,7 @@ def pukanszky_polarization(
             "result_dim": g_i.dim,
             "result_basis": g_i,
             "conditions": conditions["conditions"],
-            "rejected_candidates": rejections_json(rejected),
+            "rejected_candidates": rejected,
         },
         "ok": all(all(s["certificates"].values()) for s in steps) and conditions["ok"],
     }

@@ -115,9 +115,9 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
     if not alg.matrix_rep:  # None, or the empty representation of a 0-dimensional algebra
         raise ValueError("algebra carries no matrix representation")
     report = validate(alg)
-    if not report.ok:
+    if not report["ok"]:
         raise ValueError("representation brackets do not match the structure constants"
-                         if report.rep_failures else "algebra fails validation")
+                         if report["rep_failures"] else "algebra fails validation")
     n = alg.dim
     # tr(R_i R_j) = sum_kl R_i[k][l] R_j[l][k]: flattened R_i against flattened R_j^T
     flats = [flat(r) for r in alg.matrix_rep]
@@ -246,7 +246,7 @@ def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     """
     coords, xmat = _coords_and_matrix(malg, xh)
     alg = malg.algebra
-    if not validate(alg).ok:
+    if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
     chi = charpoly(xmat)
     # the rational roots a are those of the monic linear factors x - a

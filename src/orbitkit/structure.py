@@ -120,7 +120,7 @@ def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> in
     covector in sub's RREF basis, so no subalgebra is built.  An algebra that
     fails validation is refused.
     """
-    if not validate(alg).ok:
+    if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
     b = kks_pairing(alg, cov)
     if sub is not None:

@@ -31,7 +31,7 @@ from orbitkit.polynomials import (
     sign_variations,
     squarefree_part,
 )
-from orbitkit.polarization import StrategyExhausted, pukanszky_polarization
+from orbitkit.polarization import pukanszky_polarization
 from orbitkit.qi_roots import qi_factors
 from orbitkit.reductive import Grading, element_coords
 from orbitkit.structure import ad_matrix, restrict, subquotient
@@ -257,11 +257,9 @@ def descents(entries):
         for coords in [*entry.covectors.values(), rand_vec(rng, alg.dim, -5, 5, 3),
                        rand_vec(rng, alg.dim, -5, 5, 3), sparse]:
             cov = Covector(alg, coords)
-            try:
-                trace = pukanszky_polarization(alg, cov)["trace"]
-            except StrategyExhausted:
-                trace = None
-            out.append((entry, cov, trace))
+            result = pukanszky_polarization(alg, cov)
+            assert "trace" in result or result["error"] == "strategy exhausted"
+            out.append((entry, cov, result.get("trace")))
     return out
 
 

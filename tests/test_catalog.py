@@ -51,7 +51,7 @@ def test_structure_constants_match_the_per_pair_solve(entries):
     for name, labels, mats in cases:
         built = algebra_from_rep(name, labels, mats)
         assert built == solved_algebra(name, labels, mats), name
-        assert validate(built).ok
+        assert validate(built)["ok"]
 
 
 def test_a_commutator_outside_the_span_is_refused():
@@ -71,7 +71,7 @@ def test_one_wrong_constant_is_reported_at_its_pair(entries):
         brackets[pair][k] = brackets[pair].get(k, 0) + 1
         broken = LieAlgebra.from_brackets(alg.labels, brackets, name=alg.name,
                                           matrix_rep=alg.matrix_rep)
-        assert validate(broken).rep_failures == (pair,), alg.name
+        assert validate(broken)["rep_failures"] == (pair,), alg.name
 
 
 def test_the_constructor_refuses_a_representation_of_the_wrong_shape():

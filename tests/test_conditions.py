@@ -1,5 +1,6 @@
-import pytest
+import json
 
+from orbitkit import cli, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector
 from orbitkit.linalg import Subspace, basis_vector
@@ -52,10 +53,22 @@ def test_check_conditions_sl2_cartan(entries):
     assert "orth_outside" in rep["witnesses"]
 
 
-def test_check_conditions_rejects_non_subalgebra(entries):
-    h3 = entries["heisenberg3"].algebra
-    with pytest.raises(NotClosedError):
-        check_conditions(h3, _span(3, 0, 1), Covector(h3, (0, 0, 1)))
+def test_conditions_rejects_non_subalgebra(capsys):
+    code = cli.main(["conditions", "catalog:heisenberg3", "--sub", "0,1", "--point=0,0,1"])
+    assert code == 2 and json.loads(capsys.readouterr().out)["error"] \
+        == "subspace is not a subalgebra: bracket of basis rows 0,1 escapes"
+
+
+def test_conditions_checks_its_subalgebra_once(monkeypatch, capsys):
+    """h depends on no point: a 3-point `conditions` makes one closure check, not
+    one per point."""
+    real, calls = structure.check_subalgebra, []
+    monkeypatch.setattr(structure, "check_subalgebra",
+                        lambda alg, sub: calls.append(sub) or real(alg, sub))
+    code = cli.main(["conditions", "catalog:heisenberg3", "--sub", "plane",
+                     "--point=0,0,1", "--point=1,0,0", "--point=0,1,1"])
+    capsys.readouterr()
+    assert code == 1 and len(calls) == 1
 
 
 def _random_subalgebras(alg, rng, count):

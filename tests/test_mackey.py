@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbitkit import cli, mackey
 from orbitkit.catalog import parse_algebra, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
 from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add
 from orbitkit.mackey import (
     check_abelian,
@@ -643,7 +643,7 @@ def test_mackey_eliminates_each_points_pairing_once(entries, monkeypatch):
     poin = entries["poincare"]
     alg = poin.algebra
     cov = Covector(alg, poin.covectors["timelike_spinning"])
-    pairing = mackey.kks_pairing(alg, cov)
+    pairing = kks_pairing(alg, cov)
     real, reduced = Matrix.rref, []
     monkeypatch.setattr(Matrix, "rref", lambda self: reduced.append(self is pairing) or real(self))
     rep = mackey_report(alg, poin.ideals["translations"], cov)
@@ -867,13 +867,13 @@ def test_the_step_two_relations_and_the_dimension_count_hold_property(descents):
 def test_exp_linear_matches_the_image_chain_reference(entries, rng):
     # On true little-group data exp-linearity always holds: for Z in n_c,
     # ad(Z)^2 g lies in [Z, n], where cov vanishes.  Directions taken from
-    # all of g_c pass the <c, [Z, n]> = 0 test too but can fail the k >= 2 one.
+    # all of the ideal n can fail the <c, [Z, n]> = 0 test.
     verdicts = []
     for entry in entries.values():
         alg = entry.algebra
         for ideal in list(entry.ideals.values()) + random_ideals(alg, rng, 3):
             data = little_group_step(alg, ideal, rand_covector(alg, rng))
-            for case in (data, _with_n_c(data, data.g_c)):
+            for case in (data, _with_n_c(data, data.ideal)):
                 verdict = verify_step_relations(case)["exp_linear"]
                 assert verdict == image_chain_exp_linear(case)
                 verdicts.append(verdict)
@@ -881,24 +881,25 @@ def test_exp_linear_matches_the_image_chain_reference(entries, rng):
 
 
 def test_exp_linear_fails_with_the_bracket_pairing_witness(entries):
-    # heisenberg3 at cov = e3*: with n_c replaced by e1, [n_c, n] = [e1, <e2, e3>] = <e3>,
-    # and its first echelon row pairs to 1 with cov
-    h3 = entries["heisenberg3"]
-    data = little_group_step(h3.algebra, h3.ideals["plane"], Covector(h3.algebra, (0, 0, 1)))
+    # heisenberg3 at cov = e3* over the ideal g: with n_c replaced by e1,
+    # [n_c, n] = [e1, g] = <e3>, and its first echelon row pairs to 1 with cov
+    h3 = entries["heisenberg3"].algebra
+    data = little_group_step(h3, Subspace.full(3), Covector(h3, (0, 0, 1)))
     rel = verify_step_relations(_with_n_c(data, _span(3, 0)))
     assert not rel["exp_linear"]
     assert rel["witnesses"]["c_pairs_with_nc_n_bracket"] == (0, 0, 1)
 
 
-def test_exp_linear_fails_with_the_higher_order_witness(entries):
-    # filiform4: [e1, e2] = e3, [e1, e3] = e4.  With Z = e1 and cov = e4*,
-    # cov . ad(Z) = e3* and cov . ad(Z)^2 = e2*, so <cov, ad(e1)^2 e2> = 1.
+def test_step_relations_refuse_an_n_c_outside_the_ideal(entries):
+    # filiform4: [e1, e2] = e3, [e1, e3] = e4.  With Z = e1 outside the center and
+    # cov = e4*, cov . ad(Z)^2 = e2* is not 0, and only the refusal keeps the
+    # bracket-pairing check from calling those flows exp-linear.
     fil = entries["filiform4"]
     data = little_group_step(fil.algebra, fil.ideals["center"], Covector(fil.algebra, (0, 0, 0, 1)))
     data = _with_n_c(data, _span(4, 0))
-    rel = verify_step_relations(data)
-    assert not rel["exp_linear"] and not image_chain_exp_linear(data)
-    assert rel["witnesses"]["higher_order_term"] == (0, 1, 0, 0)
+    assert not image_chain_exp_linear(data)
+    with pytest.raises(ValueError, match="^n_c does not lie inside the ideal$"):
+        verify_step_relations(data)
 
 
 # -- step 2 against closed forms ------------------------------------------------

@@ -26,12 +26,7 @@ from orbitkit.structure import (
     subquotient,
 )
 from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
-from orbitkit.polarization import (
-    StrategyExhausted,
-    exponential_precheck,
-    pukanszky_polarization,
-    rejections_json,
-)
+from orbitkit.polarization import exponential_precheck, pukanszky_polarization
 from conftest import (
     coords_of,
     hull_orbit_annihilator,
@@ -291,19 +286,29 @@ def test_a_chain_ideal_outside_its_window_is_refused():
         pukanszky_polarization(alg, cov, chain=[first["ideal"], Subspace.full(alg.dim)])
 
 
+def _rejections(*rejected):
+    """The printed form of (step, candidate, reason) rejections."""
+    return [{"step": i, "candidate": d, "reason": r} for i, d, r in rejected]
+
+
+def _exhausted(*rejected):
+    """The result of a descent whose strategy is exhausted after these rejections."""
+    return {"error": "strategy exhausted", "ok": False,
+            "rejected_candidates": _rejections(*rejected)}
+
+
 def test_polarization_chain_rejects_bad_ideal(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
-    with pytest.raises(StrategyExhausted):
-        # central ideal: no dimension drop possible
-        pukanszky_polarization(h3, cov, chain=[_span(3, 2)])
+    # central ideal: no dimension drop possible
+    assert pukanszky_polarization(h3, cov, chain=[_span(3, 2)]) == _exhausted(
+        (0, "user chain ideal", "orbit-central (no dimension drop)"))
 
 
 def test_an_empty_chain_is_still_a_user_chain(entries):
     h3 = entries["heisenberg3"].algebra
-    with pytest.raises(StrategyExhausted) as exc:
-        pukanszky_polarization(h3, Covector(h3, (0, 0, 1)), chain=[])
-    assert exc.value.rejections == ((0, "user chain", "chain exhausted"),)
+    assert pukanszky_polarization(h3, Covector(h3, (0, 0, 1)), chain=[]) == _exhausted(
+        (0, "user chain", "chain exhausted"))
 
 
 def test_polarization_requires_precheck(capsys):
@@ -389,7 +394,8 @@ def _nested_admissible(inner, ann_x, cand):
 
 def nested_window_polarization(alg, cov, chain=None):
     """(steps, rejected, result) of the descent by nested window algebras, the
-    steps and rejections as the trace prints them."""
+    steps and rejections as the trace prints them, or the exhausted-strategy
+    result when a step has no admissible ideal."""
     n = alg.dim
     inner, g_here, cur_cov = alg, Subspace.full(n), cov
     steps, rejected = [], []
@@ -403,17 +409,16 @@ def nested_window_polarization(alg, cov, chain=None):
             break
         ann_x = hull_orbit_annihilator(inner, cur_cov)
         if chain is not None:
-            try:
-                ideal = next(chain_iter)
-            except StopIteration:
-                raise StrategyExhausted(rejected + [(step_index, "user chain", "chain exhausted")])
+            ideal = next(chain_iter, None)
+            if ideal is None:
+                return _exhausted(*rejected, (step_index, "user chain", "chain exhausted"))
             coords = [coords_of(g_here, r) for r in ideal.rows]
             if None in coords:
                 raise ValueError(f"chain ideal at step {step_index} is not inside g_{step_index}")
             cand = Subspace(inner.dim, coords)
             reason = _nested_admissible(inner, ann_x, cand)
             if reason is not None:
-                raise StrategyExhausted(rejected + [(step_index, "user chain ideal", reason)])
+                return _exhausted(*rejected, (step_index, "user chain ideal", reason))
         else:
             for desc, cand in _nested_candidates(inner, ann_x):
                 reason = _nested_admissible(inner, ann_x, cand)
@@ -421,7 +426,7 @@ def nested_window_polarization(alg, cov, chain=None):
                     break
                 rejected.append((step_index, desc, reason))
             else:
-                raise StrategyExhausted(rejected)
+                return _exhausted(*rejected)
         g_next_inner = orth(inner, cand, cur_cov)
         ideal_ambient = to_ambient(cand)
         orth_ambient = orth(alg, ideal_ambient, cov)
@@ -436,28 +441,25 @@ def nested_window_polarization(alg, cov, chain=None):
         assert g_next_inner.dim < inner.dim
         cur_cov = restrict(inner, cur_cov, g_next_inner)
         inner, g_here = cur_cov.algebra, g_next
-    return steps, rejections_json(rejected), g_here
-
-
-def _outcome(run):
-    try:
-        return run()
-    except StrategyExhausted as exc:
-        return "exhausted", exc.rejections
+    return steps, _rejections(*rejected), g_here
 
 
 def _ambient(alg, cov, chain=None):
-    trace = _trace(alg, cov, chain)
+    """(steps, rejected, result) of the descent at cov, or its exhausted-strategy result."""
+    result = pukanszky_polarization(alg, cov, chain=chain)
+    if "trace" not in result:
+        return result
+    trace = result["trace"]
     return trace["steps"], trace["rejected_candidates"], trace["result_basis"]
 
 
 def _assert_routes_agree(alg, cov):
-    auto = _outcome(lambda: _ambient(alg, cov))
-    assert auto == _outcome(lambda: nested_window_polarization(alg, cov))
-    if auto[0] != "exhausted":
+    auto = _ambient(alg, cov)
+    assert auto == nested_window_polarization(alg, cov)
+    if isinstance(auto, tuple):  # the strategy is not exhausted
         chain = [s["ideal"] for s in auto[0]]
-        replay = _outcome(lambda: _ambient(alg, cov, chain))
-        assert replay == _outcome(lambda: nested_window_polarization(alg, cov, chain))
+        replay = _ambient(alg, cov, chain)
+        assert replay == nested_window_polarization(alg, cov, chain)
         assert replay[0] == auto[0] and replay[2] == auto[2]
 
 
@@ -531,10 +533,11 @@ def _subalgebras(alg, cov, ideals):
             subs.append(ideal)
         except NotClosedError:
             pass
-    try:
-        subs += [s["g_next"] for s in _trace(alg, cov)["steps"]]
-    except StrategyExhausted:
-        pass
+    result = pukanszky_polarization(alg, cov)
+    if "trace" in result:
+        subs += [s["g_next"] for s in result["trace"]["steps"]]
+    else:
+        assert result["error"] == "strategy exhausted"
     return subs
 
 
