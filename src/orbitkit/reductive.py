@@ -39,8 +39,10 @@ elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
 covector of x is G x, and the trace-block and Levi checks of the parabolic
 report multiply no matrices.  G is symmetric, so G x is the row combination
 x^T G, built by `combine` like every other matrix-vector product; the trace
-annihilator of q is ann(G r : r in q).  The report builds no ad(x), and a
-matrix x is taken as it is.  x's centralizer is the stabilizer of its dual
+annihilator of q is ann(G r : r in q).  The report builds no ad(x).  It
+takes x as algebra coordinates or a covector, and forms one representation
+matrix each for x, whose hyperbolic part it takes, and for x_h, whose
+spectrum `grade` reads.  x's centralizer is the stabilizer of its dual
 covector f = tr(x .), the kernel of f's KKS pairing, whose rank is dim O_x:
 f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and the trace form is
 nondegenerate on g (`matrix_lie_algebra` checks it), so g_f = ker ad x.  One
@@ -59,7 +61,6 @@ from .linalg import (
     ZERO,
     annihilator,
     combine,
-    frac,
     invariant_closure,
     rank_kernel,
     solve,
@@ -146,14 +147,6 @@ def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
     return coords
 
 
-def _coords_and_matrix(malg: MatrixLieAlgebra, x: Matrix | Sequence) -> tuple:
-    """An element given as a representation matrix, taken as it is, or as coordinates."""
-    if isinstance(x, Matrix):
-        return element_coords(malg, x), x
-    coords = malg.algebra.coords(x)
-    return coords, element_matrix(malg, coords)
-
-
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:
     """Trace-form dual of an algebra element: (G x)_j = tr(M(x) R_j), G symmetric."""
     return Covector(malg.algebra,
@@ -221,22 +214,16 @@ def hyperbolic_part(x: Matrix) -> Matrix:
     return eval_matrix(divmod_poly(h, chi)[1], x)
 
 
-class Grading(Record):
-    eigenvalues: tuple           # sorted rationals
-    spaces: dict                 # eigenvalue -> Subspace (algebra coordinates)
+def grade(malg: MatrixLieAlgebra, xh: Sequence) -> dict:
+    """Eigenspace grading of the algebra under ad(x_h), x_h given by its coordinates.
 
-    def space(self, a) -> Subspace:
-        return self.spaces.get(frac(a))
-
-
-def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
-    """Eigenspace grading of the algebra under ad(x_h).
-
-    The candidate eigenvalues are 0 and the differences a - b of the rational
-    roots of chi = charpoly(x_h), of the representation's degree; each
-    candidate c keeps ker(ad(x_h) - c) when it is nonzero.  Refuses an
-    algebra that fails `validate`, and refuses, naming chi, unless the kept
-    eigenspaces sum to g: that sum is the certificate.
+    Returns {eigenvalue: eigenspace in algebra coordinates}, the keys
+    increasing Fractions, one per nonzero eigenspace.  The candidate
+    eigenvalues are 0 and the differences a - b of the rational roots of
+    chi = charpoly(x_h), of the representation's degree; each candidate c
+    keeps ker(ad(x_h) - c) when it is nonzero.  Refuses an algebra that
+    fails `validate`, and refuses, naming chi, unless the kept eigenspaces
+    sum to g: that sum is the certificate.
 
     Every eigenvalue of ad(x_h) is a difference of two roots of chi (module
     docstring), so an x_h whose roots are all rational is refused exactly when
@@ -244,11 +231,11 @@ def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     over Q, as every `hyperbolic_part` is.  Irrational roots can hide a nonzero
     rational eigenvalue of ad(x_h); such an x_h is refused too.
     """
-    coords, xmat = _coords_and_matrix(malg, xh)
     alg = malg.algebra
     if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
-    chi = charpoly(xmat)
+    coords = alg.coords(xh)
+    chi = charpoly(element_matrix(malg, coords))
     # the rational roots a are those of the monic linear factors x - a
     roots = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
     ad = ad_matrix(alg, coords)
@@ -259,24 +246,23 @@ def grade(malg: MatrixLieAlgebra, xh: Matrix | Sequence) -> Grading:
     if sum(space.dim for space in spaces.values()) != n:
         raise UnsupportedSpectrumError(
             chi, "ad(x_h) is not diagonalizable over the differences of x_h's rational eigenvalues")
-    return Grading(tuple(spaces), spaces)
+    return spaces
 
 
-def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) -> dict:
+def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
     """The `parabolic` result at x: {"parabolic": q = g^0 (+) u and its checks, "ok": ...}.
 
-    x may be a representation matrix, taken as it is, algebra coordinates,
-    or a covector (converted through the trace form).  An x whose hyperbolic
-    part x_h is not in g is refused: g is not closed under the Jordan
-    decomposition, and there is no grading of g by ad(x_h).  The block holds
-    x's coordinates, the grading, q, dim u, the six induction relations,
-    checked exactly, and the dimensions dim O_x = 2 dim(g/q) + dim y.  ok is
-    whether every relation holds and the dimensions are consistent.
+    x is given by its algebra coordinates, or as a covector, converted
+    through the trace form.  An x whose hyperbolic part x_h is not in g is
+    refused: g is not closed under the Jordan decomposition, and there is
+    no grading of g by ad(x_h).  The block holds x's coordinates, the
+    grading, q, dim u, the six induction relations, checked exactly, and the
+    dimensions dim O_x = 2 dim(g/q) + dim y.  ok is whether every relation
+    holds and the dimensions are consistent.
     """
-    coords, xmat = _coords_and_matrix(
-        malg, covector_to_element(malg, x) if isinstance(x, Covector) else x)
     alg = malg.algebra
-    xh = hyperbolic_part(xmat)
+    coords = alg.coords(covector_to_element(malg, x) if isinstance(x, Covector) else x)
+    xh = hyperbolic_part(element_matrix(malg, coords))
     try:
         xh_coords = element_coords(malg, xh)
     except ValueError:
@@ -285,8 +271,8 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
     grading = grade(malg, xh_coords)
     n = alg.dim
 
-    g0 = grading.spaces.get(ZERO, Subspace.zero(n))
-    u = Subspace(n, [r for a in grading.eigenvalues if a > 0 for r in grading.spaces[a].rows])
+    g0 = grading.get(ZERO, Subspace.zero(n))
+    u = Subspace(n, [r for a, space in grading.items() if a > 0 for r in space.rows])
     q = g0.add(u)
 
     # tr(M(x) M(z)) = x^T G z = <cov, z>; g_cov = ker ad x (module docstring)
@@ -305,14 +291,12 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
     hull_ok = hull == ann_q
 
     # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces
-    gram_rows = {a: [combine(r, malg.trace_gram.entries, n)
-                     for r in grading.spaces[a].rows]
-                 for a in grading.eigenvalues}
+    gram_rows = {a: [combine(r, malg.trace_gram.entries, n) for r in space.rows]
+                 for a, space in grading.items()}
     blocks_ok = True
-    for a in grading.eigenvalues:
-        for b in grading.eigenvalues:
-            pairing = Matrix([[vec_dot(ra, w) for w in gram_rows[b]]
-                              for ra in grading.spaces[a].rows])
+    for a, space in grading.items():
+        for b in grading:
+            pairing = Matrix([[vec_dot(ra, w) for w in gram_rows[b]] for ra in space.rows])
             if a + b != 0:
                 if not pairing.is_zero():
                     blocks_ok = False
@@ -329,7 +313,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Matrix | Sequence | Covector) ->
         "parabolic": {
             "x": tuple(coords),
             # JSON object keys never reach the encoder, so the eigenvalues are written here
-            "grading": {str(a): grading.spaces[a] for a in grading.eigenvalues},
+            "grading": {str(a): space for a, space in grading.items()},
             "q_dim": q.dim,
             "q_basis": q,
             "u_dim": u.dim,

@@ -5,10 +5,9 @@ each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
 `orth`, every orbit dimension (of f, or of f restricted to h) is
 `orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
 the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
-g.  It and the ideal generated by a subspace are `linalg.invariant_closure`
-worklists, the former in g* under the one coadjoint kernel `liealg.pairing`,
-which the flow `exp_coadjoint` walks too; `ad_matrix` is built only for its
-spectrum or its eigenspaces.
+g.  It is a `linalg.invariant_closure` worklist in g* under the one
+coadjoint kernel `liealg.pairing`, which the flow `exp_coadjoint` walks too;
+`ad_matrix` is built only for its spectrum or its eigenspaces.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -156,19 +155,12 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = Non
 class Subquotient(Record):
     """h / n for an ideal n of a subalgebra h, kept in the algebra's coordinates.
 
-    Class k is represented by lifts[k], the canonical row of h at columns[k],
-    a pivot of h that is not a pivot of n; the class of a vector v of h has
-    the entries of n.reduce(v) at those columns as its coordinates.
+    Class k is represented by lifts[k], the canonical row of h at the k-th
+    pivot of h that is not a pivot of n; a vector v of h lies in the class
+    whose coordinates are the entries of n.reduce(v) at those pivots.
     """
     algebra: LieAlgebra  # structure constants of h / n in the basis of classes
-    n: Subspace
     lifts: tuple
-    columns: tuple
-
-    def project(self, v: Sequence) -> tuple:
-        """Class coordinates of a vector v of h."""
-        rep = self.n.reduce(v)
-        return tuple(rep[j] for j in self.columns)
 
 
 def _closed_brackets(alg: LieAlgebra, rows: Sequence, space: Subspace):
@@ -217,7 +209,7 @@ def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subq
         elif not is_zero_vec(rep):
             raise NotClosedError("subspace is not an ideal of the subalgebra")
     inner = LieAlgebra.from_brackets([f"s{k}" for k in range(m)], brackets, f"{alg.name}-sub")
-    return Subquotient(inner, n, lifts, columns)
+    return Subquotient(inner, lifts)
 
 
 def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
@@ -229,17 +221,6 @@ def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
 
 def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
     return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
-
-
-def ideal_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
-    """Smallest ideal containing sub: its closure under every ad(e_i)."""
-    basis = Subspace.full(alg.dim).rows
-    return invariant_closure(alg.dim, sub.rows,
-                             lambda v: (alg.bracket_exact(e, v) for e in basis))
-
-
-def center(alg: LieAlgebra) -> Subspace:
-    return centralizer(alg, Subspace.full(alg.dim))
 
 
 def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:

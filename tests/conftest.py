@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from orbitkit.catalog import CatalogEntry, CatalogError, builtin_catalog, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, flat, kks_pairing, krylov_hull
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, flat, kks_pairing, krylov_hull
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -33,7 +33,6 @@ from orbitkit.polynomials import (
 )
 from orbitkit.polarization import pukanszky_polarization
 from orbitkit.qi_roots import qi_factors
-from orbitkit.reductive import Grading, element_coords
 from orbitkit.structure import ad_matrix, restrict, subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -368,7 +367,14 @@ def complement_obstruction(data, complement):
         raise ValueError("complement does not lie in h_c")
     quot = subquotient(alg, h_c, n_c)
     m = quot.algebra.dim
-    echelon = Subspace(m + alg.dim, [quot.project(v) + v for v in complement.rows])
+    # class coordinates: n_c.reduce(v) at the pivots of h_c that are not pivots of n_c
+    columns = [p for p in h_c.pivots if p not in n_c.pivots]
+
+    def project(v):
+        rep = n_c.reduce(v)
+        return tuple(rep[j] for j in columns)
+
+    echelon = Subspace(m + alg.dim, [project(v) + v for v in complement.rows])
     if echelon.pivots != tuple(range(m)):
         raise ValueError("complement does not map one-to-one onto h_c/n_c")
     sec = [row[m:] for row in echelon.rows]
@@ -377,7 +383,7 @@ def complement_obstruction(data, complement):
     for a in range(m):
         for b in range(a + 1, m):
             br = alg.bracket_exact(sec[a], sec[b])
-            f[a][b] = cov.pair(vec_sub(br, combine(quot.project(br), sec, alg.dim)))
+            f[a][b] = cov.pair(vec_sub(br, combine(project(br), sec, alg.dim)))
             f[b][a] = -f[a][b]
             coeffs = dict(quot.algebra.nonzeros[a][b])
             pair_rows.append([coeffs.get(k, Fraction(0)) for k in range(m)])
@@ -430,12 +436,12 @@ def sympy_supported(mu):
 
 
 def reference_grading(malg, xh):
-    """The grading's former route: the candidate eigenvalues are the roots of the
-    linear factors `qi_factors` finds in charpoly(ad(x_h)), of the algebra's
-    degree, each keeping its kernel of ad(x_h) - c; None when they do not sum to g."""
+    """The grading's former route, at x_h's coordinates: the candidate eigenvalues
+    are the roots of the linear factors `qi_factors` finds in charpoly(ad(x_h)), of
+    the algebra's degree, each keeping its kernel of ad(x_h) - c; the dict
+    {eigenvalue: eigenspace}, or None when they do not sum to g."""
     n = malg.dim
-    coords = element_coords(malg, xh) if isinstance(xh, Matrix) else vec(xh)
-    ad = ad_matrix(malg.algebra, coords)
+    ad = ad_matrix(malg.algebra, vec(xh))
     eigs = [-f[0] for f in qi_factors(squarefree_part(charpoly(ad))) if deg(f) == 1]
     spaces = {}
     for a in sorted(eigs):
@@ -444,7 +450,17 @@ def reference_grading(malg, xh):
             spaces[a] = ker
     if sum(s.dim for s in spaces.values()) != n:
         return None
-    return Grading(tuple(spaces), spaces)
+    return spaces
+
+
+def loop_ideal_closure(alg, sub):
+    """Reference: add [g, S] to S until nothing changes."""
+    full = Subspace.full(alg.dim)
+    while True:
+        grown = sub.add(bracket_span(alg, full, sub))
+        if grown == sub:
+            return sub
+        sub = grown
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=4):

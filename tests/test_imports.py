@@ -3,8 +3,10 @@ imports the CLI or anything outside the standard library, and an invocation
 loads only the modules its subcommand runs, none of the standard library's
 costly class machinery (`dataclasses`, and through it `inspect`), no
 `typing` and no argument parser library (`argparse`, with the `gettext` and
-`locale` it imports).  The package root binds no public name, and no module
-reads the environment.
+`locale` it imports).  The package root binds no public name, no module
+reads the environment, and every public function, class and method is named
+somewhere in the package outside its own definition, or is listed in `KEPT`
+with the reason it stays.
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -168,6 +170,59 @@ def test_no_module_reads_the_environment():
     reads = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
              if (found := environment_reads(path))}
     assert reads == {}
+
+
+# public names that no code of the package names, each with the reason it stays
+KEPT = {
+    "liealg.LieAlgebra.bracket": "the coercing bracket for outside vectors; "
+                                 "perfbench reads its span",
+    "linalg.Matrix.trace": "the dense references in the tests read it",
+    "mackey.mackey_report": "one point's result, for library callers",
+    "structure.exp_coadjoint": "the flow that ROADMAP items 3 and 24 use to check witnesses",
+    "structure.restrict": "the reference route for orbit_dim on a subalgebra",
+}
+
+
+def public_names_without_a_caller(package: Path) -> set:
+    """"module.name" for each public top-level function or class of `package`, and
+    "module.Class.method" for each public method, that no top-level statement of
+    the package names (as an `ast.Name` or an `ast.Attribute`) but the one that
+    defines it."""
+    statements = []  # (module, statement, the names it uses)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            attrs = {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            statements.append((path.stem, stmt, _used_names(stmt) | attrs))
+    uncalled = set()
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        defined = [(f"{module}.{stmt.name}", stmt.name)]
+        if isinstance(stmt, ast.ClassDef):
+            defined += [(f"{module}.{stmt.name}.{node.name}", node.name) for node in stmt.body
+                        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_")]
+        uncalled |= {key for key, name in defined
+                     if not any(name in used for _, other, used in statements
+                                if other is not stmt)}
+    return uncalled
+
+
+def test_the_caller_scan_looks_outside_the_defining_statement(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    pass\n"
+                                   "def alone():\n    return alone()\n"
+                                   "class Box:\n"
+                                   "    def read(self):\n        return self.write()\n"
+                                   "    def write(self):\n        pass\n"
+                                   "    def _hidden(self):\n        pass\n")
+    (tmp_path / "b.py").write_text("from a import alone, used\nused()\n"
+                                   "def f(box: 'Box'):\n    return box.read\n")
+    assert public_names_without_a_caller(tmp_path) == {"a.alone", "a.Box.write", "b.f"}
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that the package never names is API that only tests reach;
+    it goes, or `KEPT` says why it stays."""
+    assert public_names_without_a_caller(PACKAGE) == set(KEPT)
 
 
 def test_the_import_scan_resolves_relative_and_package_imports(tmp_path):

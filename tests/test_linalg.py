@@ -25,7 +25,7 @@ from orbitkit.linalg import (
     vec_dot,
 )
 from orbitkit.polynomials import symmetric_signature
-from orbitkit.structure import center, derived_series, stabilizer
+from orbitkit.structure import centralizer, derived_series, stabilizer
 from conftest import coords_of, dense_apply, rand_covector, rand_frac, rand_vec
 
 
@@ -298,7 +298,7 @@ def _catalog_subspaces(entries, rng):
     for entry in entries.values():
         alg = entry.algebra
         yield from entry.ideals.values()
-        yield center(alg)
+        yield centralizer(alg, Subspace.full(alg.dim))
         yield from derived_series(alg)[1:]
         for _ in range(3):
             yield stabilizer(alg, rand_covector(alg, rng))

@@ -29,7 +29,6 @@ from orbitkit.structure import (
     check_subalgebra,
     coadjoint_image,
     exp_coadjoint,
-    ideal_closure,
     orbit_dim,
     orth,
     restrict,
@@ -40,6 +39,7 @@ from conftest import (
     coords_of,
     dense_apply,
     dense_structure,
+    loop_ideal_closure,
     rand_covector,
     rand_vec,
     seeded_family_entries,
@@ -788,7 +788,7 @@ def random_ideals(alg, rng, count):
     for _ in range(count):
         seed = Subspace(alg.dim, [rand_vec(rng, alg.dim, lo=-2, hi=2, max_den=1)
                                   for _ in range(rng.randint(1, 2))])
-        out.append(ideal_closure(alg, seed))
+        out.append(loop_ideal_closure(alg, seed))
     return out
 
 
