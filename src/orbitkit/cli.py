@@ -25,7 +25,8 @@ argument) print a message on stderr, nothing on stdout, and exit 2.
 
 `_COMMANDS`, one table, describes each subcommand (help, options, whether
 it takes an algebra and needs a `--point`, handler): it parses argv, prints
-the help and dispatches.  The handlers that run on points share one loop.
+the help and dispatches.  A handler returns its report's payload, and
+`main` reads the report's `ok` off the payload's results.
 
 Start-up is paid on every invocation.  Medians of 31 alternating runs,
 pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 (shared 2-core Linux host,
@@ -158,10 +159,14 @@ def _encode(obj):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, ok)
+# subcommand handlers: each returns its report's payload.  A handler that runs
+# on points loads its entry before it imports its analysis modules, parses its
+# options and points in the order that decides which of two bad inputs is
+# named, runs its once-per-invocation checks, and returns a result per input:
+# the input and the dict its analysis function returns.
 
 
-def _cmd_catalog(args) -> tuple[dict, bool]:
+def _cmd_catalog(args) -> dict:
     entries = cat.builtin_catalog()
     listing = {
         name: {
@@ -173,10 +178,10 @@ def _cmd_catalog(args) -> tuple[dict, bool]:
         }
         for name, e in entries.items()
     }
-    return {"entries": listing}, True
+    return {"entries": listing}
 
 
-def _cmd_validate(args) -> tuple[dict, bool]:
+def _cmd_validate(args) -> dict:
     if args.algebra.startswith("catalog:"):
         alg = _load_entry(args.algebra).algebra
     else:
@@ -184,73 +189,49 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     report = validate(alg)
     if not report["ok"]:
         raise InputError(json.dumps(report, sort_keys=True, default=_encode))
-    return {"validation": report}, True
+    return {"validation": report}
 
 
-def _per_point(setup):
-    """The handler whose report is payload and the run(x) of each input, in order.
-
-    setup(entry, args) -> (payload, inputs, run) parses the options and the
-    points in the order that decides which of two bad inputs is named.  The
-    report is ok when every result is; one without "ok" (an orbit) counts as ok.
-    A result is the point and the dict its analysis function returns, the
-    printed blocks and, but for `orbit`, their "ok".
-    """
-    def handler(args) -> tuple[dict, bool]:
-        payload, inputs, run = setup(_load_entry(args.algebra), args)
-        results = [run(x) for x in inputs]
-        return {**payload, "results": results}, all(r.get("ok", True) for r in results)
-
-    return handler
+def _cmd_orbit(args) -> dict:
+    alg = _load_entry(args.algebra).algebra
+    return {"results": [{"point": cov, **orbit_record(alg, cov)}
+                        for cov in _parse_points(alg, args.point)]}
 
 
-@_per_point
-def _cmd_orbit(entry, args):
-    def run(cov):
-        return {"point": cov, **orbit_record(entry.algebra, cov)}
-
-    return {}, _parse_points(entry.algebra, args.point), run
-
-
-@_per_point
-def _cmd_conditions(entry, args):
+def _cmd_conditions(args) -> dict:
+    entry = _load_entry(args.algebra)
     from .conditions import check_conditions
     from .structure import check_subalgebra
 
     sub = _parse_subspace(entry, args.sub)
     points = _parse_points(entry.algebra, args.point)
     check_subalgebra(entry.algebra, sub)
-
-    def run(cov):
-        return {"point": cov, **check_conditions(entry.algebra, sub, cov)}
-
-    return {}, points, run
+    return {"results": [{"point": cov, **check_conditions(entry.algebra, sub, cov)}
+                        for cov in points]}
 
 
-@_per_point
-def _cmd_mackey(entry, args):
+def _cmd_mackey(args) -> dict:
+    entry = _load_entry(args.algebra)
     from .mackey import check_ideal, little_group_step, mackey_steps, semidirect_witness
 
     ideal = _parse_subspace(entry, args.ideal)
     points = _parse_points(entry.algebra, args.point)
     comp = _parse_subspace(entry, args.complement) if args.complement else None
     check_ideal(entry.algebra, ideal)
-
-    def run(cov):
+    results = []
+    for cov in points:
         data = little_group_step(entry.algebra, ideal, cov)
         out = {"point": cov, **mackey_steps(data)}
         if comp is not None:
             out["semidirect"] = semidirect_witness(data, [(args.complement, comp)])
-        return out
+        results.append(out)
+    return {"results": results}
 
-    return {}, points, run
 
-
-@_per_point
-def _cmd_polarize(entry, args):
+def _cmd_polarize(args) -> dict:
+    alg = _load_entry(args.algebra).algebra
     from .polarization import exponential_precheck, pukanszky_polarization
 
-    alg = entry.algebra
     points = _parse_points(alg, args.point)
     chain = None
     if args.strategy not in (None, "auto"):
@@ -266,15 +247,13 @@ def _cmd_polarize(entry, args):
             "exponential precheck failed; rerun with --override-precheck to force: "
             + json.dumps(pre, sort_keys=True, default=_encode)
         )
-
-    def run(cov):
-        return {"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
-
-    return {"precheck": pre}, points, run
+    return {"precheck": pre,
+            "results": [{"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
+                        for cov in points]}
 
 
-@_per_point
-def _cmd_parabolic(entry, args):
+def _cmd_parabolic(args) -> dict:
+    entry = _load_entry(args.algebra)
     from .reductive import matrix_lie_algebra, parabolic_report
 
     malg = matrix_lie_algebra(entry.algebra)
@@ -282,15 +261,11 @@ def _cmd_parabolic(entry, args):
     inputs += _parse_points(entry.algebra, args.point)
     if not inputs:
         raise InputError("parabolic needs --element or --point")
-
-    def run(x):
-        return {"input": x, **parabolic_report(malg, x)}
-
-    return {}, inputs, run
+    return {"results": [{"input": x, **parabolic_report(malg, x)} for x in inputs]}
 
 
-@_per_point
-def _cmd_classify(entry, args):
+def _cmd_classify(args) -> dict:
+    entry = _load_entry(args.algebra)
     from .mackey import (check_abelian, check_ideal, classify_little_algebra, dimensions,
                          little_group_step)
 
@@ -298,21 +273,20 @@ def _cmd_classify(entry, args):
     points = _parse_points(entry.algebra, args.point)
     check_ideal(entry.algebra, ideal)
     check_abelian(entry.algebra, ideal)
-
-    def run(cov):
+    results = []
+    for cov in points:
         data = little_group_step(entry.algebra, ideal, cov)
         # the ideal is abelian, so h = g_c, dim_u = 0 and dim_y is the fiber rank
         dim_x, _, dim_gh, _, dim_y, ok = dimensions(data)
         step = {"h_dim": data.h.dim, "dim_x": dim_x, "dim_gh": dim_gh, "dim_y": dim_y,
                 "identities_hold": ok}
-        return {"point": cov, "little_algebra": classify_little_algebra(data),
-                "abelian_step": step, "ok": ok}
+        results.append({"point": cov, "little_algebra": classify_little_algebra(data),
+                        "abelian_step": step, "ok": ok})
+    return {"results": results}
 
-    return {}, points, run
 
-
-@_per_point
-def _cmd_record(entry, args):
+def _cmd_record(args) -> dict:
+    entry = _load_entry(args.algebra)
     from .induction import check_chain, record_report
 
     subs = [_parse_subspace(entry, s) for s in args.sub]
@@ -320,11 +294,8 @@ def _cmd_record(entry, args):
         raise InputError("record needs at least one --sub")
     points = _parse_points(entry.algebra, args.point)
     check_chain(entry.algebra, subs)
-
-    def run(cov):
-        return {"point": cov, **record_report(entry.algebra, subs, cov)}
-
-    return {}, points, run
+    return {"results": [{"point": cov, **record_report(entry.algebra, subs, cov)}
+                        for cov in points]}
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +304,7 @@ def _cmd_record(entry, args):
 
 class _Command(Record):
     help: str
-    handler: object       # args -> (payload, ok)
+    handler: object       # args -> the report's payload
     options: tuple
     algebra: bool = True  # takes the ALGEBRA argument
     point: bool = True    # refused without a --point, before the algebra is loaded
@@ -495,7 +466,9 @@ def main(argv: list | None = None) -> int:
         spec = _COMMANDS[args.command]
         if spec.point and not args.point:
             raise InputError("at least one --point is required")
-        payload, ok = spec.handler(args)
+        payload = spec.handler(args)
+        # a result without "ok" (an orbit) counts as ok, and so does a report without results
+        ok = all(r.get("ok", True) for r in payload.get("results", ()))
         text, code = _dumps({**head, **payload, "ok": ok}), 0 if ok else 1
     except ValueError as exc:  # a rational too long to print is one too, raised by `_dumps`
         text, code = _dumps({**head, "error": str(exc), "ok": False}), 2

@@ -870,11 +870,24 @@ def test_an_output_path_that_cannot_be_opened_gives_the_error_envelope(where, tm
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("payload, code", [
+    ({"results": [{"ok": True}, {"ok": False}, {}]}, 1),
+    ({"results": [{}]}, 0),
+    ({"entries": []}, 0),
+], ids=["one_failed", "no_ok_key", "no_results"])
+def test_a_report_is_ok_when_each_of_its_results_is(payload, code, monkeypatch, capsys):
+    # a result without "ok" (an orbit) counts as ok, and so does a report without results
+    monkeypatch.setitem(cli._COMMANDS, "catalog", cli._Command(
+        "list", lambda args: payload, (cli._OUTPUT,), algebra=False, point=False))
+    assert run(["catalog"], capsys) == (code, {
+        "command": "catalog", "schema": 1, "ok": code == 0, **payload})
+
+
 @pytest.mark.parametrize("value", [{F(1)}, object()], ids=["set", "object"])
 def test_the_encoder_refuses_unknown_types(value, monkeypatch, capsys):
     # a report holding an unexpected object must fail loudly, not print its repr
     monkeypatch.setitem(cli._COMMANDS, "catalog", cli._Command(
-        "list", lambda args: ({"entries": [value]}, True), (), algebra=False, point=False))
+        "list", lambda args: {"entries": [value]}, (), algebra=False, point=False))
     with pytest.raises(TypeError, match="no JSON form"):
         cli.main(["catalog"])
     assert capsys.readouterr().out == ""
@@ -884,7 +897,7 @@ def test_a_report_number_too_long_to_print_gives_the_error_envelope(monkeypatch,
     # every literal is refused past 4300 digits, but products of accepted ones can grow past it
     limit = sys.get_int_max_str_digits()
     monkeypatch.setitem(cli._COMMANDS, "catalog", cli._Command(
-        "list", lambda args: ({"entries": [F(10 ** limit, 3)]}, True), (cli._OUTPUT,),
+        "list", lambda args: {"entries": [F(10 ** limit, 3)]}, (cli._OUTPUT,),
         algebra=False, point=False))
     assert run(["catalog"], capsys) == (2, {
         "command": "catalog", "ok": False, "schema": 1,

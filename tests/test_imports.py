@@ -6,7 +6,8 @@ costly class machinery (`dataclasses`, and through it `inspect`), no
 `locale` it imports).  The package root binds no public name, no module
 reads the environment, and every public function, class and method is named
 somewhere in the package outside its own definition, or is listed in `KEPT`
-with the reason it stays.
+with the reason it stays.  Every private one is named outside its own
+definition too, and has no such list.
 
 The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
@@ -183,16 +184,22 @@ KEPT = {
 }
 
 
+def _named_in(node) -> set:
+    """The names that `node` uses, as an `ast.Name` or an `ast.Attribute`."""
+    return _used_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _top_level_statements(package: Path) -> list:
+    """(module, statement, the names it uses) for each top-level statement of `package`."""
+    return [(path.stem, stmt, _named_in(stmt)) for path in sorted(package.glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def public_names_without_a_caller(package: Path) -> set:
     """"module.name" for each public top-level function or class of `package`, and
     "module.Class.method" for each public method, that no top-level statement of
-    the package names (as an `ast.Name` or an `ast.Attribute`) but the one that
-    defines it."""
-    statements = []  # (module, statement, the names it uses)
-    for path in sorted(package.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            attrs = {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-            statements.append((path.stem, stmt, _used_names(stmt) | attrs))
+    the package names but the one that defines it."""
+    statements = _top_level_statements(package)
     uncalled = set()
     for module, stmt, _ in statements:
         if not isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)) or stmt.name.startswith("_"):
@@ -223,6 +230,56 @@ def test_every_public_name_has_a_caller():
     """A public name that the package never names is API that only tests reach;
     it goes, or `KEPT` says why it stays."""
     assert public_names_without_a_caller(PACKAGE) == set(KEPT)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_names_without_a_caller(package: Path) -> set:
+    """"module.name" for each private top-level function, class or assigned name of
+    `package` that no other top-level statement of the package names, and
+    "module.Class.method" for each private method that no other member of its
+    class and no other top-level statement names.  Dunders are exempt."""
+    statements = _top_level_statements(package)
+    uncalled = set()
+    for module, stmt, _ in statements:
+        elsewhere = [used for _, other, used in statements if other is not stmt]
+        if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        uncalled |= {f"{module}.{name}" for name in names
+                     if _is_private(name) and not any(name in used for used in elsewhere)}
+        for node in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+            if isinstance(node, _FUNCTIONS) and _is_private(node.name):
+                members = [_named_in(other) for other in stmt.body if other is not node]
+                if not any(node.name in used for used in members + elsewhere):
+                    uncalled.add(f"{module}.{stmt.name}.{node.name}")
+    return uncalled
+
+
+def test_the_private_caller_scan_counts_class_members_and_exempts_dunders(tmp_path):
+    (tmp_path / "a.py").write_text("_LIMIT, _spare = 3, 4\n"
+                                   "def _helper():\n    return _helper()\n"
+                                   "def _loop(setup):\n    return setup\n"
+                                   "class _Box:\n"
+                                   "    def __len__(self):\n        return self._size()\n"
+                                   "    def _size(self):\n        return _LIMIT\n"
+                                   "    def _unused(self):\n        pass\n"
+                                   "    def _reached(self):\n        pass\n")
+    (tmp_path / "b.py").write_text("from a import _Box\n"
+                                   "def f(box: '_Box'):\n    return box._reached()\n")
+    assert private_names_without_a_caller(tmp_path) == {
+        "a._spare", "a._helper", "a._loop", "a._Box._unused"}
+
+
+def test_every_private_name_has_a_caller():
+    """Private code that nothing in the package names is dead: it goes."""
+    assert private_names_without_a_caller(PACKAGE) == set()
 
 
 def test_the_import_scan_resolves_relative_and_package_imports(tmp_path):

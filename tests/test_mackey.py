@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orbitkit import cli, mackey
 from orbitkit.catalog import parse_algebra, parse_entry
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
-from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add
+from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add, vec_dot
 from orbitkit.mackey import (
     check_abelian,
     check_ideal,
@@ -275,6 +275,35 @@ def test_cocycle_identity(entries, rng):
                 ob = obstruction_step(data)
                 quotient = subquotient(alg, data.g_c, data.n_c).algebra
                 assert cocycle_identity_defect(quotient, ob["cocycle"]) == 0
+
+
+def test_the_cocycle_is_the_pairing_less_its_quotient_part(entries, rng):
+    """f(a, b) = cov([l_a, l_b]) - sum_k c_ab^k cov(l_k) for the lifts l and the
+    quotient table c of h_c / n_c, with cov([l_a, l_b]) read off the KKS pairing
+    rather than off the n_c-component of the bracket: over each catalog ideal at its
+    declared covectors and four seeded ones, and over seeded h9, n5, L9, b4 and
+    Poincare d=4, 5 at seeds 0-2, each ideal at four seeded covectors."""
+    seeded = [(e, ()) for seed in range(3) for e in [
+        *seeded_family_entries(seed),
+        parse_entry(families.poincare(5, families.family_rng(seed, "poincare5")).doc)]]
+    cases = nonzero = 0
+    for entry, declared in [*((e, e.covectors.values()) for e in entries.values()), *seeded]:
+        alg = entry.algebra
+        for ideal in entry.ideals.values():
+            check_ideal(alg, ideal)
+            covs = [Covector(alg, c) for c in declared]
+            for cov in covs + [rand_covector(alg, rng) for _ in range(4)]:
+                data = little_group_step(alg, ideal, cov)
+                quot = subquotient(alg, data.g_c, data.n_c)
+                lifts, c, m = quot.lifts, dense_structure(quot.algebra), quot.algebra.dim
+                pairing = kks_pairing(alg, cov).entries
+                expected = [[vec_dot(combine(lifts[a], pairing, alg.dim), lifts[b])
+                             - sum((c[a][b][k] * cov.pair(lifts[k]) for k in range(m)), F(0))
+                             for b in range(m)] for a in range(m)]
+                cocycle = obstruction_step(data)["cocycle"]
+                assert [list(row) for row in cocycle.entries] == expected, (alg.name, cov)
+                cases, nonzero = cases + 1, nonzero + (not cocycle.is_zero())
+    assert cases == 122 and nonzero > 5
 
 
 # -- semidirect witness --------------------------------------------------------
