@@ -28,21 +28,22 @@ it takes an algebra and needs a `--point`, handler): it parses argv, prints
 the help and dispatches.  A handler returns its report's payload, and
 `main` reads the report's `ok` off the payload's results.
 
-Start-up is paid on every invocation.  Medians of 31 alternating runs,
-pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 (shared 2-core Linux host,
-Python 3.11): `python -c pass` takes 61 ms and `python -S -c pass` 13 ms,
-so about 48 ms of each invocation is the interpreter's `site` start-up,
-which the package cannot move.  Compiling the modules an invocation imports
-comes next: `orbit`, `mackey` and `polarize` on catalog algebras take 86,
-105 and 101 ms without cached bytecode and 62, 75 and 66 ms with it, while
-the analysis itself, in process after the imports, has a median of 1.4 to
-8.8 ms per benchmark invocation.  So this module imports only what every
-subcommand needs (`catalog`, `liealg`, `linalg`), and no argument parser
-library.  Each handler imports its own analysis modules (`conditions`,
-`mackey`, `polarization`, `reductive`, `induction`, and through them
-`structure`, `polynomials` and `qi_roots`).  A built-in entry is a
-definition file shipped with the package, and `catalog:NAME` reads the
-file of the entry named and no other.
+Start-up is paid on every invocation.  Per invocation, medians of 21
+alternating runs pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 and no
+cached bytecode (shared 2-core x86-64 Linux host, Python 3.11): the
+interpreter with `site` takes 44 ms, which the package cannot move;
+importing `json` and `fractions` adds 5 ms; compiling `cli`, `catalog`,
+`liealg` and `linalg` 19 ms; a subcommand's own modules 0 (`orbit`,
+`validate`) to 7 ms (`parabolic` 7, `mackey` 5, `polarize` 7); and the
+analysis itself, in process after the imports, has a median of 1.9, 5.1
+and 7.1 ms per invocation of the `catalog_sweep`, `family_orbit` and
+`parabolic_polarize` benchmark workloads.  So this module imports only
+what every subcommand needs (`catalog`, `liealg`, `linalg`), and no
+argument parser library.  Each handler imports its own analysis modules
+(`conditions`, `mackey`, `polarization`, `reductive`, `induction`, and
+through them `polynomials`, `qi_roots` and, for all but `parabolic`,
+`structure`).  A built-in entry is a definition file shipped with the
+package, and `catalog:NAME` reads the file of the entry named and no other.
 The value types are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.  The
 package root imports nothing and binds no public name, and no module

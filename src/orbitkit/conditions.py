@@ -12,13 +12,14 @@ recorded as infinitesimal-only.
 The coadjoint objects come from `structure`: h(cov) is `coadjoint_image`
 (W(cov) = B_cov . W = -W^T B_cov) and the orthogonal is its annihilator,
 `structure.orth`, so the check builds h(cov) once and reads both off it.
+The stabilizer is `liealg.stabilizer`, the kernel of B_cov.
 """
 
 from __future__ import annotations
 
-from .liealg import Covector, LieAlgebra
+from .liealg import Covector, LieAlgebra, stabilizer
 from .linalg import Subspace, annihilator
-from .structure import coadjoint_image, stabilizer
+from .structure import coadjoint_image
 
 
 def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> dict:

@@ -2,7 +2,7 @@
 
 A chain g > h_1 > ... > h_m and a covector f of g induce, stage by stage, a
 space of dimension 2 dim(h_{k-1}/h_k) plus that of the next stage, ending at
-the orbit of p(f) = f|h_m.  Its dimension d is `structure.orbit_dim(alg, f,
+the orbit of p(f) = f|h_m.  Its dimension d is `liealg.orbit_dim(alg, f,
 h_m)`, a rank in g's coordinates, so no subalgebra is built.  The stages
 collapse to one, g > h_m, of induced dimension 2(dim g - dim h_m) + d, which
 `ok` compares with the chain's.  The chain depends on no point, so
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .liealg import Covector, LieAlgebra, is_nilpotent
+from .liealg import Covector, LieAlgebra, is_nilpotent, orbit_dim
 from .linalg import Subspace
-from .structure import check_subalgebra, orbit_dim
+from .structure import check_subalgebra
 
 
 class ChainError(ValueError):

@@ -4,7 +4,7 @@ An algebra is its bracket table: [e_i, e_j] = sum_k c[i][j][k] e_k is
 stored as nonzeros[i][j] = ((k, c[i][j][k]), ...) over the k with
 c[i][j][k] != 0, in increasing k.  The table is the defining field:
 equality, hashing and the repr read it, and so do the kernels (brackets,
-the coadjoint `pairing`, every check of `validate`, and in `structure` ad,
+the coadjoint `pairing`, every check of `validate`, ad, and in `structure`
 the Killing form and centralizers).  Structure constants are mostly zero
 (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept; one exists
 only while the catalog reads a file's dense "structure" tensor.
@@ -18,15 +18,18 @@ pairing B, whose exact kernels and ranks answer the coadjoint questions; the
 Krylov hull, `structure.orbit_annihilator` and the coadjoint flow
 `structure.exp_coadjoint` run on it.
 
-This module holds what `validate` and `orbit` run: the algebra and covector
-types, `validate` (which returns the `validation` block the CLI prints, and
-checks a matrix representation's brackets on flattened matrices, `flat`),
-the pairing kernel, the KKS pairing, the Krylov hull (a
-`linalg.invariant_closure` worklist), `orbit_record` and `is_nilpotent`
-(one generator closure; the lemma is stated there).  The
-constructions from subspaces (orthogonals, stabilizers, subquotients,
-centralizers) and the structure series are in `structure`, which only the
-subcommands that use them import.
+This module holds what `validate`, `orbit` and `parabolic` run: the
+algebra and covector types, `validate` (which returns the `validation`
+block the CLI prints; it checks a matrix representation's brackets over
+each matrix's nonzero entries, one flattened size x size accumulator per
+pair, and forms no Jacobi sum that a faithful representation proves), the
+pairing kernel, the KKS pairing and what it answers at a covector
+(`stabilizer`, `orbit_dim` of g or of a subalgebra), `ad_matrix`, the
+Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record` and
+`is_nilpotent` (one generator closure; the lemma is stated there).  The
+constructions from subspaces (orthogonals, subquotients, centralizers) and
+the structure series are in `structure`, which only the subcommands that
+use them import.
 
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
@@ -57,7 +60,6 @@ from .linalg import (
     is_zero_vec,
     rank_kernel,
     vec,
-    vec_add,
     vec_dot,
 )
 
@@ -148,9 +150,6 @@ class Covector(Record):
     def pair(self, v: Sequence) -> Fraction:
         return vec_dot(self.coords, v)
 
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coords)
-
 
 def flat(m: Matrix) -> tuple:
     """Row-major entries of m: its coordinates in the basis of unit matrices."""
@@ -162,7 +161,13 @@ def validate(alg: LieAlgebra) -> dict:
     """The `validation` block: "ok", the (i, j, k) where antisymmetry fails, a
     {"triple": (i, j, k), "defect": the Jacobi sum} per Jacobi failure and the
     (i, j) where a matrix rep breaks the bracket.  Cached and shared: no
-    caller may change it."""
+    caller may change it.
+
+    The Jacobi sums are not formed when an antisymmetric table passes the rep
+    check with independent matrices R_k: then R, linear and injective, has
+    R[x, y] = [R x, R y] for all x, y (for i < j by the check, for i >= j by
+    antisymmetry), so it takes each Jacobi sum of g to that of the matrix
+    commutator, which is 0, and every sum of g is 0."""
     n, nz = alg.dim, alg.nonzeros
     anti = []
     for i in range(n):
@@ -171,6 +176,37 @@ def validate(alg: LieAlgebra) -> dict:
             up, down = dict(nz[i][j]), dict(nz[j][i])
             anti += [(i, j, k) for k in sorted(up.keys() | down.keys())
                      if up.get(k, ZERO) != -down.get(k, ZERO)]
+    rep, faithful = [], False
+    if alg.matrix_rep is not None:
+        # R_i R_j - R_j R_i - sum_k c[i][j][k] R_k, over the nonzero entries only:
+        # cells[i] lists (r * size, c, R_i[r][c]) and rows[i][r] lists (c, R_i[r][c])
+        size = alg.matrix_rep[0].rows if n else 0
+        rows = [[[(c, x) for c, x in enumerate(row) if x] for row in m.entries]
+                for m in alg.matrix_rep]
+        cells = [[(r * size, c, x) for r, row in enumerate(m) for c, x in row] for m in rows]
+        for i in range(n):
+            for j in range(i + 1, n):
+                acc = [ZERO] * (size * size)
+                for base, k, a in cells[i]:
+                    for c, b in rows[j][k]:
+                        acc[base + c] += a * b
+                for base, k, a in cells[j]:
+                    for c, b in rows[i][k]:
+                        acc[base + c] -= a * b
+                for k, coeff in nz[i][j]:
+                    for base, c, x in cells[k]:
+                        acc[base + c] -= coeff * x
+                if any(acc):
+                    rep.append((i, j))
+        flats = Matrix._of(tuple(map(flat, alg.matrix_rep)), size * size)
+        faithful = not (anti or rep) and len(flats.rref()[1]) == n
+    jac = () if faithful else _jacobi_failures(n, nz)
+    return {"ok": not (anti or jac or rep), "antisymmetry_failures": tuple(anti),
+            "jacobi_failures": tuple(jac), "rep_failures": tuple(rep)}
+
+
+def _jacobi_failures(n: int, nz: tuple) -> list:
+    """{"triple": (i, j, k), "defect": the Jacobi sum} for each i < j < k whose sum is not 0."""
     jac = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -185,19 +221,7 @@ def validate(alg: LieAlgebra) -> dict:
                             s[l] += x * y
                 if not is_zero_vec(s):
                     jac.append({"triple": (i, j, k), "defect": tuple(s)})
-    rep = []
-    if alg.matrix_rep is not None:
-        reps = alg.matrix_rep
-        flats = [flat(r) for r in reps]
-        for i in range(n):
-            for j in range(i + 1, n):
-                # R_i R_j = R_j R_i + sum_k c[i][j][k] R_k
-                expected = combine([c for _, c in nz[i][j]], [flats[k] for k, _ in nz[i][j]],
-                                   len(flats[i]))
-                if flat(reps[i] * reps[j]) != vec_add(flat(reps[j] * reps[i]), expected):
-                    rep.append((i, j))
-    return {"ok": not (anti or jac or rep), "antisymmetry_failures": tuple(anti),
-            "jacobi_failures": tuple(jac), "rep_failures": tuple(rep)}
+    return jac
 
 
 def pairing(alg: LieAlgebra, xi: Sequence) -> tuple:
@@ -219,6 +243,45 @@ def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
         b = Matrix._of(pairing(alg, cov.coords), alg.dim)
         object.__setattr__(cov, "_pairing", b)
     return b
+
+
+def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
+    return rank_kernel(kks_pairing(alg, cov))[1]
+
+
+def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> int:
+    """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
+
+    The rank of W B W^T over the canonical rows W of sub (all of g when sub
+    is None), B the pairing of cov.  W B W^T is the pairing of the restricted
+    covector in sub's RREF basis, so no subalgebra is built.  An algebra that
+    fails validation is refused.
+    """
+    if not validate(alg)["ok"]:
+        raise ValueError("algebra fails validation; see validate()")
+    b = kks_pairing(alg, cov)
+    if sub is not None:
+        if sub.ambient_dim != alg.dim:
+            raise ValueError("subspace ambient dimension does not match algebra")
+        wb = [combine(w, b.entries, alg.dim) for w in sub.rows]
+        b = Matrix._of(tuple(tuple(vec_dot(r, w) for w in sub.rows) for r in wb), sub.dim)
+    return len(b.rref()[1])
+
+
+def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
+    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
+
+    Built only to read its eigenspaces, in `reductive.grade`, and its
+    spectrum, in `polarization._has_imaginary_eigenvalue`."""
+    n = alg.dim
+    m = [[ZERO] * n for _ in range(n)]
+    for a, plane in zip(alg.coords(z), alg.nonzeros):
+        if not a:
+            continue
+        for j, entries in enumerate(plane):
+            for k, c in entries:
+                m[k][j] += a * c
+    return Matrix._of(tuple(map(tuple, m)), n)
 
 
 def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:

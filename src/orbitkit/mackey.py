@@ -35,7 +35,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .liealg import Covector, LieAlgebra, bracket_span, is_nilpotent
+from .liealg import (
+    Covector,
+    LieAlgebra,
+    bracket_span,
+    is_nilpotent,
+    orbit_dim,
+    stabilizer,
+)
 from .linalg import (
     Matrix,
     Record,
@@ -53,9 +60,7 @@ from .structure import (
     is_ideal,
     is_solvable,
     killing_form,
-    orbit_dim,
     orth,
-    stabilizer,
     subquotient,
 )
 

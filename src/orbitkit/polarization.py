@@ -35,18 +35,16 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .conditions import check_conditions
-from .liealg import Covector, LieAlgebra, bracket_span
+from .liealg import Covector, LieAlgebra, ad_matrix, bracket_span, orbit_dim
 from .linalg import Subspace, basis_vector, combine
 from .polynomials import charpoly, gcd, poly, real_root_count
 from .structure import (
-    ad_matrix,
     ascending_central_series,
     centralizer,
     check_subalgebra,
     derived_series,
     is_solvable,
     orbit_annihilator,
-    orbit_dim,
     orth,
     subquotient,
 )

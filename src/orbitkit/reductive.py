@@ -46,14 +46,24 @@ spectrum `grade` reads.  x's centralizer is the stabilizer of its dual
 covector f = tr(x .), the kernel of f's KKS pairing, whose rank is dim O_x:
 f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and the trace form is
 nondegenerate on g (`matrix_lie_algebra` checks it), so g_f = ker ad x.  One
-elimination gives both.
+elimination gives both.  The stabilizer, the rank of f on q and ad(x_h) come
+from `liealg` (`stabilizer`, `orbit_dim`, `ad_matrix`), so a `parabolic`
+invocation compiles no `structure`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .liealg import Covector, LieAlgebra, flat, validate
+from .liealg import (
+    Covector,
+    LieAlgebra,
+    ad_matrix,
+    flat,
+    orbit_dim,
+    stabilizer,
+    validate,
+)
 from .linalg import (
     Matrix,
     Record,
@@ -82,7 +92,6 @@ from .polynomials import (
     to_string,
 )
 from .qi_roots import qi_factors
-from .structure import ad_matrix, orbit_dim, stabilizer
 
 
 class UnsupportedSpectrumError(ValueError):
@@ -259,6 +268,20 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
     grading, q, dim u, the six induction relations, checked exactly, and the
     dimensions dim O_x = 2 dim(g/q) + dim y.  ok is whether every relation
     holds and the dimensions are consistent.
+
+    Two relations are read off the other checks, by these proofs.
+    `trace_blocks` asks that tr(g^a g^b) = 0 unless a + b = 0 and that each
+    (a, -a) block be square and nonsingular; only the first part is
+    computed.  The eigenspaces are a basis of g (`grade`'s certificate), and
+    in it the trace Gram G, nondegenerate (`matrix_lie_algebra`), has its
+    g^a rows inside the g^-a columns once the other pairings vanish.  Those
+    rows are independent, so dim g^a <= dim g^-a, and by symmetry the block
+    is square, hence nonsingular.  `hull_matches_annihilator` asks that the
+    ad(u)-closure of [x, u] be ann(q), the trace annihilator of q; when
+    [x, u] = ann(q) (`image_is_annihilator`) it holds, since ann(q) is
+    ad(u)-invariant: for W in u, Y in ann(q) and Z in q,
+    tr([W, Y]Z) = tr(Y[Z, W]) = 0, as q is a subalgebra (the grading law,
+    module docstring).  Only otherwise is the closure built.
     """
     alg = malg.algebra
     coords = alg.coords(covector_to_element(malg, x) if isinstance(x, Covector) else x)
@@ -286,22 +309,17 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim
 
-    hull = invariant_closure(n, moved.rows,
-                             lambda w: (alg.bracket_exact(z, w) for z in u.rows))
-    hull_ok = hull == ann_q
+    # ann(q) is ad(u)-invariant (docstring), so the closure is built only when it can differ
+    hull_ok = image_ok or invariant_closure(
+        n, moved.rows, lambda w: (alg.bracket_exact(z, w) for z in u.rows)) == ann_q
 
-    # tr(M(a) M(b)) = a^T G b; grade keeps only nonzero eigenspaces
+    # tr(M(a) M(b)) = a^T G b over the pairs a <= b with a + b != 0, G symmetric;
+    # the (a, -a) blocks are then square and nonsingular (docstring)
     gram_rows = {a: [combine(r, malg.trace_gram.entries, n) for r in space.rows]
                  for a, space in grading.items()}
-    blocks_ok = True
-    for a, space in grading.items():
-        for b in grading:
-            pairing = Matrix([[vec_dot(ra, w) for w in gram_rows[b]] for ra in space.rows])
-            if a + b != 0:
-                if not pairing.is_zero():
-                    blocks_ok = False
-            elif pairing.rows != pairing.cols or rank_kernel(pairing)[0] != pairing.rows:
-                blocks_ok = False
+    blocks_ok = all(vec_dot(ra, w) == 0
+                    for a, space in grading.items() for b in grading if a <= b and a + b
+                    for ra in space.rows for w in gram_rows[b])
 
     levi_ok = all(cov.pair(z) == 0 for z in u.rows)
 

@@ -2,27 +2,26 @@
 
 The coadjoint questions about a subspace h and a covector f have one home
 each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
-`orth`, every orbit dimension (of f, or of f restricted to h) is
-`orbit_dim`, the rank of the pairing restricted to h's canonical rows, and
-the largest ideal of a subalgebra h inside ker f is `orbit_annihilator`, in
-g.  It is a `linalg.invariant_closure` worklist in g* under the one
-coadjoint kernel `liealg.pairing`, which the flow `exp_coadjoint` walks too;
-`ad_matrix` is built only for its spectrum or its eigenspaces.
+`orth`, and the largest ideal of a subalgebra h inside ker f is
+`orbit_annihilator`, in g.  It is a `linalg.invariant_closure` worklist in
+g* under the one coadjoint kernel `liealg.pairing`, which the flow
+`exp_coadjoint` walks too.  Orbit dimensions, stabilizers and ad(Z) are in
+`liealg` (`orbit_dim`, `stabilizer`, `ad_matrix`), next to that kernel.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
 the basis of canonical lifts (the rows of h at pivots that are not pivots of
 n), read off in ambient coordinates; `restrict` takes a covector to a
 subalgebra through it, the reference route that the tests compare
-`orbit_dim` on a subalgebra against, and `check_subalgebra` runs its
+`liealg.orbit_dim` on a subalgebra against, and `check_subalgebra` runs its
 closure check alone.
 
 Structure facts are computed on demand, one function each: `derived_series`,
 `is_solvable`, `killing_form` and `ascending_central_series` (one
 `centralizer` per term); `liealg.is_nilpotent` is the one that `orbit` reads.
 
-`orbit` and `validate` never import this module, so an invocation of either
-compiles none of it.  The conventions are those of `liealg`.
+`orbit`, `validate` and `parabolic` never import this module, so an
+invocation of any of them compiles none of it.  The conventions are those of `liealg`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .liealg import (
     kks_pairing,
     pairing,
     stable_series,
-    validate,
 )
 from .linalg import (
     Matrix,
@@ -50,28 +48,11 @@ from .linalg import (
     invariant_closure,
     is_zero_vec,
     rank_kernel,
-    vec_dot,
 )
 
 
 class NotClosedError(ValueError):
     """A subspace expected to be a subalgebra or ideal is not closed."""
-
-
-def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
-    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
-
-    Built only to read its eigenspaces, in `reductive.grade`, and its
-    spectrum, in `polarization._has_imaginary_eigenvalue`."""
-    n = alg.dim
-    m = [[ZERO] * n for _ in range(n)]
-    for a, plane in zip(alg.coords(z), alg.nonzeros):
-        if not a:
-            continue
-        for j, entries in enumerate(plane):
-            for k, c in entries:
-                m[k][j] += a * c
-    return Matrix._of(tuple(map(tuple, m)), n)
 
 
 def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
@@ -109,29 +90,6 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
     """
     return annihilator(coadjoint_image(alg, cov, h))
-
-
-def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> int:
-    """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
-
-    The rank of W B W^T over the canonical rows W of sub (all of g when sub
-    is None), B the pairing of cov.  W B W^T is the pairing of the restricted
-    covector in sub's RREF basis, so no subalgebra is built.  An algebra that
-    fails validation is refused.
-    """
-    if not validate(alg)["ok"]:
-        raise ValueError("algebra fails validation; see validate()")
-    b = kks_pairing(alg, cov)
-    if sub is not None:
-        if sub.ambient_dim != alg.dim:
-            raise ValueError("subspace ambient dimension does not match algebra")
-        wb = [combine(w, b.entries, alg.dim) for w in sub.rows]
-        b = Matrix._of(tuple(tuple(vec_dot(r, w) for w in sub.rows) for r in wb), sub.dim)
-    return len(b.rref()[1])
-
-
-def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
-    return rank_kernel(kks_pairing(alg, cov))[1]
 
 
 def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
@@ -215,7 +173,7 @@ def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subq
 def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
     """cov restricted to the subalgebra sub, a covector of sub in its canonical basis.
 
-    No report builds it: `orbit_dim(alg, cov, sub)` reads the same rank in g."""
+    No report builds it: `liealg.orbit_dim(alg, cov, sub)` reads the same rank in g."""
     return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
 
 

@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 from orbitkit.catalog import CatalogEntry, CatalogError, builtin_catalog, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, flat, kks_pairing, krylov_hull
+from orbitkit.liealg import (
+    Covector,
+    LieAlgebra,
+    ad_matrix,
+    bracket_span,
+    flat,
+    kks_pairing,
+    krylov_hull,
+)
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -33,7 +41,7 @@ from orbitkit.polynomials import (
 )
 from orbitkit.polarization import pukanszky_polarization
 from orbitkit.qi_roots import qi_factors
-from orbitkit.structure import ad_matrix, restrict, subquotient
+from orbitkit.structure import restrict, subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)

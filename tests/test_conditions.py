@@ -2,9 +2,9 @@ import json
 
 from orbitkit import cli, structure
 from orbitkit.conditions import check_conditions
-from orbitkit.liealg import Covector
+from orbitkit.liealg import Covector, stabilizer
 from orbitkit.linalg import Subspace, basis_vector
-from orbitkit.structure import NotClosedError, check_subalgebra, orth, stabilizer
+from orbitkit.structure import NotClosedError, check_subalgebra, orth
 from conftest import rand_covector
 
 

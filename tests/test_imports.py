@@ -317,7 +317,7 @@ LOADS = {   # the modules a subcommand adds to BASE
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         ["induction", "structure"],
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        ["polynomials", "qi_roots", "reductive", "structure"],
+        ["polynomials", "qi_roots", "reductive"],
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
         ["conditions", "polarization", "polynomials", "structure"],
     # definition files, the benchmark's own traffic
@@ -326,7 +326,7 @@ LOADS = {   # the modules a subcommand adds to BASE
     ("classify", "h3.json", "--ideal", "plane", "--point=0,0,1"):
         ["mackey", "polynomials", "structure"],
     ("parabolic", "sl2.json", "--element=1,0,0"):
-        ["polynomials", "qi_roots", "reductive", "structure"],
+        ["polynomials", "qi_roots", "reductive"],
     ("polarize", "h3.json", "--point=0,0,1"):
         ["conditions", "polarization", "polynomials", "structure"],
 }

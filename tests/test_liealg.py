@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -7,21 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.catalog import builtin_catalog, parse_algebra, parse_entry
+from orbitkit.catalog import BUILTIN_DIR, builtin_catalog, parse_algebra, parse_entry
 from orbitkit.liealg import (
     Covector,
     LieAlgebra,
+    ad_matrix,
     bracket_span,
     is_nilpotent,
     kks_pairing,
     krylov_hull,
+    orbit_dim,
     orbit_record,
     pairing,
+    stabilizer,
     validate,
 )
 from orbitkit.structure import (
     NotClosedError,
-    ad_matrix,
     ascending_central_series,
     centralizer,
     check_subalgebra,
@@ -32,10 +35,8 @@ from orbitkit.structure import (
     is_solvable,
     killing_form,
     orbit_annihilator,
-    orbit_dim,
     orth,
     restrict,
-    stabilizer,
     subquotient,
 )
 from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
@@ -117,7 +118,11 @@ def test_validate_skips_the_triples_whose_three_brackets_are_zero(entries, monke
     abelian = LieAlgebra.from_brackets(tuple(f"e{k}" for k in range(40)), {})
     # not one call per triple, C(40, 3) = 9880
     assert validate.__wrapped__(abelian)["ok"] and calls == []
-    assert validate.__wrapped__(entries["heisenberg3"].algebra)["ok"] and len(calls) == 1
+    h3 = entries["heisenberg3"].algebra
+    table = LieAlgebra(h3.dim, h3.labels, h3.nonzeros, None, h3.name)
+    assert validate.__wrapped__(table)["ok"] and len(calls) == 1
+    # with its faithful matrix_rep, which carries every bracket, no sum is formed
+    assert validate.__wrapped__(h3)["ok"] and len(calls) == 1
 
 
 def test_ad_matrix_central_and_generic(entries):
@@ -302,7 +307,7 @@ def test_restrict_heisenberg(entries):
     full = restrict(h3, cov, Subspace.full(3))
     assert full.coords == cov.coords and full.algebra.nonzeros == h3.nonzeros
     center_restricted = restrict(h3, Covector(h3, (1, 0, 0)), Subspace(3, [basis_vector(3, 2)]))
-    assert center_restricted.is_zero()
+    assert not any(center_restricted.coords)
 
 
 def test_restrict_rejects_non_subalgebra(entries):
@@ -979,6 +984,89 @@ def test_catalog_tables_and_rep_checks_match_the_dense_references_property(name,
     assert dense_rep_failures(alg) == validate(alg)["rep_failures"] == ()
 
 
+def with_one_entry_moved(doc, rng):
+    """A copy of a definition document with one entry of one matrix_rep matrix moved."""
+    reps = [[list(row) for row in m] for m in doc["matrix_rep"]]
+    m = rng.randrange(len(reps))
+    r, c = rng.randrange(len(reps[m])), rng.randrange(len(reps[m]))
+    reps[m][r][c] = str(F(reps[m][r][c]) + rng.choice([-1, 1, F(1, 2)]))
+    return dict(doc, matrix_rep=reps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_sparse_rep_check_matches_the_dense_products(seed):
+    """`validate` checks a matrix_rep over each matrix's nonzero entries; the pairs
+    it names are those of the dense products, on every catalog entry with a
+    matrix_rep, on sl3-sl5 of the benchmark's families and on each of them with
+    one matrix entry moved."""
+    rng = random.Random(seed)
+    docs = [json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(BUILTIN_DIR).glob("*.json"))]
+    docs = [doc for doc in docs if "matrix_rep" in doc]
+    docs += [families.sl(n, families.family_rng(seed, f"sl{n}")).doc for n in (3, 4, 5)]
+    assert len(docs) >= 6
+    broken = 0
+    for doc in docs:
+        alg = parse_algebra(doc)
+        assert validate(alg)["rep_failures"] == dense_rep_failures(alg) == ()
+        bent = parse_algebra(with_one_entry_moved(doc, rng))
+        failures = validate(bent)["rep_failures"]
+        assert failures == dense_rep_failures(bent), doc["name"]
+        broken += bool(failures)
+    assert broken >= len(docs) - 2
+
+
+def dense_jacobi_failures(alg):
+    """Every Jacobi sum over i < j < k, read off the dense tensor."""
+    n, c = alg.dim, dense_structure(alg)
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [(c[b][d][m], c[a][m]) for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
+                         for m in range(n) if c[b][d][m]]
+                s = tuple(sum((x * row[l] for x, row in terms), F(0)) for l in range(n))
+                if any(s):
+                    failures.append({"triple": (i, j, k), "defect": s})
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_faithful_rep_stands_in_for_the_jacobi_sums(seed):
+    """`validate` forms no Jacobi sum for an antisymmetric table that a faithful
+    rep carries; its failures match every sum of the dense tensor on each
+    algebra that has a matrix_rep, on each with one constant moved, on a table
+    that breaks Jacobi under a rep that carries it but is not faithful (zero
+    matrices), and on sl2's rep under a tensor that breaks antisymmetry."""
+    rng = random.Random(seed)
+    algebras = [entry.algebra for _, entry in sorted(builtin_catalog().items())
+                if entry.algebra.matrix_rep is not None]
+    algebras += [parse_algebra(families.sl(n, families.family_rng(seed, f"sl{n}")).doc)
+                 for n in (3, 4)]
+    cases = []
+    for alg in algebras:
+        brackets = {(i, j): dict(alg.nonzeros[i][j])
+                    for i in range(alg.dim) for j in range(i + 1, alg.dim)}
+        pair, k = rng.choice(sorted(brackets)), rng.randrange(alg.dim)
+        brackets[pair][k] = brackets[pair].get(k, 0) + rng.choice([-1, 1, F(1, 2)])
+        cases += [alg, LieAlgebra.from_brackets(alg.labels, brackets, matrix_rep=alg.matrix_rep)]
+    zero = (Matrix([[0]]),) * 3
+    cases.append(LieAlgebra.from_brackets(("e1", "e2", "e3"), {(0, 1): {2: 1}, (0, 2): {0: 1}},
+                                          matrix_rep=zero))
+    sl2 = builtin_catalog()["sl2"].algebra
+    tensor = [[list(row) for row in plane] for plane in dense_structure(sl2)]
+    tensor[2][1][0] += 1  # c[2][1] only: the rep check reads c[i][j] at i < j
+    cases.append(LieAlgebra(3, sl2.labels, table_of(tensor), sl2.matrix_rep))
+    broken = 0
+    for alg in cases:
+        report = validate(alg)
+        assert report["jacobi_failures"] == dense_jacobi_failures(alg), alg.name
+        broken += bool(report["jacobi_failures"])
+    assert validate(cases[-1])["rep_failures"] == () and validate(cases[-2])["rep_failures"] == ()
+    assert validate(cases[-1])["jacobi_failures"] and validate(cases[-2])["jacobi_failures"]
+    assert broken > len(algebras) // 2
+
+
 def test_from_brackets_refuses_a_pair_or_index_outside_the_basis():
     labels = ("a", "b")
     for brackets in ({(1, 0): {0: 1}}, {(0, 2): {0: 1}}, {(-1, 1): {0: 1}},
@@ -1202,8 +1290,8 @@ def test_the_coadjoint_kernel_builds_no_ad_matrix(entries, monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("dense ad(Z)")
 
-    monkeypatch.setattr(structure, "ad_matrix", refuse)
-    assert not hasattr(mackey, "ad_matrix")
+    monkeypatch.setattr(liealg, "ad_matrix", refuse)
+    assert not hasattr(mackey, "ad_matrix") and not hasattr(structure, "ad_matrix")
     poincare = entries["poincare"]
     alg, ideal = poincare.algebra, poincare.ideals["translations"]
     for coords in poincare.covectors.values():

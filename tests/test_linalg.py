@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitkit import linalg
 from orbitkit.catalog import CatalogEntry
-from orbitkit.liealg import LieAlgebra
+from orbitkit.liealg import LieAlgebra, stabilizer
 from orbitkit.linalg import (
     Matrix,
     Record,
@@ -25,7 +25,7 @@ from orbitkit.linalg import (
     vec_dot,
 )
 from orbitkit.polynomials import symmetric_signature
-from orbitkit.structure import centralizer, derived_series, stabilizer
+from orbitkit.structure import centralizer, derived_series
 from conftest import coords_of, dense_apply, rand_covector, rand_frac, rand_vec
 
 

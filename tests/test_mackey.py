@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbitkit import cli, mackey
 from orbitkit.catalog import parse_algebra, parse_entry
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from orbitkit.liealg import Covector, LieAlgebra, ad_matrix, bracket_span, kks_pairing, orbit_dim
 from orbitkit.linalg import Matrix, Subspace, annihilator, basis_vector, combine, vec_add, vec_dot
 from orbitkit.mackey import (
     check_abelian,
@@ -25,11 +25,9 @@ from orbitkit.mackey import (
 )
 from orbitkit.structure import (
     NotClosedError,
-    ad_matrix,
     check_subalgebra,
     coadjoint_image,
     exp_coadjoint,
-    orbit_dim,
     orth,
     restrict,
     subquotient,

@@ -9,11 +9,10 @@ import pytest
 
 from orbitkit import cli, polarization
 from orbitkit.catalog import parse_algebra
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, kks_pairing
+from orbitkit.liealg import Covector, LieAlgebra, ad_matrix, bracket_span, kks_pairing, stabilizer
 from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.structure import (
     NotClosedError,
-    ad_matrix,
     ascending_central_series,
     centralizer,
     check_subalgebra,
@@ -22,7 +21,6 @@ from orbitkit.structure import (
     orbit_annihilator,
     orth,
     restrict,
-    stabilizer,
     subquotient,
 )
 from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure

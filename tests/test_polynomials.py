@@ -26,7 +26,8 @@ from orbitkit.polynomials import (
     xgcd,
 )
 from orbitkit.qi_roots import qi_factors
-from orbitkit.structure import ad_matrix, killing_form
+from orbitkit.liealg import ad_matrix
+from orbitkit.structure import killing_form
 from conftest import rand_vec, sympy_supported
 
 

@@ -8,9 +8,19 @@ from pathlib import Path
 import pytest
 
 from orbitkit import liealg, reductive, structure
-from orbitkit.liealg import Covector, LieAlgebra, bracket_span, validate
+from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
 from orbitkit.catalog import parse_algebra
-from orbitkit.linalg import Matrix, Subspace, basis_vector, solve
+from orbitkit.linalg import (
+    Matrix,
+    Subspace,
+    annihilator,
+    basis_vector,
+    combine,
+    invariant_closure,
+    rank_kernel,
+    solve,
+    vec_dot,
+)
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.reductive import (
@@ -24,7 +34,6 @@ from orbitkit.reductive import (
     matrix_lie_algebra,
     parabolic_report,
 )
-from orbitkit.structure import orbit_dim
 from conftest import (
     algebra_from_rep,
     rand_vec,
@@ -221,25 +230,142 @@ def fixed_point_hull(alg, start, u):
         hull = grown
 
 
-def test_parabolic_hull_matches_the_fixed_point(entries, sl3, monkeypatch):
-    closures = []
-    real = reductive.invariant_closure
+def trace_annihilator(malg, q):
+    """ann(q) under the trace form, read off the products: the Y with
+    tr(M(Y) M(z)) = 0 for every row z of q."""
+    mats = [element_matrix(malg, basis_vector(malg.dim, i)) for i in range(malg.dim)]
+    return annihilator(Subspace(malg.dim, [[(m * element_matrix(malg, z)).trace() for m in mats]
+                                           for z in q.rows]))
 
-    def recorded(n, start, images):
-        start = list(start)
-        closures.append((Subspace(n, start), real(n, start, images)))
-        return closures[-1][1]
 
-    monkeypatch.setattr(reductive, "invariant_closure", recorded)
+def ad_closure(alg, start, u):
+    """The ad(u)-closure of start, by the worklist `parabolic_report` runs."""
+    return invariant_closure(alg.dim, start.rows,
+                             lambda w: (alg.bracket_exact(z, w) for z in u.rows))
+
+
+def test_parabolic_hull_matches_the_fixed_point(entries, sl3):
+    """The ad(u)-closure of the report's [x, u] rows is the fixed point, and it is
+    ann(q), as the report's `hull_matches_annihilator` says."""
     sl2 = matrix_lie_algebra(entries["sl2"].algebra)
     cases = [(sl2, (1, 0, 0)), (sl2, (0, 1, 0))]
     cases += [(sl3, element_coords(sl3, m)) for m in SL3_MATRICES]
     for malg, x in cases:
         rep = parabolic_report(malg, x)["parabolic"]
-        start, hull = closures.pop()
-        assert hull == fixed_point_hull(malg.algebra, start, _u(rep))
+        alg, u = malg.algebra, _u(rep)
+        start = Subspace(alg.dim, [alg.bracket(z, rep["x"]) for z in u.rows])
+        hull = ad_closure(alg, start, u)
+        assert hull == fixed_point_hull(alg, start, u)
+        assert hull == trace_annihilator(malg, rep["q_basis"])
         assert rep["relations"]["hull_matches_annihilator"]
-    assert not closures
+
+
+# -- the two relations `parabolic_report` reads off its other checks ------------
+
+
+def upper_triangular(rng, size):
+    """A traceless upper-triangular matrix: diagonal in [-2, 2], so eigenvalues
+    repeat at some draws, and entries above it in [-3, 3]."""
+    diag = [F(rng.randint(-2, 2)) for _ in range(size - 1)]
+    diag.append(-sum(diag))
+    return Matrix([[diag[i] if i == j else (F(rng.randint(-3, 3)) if i < j else 0)
+                    for j in range(size)] for i in range(size)])
+
+
+def relation_inputs(entries, sl4, seed):
+    """(algebra, x, the grading by x_h) for each x with a supported spectrum among
+    the basis, the catalog covectors' duals and seeded elements of sl2, sl3 and
+    so(3,1), and seeded upper-triangular elements of sl3 and sl4."""
+    rng = random.Random(seed)
+    inputs = []
+    for name in ("sl2", "sl3", "so31"):
+        malg = matrix_lie_algebra(entries[name].algebra)
+        n = malg.dim
+        inputs += [(malg, basis_vector(n, i)) for i in range(n)]
+        inputs += [(malg, covector_to_element(malg, Covector(malg.algebra, c)))
+                   for c in entries[name].covectors.values()]
+        inputs += [(malg, rand_vec(rng, n, lo=-3, hi=3, max_den=2)) for _ in range(6)]
+        if name == "sl3":
+            inputs += [(malg, element_coords(malg, upper_triangular(rng, 3))) for _ in range(6)]
+    inputs += [(sl4, element_coords(sl4, upper_triangular(rng, 4))) for _ in range(6)]
+    for malg, x in inputs:
+        try:
+            xh = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
+        except UnsupportedSpectrumError:
+            continue
+        yield malg, x, grade(malg, xh)
+
+
+def trace_pairing(gram, a_rows, b_rows):
+    return Matrix([[vec_dot(combine(ra, gram.entries, gram.rows), rb) for rb in b_rows]
+                   for ra in a_rows], len(b_rows))
+
+
+def square_rank_verdict(gram, grading):
+    """The trace-block check the report ran before: tr(g^a g^b) = 0 unless a + b = 0,
+    and every (a, -a) block square and of full rank."""
+    for a, space in grading.items():
+        for b, other in grading.items():
+            pairing = trace_pairing(gram, space.rows, other.rows)
+            if a + b != 0:
+                if not pairing.is_zero():
+                    return False
+            elif pairing.rows != pairing.cols or rank_kernel(pairing)[0] != pairing.rows:
+                return False
+    return True
+
+
+def zero_pattern_verdict(gram, grading):
+    return all(trace_pairing(gram, space.rows, other.rows).is_zero()
+               for a, space in grading.items() for b, other in grading.items() if a + b)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_trace_block_ranks_follow_from_the_zero_pattern(entries, sl4, seed):
+    """On a grading that is a basis and any nondegenerate symmetric Gram, the (a, -a)
+    blocks are square and nonsingular once every other block vanishes: the old
+    verdict and the zero pattern agree, on the true Gram, where both hold and the
+    report says so, and on Grams with one symmetric pair of entries moved."""
+    rng = random.Random(100 + seed)
+    verdicts = set()
+    for malg, x, grading in relation_inputs(entries, sl4, seed):
+        gram = malg.trace_gram
+        assert square_rank_verdict(gram, grading) and zero_pattern_verdict(gram, grading)
+        assert parabolic_report(malg, x)["parabolic"]["relations"]["trace_blocks"], x
+        n = malg.dim
+        i, j = rng.randrange(n), rng.randrange(n)
+        moved = [list(row) for row in gram.entries]
+        moved[i][j] += 1
+        if i != j:
+            moved[j][i] += 1
+        moved = Matrix(moved)
+        if rank_kernel(moved)[0] == n:
+            verdict = square_rank_verdict(moved, grading)
+            assert verdict == zero_pattern_verdict(moved, grading), (x, i, j)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_trace_annihilator_of_q_is_ad_u_invariant(entries, sl4, seed):
+    """tr([W, Y]Z) = tr(Y[Z, W]) = 0 for W in u, Y in ann(q) and Z in q, q being a
+    subalgebra; so whenever [x, u] = ann(q), its ad(u)-closure is ann(q) too, and the
+    report's `hull_matches_annihilator` is that equality."""
+    images = 0
+    for malg, x, grading in relation_inputs(entries, sl4, seed):
+        alg, n = malg.algebra, malg.dim
+        u = Subspace(n, [r for a, space in grading.items() if a > 0 for r in space.rows])
+        q = grading.get(F(0), Subspace.zero(n)).add(u)
+        ann_q = trace_annihilator(malg, q)
+        assert all(ann_q.contains(alg.bracket(z, y)) for z in u.rows for y in ann_q.rows)
+        moved = Subspace(n, [alg.bracket(z, x) for z in u.rows])
+        hull = ad_closure(alg, moved, u)
+        if moved == ann_q:
+            assert hull == ann_q, x
+            images += 1
+        relations = parabolic_report(malg, x)["parabolic"]["relations"]
+        assert relations["hull_matches_annihilator"] == (hull == ann_q), x
+    assert images > 30
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "so31"])
@@ -592,8 +718,8 @@ def test_parabolic_report_takes_charpoly_only_of_the_representation(monkeypatch)
 def test_parabolic_report_builds_ad_only_for_the_grading(monkeypatch):
     """One ad(x_h), in `grade`, per report on the benchmark elements: x's stabilizer
     is its centralizer, and no other step builds the matrix of an ad."""
-    calls, real = [], structure.ad_matrix
-    for mod in (reductive, structure):
+    calls, real = [], liealg.ad_matrix
+    for mod in (reductive, liealg):
         monkeypatch.setattr(mod, "ad_matrix", lambda *args: calls.append(args) or real(*args))
     inputs = list(_parabolic_inputs())
     assert len(inputs) == 17
@@ -615,7 +741,7 @@ def test_the_stabilizer_of_x_dual_is_its_centralizer(entries):
     inputs.append((malg, [0] * malg.dim))
     for malg, x in inputs:
         alg = malg.algebra
-        assert (structure.stabilizer(alg, element_to_covector(malg, x))
+        assert (liealg.stabilizer(alg, element_to_covector(malg, x))
                 == structure.centralizer(alg, Subspace(alg.dim, [x]))), x
 
 
