@@ -83,7 +83,7 @@ from types import SimpleNamespace
 
 from . import catalog as cat
 from .liealg import Covector, LieAlgebra, orbit_record, validate
-from .linalg import Matrix, Record, Subspace, basis_vector, frac, vec
+from .linalg import Matrix, Record, Subspace, basis_vector, frac
 
 SCHEMA = 1
 
@@ -173,7 +173,7 @@ def _cmd_catalog(args) -> dict:
         name: {
             "dim": e.algebra.dim,
             "description": e.description,
-            "covectors": {k: vec(v) for k, v in e.covectors.items()},
+            "covectors": e.covectors,
             "ideals": sorted(e.ideals),
             "complements": sorted(e.complements),
         }

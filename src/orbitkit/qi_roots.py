@@ -4,8 +4,8 @@
 the least suitable prime p = 1 (mod 4), Hensel lifting past 2 B^2 with
 B = 2 ceil(||f||_2) the Mignotte bound on the coefficients of an integer
 factor of degree <= 2, rational reconstruction, and exact division as the
-certificate.  `hyperbolic_part` and the grading of `reductive` are its only
-callers, so no other subcommand compiles this module.
+certificate.  `reductive.hyperbolic_part` is its only caller, so no other
+subcommand compiles this module.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ The grading of g by D = ad(x_h) is read off x_h's own spectrum.  On gl(V),
 V the representation space, D is left minus right multiplication by x_h,
 two commuting maps, so its eigenvalues are the differences a_i - a_j of
 x_h's eigenvalues, E_ij being one for a_i - a_j when x_h is diagonal
-(Humphreys, §4.2), and g is D-invariant.  So `grade` factors charpoly(x_h),
-of the representation's degree, not charpoly(D), of the algebra's.  The
+(Humphreys, §4.2), and g is D-invariant.  So `grade` takes its candidates
+from the a_i `hyperbolic_part` found, and factors no characteristic
+polynomial, of the representation's degree or of the algebra's.  The
 grading obeys [g^a, g^b] <= g^{a+b} because D is a derivation: for x in g^a
 and y in g^b, D[x, y] = [Dx, y] + [x, Dy] = (a + b)[x, y] by the Jacobi
 identity, which `validate` checks on the bracket table once per algebra.
@@ -39,16 +40,16 @@ elements a, b in algebra coordinates tr(M(a) M(b)) = a^T G b, so the dual
 covector of x is G x, and the trace-block and Levi checks of the parabolic
 report multiply no matrices.  G is symmetric, so G x is the row combination
 x^T G, built by `combine` like every other matrix-vector product; the trace
-annihilator of q is ann(G r : r in q).  The report builds no ad(x).  It
+annihilator of q is ann(G r : r in q), r over the eigenspace rows of g^a,
+a >= 0, whose images the trace blocks pair too.  The report builds no ad(x).  It
 takes x as algebra coordinates or a covector, and forms one representation
-matrix each for x, whose hyperbolic part it takes, and for x_h, whose
-spectrum `grade` reads.  x's centralizer is the stabilizer of its dual
-covector f = tr(x .), the kernel of f's KKS pairing, whose rank is dim O_x:
-f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and the trace form is
-nondegenerate on g (`matrix_lie_algebra` checks it), so g_f = ker ad x.  One
-elimination gives both.  The stabilizer, the rank of f on q and ad(x_h) come
-from `liealg` (`stabilizer`, `orbit_dim`, `ad_matrix`), so a `parabolic`
-invocation compiles no `structure`.
+matrix, x's, whose hyperbolic part it takes.  x's centralizer is the
+stabilizer of its dual covector f = tr(x .), the kernel of f's KKS pairing,
+whose rank is dim O_x: f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and
+the trace form is nondegenerate on g (`matrix_lie_algebra` checks it), so
+g_f = ker ad x.  One elimination gives both.  The stabilizer, the rank of f
+on q and ad(x_h) come from `liealg` (`stabilizer`, `orbit_dim`,
+`ad_matrix`), so a `parabolic` invocation compiles no `structure`.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ from .qi_roots import qi_factors
 
 
 class UnsupportedSpectrumError(ValueError):
-    """Spectrum leaves Q(i); carries the offending factor.
-
-    `grade`'s is charpoly(x_h); any other is irreducible at degree <= 3, and
-    above that the whole part of the minimal polynomial with no root in Q(i).
+    """Spectrum leaves Q(i); carries the offending factor, raised only by
+    `hyperbolic_part`: irreducible at degree <= 3, and above that the whole
+    part of the minimal polynomial with no root in Q(i).
     """
 
     def __init__(self, factor: tuple, reason: str):
@@ -170,14 +170,16 @@ def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
     return sol
 
 
-def hyperbolic_part(x: Matrix) -> Matrix:
-    """The hyperbolic part x_h of a square rational matrix, a polynomial in x.
+def hyperbolic_part(x: Matrix) -> tuple[Matrix, list]:
+    """The hyperbolic part x_h of a square rational matrix, a polynomial in x,
+    with x_h's eigenvalues.
 
     x_h = h(x), where h = a_i mod f_i^{m_i} (Chinese remainder theorem) over
     chi = charpoly(x) = prod f_i^{m_i}: the f_i are the factors `qi_factors`
     finds in the squarefree part mu of chi, a_i is the rational real part of
     f_i's roots and m_i the multiplicity of f_i in chi; the module docstring
-    says why this is the hyperbolic part of x's semisimple part.
+    says why this is the hyperbolic part of x's semisimple part.  The a_i,
+    one per factor, are returned too: they are x_h's eigenvalues.
 
     The monic cofactor `rest` the factors leave in mu has no root in Q(i).
     At degree 2 or 3 it has no rational root, so it is irreducible over Q,
@@ -197,7 +199,7 @@ def hyperbolic_part(x: Matrix) -> Matrix:
         raise UnsupportedSpectrumError(monic(rest), "no root in Q(i)")
     if deg(rest) > 0:
         factors.append(monic(rest))
-    h = ()
+    h, eigenvalues = (), []
     for f in factors:
         if deg(f) == 1:
             a = -f[0]
@@ -210,6 +212,7 @@ def hyperbolic_part(x: Matrix) -> Matrix:
             a = -f[1] / 2
         else:
             raise UnsupportedSpectrumError(f, f"irreducible factor of degree {deg(f)}")
+        eigenvalues.append(a)
         if not a:
             continue
         # chi = g f^m with f coprime to g; g (g^-1 mod f^m) is 1 mod f^m and 0 mod g
@@ -220,41 +223,31 @@ def hyperbolic_part(x: Matrix) -> Matrix:
                 break
             g, block = quot, mul(block, f)
         h = add(h, scale(a, mul(g, invert_mod(g, block))))
-    return eval_matrix(divmod_poly(h, chi)[1], x)
+    return eval_matrix(divmod_poly(h, chi)[1], x), eigenvalues
 
 
-def grade(malg: MatrixLieAlgebra, xh: Sequence) -> dict:
-    """Eigenspace grading of the algebra under ad(x_h), x_h given by its coordinates.
+def grade(malg: MatrixLieAlgebra, xh: Sequence, eigenvalues: Sequence) -> dict:
+    """Eigenspace grading of the algebra under ad(x_h), x_h given by its
+    coordinates and its eigenvalues (`hyperbolic_part` returns both).
 
     Returns {eigenvalue: eigenspace in algebra coordinates}, the keys
-    increasing Fractions, one per nonzero eigenspace.  The candidate
-    eigenvalues are 0 and the differences a - b of the rational roots of
-    chi = charpoly(x_h), of the representation's degree; each candidate c
-    keeps ker(ad(x_h) - c) when it is nonzero.  Refuses an algebra that
-    fails `validate`, and refuses, naming chi, unless the kept eigenspaces
-    sum to g: that sum is the certificate.
-
-    Every eigenvalue of ad(x_h) is a difference of two roots of chi (module
-    docstring), so an x_h whose roots are all rational is refused exactly when
-    ad(x_h) is not diagonalizable over Q, and never when x_h is diagonalizable
-    over Q, as every `hyperbolic_part` is.  Irrational roots can hide a nonzero
-    rational eigenvalue of ad(x_h); such an x_h is refused too.
+    increasing Fractions, one per nonzero eigenspace.  Each candidate c, 0
+    or a difference a - b of the eigenvalues (module docstring), keeps
+    ker(ad(x_h) - c) when it is nonzero.  Refuses an algebra that fails
+    `validate`, and refuses unless the kept eigenspaces sum to g: that sum
+    is the certificate, short only when the eigenvalues are not x_h's.
     """
     alg = malg.algebra
     if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
-    coords = alg.coords(xh)
-    chi = charpoly(element_matrix(malg, coords))
-    # the rational roots a are those of the monic linear factors x - a
-    roots = [-f[0] for f in qi_factors(squarefree_part(chi)) if deg(f) == 1]
-    ad = ad_matrix(alg, coords)
+    ad = ad_matrix(alg, alg.coords(xh))
     n = alg.dim
     kernels = {c: rank_kernel(ad - Matrix.identity(n).scale(c))[1]
-               for c in sorted({a - b for a in roots for b in roots} | {ZERO})}
+               for c in sorted({a - b for a in eigenvalues for b in eigenvalues} | {ZERO})}
     spaces = {c: ker for c, ker in kernels.items() if ker.dim}
     if sum(space.dim for space in spaces.values()) != n:
-        raise UnsupportedSpectrumError(
-            chi, "ad(x_h) is not diagonalizable over the differences of x_h's rational eigenvalues")
+        raise ValueError("the eigenspaces of ad(x_h) at the differences of its given "
+                         "eigenvalues do not sum to the algebra")
     return spaces
 
 
@@ -285,13 +278,13 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
     """
     alg = malg.algebra
     coords = alg.coords(covector_to_element(malg, x) if isinstance(x, Covector) else x)
-    xh = hyperbolic_part(element_matrix(malg, coords))
+    xh, eigenvalues = hyperbolic_part(element_matrix(malg, coords))
     try:
         xh_coords = element_coords(malg, xh)
     except ValueError:
         raise ValueError("x_h, the hyperbolic part of x, does not lie in the algebra: "
                          "the algebra is not closed under the Jordan decomposition") from None
-    grading = grade(malg, xh_coords)
+    grading = grade(malg, xh_coords, eigenvalues)
     n = alg.dim
 
     g0 = grading.get(ZERO, Subspace.zero(n))
@@ -303,8 +296,11 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
     stab = stabilizer(alg, cov)
     stab_ok = g0.contains_subspace(stab)
 
+    # G r for each eigenspace row r: ann(q) is ann(G q), and the trace blocks pair them
+    gram_rows = {a: [combine(r, malg.trace_gram.entries, n) for r in space.rows]
+                 for a, space in grading.items()}
     moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.rows])
-    ann_q = annihilator(Subspace(n, [combine(r, malg.trace_gram.entries, n) for r in q.rows]))
+    ann_q = annihilator(Subspace(n, [w for a, rows in gram_rows.items() if a >= 0 for w in rows]))
     image_ok = moved == ann_q
 
     bijective = u.contains_subspace(moved) and moved.dim == u.dim
@@ -315,8 +311,6 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
 
     # tr(M(a) M(b)) = a^T G b over the pairs a <= b with a + b != 0, G symmetric;
     # the (a, -a) blocks are then square and nonsingular (docstring)
-    gram_rows = {a: [combine(r, malg.trace_gram.entries, n) for r in space.rows]
-                 for a, space in grading.items()}
     blocks_ok = all(vec_dot(ra, w) == 0
                     for a, space in grading.items() for b in grading if a <= b and a + b
                     for ra in space.rows for w in gram_rows[b])

@@ -135,6 +135,15 @@ MALFORMED = {
     # a 0-dimensional algebra whose representation has no matrix to read a size from
     "dim0_rep_empty.json": {"name": "d0", "dim": 0, "basis": [], "brackets": [],
                             "matrix_rep": []},
+    # a definition's shape: its required fields, its label count, its tables' types
+    "no_dim.json": {"name": "bad", "basis": ["a"], "brackets": []},
+    "no_basis.json": {"name": "bad", "dim": 1, "brackets": []},
+    "basis_short.json": {"name": "bad", "dim": 2, "basis": ["a"], "brackets": []},
+    "rep_int.json": {"name": "bad", "dim": 1, "basis": ["a"], "matrix_rep": [5]},
+    "structure_int.json": {"name": "bad", "dim": 1, "basis": ["a"], "structure": 5},
+    "bracket_repeated.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
+                              "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}},
+                                           {"i": 0, "j": 1, "coeffs": {"1": "1"}}]},
 }
 
 BAD_INPUTS = {
@@ -282,6 +291,14 @@ BAD_INPUTS = {
                                    "--point=1,0,0"],
     "mackey_bad_point_before_the_ideal": ["mackey", "catalog:heisenberg3", "--ideal", "0",
                                           "--point=1,x,0"],
+    "validate_no_dim": ["validate", "no_dim.json"],
+    "validate_no_basis": ["validate", "no_basis.json"],
+    "validate_basis_short": ["validate", "basis_short.json"],
+    "validate_rep_not_a_matrix": ["validate", "rep_int.json"],
+    "validate_structure_not_a_list": ["validate", "structure_int.json"],
+    "validate_bracket_pair_repeated": ["validate", "bracket_repeated.json"],
+    "polarize_strategy_unknown": ["polarize", "catalog:heisenberg3", "--strategy", "foo",
+                                  "--point=0,0,1"],
 }
 
 HAPPY = {
@@ -365,6 +382,14 @@ def test_malformed_json_is_refused_in_the_package_words(workdir, capsys):
         "classify_ideal_not_abelian": "the given ideal is not abelian",
         "mackey_bad_point_before_the_ideal": "bad rational in point: "
                                              "Invalid literal for Fraction: 'x'",
+        "validate_no_dim": "no_dim.json: missing field 'dim'",
+        "validate_no_basis": "no_basis.json: missing field 'basis'",
+        "validate_basis_short": "basis_short.json: basis has 1 labels for dim 2",
+        "validate_rep_not_a_matrix": "rep_int.json: matrix_rep must list matrices of rows",
+        "validate_structure_not_a_list": "structure_int.json: structure must be a "
+                                         "dim x dim x dim tensor",
+        "validate_bracket_pair_repeated": "bracket_repeated.json: duplicate bracket pair (0,1)",
+        "polarize_strategy_unknown": "strategy must be `auto` or `chain:<file>`",
     }
     for case, error in want.items():
         assert run(BAD_INPUTS[case], capsys) == (2, {
@@ -629,6 +654,20 @@ def test_the_index_and_rows_forms_read_as_one_subspace_everywhere(tmp_path, monk
             assert cli._parse_subspace(entry, f"@{fname}") == want
         chain = cat.parse_chain(alg, {"ideals": [by_index, by_rows]}, "chain")
         assert chain == [want, want]
+
+
+def test_a_chain_ideal_that_is_no_ideal_is_rejected(tmp_path, monkeypatch, capsys):
+    """span(x) is no ideal of heisenberg3, as [y, x] = -z leaves it: the user chain's
+    one candidate is rejected, and the strategy is exhausted."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps({"ideals": [[0]]}), encoding="utf-8")
+    code, env = run(["polarize", "catalog:heisenberg3", "--strategy", "chain:chain.json",
+                     "--point=0,0,1"], capsys)
+    assert code == 1 and env["ok"] is False
+    [result] = env["results"]
+    assert result["error"] == "strategy exhausted"
+    assert result["rejected_candidates"] == [
+        {"candidate": "user chain ideal", "reason": "not an ideal", "step": 0}]
 
 
 def test_a_chain_file_in_either_form_gives_one_report(tmp_path, monkeypatch, capsys):

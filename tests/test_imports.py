@@ -4,9 +4,10 @@ loads only the modules its subcommand runs, none of the standard library's
 costly class machinery (`dataclasses`, and through it `inspect`), no
 `typing` and no argument parser library (`argparse`, with the `gettext` and
 `locale` it imports).  The package root binds no public name, no module
-reads the environment, and every public function, class and method is named
-somewhere in the package outside its own definition, or is listed in `KEPT`
-with the reason it stays.  Every private one is named outside its own
+reads the environment, and every public function and class is named
+somewhere in the package outside its own definition, and every public
+method is read there as an attribute (`.name`), or is listed in `KEPT` with
+the reason it stays.  Every private one is named outside its own
 definition too, and has no such list.
 
 The unused-import scan checks each scope on its own: the module's imports
@@ -177,6 +178,7 @@ def test_no_module_reads_the_environment():
 KEPT = {
     "liealg.LieAlgebra.bracket": "the coercing bracket for outside vectors; "
                                  "perfbench reads its span",
+    "linalg.Matrix.is_zero": "the tests' zero checks of dense matrices read it",
     "linalg.Matrix.trace": "the dense references in the tests read it",
     "mackey.mackey_report": "one point's result, for library callers",
     "structure.exp_coadjoint": "the flow that ROADMAP items 3 and 24 use to check witnesses",
@@ -184,9 +186,14 @@ KEPT = {
 }
 
 
+def _attributes_read(node) -> set:
+    """The names that `node` reads as an attribute, `.name`."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def _named_in(node) -> set:
     """The names that `node` uses, as an `ast.Name` or an `ast.Attribute`."""
-    return _used_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return _used_names(node) | _attributes_read(node)
 
 
 def _top_level_statements(package: Path) -> list:
@@ -196,21 +203,24 @@ def _top_level_statements(package: Path) -> list:
 
 
 def public_names_without_a_caller(package: Path) -> set:
-    """"module.name" for each public top-level function or class of `package`, and
-    "module.Class.method" for each public method, that no top-level statement of
-    the package names but the one that defines it."""
-    statements = _top_level_statements(package)
+    """"module.name" for each public top-level function or class of `package` that
+    no top-level statement of the package names but the one that defines it, and
+    "module.Class.method" for each public method that none of them reads as an
+    attribute: a bare name never calls a method, so a module function does not
+    stand in for a namesake method."""
+    statements = [(module, stmt, used, _attributes_read(stmt))
+                  for module, stmt, used in _top_level_statements(package)]
     uncalled = set()
-    for module, stmt, _ in statements:
+    for module, stmt, _, _ in statements:
         if not isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)) or stmt.name.startswith("_"):
             continue
-        defined = [(f"{module}.{stmt.name}", stmt.name)]
-        if isinstance(stmt, ast.ClassDef):
-            defined += [(f"{module}.{stmt.name}.{node.name}", node.name) for node in stmt.body
-                        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_")]
-        uncalled |= {key for key, name in defined
-                     if not any(name in used for _, other, used in statements
-                                if other is not stmt)}
+        others = [(used, read) for _, other, used, read in statements if other is not stmt]
+        if not any(stmt.name in used for used, _ in others):
+            uncalled.add(f"{module}.{stmt.name}")
+        uncalled |= {f"{module}.{stmt.name}.{node.name}"
+                     for node in (stmt.body if isinstance(stmt, ast.ClassDef) else ())
+                     if isinstance(node, _FUNCTIONS) and not node.name.startswith("_")
+                     and not any(node.name in read for _, read in others)}
     return uncalled
 
 
@@ -224,6 +234,16 @@ def test_the_caller_scan_looks_outside_the_defining_statement(tmp_path):
     (tmp_path / "b.py").write_text("from a import alone, used\nused()\n"
                                    "def f(box: 'Box'):\n    return box.read\n")
     assert public_names_without_a_caller(tmp_path) == {"a.alone", "a.Box.write", "b.f"}
+
+
+def test_the_caller_scan_counts_a_method_only_through_an_attribute(tmp_path):
+    """`peek(box)` calls the function `peek`, never the method `Box.peek`."""
+    (tmp_path / "a.py").write_text("def peek(box):\n    return box\n"
+                                   "class Box:\n"
+                                   "    def peek(self):\n        pass\n"
+                                   "    def open(self):\n        pass\n")
+    (tmp_path / "b.py").write_text("from a import Box, peek\npeek(Box().open())\n")
+    assert public_names_without_a_caller(tmp_path) == {"a.Box.peek"}
 
 
 def test_every_public_name_has_a_caller():

@@ -156,6 +156,29 @@ def test_covector_refuses_a_string(entries):
         Covector(h3, "001")
 
 
+def test_covector_refuses_a_length_other_than_the_dimension(entries):
+    h3 = entries["heisenberg3"].algebra
+    for coords in ((0, 1), (0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="covector length does not match algebra dimension"):
+            Covector(h3, coords)
+
+
+def test_lie_algebra_refuses_a_label_count_or_table_of_another_size(entries):
+    h3 = entries["heisenberg3"].algebra
+    with pytest.raises(ValueError, match="label count does not match dimension"):
+        LieAlgebra(h3.dim, h3.labels[:2], h3.nonzeros)
+    for table in (h3.nonzeros[:2], h3.nonzeros[:2] + (h3.nonzeros[2][:2],)):
+        with pytest.raises(ValueError, match="bracket table must be dim x dim"):
+            LieAlgebra(h3.dim, h3.labels, table)
+
+
+def test_orbit_record_refuses_an_algebra_that_fails_validation():
+    broken = LieAlgebra(2, ("a", "b"), (((), ((0, F(1)),)), ((), ())))  # not antisymmetric
+    assert not validate(broken)["ok"]
+    with pytest.raises(ValueError, match="algebra fails validation; see validate()"):
+        orbit_record(broken, Covector(broken, (1, 0)))
+
+
 def test_ad_matrix_sl2(entries):
     sl2 = entries["sl2"].algebra
     assert ad_matrix(sl2, (1, 0, 0)) == Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -2]])

@@ -22,7 +22,8 @@ from orbitkit.linalg import (
     vec_dot,
 )
 from orbitkit.mackey import little_group_step, verify_step_relations
-from orbitkit.polynomials import charpoly, deg, mul, poly
+from orbitkit.polynomials import charpoly, deg, mul, poly, squarefree_part
+from orbitkit.qi_roots import qi_factors
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
     covector_to_element,
@@ -61,6 +62,17 @@ SL3_MATRICES = (_diag((1, 0, -1)), _diag((2, -1, -1)),
                 Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
 
 
+def hyperbolic(malg, x):
+    """x_h's coordinates and eigenvalues, as `parabolic_report` passes them to `grade`."""
+    xh, eigenvalues = hyperbolic_part(element_matrix(malg, x))
+    return element_coords(malg, xh), eigenvalues
+
+
+def rational_eigenvalues(m):
+    """The rational roots of charpoly(m), by the linear factors `qi_factors` finds."""
+    return [-f[0] for f in qi_factors(squarefree_part(charpoly(m))) if deg(f) == 1]
+
+
 def _u(block):
     """u, the sum of the positive eigenspaces of a `parabolic` block's grading."""
     n = block["q_basis"].ambient_dim
@@ -70,7 +82,7 @@ def _u(block):
 
 def test_grade_at_a_large_diagonal_element(sl3):
     a = (F(10**6), F(3, 7), -F(10**6) - F(3, 7))
-    grading = grade(sl3, element_coords(sl3, _diag(a)))
+    grading = grade(sl3, element_coords(sl3, _diag(a)), a)
     want = sorted({ai - aj for ai in a for aj in a})
     assert list(grading) == want
     assert grading.get(F(0)).dim == 2                  # the Cartan subalgebra
@@ -79,7 +91,7 @@ def test_grade_at_a_large_diagonal_element(sl3):
 
 def test_grade_refuses_coordinates_of_the_wrong_length(sl3):
     with pytest.raises(ValueError, match="length 1 for an algebra of dimension 8"):
-        grade(sl3, (1,))
+        grade(sl3, (1,), ())
 
 
 def test_parabolic_report_refuses_coordinates_of_the_wrong_length(sl3):
@@ -88,42 +100,22 @@ def test_parabolic_report_refuses_coordinates_of_the_wrong_length(sl3):
 
 
 def test_grade_refuses_a_nondiagonalizable_ad(sl3):
-    """The refusal names charpoly(x_h), of degree 3, not charpoly(ad(x_h)), of degree 8."""
+    """e12 is nilpotent, so it is no x_h: at its one eigenvalue, 0, ad(e12) has a
+    kernel short of g, and `grade` refuses with a plain ValueError, not a spectrum's."""
     e12 = element_coords(sl3, Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    with pytest.raises(UnsupportedSpectrumError) as got:
-        grade(sl3, e12)
-    assert str(got.value) == ("unsupported spectrum: factor x^3 (ad(x_h) is not diagonalizable "
-                              "over the differences of x_h's rational eigenvalues)")
+    with pytest.raises(ValueError) as got:
+        grade(sl3, e12, (0,))
+    assert (got.type, str(got.value)) == (ValueError, (
+        "the eigenspaces of ad(x_h) at the differences of its given eigenvalues do not sum "
+        "to the algebra"))
     assert reference_grading(sl3, e12) is None
 
 
-def test_grade_refuses_a_rational_ad_spectrum_between_irrational_roots():
-    """The contract on an x_h that is not diagonalizable over Q.  With
-    A = [[0, 2], [1, 0]] (eigenvalues +-sqrt 2), c = diag(A, A) is central in
-    g = span(c, k, y, z) inside sl4, k = diag(-1, -1, 1, 1), y = [[0, 0], [I, 0]]
-    and z = [[0, I], [0, 0]] spanning an sl2.  At x_h = c + k/2, ad(x_h) = ad(k)/2
-    is diagonalizable with eigenvalues -1, 0, 1, which the reference route finds;
-    but x_h's eigenvalues +-sqrt 2 +- 1/2 are irrational, so 0 is `grade`'s one
-    candidate, and it refuses, naming charpoly(x_h)."""
-    c = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
-    k = [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    y = [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
-    z = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
-    malg = matrix_lie_algebra(algebra_from_rep("q_plus_sl2", ("c", "k", "y", "z"), [c, k, y, z]))
-    xh = (1, F(1, 2), 0, 0)
-    want = reference_grading(malg, xh)
-    assert {a: s.dim for a, s in want.items()} == {-1: 1, 0: 2, 1: 1}
-    with pytest.raises(UnsupportedSpectrumError) as got:
-        grade(malg, xh)
-    assert got.value.factor == charpoly(element_matrix(malg, xh)) == poly(
-        [F(49, 16), 0, F(-9, 2), 0, 1])
-
-
 def test_grade_keeps_0_when_x_h_has_no_rational_eigenvalue():
-    """A central x_h with eigenvalues +-i: 0 is no difference of rational roots,
-    and still a candidate."""
+    """A central element with eigenvalues +-i, none rational: with no eigenvalue
+    given, 0 is still a candidate."""
     malg = matrix_lie_algebra(algebra_from_rep("so2", ("j",), [[[0, -1], [1, 0]]]))
-    grading = grade(malg, (1,))
+    grading = grade(malg, (1,), ())
     assert tuple(grading) == (0,) and grading.get(F(0)).dim == 1
     assert grading == reference_grading(malg, (1,))
 
@@ -143,10 +135,10 @@ def test_grade_matches_the_reference_route_on_the_catalog(entries):
         elements += [rand_vec(rng, alg.dim, lo=-3, hi=3, max_den=2) for _ in range(10)]
         for x in elements:
             try:
-                xh = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
+                xh, eigenvalues = hyperbolic(malg, x)
             except UnsupportedSpectrumError:
                 continue
-            assert grade(malg, xh) == reference_grading(malg, xh), (name, x)
+            assert grade(malg, xh, eigenvalues) == reference_grading(malg, xh), (name, x)
             graded.add(name)
     assert graded == with_rep and len(with_rep) == 7
 
@@ -290,10 +282,10 @@ def relation_inputs(entries, sl4, seed):
     inputs += [(sl4, element_coords(sl4, upper_triangular(rng, 4))) for _ in range(6)]
     for malg, x in inputs:
         try:
-            xh = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
+            xh, eigenvalues = hyperbolic(malg, x)
         except UnsupportedSpectrumError:
             continue
-        yield malg, x, grade(malg, xh)
+        yield malg, x, grade(malg, xh, eigenvalues)
 
 
 def trace_pairing(gram, a_rows, b_rows):
@@ -423,14 +415,14 @@ def sympy_hyperbolic(x):
 
 def test_rotation_scaling_splits_into_identity_and_rotation():
     s = Matrix([[1, -1], [1, 1]])   # 1 +- i
-    xh = hyperbolic_part(s)
-    assert xh == Matrix.identity(2)
+    xh, eigenvalues = hyperbolic_part(s)
+    assert xh == Matrix.identity(2) and eigenvalues == [1]
     assert s - xh == Matrix([[0, -1], [1, 0]])
     assert xh == sympy_hyperbolic(s)
 
 
 def test_a_rotation_is_elliptic():
-    assert hyperbolic_part(Matrix([[0, -1], [1, 0]])) == Matrix.zeros(2, 2)
+    assert hyperbolic_part(Matrix([[0, -1], [1, 0]])) == (Matrix.zeros(2, 2), [0])
 
 
 def _inverse(u):
@@ -456,7 +448,8 @@ def test_a_conjugated_gaussian_spectrum_matches_the_sympy_diagonalization():
     u_inv = _inverse(u)
     assert u * u_inv == Matrix.identity(4)
     s = u * d * u_inv
-    xh = hyperbolic_part(s)
+    xh, eigenvalues = hyperbolic_part(s)
+    assert sorted(eigenvalues) == [-3, 1, 2]
     xe = s - xh
     assert xh == u * Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * u_inv
     assert xh * xe == xe * xh
@@ -512,7 +505,8 @@ def test_hyperbolic_part_of_a_conjugated_real_jordan_form(gaussian, seed):
     u = _unimodular(rng, n)
     u_inv = _inverse(u)
     x = u * d * u_inv
-    xh = hyperbolic_part(x)
+    xh, eigenvalues = hyperbolic_part(x)
+    assert sorted(set(eigenvalues)) == sorted(set(reals))
     assert xh == u * Matrix([[reals[i] if i == j else 0 for j in range(n)]
                              for i in range(n)]) * u_inv
     assert xh * x == x * xh
@@ -592,7 +586,7 @@ def test_the_split_refuses_exactly_the_spectra_sympy_finds_outside_qi(seed):
     s = _companion(mu)
     _, unsupported = sympy_supported(mu)
     try:
-        xh = hyperbolic_part(s)
+        xh = hyperbolic_part(s)[0]
     except UnsupportedSpectrumError as err:
         assert unsupported
         assert_names_sympys_unsupported_part(mu, err)
@@ -609,7 +603,7 @@ def test_grade_at_a_diagonal_of_height_10_12(sl3):
     a = (F(10**12), F(-10**12 + 7, 3), F(-2 * 10**12 - 7, 3))
     xh = element_coords(sl3, _diag(a))
     start = time.perf_counter()
-    grading = grade(sl3, xh)
+    grading = grade(sl3, xh, a)
     assert time.perf_counter() - start < 2
     assert list(grading) == sorted({ai - aj for ai in a for aj in a})
 
@@ -656,13 +650,14 @@ def test_the_grading_law_holds_on_the_catalog(entries, rng):
         elements += [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(6)]
         for x in elements:
             try:
-                hyperbolic = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
+                graded = hyperbolic(malg, x)
             except UnsupportedSpectrumError:
                 continue
-            for element in (x, hyperbolic):
+            for element, eigenvalues in (
+                    (x, rational_eigenvalues(element_matrix(malg, x))), graded):
                 try:
-                    spaces = grade(malg, element)
-                except UnsupportedSpectrumError:
+                    spaces = grade(malg, element, eigenvalues)
+                except ValueError:
                     continue  # the eigenspaces do not sum to g
                 assert span_grading_holds(malg.algebra, spaces)
                 checked += 1
@@ -685,8 +680,7 @@ def test_the_grading_law_holds_on_the_benchmark_inputs():
     inputs = list(_parabolic_inputs())
     assert len(inputs) == 17
     for malg, x in inputs:
-        hyperbolic = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
-        assert span_grading_holds(malg.algebra, grade(malg, hyperbolic))
+        assert span_grading_holds(malg.algebra, grade(malg, *hyperbolic(malg, x)))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -696,13 +690,14 @@ def test_grade_matches_the_reference_route_on_the_benchmark_elements(seed):
     inputs = list(_parabolic_inputs(seed))
     assert len(inputs) == 17
     for malg, x in inputs:
-        xh = element_coords(malg, hyperbolic_part(element_matrix(malg, x)))
-        assert grade(malg, xh) == reference_grading(malg, xh), x
+        xh, eigenvalues = hyperbolic(malg, x)
+        assert grade(malg, xh, eigenvalues) == reference_grading(malg, xh), x
 
 
 def test_parabolic_report_takes_charpoly_only_of_the_representation(monkeypatch):
-    """charpoly runs on x and on x_h, of the representation's size (3 or 4 on the
-    benchmark), and never on ad(x_h), of the algebra's (8 or 15)."""
+    """charpoly runs once, on x, of the representation's size (3 or 4 on the
+    benchmark): never on x_h, whose eigenvalues come with it, nor on ad(x_h), of
+    the algebra's size (8 or 15)."""
     shapes, real = [], reductive.charpoly
     monkeypatch.setattr(reductive, "charpoly",
                         lambda m: shapes.append((m.rows, m.cols)) or real(m))
@@ -712,7 +707,7 @@ def test_parabolic_report_takes_charpoly_only_of_the_representation(monkeypatch)
         shapes.clear()
         parabolic_report(malg, x)
         size = malg.rep[0].rows
-        assert shapes == [(size, size)] * 2, x
+        assert shapes == [(size, size)], x
 
 
 def test_parabolic_report_builds_ad_only_for_the_grading(monkeypatch):
@@ -747,7 +742,7 @@ def test_the_stabilizer_of_x_dual_is_its_centralizer(entries):
 
 def test_each_report_builds_one_matrix_for_x_and_one_for_x_h(monkeypatch):
     """`parabolic_report` builds x's representation matrix, for its hyperbolic
-    part, and `grade` builds x_h's, for its spectrum; nothing else builds one."""
+    part, which builds x_h's as a polynomial in it; nothing builds another."""
     callers, real = [], reductive.element_matrix
 
     def recorded(*args):
@@ -760,7 +755,20 @@ def test_each_report_builds_one_matrix_for_x_and_one_for_x_h(monkeypatch):
     for malg, x in inputs:
         callers.clear()
         parabolic_report(malg, x)
-        assert callers == ["parabolic_report", "grade"], x
+        assert callers == ["parabolic_report"], x
+
+
+def test_each_report_factors_one_spectrum(monkeypatch):
+    """`qi_factors` runs once per report, on charpoly(x): `grade` reads x_h's
+    eigenvalues off `hyperbolic_part` and factors nothing."""
+    calls, real = [], reductive.qi_factors
+    monkeypatch.setattr(reductive, "qi_factors", lambda mu: calls.append(mu) or real(mu))
+    inputs = list(_parabolic_inputs())
+    assert len(inputs) == 17
+    for malg, x in inputs:
+        calls.clear()
+        parabolic_report(malg, x)
+        assert calls == [squarefree_part(charpoly(element_matrix(malg, x)))], x
 
 
 def test_element_coords_refuses_a_matrix_of_another_shape(sl3):
@@ -805,7 +813,10 @@ def test_hyperbolic_part_of_the_benchmark_elements_matches_sympy(seed):
     assert len(inputs) == 17
     for malg, x in inputs:
         xmat = element_matrix(malg, x)
-        assert hyperbolic_part(xmat) == sympy_hyperbolic(xmat), x
+        xh, eigenvalues = hyperbolic_part(xmat)
+        assert xh == sympy_hyperbolic(xmat), x
+        # the candidates `grade` took before: the rational roots of charpoly(x_h)
+        assert sorted(set(eigenvalues)) == sorted(rational_eigenvalues(xh)), x
 
 
 def forged(malg, i, j, k, delta):
@@ -830,7 +841,7 @@ def test_grade_refuses_every_forged_algebra(entries):
             bent = forged(malg, i, j, k, rng.choice((1, -1, F(1, 2))))
             for x in (basis_vector(n, c) for c in range(rank)):
                 with pytest.raises(ValueError) as exc:
-                    grade(bent, x)
+                    grade(bent, x, (0,))
                 assert (exc.type, str(exc.value)) == (
                     ValueError, "algebra fails validation; see validate()")
                 refused += 1
