@@ -29,20 +29,23 @@ the help and dispatches.  A handler returns its report's payload, and
 `main` reads the report's `ok` off the payload's results.
 
 Start-up is paid on every invocation.  Per invocation, medians of 21
-alternating runs pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 and no
-cached bytecode (shared 2-core x86-64 Linux host, Python 3.11): the
-interpreter with `site` takes 44 ms, which the package cannot move;
-importing `json` and `fractions` adds 5 ms; compiling `cli`, `catalog`,
-`liealg` and `linalg` 19 ms; a subcommand's own modules 0 (`orbit`,
-`validate`) to 7 ms (`parabolic` 7, `mackey` 5, `polarize` 7); and the
-analysis itself, in process after the imports, has a median of 1.9, 5.1
-and 7.1 ms per invocation of the `catalog_sweep`, `family_orbit` and
+runs pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 and no cached
+bytecode (shared 2-core x86-64 Linux host, Python 3.11): the interpreter
+with `site` takes 42 ms, which the package cannot move; importing `json`
+and `fractions` adds 4 ms; compiling `cli`, `catalog`, `liealg` and
+`linalg` 16 ms; and compiling a subcommand's own modules after those
+(under `python -S`) 0 ms for `orbit` and `validate`, 1.6 for
+`conditions`, 1.7 for `record`, 3.5 for `mackey` and `classify`, which
+load the same two modules, 5.6 for `parabolic` and 6.6 ms for `polarize`.
+The analysis itself, in process after the imports, has a median of 1.9,
+5.1 and 7.1 ms per invocation of the `catalog_sweep`, `family_orbit` and
 `parabolic_polarize` benchmark workloads.  So this module imports only
 what every subcommand needs (`catalog`, `liealg`, `linalg`), and no
 argument parser library.  Each handler imports its own analysis modules
 (`conditions`, `mackey`, `polarization`, `reductive`, `induction`, and
-through them `polynomials`, `qi_roots` and, for all but `parabolic`,
-`structure`).  A built-in entry is a definition file shipped with the
+through them `qi_roots`, `structure` for all but `parabolic`, and
+`polynomials` for `parabolic` and `polarize` alone: `classify` reads its
+Killing signature by congruence, in `mackey`).  A built-in entry is a definition file shipped with the
 package, and `catalog:NAME` reads the file of the entry named and no other.
 The value types are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.  The
@@ -321,8 +324,8 @@ _IDEAL = ("--ideal", None, "required", "ideal: declared name, labels, indices, o
 _COMMANDS = {
     "catalog": _Command("list built-in algebras", _cmd_catalog, (_OUTPUT,),
                         algebra=False, point=False),
-    "validate": _Command("check antisymmetry and Jacobi on a definition", _cmd_validate,
-                         (_OUTPUT,), point=False),
+    "validate": _Command("check antisymmetry, Jacobi and any matrix_rep brackets",
+                         _cmd_validate, (_OUTPUT,), point=False),
     "orbit": _Command("orbit dimension, stabilizer, affine hull", _cmd_orbit, (_POINT, _OUTPUT)),
     "conditions": _Command("coisotropy/polarization/Pukanszky flags", _cmd_conditions, (
         _POINT, _OUTPUT,

@@ -4,10 +4,10 @@ An algebra is its bracket table: [e_i, e_j] = sum_k c[i][j][k] e_k is
 stored as nonzeros[i][j] = ((k, c[i][j][k]), ...) over the k with
 c[i][j][k] != 0, in increasing k.  The table is the defining field:
 equality, hashing and the repr read it, and so do the kernels (brackets,
-the coadjoint `pairing`, every check of `validate`, ad, and in `structure`
-the Killing form and centralizers).  Structure constants are mostly zero
-(0-9 % nonzero in the catalog), so no dim^3 grid is ever kept; one exists
-only while the catalog reads a file's dense "structure" tensor.
+the coadjoint `pairing`, every check of `validate`, ad, the Killing form
+in `mackey` and centralizers in `polarization`).  Structure constants are
+mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept;
+one exists only while the catalog reads a file's dense "structure" tensor.
 `bracket` coerces its arguments with `vec`, as it does any outside input;
 the package's own brackets, of vectors it made itself, take
 `bracket_exact`, which coerces nothing.
@@ -15,7 +15,7 @@ the package's own brackets, of vectors it made itself, take
 The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
 xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
 pairing B, whose exact kernels and ranks answer the coadjoint questions; the
-Krylov hull, `structure.orbit_annihilator` and the coadjoint flow
+Krylov hull, `polarization.orbit_annihilator` and the coadjoint flow
 `structure.exp_coadjoint` run on it.
 
 This module holds what `validate`, `orbit` and `parabolic` run: the
@@ -27,9 +27,8 @@ pairing kernel, the KKS pairing and what it answers at a covector
 (`stabilizer`, `orbit_dim` of g or of a subalgebra), `ad_matrix`, the
 Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record` and
 `is_nilpotent` (one generator closure; the lemma is stated there).  The
-constructions from subspaces (orthogonals, subquotients, centralizers) and
-the structure series are in `structure`, which only the subcommands that
-use them import.
+constructions from subspaces (orthogonals, subquotients) and the derived
+series are in `structure`, which only the subcommands that use them import.
 
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;

@@ -43,8 +43,9 @@ enough: the images of a multiple of v span what the images of v span.  The
 order cannot change the result: the pivots are the columns where some
 vector of the row space has its first nonzero entry, and the row at pivot p
 is the one vector of the space that is 1 at p and 0 at the other pivots.
-There is no second eliminator: the signature of a symmetric form is read
-off its characteristic polynomial (`polynomials.symmetric_signature`).
+The one other eliminator is `mackey.symmetric_signature`, a symmetric
+(congruence) elimination that counts the signs of its pivots, which an RREF
+does not keep.
 
 No floating point enters this module.
 

@@ -26,6 +26,12 @@ computed.  `dimensions` does the synopsis bookkeeping of a point, for
 of the report that it prints, and `mackey_steps` the point's whole
 `mackey` result.
 
+`classify_little_algebra` names h/a by its dimension, solvability,
+nilpotency and Killing signature.  `symmetric_signature` counts that
+signature by a congruence elimination, so `classify` compiles no
+polynomial code.  That routine, `killing_form` and `is_ideal` are defined
+here because this module is their one user.
+
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
 supply, and the reports say so where it matters.
@@ -57,9 +63,7 @@ from .structure import (
     NotClosedError,
     check_subalgebra,
     coadjoint_image,
-    is_ideal,
     is_solvable,
-    killing_form,
     orth,
     subquotient,
 )
@@ -74,6 +78,10 @@ class LittleGroupData(Record):
     n_c: Subspace            # stabilizer inside the ideal
     h: Subspace              # n + g_c
     g_f: Subspace            # stabilizer of cov itself
+
+
+def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
+    return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
 
 
 def check_ideal(alg: LieAlgebra, n: Subspace) -> None:
@@ -161,23 +169,18 @@ def obstruction_step(data: LittleGroupData) -> dict:
 
     # [sx, sy] lies in h_c, which subquotient found closed, and n_c.reduce of
     # it is the combination of the lifts at its class coordinates, the
-    # section lift of its class; the rest is its n_c-component
+    # section lift of its class; the rest is its n_c-component.  Triviality:
+    # beta with f(x,y) = beta([x,y]) on the quotient, one equation per pair
     f = [[ZERO] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            br = alg.bracket_exact(sec[a], sec[b])
-            n_part = vec_sub(br, n_c.reduce(br))
-            val = cov.pair(n_part)
-            f[a][b] = val
-            f[b][a] = -val
-
-    # triviality: find beta with f(x,y) = beta([x,y]) on the quotient
     pair_rows, rhs = [], []
     for a in range(m):
         for b in range(a + 1, m):
+            br = alg.bracket_exact(sec[a], sec[b])
+            val = cov.pair(vec_sub(br, n_c.reduce(br)))
+            f[a][b], f[b][a] = val, -val
             coeffs = dict(quot.algebra.nonzeros[a][b])
             pair_rows.append([coeffs.get(k, ZERO) for k in range(m)])
-            rhs.append(f[a][b])
+            rhs.append(val)
     # with no pair row no bracket constrains beta, and the report prints []
     beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
 
@@ -231,10 +234,68 @@ def semidirect_witness(data: LittleGroupData,
             "cocycle_zero": None if witness is None else True, "rejections": rejections}
 
 
+def killing_form(alg: LieAlgebra) -> Matrix:
+    """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} (ad e_i)_ab (ad e_j)_ba.
+
+    by_ab[a, b] lists (i, (ad e_i)_ab) = (i, c[i][b][a]) over the nonzeros, so
+    only products of two nonzeros are formed.
+    """
+    n, by_ab = alg.dim, {}
+    for i, plane in enumerate(alg.nonzeros):
+        for b, entries in enumerate(plane):
+            for a, c in entries:
+                by_ab.setdefault((a, b), []).append((i, c))
+    k = [[ZERO] * n for _ in range(n)]
+    for (a, b), column in by_ab.items():
+        for j, d in by_ab.get((b, a), ()):
+            for i, c in column:
+                k[i][j] += c * d
+    return Matrix._of(tuple(map(tuple, k)), n)
+
+
+def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
+    """(positives, negatives, rank) of a symmetric rational matrix, by congruence.
+
+    Symmetric Gaussian elimination over the indices still left: pivot on a
+    nonzero diagonal entry d = a_pp, count its sign, and clear its row and
+    column, a_ik -= a_ip a_pk / d, which is a congruence.  When every
+    diagonal entry left is 0 but some a_pj is not, replacing e_p by e_p + e_j
+    (row p += row j, then column p += column j) makes a_pp = 2 a_pj a pivot.
+    A zero block ends the elimination.  By Sylvester's law of inertia (1852)
+    the counts are the signature of m, whatever pivots are chosen.
+    """
+    if m.transpose() != m:
+        raise ValueError("signature of a matrix that is non-square or not symmetric")
+    a = [list(row) for row in m.entries]
+    left, signs = list(range(m.rows)), []
+    while left:
+        p = next((i for i in left if a[i][i]), None)
+        if p is None:
+            p, j = next(((i, j) for i in left for j in left if a[i][j]), (None, None))
+            if p is None:
+                break
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        left.remove(p)
+        top = a[p]
+        signs.append(top[p] > 0)
+        for i in left:
+            if top[i]:
+                row, f = a[i], top[i] / top[p]
+                for k in left:
+                    if top[k]:
+                        row[k] -= f * top[k]
+    pos = sum(signs)
+    return pos, len(signs) - pos, len(signs)
+
+
 _TYPE_TABLE = {
     (3, False, False, (0, 3, 3)): "so(3)",
     (3, False, False, (2, 1, 3)): "sl(2,R)",
     (6, False, False, (3, 3, 6)): "so(3,1)",
+    (3, True, False, (0, 1, 1)): "e(2)",
+    (3, True, False, (1, 0, 1)): "e(1,1)",
 }
 
 
@@ -246,18 +307,13 @@ def classify_little_algebra(data: LittleGroupData) -> dict:
     signature of the quotient of the little algebra h = g_c by a, and a
     label -- enough to separate so(3), e(2), sl(2,R) and so(3,1).
     """
-    from .polynomials import symmetric_signature  # only `classify` reads a signature
-
     q = subquotient(data.algebra, data.g_c, data.ideal).algebra
     solvable, nilpotent = is_solvable(q), is_nilpotent(q)
     sig = symmetric_signature(killing_form(q))
     label = _TYPE_TABLE.get((q.dim, solvable, nilpotent, sig))
     if label is None:
-        if q.dim == 3 and solvable and not nilpotent and sig[2] == 1:
-            label = "e(2)" if sig == (0, 1, 1) else "e(1,1)"
-        else:
-            kind = "nilpotent" if nilpotent else ("solvable" if solvable else "non-solvable")
-            label = f"dim{q.dim}-{kind}-sig({sig[0]},{sig[1]})"
+        kind = "nilpotent" if nilpotent else ("solvable" if solvable else "non-solvable")
+        label = f"dim{q.dim}-{kind}-sig({sig[0]},{sig[1]})"
     return {
         "dim": q.dim,
         "is_solvable": solvable,

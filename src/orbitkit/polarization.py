@@ -17,7 +17,9 @@ center + single vector (which is what succeeds on Heisenberg-like steps).
 The method does not claim to produce every Pukanszky polarization.  A step
 with no admissible ideal gives the point's result {"error": "strategy
 exhausted", "rejected_candidates": [...], "ok": false}, each rejection a
-{"step", "candidate", "reason"} as in a trace.
+{"step", "candidate", "reason"} as in a trace.  `orbit_annihilator`,
+`centralizer` and `ascending_central_series` are defined here, since no
+other module uses them.
 
 The exponential precheck is sampled and therefore necessary-only: it
 certifies solvability exactly and looks for purely imaginary ad-eigenvalues
@@ -33,21 +35,76 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .conditions import check_conditions
-from .liealg import Covector, LieAlgebra, ad_matrix, bracket_span, orbit_dim
-from .linalg import Subspace, basis_vector, combine
-from .polynomials import charpoly, gcd, poly, real_root_count
-from .structure import (
-    ascending_central_series,
-    centralizer,
-    check_subalgebra,
-    derived_series,
-    is_solvable,
-    orbit_annihilator,
-    orth,
-    subquotient,
+from .liealg import (
+    Covector,
+    LieAlgebra,
+    ad_matrix,
+    bracket_span,
+    orbit_dim,
+    pairing,
+    stable_series,
 )
+from .linalg import (
+    Matrix,
+    Subspace,
+    ZERO,
+    annihilator,
+    basis_vector,
+    combine,
+    invariant_closure,
+    is_zero_vec,
+    rank_kernel,
+)
+from .polynomials import charpoly, gcd, poly, real_root_count
+from .structure import check_subalgebra, derived_series, is_solvable, orth, subquotient
+
+
+def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
+    """The largest ideal of the subalgebra sub (g when None) inside ker cov: ann(V), V
+    the `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
+
+    ann(V) lies in sub and ker cov, and xi([W, Z]) = (xi . ad(W))(Z) = 0 for xi in
+    V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
+    every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
+    """
+    n = alg.dim
+    sub = Subspace.full(n) if sub is None else sub
+
+    def images(xi):
+        rows = pairing(alg, xi)  # row i is xi . ad(e_i)
+        return filter(any, rows if sub.dim == n else (combine(w, rows, n) for w in sub.rows))
+
+    return annihilator(invariant_closure(n, annihilator(sub).rows + (cov.coords,), images))
+
+
+def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:
+    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
+    n = alg.dim
+    # its own block form, not `pairing`: block is sparse in k, each row P_a . w is dense
+    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
+    # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
+    # of ann(modulo): one row a . block per (w, a), dropped when identically zero
+    ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
+    rows = []
+    for w in sub.rows:
+        block = {}
+        for i, plane in enumerate(alg.nonzeros):
+            for wj, entries in zip(w, plane):
+                if wj:
+                    for k, c in entries:
+                        block.setdefault(k, [ZERO] * n)[i] += c * wj
+        rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
+    return rank_kernel(Matrix._of(tuple(r for r in rows if not is_zero_vec(r)), n))[1]
+
+
+@lru_cache(maxsize=None)
+def ascending_central_series(alg: LieAlgebra) -> tuple:
+    """0 = Z_0 < Z_1 < ... until it stabilizes: Z_{k+1} is the centralizer of g modulo Z_k."""
+    full = Subspace.full(alg.dim)
+    return stable_series(Subspace.zero(alg.dim), lambda z: centralizer(alg, full, modulo=z))
 
 
 def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:

@@ -6,18 +6,15 @@ polynomial and the gcd/squarefree/modular-inverse machinery behind the
 exact hyperbolic part of `reductive.hyperbolic_part`, and `real_root_count`,
 the number of distinct real roots by Sturm's theorem, which the exponential
 precheck's imaginary-eigenvalue test reads.  The factors with roots in Q(i)
-that the hyperbolic part and the grading need are in `qi_roots`, so
-`classify`, which reads only a signature, does not compile them.
+that the hyperbolic part needs are in `qi_roots`.  Only `parabolic` and
+`polarize` load this module: `classify` reads the Killing signature by
+congruence (`mackey.symmetric_signature`), not off a characteristic
+polynomial.
 
 `charpoly` reduces the matrix to upper Hessenberg form by similarity over Q
 and reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
 Computational Algebraic Number Theory*, Alg. 2.2.9), with no matrix
 product.
-
-`symmetric_signature` reads a symmetric matrix's signature off chi =
-`charpoly`.  Its spectrum is real, so Descartes' rule of signs is exact: the
-sign variations of chi(x) and of chi(-x) count the positive and the negative
-eigenvalues with multiplicity, and (being diagonalizable) its rank is their sum.
 """
 
 from __future__ import annotations
@@ -239,19 +236,6 @@ def sign_variations(values) -> int:
     """Sign changes along a sequence of rationals, its zeros skipped."""
     signs = [1 if v > 0 else -1 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
-    """(positives, negatives, rank) of a symmetric rational matrix; see the module docstring."""
-    if m.rows != m.cols:
-        raise ValueError("signature of non-square matrix")
-    a = m.entries
-    if any(a[i][j] != a[j][i] for i in range(m.rows) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
-    chi = charpoly(m)
-    pos = sign_variations(chi)
-    neg = sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
-    return pos, neg, pos + neg
 
 
 def sturm_sequence(p: tuple) -> list[tuple]:

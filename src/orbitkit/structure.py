@@ -1,12 +1,11 @@
-"""Constructions from subspaces of a Lie algebra, and its structure series.
+"""Constructions from subspaces of a Lie algebra, and its derived series.
 
 The coadjoint questions about a subspace h and a covector f have one home
-each here: h(f) is `coadjoint_image`, its f-orthogonal h^f = ann(h(f)) is
-`orth`, and the largest ideal of a subalgebra h inside ker f is
-`orbit_annihilator`, in g.  It is a `linalg.invariant_closure` worklist in
-g* under the one coadjoint kernel `liealg.pairing`, which the flow
-`exp_coadjoint` walks too.  Orbit dimensions, stabilizers and ad(Z) are in
-`liealg` (`orbit_dim`, `stabilizer`, `ad_matrix`), next to that kernel.
+each here: h(f) is `coadjoint_image` and its f-orthogonal h^f = ann(h(f))
+is `orth`, both under the one coadjoint kernel `liealg.pairing`, which the
+flow `exp_coadjoint` walks too.  Orbit dimensions, stabilizers and ad(Z)
+are in `liealg` (`orbit_dim`, `stabilizer`, `ad_matrix`), next to that
+kernel.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -14,14 +13,17 @@ the basis of canonical lifts (the rows of h at pivots that are not pivots of
 n), read off in ambient coordinates; `restrict` takes a covector to a
 subalgebra through it, the reference route that the tests compare
 `liealg.orbit_dim` on a subalgebra against, and `check_subalgebra` runs its
-closure check alone.
+closure check alone.  `derived_series` and `is_solvable` are computed on
+demand; `liealg.is_nilpotent` is the one structure fact that `orbit` reads.
 
-Structure facts are computed on demand, one function each: `derived_series`,
-`is_solvable`, `killing_form` and `ascending_central_series` (one
-`centralizer` per term); `liealg.is_nilpotent` is the one that `orbit` reads.
-
-`orbit`, `validate` and `parabolic` never import this module, so an
-invocation of any of them compiles none of it.  The conventions are those of `liealg`.
+A function that one module alone uses is defined in that module: the
+Killing form, its signature and the ideal test in `mackey`, and the orbit
+annihilator, centralizers and the ascending central series in
+`polarization`.  What stays here serves two or more modules, apart from
+`exp_coadjoint` and `restrict`, which no module calls: the flow that
+witness checks are to walk and the tests' reference route.  `orbit`,
+`validate` and `parabolic` never import this module, so an invocation of
+any of them compiles none of it.  The conventions are those of `liealg`.
 """
 
 from __future__ import annotations
@@ -38,17 +40,7 @@ from .liealg import (
     pairing,
     stable_series,
 )
-from .linalg import (
-    Matrix,
-    Record,
-    Subspace,
-    ZERO,
-    annihilator,
-    combine,
-    invariant_closure,
-    is_zero_vec,
-    rank_kernel,
-)
+from .linalg import Record, Subspace, ZERO, annihilator, combine, is_zero_vec
 
 
 class NotClosedError(ValueError):
@@ -90,24 +82,6 @@ def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
     orth(full, cov) is the stabilizer of cov; orth(0, cov) is everything.
     """
     return annihilator(coadjoint_image(alg, cov, h))
-
-
-def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
-    """The largest ideal of the subalgebra sub (g when None) inside ker cov: ann(V), V
-    the `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
-
-    ann(V) lies in sub and ker cov, and xi([W, Z]) = (xi . ad(W))(Z) = 0 for xi in
-    V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
-    every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
-    """
-    n = alg.dim
-    sub = Subspace.full(n) if sub is None else sub
-
-    def images(xi):
-        rows = pairing(alg, xi)  # row i is xi . ad(e_i)
-        return filter(any, rows if sub.dim == n else (combine(w, rows, n) for w in sub.rows))
-
-    return annihilator(invariant_closure(n, annihilator(sub).rows + (cov.coords,), images))
 
 
 class Subquotient(Record):
@@ -177,37 +151,6 @@ def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
     return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
 
 
-def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
-    return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
-
-
-def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:
-    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
-    n = alg.dim
-    # its own block form, not `pairing`: block is sparse in k, each row P_a . w is dense
-    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
-    # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
-    # of ann(modulo): one row a . block per (w, a), dropped when identically zero
-    ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
-    rows = []
-    for w in sub.rows:
-        block = {}
-        for i, plane in enumerate(alg.nonzeros):
-            for wj, entries in zip(w, plane):
-                if wj:
-                    for k, c in entries:
-                        block.setdefault(k, [ZERO] * n)[i] += c * wj
-        rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
-    return rank_kernel(Matrix._of(tuple(r for r in rows if not is_zero_vec(r)), n))[1]
-
-
-@lru_cache(maxsize=None)
-def ascending_central_series(alg: LieAlgebra) -> tuple:
-    """0 = Z_0 < Z_1 < ... until it stabilizes: Z_{k+1} is the centralizer of g modulo Z_k."""
-    full = Subspace.full(alg.dim)
-    return stable_series(Subspace.zero(alg.dim), lambda z: centralizer(alg, full, modulo=z))
-
-
 @lru_cache(maxsize=None)
 def derived_series(alg: LieAlgebra) -> tuple:
     """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
@@ -216,22 +159,3 @@ def derived_series(alg: LieAlgebra) -> tuple:
 
 def is_solvable(alg: LieAlgebra) -> bool:
     return derived_series(alg)[-1].dim == 0
-
-
-def killing_form(alg: LieAlgebra) -> Matrix:
-    """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} c[i][b][a] c[j][a][b]."""
-    n = alg.dim
-    # by_ab[a][b] lists (j, c[j][a][b]) over the nonzeros, so only
-    # products of two nonzeros are formed
-    by_ab = [[[] for _ in range(n)] for _ in range(n)]
-    for j, plane in enumerate(alg.nonzeros):
-        for a, entries in enumerate(plane):
-            for b, c in entries:
-                by_ab[a][b].append((j, c))
-    k = [[ZERO] * n for _ in range(n)]
-    for i, plane in enumerate(alg.nonzeros):
-        for b, entries in enumerate(plane):
-            for a, c in entries:
-                for j, d in by_ab[a][b]:
-                    k[i][j] += c * d
-    return Matrix._of(tuple(map(tuple, k)), n)

@@ -329,7 +329,7 @@ def subalgebra_orbit_dim(alg, cov, sub):
 
 
 def hull_orbit_annihilator(alg, cov):
-    """The route `structure.orbit_annihilator` replaced for sub = g: the elements
+    """The route `polarization.orbit_annihilator` replaced for sub = g: the elements
     pairing to zero with cov and with its Krylov hull, the orbit's linear span."""
     return rank_kernel(Matrix([cov.coords, *krylov_hull(alg, cov).rows]))[1]
 
@@ -358,6 +358,21 @@ def negation_gcd_has_imaginary_root(p):
         chain.append(scale(-1, rem))
     at_minus_inf = [c[-1] if deg(c) % 2 == 0 else -c[-1] for c in chain]
     return sign_variations(at_minus_inf) - sign_variations([c[0] for c in chain]) > 0
+
+
+# -- the signature off the characteristic polynomial, kept as a reference ---------
+
+
+def descartes_signature(m):
+    """(positives, negatives, rank) of a symmetric matrix, by the route that
+    `mackey.symmetric_signature` replaced: a symmetric spectrum is real, so
+    Descartes' rule of signs is exact on chi = charpoly(m).  The sign variations
+    of chi(x) and of chi(-x) count the positive and the negative eigenvalues with
+    multiplicity, and, m being diagonalizable, its rank is their sum."""
+    chi = charpoly(m)
+    pos = sign_variations(chi)
+    neg = sign_variations([-c if k % 2 else c for k, c in enumerate(chi)])  # chi(-x)
+    return pos, neg, pos + neg
 
 
 # -- the obstruction through a section into a given complement, kept as a reference --

@@ -333,7 +333,7 @@ LOADS = {   # the modules a subcommand adds to BASE
     ("mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"):
         ["mackey", "structure"],
     ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"):
-        ["mackey", "polynomials", "structure"],
+        ["mackey", "structure"],
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         ["induction", "structure"],
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
@@ -343,8 +343,14 @@ LOADS = {   # the modules a subcommand adds to BASE
     # definition files, the benchmark's own traffic
     ("validate", "h3.json"): [],
     ("orbit", "h3.json", "--point=0,0,1"): [],
+    ("conditions", "h3.json", "--sub", "plane", "--point=0,0,1"):
+        ["conditions", "structure"],
+    ("mackey", "h3.json", "--ideal", "plane", "--point=0,0,1"):
+        ["mackey", "structure"],
     ("classify", "h3.json", "--ideal", "plane", "--point=0,0,1"):
-        ["mackey", "polynomials", "structure"],
+        ["mackey", "structure"],
+    ("record", "h3.json", "--sub", "plane", "--point=0,0,1"):
+        ["induction", "structure"],
     ("parabolic", "sl2.json", "--element=1,0,0"):
         ["polynomials", "qi_roots", "reductive"],
     ("polarize", "h3.json", "--point=0,0,1"):

@@ -25,16 +25,11 @@ from orbitkit.liealg import (
 )
 from orbitkit.structure import (
     NotClosedError,
-    ascending_central_series,
-    centralizer,
     check_subalgebra,
     coadjoint_image,
     derived_series,
     exp_coadjoint,
-    is_ideal,
     is_solvable,
-    killing_form,
-    orbit_annihilator,
     orth,
     restrict,
     subquotient,
@@ -43,11 +38,14 @@ from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.mackey import (
     LittleGroupData,
+    is_ideal,
+    killing_form,
     little_group_step,
     semidirect_witness,
+    symmetric_signature,
     verify_step_relations,
 )
-from orbitkit.polynomials import symmetric_signature
+from orbitkit.polarization import ascending_central_series, centralizer, orbit_annihilator
 from orbitkit.linalg import (
     Matrix,
     Subspace,
@@ -602,7 +600,7 @@ def test_orbit_record_builds_no_killing_form_and_no_derived_series(entries, monk
     def refuse(*args):
         raise AssertionError("structure fact that orbit_record does not read")
 
-    monkeypatch.setattr(structure, "killing_form", refuse)
+    monkeypatch.setattr(mackey, "killing_form", refuse)
     monkeypatch.setattr(structure, "derived_series", refuse)
     monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
     for entry in entries.values():
@@ -1205,7 +1203,7 @@ def kernel_cases(entries, rng):
 
 def dense_orbit_annihilator(alg, cov, sub):
     """ann(V), V the fixed point of V -> V + V . dense_ad(W) over the rows W of sub,
-    from ann(sub) and cov: the dense-ad route `structure.orbit_annihilator` replaced."""
+    from ann(sub) and cov: the dense-ad route `polarization.orbit_annihilator` replaced."""
     n = alg.dim
     ads = [dense_ad(alg, w).entries for w in sub.rows]
     v = annihilator(sub).add(Subspace(n, [cov.coords]))
@@ -1295,7 +1293,7 @@ def test_the_coadjoint_closures_are_handed_no_zero_image(monkeypatch):
                 yield image
         return real(n, start_rows, recorded)
 
-    for mod in (liealg, structure):
+    for mod in (liealg, polarization):
         monkeypatch.setattr(mod, "invariant_closure", counted)
     rng = random.Random(31)
     for family in (families.heisenberg(16, families.family_rng(0, "h33")),

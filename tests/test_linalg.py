@@ -24,8 +24,9 @@ from orbitkit.linalg import (
     vec,
     vec_dot,
 )
-from orbitkit.polynomials import symmetric_signature
-from orbitkit.structure import centralizer, derived_series
+from orbitkit.mackey import symmetric_signature
+from orbitkit.polarization import centralizer
+from orbitkit.structure import derived_series
 from conftest import coords_of, dense_apply, rand_covector, rand_frac, rand_vec
 
 

@@ -37,6 +37,7 @@ from conftest import (
     coords_of,
     dense_apply,
     dense_structure,
+    descartes_signature,
     loop_ideal_closure,
     rand_covector,
     rand_vec,
@@ -551,6 +552,25 @@ def test_wigner_little_groups_in_closed_form(d, seed):
         coords = basis_vector(alg.dim, alg.labels.index(label)) if label else (0,) * alg.dim
         kind = classify_little_algebra(little_group_step(alg, trans, Covector(alg, coords)))
         assert (kind["dim"], _signature(kind)) == (dim, sig), label
+
+
+def test_little_algebra_signatures_at_the_family_orbit_golden_points_match_the_reference(
+        tmp_path, monkeypatch, capsys):
+    """At every `classify` point of the family_orbit goldens, the congruence
+    signature of the little algebra's Killing form is the one that charpoly and
+    Descartes' rule of signs read; the golden replay pins the printed bytes."""
+    wl = workloads.build("family_orbit", 0, full=True)
+    workloads.write_files(wl, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    real, forms = mackey.symmetric_signature, []
+    monkeypatch.setattr(mackey, "symmetric_signature", lambda m: forms.append(m) or real(m))
+    points = 0
+    for inv in wl.setup + wl.round:
+        if inv.args[0] == "classify":
+            assert cli.main(inv.args) == 0
+            points += len(json.loads(capsys.readouterr().out)["results"])
+    assert len(forms) == points > 0
+    assert [real(m) for m in forms] == [descartes_signature(m) for m in forms]
 
 
 def test_classification_rejects_nonabelian_ideal(entries):

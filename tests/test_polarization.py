@@ -13,18 +13,21 @@ from orbitkit.liealg import Covector, LieAlgebra, ad_matrix, bracket_span, kks_p
 from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.structure import (
     NotClosedError,
-    ascending_central_series,
-    centralizer,
     check_subalgebra,
     derived_series,
-    is_ideal,
-    orbit_annihilator,
     orth,
     restrict,
     subquotient,
 )
 from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
-from orbitkit.polarization import exponential_precheck, pukanszky_polarization
+from orbitkit.mackey import is_ideal
+from orbitkit.polarization import (
+    ascending_central_series,
+    centralizer,
+    exponential_precheck,
+    orbit_annihilator,
+    pukanszky_polarization,
+)
 from conftest import (
     coords_of,
     hull_orbit_annihilator,

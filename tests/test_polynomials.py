@@ -21,14 +21,13 @@ from orbitkit.polynomials import (
     poly,
     real_root_count,
     squarefree_part,
-    symmetric_signature,
     to_string,
     xgcd,
 )
 from orbitkit.qi_roots import qi_factors
 from orbitkit.liealg import ad_matrix
-from orbitkit.structure import killing_form
-from conftest import rand_vec, sympy_supported
+from orbitkit.mackey import killing_form, symmetric_signature
+from conftest import descartes_signature, rand_vec, sympy_supported
 
 
 def test_poly_refuses_a_string_of_coefficients():
@@ -304,60 +303,13 @@ def test_qi_factors_at_a_height_no_divisor_search_reaches():
     assert sorted(qi_factors(mu)) == sorted([poly([-a, 1]) for a in roots] + [gaussian])
 
 
-# -- the signature from charpoly, against the congruence eliminator it replaced --
-
-
-def congruence_signature(m):
-    """Reference: (positives, negatives, rank) by exact congruence diagonalization.
-
-    Pivot on a nonzero diagonal entry, swapping it into place; when the rest
-    of the diagonal is zero, add row and column j into i for an off-diagonal
-    a[i][j] != 0, which makes a[i][i] = 2 a[i][j] != 0.  Then clear the
-    pivot's row and column and count its sign.
-    """
-    n = m.rows
-    a = [list(row) for row in m.entries]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_into(i, j, f):
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] = row[i] + f * row[j]
-
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            found = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if found is not None:
-                swap(k, found)
-            else:
-                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                            if a[i][j] != 0), None)
-                if off is None:
-                    break  # the remaining block is zero
-                i, j = off
-                add_into(i, j, F(1))
-                if i != k:
-                    swap(k, i)
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_into(i, k, -a[i][k] / d)
-    return pos, neg, pos + neg
+# -- the congruence signature of `mackey`, against the charpoly route it replaced --
 
 
 @st.composite
 def symmetric_matrices(draw):
     """Symmetric n x n, n <= 7, about half the entries 0.  Some have a zero
-    diagonal, so the reference pivots off the diagonal; some are P^T S P for a
+    diagonal, so the elimination pivots off the diagonal; some are P^T S P for a
     smaller symmetric S, so their rank is below n."""
     n = draw(st.integers(0, 7))
     entry = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=4))
@@ -375,8 +327,8 @@ def symmetric_matrices(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(symmetric_matrices())
-def test_symmetric_signature_matches_the_congruence_reference_property(m):
-    assert symmetric_signature(m) == congruence_signature(m)
+def test_symmetric_signature_matches_the_descartes_reference_property(m):
+    assert symmetric_signature(m) == descartes_signature(m)
 
 
 def test_symmetric_signature_refuses_a_nonsymmetric_matrix():
@@ -389,4 +341,4 @@ def test_symmetric_signature_refuses_a_nonsymmetric_matrix():
 def test_killing_signatures_of_the_catalog_are_unchanged(entries):
     for entry in entries.values():
         form = killing_form(entry.algebra)
-        assert symmetric_signature(form) == congruence_signature(form), entry.name
+        assert symmetric_signature(form) == descartes_signature(form), entry.name

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import liealg, reductive, structure
+from orbitkit import liealg, polarization, reductive, structure
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import (
@@ -737,7 +737,7 @@ def test_the_stabilizer_of_x_dual_is_its_centralizer(entries):
     for malg, x in inputs:
         alg = malg.algebra
         assert (liealg.stabilizer(alg, element_to_covector(malg, x))
-                == structure.centralizer(alg, Subspace(alg.dim, [x]))), x
+                == polarization.centralizer(alg, Subspace(alg.dim, [x]))), x
 
 
 def test_each_report_builds_one_matrix_for_x_and_one_for_x_h(monkeypatch):
