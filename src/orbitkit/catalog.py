@@ -13,10 +13,9 @@ rational; a coefficient key is a string of ASCII decimal digits, and two
 keys of one bracket may not name one index ("2" and "02").  The dimension
 is at most MAX_DIM (128), so a file of a few kilobytes cannot start a
 validation that runs for minutes; a `LieAlgebra` built in code has no cap.
-A raw dense "structure" tensor is accepted as an alternative to "brackets" so
-that deliberately broken tensors can be fed to the validator; it is the
-only dim^3 grid in the package, read into the algebra's sparse bracket
-table as given (not made antisymmetric) and then dropped.  Catalog entries
+The bracket list is the one way a file gives its table, so every algebra
+read from a file is antisymmetric by construction; a dense "structure"
+tensor is refused by name.  Catalog entries
 extend the schema with a description string and three JSON objects keyed
 by name: documented sample covectors, declared ideals and declared
 complements.  A declared name may not be a basis label, all ASCII digits,
@@ -165,6 +164,9 @@ def _parse_matrix(rows, what: str) -> Matrix:
 def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     if not isinstance(doc, dict):
         raise CatalogError(f"{source}: a definition must be a JSON object")
+    if "structure" in doc:
+        raise CatalogError(f"{source}: 'structure' is not a definition field; "
+                           "give the bracket table as 'brackets'")
     try:
         name = doc.get("name", source)
         dim = doc["dim"]
@@ -196,45 +198,30 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
                    for k, m in enumerate(doc["matrix_rep"])]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
-    if "structure" in doc:
+    items, brackets = doc.get("brackets", []), {}
+    if not isinstance(items, list):
+        raise CatalogError(f"{source}: brackets must be a list of bracket objects")
+    for item in items:
         try:
-            grid = [[parse_row(row, f"{source}: structure row") for row in plane]
-                    for plane in doc["structure"]]
-        except TypeError:
-            grid = None
-        if grid is None or len(grid) != dim or any(
-                len(plane) != dim or any(len(row) != dim for row in plane) for plane in grid):
-            raise CatalogError(f"{source}: structure must be a dim x dim x dim tensor")
-        # taken as given, not made antisymmetric, so that `validate` reports a broken tensor
-        table = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-                      for plane in grid)
-    else:
-        table, items, brackets = None, doc.get("brackets", []), {}
-        if not isinstance(items, list):
-            raise CatalogError(f"{source}: brackets must be a list of bracket objects")
-        for item in items:
-            try:
-                i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
-            except (KeyError, TypeError, AttributeError):
-                raise CatalogError(
-                    f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
-                ) from None
-            if not (is_index(i) and is_index(j) and 0 <= i < j < dim):
-                raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
-            if (i, j) in brackets:
-                raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
-            what = f"{source}: bracket pair ({i},{j})"
-            brackets[(i, j)], keys = {}, {}
-            for key, value in coeffs:
-                k = _index_key(key, what)
-                if k in keys:  # "2" and "02"
-                    raise CatalogError(f"{what}: coefficient keys {keys[k]!r} and {key!r} "
-                                       f"name one index {k}")
-                keys[k], brackets[(i, j)][k] = key, _rat(value, what)
+            i, j, coeffs = item["i"], item["j"], item["coeffs"].items()
+        except (KeyError, TypeError, AttributeError):
+            raise CatalogError(
+                f"{source}: a bracket needs 'i', 'j' and a 'coeffs' object, got {item!r}"
+            ) from None
+        if not (is_index(i) and is_index(j) and 0 <= i < j < dim):
+            raise CatalogError(f"{source}: bracket pair ({i},{j}) violates 0 <= i < j < dim")
+        if (i, j) in brackets:
+            raise CatalogError(f"{source}: duplicate bracket pair ({i},{j})")
+        what = f"{source}: bracket pair ({i},{j})"
+        brackets[(i, j)], keys = {}, {}
+        for key, value in coeffs:
+            k = _index_key(key, what)
+            if k in keys:  # "2" and "02"
+                raise CatalogError(f"{what}: coefficient keys {keys[k]!r} and {key!r} "
+                                   f"name one index {k}")
+            keys[k], brackets[(i, j)][k] = key, _rat(value, what)
     try:  # the constructor checks the coefficient indices and the matrix_rep shapes
-        if table is None:
-            return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
-        return LieAlgebra(dim, labels, table, tuple(rep) if rep else None, name)
+        return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
     except ValueError as exc:
         raise CatalogError(f"{source}: {exc}") from None
 
@@ -283,7 +270,7 @@ def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
     alg = parse_algebra(doc, source)
     report = validate(alg)
     if not report["ok"]:
-        bad = report["antisymmetry_failures"] or [f["triple"] for f in report["jacobi_failures"]]
+        bad = [f["triple"] for f in report["jacobi_failures"]]
         where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report['rep_failures'][0]}"
         raise CatalogError(f"{source}: algebra fails validation at {where}")
     covectors = {key: parse_row(coords, f"{source}: covector {key!r}")

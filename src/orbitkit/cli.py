@@ -4,7 +4,8 @@ Exit codes: 0 when every mathematical check in the report passes, 1 when a
 check fails (the report says which), 2 for invalid input or usage.  Output
 is deterministic: keys are sorted, rationals are canonical "p/q" strings,
 and results are listed in input order, so identical invocations produce
-byte-identical reports.
+byte-identical reports.  Input order is the order of the inputs in argv,
+except that `parabolic` lists every `--element` before every `--point`.
 
 The output format lives in one place, `_encode`, the `default=` hook of
 every `json.dumps` here.  Each analysis function returns the dict that is

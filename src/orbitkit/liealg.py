@@ -6,8 +6,8 @@ c[i][j][k] != 0, in increasing k.  The table is the defining field:
 equality, hashing and the repr read it, and so do the kernels (brackets,
 the coadjoint `pairing`, every check of `validate`, ad, the Killing form
 in `mackey` and centralizers in `polarization`).  Structure constants are
-mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever kept;
-one exists only while the catalog reads a file's dense "structure" tensor.
+mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever made:
+a definition file gives its table as a list of brackets, one per i < j pair.
 `bracket` coerces its arguments with `vec`, as it does any outside input;
 the package's own brackets, of vectors it made itself, take
 `bracket_exact`, which coerces nothing.

@@ -22,7 +22,10 @@ from conftest import n5_three_steps, seeded_family_entries
 
 # Definition files that are malformed or declare out-of-range data.
 MALFORMED = {
+    # a dense tensor is not a definition's table, with or without a bracket list
     "bad_structure.json": {"name": "bad", "dim": 1, "basis": ["a"], "structure": [[1]]},
+    "structure_and_brackets.json": {"name": "bad", "dim": 1, "basis": ["a"], "brackets": [],
+                                    "structure": [[["0"]]]},
     "no_coeffs.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                        "brackets": [{"i": 0, "j": 1}]},
     "top_list.json": [{"name": "bad", "dim": 1, "basis": ["a"]}],
@@ -66,8 +69,6 @@ MALFORMED = {
     "ideal_row_string.json": {"name": "bad", "dim": 2, "basis": ["a", "b"],
                               "ideals": {"x": {"rows": ["01"]}}},
     "rep_row_string.json": {"name": "bad", "dim": 1, "basis": ["a"], "matrix_rep": [["0"]]},
-    "structure_row_string.json": {"name": "bad", "dim": 1, "basis": ["a"],
-                                  "structure": [["0"]]},
     "rows_string.json": {"rows": ["010"]},
     "rows_string_signed.json": {"rows": ["-12"]},
     "chain_row_string.json": {"ideals": [{"rows": ["001"]}]},
@@ -157,6 +158,7 @@ BAD_INPUTS = {
                                   "--point=1,0,0"],
     "parabolic_bad_rational": ["parabolic", "catalog:sl2", "--element=1,a,0"],
     "validate_structure_1x1": ["validate", "bad_structure.json"],
+    "validate_structure_beside_brackets": ["validate", "structure_and_brackets.json"],
     "validate_bracket_no_coeffs": ["validate", "no_coeffs.json"],
     "validate_top_level_list": ["validate", "top_list.json"],
     "validate_brackets_not_a_list": ["validate", "brackets_int.json"],
@@ -208,7 +210,6 @@ BAD_INPUTS = {
     "orbit_covector_string": ["orbit", "covector_string.json", "--point=0,1"],
     "orbit_ideal_row_string": ["orbit", "ideal_row_string.json", "--point=0,1"],
     "validate_matrix_rep_row_string": ["validate", "rep_row_string.json"],
-    "validate_structure_row_string": ["validate", "structure_row_string.json"],
     "conditions_rows_string": ["conditions", "catalog:heisenberg3", "--sub", "@rows_string.json",
                                "--point=0,0,1"],
     "conditions_rows_string_signed": ["conditions", "catalog:heisenberg3",
@@ -350,6 +351,7 @@ def test_no_error_text_is_a_python_message(workdir, capsys):
 
 def test_malformed_json_is_refused_in_the_package_words(workdir, capsys):
     grammar = "must be an index list or {'rows': ...}"
+    no_structure = "'structure' is not a definition field; give the bracket table as 'brackets'"
     want = {
         "conditions_sub_file_not_a_subalgebra": "subspace is not a subalgebra: "
                                                 "bracket of basis rows 0,1 escapes",
@@ -386,8 +388,9 @@ def test_malformed_json_is_refused_in_the_package_words(workdir, capsys):
         "validate_no_basis": "no_basis.json: missing field 'basis'",
         "validate_basis_short": "basis_short.json: basis has 1 labels for dim 2",
         "validate_rep_not_a_matrix": "rep_int.json: matrix_rep must list matrices of rows",
-        "validate_structure_not_a_list": "structure_int.json: structure must be a "
-                                         "dim x dim x dim tensor",
+        "validate_structure_1x1": f"bad_structure.json: {no_structure}",
+        "validate_structure_beside_brackets": f"structure_and_brackets.json: {no_structure}",
+        "validate_structure_not_a_list": f"structure_int.json: {no_structure}",
         "validate_bracket_pair_repeated": "bracket_repeated.json: duplicate bracket pair (0,1)",
         "polarize_strategy_unknown": "strategy must be `auto` or `chain:<file>`",
     }
@@ -506,8 +509,6 @@ def test_a_string_row_is_refused_by_name(workdir, capsys):
                                   "rationals, got '01'",
         "validate_matrix_rep_row_string": "rep_row_string.json: matrix_rep[0] row must be a "
                                           "list of rationals, got '0'",
-        "validate_structure_row_string": "structure_row_string.json: structure row must be a "
-                                         "list of rationals, got '0'",
         "conditions_rows_string": "bad subspace file rows_string.json rows[0] must be a list "
                                   "of rationals, got '010'",
         "conditions_rows_string_signed": "bad subspace file rows_string_signed.json rows[0] "
@@ -780,6 +781,13 @@ def test_semidirect_witness_at_a_point_orbit(capsys):
                      "--complement", "dilation", "--point=1,0"], capsys)
     assert code in (0, 1)
     assert env["results"][0]["semidirect"]["witness"] == "dilation"
+
+
+def test_parabolic_lists_every_element_before_every_point(capsys):
+    point_first = run(["parabolic", "catalog:sl2", "--point=1,0,0", "--element=0,1,0"], capsys)
+    element_first = run(["parabolic", "catalog:sl2", "--element=0,1,0", "--point=1,0,0"], capsys)
+    assert [r["input"] for r in point_first[1]["results"]] == [["0", "1", "0"], ["1", "0", "0"]]
+    assert point_first == element_first
 
 
 # -- the argument parser ----------------------------------------------------------

@@ -8,9 +8,12 @@ and must match byte for byte.
 A few catalog-sweep goldens were recorded while those invocations still
 crashed with a traceback (empty stdout, exit 1); the benchmark marks them
 `known_failure`, and its files are only re-recorded with the next change to
-the benchmark.  For those the harness's own envelope rules are asserted
-instead: stdout is one JSON envelope, the exit code is 2 exactly when it has
-an `error` key, and `ok` agrees with the exit code.
+the benchmark.  The harness never compares such an invocation with its golden,
+so its own rules are asserted instead: stdout is one JSON envelope, the exit
+code is 2 exactly when it has an `error` key, `ok` agrees with the exit code,
+and the exit code is the one the invocation's `expect` names (2 for "error",
+0 or 1 for "report"), since a reproducer that stopped exiting 2 would lower
+the benchmark's pass ratio.
 
 A few goldens are also replayed through a real process, `python -m
 orbitkit.cli`, whose entry `cli.run` ends without interpreter teardown: one
@@ -77,6 +80,7 @@ def _replay(name, ident, tmp_path, monkeypatch, capsys):
         assert {"schema", "command", "ok"} <= env.keys()
         assert (code == 2) == ("error" in env)
         assert env["ok"] == (code == 0)
+        assert code in {"error": (2,), "report": (0, 1), "envelope": (0, 1, 2)}[inv.expect]
     else:
         assert (code, out.encode()) == (want["exit"], want["stdout"].encode())
 

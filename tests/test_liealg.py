@@ -975,11 +975,11 @@ def test_from_brackets_matches_the_dense_construction_property(case):
 
 @TABLE_PROPERTIES
 @given(seeded_tensors())
-def test_a_structure_file_keeps_its_tensor_and_its_failures_property(tensor):
+def test_a_raw_table_keeps_its_tensor_and_its_failures_property(tensor):
+    """A table built with the raw constructor is taken as given, and `validate`
+    names each (i, j, k) where it is not antisymmetric, as the dense check does."""
     n = len(tensor)
-    doc = {"dim": n, "basis": [f"e{k}" for k in range(n)],
-           "structure": [[[str(x) for x in row] for row in plane] for plane in tensor]}
-    alg = parse_algebra(doc)
+    alg = LieAlgebra(n, tuple(f"e{k}" for k in range(n)), table_of(tensor))
     assert_canonical(alg)
     assert dense_structure(alg) == tensor
     assert validate(alg)["antisymmetry_failures"] == dense_antisymmetry_failures(tensor)
