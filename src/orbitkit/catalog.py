@@ -1,4 +1,4 @@
-"""The JSON definition format, and the catalog of entries read from it.
+"""The JSON formats, in and out, the catalog of entries, and the CLI's argument readers.
 
 Definition files look like
 
@@ -26,7 +26,7 @@ of basis indices, or {"rows": [row, ...]} with each row a list of dim
 rationals.  A definition declares its ideals and complements in it; the
 file of a `--sub`, `--ideal` or `--complement` argument @FILE holds one
 subspace; a `--strategy chain:FILE` file is {"ideals": [subspace, ...]},
-read by `parse_chain`.
+read by `polarization.parse_chain`, next to the search it feeds.
 
 `read_json` is the one reader of the files the CLI is given: a definition,
 a subspace file and a chain file.  One that cannot be read, is not UTF-8,
@@ -34,7 +34,12 @@ is not JSON or nests too deeply is a CatalogError that names the file.  A
 rational literal is read by `linalg.frac`, in one grammar on every Python
 version, which refuses an exponent above MAX_EXPONENT (4300) in magnitude,
 or more than that many digits in a row, before it builds the number, and a
-numerator or denominator of more than that many digits after.
+numerator or denominator of more than that many digits after.  A definition
+repeats few distinct literals (the sl4 file the benchmark writes at seed 0
+holds 304, 21 of them distinct), so `parse_entry` reads each distinct string literal of a file
+once, through a memo that lives as long as that one parse; a refused literal
+is never stored, so each of its occurrences is refused with its own field
+named.
 
 The built-in entries are definition files too, NAME.json in the package's
 `algebras` directory, read by `load_entry_file` like any other: the same
@@ -44,16 +49,28 @@ per process, so a caller that names one entry reads that file alone; the
 name is looked up in the directory's listing, never joined into a path.
 The shipped files are the whole catalog, and a user's own algebra is named
 by its path: a report depends only on its argv and the files it names.
+
+The readers of the CLI's arguments live here too, since every subcommand's
+handler, in `cli` or next to its analysis, runs them: `load_entry` (an
+ALGEBRA argument), `parse_coords` and `parse_points` (comma-separated
+rationals) and `subspace_argument` (a `--sub`, `--ideal` or `--complement`:
+a declared name, labels, indices or an @file).  They refuse bad input with
+InputError.  `encode` is the output side of the format: the `default=` hook
+of every `json.dumps` of a report, which writes a Fraction as its canonical
+"p/q" string, a Subspace as its RREF basis rows, a Matrix as its rows and a
+Covector as its coordinates; any other type is an error, never a `repr` in
+a report, and so is a Fraction too long to print, a ValueError that says so.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .liealg import LieAlgebra, validate
+from .liealg import Covector, LieAlgebra, validate
 from .linalg import Matrix, Record, Subspace, basis_vector, frac
 
 
@@ -99,21 +116,19 @@ def builtin_catalog() -> dict:
     return {entry.name: entry for entry in entries}
 
 
-def find_entry(name: str) -> CatalogEntry | None:
-    """The built-in entry named `name`, reading no other; None when there is none."""
-    fname = f"{name}.json"
-    if fname not in _entry_files(BUILTIN_DIR):
-        return None
-    return _builtin_entry(os.path.join(BUILTIN_DIR, fname))
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 
 
-def _rat(s, what: str) -> Fraction:
+def _rat(s, what: str, memo: dict | None = None) -> Fraction:
+    """A rational literal; `memo`, when given, maps the string literals its file has
+    given so far to their values, and a refused literal is never stored."""
     if isinstance(s, bool):  # `frac` would read JSON true and false as 1 and 0
         raise CatalogError(f"{what}: {json.dumps(s)} is not a rational")
+    if memo is not None and type(s) is str:  # strings alone: 1 == 1.0 == True as keys
+        if s not in memo:
+            memo[s] = _rat(s, what)
+        return memo[s]
     try:
         return frac(s)
     except (ValueError, TypeError) as exc:
@@ -141,27 +156,29 @@ def _index_key(key, what: str) -> int:
     return int(key)
 
 
-def parse_row(row, what: str) -> tuple:
-    """A JSON list of rationals.
+def parse_row(row, what: str, memo: dict | None = None) -> tuple:
+    """A JSON list of rationals (`memo` as for `_rat`).
 
     Anything else, a string above all, is refused with the field named in
     `what`; a string is never read one character per coordinate.
     """
     if not isinstance(row, list):
         raise CatalogError(f"{what} must be a list of rationals, got {row!r}")
-    return tuple(_rat(x, what) for x in row)
+    return tuple(_rat(x, what, memo) for x in row)
 
 
-def _parse_matrix(rows, what: str) -> Matrix:
+def _parse_matrix(rows, what: str, memo: dict) -> Matrix:
     """A JSON list of rows of rationals; a ragged or empty one names `what`."""
-    rows = [parse_row(row, f"{what} row") for row in rows]
+    rows = [parse_row(row, f"{what} row", memo) for row in rows]
     try:
         return Matrix(rows)
     except ValueError as exc:
         raise CatalogError(f"{what}: {exc}") from None
 
 
-def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
+def parse_algebra(doc: dict, source: str = "<input>", memo: dict | None = None) -> LieAlgebra:
+    """The algebra a definition gives; `memo` (a fresh one by default) as for `_rat`."""
+    memo = {} if memo is None else memo
     if not isinstance(doc, dict):
         raise CatalogError(f"{source}: a definition must be a JSON object")
     if "structure" in doc:
@@ -194,7 +211,7 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
     rep = None
     if doc.get("matrix_rep") is not None:
         try:
-            rep = [_parse_matrix(m, f"{source}: matrix_rep[{k}]")
+            rep = [_parse_matrix(m, f"{source}: matrix_rep[{k}]", memo)
                    for k, m in enumerate(doc["matrix_rep"])]
         except TypeError:
             raise CatalogError(f"{source}: matrix_rep must list matrices of rows") from None
@@ -219,17 +236,17 @@ def parse_algebra(doc: dict, source: str = "<input>") -> LieAlgebra:
             if k in keys:  # "2" and "02"
                 raise CatalogError(f"{what}: coefficient keys {keys[k]!r} and {key!r} "
                                    f"name one index {k}")
-            keys[k], brackets[(i, j)][k] = key, _rat(value, what)
+            keys[k], brackets[(i, j)][k] = key, _rat(value, what, memo)
     try:  # the constructor checks the coefficient indices and the matrix_rep shapes
         return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=rep)
     except ValueError as exc:
         raise CatalogError(f"{source}: {exc}") from None
 
 
-def parse_subspace(alg: LieAlgebra, spec, what: str) -> Subspace:
+def parse_subspace(alg: LieAlgebra, spec, what: str, memo: dict | None = None) -> Subspace:
     """The subspace a JSON spec names; an error's text starts with `what`."""
     if isinstance(spec, dict) and isinstance(spec.get("rows"), list):
-        rows = [parse_row(row, f"{what} rows[{r}]") for r, row in enumerate(spec["rows"])]
+        rows = [parse_row(row, f"{what} rows[{r}]", memo) for r, row in enumerate(spec["rows"])]
     elif not (isinstance(spec, list) and all(map(is_index, spec))):
         raise CatalogError(f"{what} must be an index list or {{'rows': ...}}")
     try:  # an index out of range, or a row of the wrong length
@@ -240,22 +257,14 @@ def parse_subspace(alg: LieAlgebra, spec, what: str) -> Subspace:
         raise CatalogError(f"{what}: {exc}") from None
 
 
-def parse_chain(alg: LieAlgebra, doc, what: str) -> list:
-    """The subspaces of a chain file, in order; an error's text starts with `what`."""
-    ideals = doc.get("ideals") if isinstance(doc, dict) else None
-    if not isinstance(ideals, list):
-        raise CatalogError(f"{what}: 'ideals' is missing or not a list")
-    return [parse_subspace(alg, spec, f"{what}: ideals[{k}]") for k, spec in enumerate(ideals)]
-
-
-def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str) -> Subspace:
+def _parse_subspace(alg: LieAlgebra, name: str, spec, what: str, memo: dict) -> Subspace:
     # a subspace argument is looked up by declared name before labels, indices,
     # label lists and @files, so a name must not read as any of them
     if name in alg.labels or is_index_token(name):
         raise CatalogError(f"{what} has the name of a basis label or index")
     if "," in name or name.startswith("@"):
         raise CatalogError(f"{what} has a name that reads as a label list or a subspace file")
-    return parse_subspace(alg, spec, what)
+    return parse_subspace(alg, spec, what, memo)
 
 
 def _object_field(doc: dict, field: str, source: str) -> dict:
@@ -267,16 +276,17 @@ def _object_field(doc: dict, field: str, source: str) -> dict:
 
 
 def parse_entry(doc: dict, source: str = "<input>") -> CatalogEntry:
-    alg = parse_algebra(doc, source)
+    memo = {}  # each distinct string literal of the document, read once
+    alg = parse_algebra(doc, source, memo)
     report = validate(alg)
     if not report["ok"]:
         bad = [f["triple"] for f in report["jacobi_failures"]]
         where = f"triple {bad[0]}" if bad else f"matrix_rep pair {report['rep_failures'][0]}"
         raise CatalogError(f"{source}: algebra fails validation at {where}")
-    covectors = {key: parse_row(coords, f"{source}: covector {key!r}")
+    covectors = {key: parse_row(coords, f"{source}: covector {key!r}", memo)
                  for key, coords in _object_field(doc, "covectors", source).items()}
     ideals, complements = (
-        {key: _parse_subspace(alg, key, spec, f"{source}: {kind} {key!r}")
+        {key: _parse_subspace(alg, key, spec, f"{source}: {kind} {key!r}", memo)
          for key, spec in _object_field(doc, f"{kind}s", source).items()}
         for kind in ("ideal", "complement"))
     for key, coords in covectors.items():
@@ -301,3 +311,83 @@ def read_json(path: str, what: str = None):
 
 def load_entry_file(path: str) -> CatalogEntry:
     return parse_entry(read_json(path), source=path)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's arguments, and the JSON form of a report
+
+
+class InputError(ValueError):
+    """An argument outside what the analysis covers."""
+
+
+def load_entry(spec: str) -> CatalogEntry:
+    """The entry an ALGEBRA argument names: catalog:NAME, read from the built-in file of
+    that name and no other, or the path of a definition file."""
+    if not spec.startswith("catalog:"):
+        return load_entry_file(spec)
+    name = spec.split(":", 1)[1]
+    fname = f"{name}.json"
+    if fname not in _entry_files(BUILTIN_DIR):
+        raise InputError(f"unknown catalog entry {name!r}; try the `catalog` subcommand")
+    return _builtin_entry(os.path.join(BUILTIN_DIR, fname))
+
+
+def parse_coords(text: str, n: int, word: str) -> tuple:
+    """n comma-separated rationals (an empty text for n = 0); errors name the `word`."""
+    parts = [p.strip() for p in text.split(",")] if n or text.strip() else []
+    if len(parts) != n:
+        raise InputError(f"{word} needs {n} coordinates, got {len(parts)}")
+    try:
+        return tuple(frac(p) for p in parts)
+    except ValueError as exc:
+        raise InputError(f"bad rational in {word}: {exc}") from None
+
+
+def parse_points(alg: LieAlgebra, texts: list) -> list:
+    """The covectors of `--point` arguments, in order."""
+    return [Covector(alg, parse_coords(text, alg.dim, "point")) for text in texts]
+
+
+def subspace_argument(entry: CatalogEntry, text: str) -> Subspace:
+    """The subspace a `--sub`, `--ideal` or `--complement` argument names: a declared
+    ideal or complement, an @file, or a comma-separated list of labels and indices."""
+    alg = entry.algebra
+    if text in entry.ideals:
+        return entry.ideals[text]
+    if text in entry.complements:
+        return entry.complements[text]
+    if text.startswith("@"):
+        what = f"bad subspace file {text[1:]}"
+        return parse_subspace(alg, read_json(text[1:], what), what)
+    tokens = [t.strip() for t in text.split(",")]
+    rows = []
+    for tok in tokens:
+        if is_index_token(tok):
+            idx = int(tok)
+        else:
+            try:
+                idx = alg.label_index(tok)
+            except KeyError:
+                raise InputError(
+                    f"{tok!r} is neither a declared subspace, basis label, nor index"
+                ) from None
+        rows.append(basis_vector(alg.dim, idx))
+    return Subspace(alg.dim, rows)
+
+
+def encode(obj):
+    """The JSON form of the exact values that reports hold."""
+    if isinstance(obj, Fraction):
+        try:
+            return str(obj)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ValueError(f"a number in the report has more than "
+                             f"{sys.get_int_max_str_digits()} digits, too long to print") from None
+    if isinstance(obj, Subspace):
+        return obj.rows
+    if isinstance(obj, Matrix):
+        return obj.entries
+    if isinstance(obj, Covector):
+        return obj.coords
+    raise TypeError(f"no JSON form for {type(obj).__name__}")

@@ -7,47 +7,65 @@ and results are listed in input order, so identical invocations produce
 byte-identical reports.  Input order is the order of the inputs in argv,
 except that `parabolic` lists every `--element` before every `--point`.
 
-The output format lives in one place, `_encode`, the `default=` hook of
-every `json.dumps` here.  Each analysis function returns the dict that is
-printed, and `_encode` writes the exact values in it: a Fraction as its
-canonical "p/q" string, a Subspace as its RREF basis rows, a Matrix as its
-rows and a Covector as its coordinates.  Any other type is an error, never
-a `repr` in a report, and so is a Fraction too long to print, a ValueError
-that says so.
+The output format lives in one place, `catalog.encode`, the `default=`
+hook of every `json.dumps` of a report.  Each analysis function returns the
+dict that is printed, and `encode` writes the exact values in it: a
+Fraction as its canonical "p/q" string, a Subspace as its RREF basis rows, a
+Matrix as its rows and a Covector as its coordinates.  Any other type is an
+error, never a `repr` in a report, and so is a Fraction too long to print, a
+ValueError that says so.
 
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
 turns it into the exit-2 envelope with the exception's text as `error`.
-The library's input errors (InputError here, CatalogError, NotClosedError,
-ChainError, UnsupportedSpectrumError) are all ValueErrors.  An `--output`
-path that cannot be written gives the same envelope, on stdout, naming the
-path.  Usage errors (an unknown command or option, a missing value or
-argument) print a message on stderr, nothing on stdout, and exit 2.
+The library's input errors (InputError and CatalogError in `catalog`,
+NotClosedError, ChainError, UnsupportedSpectrumError) are all ValueErrors.
+An `--output` path that cannot be written gives the same envelope, on
+stdout, naming the path.  Usage errors (an unknown command or option, a
+missing value or argument) print a message on stderr, nothing on stdout,
+and exit 2.
 
 `_COMMANDS`, one table, describes each subcommand (help, options, whether
 it takes an algebra and needs a `--point`, handler): it parses argv, prints
 the help and dispatches.  A handler returns its report's payload, and
-`main` reads the report's `ok` off the payload's results.
+`main` reads the report's `ok` off the payload's results.  The `-h` text and
+the usage errors are written by `usage`, from this table, and that module
+is imported only when one is printed.
 
-Start-up is paid on every invocation.  Per invocation, medians of 21
-runs pinned to one CPU with PYTHONDONTWRITEBYTECODE=1 and no cached
-bytecode (shared 2-core x86-64 Linux host, Python 3.11): the interpreter
-with `site` takes 42 ms, which the package cannot move; importing `json`
-and `fractions` adds 4 ms; compiling `cli`, `catalog`, `liealg` and
-`linalg` 16 ms; and compiling a subcommand's own modules after those
-(under `python -S`) 0 ms for `orbit` and `validate`, 1.6 for
-`conditions`, 1.7 for `record`, 3.5 for `mackey` and `classify`, which
-load the same two modules, 5.6 for `parabolic` and 6.6 ms for `polarize`.
-The analysis itself, in process after the imports, has a median of 1.9,
-5.1 and 7.1 ms per invocation of the `catalog_sweep`, `family_orbit` and
-`parabolic_polarize` benchmark workloads.  So this module imports only
-what every subcommand needs (`catalog`, `liealg`, `linalg`), and no
-argument parser library.  Each handler imports its own analysis modules
-(`conditions`, `mackey`, `polarization`, `reductive`, `induction`, and
-through them `qi_roots`, `structure` for all but `parabolic`, and
-`polynomials` for `parabolic` and `polarize` alone: `classify` reads its
-Killing signature by congruence, in `mackey`).  A built-in entry is a definition file shipped with the
-package, and `catalog:NAME` reads the file of the entry named and no other.
+Start-up is paid on every invocation: the interpreter, then compiling
+each package module from source, as the benchmark runs with
+PYTHONDONTWRITEBYTECODE=1 and no cached bytecode.  So this module holds
+only what every invocation runs: the table, the parser, `main`, and the
+handlers of `catalog`, `validate` and `orbit`.  It imports `catalog`,
+`liealg` and `linalg`, and no argument parser library.  Every other handler
+here loads its entry, so that a bad ALGEBRA compiles nothing more, then
+imports its analysis module and calls the handler that lives there, next to
+the analysis it drives: `conditions.conditions_command`,
+`mackey.mackey_command` and `classify_command`,
+`induction.record_command`, `reductive.parabolic_command` and
+`exponential.polarize_command`, which imports `polarization` only once the
+exponential precheck has passed.  The argument readers those handlers share
+are in `catalog`.  What each invocation compiles, as `ast.walk` nodes
+(`tests/test_imports.py` keeps each under a budget): 10,270 for `catalog`,
+`validate` and `orbit`; 11,129 for `conditions`, 11,206 for `record`,
+13,104 for `mackey` and `classify`, 15,225 for `parabolic`; and for
+`polarize` 12,895 on a nilpotent algebra (no polynomial code), 15,007 on a
+solvable one and 12,883 when the precheck fails (no search, `conditions` or
+`structure`).  Before these handlers moved out of this module, every
+invocation compiled 11,211 nodes and every `polarize` 15,863.  Compiling
+takes about 1.2 µs a node (`compile()` of each module's source, the
+minimum of 60: 12.6 ms for the four modules every invocation loads, 13.4
+before), and per invocation, medians of 21 interleaved runs under
+`python -S` (shared 2-core x86-64 Linux host, Python 3.11) went from 44.4
+to 40.7 ms for `validate`, 54.1 to 49.3 ms for a nilpotent `polarize`,
+51.1 to 48.1 ms for a refused one, and about 1 to 4 ms lower for the other
+subcommands; a solvable `polarize`, which compiles about as much as
+before, stayed within about 1 ms.  Analysis modules import
+`qi_roots`, `structure` (all but `parabolic` and a refused `polarize`) and
+`polynomials` (`parabolic`, and `polarize` on an algebra that is not
+nilpotent) themselves.  A built-in entry is a definition file shipped with
+the package, and `catalog:NAME` reads the file of the entry named and no
+other.
 The value types are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.  The
 package root imports nothing and binds no public name, and no module
@@ -82,91 +100,20 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog as cat
-from .liealg import Covector, LieAlgebra, orbit_record, validate
-from .linalg import Matrix, Record, Subspace, basis_vector, frac
+from .liealg import orbit_record, validate
+from .linalg import Record
 
 SCHEMA = 1
 
 
-class InputError(ValueError):
-    pass
-
-
-def _load_entry(spec: str) -> cat.CatalogEntry:
-    if spec.startswith("catalog:"):
-        name = spec.split(":", 1)[1]
-        entry = cat.find_entry(name)
-        if entry is None:
-            raise InputError(f"unknown catalog entry {name!r}; try the `catalog` subcommand")
-        return entry
-    return cat.load_entry_file(spec)
-
-
-def _parse_coords(text: str, n: int, word: str) -> tuple:
-    """n comma-separated rationals (an empty text for n = 0); errors name the `word`."""
-    parts = [p.strip() for p in text.split(",")] if n or text.strip() else []
-    if len(parts) != n:
-        raise InputError(f"{word} needs {n} coordinates, got {len(parts)}")
-    try:
-        return tuple(frac(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"bad rational in {word}: {exc}") from None
-
-
-def _parse_points(alg: LieAlgebra, texts: list) -> list:
-    return [Covector(alg, _parse_coords(text, alg.dim, "point")) for text in texts]
-
-
-def _parse_subspace(entry: cat.CatalogEntry, text: str) -> Subspace:
-    alg = entry.algebra
-    if text in entry.ideals:
-        return entry.ideals[text]
-    if text in entry.complements:
-        return entry.complements[text]
-    if text.startswith("@"):
-        what = f"bad subspace file {text[1:]}"
-        return cat.parse_subspace(alg, cat.read_json(text[1:], what), what)
-    tokens = [t.strip() for t in text.split(",")]
-    rows = []
-    for tok in tokens:
-        if cat.is_index_token(tok):
-            idx = int(tok)
-        else:
-            try:
-                idx = alg.label_index(tok)
-            except KeyError:
-                raise InputError(
-                    f"{tok!r} is neither a declared subspace, basis label, nor index"
-                ) from None
-        rows.append(basis_vector(alg.dim, idx))
-    return Subspace(alg.dim, rows)
-
-
-def _encode(obj):
-    """The JSON form of the exact values that reports hold."""
-    if isinstance(obj, Fraction):
-        try:
-            return str(obj)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise ValueError(f"a number in the report has more than "
-                             f"{sys.get_int_max_str_digits()} digits, too long to print") from None
-    if isinstance(obj, Subspace):
-        return obj.rows
-    if isinstance(obj, Matrix):
-        return obj.entries
-    if isinstance(obj, Covector):
-        return obj.coords
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns its report's payload.  A handler that runs
-# on points loads its entry before it imports its analysis modules, parses its
-# options and points in the order that decides which of two bad inputs is
+# subcommand handlers: each returns its report's payload.  `catalog`,
+# `validate` and `orbit` run here; each other handler loads its entry, then
+# imports the module of its analysis and calls the handler there, which parses
+# its options and points in the order that decides which of two bad inputs is
 # named, runs its once-per-invocation checks, and returns a result per input:
 # the input and the dict its analysis function returns.
 
@@ -188,119 +135,55 @@ def _cmd_catalog(args) -> dict:
 
 def _cmd_validate(args) -> dict:
     if args.algebra.startswith("catalog:"):
-        alg = _load_entry(args.algebra).algebra
+        alg = cat.load_entry(args.algebra).algebra
     else:
         alg = cat.parse_algebra(cat.read_json(args.algebra), source=args.algebra)
     report = validate(alg)
     if not report["ok"]:
-        raise InputError(json.dumps(report, sort_keys=True, default=_encode))
+        raise cat.InputError(json.dumps(report, sort_keys=True, default=cat.encode))
     return {"validation": report}
 
 
 def _cmd_orbit(args) -> dict:
-    alg = _load_entry(args.algebra).algebra
+    alg = cat.load_entry(args.algebra).algebra
     return {"results": [{"point": cov, **orbit_record(alg, cov)}
-                        for cov in _parse_points(alg, args.point)]}
+                        for cov in cat.parse_points(alg, args.point)]}
 
 
 def _cmd_conditions(args) -> dict:
-    entry = _load_entry(args.algebra)
-    from .conditions import check_conditions
-    from .structure import check_subalgebra
-
-    sub = _parse_subspace(entry, args.sub)
-    points = _parse_points(entry.algebra, args.point)
-    check_subalgebra(entry.algebra, sub)
-    return {"results": [{"point": cov, **check_conditions(entry.algebra, sub, cov)}
-                        for cov in points]}
+    entry = cat.load_entry(args.algebra)
+    from .conditions import conditions_command
+    return conditions_command(entry, args)
 
 
 def _cmd_mackey(args) -> dict:
-    entry = _load_entry(args.algebra)
-    from .mackey import check_ideal, little_group_step, mackey_steps, semidirect_witness
-
-    ideal = _parse_subspace(entry, args.ideal)
-    points = _parse_points(entry.algebra, args.point)
-    comp = _parse_subspace(entry, args.complement) if args.complement else None
-    check_ideal(entry.algebra, ideal)
-    results = []
-    for cov in points:
-        data = little_group_step(entry.algebra, ideal, cov)
-        out = {"point": cov, **mackey_steps(data)}
-        if comp is not None:
-            out["semidirect"] = semidirect_witness(data, [(args.complement, comp)])
-        results.append(out)
-    return {"results": results}
+    entry = cat.load_entry(args.algebra)
+    from .mackey import mackey_command
+    return mackey_command(entry, args)
 
 
 def _cmd_polarize(args) -> dict:
-    alg = _load_entry(args.algebra).algebra
-    from .polarization import exponential_precheck, pukanszky_polarization
-
-    points = _parse_points(alg, args.point)
-    chain = None
-    if args.strategy not in (None, "auto"):
-        if not args.strategy.startswith("chain:"):
-            raise InputError("strategy must be `auto` or `chain:<file>`")
-        path = args.strategy.split(":", 1)[1]
-        what = f"bad chain file {path}"
-        chain = cat.parse_chain(alg, cat.read_json(path, what), what)
-
-    pre = exponential_precheck(alg)
-    if not pre["passed"] and not args.override_precheck:
-        raise InputError(
-            "exponential precheck failed; rerun with --override-precheck to force: "
-            + json.dumps(pre, sort_keys=True, default=_encode)
-        )
-    return {"precheck": pre,
-            "results": [{"point": cov, **pukanszky_polarization(alg, cov, chain=chain)}
-                        for cov in points]}
+    entry = cat.load_entry(args.algebra)
+    from .exponential import polarize_command  # imports `polarization` once the precheck passes
+    return polarize_command(entry, args)
 
 
 def _cmd_parabolic(args) -> dict:
-    entry = _load_entry(args.algebra)
-    from .reductive import matrix_lie_algebra, parabolic_report
-
-    malg = matrix_lie_algebra(entry.algebra)
-    inputs = [_parse_coords(text, malg.dim, "element") for text in args.element]
-    inputs += _parse_points(entry.algebra, args.point)
-    if not inputs:
-        raise InputError("parabolic needs --element or --point")
-    return {"results": [{"input": x, **parabolic_report(malg, x)} for x in inputs]}
+    entry = cat.load_entry(args.algebra)
+    from .reductive import parabolic_command
+    return parabolic_command(entry, args)
 
 
 def _cmd_classify(args) -> dict:
-    entry = _load_entry(args.algebra)
-    from .mackey import (check_abelian, check_ideal, classify_little_algebra, dimensions,
-                         little_group_step)
-
-    ideal = _parse_subspace(entry, args.ideal)
-    points = _parse_points(entry.algebra, args.point)
-    check_ideal(entry.algebra, ideal)
-    check_abelian(entry.algebra, ideal)
-    results = []
-    for cov in points:
-        data = little_group_step(entry.algebra, ideal, cov)
-        # the ideal is abelian, so h = g_c, dim_u = 0 and dim_y is the fiber rank
-        dim_x, _, dim_gh, _, dim_y, ok = dimensions(data)
-        step = {"h_dim": data.h.dim, "dim_x": dim_x, "dim_gh": dim_gh, "dim_y": dim_y,
-                "identities_hold": ok}
-        results.append({"point": cov, "little_algebra": classify_little_algebra(data),
-                        "abelian_step": step, "ok": ok})
-    return {"results": results}
+    entry = cat.load_entry(args.algebra)
+    from .mackey import classify_command
+    return classify_command(entry, args)
 
 
 def _cmd_record(args) -> dict:
-    entry = _load_entry(args.algebra)
-    from .induction import check_chain, record_report
-
-    subs = [_parse_subspace(entry, s) for s in args.sub]
-    if not subs:
-        raise InputError("record needs at least one --sub")
-    points = _parse_points(entry.algebra, args.point)
-    check_chain(entry.algebra, subs)
-    return {"results": [{"point": cov, **record_report(entry.algebra, subs, cov)}
-                        for cov in points]}
+    entry = cat.load_entry(args.algebra)
+    from .induction import record_command
+    return record_command(entry, args)
 
 
 # ---------------------------------------------------------------------------
@@ -355,40 +238,10 @@ def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: orbitkit COMMAND [ARGS]"
-    spec = _COMMANDS[command]
-    words = ["usage: orbitkit", command] + (["ALGEBRA"] if spec.algebra else [])
-    for name, _, kind, _ in spec.options:
-        value = f"{name} {_dest(name).upper()}"
-        words.append({"required": value, "value": f"[{value}]", "list": f"[{value}]...",
-                      "flag": f"[{name}]"}[kind])
-    return " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    if command is None:
-        rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
-        head = ["Exact coadjoint-orbit analysis for rational Lie algebras.", "", "commands:"]
-        tail = ["", "`orbitkit COMMAND -h` lists the options of a command."]
-    else:
-        spec = _COMMANDS[command]
-        rows = [("ALGEBRA", "catalog:NAME or a JSON definition file")] if spec.algebra else []
-        for name, short, kind, help_text in spec.options:
-            left = f"{short}, {name}" if short else name
-            rows.append((left if kind == "flag" else f"{left} {_dest(name).upper()}", help_text))
-        head, tail = [spec.help, "", "arguments:"], []
-    rows.append(("-h, --help", "show this help and exit"))
-    width = max(len(left) for left, _ in rows) + 2
-    body = [f"  {left:<{width}}{right}" for left, right in rows]
-    return "\n".join([_usage(command), ""] + head + body + tail) + "\n"
-
-
-def _usage_error(command: str | None, message: str):
-    prog = "orbitkit" if command is None else f"orbitkit {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
+def _usage_exit(command: str | None, error: str | None = None):
+    """Exit 0 after the `-h` text, or 2 after a usage error (`usage.print_and_exit`)."""
+    from .usage import print_and_exit
+    print_and_exit(_COMMANDS, command, error)
 
 
 def _parse_args(argv: list) -> SimpleNamespace:
@@ -401,13 +254,12 @@ def _parse_args(argv: list) -> SimpleNamespace:
     prints a message on stderr and exits 2.
     """
     if not argv:
-        _usage_error(None, "a command is required")
+        _usage_exit(None, "a command is required")
     command = argv[0]
     if command in _HELP:
-        sys.stdout.write(_help(None))
-        raise SystemExit(0)
+        _usage_exit(None)
     if command not in _COMMANDS:
-        _usage_error(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+        _usage_exit(None, f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
     algebra, options = _COMMANDS[command].algebra, _COMMANDS[command].options
     values = {"command": command, "algebra": None}
     by_name = {}
@@ -421,8 +273,7 @@ def _parse_args(argv: list) -> SimpleNamespace:
     rest = iter(argv[1:])
     for arg in rest:
         if arg in _HELP:
-            sys.stdout.write(_help(command))
-            raise SystemExit(0)
+            _usage_exit(command)
         if not arg.startswith("-") or arg == "-":
             positional.append(arg)
             continue
@@ -430,17 +281,17 @@ def _parse_args(argv: list) -> SimpleNamespace:
         if name not in by_name and not arg.startswith("--") and arg[:2] in by_name:
             name, eq, value = arg[:2], "=", arg[2:]
         if name not in by_name:
-            _usage_error(command, f"unrecognized option {name}")
+            _usage_exit(command, f"unrecognized option {name}")
         name, _, kind, _ = by_name[name]
         if kind == "flag":
             if eq:
-                _usage_error(command, f"{name} takes no value")
+                _usage_exit(command, f"{name} takes no value")
             values[_dest(name)] = True
             continue
         if not eq:
             value = next(rest, None)
             if value is None:
-                _usage_error(command, f"{name} needs a value")
+                _usage_exit(command, f"{name} needs a value")
         if kind == "list":
             values[_dest(name)].append(value)
         else:
@@ -448,18 +299,18 @@ def _parse_args(argv: list) -> SimpleNamespace:
     if algebra and positional:
         values["algebra"] = positional.pop(0)
     if positional:
-        _usage_error(command, f"unrecognized arguments: {' '.join(positional)}")
+        _usage_exit(command, f"unrecognized arguments: {' '.join(positional)}")
     missing = [name for name, _, kind, _ in options
                if kind == "required" and values[_dest(name)] is None]
     if algebra and values["algebra"] is None:
         missing.insert(0, "ALGEBRA")
     if missing:
-        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+        _usage_exit(command, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**values)
 
 
 def _dumps(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2, default=_encode) + "\n"
+    return json.dumps(envelope, sort_keys=True, indent=2, default=cat.encode) + "\n"
 
 
 def main(argv: list | None = None) -> int:
@@ -470,7 +321,7 @@ def main(argv: list | None = None) -> int:
     try:
         spec = _COMMANDS[args.command]
         if spec.point and not args.point:
-            raise InputError("at least one --point is required")
+            raise cat.InputError("at least one --point is required")
         payload = spec.handler(args)
         # a result without "ok" (an orbit) counts as ok, and so does a report without results
         ok = all(r.get("ok", True) for r in payload.get("results", ()))

@@ -13,13 +13,17 @@ The coadjoint objects come from `structure`: h(cov) is `coadjoint_image`
 (W(cov) = B_cov . W = -W^T B_cov) and the orthogonal is its annihilator,
 `structure.orth`, so the check builds h(cov) once and reads both off it.
 The stabilizer is `liealg.stabilizer`, the kernel of B_cov.
+
+`conditions_command` is the `conditions` handler: it reads the `--sub` and
+the points, checks the subalgebra closed once, and checks each point.
 """
 
 from __future__ import annotations
 
+from .catalog import CatalogEntry, parse_points, subspace_argument
 from .liealg import Covector, LieAlgebra, stabilizer
 from .linalg import Subspace, annihilator
-from .structure import coadjoint_image
+from .structure import check_subalgebra, coadjoint_image
 
 
 def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> dict:
@@ -76,3 +80,12 @@ def check_conditions(alg: LieAlgebra, h: Subspace, cov: Covector) -> dict:
         },
         "ok": contains_stab and coisotropic and is_polarization and pukanszky,
     }
+
+
+def conditions_command(entry: CatalogEntry, args) -> dict:
+    """The `conditions` payload: a result per `--point` for the subalgebra `--sub`."""
+    sub = subspace_argument(entry, args.sub)
+    points = parse_points(entry.algebra, args.point)
+    check_subalgebra(entry.algebra, sub)
+    return {"results": [{"point": cov, **check_conditions(entry.algebra, sub, cov)}
+                        for cov in points]}

@@ -17,12 +17,16 @@ span, and a decided answer is "yes".  h_m is nilpotent whenever g is, and f's
 own hull is not exact when g is not, so the verdict is "yes" for nilpotent g
 and "undecided" otherwise.  It checks nothing: ROADMAP item 3 replaces it with
 a test that can say "no".
+
+`record_command` is the `record` handler: it reads the chain and the points,
+checks the chain once, and reports each point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .catalog import CatalogEntry, InputError, parse_points, subspace_argument
 from .liealg import Covector, LieAlgebra, is_nilpotent, orbit_dim
 from .linalg import Subspace
 from .structure import check_subalgebra
@@ -69,3 +73,14 @@ def record_report(alg: LieAlgebra, subs: Sequence[Subspace], cov: Covector) -> d
         "frobenius_vs_full_orbit": "yes" if is_nilpotent(alg) else "undecided",
         "ok": induced == flat,
     }
+
+
+def record_command(entry: CatalogEntry, args) -> dict:
+    """The `record` payload: a result per `--point` along the `--sub` chain."""
+    subs = [subspace_argument(entry, s) for s in args.sub]
+    if not subs:
+        raise InputError("record needs at least one --sub")
+    points = parse_points(entry.algebra, args.point)
+    check_chain(entry.algebra, subs)
+    return {"results": [{"point": cov, **record_report(entry.algebra, subs, cov)}
+                        for cov in points]}

@@ -15,8 +15,8 @@ the package's own brackets, of vectors it made itself, take
 The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
 xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
 pairing B, whose exact kernels and ranks answer the coadjoint questions; the
-Krylov hull, `polarization.orbit_annihilator` and the coadjoint flow
-`structure.exp_coadjoint` run on it.
+Krylov hull and `polarization.orbit_annihilator` run on it, and so does the
+coadjoint flow exp(Z) that the tests' witness checks walk.
 
 This module holds what `validate`, `orbit` and `parabolic` run: the
 algebra and covector types, `validate` (which returns the `validation`
@@ -25,10 +25,12 @@ each matrix's nonzero entries, one flattened size x size accumulator per
 pair, and forms no Jacobi sum that a faithful representation proves), the
 pairing kernel, the KKS pairing and what it answers at a covector
 (`stabilizer`, `orbit_dim` of g or of a subalgebra), `ad_matrix`, the
-Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record` and
-`is_nilpotent` (one generator closure; the lemma is stated there).  The
-constructions from subspaces (orthogonals, subquotients) and the derived
-series are in `structure`, which only the subcommands that use them import.
+Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record`, and
+the structure facts: `is_nilpotent` (one generator closure; the lemma is
+stated there), `derived_series` and `is_solvable`, which the exponential
+precheck reads without compiling `structure`.  The constructions from
+subspaces (orthogonals, subquotients) are in `structure`, which only the
+subcommands that use them import.
 
 Conventions, fixed once for the whole package:
   * covectors are coordinate tuples in the dual basis;
@@ -271,7 +273,7 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
     """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
 
     Built only to read its eigenspaces, in `reductive.grade`, and its
-    spectrum, in `polarization._has_imaginary_eigenvalue`."""
+    spectrum, in `exponential._has_imaginary_eigenvalue`."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(alg.coords(z), alg.nonzeros):
@@ -358,3 +360,13 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
     lower = stable_series(derived, lambda c: invariant_closure(
         n, [alg.bracket_exact(u, v) for u in gens for v in c.rows], images))
     return lower[-1].dim == 0
+
+
+@lru_cache(maxsize=None)
+def derived_series(alg: LieAlgebra) -> tuple:
+    """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
+    return stable_series(Subspace.full(alg.dim), lambda d: bracket_span(alg, d, d))
+
+
+def is_solvable(alg: LieAlgebra) -> bool:
+    return derived_series(alg)[-1].dim == 0

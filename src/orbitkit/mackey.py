@@ -26,6 +26,10 @@ computed.  `dimensions` does the synopsis bookkeeping of a point, for
 of the report that it prints, and `mackey_steps` the point's whole
 `mackey` result.
 
+`mackey_command` and `classify_command` are the two handlers this module
+drives: each reads its `--ideal` and points, checks the ideal once, and
+reports each point.
+
 `classify_little_algebra` names h/a by its dimension, solvability,
 nilpotency and Killing signature.  `symmetric_signature` counts that
 signature by a congruence elimination, so `classify` compiles no
@@ -41,11 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .catalog import CatalogEntry, parse_points, subspace_argument
 from .liealg import (
     Covector,
     LieAlgebra,
     bracket_span,
     is_nilpotent,
+    is_solvable,
     orbit_dim,
     stabilizer,
 )
@@ -63,7 +69,6 @@ from .structure import (
     NotClosedError,
     check_subalgebra,
     coadjoint_image,
-    is_solvable,
     orth,
     subquotient,
 )
@@ -367,3 +372,39 @@ def mackey_steps(data: LittleGroupData) -> dict:
 def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> dict:
     """`mackey_steps` of cov's little-group data for n, an ideal that `check_ideal` passed."""
     return mackey_steps(little_group_step(alg, n, cov))
+
+
+def mackey_command(entry: CatalogEntry, args) -> dict:
+    """The `mackey` payload: the steps per `--point` for the ideal `--ideal`, and the
+    semidirect witness when a `--complement` is named."""
+    ideal = subspace_argument(entry, args.ideal)
+    points = parse_points(entry.algebra, args.point)
+    comp = subspace_argument(entry, args.complement) if args.complement else None
+    check_ideal(entry.algebra, ideal)
+    results = []
+    for cov in points:
+        data = little_group_step(entry.algebra, ideal, cov)
+        out = {"point": cov, **mackey_steps(data)}
+        if comp is not None:
+            out["semidirect"] = semidirect_witness(data, [(args.complement, comp)])
+        results.append(out)
+    return {"results": results}
+
+
+def classify_command(entry: CatalogEntry, args) -> dict:
+    """The `classify` payload: the little algebra per `--point` for the abelian ideal
+    `--ideal`."""
+    ideal = subspace_argument(entry, args.ideal)
+    points = parse_points(entry.algebra, args.point)
+    check_ideal(entry.algebra, ideal)
+    check_abelian(entry.algebra, ideal)
+    results = []
+    for cov in points:
+        data = little_group_step(entry.algebra, ideal, cov)
+        # the ideal is abelian, so h = g_c, dim_u = 0 and dim_y is the fiber rank
+        dim_x, _, dim_gh, _, dim_y, ok = dimensions(data)
+        step = {"h_dim": data.h.dim, "dim_x": dim_x, "dim_gh": dim_gh, "dim_y": dim_y,
+                "identities_hold": ok}
+        results.append({"point": cov, "little_algebra": classify_little_algebra(data),
+                        "abelian_step": step, "ok": ok})
+    return {"results": results}

@@ -21,28 +21,28 @@ exhausted", "rejected_candidates": [...], "ok": false}, each rejection a
 `centralizer` and `ascending_central_series` are defined here, since no
 other module uses them.
 
-The exponential precheck is sampled and therefore necessary-only: it
-certifies solvability exactly and looks for purely imaginary ad-eigenvalues
-on the basis plus PRECHECK_SAMPLES random elements drawn from the fixed
-PRECHECK_SEED.  Each element z is tested exactly: with the characteristic
-polynomial of ad z at iy written A(y) + i B(y), the eigenvalues on iR* are
-the iy for the nonzero real roots y of gcd(A, B), which
-`polynomials.real_root_count` counts.
+A user chain (`--strategy chain:FILE`) supplies the ideals instead, one per
+step; `parse_chain` reads its file, {"ideals": [subspace, ...]}.
+
+The exponential precheck is not here: it is in `exponential`, whose
+`polarize_command` runs it once per invocation and imports this module only
+once it has passed (or been overridden), or to read a chain file, so a
+refused algebra compiles no search.  This module compiles no polynomial
+code.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 
+from .catalog import CatalogError, parse_subspace
 from .conditions import check_conditions
 from .liealg import (
     Covector,
     LieAlgebra,
-    ad_matrix,
     bracket_span,
+    derived_series,
     orbit_dim,
     pairing,
     stable_series,
@@ -52,14 +52,12 @@ from .linalg import (
     Subspace,
     ZERO,
     annihilator,
-    basis_vector,
     combine,
     invariant_closure,
     is_zero_vec,
     rank_kernel,
 )
-from .polynomials import charpoly, gcd, poly, real_root_count
-from .structure import check_subalgebra, derived_series, is_solvable, orth, subquotient
+from .structure import check_subalgebra, orth, subquotient
 
 
 def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
@@ -105,52 +103,6 @@ def ascending_central_series(alg: LieAlgebra) -> tuple:
     """0 = Z_0 < Z_1 < ... until it stabilizes: Z_{k+1} is the centralizer of g modulo Z_k."""
     full = Subspace.full(alg.dim)
     return stable_series(Subspace.zero(alg.dim), lambda z: centralizer(alg, full, modulo=z))
-
-
-def _has_imaginary_eigenvalue(alg: LieAlgebra, z) -> bool:
-    """True when ad(z) has a nonzero purely imaginary eigenvalue.
-
-    With p = sum_k c_k x^k the characteristic polynomial, p(iy) = A(y) + i B(y)
-    for the real polynomials A(y) = sum_k c_2k (-1)^k y^2k and
-    B(y) = sum_k c_2k+1 (-1)^k y^2k+1, so for real y, iy is an eigenvalue
-    exactly when y is a root of g = gcd(A, B).  With g's factor y^m (the
-    eigenvalue 0) dropped, the answer is whether the rest has a real root:
-    one Sturm count, `polynomials.real_root_count`.
-    """
-    p = charpoly(ad_matrix(alg, z))
-    a = poly([(-1) ** (k // 2) * c if k % 2 == 0 else 0 for k, c in enumerate(p)])
-    b = poly([(-1) ** (k // 2) * c if k % 2 else 0 for k, c in enumerate(p)])
-    g = gcd(a, b)
-    return real_root_count(g[next(k for k, c in enumerate(g) if c):]) > 0
-
-
-# The sampled elements are fixed, so a precheck report depends on the algebra alone.
-PRECHECK_SEED = 0
-PRECHECK_SAMPLES = 12
-
-
-def exponential_precheck(alg: LieAlgebra) -> dict:
-    """The `precheck` block: solvability plus a sampled no-imaginary-ad-eigenvalue check.
-
-    `eigenvalue_witness` is the first sampled element whose ad has an
-    eigenvalue on iR* (else null), and `passed` is whether the algebra is
-    solvable and no element is a witness.
-    """
-    solvable = is_solvable(alg)
-    rng = random.Random(PRECHECK_SEED)
-    elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
-    for _ in range(PRECHECK_SAMPLES):
-        elements.append(tuple(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(alg.dim)
-        ))
-    witness = next((z for z in elements if _has_imaginary_eigenvalue(alg, z)), None)
-    return {
-        "is_solvable": solvable,
-        "eigenvalue_witness": witness,
-        "elements_checked": len(elements),
-        "passed": solvable and witness is None,
-        "mode": "sampled",
-    }
 
 
 def _automatic_candidates(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace):
@@ -199,6 +151,14 @@ def _admissible(alg: LieAlgebra, g_i: Subspace, ann_x: Subspace,
     return None
 
 
+def parse_chain(alg: LieAlgebra, doc, what: str) -> list:
+    """The subspaces of a chain file, in order; an error's text starts with `what`."""
+    ideals = doc.get("ideals") if isinstance(doc, dict) else None
+    if not isinstance(ideals, list):
+        raise CatalogError(f"{what}: 'ideals' is missing or not a list")
+    return [parse_subspace(alg, spec, f"{what}: ideals[{k}]") for k, spec in enumerate(ideals)]
+
+
 def pukanszky_polarization(
     alg: LieAlgebra,
     cov: Covector,
@@ -217,8 +177,8 @@ def pukanszky_polarization(
     trace's `conditions`.  Each step lists its window's dimension, the
     ideal, its orthogonal, the next window and three certificates.  ok is
     whether every step's certificates and all four condition flags hold.
-    The exponential precheck is the caller's: the CLI runs it once per
-    invocation.
+    The exponential precheck is the caller's: `exponential.polarize_command`
+    runs it once per invocation.
     """
     n = alg.dim
     g_i = Subspace.full(n)

@@ -50,12 +50,16 @@ the trace form is nondegenerate on g (`matrix_lie_algebra` checks it), so
 g_f = ker ad x.  One elimination gives both.  The stabilizer, the rank of f
 on q and ad(x_h) come from `liealg` (`stabilizer`, `orbit_dim`,
 `ad_matrix`), so a `parabolic` invocation compiles no `structure`.
+
+`parabolic_command` is the `parabolic` handler: every `--element`, then
+every `--point`, each reported in that order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .catalog import CatalogEntry, InputError, parse_coords, parse_points
 from .liealg import (
     Covector,
     LieAlgebra,
@@ -342,3 +346,13 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
         "ok": (stab_ok and image_ok and bijective and hull_ok and blocks_ok and levi_ok
                and dims_ok),
     }
+
+
+def parabolic_command(entry: CatalogEntry, args) -> dict:
+    """The `parabolic` payload: a report per `--element`, then per `--point`."""
+    malg = matrix_lie_algebra(entry.algebra)
+    inputs = [parse_coords(text, malg.dim, "element") for text in args.element]
+    inputs += parse_points(entry.algebra, args.point)
+    if not inputs:
+        raise InputError("parabolic needs --element or --point")
+    return {"results": [{"input": x, **parabolic_report(malg, x)} for x in inputs]}

@@ -1,46 +1,36 @@
-"""Constructions from subspaces of a Lie algebra, and its derived series.
+"""Constructions from subspaces of a Lie algebra.
 
 The coadjoint questions about a subspace h and a covector f have one home
 each here: h(f) is `coadjoint_image` and its f-orthogonal h^f = ann(h(f))
-is `orth`, both under the one coadjoint kernel `liealg.pairing`, which the
-flow `exp_coadjoint` walks too.  Orbit dimensions, stabilizers and ad(Z)
-are in `liealg` (`orbit_dim`, `stabilizer`, `ad_matrix`), next to that
-kernel.
+is `orth`, both under the one coadjoint kernel `liealg.pairing`.  Orbit
+dimensions, stabilizers and ad(Z) are in `liealg` (`orbit_dim`,
+`stabilizer`, `ad_matrix`), next to that kernel, and so are the structure
+facts (`is_nilpotent`, `derived_series`, `is_solvable`).
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
 the basis of canonical lifts (the rows of h at pivots that are not pivots of
-n), read off in ambient coordinates; `restrict` takes a covector to a
-subalgebra through it, the reference route that the tests compare
-`liealg.orbit_dim` on a subalgebra against, and `check_subalgebra` runs its
-closure check alone.  `derived_series` and `is_solvable` are computed on
-demand; `liealg.is_nilpotent` is the one structure fact that `orbit` reads.
+n), read off in ambient coordinates; `check_subalgebra` runs its closure
+check alone.
 
 A function that one module alone uses is defined in that module: the
 Killing form, its signature and the ideal test in `mackey`, and the orbit
 annihilator, centralizers and the ascending central series in
-`polarization`.  What stays here serves two or more modules, apart from
-`exp_coadjoint` and `restrict`, which no module calls: the flow that
-witness checks are to walk and the tests' reference route.  `orbit`,
-`validate` and `parabolic` never import this module, so an invocation of
-any of them compiles none of it.  The conventions are those of `liealg`.
+`polarization`.  What stays here serves two or more modules.  The coadjoint
+flow exp(Z) and the restriction of a covector to a subalgebra have no caller
+in the package, so they live in the tests' support (`tests/conftest.py`)
+and come back with their first caller.  `orbit`, `validate`, `parabolic`
+and a `polarize` whose precheck fails never import this module, so an
+invocation of any of them compiles none of it.  The conventions are those
+of `liealg`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
-from functools import lru_cache
 
-from .liealg import (
-    Covector,
-    LieAlgebra,
-    bracket_span,
-    kks_pairing,
-    pairing,
-    stable_series,
-)
-from .linalg import Record, Subspace, ZERO, annihilator, combine, is_zero_vec
+from .liealg import Covector, LieAlgebra, kks_pairing
+from .linalg import Record, Subspace, annihilator, combine, is_zero_vec
 
 
 class NotClosedError(ValueError):
@@ -56,24 +46,6 @@ def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
         raise ValueError("subspace ambient dimension does not match algebra")
     rows = kks_pairing(alg, cov).entries
     return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.rows])
-
-
-def exp_coadjoint(alg: LieAlgebra, z: Sequence, cov: Covector) -> Covector:
-    """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
-
-    exp(Z)(cov) = sum_k (-1)^k/k! t_k with t_0 = cov, t_{k+1} = t_k . ad(Z) =
-    `combine(z, pairing(alg, t_k))`, up to the first t_k = 0.  The t_k span
-    cov's Krylov space under ad(Z), of dimension d <= dim, and the series ends
-    (at t_d) iff ad(Z) is nilpotent there; dim + 1 nonzero terms are refused.
-    """
-    n, z = alg.dim, alg.coords(z)
-    total, term, coeff = (ZERO,) * n, cov.coords, Fraction(1)  # coeff = (-1)^k / k!
-    for k in range(1, n + 2):
-        if not any(term):
-            return Covector(alg, total)
-        total = combine((1, coeff), (total, term), n)
-        term, coeff = combine(z, pairing(alg, term), n), -coeff / k
-    raise ValueError("the series of exp(Z) at cov never ends; exact exponential refused")
 
 
 def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:
@@ -142,20 +114,3 @@ def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subq
             raise NotClosedError("subspace is not an ideal of the subalgebra")
     inner = LieAlgebra.from_brackets([f"s{k}" for k in range(m)], brackets, f"{alg.name}-sub")
     return Subquotient(inner, lifts)
-
-
-def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
-    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis.
-
-    No report builds it: `liealg.orbit_dim(alg, cov, sub)` reads the same rank in g."""
-    return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
-
-
-@lru_cache(maxsize=None)
-def derived_series(alg: LieAlgebra) -> tuple:
-    """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
-    return stable_series(Subspace.full(alg.dim), lambda d: bracket_span(alg, d, d))
-
-
-def is_solvable(alg: LieAlgebra) -> bool:
-    return derived_series(alg)[-1].dim == 0

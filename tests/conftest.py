@@ -14,10 +14,12 @@ from orbitkit.liealg import (
     flat,
     kks_pairing,
     krylov_hull,
+    pairing,
 )
 from orbitkit.linalg import (
     Matrix,
     Subspace,
+    ZERO,
     basis_vector,
     combine,
     rank_kernel,
@@ -41,7 +43,7 @@ from orbitkit.polynomials import (
 )
 from orbitkit.polarization import pukanszky_polarization
 from orbitkit.qi_roots import qi_factors
-from orbitkit.structure import restrict, subquotient
+from orbitkit.structure import subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -315,6 +317,37 @@ def dense_antisymmetry_failures(tensor):
                  if tensor[i][j][k] != -tensor[j][i][k])
 
 
+# -- the coadjoint flow and the restriction to a subalgebra ---------------------
+# No code of the package calls either: they come back into it with their first
+# caller (ROADMAP items 3 and 24).  Until then the tests' witness checks walk
+# the flow, and `restrict` is the reference route for a restricted orbit.
+
+
+def exp_coadjoint(alg: LieAlgebra, z, cov: Covector) -> Covector:
+    """Coadjoint flow exp(Z) applied to a covector, as an exact finite sum.
+
+    exp(Z)(cov) = sum_k (-1)^k/k! t_k with t_0 = cov, t_{k+1} = t_k . ad(Z) =
+    `combine(z, pairing(alg, t_k))`, up to the first t_k = 0.  The t_k span
+    cov's Krylov space under ad(Z), of dimension d <= dim, and the series ends
+    (at t_d) iff ad(Z) is nilpotent there; dim + 1 nonzero terms are refused.
+    """
+    n, z = alg.dim, alg.coords(z)
+    total, term, coeff = (ZERO,) * n, cov.coords, Fraction(1)  # coeff = (-1)^k / k!
+    for k in range(1, n + 2):
+        if not any(term):
+            return Covector(alg, total)
+        total = combine((1, coeff), (total, term), n)
+        term, coeff = combine(z, pairing(alg, term), n), -coeff / k
+    raise ValueError("the series of exp(Z) at cov never ends; exact exponential refused")
+
+
+def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
+    """cov restricted to the subalgebra sub, a covector of sub in its canonical basis.
+
+    No report builds it: `liealg.orbit_dim(alg, cov, sub)` reads the same rank in g."""
+    return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
+
+
 # -- the subalgebra route to a restricted orbit dimension, kept as a reference ---
 
 
@@ -339,7 +372,7 @@ def hull_orbit_annihilator(alg, cov):
 
 def negation_gcd_has_imaginary_root(p):
     """Whether p has a nonzero purely imaginary root, by the route that
-    `polarization._has_imaginary_eigenvalue` replaced: d = gcd(p(x), p(-x)) collects
+    `exponential._has_imaginary_eigenvalue` replaced: d = gcd(p(x), p(-x)) collects
     the roots symmetric under negation.  Writing d = x^k E(x^2), the nonzero imaginary
     pairs are the negative real roots of E, which a Sturm sequence counts as
     V(-inf) - V(0)."""

@@ -20,7 +20,8 @@ from orbitkit.linalg import Matrix, solve
 from conftest import BUILDERS, algebra_from_rep, sl_rep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads  # noqa: E402  (perfbench/ is not a package)
+import families  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
 
 
 def solved_algebra(name, labels, matrices):
@@ -215,3 +216,52 @@ def test_every_entry_reads_back_from_its_document(entries):
     assert len(written) == 9 + 16
     for entry in written:
         assert catalog.parse_entry(through_json(entry_doc(entry))) == entry, entry.name
+
+
+# -- each distinct literal of a file is parsed once -------------------------------
+
+
+def _literals_parsed(monkeypatch) -> list:
+    """The literals `catalog` hands to `frac` from now on, in order."""
+    calls, real = [], catalog.frac
+    monkeypatch.setattr(catalog, "frac", lambda s: calls.append(s) or real(s))
+    return calls
+
+
+def test_each_distinct_literal_of_a_definition_is_parsed_once(monkeypatch):
+    """The seed-0 sl4 file holds 304 literals, 21 of them distinct, and the shipped
+    poincare 324, 3 distinct: a parse reads each distinct one once."""
+    parsed = _literals_parsed(monkeypatch)
+    catalog.parse_entry(families.sl(4, families.family_rng(0, "sl4")).doc, "sl4.json")
+    assert len(parsed) == len(set(parsed)) == 21
+    parsed.clear()
+    catalog.load_entry_file(os.path.join(catalog.BUILTIN_DIR, "poincare.json"))
+    assert len(parsed) == len(set(parsed)) == 3
+    parsed.clear()
+    catalog.load_entry_file(os.path.join(catalog.BUILTIN_DIR, "poincare.json"))
+    assert len(parsed) == 3  # the memo lives for one parse, not the process
+
+
+H2 = {"name": "h2", "dim": 2, "basis": ["x", "y"],
+      "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]}
+
+
+@pytest.mark.parametrize("covector, error", [
+    ([True, "1"], "covector 'c': true is not a rational"),
+    (["1", False], "covector 'c': false is not a rational"),
+    ([1, "1"], None),
+    (["1", "1/0"], "covector 'c': bad rational literal '1/0': zero denominator"),
+    (["1e5000", "1"], "covector 'c': bad rational literal '1e5000': exponent above 4300"),
+    (["1", 1.0], "covector 'c': bad rational literal 1.0: floating point is not allowed"),
+], ids=["true", "false", "int_and_string", "zero_denominator", "exponent_cap", "float"])
+def test_a_literal_read_before_never_passes_a_refused_one(covector, error):
+    """The memo holds string literals alone, each once it has been accepted: a bool,
+    a float or an int equal to a stored literal is read on its own, and every refusal
+    keeps its text."""
+    doc = {**H2, "covectors": {"c": covector}}
+    if error is None:
+        assert catalog.parse_entry(doc, "h2.json").covectors["c"] == (1, 1)
+        return
+    with pytest.raises(CatalogError) as info:
+        catalog.parse_entry(doc, "h2.json")
+    assert str(info.value).startswith(f"h2.json: {error}")

@@ -17,7 +17,7 @@ import pytest
 from orbitkit import catalog as cat
 from orbitkit import cli
 from orbitkit.linalg import Subspace, basis_vector
-from orbitkit.polarization import pukanszky_polarization
+from orbitkit.polarization import parse_chain, pukanszky_polarization
 from conftest import n5_three_steps, seeded_family_entries
 
 # Definition files that are malformed or declare out-of-range data.
@@ -585,7 +585,7 @@ def test_a_label_of_non_ascii_digits_loads_and_resolves(tmp_path, monkeypatch, c
     (tmp_path / "sup.json").write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     entry = cat.load_entry_file("sup.json")
-    assert cli._parse_subspace(entry, "\u00b2") == Subspace(3, [basis_vector(3, 1)])
+    assert cat.subspace_argument(entry, "\u00b2") == Subspace(3, [basis_vector(3, 1)])
     code, env = run(["conditions", "sup.json", "--sub", "\u00b2,z", "--point=0,0,1"], capsys)
     assert code == 0 and env["ok"] is True
 
@@ -628,7 +628,7 @@ def subspace_cases():
     cases = []
     for name in ("heisenberg3", "filiform4"):
         doc = json.loads((Path(cat.BUILTIN_DIR) / f"{name}.json").read_text(encoding="utf-8"))
-        cases += [(cat.find_entry(name), spec) for spec in doc["ideals"].values()]
+        cases += [(cat.load_entry(f"catalog:{name}"), spec) for spec in doc["ideals"].values()]
     h9, _, l9, _, _ = seeded_family_entries(0)
     for seed, entry in enumerate([h9, l9] * 4):
         rng = random.Random(seed)
@@ -652,8 +652,8 @@ def test_the_index_and_rows_forms_read_as_one_subspace_everywhere(tmp_path, monk
         assert declared.ideals == {"by_index": want, "by_rows": want}
         for fname, spec in (("index.json", by_index), ("rows.json", by_rows)):
             (tmp_path / fname).write_text(json.dumps(spec), encoding="utf-8")
-            assert cli._parse_subspace(entry, f"@{fname}") == want
-        chain = cat.parse_chain(alg, {"ideals": [by_index, by_rows]}, "chain")
+            assert cat.subspace_argument(entry, f"@{fname}") == want
+        chain = parse_chain(alg, {"ideals": [by_index, by_rows]}, "chain")
         assert chain == [want, want]
 
 
@@ -949,7 +949,7 @@ def test_a_report_number_too_long_to_print_gives_the_error_envelope(monkeypatch,
     assert run(["catalog"], capsys) == (2, {
         "command": "catalog", "ok": False, "schema": 1,
         "error": f"a number in the report has more than {limit} digits, too long to print"})
-    assert cli._encode(F(10 ** limit - 1, 2)) == "9" * limit + "/2"
+    assert cat.encode(F(10 ** limit - 1, 2)) == "9" * limit + "/2"
 
 
 # -- the process entry ----------------------------------------------------------

@@ -1,6 +1,6 @@
 import json
 
-from orbitkit import cli, structure
+from orbitkit import cli, conditions, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.liealg import Covector, stabilizer
 from orbitkit.linalg import Subspace, basis_vector
@@ -63,7 +63,7 @@ def test_conditions_checks_its_subalgebra_once(monkeypatch, capsys):
     """h depends on no point: a 3-point `conditions` makes one closure check, not
     one per point."""
     real, calls = structure.check_subalgebra, []
-    monkeypatch.setattr(structure, "check_subalgebra",
+    monkeypatch.setattr(conditions, "check_subalgebra",
                         lambda alg, sub: calls.append(sub) or real(alg, sub))
     code = cli.main(["conditions", "catalog:heisenberg3", "--sub", "plane",
                      "--point=0,0,1", "--point=1,0,0", "--point=0,1,1"])

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import cli
+from orbitkit import cli, usage
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -196,4 +196,5 @@ def test_a_process_reports_a_usage_error_and_its_help(tmp_path):
     assert proc.stderr.endswith(
         "orbitkit orbit: error: the following arguments are required: ALGEBRA\n")
     proc = _cli_process(["orbit", "-h"], tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli._help("orbit"), "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, usage.help_text(cli._COMMANDS, "orbit"), "")

@@ -14,6 +14,10 @@ The unused-import scan checks each scope on its own: the module's imports
 against the names used anywhere in the module, and each function's imports
 against the names used in that function.  Names that appear only inside
 string annotations count as used.
+
+Each invocation also compiles its modules from source (no bytecode is
+cached where the benchmark runs), so the AST nodes of the modules it loads
+stay under a budget per invocation.
 """
 
 import ast
@@ -181,8 +185,6 @@ KEPT = {
     "linalg.Matrix.is_zero": "the tests' zero checks of dense matrices read it",
     "linalg.Matrix.trace": "the dense references in the tests read it",
     "mackey.mackey_report": "one point's result, for library callers",
-    "structure.exp_coadjoint": "the flow that ROADMAP items 3 and 24 use to check witnesses",
-    "structure.restrict": "the reference route for orbit_dim on a subalgebra",
 }
 
 
@@ -320,42 +322,56 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-# -- what each invocation loads --------------------------------------------------
+# -- what each invocation loads and compiles -----------------------------------
 
 BASE = ["orbitkit", "orbitkit.catalog", "orbitkit.cli", "orbitkit.liealg", "orbitkit.linalg"]
 
-LOADS = {   # the modules a subcommand adds to BASE
-    ("catalog",): [],
-    ("validate", "catalog:heisenberg3"): [],
-    ("orbit", "catalog:heisenberg3", "--point=0,0,1"): [],
+# argv -> (the modules it adds to BASE, the most AST nodes (`ast.walk`) that the
+# package modules it loads may hold: what it compiles from source).  Every
+# invocation compiles BASE, 10,270 nodes when the budgets were set; a budget is
+# its row's count then, rounded up.  Before the subcommand handlers moved out
+# of `cli`, BASE held 11,211 nodes, every `polarize` 15,863, `mackey` and
+# `classify` 14,012 and `parabolic` 16,075.
+LOADS = {
+    ("catalog",): ([], 10_300),
+    ("validate", "catalog:heisenberg3"): ([], 10_300),
+    ("orbit", "catalog:heisenberg3", "--point=0,0,1"): ([], 10_300),
     ("conditions", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
-        ["conditions", "structure"],
+        (["conditions", "structure"], 11_200),
     ("mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"):
-        ["mackey", "structure"],
+        (["mackey", "structure"], 13_200),
     ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"):
-        ["mackey", "structure"],
+        (["mackey", "structure"], 13_200),
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
-        ["induction", "structure"],
+        (["induction", "structure"], 11_300),
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        ["polynomials", "qi_roots", "reductive"],
+        (["polynomials", "qi_roots", "reductive"], 15_300),
+    # nilpotent: the Engel shortcut compiles no polynomial code
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
-        ["conditions", "polarization", "polynomials", "structure"],
+        (["conditions", "exponential", "polarization", "structure"], 13_100),
+    # solvable, not nilpotent: the sampled precheck, then the search
+    ("polarize", "catalog:affine_line", "--point=0,1"):
+        (["conditions", "exponential", "polarization", "polynomials", "structure"], 15_100),
+    # the precheck fails (exit 2) before the search is imported
+    ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 12_900),
     # definition files, the benchmark's own traffic
-    ("validate", "h3.json"): [],
-    ("orbit", "h3.json", "--point=0,0,1"): [],
+    ("validate", "h3.json"): ([], 10_300),
+    ("orbit", "h3.json", "--point=0,0,1"): ([], 10_300),
     ("conditions", "h3.json", "--sub", "plane", "--point=0,0,1"):
-        ["conditions", "structure"],
+        (["conditions", "structure"], 11_200),
     ("mackey", "h3.json", "--ideal", "plane", "--point=0,0,1"):
-        ["mackey", "structure"],
+        (["mackey", "structure"], 13_200),
     ("classify", "h3.json", "--ideal", "plane", "--point=0,0,1"):
-        ["mackey", "structure"],
+        (["mackey", "structure"], 13_200),
     ("record", "h3.json", "--sub", "plane", "--point=0,0,1"):
-        ["induction", "structure"],
+        (["induction", "structure"], 11_300),
     ("parabolic", "sl2.json", "--element=1,0,0"):
-        ["polynomials", "qi_roots", "reductive"],
+        (["polynomials", "qi_roots", "reductive"], 15_300),
     ("polarize", "h3.json", "--point=0,0,1"):
-        ["conditions", "polarization", "polynomials", "structure"],
+        (["conditions", "exponential", "polarization", "structure"], 13_100),
 }
+# the rows of LOADS that exit 2 with the error envelope; every other row prints a report
+REFUSED = {("polarize", "catalog:sl2", "--point=2,0,0")}
 
 # the definition files of LOADS: the Heisenberg algebra with an ideal, and sl2
 # with the matrix representation that `parabolic` needs
@@ -401,15 +417,51 @@ def test_a_bare_package_import_loads_no_module():
     assert _loaded_after("import orbitkit") == ["orbitkit"]
 
 
-def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
-    # _loaded_after also lists SLOW_STDLIB modules, which no subcommand may load
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """argv -> the modules `_loaded_after` lists for each row of LOADS, which also
+    lists SLOW_STDLIB modules, so that no subcommand may load one."""
+    cwd = tmp_path_factory.mktemp("definitions")
     for name, doc in DEFINITIONS.items():
-        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
-    for argv, extra in LOADS.items():
+        (cwd / name).write_text(json.dumps(doc), encoding="utf-8")
+    found = {}
+    for argv in LOADS:
+        codes = (2,) if argv in REFUSED else (0, 1)
         run = (f"from orbitkit import cli\n"
-               f"assert cli.main({list(argv)!r}) in (0, 1), 'no report'")
-        assert _loaded_after(run, tmp_path) == sorted(
-            BASE + [f"orbitkit.{m}" for m in extra]), argv
+               f"assert cli.main({list(argv)!r}) in {codes!r}, 'exit code'")
+        found[argv] = _loaded_after(run, cwd)
+    return found
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(loaded):
+    for argv, (extra, _) in LOADS.items():
+        assert loaded[argv] == sorted(BASE + [f"orbitkit.{m}" for m in extra]), argv
+
+
+def compiled_nodes(module: str) -> int:
+    """The AST nodes of a module of the package, `ast.walk`'s count: what importing
+    it compiles from source when no bytecode is cached."""
+    path = PACKAGE / ("__init__.py" if module == "orbitkit" else f"{module.split('.')[1]}.py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_each_invocation_compiles_within_its_node_budget(loaded):
+    """Start-up is most of an invocation, and compiling the package from source is
+    the part of it the package decides: each row's modules stay within its budget."""
+    over = {argv: (total, budget) for argv, (_, budget) in LOADS.items()
+            if (total := sum(map(compiled_nodes, loaded[argv]))) > budget}
+    assert over == {}
+
+
+@pytest.mark.parametrize("argv, loads_random", [
+    (["polarize", "catalog:heisenberg3", "--point=0,0,1"], False),
+    (["polarize", "catalog:affine_line", "--point=0,1"], True),
+], ids=["nilpotent", "solvable"])
+def test_the_engel_shortcut_samples_nothing(argv, loads_random):
+    """On a nilpotent algebra the precheck draws no sample: `random` is never imported."""
+    run = (f"import sys\nfrom orbitkit import cli\nassert cli.main({argv!r}) == 0\n"
+           f"assert ('random' in sys.modules) is {loads_random!r}")
+    assert "orbitkit.exponential" in _loaded_after(run)
 
 
 def test_the_package_root_binds_no_public_name():

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from conftest import rand_covector, seeded_family_entries
+from conftest import rand_covector, restrict, seeded_family_entries
 from orbitkit import cli, induction, liealg, structure
 from orbitkit.induction import ChainError, check_chain, record_report
 from orbitkit.liealg import Covector, orbit_record
 from orbitkit.linalg import Subspace, basis_vector
-from orbitkit.structure import NotClosedError, restrict
+from orbitkit.structure import NotClosedError
 
 
 def _span(n, *indices):

@@ -14,7 +14,9 @@ from orbitkit.liealg import (
     LieAlgebra,
     ad_matrix,
     bracket_span,
+    derived_series,
     is_nilpotent,
+    is_solvable,
     kks_pairing,
     krylov_hull,
     orbit_dim,
@@ -27,11 +29,7 @@ from orbitkit.structure import (
     NotClosedError,
     check_subalgebra,
     coadjoint_image,
-    derived_series,
-    exp_coadjoint,
-    is_solvable,
     orth,
-    restrict,
     subquotient,
 )
 from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
@@ -63,10 +61,12 @@ from conftest import (
     dense_apply,
     dense_from_brackets,
     dense_structure,
+    exp_coadjoint,
     loop_ideal_closure,
     n5_three_steps,
     rand_covector,
     rand_vec,
+    restrict,
     seeded_family_entries,
     strictly_upper,
     subalgebra_orbit_dim,
@@ -601,7 +601,7 @@ def test_orbit_record_builds_no_killing_form_and_no_derived_series(entries, monk
         raise AssertionError("structure fact that orbit_record does not read")
 
     monkeypatch.setattr(mackey, "killing_form", refuse)
-    monkeypatch.setattr(structure, "derived_series", refuse)
+    monkeypatch.setattr(liealg, "derived_series", refuse)
     monkeypatch.setattr(liealg, "is_nilpotent", is_nilpotent.__wrapped__)  # past the cache
     for entry in entries.values():
         for coords in entry.covectors.values():

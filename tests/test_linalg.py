@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitkit import linalg
 from orbitkit.catalog import CatalogEntry
-from orbitkit.liealg import LieAlgebra, stabilizer
+from orbitkit.liealg import LieAlgebra, derived_series, stabilizer
 from orbitkit.linalg import (
     Matrix,
     Record,
@@ -26,7 +26,6 @@ from orbitkit.linalg import (
 )
 from orbitkit.mackey import symmetric_signature
 from orbitkit.polarization import centralizer
-from orbitkit.structure import derived_series
 from conftest import coords_of, dense_apply, rand_covector, rand_frac, rand_vec
 
 

@@ -27,9 +27,7 @@ from orbitkit.structure import (
     NotClosedError,
     check_subalgebra,
     coadjoint_image,
-    exp_coadjoint,
     orth,
-    restrict,
     subquotient,
 )
 from conftest import (
@@ -38,9 +36,11 @@ from conftest import (
     dense_apply,
     dense_structure,
     descartes_signature,
+    exp_coadjoint,
     loop_ideal_closure,
     rand_covector,
     rand_vec,
+    restrict,
     seeded_family_entries,
 )
 

@@ -7,24 +7,26 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import cli, polarization
+from orbitkit import cli, exponential, polarization
 from orbitkit.catalog import parse_algebra
-from orbitkit.liealg import Covector, LieAlgebra, ad_matrix, bracket_span, kks_pairing, stabilizer
-from orbitkit.polynomials import charpoly, deg, mul, poly
-from orbitkit.structure import (
-    NotClosedError,
-    check_subalgebra,
+from orbitkit.exponential import exponential_precheck
+from orbitkit.liealg import (
+    Covector,
+    LieAlgebra,
+    ad_matrix,
+    bracket_span,
     derived_series,
-    orth,
-    restrict,
-    subquotient,
+    is_nilpotent,
+    kks_pairing,
+    stabilizer,
 )
+from orbitkit.polynomials import charpoly, deg, mul, poly
+from orbitkit.structure import NotClosedError, check_subalgebra, orth, subquotient
 from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
 from orbitkit.mackey import is_ideal
 from orbitkit.polarization import (
     ascending_central_series,
     centralizer,
-    exponential_precheck,
     orbit_annihilator,
     pukanszky_polarization,
 )
@@ -36,6 +38,7 @@ from conftest import (
     rand_covector,
     rand_frac,
     rand_vec,
+    restrict,
     seeded_family_entries,
     strictly_upper,
 )
@@ -123,7 +126,7 @@ def test_the_imaginary_eigenvalue_test_matches_the_negation_gcd_route_on_5000_po
         p = _seeded_monic_polynomial(rng)
         alg = _companion_algebra(p)
         want = negation_gcd_has_imaginary_root(mul(poly([0, 1]), p))
-        assert polarization._has_imaginary_eigenvalue(alg, basis_vector(alg.dim, 0)) == want, p
+        assert exponential._has_imaginary_eigenvalue(alg, basis_vector(alg.dim, 0)) == want, p
         found += want
     assert 1000 < found < 4000  # both answers are well represented
 
@@ -136,10 +139,18 @@ PRECHECK_FAMILIES = [(families.heisenberg, 2, "h5"), (families.heisenberg, 3, "h
                      (families.sl, 3, "sl3"), (families.sl, 4, "sl4")]
 
 
+def _precheck_algebras(entries):
+    """Every catalog algebra and every PRECHECK_FAMILIES algebra."""
+    return [e.algebra for e in entries.values()] + [
+        parse_algebra(make(size, families.family_rng(0, stem)).doc)
+        for make, size, stem in PRECHECK_FAMILIES]
+
+
 def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_element(
         entries, monkeypatch):
-    """The wrapper answers "no" after checking, so the precheck visits every element."""
-    real, answers = polarization._has_imaginary_eigenvalue, []
+    """The wrapper answers "no" after checking, so the precheck visits every element
+    of every algebra that is not nilpotent, and none of a nilpotent one (Engel)."""
+    real, answers = exponential._has_imaginary_eigenvalue, []
 
     def checked(alg, z):
         got = real(alg, z)
@@ -147,14 +158,42 @@ def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_el
         answers.append(got)
         return False
 
-    monkeypatch.setattr(polarization, "_has_imaginary_eigenvalue", checked)
-    algebras = [e.algebra for e in entries.values()] + [
-        parse_algebra(make(size, families.family_rng(0, stem)).doc)
-        for make, size, stem in PRECHECK_FAMILIES]
-    for alg in algebras:
+    monkeypatch.setattr(exponential, "_has_imaginary_eigenvalue", checked)
+    visited = set()
+    for alg in _precheck_algebras(entries):
         before = len(answers)
-        assert exponential_precheck(alg)["elements_checked"] == len(answers) - before
+        checked_here = exponential_precheck(alg)["elements_checked"]
+        assert len(answers) - before == (0 if is_nilpotent(alg) else checked_here), alg.name
+        visited.add(is_nilpotent(alg))
+    assert visited == {True, False}
     assert any(answers) and not all(answers)
+
+
+def _nilpotent_algebras(entries):
+    """The nilpotent catalog entries, the nilpotent PRECHECK_FAMILIES algebras and the
+    h, n and L algebras of `seeded_family_entries` at seeds 0 and 1."""
+    seeded = [e.algebra for seed in (0, 1) for e in seeded_family_entries(seed)]
+    return [alg for alg in _precheck_algebras(entries) + seeded if is_nilpotent(alg)]
+
+
+def test_no_precheck_element_of_a_nilpotent_algebra_has_an_imaginary_eigenvalue(entries):
+    """Every ad(z) of a nilpotent algebra is nilpotent, so the Engel shortcut loses
+    nothing: the exact test says "no" on every element the loop would sample."""
+    algebras = _nilpotent_algebras(entries)
+    names = {alg.name for alg in algebras}
+    assert {"heisenberg3", "filiform4", "abelian3"} <= names and len(algebras) >= 12, names
+    for alg in algebras:
+        for z in exponential._precheck_elements(alg):
+            assert not exponential._has_imaginary_eigenvalue(alg, z), (alg.name, z)
+
+
+def test_the_engel_shortcut_gives_the_block_of_the_full_loop(entries, monkeypatch):
+    """With the shortcut switched off, every algebra's block is the same."""
+    algebras = _precheck_algebras(entries)
+    blocks = [exponential_precheck(alg) for alg in algebras]
+    monkeypatch.setattr(exponential, "is_nilpotent", lambda alg: False)
+    assert [exponential_precheck(alg) for alg in algebras] == blocks
+    assert {b["passed"] for b in blocks} == {True, False}
 
 
 # -- the algorithm ----------------------------------------------------------------

@@ -26,7 +26,7 @@ import tracer  # noqa: E402
 # benchmark drops or renames them
 DEAD = {"liealg.structure_probe", "liealg.subalgebra", "liealg.quotient",
         "polynomials.rational_roots", "linalg.Matrix.apply", "reductive.jordan_triple",
-        "mackey.abelian_step"}
+        "mackey.abelian_step", "polarization.exponential_precheck"}
 # made by the tracer around the first import of sympy, not by wrapping a function
 MADE_BY_THE_TRACER = {"cli.sympy_import"}
 
