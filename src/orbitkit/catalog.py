@@ -57,9 +57,10 @@ rationals) and `subspace_argument` (a `--sub`, `--ideal` or `--complement`:
 a declared name, labels, indices or an @file).  They refuse bad input with
 InputError.  `encode` is the output side of the format: the `default=` hook
 of every `json.dumps` of a report, which writes a Fraction as its canonical
-"p/q" string, a Subspace as its RREF basis rows, a Matrix as its rows and a
-Covector as its coordinates; any other type is an error, never a `repr` in
-a report, and so is a Fraction too long to print, a ValueError that says so.
+"p/q" string, a Subspace as its RREF basis rows and a Covector as its
+coordinates; a matrix is the tuple of its rows already, which JSON writes as
+it is.  Any other type is an error, never a `repr` in a report, and so is a
+Fraction too long to print, a ValueError that says so.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .liealg import Covector, LieAlgebra, validate
-from .linalg import Matrix, Record, Subspace, basis_vector, frac
+from .linalg import Record, Subspace, basis_vector, frac
 
 
 MAX_DIM = 128  # the largest dimension a definition file may declare
@@ -167,13 +168,15 @@ def parse_row(row, what: str, memo: dict | None = None) -> tuple:
     return tuple(_rat(x, what, memo) for x in row)
 
 
-def _parse_matrix(rows, what: str, memo: dict) -> Matrix:
-    """A JSON list of rows of rationals; a ragged or empty one names `what`."""
-    rows = [parse_row(row, f"{what} row", memo) for row in rows]
-    try:
-        return Matrix(rows)
-    except ValueError as exc:
-        raise CatalogError(f"{what}: {exc}") from None
+def _parse_matrix(rows, what: str, memo: dict) -> tuple:
+    """A JSON list of rows of rationals, as the tuple of its rows; a ragged or
+    empty one names `what`."""
+    rows = tuple(parse_row(row, f"{what} row", memo) for row in rows)
+    if not rows:
+        raise CatalogError(f"{what}: a matrix with no rows needs its width")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise CatalogError(f"{what}: ragged matrix")
+    return rows
 
 
 def parse_algebra(doc: dict, source: str = "<input>", memo: dict | None = None) -> LieAlgebra:
@@ -386,8 +389,6 @@ def encode(obj):
                              f"{sys.get_int_max_str_digits()} digits, too long to print") from None
     if isinstance(obj, Subspace):
         return obj.rows
-    if isinstance(obj, Matrix):
-        return obj.entries
     if isinstance(obj, Covector):
         return obj.coords
     raise TypeError(f"no JSON form for {type(obj).__name__}")

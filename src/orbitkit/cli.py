@@ -10,10 +10,10 @@ except that `parabolic` lists every `--element` before every `--point`.
 The output format lives in one place, `catalog.encode`, the `default=`
 hook of every `json.dumps` of a report.  Each analysis function returns the
 dict that is printed, and `encode` writes the exact values in it: a
-Fraction as its canonical "p/q" string, a Subspace as its RREF basis rows, a
-Matrix as its rows and a Covector as its coordinates.  Any other type is an
-error, never a `repr` in a report, and so is a Fraction too long to print, a
-ValueError that says so.
+Fraction as its canonical "p/q" string, a Subspace as its RREF basis rows and
+a Covector as its coordinates; a matrix is the tuple of its rows, which JSON
+writes as it is.  Any other type is an error, never a `repr` in a report, and
+so is a Fraction too long to print, a ValueError that says so.
 
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
@@ -46,12 +46,15 @@ the analysis it drives: `conditions.conditions_command`,
 `exponential.polarize_command`, which imports `polarization` only once the
 exponential precheck has passed.  The argument readers those handlers share
 are in `catalog`.  What each invocation compiles, as `ast.walk` nodes
-(`tests/test_imports.py` keeps each under a budget): 10,270 for `catalog`,
-`validate` and `orbit`; 11,129 for `conditions`, 11,206 for `record`,
-13,104 for `mackey` and `classify`, 15,225 for `parabolic`; and for
-`polarize` 12,895 on a nilpotent algebra (no polynomial code), 15,007 on a
-solvable one and 12,883 when the precheck fails (no search, `conditions` or
-`structure`).  Before these handlers moved out of this module, every
+(`tests/test_imports.py` keeps each under a budget): 9,531 for `catalog`,
+`validate` and `orbit`; 10,388 for `conditions`, 10,465 for `record`,
+12,374 for `mackey` and `classify`, 14,546 for `parabolic`; and for
+`polarize` 12,145 on a nilpotent algebra (no polynomial code), 14,247 on a
+solvable one and 12,134 when the precheck fails (no search, `conditions` or
+`structure`).  A matrix is the tuple of its rows: cutting `linalg.Matrix`
+down to the carrier of `rref` took 679 (`parabolic`) to 760 nodes off each
+count, which had been 10,270 for `validate` and 15,225 for `parabolic`.
+Before these handlers moved out of this module, every
 invocation compiled 11,211 nodes and every `polarize` 15,863.  Compiling
 takes about 1.2 µs a node (`compile()` of each module's source, the
 minimum of 60: 12.6 ms for the four modules every invocation loads, 13.4

@@ -14,8 +14,10 @@ the package's own brackets, of vectors it made itself, take
 
 The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
 xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
-pairing B, whose exact kernels and ranks answer the coadjoint questions; the
-Krylov hull and `polarization.orbit_annihilator` run on it, and so does the
+pairing B, which `kks_pairing` returns as these rows (a matrix is the tuple
+of its rows, as everywhere in the package, and so is `ad_matrix`'s), and
+whose exact kernels and ranks answer the coadjoint questions; the Krylov
+hull and `polarization.orbit_annihilator` run on it, and so does the
 coadjoint flow exp(Z) that the tests' witness checks walk.
 
 This module holds what `validate`, `orbit` and `parabolic` run: the
@@ -28,7 +30,8 @@ pairing kernel, the KKS pairing and what it answers at a covector
 Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record`, and
 the structure facts: `is_nilpotent` (one generator closure; the lemma is
 stated there), `derived_series` and `is_solvable`, which the exponential
-precheck reads without compiling `structure`.  The constructions from
+precheck reads without compiling `structure`, and which build [g, g] once
+per algebra between them.  The constructions from
 subspaces (orthogonals, subquotients) are in `structure`, which only the
 subcommands that use them import.
 
@@ -50,7 +53,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
-    Matrix,
     Record,
     Subspace,
     ZERO,
@@ -60,6 +62,7 @@ from .linalg import (
     invariant_closure,
     is_zero_vec,
     rank_kernel,
+    rref,
     vec,
     vec_dot,
 )
@@ -69,7 +72,7 @@ class LieAlgebra(Record):
     dim: int
     labels: tuple[str, ...]
     nonzeros: tuple  # nonzeros[i][j] = ((k, c[i][j][k]), ...), k increasing, c != 0
-    matrix_rep: tuple[Matrix, ...] | None = None
+    matrix_rep: tuple[tuple, ...] | None = None  # one n x n matrix per element, as its rows
     name: str = ""
     # __post_init__ caches the hash as _hash, which is not a field, so
     # equality and the repr skip it
@@ -80,8 +83,8 @@ class LieAlgebra(Record):
         if len(self.nonzeros) != self.dim or any(len(p) != self.dim for p in self.nonzeros):
             raise ValueError("bracket table must be dim x dim")
         rep = self.matrix_rep
-        if rep is not None and (len(rep) != self.dim
-                                or len({m.rows for m in rep} | {m.cols for m in rep}) > 1):
+        if rep is not None and (len(rep) != self.dim or len(
+                {len(m) for m in rep} | {len(row) for m in rep for row in m}) > 1):
             raise ValueError("matrix_rep must list one n x n matrix per element")
         object.__setattr__(self, "_hash", hash(self._values()))
 
@@ -91,7 +94,9 @@ class LieAlgebra(Record):
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict, name: str = "",
                       matrix_rep=None) -> "LieAlgebra":
-        """Build from a {(i, j): {k: coeff}} dict given for i < j only."""
+        """Build from a {(i, j): {k: coeff}} dict given for i < j only; each row
+        of a `matrix_rep` matrix is read by `vec`, so its entries may be ints or
+        "p/q" strings."""
         n = len(labels)
         table = [[()] * n for _ in range(n)]
         for (i, j), coeffs in brackets.items():
@@ -102,7 +107,7 @@ class LieAlgebra(Record):
             row = sorted((k, frac(v)) for k, v in coeffs.items())
             table[i][j] = tuple((k, c) for k, c in row if c)
             table[j][i] = tuple((k, -c) for k, c in table[i][j])
-        rep = tuple(matrix_rep) if matrix_rep is not None else None
+        rep = None if matrix_rep is None else tuple(tuple(map(vec, m)) for m in matrix_rep)
         return cls(n, tuple(labels), tuple(map(tuple, table)), rep, name)
 
     def coords(self, v: Sequence) -> tuple:
@@ -152,9 +157,9 @@ class Covector(Record):
         return vec_dot(self.coords, v)
 
 
-def flat(m: Matrix) -> tuple:
+def flat(m: Sequence[Sequence]) -> tuple:
     """Row-major entries of m: its coordinates in the basis of unit matrices."""
-    return tuple(x for row in m.entries for x in row)
+    return tuple(x for row in m for x in row)
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +186,8 @@ def validate(alg: LieAlgebra) -> dict:
     if alg.matrix_rep is not None:
         # R_i R_j - R_j R_i - sum_k c[i][j][k] R_k, over the nonzero entries only:
         # cells[i] lists (r * size, c, R_i[r][c]) and rows[i][r] lists (c, R_i[r][c])
-        size = alg.matrix_rep[0].rows if n else 0
-        rows = [[[(c, x) for c, x in enumerate(row) if x] for row in m.entries]
+        size = len(alg.matrix_rep[0]) if n else 0
+        rows = [[[(c, x) for c, x in enumerate(row) if x] for row in m]
                 for m in alg.matrix_rep]
         cells = [[(r * size, c, x) for r, row in enumerate(m) for c, x in row] for m in rows]
         for i in range(n):
@@ -199,8 +204,7 @@ def validate(alg: LieAlgebra) -> dict:
                         acc[base + c] -= coeff * x
                 if any(acc):
                     rep.append((i, j))
-        flats = Matrix._of(tuple(map(flat, alg.matrix_rep)), size * size)
-        faithful = not (anti or rep) and len(flats.rref()[1]) == n
+        faithful = not (anti or rep) and len(rref(map(flat, alg.matrix_rep), size * size)[1]) == n
     jac = () if faithful else _jacobi_failures(n, nz)
     return {"ok": not (anti or jac or rep), "antisymmetry_failures": tuple(anti),
             "jacobi_failures": tuple(jac), "rep_failures": tuple(rep)}
@@ -231,8 +235,9 @@ def pairing(alg: LieAlgebra, xi: Sequence) -> tuple:
                        for entries in plane) for plane in alg.nonzeros)
 
 
-def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
-    """Antisymmetric matrix B[i][j] = <cov, [e_i, e_j]>, the `pairing` of cov.
+def kks_pairing(alg: LieAlgebra, cov: Covector) -> tuple:
+    """The rows of the antisymmetric matrix B[i][j] = <cov, [e_i, e_j]>, the
+    `pairing` of cov.
 
     It is built once per covector and kept on it as `_pairing`, which is not a
     field, so equality and the repr skip it; a covector of another algebra is refused.
@@ -241,13 +246,13 @@ def kks_pairing(alg: LieAlgebra, cov: Covector) -> Matrix:
         raise ValueError("covector of another algebra")
     b = getattr(cov, "_pairing", None)
     if b is None:
-        b = Matrix._of(pairing(alg, cov.coords), alg.dim)
+        b = pairing(alg, cov.coords)
         object.__setattr__(cov, "_pairing", b)
     return b
 
 
 def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
-    return rank_kernel(kks_pairing(alg, cov))[1]
+    return rank_kernel(kks_pairing(alg, cov), alg.dim)[1]
 
 
 def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> int:
@@ -260,17 +265,17 @@ def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> in
     """
     if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
-    b = kks_pairing(alg, cov)
+    b, cols = kks_pairing(alg, cov), alg.dim
     if sub is not None:
         if sub.ambient_dim != alg.dim:
             raise ValueError("subspace ambient dimension does not match algebra")
-        wb = [combine(w, b.entries, alg.dim) for w in sub.rows]
-        b = Matrix._of(tuple(tuple(vec_dot(r, w) for w in sub.rows) for r in wb), sub.dim)
-    return len(b.rref()[1])
+        wb = [combine(w, b, alg.dim) for w in sub.rows]
+        b, cols = [[vec_dot(r, w) for w in sub.rows] for r in wb], sub.dim
+    return len(rref(b, cols)[1])
 
 
-def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
-    """Matrix of ad(Z); column j holds the coordinates of [Z, e_j].
+def ad_matrix(alg: LieAlgebra, z: Sequence) -> tuple:
+    """The rows of the matrix of ad(Z); column j holds the coordinates of [Z, e_j].
 
     Built only to read its eigenspaces, in `reductive.grade`, and its
     spectrum, in `exponential._has_imaginary_eigenvalue`."""
@@ -282,7 +287,7 @@ def ad_matrix(alg: LieAlgebra, z: Sequence) -> Matrix:
         for j, entries in enumerate(plane):
             for k, c in entries:
                 m[k][j] += a * c
-    return Matrix._of(tuple(map(tuple, m)), n)
+    return tuple(map(tuple, m))
 
 
 def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
@@ -293,7 +298,7 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     hull.  It closes the rows of the pairing B, which span g(cov), under
     xi -> the nonzero rows of `pairing(alg, xi)`.
     """
-    return invariant_closure(alg.dim, kks_pairing(alg, cov).entries,
+    return invariant_closure(alg.dim, kks_pairing(alg, cov),
                              lambda xi: filter(any, pairing(alg, xi)))
 
 
@@ -304,7 +309,7 @@ def orbit_record(alg: LieAlgebra, cov: Covector) -> dict:
     """
     if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
-    rank, ker = rank_kernel(kks_pairing(alg, cov))
+    rank, ker = rank_kernel(kks_pairing(alg, cov), alg.dim)
     hull = krylov_hull(alg, cov)
     return {"orbit": {
         "covector": cov,
@@ -337,6 +342,13 @@ def stable_series(first: Subspace, step) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _derived_algebra(alg: LieAlgebra) -> Subspace:
+    """[g, g], built once per algebra: `is_nilpotent` and `derived_series` both read it."""
+    full = Subspace.full(alg.dim)
+    return bracket_span(alg, full, full)
+
+
+@lru_cache(maxsize=None)
 def is_nilpotent(alg: LieAlgebra) -> bool:
     """Whether the lower central series C^1 = [g, g], C^{k+1} = [g, C^k] reaches 0.
 
@@ -349,7 +361,7 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
     [V, C^k]: g is nilpotent iff that series reaches 0 before it stalls.
     """
     n = alg.dim
-    derived = bracket_span(alg, Subspace.full(n), Subspace.full(n))
+    derived = _derived_algebra(alg)
     gens = [basis_vector(n, j) for j in range(n) if j not in derived.pivots]
 
     def images(v):
@@ -365,7 +377,9 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
 @lru_cache(maxsize=None)
 def derived_series(alg: LieAlgebra) -> tuple:
     """g = D^0 > D^1 = [g, g] > ... > D^{k+1} = [D^k, D^k], until a term is 0 or repeats."""
-    return stable_series(Subspace.full(alg.dim), lambda d: bracket_span(alg, d, d))
+    full = Subspace.full(alg.dim)
+    return stable_series(full, lambda d: _derived_algebra(alg) if d is full
+                         else bracket_span(alg, d, d))
 
 
 def is_solvable(alg: LieAlgebra) -> bool:

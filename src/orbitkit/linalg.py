@@ -1,15 +1,21 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Vectors are tuples of Fraction, matrices are immutable row-major grids of
-Fraction, and a subspace is its reduced row echelon basis with zero rows
-removed: the tuple `rows`, nothing else.  That canonical form is the
-equality witness used everywhere above this module: two subspaces are equal
-iff their rows are identical, so inclusion and equality questions about
-subalgebras, stabilizers and annihilators are decided without tolerances.
-An entry is coerced to Fraction once, where it comes in, by `vec` (a row of
-`Matrix(...)` too).  What this module builds from Fraction rows is taken as it is: the
-matrices of Matrix operations by `Matrix._of`, and rows already canonical
-(`full`, both halves of `sum_intersect`, a closure) by `Subspace._from_rref`.
+Vectors are tuples of Fraction, a matrix is the tuple of its rows (each a
+vector, its width passed wherever no row can give it, as to `combine`), and
+a subspace is its reduced row echelon basis with zero rows removed: the
+tuple `rows`, nothing else.  That canonical form is the equality witness
+used everywhere above this module: two subspaces are equal iff their rows
+are identical, so inclusion and equality questions about subalgebras,
+stabilizers and annihilators are decided without tolerances.  An entry is
+coerced to Fraction once, where it comes in, by `vec`; rows this module
+builds are not coerced again, and rows already canonical (`full`, both
+halves of `sum_intersect`, a closure) make a Subspace by
+`Subspace._from_rref`, with no elimination.
+`rref(rows, cols)` returns a matrix's canonical nonzero rows and their
+pivots, `rank_kernel(rows, cols)` its rank and kernel, and
+`solve(rows, v, cols)` one solution of m x = v.  `rref` hands the rows to
+`Matrix.rref`, every elimination of a whole matrix; `Matrix` does no
+arithmetic and only carries the rows, their number and the width.
 
 A Subspace also keeps the pivot columns of that basis.  Basis row r is 1 at
 pivot r and 0 at every other pivot, so a vector of the subspace has its
@@ -17,13 +23,14 @@ coordinates written out at the pivots, and `reduce` takes any vector to
 the one representative of its coset that is 0 at the pivots.  The changes
 of coordinates above this module (into a subalgebra, onto a quotient, out of
 a polarization window) read coordinates there and map them back through
-`combine`, with no linear solve.  Products are row combinations too: row i
-of A*B is `combine` of the rows of B with row i of A as coefficients,
-skipping the zero entries, and a matrix acts on a vector w the same way,
-as w^T A = `combine(w, A.entries)`, which is A w when A is symmetric and
--A w when A is antisymmetric.  No arithmetic is done on a zero: sums,
-differences, scalings and dot products (`vec_dot`) skip zero terms, and a
-zero is found by truthiness, not by `== 0`, a comparison that coerces.
+`combine`, with no linear solve.  A matrix acts by row combinations too: a
+vector w acts on the rows of A as w^T A = `combine(w, A)`, which is A w
+when A is symmetric and -A w when A is antisymmetric, and row i of a
+product A B is `combine(A[i], B)`, skipping the zero entries (the one
+product left is `polynomials.eval_matrix`).  No arithmetic is done on a
+zero: sums, differences, scalings and dot products (`vec_dot`) skip zero
+terms, and a zero is found by truthiness, not by `== 0`, a comparison that
+coerces.
 
 Every elimination is one insertion step, `_insert`, and it runs on integer
 rows.  A vector is scaled once by the least common multiple of its
@@ -188,10 +195,6 @@ def vec(entries: Iterable) -> tuple:
     return tuple(frac(x) for x in entries)
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b if b else a for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b if b else a for a, b in zip(u, v))
 
@@ -218,105 +221,6 @@ def basis_vector(n: int, j: int) -> tuple:
     if not 0 <= j < n:
         raise ValueError(f"basis index {j} out of range for dimension {n}")
     return tuple(ONE if i == j else ZERO for i in range(n))
-
-
-class Matrix:
-    """Immutable dense matrix of exact rationals.
-
-    The width comes from the first row.  A matrix with no rows has no row
-    to read it from, so its width must be passed as `cols`: a 0 x n matrix
-    keeps n, and its kernel is all of Q^n.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(map(vec, entries))
-        if cols is None:
-            if not grid:
-                raise ValueError("a matrix with no rows needs its width")
-            cols = len(grid[0])
-        self.entries = grid
-        self.rows = len(grid)
-        self.cols = cols
-        if any(len(row) != cols for row in grid):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def _of(cls, grid: tuple, cols: int) -> "Matrix":
-        """The matrix of a tuple of Fraction rows of length cols, taken as it is."""
-        m = cls.__new__(cls)
-        m.entries, m.rows, m.cols = grid, len(grid), cols
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Matrix[{self.rows}x{self.cols}: {body}]"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._of(tuple(map(vec_add, self.entries, other.entries)), self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._of(tuple(map(vec_sub, self.entries, other.entries)), self.cols)
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix._of(tuple(tuple(c * a if a else a for a in row) for row in self.entries),
-                          self.cols)
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        rows = other.entries
-        return Matrix._of(tuple(combine(r, rows, other.cols) for r in self.entries), other.cols)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(row) for row in self.entries)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
-
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form, padded with zero rows, and the pivot columns."""
-        rows, pivots = [], []
-        for row in self.entries:
-            if len(pivots) == self.cols:  # full rank: the other rows lie in the span
-                break
-            _insert(rows, pivots, row)
-        red = _canonical(rows, pivots) + [(ZERO,) * self.cols] * (self.rows - len(rows))
-        return Matrix._of(tuple(red), self.cols), tuple(pivots)
 
 
 def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> Sequence:
@@ -373,27 +277,56 @@ def _insert(rows: list, pivots: list, v: Sequence) -> tuple | None:
     return w
 
 
-def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list:
+def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple:
     """The canonical Fraction rows of integer echelon rows: each divided by its pivot entry."""
-    return [tuple(Fraction(a, row[p]) if a else ZERO for a in row)
-            for p, row in zip(pivots, rows)]
+    return tuple(tuple(Fraction(a, row[p]) if a else ZERO for a in row)
+                 for p, row in zip(pivots, rows))
 
 
-def solve(m: Matrix, v: Sequence) -> tuple | None:
-    """Solve m x = v exactly; None when the system is inconsistent.
+class Matrix:
+    """A matrix handed to row reduction, taken as it is: the tuple of its rows
+    (`entries`), their number (`rows`) and its width (`cols`).
+
+    It does no arithmetic; it gives the one elimination of a whole matrix a
+    name of its own, `Matrix.rref`, the span under which perfbench's tracer
+    counts eliminations and probes their sizes and result bits.
+    """
+
+    def __init__(self, entries, cols):
+        self.entries, self.rows, self.cols = entries, len(entries), cols
+
+    def rref(self):
+        """The matrix of the canonical nonzero RREF rows, and their pivots."""
+        kept, pivots = [], []
+        for row in self.entries:
+            if len(pivots) == self.cols:  # full rank: the other rows lie in the span
+                break
+            _insert(kept, pivots, row)
+        return Matrix(_canonical(kept, pivots), self.cols), tuple(pivots)
+
+
+def rref(rows: Iterable[Sequence], cols: int) -> tuple[tuple, tuple[int, ...]]:
+    """The canonical nonzero rows of the reduced row echelon form of a matrix
+    with `cols` columns, given by its rows, and their pivot columns."""
+    red, pivots = Matrix(tuple(rows), cols).rref()
+    return red.entries, pivots
+
+
+def solve(rows: Sequence[Sequence], v: Sequence, cols: int) -> tuple | None:
+    """Solve m x = v exactly, m given by its rows and `cols`; None when the
+    system is inconsistent.
 
     When solutions form an affine space an arbitrary but deterministic
     representative (free variables set to zero) is returned.
     """
-    if len(v) != m.rows:
+    if len(v) != len(rows):
         raise ValueError("right-hand side length does not match row count")
-    aug = Matrix._of(tuple(row + (val,) for row, val in zip(m.entries, vec(v))), m.cols + 1)
-    red, pivots = aug.rref()
-    if m.cols in pivots:  # pivot in the augmented column
+    red, pivots = rref([(*row, val) for row, val in zip(rows, vec(v))], cols + 1)
+    if cols in pivots:  # pivot in the augmented column
         return None
-    x = [ZERO] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.entries[r][m.cols]
+    x = [ZERO] * cols
+    for row, c in zip(red, pivots):
+        x[c] = row[cols]
     return tuple(x)
 
 
@@ -406,10 +339,9 @@ class Subspace:
         rows = tuple(vec(row) for row in generators)
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("generator length does not match ambient dimension")
-        red, pivots = Matrix._of(rows, ambient_dim).rref()
         self.ambient_dim = ambient_dim
-        self.rows = red.entries[: len(pivots)]
-        self.pivots = pivots  # pivots[r]: the column where row r has its leading 1
+        # pivots[r]: the column where row r has its leading 1
+        self.rows, self.pivots = rref(rows, ambient_dim)
 
     @classmethod
     def _from_rref(cls, ambient_dim: int, rows: Sequence[tuple],
@@ -489,10 +421,10 @@ def _echelon_kernel(rows: Sequence[Sequence], pivots: Sequence[int], n: int) -> 
     return Subspace(n, kernel_rows)
 
 
-def rank_kernel(m: Matrix) -> tuple[int, Subspace]:
-    """Rank and kernel of a matrix; rank + dim(kernel) = cols."""
-    red, pivots = m.rref()
-    return len(pivots), _echelon_kernel(red.entries, pivots, m.cols)
+def rank_kernel(rows: Sequence[Sequence], cols: int) -> tuple[int, Subspace]:
+    """Rank and kernel of a matrix given by its rows; rank + dim(kernel) = cols."""
+    red, pivots = rref(rows, cols)
+    return len(pivots), _echelon_kernel(red, pivots, cols)
 
 
 def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -503,14 +435,13 @@ def sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     The other rows are 0 on the left, and their right halves are the
     canonical rows of a & b.
     """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+    a._same_ambient(b)
     n = a.ambient_dim
     rows = tuple(r + r for r in a.rows) + tuple(r + (ZERO,) * n for r in b.rows)
-    red, pivots = Matrix._of(rows, 2 * n).rref()
+    red, pivots = rref(rows, 2 * n)
     k = bisect_left(pivots, n)
-    return (Subspace._from_rref(n, [row[:n] for row in red.entries[:k]], pivots[:k]),
-            Subspace._from_rref(n, [row[n:] for row in red.entries[k:len(pivots)]],
+    return (Subspace._from_rref(n, [row[:n] for row in red[:k]], pivots[:k]),
+            Subspace._from_rref(n, [row[n:] for row in red[k:]],
                                 [p - n for p in pivots[k:]]))
 
 

@@ -56,13 +56,13 @@ from .liealg import (
     stabilizer,
 )
 from .linalg import (
-    Matrix,
     Record,
     Subspace,
     ZERO,
     annihilator,
     solve,
     sum_intersect,
+    vec,
     vec_sub,
 )
 from .structure import (
@@ -187,13 +187,13 @@ def obstruction_step(data: LittleGroupData) -> dict:
             pair_rows.append([coeffs.get(k, ZERO) for k in range(m)])
             rhs.append(val)
     # with no pair row no bracket constrains beta, and the report prints []
-    beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
+    beta = solve(pair_rows, rhs, m) if pair_rows else ()
 
     return {
         "j_dim": j_dim,
         "extension_dims": (n_c.dim - j_dim, h_c.dim - j_dim, m),
         "c_vanishes_on_n_c": c_vanishes,
-        "cocycle": Matrix(f, m),
+        "cocycle": tuple(map(tuple, f)),
         "trivial": beta is not None,
         "primitive": None if beta is None else tuple(beta),
         "level": "infinitesimal",
@@ -239,8 +239,8 @@ def semidirect_witness(data: LittleGroupData,
             "cocycle_zero": None if witness is None else True, "rejections": rejections}
 
 
-def killing_form(alg: LieAlgebra) -> Matrix:
-    """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} (ad e_i)_ab (ad e_j)_ba.
+def killing_form(alg: LieAlgebra) -> tuple:
+    """The rows of B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{a,b} (ad e_i)_ab (ad e_j)_ba.
 
     by_ab[a, b] lists (i, (ad e_i)_ab) = (i, c[i][b][a]) over the nonzeros, so
     only products of two nonzeros are formed.
@@ -255,11 +255,12 @@ def killing_form(alg: LieAlgebra) -> Matrix:
         for j, d in by_ab.get((b, a), ()):
             for i, c in column:
                 k[i][j] += c * d
-    return Matrix._of(tuple(map(tuple, k)), n)
+    return tuple(map(tuple, k))
 
 
-def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
-    """(positives, negatives, rank) of a symmetric rational matrix, by congruence.
+def symmetric_signature(m: Sequence[Sequence]) -> tuple[int, int, int]:
+    """(positives, negatives, rank) of a symmetric rational matrix, given by its
+    rows, by congruence.
 
     Symmetric Gaussian elimination over the indices still left: pivot on a
     nonzero diagonal entry d = a_pp, count its sign, and clear its row and
@@ -269,10 +270,10 @@ def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
     A zero block ends the elimination.  By Sylvester's law of inertia (1852)
     the counts are the signature of m, whatever pivots are chosen.
     """
-    if m.transpose() != m:
+    a = [list(vec(row)) for row in m]  # Fractions, so the divisions below are exact
+    if list(map(list, zip(*a))) != a:
         raise ValueError("signature of a matrix that is non-square or not symmetric")
-    a = [list(row) for row in m.entries]
-    left, signs = list(range(m.rows)), []
+    left, signs = list(range(len(a))), []
     while left:
         p = next((i for i in left if a[i][i]), None)
         if p is None:

@@ -48,7 +48,6 @@ from .liealg import (
     stable_series,
 )
 from .linalg import (
-    Matrix,
     Subspace,
     ZERO,
     annihilator,
@@ -95,7 +94,7 @@ def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) 
                     for k, c in entries:
                         block.setdefault(k, [ZERO] * n)[i] += c * wj
         rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
-    return rank_kernel(Matrix._of(tuple(r for r in rows if not is_zero_vec(r)), n))[1]
+    return rank_kernel([r for r in rows if not is_zero_vec(r)], n)[1]
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import zip_longest
 
-from .linalg import Matrix, ONE, ZERO, frac, vec
+from .linalg import ONE, ZERO, combine, frac, vec
 
 
 def poly(coeffs: Sequence) -> tuple:
@@ -43,13 +44,11 @@ def is_zero(p: tuple) -> bool:
 
 
 def add(p: tuple, q: tuple) -> tuple:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)])
+    return poly([a + b for a, b in zip_longest(p, q, fillvalue=ZERO)])
 
 
 def sub(p: tuple, q: tuple) -> tuple:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else ZERO) - (q[i] if i < len(q) else ZERO) for i in range(n)])
+    return poly([a - b for a, b in zip_longest(p, q, fillvalue=ZERO)])
 
 
 def mul(p: tuple, q: tuple) -> tuple:
@@ -130,14 +129,17 @@ def squarefree_part(p: tuple) -> tuple:
     return monic(divmod_poly(p, g)[0])
 
 
-def eval_matrix(p: tuple, m: Matrix) -> Matrix:
-    """Horner evaluation of p at a square matrix."""
-    n = m.rows
-    acc = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
+def eval_matrix(p: tuple, m: Sequence[Sequence]) -> tuple:
+    """Horner evaluation of p at a square matrix, given by its rows: acc <- acc m + a,
+    row by row, row i of acc m being `combine` of m's rows with acc's row i as
+    coefficients.  The package's one matrix product."""
+    n = len(m)
+    acc = [(ZERO,) * n] * n
     for a in reversed(p):
-        acc = acc * m + ident.scale(a)
-    return acc
+        acc = [combine(row, m, n) for row in acc]
+        if a:
+            acc = [row[:i] + (row[i] + a,) + row[i + 1:] for i, row in enumerate(acc)]
+    return tuple(acc)
 
 
 def invert_mod(p: tuple, modulus: tuple) -> tuple:
@@ -168,7 +170,7 @@ def to_string(p: tuple, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def charpoly(m: Matrix) -> tuple:
+def charpoly(m: Sequence[Sequence]) -> tuple:
     """Monic characteristic polynomial by Hessenberg reduction (Cohen, Alg. 2.2.9).
 
     A copy of the entries is brought to upper Hessenberg form H by
@@ -184,10 +186,10 @@ def charpoly(m: Matrix) -> tuple:
     `linalg`, a zero is found by truthiness and no term with a zero factor
     is formed.
     """
-    if m.rows != m.cols:
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = m.rows
-    h = [list(row) for row in m.entries]
+    h = [list(row) for row in m]
     for c in range(n - 2):
         piv = next((i for i in range(c + 1, n) if h[i][c]), None)
         if piv is None:

@@ -70,7 +70,6 @@ from .liealg import (
     validate,
 )
 from .linalg import (
-    Matrix,
     Record,
     Subspace,
     ZERO,
@@ -113,7 +112,7 @@ class UnsupportedSpectrumError(ValueError):
 
 class MatrixLieAlgebra(Record):
     algebra: LieAlgebra
-    trace_gram: Matrix  # G[i][j] = Tr(R_i R_j)
+    trace_gram: tuple  # the rows of G, G[i][j] = Tr(R_i R_j)
 
     @property
     def dim(self) -> int:
@@ -135,26 +134,30 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
     n = alg.dim
     # tr(R_i R_j) = sum_kl R_i[k][l] R_j[l][k]: flattened R_i against flattened R_j^T
     flats = [flat(r) for r in alg.matrix_rep]
-    flats_t = [flat(r.transpose()) for r in alg.matrix_rep]
-    gram = Matrix([[vec_dot(a, b) for b in flats_t] for a in flats], n)
-    if rank_kernel(gram)[0] != n:
+    flats_t = [flat(zip(*r)) for r in alg.matrix_rep]
+    gram = tuple(tuple(vec_dot(a, b) for b in flats_t) for a in flats)
+    if rank_kernel(gram, n)[0] != n:
         raise ValueError("degenerate trace form: dual space cannot be identified with the algebra")
     return MatrixLieAlgebra(alg, gram)
 
 
-def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> Matrix:
-    size = malg.rep[0].rows
+def element_matrix(malg: MatrixLieAlgebra, coords: Sequence) -> tuple:
+    """The rows of the representation matrix of an element given by its coordinates."""
+    size = len(malg.rep[0])
     entries = combine(malg.algebra.coords(coords), [flat(r) for r in malg.rep], size * size)
-    return Matrix([entries[i * size:(i + 1) * size] for i in range(size)], size)
+    return tuple(entries[i * size:(i + 1) * size] for i in range(size))
 
 
-def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
-    """Coordinates of a representation matrix in the algebra basis: the solution
-    of sum_k x_k flat(R_k) = flat(m), unique as the R_k are independent."""
-    size = malg.rep[0].rows
-    if (m.rows, m.cols) != (size, size):
-        raise ValueError(f"matrix of shape {m.rows}x{m.cols} for a representation of size {size}")
-    coords = solve(Matrix._of(tuple(zip(*map(flat, malg.rep))), malg.dim), flat(m))
+def element_coords(malg: MatrixLieAlgebra, m: Sequence[Sequence]) -> tuple:
+    """Coordinates of a representation matrix, given by its rows, in the algebra
+    basis: the solution of sum_k x_k flat(R_k) = flat(m), unique as the R_k are
+    independent."""
+    size = len(malg.rep[0])
+    widths = {len(row) for row in m}
+    if len(m) != size or widths != {size}:
+        raise ValueError(f"matrix of shape {len(m)}x{max(widths, default=0)} "
+                         f"for a representation of size {size}")
+    coords = solve(tuple(zip(*map(flat, malg.rep))), flat(m), malg.dim)
     if coords is None:
         raise ValueError("matrix does not lie in the algebra")
     return coords
@@ -163,20 +166,20 @@ def element_coords(malg: MatrixLieAlgebra, m: Matrix) -> tuple:
 def element_to_covector(malg: MatrixLieAlgebra, coords: Sequence) -> Covector:
     """Trace-form dual of an algebra element: (G x)_j = tr(M(x) R_j), G symmetric."""
     return Covector(malg.algebra,
-                    combine(malg.algebra.coords(coords), malg.trace_gram.entries, malg.dim))
+                    combine(malg.algebra.coords(coords), malg.trace_gram, malg.dim))
 
 
 def covector_to_element(malg: MatrixLieAlgebra, cov: Covector) -> tuple:
     """Inverse of element_to_covector; exact solve against the Gram matrix."""
-    sol = solve(malg.trace_gram, cov.coords)
+    sol = solve(malg.trace_gram, cov.coords, malg.dim)
     if sol is None:
         raise ValueError("trace form failed to invert (degenerate?)")
     return sol
 
 
-def hyperbolic_part(x: Matrix) -> tuple[Matrix, list]:
+def hyperbolic_part(x: Sequence[Sequence]) -> tuple[tuple, list]:
     """The hyperbolic part x_h of a square rational matrix, a polynomial in x,
-    with x_h's eigenvalues.
+    with x_h's eigenvalues; both matrices are given by their rows.
 
     x_h = h(x), where h = a_i mod f_i^{m_i} (Chinese remainder theorem) over
     chi = charpoly(x) = prod f_i^{m_i}: the f_i are the factors `qi_factors`
@@ -191,7 +194,7 @@ def hyperbolic_part(x: Matrix) -> tuple[Matrix, list]:
     refused whole, with no claim that it is irreducible ((x^2 - 2)(x^2 - 3)
     is one such cofactor).
     """
-    if x.rows != x.cols:
+    if any(len(row) != len(x) for row in x):
         raise ValueError("square matrix required")
     chi = charpoly(x)
     mu = squarefree_part(chi)
@@ -246,7 +249,9 @@ def grade(malg: MatrixLieAlgebra, xh: Sequence, eigenvalues: Sequence) -> dict:
         raise ValueError("algebra fails validation; see validate()")
     ad = ad_matrix(alg, alg.coords(xh))
     n = alg.dim
-    kernels = {c: rank_kernel(ad - Matrix.identity(n).scale(c))[1]
+    # ad(x_h) - c: the rows of ad(x_h) with c taken off the diagonal
+    kernels = {c: rank_kernel([row[:i] + (row[i] - c,) + row[i + 1:]
+                               for i, row in enumerate(ad)], n)[1]
                for c in sorted({a - b for a in eigenvalues for b in eigenvalues} | {ZERO})}
     spaces = {c: ker for c, ker in kernels.items() if ker.dim}
     if sum(space.dim for space in spaces.values()) != n:
@@ -301,7 +306,7 @@ def parabolic_report(malg: MatrixLieAlgebra, x: Sequence | Covector) -> dict:
     stab_ok = g0.contains_subspace(stab)
 
     # G r for each eigenspace row r: ann(q) is ann(G q), and the trace blocks pair them
-    gram_rows = {a: [combine(r, malg.trace_gram.entries, n) for r in space.rows]
+    gram_rows = {a: [combine(r, malg.trace_gram, n) for r in space.rows]
                  for a, space in grading.items()}
     moved = Subspace(n, [alg.bracket_exact(z, coords) for z in u.rows])
     ann_q = annihilator(Subspace(n, [w for a, rows in gram_rows.items() if a >= 0 for w in rows]))

@@ -44,7 +44,7 @@ def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
     """
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    rows = kks_pairing(alg, cov).entries
+    rows = kks_pairing(alg, cov)
     return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.rows])
 
 

@@ -17,7 +17,6 @@ from orbitkit.liealg import (
     pairing,
 )
 from orbitkit.linalg import (
-    Matrix,
     Subspace,
     ZERO,
     basis_vector,
@@ -59,12 +58,13 @@ def algebra_from_rep(name: str, labels, matrices) -> LieAlgebra:
     """Structure constants read off a faithful matrix representation by `solve`:
     the commutator of each pair of matrices, in the coordinates of the matrices
     (the columns of the system are the flattened matrices)."""
-    mats = [Matrix(m) for m in matrices]
-    columns = Matrix(list(zip(*map(flat, mats))), len(mats))
+    mats = [tuple(map(vec, m)) for m in matrices]
+    columns = tuple(zip(*map(flat, mats)))
     brackets = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            coords = solve(columns, flat(mats[i] * mats[j] - mats[j] * mats[i]))
+            commutator = map(vec_sub, matmul(mats[i], mats[j]), matmul(mats[j], mats[i]))
+            coords = solve(columns, flat(commutator), len(mats))
             if coords is None:
                 raise CatalogError(f"{name}: commutator [{labels[i]},{labels[j]}] leaves the span")
             brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops the zeros
@@ -272,10 +272,16 @@ def descents(entries):
     return out
 
 
+def matmul(a, b):
+    """The dense product of two matrices given by their rows (b has at least one):
+    row i of a b is the combination of b's rows with a's row i as coefficients."""
+    return tuple(combine(row, b, len(b[0])) for row in a)
+
+
 def dense_apply(m, v):
     """Reference matrix times column vector: one entrywise dot per row of m."""
-    assert len(v) == m.cols
-    return tuple(vec_dot(row, v) for row in m.entries)
+    assert all(len(row) == len(v) for row in m)
+    return tuple(vec_dot(row, v) for row in m)
 
 
 # -- the dense structure tensor, kept as a reference ---------------------------
@@ -355,7 +361,7 @@ def subalgebra_orbit_dim(alg, cov, sub):
     """The route `liealg.orbit_dim` replaced: build the subalgebra sub, restrict
     cov to it and take the rank of the restricted covector's pairing."""
     cov_sub = restrict(alg, cov, sub)
-    return rank_kernel(kks_pairing(cov_sub.algebra, cov_sub))[0]
+    return rank_kernel(kks_pairing(cov_sub.algebra, cov_sub), cov_sub.algebra.dim)[0]
 
 
 # -- the Krylov-hull route to the orbit annihilator, kept as a reference -----------
@@ -364,7 +370,7 @@ def subalgebra_orbit_dim(alg, cov, sub):
 def hull_orbit_annihilator(alg, cov):
     """The route `polarization.orbit_annihilator` replaced for sub = g: the elements
     pairing to zero with cov and with its Krylov hull, the orbit's linear span."""
-    return rank_kernel(Matrix([cov.coords, *krylov_hull(alg, cov).rows]))[1]
+    return rank_kernel([cov.coords, *krylov_hull(alg, cov).rows], alg.dim)[1]
 
 
 # -- the negation-gcd route to an imaginary root, kept as a reference ------------
@@ -444,11 +450,11 @@ def complement_obstruction(data, complement):
             coeffs = dict(quot.algebra.nonzeros[a][b])
             pair_rows.append([coeffs.get(k, Fraction(0)) for k in range(m)])
             rhs.append(f[a][b])
-    beta = solve(Matrix(pair_rows), rhs) if pair_rows else ()
+    beta = solve(pair_rows, rhs, m) if pair_rows else ()
     c_vanishes = all(cov.pair(row) == 0 for row in n_c.rows)
     j_dim = n_c.dim - (0 if c_vanishes else 1)
     return {"j_dim": j_dim, "extension_dims": (n_c.dim - j_dim, h_c.dim - j_dim, m),
-            "c_vanishes_on_n_c": c_vanishes, "cocycle": Matrix(f, m),
+            "c_vanishes_on_n_c": c_vanishes, "cocycle": tuple(map(tuple, f)),
             "trivial": beta is not None, "primitive": None if beta is None else tuple(beta),
             "level": "infinitesimal"}
 
@@ -501,7 +507,8 @@ def reference_grading(malg, xh):
     eigs = [-f[0] for f in qi_factors(squarefree_part(charpoly(ad))) if deg(f) == 1]
     spaces = {}
     for a in sorted(eigs):
-        _, ker = rank_kernel(ad - Matrix.identity(n).scale(a))
+        shifted = [row[:i] + (row[i] - a,) + row[i + 1:] for i, row in enumerate(ad)]
+        _, ker = rank_kernel(shifted, n)
         if ker.dim:
             spaces[a] = ker
     if sum(s.dim for s in spaces.values()) != n:

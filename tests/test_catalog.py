@@ -7,6 +7,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from orbitkit import catalog
 from orbitkit.catalog import CatalogError
 from orbitkit.liealg import LieAlgebra, flat, validate
-from orbitkit.linalg import Matrix, solve
-from conftest import BUILDERS, algebra_from_rep, sl_rep
+from orbitkit.linalg import solve, vec, vec_sub
+from conftest import BUILDERS, algebra_from_rep, matmul, sl_rep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (perfbench/ is not a package)
@@ -26,12 +27,13 @@ import workloads  # noqa: E402
 
 def solved_algebra(name, labels, matrices):
     """Reference: the coordinates of each commutator by its own `solve`."""
-    mats = [Matrix(m) for m in matrices]
-    flat_cols = Matrix([flat(m) for m in mats]).transpose()
+    mats = [tuple(map(vec, m)) for m in matrices]
+    flat_cols = tuple(zip(*[flat(m) for m in mats]))
     brackets = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            coords = solve(flat_cols, flat(mats[i] * mats[j] - mats[j] * mats[i]))
+            commutator = map(vec_sub, matmul(mats[i], mats[j]), matmul(mats[j], mats[i]))
+            coords = solve(flat_cols, flat(commutator), len(mats))
             brackets[(i, j)] = dict(enumerate(coords))
     return LieAlgebra.from_brackets(labels, brackets, name=name, matrix_rep=mats)
 
@@ -46,8 +48,7 @@ def test_seven_catalog_entries_carry_a_representation(entries):
 
 
 def test_structure_constants_match_the_per_pair_solve(entries):
-    cases = [(alg.name, alg.labels, [r.entries for r in alg.matrix_rep])
-             for alg in rep_entries(entries)]
+    cases = [(alg.name, alg.labels, alg.matrix_rep) for alg in rep_entries(entries)]
     cases.append(("sl4", *sl_rep(4)))
     for name, labels, mats in cases:
         built = algebra_from_rep(name, labels, mats)
@@ -76,11 +77,28 @@ def test_one_wrong_constant_is_reported_at_its_pair(entries):
 
 
 def test_the_constructor_refuses_a_representation_of_the_wrong_shape():
-    square, wide = Matrix([[1, 0], [0, 0]]), Matrix([[1, 0, 0], [0, 0, 0]])
-    for rep in ([square], [square, wide], [wide, wide]):
+    """A matrix is the tuple of its rows, so each row's length is checked too:
+    one short row, like a matrix of the wrong size or count, is refused."""
+    square, wide = [[1, 0], [0, 0]], [[1, 0, 0], [0, 0, 0]]
+    short, big = [[1, 0], [0]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+    for rep in ([square], [square, wide], [wide, wide], [square, short], [short, short],
+                [square, big]):
         with pytest.raises(ValueError, match="^matrix_rep must list one n x n matrix per element$"):
             LieAlgebra.from_brackets(("a", "b"), {}, matrix_rep=rep)
     assert LieAlgebra.from_brackets(("a", "b"), {}, matrix_rep=[square, square]).matrix_rep
+
+
+def test_a_representation_of_ints_or_strings_is_read_as_fractions():
+    """`from_brackets` reads each rep row by `vec`: ints, "p/q" strings and
+    Fractions give one algebra, with Fraction entries."""
+    brackets = {(0, 1): {1: 2}}
+    as_fractions = [[[F(1), F(0)], [F(0), F(-1)]], [[F(0), F(1)], [F(0), F(0)]]]
+    as_ints = [[[1, 0], [0, -1]], [[0, 1], [0, 0]]]
+    as_strings = [[["2/2", "0"], ["0", "-1"]], [["0", "3/3"], ["0", "0/7"]]]
+    algs = [LieAlgebra.from_brackets(("h", "e"), brackets, matrix_rep=rep)
+            for rep in (as_fractions, as_ints, as_strings)]
+    assert algs[0] == algs[1] == algs[2] and validate(algs[2])["ok"]
+    assert all(type(x) is F for m in algs[2].matrix_rep for row in m for x in row)
 
 
 def test_the_constructors_refusals_name_the_file():
@@ -117,8 +135,7 @@ def test_each_shipped_file_is_its_reference_builders_entry(entries):
         assert entry == ref, name    # algebra, covectors, ideals, complements, description
         alg = entry.algebra
         if alg.matrix_rep is not None:
-            mats = [m.entries for m in alg.matrix_rep]
-            assert algebra_from_rep(name, alg.labels, mats) == alg, name
+            assert algebra_from_rep(name, alg.labels, alg.matrix_rep) == alg, name
 
 
 def test_the_catalog_reads_without_a_linear_solve(monkeypatch):
@@ -158,7 +175,7 @@ def algebra_doc(alg):
            "brackets": [{"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in alg.nonzeros[i][j]}}
                         for i in range(n) for j in range(i + 1, n) if alg.nonzeros[i][j]]}
     if alg.matrix_rep is not None:
-        doc["matrix_rep"] = [_rows(m.entries) for m in alg.matrix_rep]
+        doc["matrix_rep"] = [_rows(m) for m in alg.matrix_rep]
     return doc
 
 
@@ -191,7 +208,7 @@ def bracket_tables(draw):
     rep = None
     if n and draw(st.booleans()):
         size = draw(st.integers(1, 3))
-        rep = [Matrix([[draw(RATIONALS) for _ in range(size)] for _ in range(size)])
+        rep = [[[draw(RATIONALS) for _ in range(size)] for _ in range(size)]
                for _ in range(n)]
     name = draw(st.sampled_from(["", "g", "algebra one"]))
     return LieAlgebra.from_brackets([f"e{k}" for k in range(n)], brackets, name, rep)

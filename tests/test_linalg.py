@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitkit import linalg
-from orbitkit.catalog import CatalogEntry
+from orbitkit.catalog import CatalogEntry, CatalogError, parse_algebra
 from orbitkit.liealg import LieAlgebra, derived_series, stabilizer
 from orbitkit.linalg import (
-    Matrix,
     Record,
     Subspace,
     annihilator,
@@ -19,6 +18,7 @@ from orbitkit.linalg import (
     frac,
     invariant_closure,
     rank_kernel,
+    rref,
     solve,
     sum_intersect,
     vec,
@@ -26,23 +26,28 @@ from orbitkit.linalg import (
 )
 from orbitkit.mackey import symmetric_signature
 from orbitkit.polarization import centralizer
-from conftest import coords_of, dense_apply, rand_covector, rand_frac, rand_vec
+from orbitkit.polynomials import eval_matrix
+from conftest import coords_of, dense_apply, matmul, rand_covector, rand_frac, rand_vec
+
+
+def identity(n):
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def test_rank_kernel_identity():
-    rank, ker = rank_kernel(Matrix.identity(3))
+    rank, ker = rank_kernel(identity(3), 3)
     assert rank == 3 and ker.dim == 0
 
 
 def test_rank_kernel_zero():
-    rank, ker = rank_kernel(Matrix.zeros(2, 4))
+    rank, ker = rank_kernel(((0,) * 4,) * 2, 4)
     assert rank == 0 and ker == Subspace.full(4)
 
 
 def test_rank_kernel_antisymmetric():
     # hand row-reduction: rows (0,1,0), (-1,0,0) pivot on columns 0,1
-    m = Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    rank, ker = rank_kernel(m)
+    m = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+    rank, ker = rank_kernel(m, 3)
     assert rank == 2
     assert ker == Subspace(3, [(0, 0, 1)])
     for row in ker.rows:
@@ -136,8 +141,9 @@ def test_subspace_refuses_a_string_generator():
 
 
 def test_matrix_refuses_string_rows():
+    # a matrix_rep built in code has each row read by `vec`
     with pytest.raises(TypeError, match=STRING_REFUSED):
-        Matrix(["10", "01"])
+        LieAlgebra.from_brackets(("a",), {}, matrix_rep=[["10", "01"]])
 
 
 def test_frac_refuses_an_exponent_past_the_cap_before_building_the_number(monkeypatch):
@@ -195,35 +201,38 @@ def test_frac_refuses_a_numerator_or_denominator_past_the_cap():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(3), (1, 2, 3)) == (F(1), F(2), F(3))
+    assert solve(identity(3), (1, 2, 3), 3) == (F(1), F(2), F(3))
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.zeros(2, 2), (1, 0)) is None
+    assert solve(((0, 0), (0, 0)), (1, 0), 2) is None
 
 
 def test_solve_back_substitution():
-    assert solve(Matrix([[1, 1], [0, 1]]), (3, 1)) == (F(2), F(1))
+    assert solve(((1, 1), (0, 1)), (3, 1), 2) == (F(2), F(1))
+    with pytest.raises(ValueError, match="row count"):
+        solve(((1, 1), (0, 1)), (3,), 2)
 
 
-# -- a matrix keeps its width -------------------------------------------------
+# -- a matrix is the tuple of its rows, its width passed ----------------------
 
 
 def test_a_matrix_with_no_rows_keeps_its_width():
-    empty = Matrix.zeros(0, 3)
-    assert (empty.rows, empty.cols) == (0, 3)
-    assert rank_kernel(empty) == (0, Subspace.full(3))
-    tall = empty.transpose()
-    assert (tall.rows, tall.cols) == (3, 0)
-    assert tall.transpose() == empty
-    assert Matrix([], 3) == empty
+    # a 0 x n matrix has no row to read n from: the width passed keeps it
+    assert rref((), 3) == ((), ())
+    assert rank_kernel((), 3) == (0, Subspace.full(3))
+    assert solve((), (), 3) == (F(0),) * 3
 
 
 def test_a_matrix_with_no_rows_and_no_width_is_refused():
-    with pytest.raises(ValueError, match="width"):
-        Matrix([])
-    with pytest.raises(ValueError, match="ragged"):
-        Matrix([[1, 2]], 3)
+    # a definition file gives a matrix by its rows alone, so it refuses one with
+    # no rows, whose width nothing gives, and a ragged one
+    base = {"dim": 1, "basis": ["a"]}
+    with pytest.raises(CatalogError, match="^f.json: matrix_rep.0.: a matrix with no rows "
+                                           "needs its width$"):
+        parse_algebra({**base, "matrix_rep": [[]]}, "f.json")
+    with pytest.raises(CatalogError, match="^f.json: matrix_rep.0.: ragged matrix$"):
+        parse_algebra({**base, "matrix_rep": [[["1", "2"], ["3"]]]}, "f.json")
 
 
 def test_rref_canonical_under_generator_shuffle():
@@ -264,9 +273,15 @@ def test_grassmann_identity():
 
 
 def test_symmetric_signature_examples():
-    assert symmetric_signature(Matrix.identity(3)) == (3, 0, 3)
-    assert symmetric_signature(Matrix([[0, 1], [1, 0]])) == (1, 1, 2)
-    assert symmetric_signature(Matrix([[-2, 0], [0, 0]])) == (0, 1, 1)
+    assert symmetric_signature(identity(3)) == (3, 0, 3)
+    assert symmetric_signature(((0, 1), (1, 0))) == (1, 1, 2)
+    assert symmetric_signature(((-2, 0), (0, 0))) == (0, 1, 1)
+    # int entries are read as Fractions: det = -1 here, which float division misses
+    big = 10**17
+    assert symmetric_signature(((big, big + 1), (big + 1, big + 2))) == (1, 1, 2)
+    for m in (((0, 1), (2, 0)), ((1, 0),), ((1, 0), (0,))):  # not symmetric, not square
+        with pytest.raises(ValueError, match="non-square or not symmetric"):
+            symmetric_signature(m)
 
 
 def test_symmetric_signature_congruence_invariance():
@@ -275,12 +290,11 @@ def test_symmetric_signature_congruence_invariance():
         n = rng.randint(1, 5)
         entries = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         sym = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
-        m = Matrix(sym)
         # congruence by a random invertible triangular matrix preserves signature
         t = [[F(1) if i == j else (F(rng.randint(-3, 3)) if j > i else F(0))
               for j in range(n)] for i in range(n)]
-        tm = Matrix(t)
-        assert symmetric_signature(tm * m * tm.transpose()) == symmetric_signature(m)
+        congruent = matmul(matmul(t, sym), tuple(zip(*t)))
+        assert symmetric_signature(congruent) == symmetric_signature(sym)
 
 
 # -- coordinates read at the pivots -------------------------------------------
@@ -290,7 +304,7 @@ def solved_coords_of(s, v):
     """Reference: coordinates of v in the canonical basis by a transposed solve."""
     if s.dim == 0:
         return () if all(x == 0 for x in v) else None
-    return solve(Matrix(s.rows, s.ambient_dim).transpose(), v)
+    return solve(tuple(zip(*s.rows)), v, s.dim)
 
 
 def _catalog_subspaces(entries, rng):
@@ -352,17 +366,17 @@ def test_invariant_closure_is_the_canonical_subspace_of_its_rows(rng):
     proper = 0
     for _ in range(60):
         n = rng.randint(1, 6)
-        maps = [Matrix([[rand_frac(rng) if j > i and rng.random() < 0.5 else 0
-                         for j in range(n)] for i in range(n)])
+        maps = [[[rand_frac(rng) if j > i and rng.random() < 0.5 else F(0)
+                  for j in range(n)] for i in range(n)]
                 for _ in range(rng.randint(0, 2))]
         start = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2))]
-        closure = invariant_closure(n, start, lambda v: [combine(v, m.entries, n) for m in maps])
+        closure = invariant_closure(n, start, lambda v: [combine(v, m, n) for m in maps])
         canonical = Subspace(n, closure.rows)
         assert closure == canonical and closure.pivots == canonical.pivots
         assert all(type(x) is F for row in closure.rows for x in row)
         dense = Subspace(n, start)
         while True:
-            grown = dense.add(Subspace(n, [combine(v, m.entries, n)
+            grown = dense.add(Subspace(n, [combine(v, m, n)
                                            for v in dense.rows for m in maps]))
             if grown == dense:
                 break
@@ -481,7 +495,7 @@ def subspace_pairs(draw):
 
 def rref_annihilator(s):
     """Reference: the annihilator by a fresh `rank_kernel` of the basis."""
-    return rank_kernel(Matrix(s.rows, s.ambient_dim))[1]
+    return rank_kernel(s.rows, s.ambient_dim)[1]
 
 
 @PROPERTIES
@@ -512,7 +526,7 @@ def test_canonical_rows_are_taken_as_they_are_property(pair):
     assert total == Subspace(n, a.rows + b.rows)
     assert meet == annihilator(Subspace(n, annihilator(a).rows
                                         + annihilator(b).rows))
-    assert Subspace.full(n) == Subspace(n, Matrix.identity(n).entries)
+    assert Subspace.full(n) == Subspace(n, identity(n))
     assert Subspace.zero(n) == Subspace(n) and Subspace.zero(n).dim == 0
 
 
@@ -538,25 +552,28 @@ def test_annihilator_property(pair):
 
 
 @st.composite
-def product_pairs(draw):
-    """A (r x k) and B (k x c) with r, k, c in 0..4, more than half of the entries 0."""
-    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+def square_matrices(draw):
+    """A k x k matrix, k in 0..4, more than half of its entries 0, and a polynomial
+    c0 + c1 x + c2 x^2 with no trailing zero."""
+    k = draw(st.integers(0, 4))
     entry = st.one_of(st.just(F(0)), rationals)
-    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
-    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
-    return Matrix(a, k), Matrix(b, c)
+    m = tuple(tuple(draw(entry) for _ in range(k)) for _ in range(k))
+    c = [draw(entry) for _ in range(2)] + [draw(rationals.filter(bool))]
+    return m, tuple(c)
 
 
 @PROPERTIES
-@given(product_pairs())
-def test_product_is_the_sum_over_the_inner_index_property(pair):
-    a, b = pair
-    p = a * b
-    assert (p.rows, p.cols) == (a.rows, b.cols)
-    assert p.entries == tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), F(0))
-              for j in range(b.cols))
-        for i in range(a.rows))
+@given(square_matrices())
+def test_product_is_the_sum_over_the_inner_index_property(case):
+    """`polynomials.eval_matrix`, the package's one matrix product, at
+    c0 + c1 x + c2 x^2: c2 m^2 has the inner-index sums of m m as its entries."""
+    m, (c0, c1, c2) = case
+    k = len(m)
+    square = [[sum((m[i][a] * m[a][j] for a in range(k)), F(0)) for j in range(k)]
+              for i in range(k)]
+    assert eval_matrix((c0, c1, c2), m) == tuple(
+        tuple(c2 * square[i][j] + c1 * m[i][j] + (c0 if i == j else 0) for j in range(k))
+        for i in range(k))
 
 
 @st.composite
@@ -570,39 +587,40 @@ def matrices_and_row_operations(draw):
     if rows:
         i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
         e[i][j] = draw(rationals.filter(lambda c: c != 0))
-    return Matrix(rows, cols), Matrix(e, len(rows))
+    return rows, cols, e
 
 
 @PROPERTIES
 @given(matrices_and_row_operations())
 def test_rank_nullity_and_rref_invariance_property(case):
-    m, e = case
-    rank, ker = rank_kernel(m)
-    assert rank + ker.dim == m.cols
+    m, cols, e = case
+    rank, ker = rank_kernel(m, cols)
+    assert rank + ker.dim == cols
     assert all(not any(dense_apply(m, v)) for v in ker.rows)
-    assert (e * m).rref() == m.rref()
+    assert rref(matmul(e, m), cols) == rref(m, cols)
 
 
-def gauss_jordan(m):
-    """Reference: column-by-column Gauss-Jordan elimination with row swaps."""
-    rows = [list(row) for row in m.entries]
+def gauss_jordan(m, cols):
+    """Reference: column-by-column Gauss-Jordan elimination with row swaps; the
+    nonzero rows and the pivots."""
+    rows = [list(row) for row in m]
     pivots, r = [], 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
-        for i in range(m.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(rows):
             break
-    return Matrix(rows, m.cols), tuple(pivots)
+    return tuple(map(tuple, rows[:r])), tuple(pivots)
 
 
 @st.composite
@@ -614,7 +632,7 @@ def rref_cases(draw):
     gens = draw(st.lists(st.tuples(*[rationals] * cols), min_size=1, max_size=cols))
     coeff = st.one_of(st.just(F(0)), rationals)
     rows = draw(st.lists(st.tuples(*[coeff] * len(gens)), max_size=7))
-    return Matrix([combine(c, gens, cols) for c in rows], cols)
+    return [combine(c, gens, cols) for c in rows], cols
 
 
 big_rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -637,18 +655,18 @@ def large_rref_cases(draw):
         else:
             row = draw(st.sampled_from(rows))
             rows.append(row if kind == "repeat" else tuple(-x for x in row))
-    return Matrix(rows, cols)
+    return rows, cols
 
 
 @PROPERTIES
 @given(st.one_of(rref_cases(), large_rref_cases()))
-@example(Matrix([], 3))
-@example(Matrix([[1, 2], [3, 4], [5, 6]]))
-@example(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]]))
-@example(Matrix([[F(-999999, 7), F(10**6, 999983), 0], [0, F(-5, 10**6), 1],
-                 [F(999999, 7), F(-10**6, 999983), 0], [0, 0, 0]]))
-def test_rref_matches_gauss_jordan_property(m):
-    assert m.rref() == gauss_jordan(m)
+@example(([], 3))
+@example(([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]], 2))
+@example(([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0)] * 3, [F(1), F(0), F(1)]], 3))
+@example(([[F(-999999, 7), F(10**6, 999983), F(0)], [F(0), F(-5, 10**6), F(1)],
+           [F(999999, 7), F(-10**6, 999983), F(0)], [F(0)] * 3], 3))
+def test_rref_matches_gauss_jordan_property(case):
+    assert rref(*case) == gauss_jordan(*case)
 
 
 def fractions_built(fn):
@@ -676,13 +694,13 @@ def test_rref_of_an_integer_matrix_eliminates_on_ints():
     rng = random.Random(8)
     n = 8
     gens = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(5)]
-    cases = [Matrix([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]),
-             Matrix([combine([rng.randint(-3, 3) for _ in gens], gens, n) for _ in range(n)])]
+    cases = [[vec(rng.randint(-50, 50) for _ in range(n)) for _ in range(n)],
+             [combine([rng.randint(-3, 3) for _ in gens], gens, n) for _ in range(n)]]
     for m in cases:
-        (red, pivots), built = fractions_built(m.rref)
+        (red, pivots), built = fractions_built(lambda: rref(m, n))
         assert built <= n * n
-        assert (red, pivots) == gauss_jordan(m) and len(pivots) in (5, 8)
-        assert fractions_built(lambda: gauss_jordan(m))[1] > n * n  # the counter sees them
+        assert (red, pivots) == gauss_jordan(m, n) and len(pivots) in (5, 8)
+        assert fractions_built(lambda: gauss_jordan(m, n))[1] > n * n  # the counter sees them
 
 
 sparse_entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-5, 5), rationals)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import cli, exponential, polarization
+from orbitkit import cli, exponential, liealg, polarization
 from orbitkit.catalog import parse_algebra
 from orbitkit.exponential import exponential_precheck
 from orbitkit.liealg import (
@@ -22,7 +22,7 @@ from orbitkit.liealg import (
 )
 from orbitkit.polynomials import charpoly, deg, mul, poly
 from orbitkit.structure import NotClosedError, check_subalgebra, orth, subquotient
-from orbitkit.linalg import Matrix, Subspace, basis_vector, combine, invariant_closure
+from orbitkit.linalg import Subspace, basis_vector, combine, invariant_closure
 from orbitkit.mackey import is_ideal
 from orbitkit.polarization import (
     ascending_central_series,
@@ -108,11 +108,11 @@ def _seeded_monic_polynomial(rng):
     kind, d = rng.randrange(3), rng.randint(1, 7)
     entry = lambda: rng.randint(-3, 3) if rng.random() < 0.5 else 0
     if kind == 0:
-        return charpoly(Matrix([[entry() for _ in range(d)] for _ in range(d)], d))
+        return charpoly([[entry() for _ in range(d)] for _ in range(d)])
     if kind == 1:
         upper = [[entry() for _ in range(d)] for _ in range(d)]
-        return charpoly(Matrix([[upper[i][j] if i < j else -upper[j][i] if i > j else 0
-                                 for j in range(d)] for i in range(d)], d))
+        return charpoly([[upper[i][j] if i < j else -upper[j][i] if i > j else 0
+                          for j in range(d)] for i in range(d)])
     factors = [poly([0, 1]), poly([-rand_frac(rng, -5, 5, 3), 1]),
                poly([rand_frac(rng, -5, 5, 3), 0, 1]),
                poly([rand_frac(rng, -5, 5, 3), rand_frac(rng, -5, 5, 3), 1])]
@@ -144,6 +144,30 @@ def _precheck_algebras(entries):
     return [e.algebra for e in entries.values()] + [
         parse_algebra(make(size, families.family_rng(0, stem)).doc)
         for make, size, stem in PRECHECK_FAMILIES]
+
+
+@pytest.mark.parametrize("size, rank", [(3, 3), (4, 6)], ids=["b3", "b4"])
+def test_the_precheck_builds_g_g_once(monkeypatch, size, rank):
+    """`is_nilpotent` and `derived_series` read one [g, g]: the precheck of a solvable,
+    not nilpotent, algebra spans the brackets of g with itself once, (5, 5) -> 3 on b3
+    and (9, 9) -> 6 on b4."""
+    alg = parse_algebra(families.borel(size, families.family_rng(0, f"b{size}")).doc)
+    for fact in vars(liealg).values():
+        if hasattr(fact, "cache_clear"):
+            fact.cache_clear()  # a fresh algebra may equal one the cache holds
+    real, spans = liealg.bracket_span, []
+
+    def counted(alg, a, b):
+        span = real(alg, a, b)
+        if a == b == Subspace.full(alg.dim):
+            spans.append((a.dim, b.dim, span.dim))
+        return span
+
+    monkeypatch.setattr(liealg, "bracket_span", counted)
+    pre = exponential_precheck(alg)
+    assert pre["is_solvable"] and not is_nilpotent(alg)
+    assert spans == [(alg.dim, alg.dim, rank)]
+    assert derived_series(alg)[1].dim == rank and spans == [(alg.dim, alg.dim, rank)]
 
 
 def test_the_imaginary_eigenvalue_test_matches_the_reference_on_every_sampled_element(
@@ -445,7 +469,7 @@ def nested_window_polarization(alg, cov, chain=None):
         return Subspace(n, [combine(r, g_here.rows, n) for r in sub.rows])
 
     for step_index in range(n + 1):
-        if kks_pairing(inner, cur_cov).is_zero():
+        if not any(map(any, kks_pairing(inner, cur_cov))):
             break
         ann_x = hull_orbit_annihilator(inner, cur_cov)
         if chain is not None:

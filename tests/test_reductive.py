@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import liealg, polarization, reductive, structure
+from orbitkit import liealg, polarization, polynomials, reductive, structure
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import (
-    Matrix,
     Subspace,
     annihilator,
     basis_vector,
@@ -20,6 +19,7 @@ from orbitkit.linalg import (
     rank_kernel,
     solve,
     vec_dot,
+    vec_sub,
 )
 from orbitkit.mackey import little_group_step, verify_step_relations
 from orbitkit.polynomials import charpoly, deg, mul, poly, squarefree_part
@@ -37,6 +37,7 @@ from orbitkit.reductive import (
 )
 from conftest import (
     algebra_from_rep,
+    matmul,
     rand_vec,
     reference_grading,
     sl_rep,
@@ -54,12 +55,16 @@ def sl3(entries):
 
 
 def _diag(values):
-    return Matrix([[v if i == j else 0 for j in range(3)] for i, v in enumerate(values)])
+    n = len(values)
+    return tuple(tuple(v if i == j else 0 for j in range(n)) for i, v in enumerate(values))
+
+
+def _trace_of_product(a, b):
+    return sum(row[i] for i, row in enumerate(matmul(a, b)))
 
 
 # two diagonal elements of sl3 and a non-semisimple one
-SL3_MATRICES = (_diag((1, 0, -1)), _diag((2, -1, -1)),
-                Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
+SL3_MATRICES = (_diag((1, 0, -1)), _diag((2, -1, -1)), ((1, 1, 0), (0, 0, 0), (0, 0, -1)))
 
 
 def hyperbolic(malg, x):
@@ -102,7 +107,7 @@ def test_parabolic_report_refuses_coordinates_of_the_wrong_length(sl3):
 def test_grade_refuses_a_nondiagonalizable_ad(sl3):
     """e12 is nilpotent, so it is no x_h: at its one eigenvalue, 0, ad(e12) has a
     kernel short of g, and `grade` refuses with a plain ValueError, not a spectrum's."""
-    e12 = element_coords(sl3, Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    e12 = element_coords(sl3, ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError) as got:
         grade(sl3, e12, (0,))
     assert (got.type, str(got.value)) == (ValueError, (
@@ -130,7 +135,8 @@ def test_grade_matches_the_reference_route_on_the_catalog(entries):
     for name in sorted(with_rep):
         alg = entries[name].algebra
         rep = alg.matrix_rep
-        malg = reductive.MatrixLieAlgebra(alg, Matrix([[(a * b).trace() for b in rep] for a in rep]))
+        malg = reductive.MatrixLieAlgebra(alg, tuple(tuple(_trace_of_product(a, b) for b in rep)
+                                                     for a in rep))
         elements = [basis_vector(alg.dim, i) for i in range(alg.dim)]
         elements += [rand_vec(rng, alg.dim, lo=-3, hi=3, max_den=2) for _ in range(10)]
         for x in elements:
@@ -150,12 +156,12 @@ def test_grade_matches_the_reference_route_on_the_catalog(entries):
 def test_trace_pairings_match_the_product_forms(entries, rng, name):
     malg = matrix_lie_algebra(entries[name].algebra)
     rep = malg.rep
-    assert malg.trace_gram == Matrix([[(ri * rj).trace() for rj in rep] for ri in rep])
+    assert malg.trace_gram == tuple(tuple(_trace_of_product(ri, rj) for rj in rep) for ri in rep)
     for _ in range(6):
         x = rand_vec(rng, malg.dim)
         cov = element_to_covector(malg, x)
         xmat = element_matrix(malg, x)
-        assert cov.coords == tuple((xmat * r).trace() for r in rep)
+        assert cov.coords == tuple(_trace_of_product(xmat, r) for r in rep)
         assert covector_to_element(malg, cov) == x
         assert element_coords(malg, xmat) == x
 
@@ -169,20 +175,22 @@ def test_element_to_covector_refuses_coordinates_of_the_wrong_length(sl3):
 
 def test_element_coords_refuses_a_matrix_outside_the_algebra(sl3):
     with pytest.raises(ValueError, match="does not lie in the algebra"):
-        element_coords(sl3, Matrix.identity(3))
+        element_coords(sl3, _diag((1, 1, 1)))
 
 
 def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     """The trace pairings and the step-2 relations read the Gram matrix and
-    the covector; only the hyperbolic part and the grading that
-    `parabolic_report` calls still multiply matrices."""
-    real_mul = Matrix.__mul__
-    permitted = []
+    the covector; only the hyperbolic part that `parabolic_report` calls still
+    multiplies matrices, in `polynomials.eval_matrix`, the package's one product
+    (the grading shifts the diagonal of ad(x_h))."""
+    real_eval = polynomials.eval_matrix
+    permitted, products = [], []
 
-    def guarded(a, b):
+    def guarded(p, m):
         if not permitted:
             raise AssertionError("dense matrix product")
-        return real_mul(a, b)
+        products.append(permitted[-1])
+        return real_eval(p, m)
 
     def permit(fn):
         def run(*args):
@@ -197,10 +205,10 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     data = little_group_step(poin.algebra, poin.ideals["translations"],
                              Covector(poin.algebra, poin.covectors["timelike"]))
     validate(sl3.algebra)  # cached; its representation check forms commutators
-    x = element_coords(sl3, Matrix([[1, 1, 0], [0, 0, 0], [0, 0, -1]]))
-    monkeypatch.setattr(Matrix, "__mul__", guarded)
+    x = element_coords(sl3, ((1, 1, 0), (0, 0, 0), (0, 0, -1)))
+    for mod in (polynomials, reductive):
+        monkeypatch.setattr(mod, "eval_matrix", guarded)
     monkeypatch.setattr(reductive, "hyperbolic_part", permit(reductive.hyperbolic_part))
-    monkeypatch.setattr(reductive, "grade", permit(reductive.grade))
 
     assert matrix_lie_algebra(sl3.algebra).trace_gram == sl3.trace_gram
     element_to_covector(sl3, range(1, 9))
@@ -208,6 +216,7 @@ def test_trace_pairings_multiply_no_matrices(entries, sl3, monkeypatch):
     rep = parabolic_report(sl3, x)["parabolic"]
     assert rep["u_dim"] > 0
     assert rep["relations"]["trace_blocks"] and rep["relations"]["levi_pairing_zero"]
+    assert products and set(products) == {hyperbolic_part}
 
 
 def fixed_point_hull(alg, start, u):
@@ -226,8 +235,8 @@ def trace_annihilator(malg, q):
     """ann(q) under the trace form, read off the products: the Y with
     tr(M(Y) M(z)) = 0 for every row z of q."""
     mats = [element_matrix(malg, basis_vector(malg.dim, i)) for i in range(malg.dim)]
-    return annihilator(Subspace(malg.dim, [[(m * element_matrix(malg, z)).trace() for m in mats]
-                                           for z in q.rows]))
+    return annihilator(Subspace(malg.dim, [[_trace_of_product(m, element_matrix(malg, z))
+                                            for m in mats] for z in q.rows]))
 
 
 def ad_closure(alg, start, u):
@@ -260,8 +269,8 @@ def upper_triangular(rng, size):
     repeat at some draws, and entries above it in [-3, 3]."""
     diag = [F(rng.randint(-2, 2)) for _ in range(size - 1)]
     diag.append(-sum(diag))
-    return Matrix([[diag[i] if i == j else (F(rng.randint(-3, 3)) if i < j else 0)
-                    for j in range(size)] for i in range(size)])
+    return tuple(tuple(diag[i] if i == j else (F(rng.randint(-3, 3)) if i < j else 0)
+                       for j in range(size)) for i in range(size))
 
 
 def relation_inputs(entries, sl4, seed):
@@ -289,8 +298,7 @@ def relation_inputs(entries, sl4, seed):
 
 
 def trace_pairing(gram, a_rows, b_rows):
-    return Matrix([[vec_dot(combine(ra, gram.entries, gram.rows), rb) for rb in b_rows]
-                   for ra in a_rows], len(b_rows))
+    return [[vec_dot(combine(ra, gram, len(gram)), rb) for rb in b_rows] for ra in a_rows]
 
 
 def square_rank_verdict(gram, grading):
@@ -300,15 +308,15 @@ def square_rank_verdict(gram, grading):
         for b, other in grading.items():
             pairing = trace_pairing(gram, space.rows, other.rows)
             if a + b != 0:
-                if not pairing.is_zero():
+                if any(map(any, pairing)):
                     return False
-            elif pairing.rows != pairing.cols or rank_kernel(pairing)[0] != pairing.rows:
+            elif space.dim != other.dim or rank_kernel(pairing, other.dim)[0] != space.dim:
                 return False
     return True
 
 
 def zero_pattern_verdict(gram, grading):
-    return all(trace_pairing(gram, space.rows, other.rows).is_zero()
+    return all(not any(map(any, trace_pairing(gram, space.rows, other.rows)))
                for a, space in grading.items() for b, other in grading.items() if a + b)
 
 
@@ -326,12 +334,11 @@ def test_the_trace_block_ranks_follow_from_the_zero_pattern(entries, sl4, seed):
         assert parabolic_report(malg, x)["parabolic"]["relations"]["trace_blocks"], x
         n = malg.dim
         i, j = rng.randrange(n), rng.randrange(n)
-        moved = [list(row) for row in gram.entries]
+        moved = [list(row) for row in gram]
         moved[i][j] += 1
         if i != j:
             moved[j][i] += 1
-        moved = Matrix(moved)
-        if rank_kernel(moved)[0] == n:
+        if rank_kernel(moved, n)[0] == n:
             verdict = square_rank_verdict(moved, grading)
             assert verdict == zero_pattern_verdict(moved, grading), (x, i, j)
             verdicts.add(verdict)
@@ -405,54 +412,58 @@ def sympy_hyperbolic(x):
     import sympy
 
     m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
-                      for row in x.entries])
+                      for row in x])
     p, j = m.jordan_form()
     re_d = sympy.diag(*[sympy.re(j[i, i]) for i in range(j.rows)])
     xh = (p * re_d * p.inv()).applyfunc(sympy.simplify)
     assert all(e.is_Rational for e in xh)
-    return Matrix([[F(int(e.p), int(e.q)) for e in xh.row(i)] for i in range(xh.rows)])
+    return tuple(tuple(F(int(e.p), int(e.q)) for e in xh.row(i)) for i in range(xh.rows))
 
 
 def test_rotation_scaling_splits_into_identity_and_rotation():
-    s = Matrix([[1, -1], [1, 1]])   # 1 +- i
+    s = ((1, -1), (1, 1))   # 1 +- i
     xh, eigenvalues = hyperbolic_part(s)
-    assert xh == Matrix.identity(2) and eigenvalues == [1]
-    assert s - xh == Matrix([[0, -1], [1, 0]])
+    assert xh == _diag((1, 1)) and eigenvalues == [1]
+    assert tuple(map(vec_sub, s, xh)) == ((0, -1), (1, 0))
     assert xh == sympy_hyperbolic(s)
 
 
 def test_a_rotation_is_elliptic():
-    assert hyperbolic_part(Matrix([[0, -1], [1, 0]])) == (Matrix.zeros(2, 2), [0])
+    assert hyperbolic_part(((0, -1), (1, 0))) == (((0, 0), (0, 0)), [0])
 
 
 def _inverse(u):
-    n = u.rows
-    cols = [solve(u, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return Matrix(cols, n).transpose()
+    n = len(u)
+    cols = [solve(u, [1 if i == j else 0 for i in range(n)], n) for j in range(n)]
+    return tuple(zip(*cols))
 
 
 def _unimodular(rng, n):
-    u = Matrix.identity(n)
+    u = _diag((1,) * n)
     for _ in range(3 * n):
         i, j = rng.sample(range(n), 2)
-        e = Matrix([[1 if a == b else (rng.randint(-3, 3) if (a, b) == (i, j) else 0)
-                     for b in range(n)] for a in range(n)])
-        u = e * u
+        e = [[1 if a == b else (rng.randint(-3, 3) if (a, b) == (i, j) else 0)
+              for b in range(n)] for a in range(n)]
+        u = matmul(e, u)
     return u
+
+
+def _conjugate(u, d, u_inv):
+    return matmul(matmul(u, d), u_inv)
 
 
 def test_a_conjugated_gaussian_spectrum_matches_the_sympy_diagonalization():
     # spectrum {2, -3, 1 +- 2i}, conjugated by a unimodular integer matrix
-    d = Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
+    d = ((2, 0, 0, 0), (0, -3, 0, 0), (0, 0, 1, -2), (0, 0, 2, 1))
     u = _unimodular(random.Random(7), 4)
     u_inv = _inverse(u)
-    assert u * u_inv == Matrix.identity(4)
-    s = u * d * u_inv
+    assert matmul(u, u_inv) == _diag((1,) * 4)
+    s = _conjugate(u, d, u_inv)
     xh, eigenvalues = hyperbolic_part(s)
     assert sorted(eigenvalues) == [-3, 1, 2]
-    xe = s - xh
-    assert xh == u * Matrix([[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * u_inv
-    assert xh * xe == xe * xh
+    xe = tuple(map(vec_sub, s, xh))
+    assert xh == _conjugate(u, _diag((2, -3, 1, 1)), u_inv)
+    assert matmul(xh, xe) == matmul(xe, xh)
     assert xh == sympy_hyperbolic(s)
 
 
@@ -485,7 +496,7 @@ def block_diagonal(blocks):
         for i, row in enumerate(b):
             out[at + i][at:at + len(row)] = row
         at += len(b)
-    return Matrix(out)
+    return out
 
 
 @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
@@ -500,24 +511,23 @@ def test_hyperbolic_part_of_a_conjugated_real_jordan_form(gaussian, seed):
         blocks.append(real_jordan_block(rng, size <= 3 and rng.random() < 0.5, 1))
     rng.shuffle(blocks)
     d = block_diagonal([b for b, _ in blocks])
-    n = d.rows
+    n = len(d)
     reals = [a for _, parts in blocks for a in parts]
     u = _unimodular(rng, n)
     u_inv = _inverse(u)
-    x = u * d * u_inv
+    x = _conjugate(u, d, u_inv)
     xh, eigenvalues = hyperbolic_part(x)
     assert sorted(set(eigenvalues)) == sorted(set(reals))
-    assert xh == u * Matrix([[reals[i] if i == j else 0 for j in range(n)]
-                             for i in range(n)]) * u_inv
-    assert xh * x == x * xh
+    assert xh == _conjugate(u, _diag(reals), u_inv)
+    assert matmul(xh, x) == matmul(x, xh)
     assert xh == sympy_hyperbolic(x)
 
 
 def _companion(f):
     """The companion matrix of the monic polynomial f (coefficients lowest first)."""
     n = len(f) - 1
-    return Matrix([[(1 if i == j + 1 else 0) if j < n - 1 else -f[i] for j in range(n)]
-                   for i in range(n)])
+    return tuple(tuple((1 if i == j + 1 else 0) if j < n - 1 else -f[i] for j in range(n))
+                 for i in range(n))
 
 
 def assert_names_sympys_unsupported_part(mu, err):
@@ -535,9 +545,8 @@ def assert_refused_beside_a_gaussian_block(coeffs, reason):
     """The companion block of coeffs beside a supported block 1 +- i, which
     qi_factors does find, is refused with `reason`."""
     c = _companion(coeffs)
-    n = c.rows
-    s = Matrix([list(row) + [0, 0] for row in c.entries]
-               + [[0] * n + [1, -1], [0] * n + [1, 1]])
+    n = len(c)
+    s = [list(row) + [0, 0] for row in c] + [[0] * n + [1, -1], [0] * n + [1, 1]]
     with pytest.raises(UnsupportedSpectrumError) as got:
         hyperbolic_part(s)
     assert str(got.value) == f"unsupported spectrum: {reason}"
@@ -592,8 +601,8 @@ def test_the_split_refuses_exactly_the_spectra_sympy_finds_outside_qi(seed):
         assert_names_sympys_unsupported_part(mu, err)
     else:
         assert not unsupported
-        xe = s - xh
-        assert xh * xe == xe * xh
+        xe = tuple(map(vec_sub, s, xh))
+        assert matmul(xh, xe) == matmul(xe, xh)
 
 
 # -- bounded time at large heights ---------------------------------------------
@@ -617,8 +626,8 @@ def test_parabolic_report_on_sl4_at_height_10_9(sl4):
     rng = random.Random(11)
     diag = [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(3)]
     diag.append(-sum(diag))
-    x = Matrix([[diag[i] if i == j else (F(rng.randint(-10**9, 10**9)) if i < j else 0)
-                 for j in range(4)] for i in range(4)])
+    x = [[diag[i] if i == j else (F(rng.randint(-10**9, 10**9)) if i < j else 0)
+          for j in range(4)] for i in range(4)]
     x = element_coords(sl4, x)
     start = time.perf_counter()
     rep = parabolic_report(sl4, x)
@@ -700,13 +709,13 @@ def test_parabolic_report_takes_charpoly_only_of_the_representation(monkeypatch)
     the algebra's size (8 or 15)."""
     shapes, real = [], reductive.charpoly
     monkeypatch.setattr(reductive, "charpoly",
-                        lambda m: shapes.append((m.rows, m.cols)) or real(m))
+                        lambda m: shapes.append((len(m), *{len(row) for row in m})) or real(m))
     inputs = list(_parabolic_inputs())
     assert len(inputs) == 17
     for malg, x in inputs:
         shapes.clear()
         parabolic_report(malg, x)
-        size = malg.rep[0].rows
+        size = len(malg.rep[0])
         assert shapes == [(size, size)], x
 
 
@@ -774,8 +783,9 @@ def test_each_report_factors_one_spectrum(monkeypatch):
 def test_element_coords_refuses_a_matrix_of_another_shape(sl3):
     """The flattened diag(1, 0, -1) has the right entries but not the shape."""
     flat_diag = [1, 0, 0, 0, 0, 0, 0, 0, -1]
-    for m in (Matrix([flat_diag]), Matrix([[a] for a in flat_diag]), Matrix.identity(2)):
-        shape = f"shape {m.rows}x{m.cols} for a representation of size 3"
+    for m, shape in (([flat_diag], "1x9"), ([[a] for a in flat_diag], "9x1"),
+                     (_diag((1, 1)), "2x2")):
+        shape = f"shape {shape} for a representation of size 3"
         with pytest.raises(ValueError, match=shape):
             element_coords(sl3, m)
 

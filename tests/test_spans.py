@@ -26,7 +26,8 @@ import tracer  # noqa: E402
 # benchmark drops or renames them
 DEAD = {"liealg.structure_probe", "liealg.subalgebra", "liealg.quotient",
         "polynomials.rational_roots", "linalg.Matrix.apply", "reductive.jordan_triple",
-        "mackey.abelian_step", "polarization.exponential_precheck"}
+        "mackey.abelian_step", "polarization.exponential_precheck",
+        "linalg.Matrix.__mul__"}
 # made by the tracer around the first import of sympy, not by wrapping a function
 MADE_BY_THE_TRACER = {"cli.sympy_import"}
 
