@@ -45,30 +45,16 @@ the analysis it drives: `conditions.conditions_command`,
 `induction.record_command`, `reductive.parabolic_command` and
 `exponential.polarize_command`, which imports `polarization` only once the
 exponential precheck has passed.  The argument readers those handlers share
-are in `catalog`.  What each invocation compiles, as `ast.walk` nodes
-(`tests/test_imports.py` keeps each under a budget): 9,531 for `catalog`,
-`validate` and `orbit`; 10,388 for `conditions`, 10,465 for `record`,
-12,374 for `mackey` and `classify`, 14,546 for `parabolic`; and for
-`polarize` 12,145 on a nilpotent algebra (no polynomial code), 14,247 on a
-solvable one and 12,134 when the precheck fails (no search, `conditions` or
-`structure`).  A matrix is the tuple of its rows: cutting `linalg.Matrix`
-down to the carrier of `rref` took 679 (`parabolic`) to 760 nodes off each
-count, which had been 10,270 for `validate` and 15,225 for `parabolic`.
-Before these handlers moved out of this module, every
-invocation compiled 11,211 nodes and every `polarize` 15,863.  Compiling
-takes about 1.2 µs a node (`compile()` of each module's source, the
-minimum of 60: 12.6 ms for the four modules every invocation loads, 13.4
-before), and per invocation, medians of 21 interleaved runs under
-`python -S` (shared 2-core x86-64 Linux host, Python 3.11) went from 44.4
-to 40.7 ms for `validate`, 54.1 to 49.3 ms for a nilpotent `polarize`,
-51.1 to 48.1 ms for a refused one, and about 1 to 4 ms lower for the other
-subcommands; a solvable `polarize`, which compiles about as much as
-before, stayed within about 1 ms.  Analysis modules import
-`qi_roots`, `structure` (all but `parabolic` and a refused `polarize`) and
-`polynomials` (`parabolic`, and `polarize` on an algebra that is not
-nilpotent) themselves.  A built-in entry is a definition file shipped with
-the package, and `catalog:NAME` reads the file of the entry named and no
-other.
+are in `catalog`.  Analysis modules import `structure` (all but
+`parabolic` and a refused `polarize`), `polynomials` (`parabolic`, and
+`polarize` on an algebra that is not nilpotent) and `qi_roots`
+(`parabolic`) themselves.  What each invocation compiles, counted as
+`ast.walk` nodes, is kept under a budget per subcommand by `LOADS` in
+`tests/test_imports.py`, which holds the numbers.  Compiling takes about
+1.2 µs a node (`compile()` of each module's source, the minimum of 60), so
+every module an invocation loads and does not run costs it start-up.  A
+built-in entry is a definition file shipped with the package, and
+`catalog:NAME` reads the file of the entry named and no other.
 The value types are `linalg.Record`s, so creating one costs nothing
 beyond its class statement and no invocation imports `dataclasses`.  The
 package root imports nothing and binds no public name, and no module

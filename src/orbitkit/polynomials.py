@@ -5,8 +5,9 @@ Fraction entries and no trailing zeros.  This carries the characteristic
 polynomial and the gcd/squarefree/modular-inverse machinery behind the
 exact hyperbolic part of `reductive.hyperbolic_part`, and `real_root_count`,
 the number of distinct real roots by Sturm's theorem, which the exponential
-precheck's imaginary-eigenvalue test reads.  The factors with roots in Q(i)
-that the hyperbolic part needs are in `qi_roots`.  Only `parabolic` and
+precheck's imaginary-eigenvalue test reads.  `qi_roots` splits the
+squarefree part taken here into the factors with roots in Q(i) that the
+hyperbolic part needs and the cofactor they leave.  Only `parabolic` and
 `polarize` load this module: `classify` reads the Killing signature by
 congruence (`mackey.symmetric_signature`), not off a characteristic
 polynomial.
@@ -19,9 +20,7 @@ product.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import zip_longest
 
 from .linalg import ONE, ZERO, combine, frac, vec
@@ -262,14 +261,3 @@ def real_root_count(p: tuple) -> int:
     return (sign_variations([-c[-1] if deg(c) % 2 else c[-1] for c in chain])
             - sign_variations([c[-1] for c in chain]))
 
-
-def is_rational_square(r: Fraction) -> Fraction | None:
-    """The exact nonnegative square root of r if one exists, else None."""
-    r = frac(r)
-    if r < 0:
-        return None
-    sn = math.isqrt(r.numerator)
-    sd = math.isqrt(r.denominator)
-    if sn * sn == r.numerator and sd * sd == r.denominator:
-        return Fraction(sn, sd)
-    return None

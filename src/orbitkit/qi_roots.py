@@ -1,7 +1,8 @@
 """The factors with roots in Q(i) of a rational polynomial, found p-adically.
 
-`qi_factors` finds the roots in Q(i) of a squarefree polynomial: roots mod
-the least suitable prime p = 1 (mod 4), Hensel lifting past 2 B^2 with
+`qi_factors` splits the squarefree part of a polynomial into its factors
+with roots in Q(i) and the monic cofactor they leave: roots mod the least
+suitable prime p = 1 (mod 4), Hensel lifting past 2 B^2 with
 B = 2 ceil(||f||_2) the Mignotte bound on the coefficients of an integer
 factor of degree <= 2, rational reconstruction, and exact division as the
 certificate.  `reductive.hyperbolic_part` is its only caller, so no other
@@ -13,29 +14,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomials import deg, derivative, divmod_poly, gcd, is_rational_square, monic, poly
+from .polynomials import divmod_poly, poly, squarefree_part
 
 
-def _trim_mod(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gcd_is_one_mod(f: list[int], g: list[int], p: int) -> bool:
-    """Whether gcd(f, g) is a nonzero constant in F_p[x]."""
-    a = _trim_mod([x % p for x in f])
-    b = _trim_mod([x % p for x in g])
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for k, y in enumerate(b):
-                a[shift + k] = (a[shift + k] - q * y) % p
-            _trim_mod(a)
-        a, b = b, a
-    return len(a) == 1
+def is_rational_square(r: Fraction) -> Fraction | None:
+    """The exact nonnegative square root of r if one exists, else None."""
+    if r < 0:
+        return None
+    sn = math.isqrt(r.numerator)
+    sd = math.isqrt(r.denominator)
+    if sn * sn == r.numerator and sd * sd == r.denominator:
+        return Fraction(sn, sd)
+    return None
 
 
 def _eval_mod(f: list[int], x: int, m: int) -> int:
@@ -67,48 +57,48 @@ def _reconstruct(r: int, m: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def qi_factors(mu: tuple) -> list[tuple]:
-    """The monic factors of a squarefree rational mu with roots in Q(i).
+def qi_factors(chi: tuple) -> tuple[list[tuple], tuple]:
+    """The monic factors with roots in Q(i) of a nonzero rational chi, and the
+    monic cofactor they leave in its squarefree part.
 
-    Returns every linear factor x - a of mu and every monic quadratic
-    x^2 - s x + t dividing mu whose roots a +- b i have b a nonzero
-    rational.  The product of the result is mu (up to its leading
-    coefficient) exactly when the whole spectrum lies in Q(i).
+    The factors are every linear factor x - a of chi and every monic quadratic
+    x^2 - s x + t dividing chi whose roots a +- b i have b a nonzero rational,
+    each once.  Their product times the cofactor is the squarefree part mu
+    of chi, so the cofactor has no root in Q(i), and it is (1,) exactly when
+    the whole spectrum lies in Q(i).
 
-    mu is made a primitive integer polynomial f, a root at 0 is stripped,
-    and p is the least prime p = 1 (mod 4) not dividing lc(f) with
-    gcd(f, f') = 1 mod p.  As i lies in Z_p, every root in Q(i) is p-adic
-    and reduces to a simple root of f mod p.  The roots mod p are
-    found by evaluating f at every residue and Hensel-lifted to a modulus
-    M > 2 B^2, where B = 2 ceil(||f||_2) bounds the coefficients of any
-    integer factor of f of degree <= 2 (Mignotte).  A lifted root is
-    rationally reconstructed as a linear candidate; a pair of lifted roots
-    rho, sigma gives s = rho + sigma and t = rho sigma, kept when s^2 < 4t
-    and 4t - s^2 is a rational square.  Each candidate is accepted only
-    after exact division of the remaining cofactor by it, so a wrong
-    reconstruction is never returned (Loos, SIAM J. Comput. 12, 1983).
+    mu is made a primitive integer polynomial f, and p is the least prime
+    p = 1 (mod 4) not dividing lc(f) at which every root r of f mod p is
+    simple, f'(r) != 0 mod p.  Such a p finds every root in Q(i): as i lies
+    in Z_p and lc(f) is a unit there, a root in Q(i) is a p-adic integer and
+    reduces to a root of f mod p, and two roots that reduced to the same r
+    would make r a multiple root of f mod p.  So the roots in Q(i) reduce to
+    distinct simple roots mod p, each the start of one Hensel lift.  Only the
+    primes dividing disc(f) lc(f) give f mod p a multiple root, and
+    disc(f) != 0 as f is squarefree, so the search ends.
+    The roots mod p are found by evaluating f at every residue and
+    Hensel-lifted to a modulus M > 2 B^2, where B = 2 ceil(||f||_2) bounds
+    the coefficients of any integer factor of f of degree <= 2 (Mignotte).
+    A lifted root is rationally reconstructed as a linear candidate; a pair
+    of lifted roots rho, sigma gives s = rho + sigma and t = rho sigma, kept
+    when s^2 < 4t and 4t - s^2 is a rational square.  Each candidate is
+    accepted only after exact division of the remaining cofactor by it, so a
+    wrong reconstruction is never returned (Loos, SIAM J. Comput. 12, 1983).
     """
-    rest = monic(poly(mu))
+    rest = squarefree_part(poly(chi))
     if not rest:
         raise ValueError("factors of the zero polynomial")
-    if deg(gcd(rest, derivative(rest))) > 0:
-        raise ValueError("qi_factors needs a squarefree polynomial")  # no good prime exists
-    found = []
-    if rest[0] == 0:
-        found.append(poly([0, 1]))
-        rest = rest[1:]
-    if deg(rest) <= 0:
-        return found
     den = math.lcm(*(a.denominator for a in rest))
     f = [int(a * den) for a in rest]                       # lc(f) = den > 0
     content = math.gcd(*f)
     f = [a // content for a in f]
     df = [k * a for k, a in enumerate(f)][1:]
     for p in _primes_one_mod_four():
-        if f[-1] % p and _gcd_is_one_mod(f, df, p):
-            break
+        if f[-1] % p:
+            roots = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+            if all(_eval_mod(df, r, p) for r in roots):
+                break
     bound = 2 * (math.isqrt(sum(a * a for a in f) - 1) + 1)     # 2 ceil(||f||_2)
-    roots = [r for r in range(p) if _eval_mod(f, r, p) == 0]
     m = p
     while m <= 2 * bound * bound:
         m *= m
@@ -128,7 +118,7 @@ def qi_factors(mu: tuple) -> list[tuple]:
                         and is_rational_square(4 * t - s * s) is not None):
                     yield {rho, sigma}, poly([t, -s, 1])
 
-    used = set()
+    found, used = [], set()
     for lifted, g in candidates():
         if used.isdisjoint(lifted):
             quot, rem = divmod_poly(rest, g)
@@ -136,4 +126,4 @@ def qi_factors(mu: tuple) -> list[tuple]:
                 found.append(g)
                 rest = quot
                 used |= lifted
-    return found
+    return found, rest

@@ -6,10 +6,11 @@ over Q, and the positive part of the ad(x_h)-grading assembles the
 parabolic q = g^0 (+) u.  x_h is restricted to spectra inside Q(i): every
 irreducible factor of the characteristic polynomial must be linear, or
 quadratic with negative discriminant whose imaginary part is rational.
-Those factors are found p-adically by `qi_roots.qi_factors`, and the
-cofactor they leave, which has no root in Q(i), names a refused spectrum:
-at degree <= 3 it has no rational root, so it is the one irreducible
-unsupported factor; above that it is named whole.
+`qi_roots.qi_factors` finds those factors p-adically and returns the
+cofactor they leave in the squarefree part of the characteristic
+polynomial.  A nonconstant cofactor has no root in Q(i) and names the
+refused spectrum: at degree <= 3 it has no rational root, so it is the one
+irreducible unsupported factor; above that it is named whole.
 
 x_h is read off x's own spectral projectors.  With chi = charpoly(x) =
 prod f_i^{m_i}, the projection onto the generalized eigenspace ker
@@ -87,12 +88,9 @@ from .polynomials import (
     divmod_poly,
     eval_matrix,
     invert_mod,
-    is_rational_square,
-    monic,
     mul,
     poly,
     scale,
-    squarefree_part,
     to_string,
 )
 from .qi_roots import qi_factors
@@ -100,8 +98,8 @@ from .qi_roots import qi_factors
 
 class UnsupportedSpectrumError(ValueError):
     """Spectrum leaves Q(i); carries the offending factor, raised only by
-    `hyperbolic_part`: irreducible at degree <= 3, and above that the whole
-    part of the minimal polynomial with no root in Q(i).
+    `hyperbolic_part`: the cofactor `qi_factors` leaves, irreducible at
+    degree <= 3, and above that named whole.
     """
 
     def __init__(self, factor: tuple, reason: str):
@@ -183,42 +181,30 @@ def hyperbolic_part(x: Sequence[Sequence]) -> tuple[tuple, list]:
 
     x_h = h(x), where h = a_i mod f_i^{m_i} (Chinese remainder theorem) over
     chi = charpoly(x) = prod f_i^{m_i}: the f_i are the factors `qi_factors`
-    finds in the squarefree part mu of chi, a_i is the rational real part of
-    f_i's roots and m_i the multiplicity of f_i in chi; the module docstring
-    says why this is the hyperbolic part of x's semisimple part.  The a_i,
-    one per factor, are returned too: they are x_h's eigenvalues.
+    finds in chi, a_i is the rational real part of f_i's roots and m_i the
+    multiplicity of f_i in chi; the module docstring says why this is the
+    hyperbolic part of x's semisimple part.  The a_i, one per factor, are
+    returned too: they are x_h's eigenvalues.
 
-    The monic cofactor `rest` the factors leave in mu has no root in Q(i).
-    At degree 2 or 3 it has no rational root, so it is irreducible over Q,
-    and the loop below names why it is unsupported; at degree >= 4 it is
-    refused whole, with no claim that it is irreducible ((x^2 - 2)(x^2 - 3)
-    is one such cofactor).
+    A nonconstant cofactor, the part of chi's squarefree part with no root
+    in Q(i), is refused before any projector is built.  It has no rational
+    root, so at degree 2 or 3 it is irreducible over Q, and the refusal says
+    why it is unsupported; at degree >= 4 it is refused whole, with no claim
+    that it is irreducible ((x^2 - 2)(x^2 - 3) is one such cofactor).
     """
     if any(len(row) != len(x) for row in x):
         raise ValueError("square matrix required")
     chi = charpoly(x)
-    mu = squarefree_part(chi)
-    factors = qi_factors(mu)
-    rest = mu
-    for f in factors:
-        rest = divmod_poly(rest, f)[0]
-    if deg(rest) >= 4:
-        raise UnsupportedSpectrumError(monic(rest), "no root in Q(i)")
+    factors, rest = qi_factors(chi)
     if deg(rest) > 0:
-        factors.append(monic(rest))
+        raise UnsupportedSpectrumError(rest, (
+            "no root in Q(i)" if deg(rest) > 3
+            else "irreducible factor of degree 3" if deg(rest) == 3
+            else "irrational real eigenvalues" if rest[1] * rest[1] >= 4 * rest[0]
+            else "imaginary part is irrational"))
     h, eigenvalues = (), []
     for f in factors:
-        if deg(f) == 1:
-            a = -f[0]
-        elif deg(f) == 2:  # monic: roots (-f[1] +- sqrt(disc)) / 2
-            disc = f[1] * f[1] - 4 * f[0]
-            if disc >= 0:
-                raise UnsupportedSpectrumError(f, "irrational real eigenvalues")
-            if is_rational_square(-disc) is None:
-                raise UnsupportedSpectrumError(f, "imaginary part is irrational")
-            a = -f[1] / 2
-        else:
-            raise UnsupportedSpectrumError(f, f"irreducible factor of degree {deg(f)}")
+        a = -f[0] if deg(f) == 1 else -f[1] / 2   # monic x^2 - 2a x + a^2 + b^2
         eigenvalues.append(a)
         if not a:
             continue

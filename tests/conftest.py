@@ -33,15 +33,13 @@ from orbitkit.polynomials import (
     derivative,
     divmod_poly,
     gcd,
-    is_rational_square,
     monic,
     poly,
     scale,
     sign_variations,
-    squarefree_part,
 )
 from orbitkit.polarization import pukanszky_polarization
-from orbitkit.qi_roots import qi_factors
+from orbitkit.qi_roots import is_rational_square, qi_factors
 from orbitkit.structure import subquotient
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -504,7 +502,7 @@ def reference_grading(malg, xh):
     {eigenvalue: eigenspace}, or None when they do not sum to g."""
     n = malg.dim
     ad = ad_matrix(malg.algebra, vec(xh))
-    eigs = [-f[0] for f in qi_factors(squarefree_part(charpoly(ad))) if deg(f) == 1]
+    eigs = [-f[0] for f in qi_factors(charpoly(ad))[0] if deg(f) == 1]
     spaces = {}
     for a in sorted(eigs):
         shifted = [row[:i] + (row[i] - a,) + row[i + 1:] for i, row in enumerate(ad)]

@@ -327,10 +327,12 @@ BASE = ["orbitkit", "orbitkit.catalog", "orbitkit.cli", "orbitkit.liealg", "orbi
 # argv -> (the modules it adds to BASE, the most AST nodes (`ast.walk`) that the
 # package modules it loads may hold: what it compiles from source).  Every
 # invocation compiles BASE, 9,531 nodes when the budgets were set; a budget is
-# its row's count then, rounded up to the next 100.  Before `linalg.Matrix`
-# lost its arithmetic, BASE held 10,270 nodes and `parabolic` 15,225; before
-# the subcommand handlers moved out of `cli`, BASE held 11,211 nodes, every
-# `polarize` 15,863, `mackey` and `classify` 14,012 and `parabolic` 16,075.
+# its row's count then, rounded up to the next 100.  Before `qi_factors`
+# returned its cofactor, `parabolic` held 14,546 nodes, a solvable `polarize`
+# 14,247 and a refused one 12,134.  Before `linalg.Matrix` lost its arithmetic,
+# BASE held 10,270 nodes and `parabolic` 15,225; before the subcommand handlers
+# moved out of `cli`, BASE held 11,211 nodes, every `polarize` 15,863, `mackey`
+# and `classify` 14,012 and `parabolic` 16,075.
 LOADS = {
     ("catalog",): ([], 9_600),
     ("validate", "catalog:heisenberg3"): ([], 9_600),
@@ -344,15 +346,15 @@ LOADS = {
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_600),
+        (["polynomials", "qi_roots", "reductive"], 14_200),
     # nilpotent: the Engel shortcut compiles no polynomial code
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
         (["conditions", "exponential", "polarization", "structure"], 12_200),
     # solvable, not nilpotent: the sampled precheck, then the search
     ("polarize", "catalog:affine_line", "--point=0,1"):
-        (["conditions", "exponential", "polarization", "polynomials", "structure"], 14_300),
+        (["conditions", "exponential", "polarization", "polynomials", "structure"], 14_200),
     # the precheck fails (exit 2) before the search is imported
-    ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 12_200),
+    ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 12_100),
     # definition files, the benchmark's own traffic
     ("validate", "h3.json"): ([], 9_600),
     ("orbit", "h3.json", "--point=0,0,1"): ([], 9_600),
@@ -365,7 +367,7 @@ LOADS = {
     ("record", "h3.json", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "sl2.json", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_600),
+        (["polynomials", "qi_roots", "reductive"], 14_200),
     ("polarize", "h3.json", "--point=0,0,1"):
         (["conditions", "exponential", "polarization", "structure"], 12_200),
 }

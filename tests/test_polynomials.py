@@ -16,7 +16,6 @@ from orbitkit.polynomials import (
     eval_matrix,
     gcd,
     invert_mod,
-    is_rational_square,
     monic,
     mul,
     poly,
@@ -25,7 +24,7 @@ from orbitkit.polynomials import (
     to_string,
     xgcd,
 )
-from orbitkit.qi_roots import qi_factors
+from orbitkit.qi_roots import is_rational_square, qi_factors
 from orbitkit.liealg import ad_matrix
 from orbitkit.mackey import killing_form, symmetric_signature
 from conftest import descartes_signature, matmul, rand_vec, sympy_supported
@@ -271,9 +270,9 @@ def test_qi_factors_match_sympy(seed):
     rng = random.Random(seed)
     mu = random_spectrum(rng)
     supported, unsupported = sympy_supported(mu)
-    found = qi_factors(mu)
+    found, rest = qi_factors(mu)
     assert sorted(found) == sorted(supported)
-    assert (reduce(mul, found, poly([1])) == mu) == (not unsupported)
+    assert rest == reduce(mul, unsupported, poly([1]))
 
 
 @pytest.mark.parametrize("roots", [[0], [0, 5], [5, 10], [1, 6], [0, F(-3, 7), 10**12]])
@@ -281,21 +280,56 @@ def test_qi_factors_edge_roots(roots):
     # 5 and 10, or 1 and 6, meet mod 5: f = (x - 5)(x - 10) is x^2 mod 5,
     # so the prime search must pass over p = 5
     mu = reduce(mul, [poly([-F(a), 1]) for a in roots], poly([1]))
-    assert sorted(qi_factors(mu)) == sorted(poly([-F(a), 1]) for a in roots)
+    found, rest = qi_factors(mu)
+    assert sorted(found) == sorted(poly([-F(a), 1]) for a in roots)
+    assert rest == (1,)
+
+
+# i is 2 or 3 mod 5 and 5 or 8 mod 13, so a +- b i reduces to a +- 2b mod 5 and
+# a +- 5b mod 13.  The linear roots meet each other (1 and 6, 2 and 7 mod 5; 2
+# and 15 mod 13) and the Gaussian roots: 1 + i is 3 mod 5 and 6 mod 13, 1 + 2i
+# is 0 mod 5 (beside 5 and 10), 2 + i is 7 mod 13.  Each collision makes a root
+# mod that prime multiple, so the prime search must pass over it.
+COLLIDING_ROOTS = [F(a) for a in (0, 1, 2, 3, 5, 6, 7, 10, 15, 19, -4)]
+COLLIDING_GAUSSIANS = [poly([a * a + b * b, -2 * a, 1]) for a, b in ((1, 1), (1, 2), (2, 1), (6, 5))]
+OUTSIDE_QI = [poly(c) for c in ((-2, 0, 1), (2, 0, 1), (1, 1, 1), (-9, -5, 0, 1), (1, 0, 0, 0, 1))]
+
+
+@st.composite
+def spectra_with_colliding_roots(draw):
+    """(p, its factors with roots in Q(i), the monic cofactor): a nonzero multiple
+    of a product of distinct factors from the three pools, each to the power 1 or 2."""
+    def pick(pool, most):
+        return draw(st.lists(st.sampled_from(pool), max_size=most, unique=True))
+
+    inside = [poly([-a, 1]) for a in pick(COLLIDING_ROOTS, 4)] + pick(COLLIDING_GAUSSIANS, 2)
+    outside = pick(OUTSIDE_QI, 2)
+    powers = [f for f in inside + outside for _ in range(draw(st.integers(1, 2)))]
+    scale = draw(st.fractions(-9, 9, max_denominator=5).filter(bool))
+    p = reduce(mul, powers, poly([scale]))
+    return p, sorted(inside), reduce(mul, outside, poly([1]))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(spectra_with_colliding_roots())
+def test_qi_factors_split_spectra_whose_roots_collide_mod_5_and_13_property(case):
+    p, inside, cofactor = case
+    found, rest = qi_factors(p)
+    assert sorted(found) == inside
+    assert rest == cofactor
 
 
 def test_qi_factors_of_a_constant_and_refusals():
-    assert qi_factors(poly([3])) == []
-    with pytest.raises(ValueError):
+    assert qi_factors(poly([3])) == ([], (1,))
+    with pytest.raises(ValueError, match="factors of the zero polynomial"):
         qi_factors(())
-    with pytest.raises(ValueError):                     # (x - 1)^2 has no good prime
-        qi_factors(poly([1, -2, 1]))
+    assert qi_factors(poly([1, -2, 1])) == ([poly([-1, 1])], (1,))   # (x - 1)^2
 
 
 def test_qi_factors_keep_the_gaussian_pairs_only():
     gaussian = poly([5, -2, 1])                          # roots 1 +- 2i
     mu = mul(mul(gaussian, poly([2, 0, 1])), poly([-2, 0, 1]))
-    assert qi_factors(mu) == [gaussian]
+    assert qi_factors(mu) == ([gaussian], poly([-4, 0, 0, 0, 1]))   # (x^2 + 2)(x^2 - 2)
 
 
 def test_qi_factors_at_a_height_no_divisor_search_reaches():
@@ -303,7 +337,9 @@ def test_qi_factors_at_a_height_no_divisor_search_reaches():
     roots = [F(3**300 + 1, 7**100), -F(2**500), F(1, 10**150)]
     gaussian = poly([F(5**200) + 1, -2, 1])              # roots 1 +- 5^100 i
     mu = reduce(mul, [poly([-a, 1]) for a in roots], gaussian)
-    assert sorted(qi_factors(mu)) == sorted([poly([-a, 1]) for a in roots] + [gaussian])
+    found, rest = qi_factors(mu)
+    assert sorted(found) == sorted([poly([-a, 1]) for a in roots] + [gaussian])
+    assert rest == (1,)
 
 
 # -- the congruence signature of `mackey`, against the charpoly route it replaced --

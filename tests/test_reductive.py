@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import liealg, polarization, polynomials, reductive, structure
+from orbitkit import liealg, polarization, polynomials, qi_roots, reductive, structure
 from orbitkit.liealg import Covector, LieAlgebra, bracket_span, orbit_dim, validate
 from orbitkit.catalog import parse_algebra
 from orbitkit.linalg import (
@@ -22,7 +22,7 @@ from orbitkit.linalg import (
     vec_sub,
 )
 from orbitkit.mackey import little_group_step, verify_step_relations
-from orbitkit.polynomials import charpoly, deg, mul, poly, squarefree_part
+from orbitkit.polynomials import charpoly, deg, derivative, mul, poly
 from orbitkit.qi_roots import qi_factors
 from orbitkit.reductive import (
     UnsupportedSpectrumError,
@@ -75,7 +75,7 @@ def hyperbolic(malg, x):
 
 def rational_eigenvalues(m):
     """The rational roots of charpoly(m), by the linear factors `qi_factors` finds."""
-    return [-f[0] for f in qi_factors(squarefree_part(charpoly(m))) if deg(f) == 1]
+    return [-f[0] for f in qi_factors(charpoly(m))[0] if deg(f) == 1]
 
 
 def _u(block):
@@ -541,13 +541,19 @@ def assert_names_sympys_unsupported_part(mu, err):
         assert err.reason == "no root in Q(i)"
 
 
+def _no_projector(*_):
+    raise AssertionError("a projector was built before the refusal")
+
+
 def assert_refused_beside_a_gaussian_block(coeffs, reason):
     """The companion block of coeffs beside a supported block 1 +- i, which
-    qi_factors does find, is refused with `reason`."""
+    qi_factors does find, is refused with `reason` before the projector of
+    the 1 +- i block is built."""
     c = _companion(coeffs)
     n = len(c)
     s = [list(row) + [0, 0] for row in c] + [[0] * n + [1, -1], [0] * n + [1, 1]]
-    with pytest.raises(UnsupportedSpectrumError) as got:
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(UnsupportedSpectrumError) as got:
+        mp.setattr(reductive, "invert_mod", _no_projector)
         hyperbolic_part(s)
     assert str(got.value) == f"unsupported spectrum: {reason}"
     assert_names_sympys_unsupported_part(mul(poly(coeffs), poly([2, -2, 1])), got.value)
@@ -569,6 +575,16 @@ def test_unsupported_spectra_keep_the_sympy_error_text(coeffs, reason):
 ])
 def test_a_cofactor_of_degree_4_is_refused_whole(coeffs, reason):
     assert_refused_beside_a_gaussian_block(coeffs, reason)
+
+
+def test_a_refused_element_builds_no_projector(sl3, monkeypatch):
+    """h1 + h2/2 + 2 e23 + e32 is diag(1) beside a block with eigenvalues
+    -1/2 +- sqrt(2): the cofactor is refused before the projector of x - 1."""
+    monkeypatch.setattr(reductive, "invert_mod", _no_projector)
+    with pytest.raises(UnsupportedSpectrumError) as got:
+        parabolic_report(sl3, [1, F(1, 2), 0, 0, 0, 0, 2, 1])
+    assert str(got.value) == ("unsupported spectrum: factor x^2 + x - 7/4 "
+                              "(irrational real eigenvalues)")
 
 
 # irreducible over Q with no root in Q(i), of degrees 2, 3 and 4
@@ -771,13 +787,35 @@ def test_each_report_factors_one_spectrum(monkeypatch):
     """`qi_factors` runs once per report, on charpoly(x): `grade` reads x_h's
     eigenvalues off `hyperbolic_part` and factors nothing."""
     calls, real = [], reductive.qi_factors
-    monkeypatch.setattr(reductive, "qi_factors", lambda mu: calls.append(mu) or real(mu))
+    monkeypatch.setattr(reductive, "qi_factors", lambda chi: calls.append(chi) or real(chi))
     inputs = list(_parabolic_inputs())
     assert len(inputs) == 17
     for malg, x in inputs:
         calls.clear()
         parabolic_report(malg, x)
-        assert calls == [squarefree_part(charpoly(element_matrix(malg, x)))], x
+        assert calls == [charpoly(element_matrix(malg, x))], x
+
+
+def test_a_hyperbolic_part_takes_one_gcd(monkeypatch):
+    """The spectrum is decided once: `hyperbolic_part` takes one polynomial gcd,
+    of charpoly(x) with its derivative, on the benchmark's elements and on
+    spectra with repeated factors and factors outside Q(i)."""
+    calls, real = [], polynomials.gcd
+    for module in (polynomials, qi_roots, reductive):
+        if getattr(module, "gcd", None) is real:
+            monkeypatch.setattr(module, "gcd", lambda p, q: calls.append((p, q)) or real(p, q))
+    rng = random.Random(0)
+    spectra = [mixed_spectrum(rng) for _ in range(10)]
+    matrices = [element_matrix(malg, x) for malg, x in _parabolic_inputs()]
+    matrices += [_companion(mu) for mu in spectra] + [_companion(mul(mu, mu)) for mu in spectra]
+    for m in matrices:
+        calls.clear()
+        try:
+            hyperbolic_part(m)
+        except UnsupportedSpectrumError:
+            pass
+        chi = charpoly(m)
+        assert calls == [(chi, derivative(chi))], m
 
 
 def test_element_coords_refuses_a_matrix_of_another_shape(sl3):
