@@ -4,9 +4,9 @@ An algebra is its bracket table: [e_i, e_j] = sum_k c[i][j][k] e_k is
 stored as nonzeros[i][j] = ((k, c[i][j][k]), ...) over the k with
 c[i][j][k] != 0, in increasing k.  The table is the defining field:
 equality, hashing and the repr read it, and so do the kernels (brackets,
-the coadjoint `pairing`, every check of `validate`, ad, the Killing form
-in `mackey` and centralizers in `polarization`).  Structure constants are
-mostly zero (0-9 % nonzero in the catalog), so no dim^3 grid is ever made:
+the coadjoint `pairing`, every check of `validate`, `ad_matrix`, and the
+Killing form in `mackey`).  Structure constants are mostly zero (0-9 %
+nonzero in the catalog), so no dim^3 grid is ever made:
 a definition file gives its table as a list of brackets, one per i < j pair.
 `bracket` coerces its arguments with `vec`, as it does any outside input;
 the package's own brackets, of vectors it made itself, take
@@ -18,7 +18,9 @@ pairing B, which `kks_pairing` returns as these rows (a matrix is the tuple
 of its rows, as everywhere in the package, and so is `ad_matrix`'s), and
 whose exact kernels and ranks answer the coadjoint questions; the Krylov
 hull and `polarization.orbit_annihilator` run on it, and so does the
-coadjoint flow exp(Z) that the tests' witness checks walk.
+coadjoint flow exp(Z) that the tests' witness checks walk.  `ad_matrix` has
+three readers: `reductive.grade`, the exponential precheck and
+`polarization.centralizer`, whose rows a . ad(w) it gives.
 
 This module holds what `validate`, `orbit` and `parabolic` run: the
 algebra and covector types, `validate` (which returns the `validation`
@@ -277,8 +279,9 @@ def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> in
 def ad_matrix(alg: LieAlgebra, z: Sequence) -> tuple:
     """The rows of the matrix of ad(Z); column j holds the coordinates of [Z, e_j].
 
-    Built only to read its eigenspaces, in `reductive.grade`, and its
-    spectrum, in `exponential._has_imaginary_eigenvalue`."""
+    Built to read its eigenspaces, in `reductive.grade`, its spectrum, in
+    `exponential._has_imaginary_eigenvalue`, and the rows a . ad(w) whose
+    kernel is a centralizer, in `polarization.centralizer`."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(alg.coords(z), alg.nonzeros):

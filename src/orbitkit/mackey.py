@@ -18,8 +18,8 @@ decide triviality by an exact coboundary solve.  `structure.subquotient`
 gives h_c/n_c in ambient coordinates, its table and its canonical lifts, so
 the table of h_c itself is never built.  The section lifts each class to
 its canonical lift, which n_c.reduce reads off any member of the class.
-At a point orbit (g_c = g) the semidirect witness looks for a declared
-complement of n that is a subalgebra; the section into one is a
+At a point orbit (g_c = g) the semidirect witness checks whether the
+declared complement of n is a subalgebra; the section into one is a
 homomorphism, so the cocycle vanishes on it and no obstruction is
 computed.  `dimensions` does the synopsis bookkeeping of a point, for
 `mackey` and for `classify`'s abelian ideals.  Each step returns the block
@@ -33,8 +33,8 @@ reports each point.
 `classify_little_algebra` names h/a by its dimension, solvability,
 nilpotency and Killing signature.  `symmetric_signature` counts that
 signature by a congruence elimination, so `classify` compiles no
-polynomial code.  That routine, `killing_form` and `is_ideal` are defined
-here because this module is their one user.
+polynomial code.  That routine and `killing_form` are defined here because
+this module is their one user.
 
 Only infinitesimal data is computed: group components, coverings and the
 group-level cocycle need global input that structure constants cannot
@@ -85,13 +85,9 @@ class LittleGroupData(Record):
     g_f: Subspace            # stabilizer of cov itself
 
 
-def is_ideal(alg: LieAlgebra, sub: Subspace) -> bool:
-    return sub.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), sub))
-
-
 def check_ideal(alg: LieAlgebra, n: Subspace) -> None:
-    """Raise NotClosedError unless n is an ideal of alg."""
-    if not is_ideal(alg, n):
+    """Raise NotClosedError unless n is an ideal of alg: [g, n] inside n."""
+    if not n.contains_subspace(bracket_span(alg, Subspace.full(alg.dim), n)):
         raise NotClosedError("the given subspace is not an ideal")
 
 
@@ -200,43 +196,39 @@ def obstruction_step(data: LittleGroupData) -> dict:
     }
 
 
-def semidirect_witness(data: LittleGroupData,
-                       candidates: Sequence[tuple[str, Subspace]]) -> dict:
-    """The `semidirect` block: the first declared complement s of n that is a
-    subalgebra (`witness`, else null), with the rejections before it.
+def semidirect_witness(data: LittleGroupData, name: str, s: Subspace) -> dict:
+    """The `semidirect` block of the declared complement s of n, called name:
+    `witness` is name when s is a subalgebra complement of n (else null, and
+    `rejections` holds the reason).
 
     Requires the point-orbit hypothesis <cov, [g, n]> = 0, which holds
-    exactly when g_c = orth(n) is all of g; then h_c = g and n_c = n.  A
+    exactly when g_c = orth(n) is all of g; then h_c = g and n_c = n.  The
     candidate is rejected for the wrong ambient dimension, then for not being
     a linear complement (dim s + dim n = dim g and s + n = g), then for not
-    being a subalgebra.  Any other candidate is the witness, and its cocycle
-    is zero by construction (`cocycle_zero` is true, null with no witness):
-    the projection s -> g/n is a homomorphism (n is an ideal) and one-to-one
-    onto, so its inverse, the section into s, is a homomorphism too.  Hence
+    being a subalgebra.  Otherwise it is the witness, and its cocycle is zero
+    by construction (`cocycle_zero` is true, null with no witness): the
+    projection s -> g/n is a homomorphism (n is an ideal) and one-to-one onto,
+    so its inverse, the section into s, is a homomorphism too.  Hence
     [sx, sy] = s[x, y] lies in s, its n-component is 0, and so is <c, that
     component>.
     """
     alg, nd = data.algebra, data.algebra.dim
     if data.g_c.dim != nd:
         raise ValueError("point-orbit hypothesis <cov, [g, n]> = 0 fails")
-    rejections = []
-    witness = None
-    for name, s in candidates:
-        if s.ambient_dim != nd:
-            reason = "wrong ambient dimension"
-        elif s.dim + data.ideal.dim != nd or data.ideal.add(s).dim != nd:
-            reason = "not a linear complement of the ideal"
-        else:
-            try:
-                check_subalgebra(alg, s)
-            except NotClosedError:
-                reason = "declared complement is not a subalgebra"
-            else:
-                witness = name
-                break
-        rejections.append({"candidate": name, "reason": reason})
-    return {"point_orbit": True, "witness": witness,
-            "cocycle_zero": None if witness is None else True, "rejections": rejections}
+    reason = None
+    if s.ambient_dim != nd:
+        reason = "wrong ambient dimension"
+    elif s.dim + data.ideal.dim != nd or data.ideal.add(s).dim != nd:
+        reason = "not a linear complement of the ideal"
+    else:
+        try:
+            check_subalgebra(alg, s)
+        except NotClosedError:
+            reason = "declared complement is not a subalgebra"
+    if reason is None:
+        return {"point_orbit": True, "witness": name, "cocycle_zero": True, "rejections": []}
+    return {"point_orbit": True, "witness": None, "cocycle_zero": None,
+            "rejections": [{"candidate": name, "reason": reason}]}
 
 
 def killing_form(alg: LieAlgebra) -> tuple:
@@ -370,11 +362,6 @@ def mackey_steps(data: LittleGroupData) -> dict:
     }
 
 
-def mackey_report(alg: LieAlgebra, n: Subspace, cov: Covector) -> dict:
-    """`mackey_steps` of cov's little-group data for n, an ideal that `check_ideal` passed."""
-    return mackey_steps(little_group_step(alg, n, cov))
-
-
 def mackey_command(entry: CatalogEntry, args) -> dict:
     """The `mackey` payload: the steps per `--point` for the ideal `--ideal`, and the
     semidirect witness when a `--complement` is named."""
@@ -387,7 +374,7 @@ def mackey_command(entry: CatalogEntry, args) -> dict:
         data = little_group_step(entry.algebra, ideal, cov)
         out = {"point": cov, **mackey_steps(data)}
         if comp is not None:
-            out["semidirect"] = semidirect_witness(data, [(args.complement, comp)])
+            out["semidirect"] = semidirect_witness(data, args.complement, comp)
         results.append(out)
     return {"results": results}
 

@@ -19,7 +19,9 @@ with no admissible ideal gives the point's result {"error": "strategy
 exhausted", "rejected_candidates": [...], "ok": false}, each rejection a
 {"step", "candidate", "reason"} as in a trace.  `orbit_annihilator`,
 `centralizer` and `ascending_central_series` are defined here, since no
-other module uses them.
+other module uses them.  None reads the bracket table itself: the orbit
+annihilator runs on the coadjoint kernel `liealg.pairing`, and a
+centralizer is the kernel of rows read off `liealg.ad_matrix`.
 
 A user chain (`--strategy chain:FILE`) supplies the ideals instead, one per
 step; `parse_chain` reads its file, {"ideals": [subspace, ...]}.
@@ -41,6 +43,7 @@ from .conditions import check_conditions
 from .liealg import (
     Covector,
     LieAlgebra,
+    ad_matrix,
     bracket_span,
     derived_series,
     orbit_dim,
@@ -49,26 +52,23 @@ from .liealg import (
 )
 from .linalg import (
     Subspace,
-    ZERO,
     annihilator,
     combine,
     invariant_closure,
-    is_zero_vec,
     rank_kernel,
 )
 from .structure import check_subalgebra, orth, subquotient
 
 
-def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> Subspace:
-    """The largest ideal of the subalgebra sub (g when None) inside ker cov: ann(V), V
-    the `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
+def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
+    """The largest ideal of the subalgebra sub inside ker cov: ann(V), V the
+    `invariant_closure` of ann(sub) and cov under xi -> xi . ad(W), W a row of sub.
 
     ann(V) lies in sub and ker cov, and xi([W, Z]) = (xi . ad(W))(Z) = 0 for xi in
     V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
     every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
     """
     n = alg.dim
-    sub = Subspace.full(n) if sub is None else sub
 
     def images(xi):
         rows = pairing(alg, xi)  # row i is xi . ad(e_i)
@@ -78,23 +78,16 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace | None = Non
 
 
 def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:
-    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0)."""
+    """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0).
+
+    The kernel of the rows a . ad(w), for a a row of ann(modulo) and w one of
+    sub: (a . ad(w))(Z) = a([w, Z]), which is 0 for every a iff [Z, w] lies
+    in modulo.  One `ad_matrix` per row of sub.
+    """
     n = alg.dim
-    # its own block form, not `pairing`: block is sparse in k, each row P_a . w is dense
-    # [Z, w]_k = sum_i Z_i (sum_j c[i][j][k] w_j) is the row block[k], kept where
-    # it can be nonzero.  [Z, w] lies in modulo iff a . [Z, w] = 0 for each row a
-    # of ann(modulo): one row a . block per (w, a), dropped when identically zero
     ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
-    rows = []
-    for w in sub.rows:
-        block = {}
-        for i, plane in enumerate(alg.nonzeros):
-            for wj, entries in zip(w, plane):
-                if wj:
-                    for k, c in entries:
-                        block.setdefault(k, [ZERO] * n)[i] += c * wj
-        rows += [combine([a[k] for k in block], block.values(), n) for a in ann]
-    return rank_kernel([r for r in rows if not is_zero_vec(r)], n)[1]
+    ads = (ad_matrix(alg, w) for w in sub.rows)
+    return rank_kernel([combine(a, ad, n) for ad in ads for a in ann], n)[1]
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,9 @@ squarefree part taken here into the factors with roots in Q(i) that the
 hyperbolic part needs and the cofactor they leave.  Only `parabolic` and
 `polarize` load this module: `classify` reads the Killing signature by
 congruence (`mackey.symmetric_signature`), not off a characteristic
-polynomial.
+polynomial.  `invert_mod`, the modular inverse, runs the extended Euclidean
+algorithm and tracks only the cofactor of the element it inverts, the one
+Bezout coefficient any caller reads.
 
 `charpoly` reduces the matrix to upper Hessenberg form by similarity over Q
 and reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
@@ -36,10 +38,6 @@ def poly(coeffs: Sequence) -> tuple:
 
 def deg(p: tuple) -> int:
     return len(p) - 1  # deg(0) = -1 by convention
-
-
-def is_zero(p: tuple) -> bool:
-    return not p
 
 
 def add(p: tuple, q: tuple) -> tuple:
@@ -68,7 +66,7 @@ def scale(c, p: tuple) -> tuple:
 
 
 def divmod_poly(p: tuple, q: tuple) -> tuple[tuple, tuple]:
-    if is_zero(q):
+    if not q:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
     quot = [ZERO] * max(len(p) - len(q) + 1, 1)
@@ -87,7 +85,7 @@ def divmod_poly(p: tuple, q: tuple) -> tuple[tuple, tuple]:
 
 
 def monic(p: tuple) -> tuple:
-    if is_zero(p):
+    if not p:
         return p
     return scale(ONE / p[-1], p)
 
@@ -95,25 +93,9 @@ def monic(p: tuple) -> tuple:
 def gcd(p: tuple, q: tuple) -> tuple:
     """Monic greatest common divisor."""
     a, b = p, q
-    while not is_zero(b):
+    while b:
         a, b = b, divmod_poly(a, b)[1]
     return monic(a)
-
-
-def xgcd(p: tuple, q: tuple) -> tuple[tuple, tuple, tuple]:
-    """(g, u, v) with u*p + v*q = g, g monic."""
-    a, b = p, q
-    ua, va = poly([1]), ()
-    ub, vb = (), poly([1])
-    while not is_zero(b):
-        qq, r = divmod_poly(a, b)
-        a, b = b, r
-        ua, ub = ub, sub(ua, mul(qq, ub))
-        va, vb = vb, sub(va, mul(qq, vb))
-    if is_zero(a):
-        return (), (), ()
-    lead = a[-1]
-    return monic(a), scale(ONE / lead, ua), scale(ONE / lead, va)
 
 
 def derivative(p: tuple) -> tuple:
@@ -142,15 +124,20 @@ def eval_matrix(p: tuple, m: Sequence[Sequence]) -> tuple:
 
 
 def invert_mod(p: tuple, modulus: tuple) -> tuple:
-    g, u, _ = xgcd(p, modulus)
-    if deg(g) != 0:
+    """u with u p = 1 mod modulus, of lower degree than modulus: the extended
+    Euclidean algorithm on (p, modulus), tracking only p's coefficient."""
+    a, b, ua, ub = p, modulus, poly([1]), ()
+    while b:
+        q, r = divmod_poly(a, b)
+        a, b, ua, ub = b, r, ub, sub(ua, mul(q, ub))
+    if deg(a) != 0:
         raise ValueError("element is not invertible modulo the given polynomial")
-    return divmod_poly(u, modulus)[1]
+    return divmod_poly(scale(ONE / a[0], ua), modulus)[1]
 
 
 def to_string(p: tuple, var: str = "x") -> str:
     """Human-readable form, highest degree first."""
-    if is_zero(p):
+    if not p:
         return "0"
     parts = []
     for i in range(deg(p), -1, -1):
@@ -242,7 +229,7 @@ def sign_variations(values) -> int:
 def sturm_sequence(p: tuple) -> list[tuple]:
     """p, p', then the negated remainders -rem(p_{k-1}, p_k) up to the last nonzero one."""
     chain = [p, derivative(p)]
-    while not is_zero(chain[-1]):
+    while chain[-1]:
         chain.append(scale(-1, divmod_poly(chain[-2], chain[-1])[1]))
     return chain[:-1]
 
@@ -255,7 +242,7 @@ def real_root_count(p: tuple) -> int:
     (-1)^deg at -inf (Basu-Pollack-Roy, *Algorithms in Real Algebraic
     Geometry*, 2006, ch. 2).
     """
-    if is_zero(p):
+    if not p:
         raise ValueError("the zero polynomial has no finite real root count")
     chain = sturm_sequence(p)
     return (sign_variations([-c[-1] if deg(c) % 2 else c[-1] for c in chain])

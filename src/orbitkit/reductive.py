@@ -78,6 +78,7 @@ from .linalg import (
     combine,
     invariant_closure,
     rank_kernel,
+    rref,
     solve,
     vec_dot,
 )
@@ -134,7 +135,7 @@ def matrix_lie_algebra(alg: LieAlgebra) -> MatrixLieAlgebra:
     flats = [flat(r) for r in alg.matrix_rep]
     flats_t = [flat(zip(*r)) for r in alg.matrix_rep]
     gram = tuple(tuple(vec_dot(a, b) for b in flats_t) for a in flats)
-    if rank_kernel(gram, n)[0] != n:
+    if len(rref(gram, n)[1]) != n:
         raise ValueError("degenerate trace form: dual space cannot be identified with the algebra")
     return MatrixLieAlgebra(alg, gram)
 

@@ -14,7 +14,7 @@ n), read off in ambient coordinates; `check_subalgebra` runs its closure
 check alone.
 
 A function that one module alone uses is defined in that module: the
-Killing form, its signature and the ideal test in `mackey`, and the orbit
+Killing form, its signature and the ideal check in `mackey`, and the orbit
 annihilator, centralizers and the ascending central series in
 `polarization`.  What stays here serves two or more modules.  The coadjoint
 flow exp(Z) and the restriction of a covector to a subalgebra have no caller
@@ -88,8 +88,8 @@ def check_subalgebra(alg: LieAlgebra, sub: Subspace) -> None:
         pass
 
 
-def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subquotient:
-    """The subalgebra h, or its quotient h / n by an ideal n of h (n = 0 by default).
+def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace) -> Subquotient:
+    """The quotient h / n of the subalgebra h by an ideal n of h (h itself when n = 0).
 
     The pivots of n are pivots of h, and the rows of h at the other pivots,
     the lifts, span a complement of n in h: they are 0 at n's pivots and
@@ -99,7 +99,6 @@ def subquotient(alg: LieAlgebra, h: Subspace, n: Subspace | None = None) -> Subq
     h's canonical rows) and that [h, n] lies in n.  The brackets of lift
     pairs, projected, are the table.  n not inside h is a ValueError.
     """
-    n = Subspace.zero(alg.dim) if n is None else n
     if h.missing_row(n) is not None:
         raise ValueError("the ideal does not lie inside the subalgebra")
     kept = [(row, p) for row, p in zip(h.rows, h.pivots) if p not in n.pivots]

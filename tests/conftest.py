@@ -349,7 +349,8 @@ def restrict(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Covector:
     """cov restricted to the subalgebra sub, a covector of sub in its canonical basis.
 
     No report builds it: `liealg.orbit_dim(alg, cov, sub)` reads the same rank in g."""
-    return Covector(subquotient(alg, sub).algebra, tuple(cov.pair(row) for row in sub.rows))
+    return Covector(subquotient(alg, sub, Subspace.zero(alg.dim)).algebra,
+                    tuple(cov.pair(row) for row in sub.rows))
 
 
 # -- the subalgebra route to a restricted orbit dimension, kept as a reference ---

@@ -182,7 +182,6 @@ def test_no_module_reads_the_environment():
 KEPT = {
     "liealg.LieAlgebra.bracket": "the coercing bracket for outside vectors; "
                                  "perfbench reads its span",
-    "mackey.mackey_report": "one point's result, for library callers",
 }
 
 
@@ -327,7 +326,10 @@ BASE = ["orbitkit", "orbitkit.catalog", "orbitkit.cli", "orbitkit.liealg", "orbi
 # argv -> (the modules it adds to BASE, the most AST nodes (`ast.walk`) that the
 # package modules it loads may hold: what it compiles from source).  Every
 # invocation compiles BASE, 9,531 nodes when the budgets were set; a budget is
-# its row's count then, rounded up to the next 100.  Before `qi_factors`
+# its row's count then, rounded up to the next 100.  Before `centralizer` read
+# `ad_matrix` and `xgcd`, `is_ideal` and `mackey_report` went, `parabolic` held
+# 14,159 nodes, a solvable `polarize` 14,154, a nilpotent one 12,145, a refused
+# one 12,041, and `mackey` and `classify` 12,374.  Before `qi_factors`
 # returned its cofactor, `parabolic` held 14,546 nodes, a solvable `polarize`
 # 14,247 and a refused one 12,134.  Before `linalg.Matrix` lost its arithmetic,
 # BASE held 10,270 nodes and `parabolic` 15,225; before the subcommand handlers
@@ -340,36 +342,36 @@ LOADS = {
     ("conditions", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         (["conditions", "structure"], 10_400),
     ("mackey", "catalog:heisenberg3", "--ideal", "plane", "--point=0,0,1"):
-        (["mackey", "structure"], 12_400),
+        (["mackey", "structure"], 12_300),
     ("classify", "catalog:euclid2", "--ideal", "translations", "--point=0,1,0"):
-        (["mackey", "structure"], 12_400),
+        (["mackey", "structure"], 12_300),
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_200),
+        (["polynomials", "qi_roots", "reductive"], 14_100),
     # nilpotent: the Engel shortcut compiles no polynomial code
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
-        (["conditions", "exponential", "polarization", "structure"], 12_200),
+        (["conditions", "exponential", "polarization", "structure"], 12_100),
     # solvable, not nilpotent: the sampled precheck, then the search
     ("polarize", "catalog:affine_line", "--point=0,1"):
-        (["conditions", "exponential", "polarization", "polynomials", "structure"], 14_200),
+        (["conditions", "exponential", "polarization", "polynomials", "structure"], 13_900),
     # the precheck fails (exit 2) before the search is imported
-    ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 12_100),
+    ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 11_900),
     # definition files, the benchmark's own traffic
     ("validate", "h3.json"): ([], 9_600),
     ("orbit", "h3.json", "--point=0,0,1"): ([], 9_600),
     ("conditions", "h3.json", "--sub", "plane", "--point=0,0,1"):
         (["conditions", "structure"], 10_400),
     ("mackey", "h3.json", "--ideal", "plane", "--point=0,0,1"):
-        (["mackey", "structure"], 12_400),
+        (["mackey", "structure"], 12_300),
     ("classify", "h3.json", "--ideal", "plane", "--point=0,0,1"):
-        (["mackey", "structure"], 12_400),
+        (["mackey", "structure"], 12_300),
     ("record", "h3.json", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "sl2.json", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_200),
+        (["polynomials", "qi_roots", "reductive"], 14_100),
     ("polarize", "h3.json", "--point=0,0,1"):
-        (["conditions", "exponential", "polarization", "structure"], 12_200),
+        (["conditions", "exponential", "polarization", "structure"], 12_100),
 }
 # the rows of LOADS that exit 2 with the error envelope; every other row prints a report
 REFUSED = {("polarize", "catalog:sl2", "--point=2,0,0")}

@@ -37,9 +37,10 @@ from orbitkit import conditions, liealg, linalg, mackey, polarization, structure
 from orbitkit.conditions import check_conditions
 from orbitkit.mackey import (
     LittleGroupData,
-    is_ideal,
+    check_ideal,
     killing_form,
     little_group_step,
+    mackey_steps,
     semidirect_witness,
     symmetric_signature,
     verify_step_relations,
@@ -205,7 +206,7 @@ def test_kks_pairing_refuses_a_covector_of_another_algebra(entries):
     assert kks_pairing(twin, Covector(h3, (0, 0, 1))) == kks_pairing(h3, Covector(twin, (0, 0, 1)))
 
 
-ONE_POINT = ["mackey_report", "classify", "check_conditions", "orbit_record",
+ONE_POINT = ["mackey_steps", "classify", "check_conditions", "orbit_record",
              "polarize_filiform4", "n5_three_steps"]
 
 
@@ -224,8 +225,8 @@ def _analyse_one_point(name, entries):
     entry = entries["poincare"]
     alg, n = entry.algebra, entry.ideals["translations"]
     cov = Covector(alg, entry.covectors["timelike_spinning"])
-    if name == "mackey_report":
-        mackey.mackey_report(alg, n, cov)
+    if name == "mackey_steps":
+        mackey_steps(little_group_step(alg, n, cov))
     elif name == "classify":
         data = little_group_step(alg, n, cov)
         mackey.classify_little_algebra(data)
@@ -361,7 +362,7 @@ def test_structure_facts_abelian(entries):
 def test_subalgebra_and_quotient(entries):
     h3 = entries["heisenberg3"].algebra
     sub = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
-    plane = subquotient(h3, sub).algebra
+    plane = subquotient(h3, sub, Subspace.zero(3)).algebra
     assert validate(plane)["ok"]
     assert centralizer(plane, Subspace.full(2)).dim == 2  # abelian plane
     q = subquotient(h3, Subspace.full(3), Subspace(3, [basis_vector(3, 2)]))
@@ -371,10 +372,12 @@ def test_subalgebra_and_quotient(entries):
 
 def test_ideal_tools(entries):
     h3 = entries["heisenberg3"].algebra
-    assert is_ideal(h3, Subspace(3, [basis_vector(3, 2)]))
-    assert not is_ideal(h3, Subspace(3, [basis_vector(3, 0)]))
+    check_ideal(h3, Subspace(3, [basis_vector(3, 2)]))
+    with pytest.raises(NotClosedError, match="^the given subspace is not an ideal$"):
+        check_ideal(h3, Subspace(3, [basis_vector(3, 0)]))
     closed = loop_ideal_closure(h3, Subspace(3, [basis_vector(3, 0)]))
-    assert closed == Subspace(3, [(1, 0, 0), (0, 0, 1)]) and is_ideal(h3, closed)
+    assert closed == Subspace(3, [(1, 0, 0), (0, 0, 1)])
+    check_ideal(h3, closed)
     assert centralizer(h3, Subspace(3, [basis_vector(3, 0)])) == Subspace(3, [(1, 0, 0), (0, 0, 1)])
 
 
@@ -403,7 +406,7 @@ def test_stabilizer_is_subalgebra(entries, rng):
         for _ in range(8):
             cov = rand_covector(alg, rng)
             stab = stabilizer(alg, cov)
-            subquotient(alg, stab)  # raises when not closed
+            subquotient(alg, stab, Subspace.zero(alg.dim))  # raises when not closed
 
 
 def test_ad_is_morphism(entries, rng):
@@ -482,8 +485,16 @@ def dense_centralizer(alg, sub, modulo=None):
     return rank_kernel(rows, n)[1]
 
 
+def family_orbit_entries(seed=0):
+    """The definition files of the `family_orbit` workload at the seed, as entries:
+    h9, n5, L9, b4 and Poincare d=4, 5, the sizes `polarize` meets there."""
+    return [parse_entry(f.doc) for f in workloads.build("family_orbit", seed).families.values()]
+
+
 def test_sparse_kernels_match_dense_references(entries, rng):
-    for entry in entries.values():
+    seeded = family_orbit_entries()
+    assert sorted(e.algebra.dim for e in seeded) == [9, 9, 9, 10, 10, 15]
+    for entry in [*entries.values(), *seeded]:
         alg = entry.algebra
         n = alg.dim
         assert killing_form(alg) == dense_killing_form(alg)
@@ -503,6 +514,38 @@ def test_sparse_kernels_match_dense_references(entries, rng):
         full = Subspace.full(n)
         for modulo in (centralizer(alg, full), bracket_span(alg, full, full)):
             assert centralizer(alg, full, modulo) == dense_centralizer(alg, full, modulo)
+
+
+def test_centralizer_reads_the_table_only_through_ad_matrix(entries, monkeypatch, rng):
+    """One `ad_matrix` per row of sub, and no read of the bracket table by
+    `centralizer` itself: the algebra it is handed hides its table."""
+    real, calls, reads = liealg.ad_matrix, [], []
+
+    class Watched:
+        def __init__(self, alg):
+            self.alg = alg
+
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(self.alg, name)
+
+    def counted(watched, z):
+        calls.append(tuple(z))
+        return real(watched.alg, z)
+
+    monkeypatch.setattr(polarization, "ad_matrix", counted)
+    checked = 0
+    for entry in [*entries.values(), *family_orbit_entries()]:
+        alg = entry.algebra
+        n, full = alg.dim, Subspace.full(alg.dim)
+        drawn = Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(2)])
+        for sub, modulo in ((full, None), (full, bracket_span(alg, full, full)), (drawn, None)):
+            calls.clear()
+            got = centralizer(Watched(alg), sub, modulo)
+            assert calls == list(sub.rows), entry.name
+            assert got == dense_centralizer(alg, sub, modulo), entry.name
+            checked += 1
+    assert checked == 45 and reads and "nonzeros" not in reads
 
 
 # -- generated families past the catalog --------------------------------------
@@ -776,7 +819,7 @@ def test_subalgebra_matches_the_solved_reference(entries, rng):
         subs = list(_catalog_ideals(entry))
         subs += [stabilizer(alg, rand_covector(alg, rng)) for _ in range(3)]
         for sub in subs:
-            sq = subquotient(alg, sub)
+            sq = subquotient(alg, sub, Subspace.zero(alg.dim))
             rows = sub.rows
             m = sub.dim
             basis_t = tuple(zip(*rows))
@@ -855,7 +898,7 @@ def test_coordinate_changes_solve_no_linear_system(entries, monkeypatch):
     for mod in (linalg, liealg, structure):
         if hasattr(mod, "solve"):
             monkeypatch.setattr(mod, "solve", refuse)
-    subquotient(alg, poincare.complements["lorentz"])
+    subquotient(alg, poincare.complements["lorentz"], Subspace.zero(10))
     subquotient(alg, Subspace.full(10), n)
     restrict(alg, cov, g_c)
     subquotient(alg, g_c, n)
@@ -868,6 +911,15 @@ def dense_image_rows(alg, cov, sub):
     """Reference rows W(cov) = B W, one entrywise dot per row of the dense pairing."""
     b = dense_kks_pairing(alg, cov)
     return [dense_apply(b, w) for w in sub.rows]
+
+
+def passes_check_ideal(alg, sub):
+    """The verdict of `check_ideal`: True when it passes, False when it raises."""
+    try:
+        check_ideal(alg, sub)
+    except NotClosedError:
+        return False
+    return True
 
 
 def loop_is_ideal(alg, sub):
@@ -909,16 +961,16 @@ def test_a_subspace_of_another_dimension_is_refused(entries):
             orth(h3, sub, cov)
 
 
-def test_is_ideal_and_ideal_closure_match_the_loops(entries, rng):
+def test_check_ideal_and_ideal_closure_match_the_loops(entries, rng):
     verdicts = []
     for entry in entries.values():
         alg = entry.algebra
         for sub in seeded_subspaces(alg, rng):
-            verdicts.append(is_ideal(alg, sub))
+            verdicts.append(passes_check_ideal(alg, sub))
             assert verdicts[-1] == loop_is_ideal(alg, sub)
-            assert is_ideal(alg, loop_ideal_closure(alg, sub))
+            check_ideal(alg, loop_ideal_closure(alg, sub))
         for ideal in _catalog_ideals(entry):
-            assert is_ideal(alg, ideal)
+            check_ideal(alg, ideal)
     assert verdicts.count(False) > verdicts.count(True)
 
 
@@ -1122,7 +1174,7 @@ def test_closures_on_seeded_families_match_the_fixed_points(seed):
             assert krylov_hull(alg, cov) == dense_krylov_hull(alg, cov)
         for sub in seeded_subspaces(alg, rng):
             closed = loop_ideal_closure(alg, sub)
-            assert is_ideal(alg, closed)
+            check_ideal(alg, closed)
             proper += 0 < closed.dim < alg.dim
     assert proper > 5
 
@@ -1136,7 +1188,8 @@ def test_check_subalgebra_refuses_what_subquotient_refuses(entries, rng):
         alg = entry.algebra
         for sub in seeded_subspaces(alg, rng):
             errors = []
-            for check in (subquotient, check_subalgebra):
+            zero = Subspace.zero(alg.dim)
+            for check in (lambda a, h: subquotient(a, h, zero), check_subalgebra):
                 try:
                     check(alg, sub)
                     errors.append(None)
@@ -1155,7 +1208,7 @@ def test_closure_checks_build_no_algebra(entries, monkeypatch):
     h3, cov = h3e.algebra, Covector(h3e.algebra, (0, 0, 1))
     lagrangian = Subspace(3, [(0, 1, 0), (0, 0, 1)])
     rep = semidirect_witness(little_group_step(h3, h3e.ideals["center"], cov),
-                             [("xy_plane", h3e.complements["xy_plane"])])
+                             "xy_plane", h3e.complements["xy_plane"])
     assert rep["rejections"] == [
         {"candidate": "xy_plane", "reason": "declared complement is not a subalgebra"}]
 
@@ -1259,7 +1312,6 @@ def test_orbit_annihilator_matches_the_dense_ad_closure(entries, descents, rng):
                 pass
         if trace is not None:
             subs += [s["g_next"] for s in trace["steps"]]
-        assert orbit_annihilator(alg, cov) == dense_orbit_annihilator(alg, cov, subs[0])
         for sub in subs:
             assert orbit_annihilator(alg, cov, sub) == dense_orbit_annihilator(alg, cov, sub), \
                 (entry.name, cov.coords, sub)
@@ -1276,7 +1328,7 @@ def test_cov_times_ad_squared_vanishes_on_little_group_data(entries, rng):
     for entry, cov in kernel_cases(entries, rng):
         alg, n = entry.algebra, entry.algebra.dim
         for ideal in _catalog_ideals(entry):
-            if is_ideal(alg, ideal):
+            if passes_check_ideal(alg, ideal):
                 d = little_group_step(alg, ideal, cov)
                 assert verify_step_relations(d)["exp_linear"], (entry.name, d.n_c)
                 assert dense_higher_order_term(d) is None, (entry.name, d.n_c)
@@ -1312,7 +1364,7 @@ def test_the_coadjoint_closures_are_handed_no_zero_image(monkeypatch):
         alg = entry.algebra
         cov = Covector(alg, rand_vec(rng, alg.dim, -5, 5, 3))
         krylov_hull(alg, cov)
-        orbit_annihilator(alg, cov)
+        orbit_annihilator(alg, cov, Subspace.full(alg.dim))
         orbit_annihilator(alg, cov, entry.ideals[family.ideal])
     assert len(images_seen) > 500 and all(images_seen)
 
@@ -1327,7 +1379,7 @@ def test_the_coadjoint_kernel_builds_no_ad_matrix(entries, monkeypatch, rng):
     alg, ideal = poincare.algebra, poincare.ideals["translations"]
     for coords in poincare.covectors.values():
         cov = Covector(alg, coords)
-        orbit_annihilator(alg, cov)
+        orbit_annihilator(alg, cov, Subspace.full(alg.dim))
         orbit_annihilator(alg, cov, ideal)
         verify_step_relations(little_group_step(alg, ideal, cov))
         exp_coadjoint(alg, ideal.rows[0], cov)  # ad of a translation is nilpotent

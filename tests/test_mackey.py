@@ -28,7 +28,7 @@ from orbitkit.mackey import (
     check_ideal,
     classify_little_algebra,
     little_group_step,
-    mackey_report,
+    mackey_steps,
     obstruction_step,
     semidirect_witness,
     verify_step_relations,
@@ -328,7 +328,7 @@ def test_semidirect_witness_poincare_little_group(entries):
     rot = poin.complements["lorentz"].intersect(data.g_c)
     rot_inner = Subspace(7, [coords_of(data.g_c, r) for r in rot.rows])
     rep = semidirect_witness(little_group_step(cov_inner.algebra, n_inner, cov_inner),
-                             [("rotations", rot_inner)])
+                             "rotations", rot_inner)
     assert rep["witness"] == "rotations"
     assert rep["cocycle_zero"]
 
@@ -336,20 +336,23 @@ def test_semidirect_witness_poincare_little_group(entries):
 def test_semidirect_witness_heisenberg_fails(entries):
     h3e = entries["heisenberg3"]
     data = little_group_step(h3e.algebra, h3e.ideals["center"], Covector(h3e.algebra, (0, 0, 1)))
-    rep = semidirect_witness(data, [("xy_plane", h3e.complements["xy_plane"])])
+    rep = semidirect_witness(data, "xy_plane", h3e.complements["xy_plane"])
     assert rep["witness"] is None
     assert rep == _semidirect(None, [("xy_plane", "declared complement is not a subalgebra")])
 
 
 def test_semidirect_witness_abelian(entries):
     ab = entries["abelian3"].algebra
-    rep = semidirect_witness(little_group_step(ab, _span(3, 1, 2), Covector(ab, (1, 2, 3))),
-                             [("meets", _span(3, 0, 1)), ("inside", _span(3, 1)),
-                              ("plane", Subspace.full(2)), ("line", _span(3, 0))])
-    assert rep["witness"] == "line" and rep["cocycle_zero"]
-    assert rep == _semidirect("line", [("meets", "not a linear complement of the ideal"),
-                                       ("inside", "not a linear complement of the ideal"),
-                                       ("plane", "wrong ambient dimension")])
+    data = little_group_step(ab, _span(3, 1, 2), Covector(ab, (1, 2, 3)))
+    for name, s, expected in (
+            ("meets", _span(3, 0, 1), _semidirect(None, [
+                ("meets", "not a linear complement of the ideal")])),
+            ("inside", _span(3, 1), _semidirect(None, [
+                ("inside", "not a linear complement of the ideal")])),
+            ("plane", Subspace.full(2), _semidirect(None, [
+                ("plane", "wrong ambient dimension")])),
+            ("line", _span(3, 0), _semidirect("line", []))):
+        assert semidirect_witness(data, name, s) == expected, name
 
 
 def test_semidirect_witness_requires_point_orbit(entries):
@@ -357,32 +360,26 @@ def test_semidirect_witness_requires_point_orbit(entries):
     data = little_group_step(poin.algebra, poin.ideals["translations"],
                              Covector(poin.algebra, poin.covectors["timelike"]))
     with pytest.raises(ValueError, match="point-orbit hypothesis"):
-        semidirect_witness(data, [("lorentz", poin.complements["lorentz"])])
+        semidirect_witness(data, "lorentz", poin.complements["lorentz"])
 
 
-def complement_section_witness(data, candidates):
-    """The witness search `semidirect_witness` replaced: the obstruction through the
-    section into each candidate, whose refusal marks a non-complement, and a
-    subalgebra is accepted when that cocycle vanishes."""
-    rejections = []
-    for name, s in candidates:
-        if s.ambient_dim != data.algebra.dim:
-            rejections.append((name, "wrong ambient dimension"))
-            continue
-        try:
-            report = complement_obstruction(data, s)
-        except ValueError:
-            rejections.append((name, "not a linear complement of the ideal"))
-            continue
-        try:
-            check_subalgebra(data.algebra, s)
-        except NotClosedError:
-            rejections.append((name, "declared complement is not a subalgebra"))
-            continue
-        if not any(map(any, report["cocycle"])):
-            return _semidirect(name, rejections)
-        rejections.append((name, "cocycle does not vanish on the candidate section"))
-    return _semidirect(None, rejections)
+def complement_section_witness(data, name, s):
+    """The witness check `semidirect_witness` replaced: the obstruction through the
+    section into s, whose refusal marks a non-complement, and a subalgebra is
+    accepted when that cocycle vanishes."""
+    if s.ambient_dim != data.algebra.dim:
+        return _semidirect(None, [(name, "wrong ambient dimension")])
+    try:
+        report = complement_obstruction(data, s)
+    except ValueError:
+        return _semidirect(None, [(name, "not a linear complement of the ideal")])
+    try:
+        check_subalgebra(data.algebra, s)
+    except NotClosedError:
+        return _semidirect(None, [(name, "declared complement is not a subalgebra")])
+    if not any(map(any, report["cocycle"])):
+        return _semidirect(name, [])
+    return _semidirect(None, [(name, "cocycle does not vanish on the candidate section")])
 
 
 def _point_orbit_candidates(entries):
@@ -424,14 +421,12 @@ def test_the_witness_matches_the_complement_section_route(entries):
     """At a point orbit a subalgebra complement s of n makes the section into s a
     homomorphism, so the cocycle the old route computed on it is zero: deciding each
     candidate by its definition gives the old route's witness and rejections, one
-    candidate at a time and for the whole list."""
+    candidate at a time."""
     outcomes = Counter()
     for data, candidates in _point_orbit_candidates(entries):
-        assert semidirect_witness(data, candidates) == complement_section_witness(
-            data, candidates)
         for name, s in candidates:
-            rep = semidirect_witness(data, [(name, s)])
-            assert rep == complement_section_witness(data, [(name, s)]), name
+            rep = semidirect_witness(data, name, s)
+            assert rep == complement_section_witness(data, name, s), name
             if rep["witness"] is not None:
                 assert not any(map(any, complement_obstruction(data, s)["cocycle"]))
             outcomes[rep["rejections"][0]["reason"] if rep["rejections"] else "witness"] += 1
@@ -454,12 +449,11 @@ def test_the_witness_runs_no_obstruction(entries, monkeypatch):
                              Covector(alg, poin.covectors["zero_momentum"]))
     boost = tuple(map(add, lorentz.rows[-1], basis_vector(10, 6)))
     boosted = Subspace(10, [*lorentz.rows[:-1], boost])
-    rep = semidirect_witness(data, [("wide", Subspace.full(11)), ("all", Subspace.full(10)),
-                                    ("boosted", boosted), ("lorentz", lorentz)])
-    assert rep == _semidirect("lorentz", [
-        ("wide", "wrong ambient dimension"),
-        ("all", "not a linear complement of the ideal"),
-        ("boosted", "declared complement is not a subalgebra")])
+    for name, s, reason in (("wide", Subspace.full(11), "wrong ambient dimension"),
+                            ("all", Subspace.full(10), "not a linear complement of the ideal"),
+                            ("boosted", boosted, "declared complement is not a subalgebra")):
+        assert semidirect_witness(data, name, s) == _semidirect(None, [(name, reason)])
+    assert semidirect_witness(data, "lorentz", lorentz) == _semidirect("lorentz", [])
 
 
 # -- abelian step and classification -------------------------------------------
@@ -661,20 +655,20 @@ def test_one_ideal_check_and_one_little_group_per_point(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    for name in ("is_ideal", "little_group_step", "orth", "coadjoint_image"):
+    for name in ("check_ideal", "little_group_step", "orth", "coadjoint_image"):
         monkeypatch.setattr(mackey, name, counted(name, getattr(mackey, name)))
     poincare = "catalog:poincare"
     translations = Subspace(10, [basis_vector(10, i) for i in range(6, 10)])
     assert cli.main(["classify", poincare, "--ideal", "translations",
                      "--point=0,0,0,0,0,0,1,0,0,0", "--point=0,0,0,0,0,0,1,1,0,0"]) == 0
-    assert calls.count("is_ideal") == 1 and calls.count("little_group_step") == 2
+    assert calls.count("check_ideal") == 1 and calls.count("little_group_step") == 2
     assert calls.count(("orth", translations)) + calls.count(
         ("coadjoint_image", translations)) == 2
     calls.clear()
     assert cli.main(["mackey", poincare, "--ideal", "translations", "--complement", "lorentz",
                      "--point=0,0,0,1,0,0,0,0,0,0", "--point=0,0,0,0,0,0,0,0,0,0"]) == 0
     assert '"witness": "lorentz"' in capsys.readouterr().out
-    assert calls.count("is_ideal") == 1 and calls.count("little_group_step") == 2
+    assert calls.count("check_ideal") == 1 and calls.count("little_group_step") == 2
 
 
 def test_classify_checks_that_its_ideal_is_abelian_once_per_invocation(monkeypatch, capsys):
@@ -714,7 +708,7 @@ def test_mackey_eliminates_each_points_pairing_once(entries, monkeypatch):
     assert len(bindings) >= 2  # linalg's own, for the kernels, and liealg's, for ranks
     for mod in bindings:
         monkeypatch.setattr(mod, "rref", counted)
-    rep = mackey_report(alg, poin.ideals["translations"], cov)
+    rep = mackey_steps(little_group_step(alg, poin.ideals["translations"], cov))
     assert reduced.count(True) == 1
     assert rep["mackey"]["dimensions"]["dim_x"] == orbit_dim(alg, cov) == 8
 
@@ -834,7 +828,7 @@ def test_exp_coadjoint_refuses_non_nilpotent(entries, coords):
 def test_mackey_report_heisenberg(entries):
     h3 = entries["heisenberg3"].algebra
     cov = Covector(h3, (0, 0, 1))
-    rep = mackey_report(h3, _span(3, 2), cov)
+    rep = mackey_steps(little_group_step(h3, _span(3, 2), cov))
     dims = rep["mackey"]["dimensions"]
     assert (dims["dim_x"], dims["dim_u"], dims["dim_g_mod_h"], dims["dim_v"]) == (2, 0, 0, 2)
     assert dims["consistent"] and rep["ok"]
@@ -844,7 +838,7 @@ def test_mackey_report_heisenberg(entries):
 def test_mackey_report_poincare(entries):
     poin = entries["poincare"]
     cov = Covector(poin.algebra, poin.covectors["timelike_spinning"])
-    rep = mackey_report(poin.algebra, poin.ideals["translations"], cov)
+    rep = mackey_steps(little_group_step(poin.algebra, poin.ideals["translations"], cov))
     dims = rep["mackey"]["dimensions"]
     assert (dims["dim_x"], dims["dim_u"], dims["dim_g_mod_h"], dims["dim_v"]) == (8, 0, 3, 2)
     assert mackey.dimensions(little_group_step(poin.algebra, poin.ideals["translations"],
@@ -882,10 +876,10 @@ def test_dim_v_even_and_fiber_rank(entries, rng):
         alg = entry.algebra
         for ideal in entry.ideals.values():
             for _ in range(4):
-                cov = rand_covector(alg, rng)
-                dim_v = mackey_report(alg, ideal, cov)["mackey"]["dimensions"]["dim_v"]
+                data = little_group_step(alg, ideal, rand_covector(alg, rng))
+                dim_v = mackey_steps(data)["mackey"]["dimensions"]["dim_v"]
                 assert dim_v % 2 == 0 and dim_v >= 0
-                assert dim_v == mackey.dimensions(little_group_step(alg, ideal, cov))[4]
+                assert dim_v == mackey.dimensions(data)[4]
 
 
 # -- exp-linearity: one covector cov . ad(Z)^2 per direction --------------------
@@ -922,7 +916,7 @@ def test_the_step_two_relations_and_the_dimension_count_hold_property(descents):
     checked = 0
     for entry, cov, _ in descents:
         for n in entry.ideals.values():
-            rep = mackey_report(entry.algebra, n, cov)["mackey"]
+            rep = mackey_steps(little_group_step(entry.algebra, n, cov))["mackey"]
             rel = rep["relations"]
             assert rel["stabilizer_in_h"] and rel["annihilator_identity"] and rel["exp_linear"], (
                 entry.name, cov, n)
@@ -988,7 +982,7 @@ def test_mackey_step_two_on_heisenberg_matches_the_closed_form(k):
     coords = list(rand_vec(rng, alg.dim))
     coords[alg.label_index("z")] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
     cov = Covector(alg, coords)
-    rep = mackey_report(alg, n, cov)
+    rep = mackey_steps(little_group_step(alg, n, cov))
     assert _mackey_dims(rep) == (2 * k, k, 0, 0)
     assert little_group_step(alg, n, cov).g_c == n and rep["ok"]
 
@@ -1000,6 +994,7 @@ def test_mackey_step_two_on_filiform_matches_the_closed_form(size):
     family = families.filiform(size, families.family_rng(0, f"mackey-L{size}"))
     entry = parse_entry(family.doc)
     point = workloads._generic_point(random.Random(size), family)
-    rep = mackey_report(entry.algebra, entry.ideals["abelian"], Covector(entry.algebra, point))
+    cov = Covector(entry.algebra, point)
+    rep = mackey_steps(little_group_step(entry.algebra, entry.ideals["abelian"], cov))
     assert _mackey_dims(rep) == (2, 1, 0, 0)
     assert rep["ok"]

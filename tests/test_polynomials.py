@@ -22,7 +22,6 @@ from orbitkit.polynomials import (
     real_root_count,
     squarefree_part,
     to_string,
-    xgcd,
 )
 from orbitkit.qi_roots import is_rational_square, qi_factors
 from orbitkit.liealg import ad_matrix
@@ -58,10 +57,34 @@ def test_gcd_and_bezout():
     b = mul(poly([1, 1]), poly([3, 1]))    # (x+1)(x+3)
     g = gcd(a, b)
     assert g == poly([1, 1])
-    g2, u, v = xgcd(a, b)
-    assert g2 == g
-    lhs = poly([x + y for x, y in zip_pad(mul(u, a), mul(v, b))])
-    assert lhs == g
+    # a/g and b/g are coprime: the inverse is the Bezout coefficient u, u (a/g) = 1 mod b/g
+    a_g, b_g = divmod_poly(a, g)[0], divmod_poly(b, g)[0]
+    u = invert_mod(a_g, b_g)
+    assert divmod_poly(mul(u, a_g), b_g)[1] == poly([1])
+
+
+def test_invert_mod_inverts_coprime_pairs_and_refuses_the_rest():
+    """u p = 1 mod m with deg u < deg m on seeded coprime pairs; the same pairs
+    times a common factor x - r, and p = 0, are refused with the one message."""
+    rng = random.Random(17)
+
+    def refused(p, m):
+        with pytest.raises(ValueError) as refusal:
+            invert_mod(p, m)
+        return str(refusal.value) == "element is not invertible modulo the given polynomial"
+
+    inverted = 0
+    for _ in range(200):
+        p = poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))])
+        m = poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(2, 5))])
+        if len(m) < 2 or not p or len(gcd(p, m)) > 1:
+            continue
+        u = invert_mod(p, m)
+        assert len(u) < len(m) and divmod_poly(mul(u, p), m)[1] == poly([1]), (p, m)
+        common = poly([F(rng.randint(-4, 4), rng.randint(1, 3)), 1])
+        assert refused(mul(p, common), mul(m, common)) and refused((), m), (p, m)
+        inverted += 1
+    assert inverted > 150
 
 
 def test_squarefree_part():
