@@ -18,8 +18,9 @@ so is a Fraction too long to print, a ValueError that says so.
 Bad input is decided in one place: any ValueError raised on the way to a
 report means the input is outside what the analysis covers, and `main`
 turns it into the exit-2 envelope with the exception's text as `error`.
-The library's input errors (InputError and CatalogError in `catalog`,
-NotClosedError, ChainError, UnsupportedSpectrumError) are all ValueErrors.
+The library's input errors (InputError and CatalogError in `catalog`, and
+`structure.NotClosedError`) are all ValueErrors; a chain of subalgebras
+that does not nest and a spectrum outside Q(i) are InputErrors.
 An `--output` path that cannot be written gives the same envelope, on
 stdout, naming the path.  Usage errors (an unknown command or option, a
 missing value or argument) print a message on stderr, nothing on stdout,

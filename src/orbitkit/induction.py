@@ -32,10 +32,6 @@ from .linalg import Subspace
 from .structure import check_subalgebra
 
 
-class ChainError(ValueError):
-    """Nesting violates the required subalgebra chain."""
-
-
 def _stages(alg: LieAlgebra, subs: Sequence[Subspace]) -> list:
     """(space, sub) for each stage of the chain g > subs[0] > ..., innermost first."""
     return list(zip([Subspace.full(alg.dim), *subs], subs))[::-1]
@@ -46,12 +42,12 @@ def check_chain(alg: LieAlgebra, subs: Sequence[Subspace]) -> None:
 
     Refused, in this order: an innermost sub that is not a subalgebra
     (NotClosedError), a sub outside the one before it, innermost first
-    (ChainError), and an outer sub that is not a subalgebra, outermost first.
+    (InputError), and an outer sub that is not a subalgebra, outermost first.
     """
     check_subalgebra(alg, subs[-1])
     for space, sub in _stages(alg, subs):
         if not space.contains_subspace(sub):
-            raise ChainError("subalgebra not contained in ambient")
+            raise InputError("subalgebra not contained in ambient")
     for sub in subs[:-1]:
         check_subalgebra(alg, sub)
 

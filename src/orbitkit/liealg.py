@@ -12,28 +12,31 @@ a definition file gives its table as a list of brackets, one per i < j pair.
 the package's own brackets, of vectors it made itself, take
 `bracket_exact`, which coerces nothing.
 
-The coadjoint action has one kernel: row i of P = `pairing(alg, xi)` is
-xi . ad(e_i), so xi . ad(w) is `combine(w, P)`.  At a covector P is the KKS
-pairing B, which `kks_pairing` returns as these rows (a matrix is the tuple
-of its rows, as everywhere in the package, and so is `ad_matrix`'s), and
-whose exact kernels and ranks answer the coadjoint questions; the Krylov
-hull and `polarization.orbit_annihilator` run on it, and so does the
-coadjoint flow exp(Z) that the tests' witness checks walk.  `ad_matrix` has
-three readers: `reductive.grade`, the exponential precheck and
-`polarization.centralizer`, whose rows a . ad(w) it gives.
+The coadjoint action has one kernel and one contraction: row i of P =
+`pairing(alg, xi)` is xi . ad(e_i), and `coadjoint_rows(P, sub)` gives the
+xi . ad(w) over the canonical rows w of a subspace, the nonzero rows
+`combine(w, P)`.  At a covector P is the KKS pairing B, which `kks_pairing`
+returns as these rows (a matrix is the tuple of its rows, as everywhere in
+the package, and so is `ad_matrix`'s), and whose exact kernels and ranks
+answer the coadjoint questions.  The Krylov hull, `orbit_dim`,
+`structure.coadjoint_image`, and `orbit_annihilator` and `centralizer` in
+`polarization` read their rows there, and the coadjoint flow exp(Z) that
+the tests' witness checks walk reads `pairing`.  `ad_matrix` is built only to
+read a spectrum, and has two readers: `reductive.grade` and the
+exponential precheck.
 
 This module holds what `validate`, `orbit` and `parabolic` run: the
 algebra and covector types, `validate` (which returns the `validation`
 block the CLI prints; it checks a matrix representation's brackets over
 each matrix's nonzero entries, one flattened size x size accumulator per
 pair, and forms no Jacobi sum that a faithful representation proves), the
-pairing kernel, the KKS pairing and what it answers at a covector
-(`stabilizer`, `orbit_dim` of g or of a subalgebra), `ad_matrix`, the
-Krylov hull (a `linalg.invariant_closure` worklist), `orbit_record`, and
-the structure facts: `is_nilpotent` (one generator closure; the lemma is
-stated there), `derived_series` and `is_solvable`, which the exponential
-precheck reads without compiling `structure`, and which build [g, g] once
-per algebra between them.  The constructions from
+pairing kernel and its contraction, the KKS pairing and what it answers at
+a covector (`stabilizer`, `orbit_dim` of a subalgebra or of g),
+`ad_matrix`, the Krylov hull (a `linalg.invariant_closure` worklist),
+`orbit_record`, and the structure facts: `is_nilpotent` (one generator
+closure; the lemma is stated there), `derived_series` and `is_solvable`,
+which the exponential precheck reads without compiling `structure`, and
+which build [g, g] once per algebra between them.  The constructions from
 subspaces (orthogonals, subquotients) are in `structure`, which only the
 subcommands that use them import.
 
@@ -257,31 +260,38 @@ def stabilizer(alg: LieAlgebra, cov: Covector) -> Subspace:
     return rank_kernel(kks_pairing(alg, cov), alg.dim)[1]
 
 
-def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace | None = None) -> int:
-    """Dimension of the orbit of cov, or of cov restricted to the subalgebra sub.
+def coadjoint_rows(p: Sequence, sub: Subspace | None = None):
+    """An iterator over the nonzero rows w . P, w over the canonical rows of sub,
+    or over P's own nonzero rows when sub is None or all of g.  For P =
+    `pairing(alg, xi)` these are the xi . ad(w): every coadjoint row the
+    package forms is read here."""
+    n = len(p)
+    return filter(any, p if sub is None or sub.dim == n else (combine(w, p, n) for w in sub.rows))
 
-    The rank of W B W^T over the canonical rows W of sub (all of g when sub
-    is None), B the pairing of cov.  W B W^T is the pairing of the restricted
-    covector in sub's RREF basis, so no subalgebra is built.  An algebra that
-    fails validation is refused.
+
+def orbit_dim(alg: LieAlgebra, cov: Covector, sub: Subspace) -> int:
+    """Dimension of the orbit of cov restricted to the subalgebra sub (all of g
+    for the orbit of cov itself).
+
+    The rank of W B W^T over the canonical rows W of sub, B the pairing of
+    cov: W B W^T is the pairing of the restricted covector in sub's RREF
+    basis, so no subalgebra is built.  An algebra that fails validation is
+    refused.
     """
     if not validate(alg)["ok"]:
         raise ValueError("algebra fails validation; see validate()")
-    b, cols = kks_pairing(alg, cov), alg.dim
-    if sub is not None:
-        if sub.ambient_dim != alg.dim:
-            raise ValueError("subspace ambient dimension does not match algebra")
-        wb = [combine(w, b, alg.dim) for w in sub.rows]
-        b, cols = [[vec_dot(r, w) for w in sub.rows] for r in wb], sub.dim
-    return len(rref(b, cols)[1])
+    if sub.ambient_dim != alg.dim:
+        raise ValueError("subspace ambient dimension does not match algebra")
+    wbw = [[vec_dot(r, w) for w in sub.rows] for r in coadjoint_rows(kks_pairing(alg, cov), sub)]
+    return len(rref(wbw, sub.dim)[1])
 
 
 def ad_matrix(alg: LieAlgebra, z: Sequence) -> tuple:
     """The rows of the matrix of ad(Z); column j holds the coordinates of [Z, e_j].
 
-    Built to read its eigenspaces, in `reductive.grade`, its spectrum, in
-    `exponential._has_imaginary_eigenvalue`, and the rows a . ad(w) whose
-    kernel is a centralizer, in `polarization.centralizer`."""
+    Built only to read a spectrum: its eigenspaces, in `reductive.grade`, and
+    its characteristic polynomial, in `exponential._has_imaginary_eigenvalue`.
+    A coadjoint row xi . ad(Z) is read off `pairing` by `coadjoint_rows`."""
     n = alg.dim
     m = [[ZERO] * n for _ in range(n)]
     for a, plane in zip(alg.coords(z), alg.nonzeros):
@@ -299,10 +309,10 @@ def krylov_hull(alg: LieAlgebra, cov: Covector) -> Subspace:
     The identity-component orbit of cov lies in cov + hull; for nilpotent
     algebras the hull is exactly the direction space of the orbit's affine
     hull.  It closes the rows of the pairing B, which span g(cov), under
-    xi -> the nonzero rows of `pairing(alg, xi)`.
+    xi -> the `coadjoint_rows` of `pairing(alg, xi)`, the xi . ad(e_i).
     """
-    return invariant_closure(alg.dim, kks_pairing(alg, cov),
-                             lambda xi: filter(any, pairing(alg, xi)))
+    return invariant_closure(alg.dim, coadjoint_rows(kks_pairing(alg, cov)),
+                             lambda xi: coadjoint_rows(pairing(alg, xi)))
 
 
 def orbit_record(alg: LieAlgebra, cov: Covector) -> dict:

@@ -335,7 +335,7 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, generators: Iterable[Iterable] = ()):
+    def __init__(self, ambient_dim: int, generators: Iterable[Iterable]):
         rows = tuple(vec(row) for row in generators)
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("generator length does not match ambient dimension")

@@ -60,6 +60,7 @@ from .linalg import (
     Subspace,
     ZERO,
     annihilator,
+    basis_vector,
     solve,
     sum_intersect,
     vec,
@@ -167,6 +168,7 @@ def obstruction_step(data: LittleGroupData) -> dict:
 
     quot = subquotient(alg, h_c, n_c)
     m, sec = quot.algebra.dim, quot.lifts
+    units = [basis_vector(m, k) for k in range(m)]
 
     # [sx, sy] lies in h_c, which subquotient found closed, and n_c.reduce of
     # it is the combination of the lifts at its class coordinates, the
@@ -179,8 +181,7 @@ def obstruction_step(data: LittleGroupData) -> dict:
             br = alg.bracket_exact(sec[a], sec[b])
             val = cov.pair(vec_sub(br, n_c.reduce(br)))
             f[a][b], f[b][a] = val, -val
-            coeffs = dict(quot.algebra.nonzeros[a][b])
-            pair_rows.append([coeffs.get(k, ZERO) for k in range(m)])
+            pair_rows.append(quot.algebra.bracket_exact(units[a], units[b]))
             rhs.append(val)
     # with no pair row no bracket constrains beta, and the report prints []
     beta = solve(pair_rows, rhs, m) if pair_rows else ()

@@ -19,9 +19,10 @@ with no admissible ideal gives the point's result {"error": "strategy
 exhausted", "rejected_candidates": [...], "ok": false}, each rejection a
 {"step", "candidate", "reason"} as in a trace.  `orbit_annihilator`,
 `centralizer` and `ascending_central_series` are defined here, since no
-other module uses them.  None reads the bracket table itself: the orbit
-annihilator runs on the coadjoint kernel `liealg.pairing`, and a
-centralizer is the kernel of rows read off `liealg.ad_matrix`.
+other module uses them.  None reads the bracket table itself or forms an
+ad(Z) matrix: the orbit annihilator and every centralizer read their rows
+xi . ad(w) off the coadjoint kernel, `liealg.coadjoint_rows` of a
+`liealg.pairing`.
 
 A user chain (`--strategy chain:FILE`) supplies the ideals instead, one per
 step; `parse_chain` reads its file, {"ideals": [subspace, ...]}.
@@ -43,8 +44,8 @@ from .conditions import check_conditions
 from .liealg import (
     Covector,
     LieAlgebra,
-    ad_matrix,
     bracket_span,
+    coadjoint_rows,
     derived_series,
     orbit_dim,
     pairing,
@@ -68,26 +69,21 @@ def orbit_annihilator(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace
     V makes it an ideal; an ideal of sub inside ker cov is killed by ann(sub) and
     every cov . ad(W_1) ... ad(W_k), so by V.  For sub = g, V is the orbit's span.
     """
-    n = alg.dim
-
-    def images(xi):
-        rows = pairing(alg, xi)  # row i is xi . ad(e_i)
-        return filter(any, rows if sub.dim == n else (combine(w, rows, n) for w in sub.rows))
-
-    return annihilator(invariant_closure(n, annihilator(sub).rows + (cov.coords,), images))
+    return annihilator(invariant_closure(alg.dim, annihilator(sub).rows + (cov.coords,),
+                                         lambda xi: coadjoint_rows(pairing(alg, xi), sub)))
 
 
 def centralizer(alg: LieAlgebra, sub: Subspace, modulo: Subspace | None = None) -> Subspace:
     """All Z with [Z, sub] inside modulo (0 by default, so [Z, sub] = 0).
 
-    The kernel of the rows a . ad(w), for a a row of ann(modulo) and w one of
-    sub: (a . ad(w))(Z) = a([w, Z]), which is 0 for every a iff [Z, w] lies
-    in modulo.  One `ad_matrix` per row of sub.
+    The kernel of the rows a . ad(w), the `coadjoint_rows` of `pairing(alg,
+    a)` over the rows w of sub, for a a row of ann(modulo): (a . ad(w))(Z) =
+    a([w, Z]), which is 0 for every a iff [Z, w] lies in modulo.  One
+    `pairing` per row of ann(modulo).
     """
     n = alg.dim
     ann = annihilator(modulo if modulo is not None else Subspace.zero(n)).rows
-    ads = (ad_matrix(alg, w) for w in sub.rows)
-    return rank_kernel([combine(a, ad, n) for ad in ads for a in ann], n)[1]
+    return rank_kernel([r for a in ann for r in coadjoint_rows(pairing(alg, a), sub)], n)[1]
 
 
 @lru_cache(maxsize=None)

@@ -135,8 +135,8 @@ def invert_mod(p: tuple, modulus: tuple) -> tuple:
     return divmod_poly(scale(ONE / a[0], ua), modulus)[1]
 
 
-def to_string(p: tuple, var: str = "x") -> str:
-    """Human-readable form, highest degree first."""
+def to_string(p: tuple) -> str:
+    """Human-readable form in x, highest degree first."""
     if not p:
         return "0"
     parts = []
@@ -148,7 +148,7 @@ def to_string(p: tuple, var: str = "x") -> str:
             term = str(abs(a))
         else:
             coeff = "" if abs(a) == 1 else f"{abs(a)}*"
-            term = f"{coeff}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{coeff}x" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(term if a > 0 else f"-{term}")
         else:

@@ -9,8 +9,9 @@ quadratic with negative discriminant whose imaginary part is rational.
 `qi_roots.qi_factors` finds those factors p-adically and returns the
 cofactor they leave in the squarefree part of the characteristic
 polynomial.  A nonconstant cofactor has no root in Q(i) and names the
-refused spectrum: at degree <= 3 it has no rational root, so it is the one
-irreducible unsupported factor; above that it is named whole.
+refused spectrum, an `InputError` that exits 2: at degree <= 3 it has no
+rational root, so it is the one irreducible unsupported factor; above that
+it is named whole.
 
 x_h is read off x's own spectral projectors.  With chi = charpoly(x) =
 prod f_i^{m_i}, the projection onto the generalized eigenspace ker
@@ -50,7 +51,8 @@ whose rank is dim O_x: f([Z, Y]) = tr(x[Z, Y]) = tr([x, Z]Y) for all Y, and
 the trace form is nondegenerate on g (`matrix_lie_algebra` checks it), so
 g_f = ker ad x.  One elimination gives both.  The stabilizer, the rank of f
 on q and ad(x_h) come from `liealg` (`stabilizer`, `orbit_dim`,
-`ad_matrix`), so a `parabolic` invocation compiles no `structure`.
+`ad_matrix`), so a `parabolic` invocation compiles no `structure`; ad(x_h)
+is the one ad matrix built here, and only its eigenspaces are read.
 
 `parabolic_command` is the `parabolic` handler: every `--element`, then
 every `--point`, each reported in that order.
@@ -95,18 +97,6 @@ from .polynomials import (
     to_string,
 )
 from .qi_roots import qi_factors
-
-
-class UnsupportedSpectrumError(ValueError):
-    """Spectrum leaves Q(i); carries the offending factor, raised only by
-    `hyperbolic_part`: the cofactor `qi_factors` leaves, irreducible at
-    degree <= 3, and above that named whole.
-    """
-
-    def __init__(self, factor: tuple, reason: str):
-        self.factor = factor
-        self.reason = reason
-        super().__init__(f"unsupported spectrum: factor {to_string(factor)} ({reason})")
 
 
 class MatrixLieAlgebra(Record):
@@ -198,11 +188,11 @@ def hyperbolic_part(x: Sequence[Sequence]) -> tuple[tuple, list]:
     chi = charpoly(x)
     factors, rest = qi_factors(chi)
     if deg(rest) > 0:
-        raise UnsupportedSpectrumError(rest, (
-            "no root in Q(i)" if deg(rest) > 3
-            else "irreducible factor of degree 3" if deg(rest) == 3
-            else "irrational real eigenvalues" if rest[1] * rest[1] >= 4 * rest[0]
-            else "imaginary part is irrational"))
+        reason = ("no root in Q(i)" if deg(rest) > 3
+                  else "irreducible factor of degree 3" if deg(rest) == 3
+                  else "irrational real eigenvalues" if rest[1] * rest[1] >= 4 * rest[0]
+                  else "imaginary part is irrational")
+        raise InputError(f"unsupported spectrum: factor {to_string(rest)} ({reason})")
     h, eigenvalues = (), []
     for f in factors:
         a = -f[0] if deg(f) == 1 else -f[1] / 2   # monic x^2 - 2a x + a^2 + b^2

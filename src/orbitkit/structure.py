@@ -2,10 +2,11 @@
 
 The coadjoint questions about a subspace h and a covector f have one home
 each here: h(f) is `coadjoint_image` and its f-orthogonal h^f = ann(h(f))
-is `orth`, both under the one coadjoint kernel `liealg.pairing`.  Orbit
-dimensions, stabilizers and ad(Z) are in `liealg` (`orbit_dim`,
-`stabilizer`, `ad_matrix`), next to that kernel, and so are the structure
-facts (`is_nilpotent`, `derived_series`, `is_solvable`).
+is `orth`, both under the one coadjoint contraction
+`liealg.coadjoint_rows` of the KKS pairing.  Orbit dimensions and
+stabilizers are in `liealg` (`orbit_dim`, `stabilizer`), next to that
+kernel, and so are the structure facts (`is_nilpotent`, `derived_series`,
+`is_solvable`).  No construction here forms an ad(Z) matrix.
 
 Every algebra built from a subspace comes from one routine, `subquotient`:
 a subalgebra h, or h / n for an ideal n of h, with structure constants in
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .liealg import Covector, LieAlgebra, kks_pairing
-from .linalg import Record, Subspace, annihilator, combine, is_zero_vec
+from .liealg import Covector, LieAlgebra, coadjoint_rows, kks_pairing
+from .linalg import Record, Subspace, annihilator, is_zero_vec
 
 
 class NotClosedError(ValueError):
@@ -40,12 +41,12 @@ class NotClosedError(ValueError):
 def coadjoint_image(alg: LieAlgebra, cov: Covector, sub: Subspace) -> Subspace:
     """The subspace sub(cov) = {W(cov) : W in sub} of the dual.
 
-    W(cov) = B W = -W^T B, so the row combinations W^T B span it.
+    W(cov) = B W = -W^T B, so the row combinations W^T B, the
+    `coadjoint_rows` of the pairing B, span it.
     """
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    rows = kks_pairing(alg, cov)
-    return Subspace(alg.dim, [combine(w, rows, alg.dim) for w in sub.rows])
+    return Subspace(alg.dim, coadjoint_rows(kks_pairing(alg, cov), sub))
 
 
 def orth(alg: LieAlgebra, h: Subspace, cov: Covector) -> Subspace:

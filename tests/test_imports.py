@@ -325,16 +325,19 @@ BASE = ["orbitkit", "orbitkit.catalog", "orbitkit.cli", "orbitkit.liealg", "orbi
 
 # argv -> (the modules it adds to BASE, the most AST nodes (`ast.walk`) that the
 # package modules it loads may hold: what it compiles from source).  Every
-# invocation compiles BASE, 9,531 nodes when the budgets were set; a budget is
-# its row's count then, rounded up to the next 100.  Before `centralizer` read
-# `ad_matrix` and `xgcd`, `is_ideal` and `mackey_report` went, `parabolic` held
-# 14,159 nodes, a solvable `polarize` 14,154, a nilpotent one 12,145, a refused
-# one 12,041, and `mackey` and `classify` 12,374.  Before `qi_factors`
-# returned its cofactor, `parabolic` held 14,546 nodes, a solvable `polarize`
-# 14,247 and a refused one 12,134.  Before `linalg.Matrix` lost its arithmetic,
-# BASE held 10,270 nodes and `parabolic` 15,225; before the subcommand handlers
-# moved out of `cli`, BASE held 11,211 nodes, every `polarize` 15,863, `mackey`
-# and `classify` 14,012 and `parabolic` 16,075.
+# invocation compiles BASE, 9,543 nodes when the budgets were set; a budget is
+# its row's count then, rounded up to the next 100.  Before every coadjoint row
+# came from `liealg.coadjoint_rows`, `parabolic` held 14,003 nodes, a solvable
+# `polarize` 13,855, a nilpotent one 12,006 and a refused one 11,881, and BASE
+# 9,531.  Before `centralizer` read `ad_matrix` and `xgcd`, `is_ideal` and
+# `mackey_report` went, `parabolic` held 14,159 nodes, a solvable `polarize`
+# 14,154, a nilpotent one 12,145, a refused one 12,041, and `mackey` and
+# `classify` 12,374.  Before `qi_factors` returned its cofactor, `parabolic`
+# held 14,546 nodes, a solvable `polarize` 14,247 and a refused one 12,134.
+# Before `linalg.Matrix` lost its arithmetic, BASE held 10,270 nodes and
+# `parabolic` 15,225; before the subcommand handlers moved out of `cli`, BASE
+# held 11,211 nodes, every `polarize` 15,863, `mackey` and `classify` 14,012 and
+# `parabolic` 16,075.
 LOADS = {
     ("catalog",): ([], 9_600),
     ("validate", "catalog:heisenberg3"): ([], 9_600),
@@ -348,13 +351,13 @@ LOADS = {
     ("record", "catalog:heisenberg3", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "catalog:sl2", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_100),
+        (["polynomials", "qi_roots", "reductive"], 14_000),
     # nilpotent: the Engel shortcut compiles no polynomial code
     ("polarize", "catalog:heisenberg3", "--point=0,0,1"):
-        (["conditions", "exponential", "polarization", "structure"], 12_100),
+        (["conditions", "exponential", "polarization", "structure"], 12_000),
     # solvable, not nilpotent: the sampled precheck, then the search
     ("polarize", "catalog:affine_line", "--point=0,1"):
-        (["conditions", "exponential", "polarization", "polynomials", "structure"], 13_900),
+        (["conditions", "exponential", "polarization", "polynomials", "structure"], 13_800),
     # the precheck fails (exit 2) before the search is imported
     ("polarize", "catalog:sl2", "--point=2,0,0"): (["exponential", "polynomials"], 11_900),
     # definition files, the benchmark's own traffic
@@ -369,9 +372,9 @@ LOADS = {
     ("record", "h3.json", "--sub", "plane", "--point=0,0,1"):
         (["induction", "structure"], 10_500),
     ("parabolic", "sl2.json", "--element=1,0,0"):
-        (["polynomials", "qi_roots", "reductive"], 14_100),
+        (["polynomials", "qi_roots", "reductive"], 14_000),
     ("polarize", "h3.json", "--point=0,0,1"):
-        (["conditions", "exponential", "polarization", "structure"], 12_100),
+        (["conditions", "exponential", "polarization", "structure"], 12_000),
 }
 # the rows of LOADS that exit 2 with the error envelope; every other row prints a report
 REFUSED = {("polarize", "catalog:sl2", "--point=2,0,0")}

@@ -15,6 +15,7 @@ from orbitkit.liealg import (
     LieAlgebra,
     ad_matrix,
     bracket_span,
+    coadjoint_rows,
     derived_series,
     is_nilpotent,
     is_solvable,
@@ -303,8 +304,8 @@ def test_orbit_dim_matches_the_subalgebra_route(entries, rng):
         covs = [Covector(alg, c) for c in entry.covectors.values()]
         covs += [rand_covector(alg, rng) for _ in range(3)]
         for cov in covs:
-            assert orbit_dim(alg, cov) == rank_kernel(kks_pairing(alg, cov), alg.dim)[0]
-            assert orbit_dim(alg, cov, Subspace.full(alg.dim)) == orbit_dim(alg, cov)
+            full = Subspace.full(alg.dim)
+            assert orbit_dim(alg, cov, full) == rank_kernel(kks_pairing(alg, cov), alg.dim)[0]
             for ideal in entry.ideals.values():
                 for sub in (ideal, orth(alg, ideal, cov)):
                     assert orbit_dim(alg, cov, sub) == subalgebra_orbit_dim(alg, cov, sub), (
@@ -317,7 +318,7 @@ def test_orbit_dim_refuses_bad_input(entries):
         orbit_dim(h3, Covector(h3, (0, 0, 1)), Subspace.full(2))
     broken = LieAlgebra(2, ("a", "b"), (((), ((0, F(1)),)), ((), ())))  # not antisymmetric
     with pytest.raises(ValueError, match="fails validation"):
-        orbit_dim(broken, Covector(broken, (1, 0)))
+        orbit_dim(broken, Covector(broken, (1, 0)), Subspace.full(2))
     assert orbit_dim(h3, Covector(h3, (0, 0, 1)), Subspace.zero(3)) == 0
 
 
@@ -514,12 +515,16 @@ def test_sparse_kernels_match_dense_references(entries, rng):
         full = Subspace.full(n)
         for modulo in (centralizer(alg, full), bracket_span(alg, full, full)):
             assert centralizer(alg, full, modulo) == dense_centralizer(alg, full, modulo)
+        half = Subspace(n, [rand_vec(rng, n, lo=-2, hi=2, max_den=1) for _ in range(n // 2)])
+        for modulo in derived_series(alg):
+            assert centralizer(alg, half, modulo) == dense_centralizer(alg, half, modulo)
 
 
-def test_centralizer_reads_the_table_only_through_ad_matrix(entries, monkeypatch, rng):
-    """One `ad_matrix` per row of sub, and no read of the bracket table by
-    `centralizer` itself: the algebra it is handed hides its table."""
-    real, calls, reads = liealg.ad_matrix, [], []
+def test_centralizer_contracts_one_pairing_per_row_of_the_annihilator(entries, monkeypatch,
+                                                                       rng):
+    """One `pairing` per row of ann(modulo), no `ad_matrix`, and no read of the
+    bracket table by `centralizer` itself: the algebra it is handed hides its table."""
+    real, calls, reads = liealg.pairing, [], []
 
     class Watched:
         def __init__(self, alg):
@@ -529,11 +534,15 @@ def test_centralizer_reads_the_table_only_through_ad_matrix(entries, monkeypatch
             reads.append(name)
             return getattr(self.alg, name)
 
-    def counted(watched, z):
-        calls.append(tuple(z))
-        return real(watched.alg, z)
+    def counted(watched, xi):
+        calls.append(tuple(xi))
+        return real(watched.alg, xi)
 
-    monkeypatch.setattr(polarization, "ad_matrix", counted)
+    def refuse(*args):
+        raise AssertionError("dense ad(Z)")
+
+    monkeypatch.setattr(polarization, "pairing", counted)
+    monkeypatch.setattr(liealg, "ad_matrix", refuse)
     checked = 0
     for entry in [*entries.values(), *family_orbit_entries()]:
         alg = entry.algebra
@@ -542,10 +551,29 @@ def test_centralizer_reads_the_table_only_through_ad_matrix(entries, monkeypatch
         for sub, modulo in ((full, None), (full, bracket_span(alg, full, full)), (drawn, None)):
             calls.clear()
             got = centralizer(Watched(alg), sub, modulo)
-            assert calls == list(sub.rows), entry.name
+            ann = annihilator(modulo if modulo is not None else Subspace.zero(n))
+            assert calls == list(ann.rows), entry.name
             assert got == dense_centralizer(alg, sub, modulo), entry.name
             checked += 1
     assert checked == 45 and reads and "nonzeros" not in reads
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.sampled_from(sorted(builtin_catalog())), st.randoms(use_true_random=False))
+def test_coadjoint_rows_are_the_rows_xi_ad_w_property(name, rnd):
+    """`coadjoint_rows(pairing(alg, xi), sub)` against the oracle xi . ad(w) =
+    `combine(xi, ad_matrix(alg, w))` over the rows w of sub: the same nonzero
+    rows in the same order, so the same span, for sub = g, 0 and a drawn one."""
+    alg = builtin_catalog()[name].algebra
+    n = alg.dim
+    xi = rand_vec(rnd, n)
+    drawn = Subspace(n, [rand_vec(rnd, n, lo=-2, hi=2, max_den=1)
+                         for _ in range(rnd.randint(1, n))])
+    p = pairing(alg, xi)
+    for sub in (Subspace.full(n), Subspace.zero(n), drawn):
+        oracle = [r for r in (combine(xi, ad_matrix(alg, w), n) for w in sub.rows) if any(r)]
+        assert list(coadjoint_rows(p, sub)) == oracle
+    assert list(coadjoint_rows(p)) == list(coadjoint_rows(p, Subspace.full(n)))
 
 
 # -- generated families past the catalog --------------------------------------
@@ -623,7 +651,7 @@ CLOSED_FORM = ([(families.sl, n, n - 1) for n in range(2, 7)]
 def test_orbit_dim_at_a_seeded_covector_is_dim_minus_the_closed_form_index(make, size, index):
     alg = parse_algebra(make(size, families.family_rng(0, f"closed{size}")).doc)
     cov = Covector(alg, rand_vec(random.Random(size), alg.dim, lo=-5, hi=5, max_den=3))
-    assert orbit_dim(alg, cov) == alg.dim - index
+    assert orbit_dim(alg, cov, Subspace.full(alg.dim)) == alg.dim - index
 
 
 def test_kernels_multiply_no_matrices(entries, n7, monkeypatch):
@@ -1374,12 +1402,19 @@ def test_the_coadjoint_kernel_builds_no_ad_matrix(entries, monkeypatch, rng):
         raise AssertionError("dense ad(Z)")
 
     monkeypatch.setattr(liealg, "ad_matrix", refuse)
-    assert not hasattr(mackey, "ad_matrix") and not hasattr(structure, "ad_matrix")
+    assert not any(hasattr(mod, "ad_matrix") for mod in (mackey, polarization, structure))
     poincare = entries["poincare"]
     alg, ideal = poincare.algebra, poincare.ideals["translations"]
+    full = Subspace.full(alg.dim)
+    assert centralizer(alg, ideal) == dense_centralizer(alg, ideal)
+    assert centralizer(alg, full, ideal) == dense_centralizer(alg, full, ideal)
+    # uncached, so the series is built here; the Poincare algebra has no center
+    assert ascending_central_series.__wrapped__(alg) == (Subspace.zero(alg.dim),)
     for coords in poincare.covectors.values():
         cov = Covector(alg, coords)
-        orbit_annihilator(alg, cov, Subspace.full(alg.dim))
+        krylov_hull(alg, cov)
+        assert orbit_dim(alg, cov, ideal) == subalgebra_orbit_dim(alg, cov, ideal)
+        orbit_annihilator(alg, cov, full)
         orbit_annihilator(alg, cov, ideal)
         verify_step_relations(little_group_step(alg, ideal, cov))
         exp_coadjoint(alg, ideal.rows[0], cov)  # ad of a translation is nilpotent

@@ -527,7 +527,7 @@ def test_canonical_rows_are_taken_as_they_are_property(pair):
     assert meet == annihilator(Subspace(n, annihilator(a).rows
                                         + annihilator(b).rows))
     assert Subspace.full(n) == Subspace(n, identity(n))
-    assert Subspace.zero(n) == Subspace(n) and Subspace.zero(n).dim == 0
+    assert Subspace.zero(n) == Subspace(n, []) and Subspace.zero(n).dim == 0
 
 
 def test_a_subspace_coerces_each_entry_once(monkeypatch):

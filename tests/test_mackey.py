@@ -710,7 +710,7 @@ def test_mackey_eliminates_each_points_pairing_once(entries, monkeypatch):
         monkeypatch.setattr(mod, "rref", counted)
     rep = mackey_steps(little_group_step(alg, poin.ideals["translations"], cov))
     assert reduced.count(True) == 1
-    assert rep["mackey"]["dimensions"]["dim_x"] == orbit_dim(alg, cov) == 8
+    assert rep["mackey"]["dimensions"]["dim_x"] == orbit_dim(alg, cov, Subspace.full(alg.dim)) == 8
 
 
 # -- exact coadjoint exponential ------------------------------------------------
@@ -804,7 +804,8 @@ def test_exp_coadjoint_is_a_group_action_property(alg, rnd, s, t):
     assert flow(s, flow(t, cov)) == flow(s + t, cov)
     moved = flow(1, cov)
     assert flow(-1, moved) == cov
-    assert orbit_dim(alg, moved) == orbit_dim(alg, cov)
+    full = Subspace.full(alg.dim)
+    assert orbit_dim(alg, moved, full) == orbit_dim(alg, cov, full)
 
 
 def test_exp_coadjoint_at_a_fixed_point_of_a_non_nilpotent_flow(entries):
